@@ -108,6 +108,9 @@ def cmd_report(args) -> int:
         data = data.reshape(1, -1)
     channels = {name: data[:, i] for i, name in enumerate(header) if name != "t"}
     plant = runner_mod.build_plant(cfg)
+    # the run applied every irradiance event up to the start of its last tick
+    last_tick = (int(round(cfg.duration / cfg.control_period)) - 1) * cfg.control_period
+    irradiance = runner_mod.irradiance_after(cfg, last_tick)
     # Windowed metrics rebuild exactly from the recorded channels; run-time
     # diagnostics (audit, residual, flags) live only in the original report.
     result = RunResult(
@@ -118,9 +121,8 @@ def cmd_report(args) -> int:
         mode_transitions=[],
         energy_audit_percent=0.0,
         max_kcl_residual=0.0,
-        mpp_available_w=tuple(
-            runner_mod._mpp_power(plant.dgs[d].pv, cfg.dgs[d].pv.irradiance)
-            for d in range(2)),
+        mpp_available_w=tuple(runner_mod._mpp_power(dg.pv, g)
+                              for dg, g in zip(plant.dgs, irradiance)),
     )
     report = runner_mod.assemble_report(result)
     path = run_dir / "report_rebuilt.txt"

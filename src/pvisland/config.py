@@ -2,9 +2,11 @@
 
 Scenario files are plain text, one ``dotted.key = value`` pair per line,
 ``#`` comments allowed.  Every key has a default; an empty file is the
-calibrated baseline scenario.  Unknown keys are rejected with the offending
-path.  A fully resolved configuration can be echoed back to text and
-reloaded to reproduce a run bit for bit.
+calibrated baseline scenario.  The per-unit keys ``dgN.*`` come from one
+template and a roster of per-unit overrides; the length of the roster is
+the unit count.  Unknown keys are rejected with the offending path.  A
+fully resolved configuration can be echoed back to text and reloaded to
+reproduce a run bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +19,85 @@ from .errors import ConfigurationError
 
 V_RMS_TO_AMP = math.sqrt(2.0)
 
-#: Every known key with its default value (as text).  DG2 carries half the
-#: droop/virtual-impedance coefficients of DG1 and twice the PV rating; the
-#: load block and feeders are the calibrated fixture reproducing the target
-#: pre-compensation distortion figures.
+#: One unit's keys (``dgN.<suffix>``) with DG1's defaults (as text).
+UNIT_DEFAULTS: dict[str, str] = {
+    "pv.rated_w": "3000.0",
+    "pv.v_oc": "450.0",
+    "pv.i_sc": "8.8",
+    "pv.v_mp": "380.0",
+    "pv.i_mp": "7.894736842105263",
+    "pv.irradiance": "1.0",
+    "dc.c_pv": "200e-6",
+    "dc.l_boost": "1.5e-3",
+    "dc.c_dc": "2350e-6",
+    "vr.kp": "0.002",
+    "vr.ki": "0.05",
+    "vr.v_dc_ref": "600.0",
+    "mppt.period": "1e-3",
+    "mppt.duty_step": "0.002",
+    "mppt.deadband": "0.005",
+    "mode.enter_vr_margin": "5.0",
+    "mode.exit_vr_margin": "10.0",
+    "mode.exit_hold": "0.1",
+    "droop.m_p": "12e-4",
+    "droop.n_p": "1e-3",
+    "vi.r_pos": "0.3",
+    "vi.l_pos": "0.5e-3",
+    "vi.r_neg": "2.0",
+    "vi.r_h3": "3.0",
+    "vi.r_h5": "1.0",
+    "vi.r_h7": "1.0",
+    "vi.r_h11": "0.5",
+    "vi.bandwidth_gain": "1.0",
+    "prv.kp": "0.05",
+    "prv.k1": "50.0",
+    "prv.kh": "20.0",
+    "prv.wc": "2.0",
+    "prv.orders": "1,3,5,7,11",
+    "pri.kp": "7.0",
+    "pri.k1": "600.0",
+    "pri.kh": "200.0",
+    "pri.wc": "2.0",
+    "pri.orders": "1,3,5,7,11",
+    "filter.l": "1.8e-3",
+    "filter.c": "25e-6",
+    "feeder.r": "0.8",
+    "feeder.l": "2.4e-3",
+    "current_limit_factor": "1.5",
+}
+
+#: The unit roster: one entry per unit, holding the keys where that unit
+#: departs from :data:`UNIT_DEFAULTS`.  DG2 is rated for twice the power of
+#: DG1, so it carries half the droop and virtual-impedance coefficients and
+#: a filter and feeder sized for twice the current.
+UNIT_OVERRIDES: tuple[dict[str, str], ...] = (
+    {},
+    {
+        "pv.rated_w": "6000.0",
+        "pv.i_sc": "17.6",
+        "pv.i_mp": "15.789473684210526",
+        "droop.m_p": "6e-4",
+        "droop.n_p": "0.5e-3",
+        "vi.r_pos": "0.15",
+        "vi.l_pos": "0.25e-3",
+        "vi.r_neg": "1.0",
+        "vi.r_h3": "1.5",
+        "vi.r_h5": "0.5",
+        "vi.r_h7": "0.5",
+        "vi.r_h11": "0.25",
+        "filter.l": "0.9e-3",
+        "filter.c": "50e-6",
+        "feeder.r": "0.4",
+        "feeder.l": "1.2e-3",
+    },
+)
+
+UNIT_PREFIXES = tuple(f"dg{n}" for n in range(1, len(UNIT_OVERRIDES) + 1))
+
+#: Every known key with its default value (as text): the shared keys below,
+#: then every unit's keys from the roster.  The load block and the feeders
+#: are the calibrated fixture reproducing the target pre-compensation
+#: distortion figures.
 DEFAULTS: dict[str, str] = {
     "scenario.name": "baseline",
 
@@ -36,94 +113,6 @@ DEFAULTS: dict[str, str] = {
     "pll.kp": "92.0",
     "pll.ki": "4230.0",
     "pll.band": "0.5",
-
-    "dg1.pv.rated_w": "3000.0",
-    "dg1.pv.v_oc": "450.0",
-    "dg1.pv.i_sc": "8.8",
-    "dg1.pv.v_mp": "380.0",
-    "dg1.pv.i_mp": "7.894736842105263",
-    "dg1.pv.irradiance": "1.0",
-    "dg1.dc.c_pv": "200e-6",
-    "dg1.dc.l_boost": "1.5e-3",
-    "dg1.dc.c_dc": "2350e-6",
-    "dg1.vr.kp": "0.002",
-    "dg1.vr.ki": "0.05",
-    "dg1.vr.v_dc_ref": "600.0",
-    "dg1.mppt.period": "1e-3",
-    "dg1.mppt.duty_step": "0.002",
-    "dg1.mppt.deadband": "0.005",
-    "dg1.mode.enter_vr_margin": "5.0",
-    "dg1.mode.exit_vr_margin": "10.0",
-    "dg1.mode.exit_hold": "0.1",
-    "dg1.droop.m_p": "12e-4",
-    "dg1.droop.n_p": "1e-3",
-    "dg1.vi.r_pos": "0.3",
-    "dg1.vi.l_pos": "0.5e-3",
-    "dg1.vi.r_neg": "2.0",
-    "dg1.vi.r_h3": "3.0",
-    "dg1.vi.r_h5": "1.0",
-    "dg1.vi.r_h7": "1.0",
-    "dg1.vi.r_h11": "0.5",
-    "dg1.vi.bandwidth_gain": "1.0",
-    "dg1.prv.kp": "0.05",
-    "dg1.prv.k1": "50.0",
-    "dg1.prv.kh": "20.0",
-    "dg1.prv.wc": "2.0",
-    "dg1.prv.orders": "1,3,5,7,11",
-    "dg1.pri.kp": "7.0",
-    "dg1.pri.k1": "600.0",
-    "dg1.pri.kh": "200.0",
-    "dg1.pri.wc": "2.0",
-    "dg1.pri.orders": "1,3,5,7,11",
-    "dg1.filter.l": "1.8e-3",
-    "dg1.filter.c": "25e-6",
-    "dg1.feeder.r": "0.8",
-    "dg1.feeder.l": "2.4e-3",
-    "dg1.current_limit_factor": "1.5",
-
-    "dg2.pv.rated_w": "6000.0",
-    "dg2.pv.v_oc": "450.0",
-    "dg2.pv.i_sc": "17.6",
-    "dg2.pv.v_mp": "380.0",
-    "dg2.pv.i_mp": "15.789473684210526",
-    "dg2.pv.irradiance": "1.0",
-    "dg2.dc.c_pv": "200e-6",
-    "dg2.dc.l_boost": "1.5e-3",
-    "dg2.dc.c_dc": "2350e-6",
-    "dg2.vr.kp": "0.002",
-    "dg2.vr.ki": "0.05",
-    "dg2.vr.v_dc_ref": "600.0",
-    "dg2.mppt.period": "1e-3",
-    "dg2.mppt.duty_step": "0.002",
-    "dg2.mppt.deadband": "0.005",
-    "dg2.mode.enter_vr_margin": "5.0",
-    "dg2.mode.exit_vr_margin": "10.0",
-    "dg2.mode.exit_hold": "0.1",
-    "dg2.droop.m_p": "6e-4",
-    "dg2.droop.n_p": "0.5e-3",
-    "dg2.vi.r_pos": "0.15",
-    "dg2.vi.l_pos": "0.25e-3",
-    "dg2.vi.r_neg": "1.0",
-    "dg2.vi.r_h3": "1.5",
-    "dg2.vi.r_h5": "0.5",
-    "dg2.vi.r_h7": "0.5",
-    "dg2.vi.r_h11": "0.25",
-    "dg2.vi.bandwidth_gain": "1.0",
-    "dg2.prv.kp": "0.05",
-    "dg2.prv.k1": "50.0",
-    "dg2.prv.kh": "20.0",
-    "dg2.prv.wc": "2.0",
-    "dg2.prv.orders": "1,3,5,7,11",
-    "dg2.pri.kp": "7.0",
-    "dg2.pri.k1": "600.0",
-    "dg2.pri.kh": "200.0",
-    "dg2.pri.wc": "2.0",
-    "dg2.pri.orders": "1,3,5,7,11",
-    "dg2.filter.l": "0.9e-3",
-    "dg2.filter.c": "50e-6",
-    "dg2.feeder.r": "0.4",
-    "dg2.feeder.l": "1.2e-3",
-    "dg2.current_limit_factor": "1.5",
 
     "load.balanced_r": "10.0",
     "load.balanced_l": "0.060",
@@ -152,6 +141,10 @@ DEFAULTS: dict[str, str] = {
     "outputs.sample_dt": "1e-4",
     "outputs.channels": "all",
 }
+DEFAULTS.update(
+    (f"{prefix}.{key}", value)
+    for prefix, overrides in zip(UNIT_PREFIXES, UNIT_OVERRIDES)
+    for key, value in {**UNIT_DEFAULTS, **overrides}.items())
 
 
 @dataclass
@@ -233,9 +226,15 @@ class ScenarioConfig:
     raw: dict[str, str] = field(default_factory=dict, repr=False)
 
 
+def _finite(value: float, key: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"not a finite number: {value}", key=key)
+    return value
+
+
 def _parse_float(flat: dict[str, str], key: str) -> float:
     try:
-        return float(flat[key])
+        return _finite(float(flat[key]), key)
     except ValueError as exc:
         raise ConfigurationError(f"not a number: {flat[key]!r}", key=key) from exc
 
@@ -245,7 +244,7 @@ def _parse_optional_time(flat: dict[str, str], key: str) -> float | None:
     if text in ("off", "none", ""):
         return None
     try:
-        value = float(text)
+        value = _finite(float(text), key)
     except ValueError as exc:
         raise ConfigurationError(f"expected a time in seconds or 'off', got {text!r}",
                                  key=key) from exc
@@ -259,7 +258,7 @@ def _parse_pair(flat: dict[str, str], key: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigurationError(f"expected 'kp:ki', got {flat[key]!r}", key=key)
     try:
-        return float(parts[0]), float(parts[1])
+        return _finite(float(parts[0]), key), _finite(float(parts[1]), key)
     except ValueError as exc:
         raise ConfigurationError(f"not numbers: {flat[key]!r}", key=key) from exc
 
@@ -276,8 +275,8 @@ def _parse_harmonics(flat: dict[str, str], key: str) -> list[tuple[int, float, f
                 f"expected 'order:amplitude[:phase]', got {item.strip()!r}", key=key)
         try:
             order = int(parts[0])
-            amp = float(parts[1])
-            phase = float(parts[2]) if len(parts) == 3 else 0.0
+            amp = _finite(float(parts[1]), key)
+            phase = _finite(float(parts[2]), key) if len(parts) == 3 else 0.0
         except ValueError as exc:
             raise ConfigurationError(f"malformed injection {item.strip()!r}", key=key) from exc
         if order == 0:
@@ -286,7 +285,7 @@ def _parse_harmonics(flat: dict[str, str], key: str) -> list[tuple[int, float, f
     return out
 
 
-def _parse_irradiance_events(flat: dict[str, str], key: str
+def _parse_irradiance_events(flat: dict[str, str], key: str, units: int
                              ) -> list[tuple[float, int, float]]:
     text = flat[key].strip()
     if not text:
@@ -298,37 +297,53 @@ def _parse_irradiance_events(flat: dict[str, str], key: str
             raise ConfigurationError(
                 f"expected 'time:dg:value', got {item.strip()!r}", key=key)
         try:
-            t = float(parts[0])
+            t = _finite(float(parts[0]), key)
             dg = int(parts[1])
-            value = float(parts[2])
+            value = _finite(float(parts[2]), key)
         except ValueError as exc:
             raise ConfigurationError(f"malformed event {item.strip()!r}", key=key) from exc
-        if dg not in (1, 2):
-            raise ConfigurationError("dg index must be 1 or 2", key=key)
+        if not 1 <= dg <= units:
+            raise ConfigurationError(f"dg index must lie in 1..{units}", key=key)
+        if value < 0.0:
+            raise ConfigurationError("irradiance must be non-negative", key=key)
         out.append((t, dg - 1, value))
     return out
 
 
-KNOWN_CHANNELS = [
-    "vpcc_a", "vpcc_b", "vpcc_c",
-    "dg1_p", "dg1_q", "dg1_vdc", "dg1_vpv", "dg1_duty", "dg1_mode", "dg1_omega",
-    "dg1_io_a", "dg1_io_b", "dg1_io_c",
-    "dg2_p", "dg2_q", "dg2_vdc", "dg2_vpv", "dg2_duty", "dg2_mode", "dg2_omega",
-    "dg2_io_a", "dg2_io_b", "dg2_io_c",
-    "pv1_power", "pv2_power",
-    "vcc_active", "vcc_vuf", "vcc_hd3", "vcc_hd5", "vcc_hd7", "vcc_hd11",
-    "vc1_alpha", "vc1_beta", "vc2_alpha", "vc2_beta",
-]
+#: Per-unit channels, ``<prefix><unit>_<suffix>``, in the order the runner
+#: records each unit's values.
+UNIT_CHANNELS = (
+    ("dg", ("p", "q", "vdc", "vpv", "duty", "mode", "omega", "io_a", "io_b", "io_c")),
+    ("pv", ("power",)),
+    ("vc", ("alpha", "beta")),
+)
 
 
-def _parse_channels(flat: dict[str, str], key: str) -> list[str] | None:
+def unit_channels(unit: int) -> list[str]:
+    """Channel names of one unit (numbered from 1), in recording order."""
+    return [f"{prefix}{unit}_{suffix}" for prefix, suffixes in UNIT_CHANNELS
+            for suffix in suffixes]
+
+
+def channel_names(units: int) -> list[str]:
+    """Every channel of a roster of ``units`` units, in CSV column order."""
+    dg, pv, vc = ([f"{prefix}{i}_{suffix}" for i in range(1, units + 1)
+                   for suffix in suffixes] for prefix, suffixes in UNIT_CHANNELS)
+    return (["vpcc_a", "vpcc_b", "vpcc_c"] + dg + pv
+            + ["vcc_active", "vcc_vuf", "vcc_hd3", "vcc_hd5", "vcc_hd7", "vcc_hd11"] + vc)
+
+
+KNOWN_CHANNELS = channel_names(len(UNIT_PREFIXES))
+
+
+def _parse_channels(flat: dict[str, str], key: str, known: list[str]) -> list[str] | None:
     text = flat[key].strip()
     if text.lower() == "all":
         return None
     out = []
     for item in text.split(","):
         name = item.strip()
-        if name not in KNOWN_CHANNELS:
+        if name not in known:
             raise ConfigurationError(f"unknown channel {name!r}", key=key)
         out.append(name)
     if not out:
@@ -407,9 +422,9 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
     control_period = _parse_float(merged, "control.period")
     _check_divides(control_period, dt, "control.period")
 
-    dgs = [_dg_from_flat(merged, "dg1"), _dg_from_flat(merged, "dg2")]
-    for i, dg in enumerate(dgs, start=1):
-        _check_divides(dg.mppt_period, control_period, f"dg{i}.mppt.period")
+    dgs = [_dg_from_flat(merged, prefix) for prefix in UNIT_PREFIXES]
+    for prefix, dg in zip(UNIT_PREFIXES, dgs):
+        _check_divides(dg.mppt_period, control_period, f"{prefix}.mppt.period")
 
     vcc_period = _parse_float(merged, "vcc.period")
     _check_divides(vcc_period, control_period, "vcc.period")
@@ -456,9 +471,9 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
         vcc_output_limit=_parse_float(merged, "vcc.output_limit"),
         vcc_effort_limit=_parse_float(merged, "vcc.effort_limit"),
         vcc_comm_delay=_parse_float(merged, "vcc.comm_delay"),
-        irradiance_events=_parse_irradiance_events(merged, "events.irradiance"),
+        irradiance_events=_parse_irradiance_events(merged, "events.irradiance", len(dgs)),
         sample_dt=sample_dt,
-        channels=_parse_channels(merged, "outputs.channels"),
+        channels=_parse_channels(merged, "outputs.channels", channel_names(len(dgs))),
         raw=merged,
     )
     return cfg

@@ -400,15 +400,11 @@ class DgControlParams:
 class DgController:
     """Primary control stack of one generating unit."""
 
-    def __init__(self, params: DgControlParams, dt: float, duty_init: float,
-                 sequence_orders=None):
+    def __init__(self, params: DgControlParams, dt: float, duty_init: float):
         self.params = params
         self.power = PowerCalculator(params.power_filter_hz, dt)
         self.droop = DroopControl(params.droop)
-        if sequence_orders is None:
-            self.extractor = SequenceExtractor(gain=params.sequence_gain)
-        else:
-            self.extractor = SequenceExtractor(sequence_orders, gain=params.sequence_gain)
+        self.extractor = SequenceExtractor(gain=params.sequence_gain)
         rated_current = params.rated_va / (1.5 * params.droop.v_amp)
         self.voltage_loop = VoltageLoop(
             params.pr_voltage, params.droop.omega, dt,

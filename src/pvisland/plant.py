@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
-from .signals import ThreePhaseSample, FrameVector, clarke, inverse_clarke
+from .signals import ThreePhaseSample, clarke
 
 _CLARKE = np.array([
     [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0],
@@ -276,39 +276,6 @@ def harmonic_current_ab(harmonics, theta: float, scale: float = 1.0) -> tuple[fl
         al += amp * math.cos(ang)
         be += amp * math.sin(ang) * (1.0 if h.order > 0 else -1.0)
     return al, be
-
-
-def load_current(v_pcc: ThreePhaseSample, spec: LoadSpec, theta: float,
-                 t: float) -> ThreePhaseSample:
-    """Total load-bank current drawn from the coupling bus.
-
-    Sum of the balanced star, the phase-a resistor (both sharing a floating
-    neutral) and the angle-locked harmonic injections, with any load-step
-    scaling applied after its event time.
-    """
-    scale = spec.step_scale if (spec.step_time is not None and t >= spec.step_time) else 1.0
-    ga, gb, gc = spec.conductances(scale)
-    total = ga + gb + gc
-    v_n = (ga * v_pcc.a + gb * v_pcc.b + gc * v_pcc.c) / total
-    ia = (v_pcc.a - v_n) * ga
-    ib = (v_pcc.b - v_n) * gb
-    ic = (v_pcc.c - v_n) * gc
-    ih = inverse_clarke(FrameVector(*harmonic_current_ab(spec.harmonics, theta, scale)))
-    return ThreePhaseSample(ia + ih.a, ib + ih.b, ic + ih.c)
-
-
-def pcc_solve(feeder_total: ThreePhaseSample, conductances: tuple[float, float, float],
-              i_harmonic: ThreePhaseSample) -> ThreePhaseSample:
-    """Nodal solution of the coupling bus in the zero-sum voltage gauge."""
-    ga, gb, gc = conductances
-    if min(ga, gb, gc) <= 0.0:
-        raise ConfigurationError("every phase needs load conductance; node would float")
-    i_net = (feeder_total.a - i_harmonic.a,
-             feeder_total.b - i_harmonic.b,
-             feeder_total.c - i_harmonic.c)
-    drops = (i_net[0] / ga, i_net[1] / gb, i_net[2] / gc)
-    v_n = -(drops[0] + drops[1] + drops[2]) / 3.0
-    return ThreePhaseSample(v_n + drops[0], v_n + drops[1], v_n + drops[2])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ is byte-identical.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, TimeSeries
-from .config import KNOWN_CHANNELS, ScenarioConfig, echo
+from .config import ScenarioConfig, channel_names, echo, unit_channels
 from .control import (
     DgControlParams,
     DgController,
@@ -67,6 +68,15 @@ def _mpp_power(pv: PvParams, irradiance: float) -> float:
     vs = np.linspace(0.0, pv.v_oc, 4001)
     ps = vs * np.array([pv_current(v, irradiance, pv) for v in vs])
     return float(ps.max())
+
+
+def irradiance_after(cfg: ScenarioConfig, t: float) -> list[float]:
+    """Each unit's irradiance once every event at or before ``t`` has applied."""
+    out = [dg.pv.irradiance for dg in cfg.dgs]
+    for t_event, d, value in sorted(cfg.irradiance_events):
+        if t_event <= t:
+            out[d] = value
+    return out
 
 
 def build_plant(cfg: ScenarioConfig) -> Plant:
@@ -168,25 +178,30 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     sample_every = int(round(cfg.sample_dt / dt_ctl))
     n_rows = (ticks + sample_every - 1) // sample_every
 
-    selected = cfg.channels if cfg.channels is not None else list(KNOWN_CHANNELS)
+    selected = cfg.channels if cfg.channels is not None else channel_names(len(cfg.dgs))
+    unit_names = [unit_channels(d + 1) for d in range(len(controllers))]
     times = np.empty(n_rows)
     chan = {name: np.empty(n_rows) for name in selected}
     flags = _FlagRecorder()
 
     online = {"vuf": 0.0, "hd3": 0.0, "hd5": 0.0, "hd7": 0.0, "hd11": 0.0}
     zero_vc = FrameVector(0.0, 0.0)
-    vcc_on = cfg.vcc_enable_at is not None
-    delay_queue: list[tuple[float, dict]] = []
-    applied_efforts: dict | None = None
+    # Every compensator tick broadcasts a snapshot of its effort phasors,
+    # due at the units after the communication delay; the units rebuild
+    # their corrections from the latest snapshot that has arrived.
+    in_flight: deque[tuple[float, dict]] = deque()
+    efforts: dict | None = None
 
     irr_events = sorted(cfg.irradiance_events)
     next_event = 0
 
     row = 0
+    t = -math.inf  # start of the latest tick; below every event time before the first
     for tick in range(ticks):
         t = plant.t
         theta = pll.theta
         omega = pll.omega
+        vcc_active = cfg.vcc_enable_at is not None and t + 1e-12 >= cfg.vcc_enable_at
 
         while next_event < len(irr_events) and irr_events[next_event][0] <= t:
             _, d, value = irr_events[next_event]
@@ -203,32 +218,21 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             online["vuf"], _ = vuf(extracted[-1].magnitude(), pos_mag)
             for order, key in ((3, "hd3"), (-5, "hd5"), (7, "hd7"), (-11, "hd11")):
                 online[key], _ = hd(extracted[order].magnitude(), pos_mag)
-            if vcc_on and t + 1e-12 >= cfg.vcc_enable_at:
+            if vcc_active:
                 comp.step(extracted, cfg.vcc_period)
-                if cfg.vcc_comm_delay > 0.0:
-                    delay_queue.append((t + cfg.vcc_comm_delay, dict(comp._effort_dq)))
+                in_flight.append((t + cfg.vcc_comm_delay, dict(comp._effort_dq)))
                 flags.poll(t, "vcc", "output_clamp", comp.clamped)
                 comp.clamped = False
                 flags.poll(t, "vcc", "positive_sequence_floor", not comp.indices_valid)
 
-        if cfg.vcc_comm_delay > 0.0:
-            while delay_queue and delay_queue[0][0] <= t:
-                applied_efforts = delay_queue.pop(0)[1]
+        while in_flight and in_flight[0][0] <= t:
+            efforts = in_flight.popleft()[1]
 
         duties = []
         mods = []
         vc_log = []
         for d, ctl in enumerate(controllers):
-            if vcc_on and t + 1e-12 >= cfg.vcc_enable_at:
-                if cfg.vcc_comm_delay > 0.0:
-                    if applied_efforts is None:
-                        v_c = zero_vc
-                    else:
-                        v_c = comp.correction_from(applied_efforts, d, theta)
-                else:
-                    v_c = comp.correction_for(d, theta)
-            else:
-                v_c = zero_vc
+            v_c = zero_vc if efforts is None else comp.correction_from(efforts, d, theta)
             duty, m = ctl.step(meas["dg"][d], v_c, t, dt_ctl)
             duties.append(duty)
             mods.append(m)
@@ -243,27 +247,20 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             times[row] = t
             values = {
                 "vpcc_a": v_pcc_abc.a, "vpcc_b": v_pcc_abc.b, "vpcc_c": v_pcc_abc.c,
-                "vcc_active": 1.0 if (vcc_on and t + 1e-12 >= cfg.vcc_enable_at) else 0.0,
+                "vcc_active": 1.0 if vcc_active else 0.0,
                 "vcc_vuf": online["vuf"], "vcc_hd3": online["hd3"],
                 "vcc_hd5": online["hd5"], "vcc_hd7": online["hd7"],
                 "vcc_hd11": online["hd11"],
             }
             for d, ctl in enumerate(controllers):
-                i = d + 1
-                io_abc = inverse_clarke(FrameVector(*meas["dg"][d]["i_o_ab"]))
-                values[f"dg{i}_p"] = ctl.p_avg
-                values[f"dg{i}_q"] = ctl.q_avg
-                values[f"dg{i}_vdc"] = meas["dg"][d]["v_dc"]
-                values[f"dg{i}_vpv"] = meas["dg"][d]["v_pv"]
-                values[f"dg{i}_duty"] = duties[d]
-                values[f"dg{i}_mode"] = 1.0 if ctl.boost.mode == MODE_VR else 0.0
-                values[f"dg{i}_omega"] = ctl.droop.omega_ref
-                values[f"dg{i}_io_a"] = io_abc.a
-                values[f"dg{i}_io_b"] = io_abc.b
-                values[f"dg{i}_io_c"] = io_abc.c
-                values[f"pv{i}_power"] = meas["dg"][d]["v_pv"] * meas["dg"][d]["i_pv"]
-                values[f"vc{i}_alpha"] = vc_log[d].x
-                values[f"vc{i}_beta"] = vc_log[d].y
+                unit = meas["dg"][d]
+                io_abc = inverse_clarke(FrameVector(*unit["i_o_ab"]))
+                values.update(zip(unit_names[d], (
+                    ctl.p_avg, ctl.q_avg, unit["v_dc"], unit["v_pv"], duties[d],
+                    1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
+                    io_abc.a, io_abc.b, io_abc.c,
+                    unit["v_pv"] * unit["i_pv"],
+                    vc_log[d].x, vc_log[d].y)))
             for name in selected:
                 chan[name][row] = values[name]
             row += 1
@@ -274,15 +271,12 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             # first-order phase bias that shows up in the harmonic voltages
             plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
 
-    mode_transitions = []
-    for d, ctl in enumerate(controllers):
-        for t, what in ctl.boost.transitions:
-            mode_transitions.append((t, f"dg{d + 1}", what))
-    mode_transitions.sort()
+    mpp_available = tuple(_mpp_power(dg.pv, g)
+                          for dg, g in zip(plant.dgs, irradiance_after(cfg, t)))
 
-    mpp_available = tuple(
-        _mpp_power(plant.dgs[d].pv, plant.dc_sides[d].irradiance)
-        for d in range(len(plant.dgs)))
+    mode_transitions = sorted(
+        (t_switch, f"dg{d + 1}", what)
+        for d, ctl in enumerate(controllers) for t_switch, what in ctl.boost.transitions)
 
     return RunResult(
         cfg=cfg,
@@ -317,8 +311,10 @@ def last_event_time(cfg: ScenarioConfig) -> float:
 
 def assemble_report(result: RunResult) -> MetricsReport:
     cfg = result.cfg
-    needed = {"vpcc_a", "vpcc_b", "vpcc_c", "dg1_p", "dg2_p", "dg1_q", "dg2_q",
-              "dg1_vdc", "dg2_vdc", "dg1_omega", "pv1_power", "pv2_power"}
+    units = range(1, len(cfg.dgs) + 1)
+    needed = {"vpcc_a", "vpcc_b", "vpcc_c", "dg1_omega"}
+    for i in units:
+        needed |= {f"dg{i}_p", f"dg{i}_q", f"dg{i}_vdc", f"pv{i}_power"}
     missing = needed - set(result.channels)
     if missing:
         raise AnalysisError(
@@ -358,23 +354,26 @@ def assemble_report(result: RunResult) -> MetricsReport:
     thds, vuf_pct = window_metrics(start, end)
 
     window_abs = (start + t0, end + t0)
-    sharing = analysis.sharing_metrics(
-        result.series("dg1_p", "W"), result.series("dg2_p", "W"),
-        result.series("dg1_q", "var"), result.series("dg2_q", "var"),
-        (start, end))
+    p_series = [result.series(f"dg{i}_p", "W") for i in units]
+    q_series = [result.series(f"dg{i}_q", "var") for i in units]
+    # the reported sharing ratios are unit 1 : unit 2
+    sharing = analysis.sharing_metrics(p_series[0], p_series[1], q_series[0], q_series[1],
+                                       (start, end))
 
     i0 = int(round(start / sample_dt))
     i1 = int(round(end / sample_dt))
+
+    def window_mean(name: str) -> float:
+        return float(np.mean(result.channels[name][i0:i1]))
+
+    p_means = tuple(window_mean(f"dg{i}_p") for i in units)
+    q_means = tuple(window_mean(f"dg{i}_q") for i in units)
     v_dc_stats = []
-    pv_actual = []
-    for i in (1, 2):
+    for i in units:
         seg = result.channels[f"dg{i}_vdc"][i0:i1]
         v_dc_stats.append({"mean": float(np.mean(seg)), "min": float(np.min(seg)),
                            "max": float(np.max(seg))})
-        pv_actual.append(float(np.mean(result.channels[f"pv{i}_power"][i0:i1])))
-
-    p_means = (sharing.p_means[0], sharing.p_means[1])
-    q_means = (sharing.q_means[0], sharing.q_means[1])
+    pv_actual = [window_mean(f"pv{i}_power") for i in units]
     avail = sum(result.mpp_available_w)
     curtailment = 100.0 * max(0.0, 1.0 - sum(pv_actual) / avail) if avail > 0 else 0.0
 
@@ -423,7 +422,7 @@ class RunArtifacts:
 
 
 def write_csv(result: RunResult, path: Path):
-    names = [n for n in KNOWN_CHANNELS if n in result.channels]
+    names = [n for n in channel_names(len(result.cfg.dgs)) if n in result.channels]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(["t"] + names) + "\n")
         cols = [result.times] + [result.channels[n] for n in names]
@@ -496,10 +495,10 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
                         " ".join(f"{result.channels[c][i]:.6f}" for c in cols) + "\n")
         written.append(path)
 
-    columns("power_sharing.dat", ["dg1_p", "dg2_p", "dg1_q", "dg2_q"])
-    columns("dc_link.dat", ["dg1_vdc", "dg2_vdc", "pv1_power", "pv2_power"])
-    columns("currents.dat", ["dg1_io_a", "dg1_io_b", "dg1_io_c",
-                             "dg2_io_a", "dg2_io_b", "dg2_io_c"])
+    units = range(1, len(cfg.dgs) + 1)
+    columns("power_sharing.dat", [f"dg{i}_p" for i in units] + [f"dg{i}_q" for i in units])
+    columns("dc_link.dat", [f"dg{i}_vdc" for i in units] + [f"pv{i}_power" for i in units])
+    columns("currents.dat", [f"dg{i}_io_{phase}" for i in units for phase in "abc"])
     return written
 
 

@@ -229,13 +229,6 @@ class SequenceSet:
     fundamental_neg: FrameVector
     harmonic: dict[int, FrameVector] = field(default_factory=dict)
 
-    def component(self, order: int) -> FrameVector:
-        if order == 1:
-            return self.fundamental_pos
-        if order == -1:
-            return self.fundamental_neg
-        return self.harmonic[order]
-
 
 DEFAULT_SEQUENCE_ORDERS = (1, -1, 3, -5, 7, -11)
 
@@ -395,12 +388,6 @@ class ProportionalResonant:
                 )
         self._x1 = [0.0] * len(self.terms)
         self._x2 = [0.0] * len(self.terms)
-        self._e_prev = 0.0
-
-    def reset(self):
-        for i in range(len(self.terms)):
-            self._x1[i] = 0.0
-            self._x2[i] = 0.0
         self._e_prev = 0.0
 
     def step(self, e: float, omega: float, dt: float) -> float:

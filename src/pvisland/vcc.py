@@ -102,8 +102,9 @@ class CentralCompensator:
 
     The per-component correction phasors are held in their rotating frames
     between controller ticks; consumers rebuild the stationary-frame vector
-    at any angle via :meth:`correction_for`, so fast-rotating components do
-    not get staircased by the slower tick rate.
+    at any angle via :meth:`correction_for`, or via :meth:`correction_from`
+    on a snapshot of the effort phasors, so fast-rotating components do not
+    get staircased by the slower tick rate.
     """
 
     def __init__(self, params: VccParams):
@@ -120,11 +121,6 @@ class CentralCompensator:
         self.hd = {c: 0.0 for c in self.components if c != -1}
         self.indices_valid = False
         self.clamped = False
-
-    def reset_outputs(self):
-        for c in self.components:
-            self._integral[c] = 0.0
-            self._effort_dq[c] = (0.0, 0.0)
 
     def step(self, extracted: dict[int, FrameVector], dt: float
              ) -> list[FrameVector]:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pvisland import cli
 from pvisland.config import (
     DEFAULTS,
     echo,
@@ -94,6 +95,31 @@ class TestParsing:
     def test_bad_resonator_orders_rejected(self):
         with pytest.raises(ConfigurationError):
             from_mapping({"dg1.prv.orders": "3,five"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("solver.dt", "nan"),
+        ("solver.duration", "inf"),
+        ("system.v_rms", "-inf"),
+        ("dg2.pv.irradiance", "nan"),
+        ("vcc.pi_h3", "nan:15.0"),
+        ("load.harmonics", "3:inf"),
+        ("load.harmonics", "3:1.0:nan"),
+        ("load.step_time", "nan"),
+        ("vcc.enable_at", "inf"),
+        ("events.irradiance", "nan:1:0.9"),
+        ("events.irradiance", "1.0:1:inf"),
+        ("events.irradiance", "1.0:1:-0.5"),
+        ("events.irradiance", "1.0:0:0.9"),
+        ("events.irradiance", "1.0:3:0.9"),
+    ])
+    def test_invalid_value_rejected_up_front(self, key, value, tmp_path, capsys):
+        with pytest.raises(ConfigurationError) as err:
+            from_mapping({key: value})
+        assert err.value.key == key
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 class TestEcho:

@@ -18,8 +18,6 @@ from pvisland.plant import (
     harmonic_current_ab,
     inverter_output,
     load_admittance_ab,
-    load_current,
-    pcc_solve,
     pv_current,
 )
 from pvisland.signals import FrameVector, ThreePhaseSample, clarke, inverse_clarke
@@ -128,11 +126,43 @@ class TestInverterOutput:
         assert sat
 
 
+def _load_current_abc(v_pcc: ThreePhaseSample, spec: LoadSpec, theta: float,
+                      scale: float) -> ThreePhaseSample:
+    """Per-phase oracle of the load bank: floating-star resistors plus injections."""
+    ga, gb, gc = spec.conductances(scale)
+    v_n = (ga * v_pcc.a + gb * v_pcc.b + gc * v_pcc.c) / (ga + gb + gc)
+    ih = inverse_clarke(FrameVector(*harmonic_current_ab(spec.harmonics, theta, scale)))
+    return ThreePhaseSample((v_pcc.a - v_n) * ga + ih.a, (v_pcc.b - v_n) * gb + ih.b,
+                            (v_pcc.c - v_n) * gc + ih.c)
+
+
+def _pcc_solve_abc(feeder_total: ThreePhaseSample, conductances: tuple[float, float, float]
+                   ) -> ThreePhaseSample:
+    """Per-phase oracle of the coupling-bus voltage in the zero-sum gauge."""
+    drops = [i / g for i, g in zip(feeder_total, conductances)]
+    v_n = -sum(drops) / 3.0
+    return ThreePhaseSample(*(v_n + d for d in drops))
+
+
+def _resistive_current(spec: LoadSpec, v: ThreePhaseSample, scale: float = 1.0
+                       ) -> ThreePhaseSample:
+    """Bank current through the two-axis admittance the network uses."""
+    v_ab = clarke(v)
+    i_ab = load_admittance_ab(*spec.conductances(scale)) @ np.array([v_ab.x, v_ab.y])
+    return inverse_clarke(FrameVector(*i_ab))
+
+
+def _bus_voltage(load: LoadSpec, feeder_ab: tuple[float, float]) -> ThreePhaseSample:
+    """Coupling-bus voltage the network solves for a given feeder current."""
+    net = AcNetwork([AcStageParams()], load, DT)
+    net.x[4:6] = feeder_ab
+    return inverse_clarke(FrameVector(*net.pcc_voltage((0.0, 0.0))))
+
+
 class TestLoads:
     def test_balanced_resistor_follows_voltage(self):
         spec = LoadSpec(balanced_r=10.0)
-        v = ThreePhaseSample(100.0, -50.0, -50.0)
-        i = load_current(v, spec, 0.0, 0.0)
+        i = _resistive_current(spec, ThreePhaseSample(100.0, -50.0, -50.0))
         assert (i.a, i.b, i.c) == pytest.approx((10.0, -5.0, -5.0), rel=1e-12)
 
     def test_phase_a_element_carries_only_phase_a(self):
@@ -140,8 +170,8 @@ class TestLoads:
         spec_with = LoadSpec(balanced_r=10.0, unbalanced_r_a=20.0)
         spec_without = LoadSpec(balanced_r=10.0)
         v = ThreePhaseSample(80.0, -30.0, -50.0)
-        with_u = load_current(v, spec_with, 0.0, 0.0)
-        base = load_current(v, spec_without, 0.0, 0.0)
+        with_u = _resistive_current(spec_with, v)
+        base = _resistive_current(spec_without, v)
         # the element current leaves phase a and returns through the shared
         # floating neutral, which shifts all three bank currents consistently
         delta = np.array([with_u.a - base.a, with_u.b - base.b, with_u.c - base.c])
@@ -150,21 +180,23 @@ class TestLoads:
 
     def test_load_step_scaling_after_event(self):
         spec = LoadSpec(balanced_r=10.0, step_time=1.0, step_scale=0.5)
+        plant = Plant([DgPlantParams(PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0),
+                                     DcLinkParams(), AcStageParams())], spec, DT)
         v = ThreePhaseSample(100.0, -50.0, -50.0)
-        before = load_current(v, spec, 0.0, 0.5)
-        after = load_current(v, spec, 0.0, 1.5)
+        before = _resistive_current(spec, v, plant.load_scale_at(0.5))
+        after = _resistive_current(spec, v, plant.load_scale_at(1.5))
         assert after.a == pytest.approx(0.5 * before.a, rel=1e-12)
 
     def test_harmonic_injection_spectrum_and_sequence(self):
         # 2 A at the 5th order, negative sequence: DFT of the generated
         # waveform shows 2 A there and the right rotation, nothing elsewhere
-        spec = LoadSpec(balanced_r=1e9, harmonics=(HarmonicInjection(-5, 2.0, 0.3),))
+        harmonics = (HarmonicInjection(-5, 2.0, 0.3),)
         w = 370.0
         n = int(round(40.0 * 2.0 * math.pi / w / DT))
         ia, ib, ic = [], [], []
         for i in range(n):
             theta = w * i * DT
-            cur = load_current(ThreePhaseSample(0.0, 0.0, 0.0), spec, theta, 0.0)
+            cur = inverse_clarke(FrameVector(*harmonic_current_ab(harmonics, theta)))
             ia.append(cur.a)
             ib.append(cur.b)
             ic.append(cur.c)
@@ -190,29 +222,27 @@ class TestLoads:
     def test_injection_alpha_beta_matches_inverse_clarke(self):
         spec = (HarmonicInjection(7, 1.5, 0.2),)
         al, be = harmonic_current_ab(spec, 0.77, 1.0)
-        abc = load_current(ThreePhaseSample(0.0, 0.0, 0.0),
-                           LoadSpec(balanced_r=1e9, harmonics=spec), 0.77, 0.0)
+        abc = _load_current_abc(ThreePhaseSample(0.0, 0.0, 0.0),
+                                LoadSpec(balanced_r=1e9, harmonics=spec), 0.77, 1.0)
         v = clarke(abc)
         assert (v.x, v.y) == pytest.approx((al, be), rel=1e-12)
 
 
 class TestPccSolve:
     def test_single_source_ohms_law(self):
-        v = pcc_solve(ThreePhaseSample(10.0, -5.0, -5.0), (0.5, 0.5, 0.5),
-                      ThreePhaseSample(0.0, 0.0, 0.0))
+        # 0.5 S per phase: a 2-ohm balanced bank
+        v = _bus_voltage(LoadSpec(balanced_r=2.0), (10.0, 0.0))
         assert (v.a, v.b, v.c) == pytest.approx((20.0, -10.0, -10.0), rel=1e-12)
 
     def test_superposition_of_equal_feeders(self):
-        g = (0.5, 0.5, 0.5)
-        zero = ThreePhaseSample(0.0, 0.0, 0.0)
-        one = pcc_solve(ThreePhaseSample(10.0, -5.0, -5.0), g, zero)
-        two = pcc_solve(ThreePhaseSample(20.0, -10.0, -10.0), g, zero)
+        load = LoadSpec(balanced_r=2.0)
+        one = _bus_voltage(load, (10.0, 3.0))
+        two = _bus_voltage(load, (20.0, 6.0))
         assert two.a == pytest.approx(2.0 * one.a, rel=1e-12)
 
     def test_rejects_floating_node(self):
         with pytest.raises(ConfigurationError):
-            pcc_solve(ThreePhaseSample(1.0, 0.0, -1.0), (0.0, 0.0, 0.0),
-                      ThreePhaseSample(0.0, 0.0, 0.0))
+            load_admittance_ab(0.0, 0.0, 0.0)
 
     def test_matches_two_axis_admittance(self):
         # the matrix used by the network and the per-phase solve agree
@@ -222,8 +252,7 @@ class TestPccSolve:
         for _ in range(50):
             a, b = rng.uniform(-20.0, 20.0, 2)
             i_ab = np.array([a, b])
-            v_abc = pcc_solve(inverse_clarke(FrameVector(a, b)), (ga, gb, gc),
-                              ThreePhaseSample(0.0, 0.0, 0.0))
+            v_abc = _pcc_solve_abc(inverse_clarke(FrameVector(a, b)), (ga, gb, gc))
             v_ab = clarke(v_abc)
             back = y2 @ np.array([v_ab.x, v_ab.y])
             assert np.allclose(back, i_ab, atol=1e-9)

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
+
+import numpy as np
 import pytest
 
 from pvisland import cli
-from pvisland.config import KNOWN_CHANNELS, from_mapping
+from pvisland.config import KNOWN_CHANNELS, channel_names, echo, from_mapping
 from pvisland.errors import SimulationDivergence
 from pvisland.runner import (
     build_compensator,
@@ -165,6 +169,45 @@ class TestCli:
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "missing")]) == cli.EXIT_IO
+
+    def test_report_rebuild_prices_arrays_after_events(self, tmp_path, capsys):
+        # loadstep shape: irradiance dip, then a load drop that curtails the arrays
+        flat = dict(cli._load_scenario("loadstep").raw, **{
+            "solver.duration": "1.0", "load.step_time": "0.6",
+            "events.irradiance": "0.3:1:0.90, 0.3:2:0.90"})
+        scenario = tmp_path / "loadstep_short.cfg"
+        scenario.write_text(echo(from_mapping(flat)))
+        out = tmp_path / "run"
+        assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
+        assert cli.main(["report", str(out)]) == 0
+
+        def curtailment(name):
+            lines = (out / name).read_text().splitlines()
+            return [l for l in lines if l.startswith("curtailment_percent =")]
+
+        assert curtailment("report.txt")
+        assert curtailment("report_rebuilt.txt") == curtailment("report.txt")
+
+
+class TestUnitRoster:
+    def test_three_unit_roster_runs_end_to_end(self, tmp_path):
+        cfg = from_mapping({"solver.duration": "0.8", "vcc.enable_at": "0.4"})
+        cfg = dataclasses.replace(cfg, dgs=cfg.dgs + [copy.deepcopy(cfg.dgs[0])])
+        art = run_scenario(cfg, tmp_path)
+        header = art.csv_path.read_text().splitlines()[0].split(",")
+        assert header == ["t"] + channel_names(3)
+        assert header.index("dg3_p") == header.index("dg2_io_c") + 1
+        assert header.index("pv3_power") == header.index("pv2_power") + 1
+        assert header[-2:] == ["vc3_alpha", "vc3_beta"]
+        report = art.report_path.read_text()
+        assert "dg3_p_watts =" in report
+        assert "dg3_vdc_mean =" in report
+        p1, _, p3 = art.report.p_watts
+        assert p3 == pytest.approx(p1, rel=0.005)
+        # the broadcast reaches unit 3, scaled like the identical unit 1
+        vc = art.result.channels
+        assert np.any(vc["vc3_alpha"] != 0.0)
+        assert np.array_equal(vc["vc3_alpha"], vc["vc1_alpha"])
 
 
 class TestToggledPlots:
