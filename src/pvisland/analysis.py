@@ -198,10 +198,12 @@ class MetricsReport:
     sharing: SharingRatios | None
     v_dc_stats: list[dict[str, float]]
     curtailment_percent: float
-    energy_audit_percent: float
-    max_kcl_residual: float
-    flags: list[tuple[float, str, str]] = field(default_factory=list)
-    mode_transitions: list[tuple[float, str, str]] = field(default_factory=list)
+    # Run-only quantities; None (printed as "unavailable") when the report is
+    # rebuilt from recorded channels, which do not carry them.
+    energy_audit_percent: float | None
+    max_kcl_residual: float | None
+    flags: list[tuple[float, str, str]] | None = field(default_factory=list)
+    mode_transitions: list[tuple[float, str, str]] | None = field(default_factory=list)
     pre_window: tuple[float, float] | None = None
     pre_thd_percent: dict[str, float] | None = None
     pre_vuf_percent: float | None = None
@@ -227,8 +229,8 @@ class MetricsReport:
             out.append(f"dg{i}_vdc_min = {st['min']:.3f}")
             out.append(f"dg{i}_vdc_max = {st['max']:.3f}")
         out.append(f"curtailment_percent = {self.curtailment_percent:.4f}")
-        out.append(f"energy_audit_percent = {self.energy_audit_percent:.6f}")
-        out.append(f"max_kcl_residual_amps = {self.max_kcl_residual:.3e}")
+        out.append(f"energy_audit_percent = {_known(self.energy_audit_percent, '.6f')}")
+        out.append(f"max_kcl_residual_amps = {_known(self.max_kcl_residual, '.3e')}")
         if self.pre_window is not None:
             out.append(f"pre_window_start_s = {self.pre_window[0]:.6f}")
             out.append(f"pre_window_end_s = {self.pre_window[1]:.6f}")
@@ -236,10 +238,16 @@ class MetricsReport:
                 out.append(f"pre_thd_{phase}_percent = {value:.6f}")
             if self.pre_vuf_percent is not None:
                 out.append(f"pre_vuf_percent = {self.pre_vuf_percent:.6f}")
-        out.append(f"mode_transition_count = {len(self.mode_transitions)}")
-        for t, who, what in self.mode_transitions:
-            out.append(f"mode_transition = {t:.6f} {who} {what}")
-        out.append(f"flag_count = {len(self.flags)}")
-        for t, who, what in self.flags:
-            out.append(f"flag = {t:.6f} {who} {what}")
+        for name, events in (("mode_transition", self.mode_transitions),
+                             ("flag", self.flags)):
+            if events is None:
+                out.append(f"{name}_count = unavailable")
+                continue
+            out.append(f"{name}_count = {len(events)}")
+            for t, who, what in events:
+                out.append(f"{name} = {t:.6f} {who} {what}")
         return out
+
+
+def _known(value: float | None, spec: str) -> str:
+    return "unavailable" if value is None else format(value, spec)

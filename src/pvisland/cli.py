@@ -112,15 +112,16 @@ def cmd_report(args) -> int:
     last_tick = (int(round(cfg.duration / cfg.control_period)) - 1) * cfg.control_period
     irradiance = runner_mod.irradiance_after(cfg, last_tick)
     # Windowed metrics rebuild exactly from the recorded channels; run-time
-    # diagnostics (audit, residual, flags) live only in the original report.
+    # diagnostics (audit, residual, transitions, flags) live only in the
+    # original report and read "unavailable" here.
     result = RunResult(
         cfg=cfg,
         times=data[:, header.index("t")],
         channels=channels,
-        flags=[],
-        mode_transitions=[],
-        energy_audit_percent=0.0,
-        max_kcl_residual=0.0,
+        flags=None,
+        mode_transitions=None,
+        energy_audit_percent=None,
+        max_kcl_residual=None,
         mpp_available_w=tuple(runner_mod._mpp_power(dg.pv, g)
                               for dg, g in zip(plant.dgs, irradiance)),
     )

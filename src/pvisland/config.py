@@ -281,6 +281,8 @@ def _parse_harmonics(flat: dict[str, str], key: str) -> list[tuple[int, float, f
             raise ConfigurationError(f"malformed injection {item.strip()!r}", key=key) from exc
         if order == 0:
             raise ConfigurationError("injection order must be nonzero", key=key)
+        if amp < 0.0:
+            raise ConfigurationError("injection amplitude must be non-negative", key=key)
         out.append((order, amp, phase))
     return out
 
@@ -430,6 +432,10 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
     _check_divides(vcc_period, control_period, "vcc.period")
     sample_dt = _parse_float(merged, "outputs.sample_dt")
     _check_divides(sample_dt, control_period, "outputs.sample_dt")
+    if round(duration / control_period) <= round(sample_dt / control_period):
+        raise ConfigurationError(
+            f"outputs.sample_dt = {sample_dt} records fewer than two rows "
+            f"in solver.duration = {duration}", key="outputs.sample_dt")
 
     ubr = merged["load.unbalanced_r_a"].strip().lower()
     unbalanced = None if ubr in ("off", "none", "") else _parse_float(merged, "load.unbalanced_r_a")

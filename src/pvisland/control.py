@@ -162,19 +162,17 @@ class PrGains:
 
 
 class VoltageLoop:
-    """Per-axis PR regulation of the filter capacitor voltage."""
+    """PR regulation of the filter capacitor voltage, both axes in one pass."""
 
     def __init__(self, gains: PrGains, omega_nominal: float, dt: float,
                  i_limit: float):
-        self._pr_a = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt)
-        self._pr_b = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt)
+        self._pr = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt, axes=2)
         self.i_limit = i_limit
         self.clamped = False
 
     def step(self, v_ref: FrameVector, v_o: FrameVector, omega: float,
              dt: float) -> FrameVector:
-        ia = self._pr_a.step(v_ref.x - v_o.x, omega, dt)
-        ib = self._pr_b.step(v_ref.y - v_o.y, omega, dt)
+        ia, ib = self._pr.step_axes((v_ref.x - v_o.x, v_ref.y - v_o.y), omega, dt)
         mag = math.hypot(ia, ib)
         self.clamped = mag > self.i_limit
         if self.clamped:
@@ -185,7 +183,7 @@ class VoltageLoop:
 
 
 class CurrentLoop:
-    """Per-axis PR regulation of the filter inductor current.
+    """PR regulation of the filter inductor current, both axes in one pass.
 
     The controller output is normalized by half the DC-link voltage to form
     per-phase modulation commands; a collapsed link forces the commands to
@@ -195,14 +193,12 @@ class CurrentLoop:
     V_DC_LOCKOUT = 50.0
 
     def __init__(self, gains: PrGains, omega_nominal: float, dt: float):
-        self._pr_a = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt)
-        self._pr_b = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt)
+        self._pr = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt, axes=2)
         self.locked_out = False
 
     def step(self, i_ref: FrameVector, i_l: FrameVector, v_dc: float,
              omega: float, dt: float) -> ThreePhaseSample:
-        va = self._pr_a.step(i_ref.x - i_l.x, omega, dt)
-        vb = self._pr_b.step(i_ref.y - i_l.y, omega, dt)
+        va, vb = self._pr.step_axes((i_ref.x - i_l.x, i_ref.y - i_l.y), omega, dt)
         self.locked_out = v_dc < self.V_DC_LOCKOUT
         if self.locked_out:
             return ThreePhaseSample(0.0, 0.0, 0.0)

@@ -328,20 +328,24 @@ class AcNetwork:
         self.x = np.zeros(self._n_states)
 
     # State slices -----------------------------------------------------
+    # Reads convert the state to Python floats once (``x.tolist()``); the
+    # controllers then never compute on NumPy scalars, which cost about three
+    # times as much per operation.  Nothing is cached: callers may write ``x``.
     def _base(self, d: int) -> int:
         return self.STATES_PER_DG * d
 
+    def _pair(self, i: int) -> tuple[float, float]:
+        a, b = self.x[i:i + 2].tolist()
+        return a, b
+
     def inverter_current(self, d: int) -> tuple[float, float]:
-        b = self._base(d)
-        return self.x[b], self.x[b + 1]
+        return self._pair(self._base(d))
 
     def cap_voltage(self, d: int) -> tuple[float, float]:
-        b = self._base(d)
-        return self.x[b + 2], self.x[b + 3]
+        return self._pair(self._base(d) + 2)
 
     def feeder_current(self, d: int) -> tuple[float, float]:
-        b = self._base(d)
-        return self.x[b + 4], self.x[b + 5]
+        return self._pair(self._base(d) + 4)
 
     # Matrix assembly ---------------------------------------------------
     def _build(self):
@@ -350,8 +354,8 @@ class AcNetwork:
         n = self.STATES_PER_DG * ndg + (2 if has_l else 0)
         self._n_states = n
         y2 = load_admittance_ab(*self.load.conductances(self.load_scale))
-        self._y2 = y2
-        zp = np.linalg.inv(y2)
+        self._y2 = y2.tolist()
+        zp = np.linalg.inv(y2).tolist()
         self._zp = zp
         a = np.zeros((n, n))
         b = np.zeros((n, 2 * ndg + 2))  # inputs: v_inv per DG (2 axes), harmonic current
@@ -372,23 +376,23 @@ class AcNetwork:
                 a[fd, fd] -= st.feeder_r / st.feeder_l
                 for d2 in range(ndg):
                     for ax2 in (0, 1):
-                        a[fd, self._base(d2) + 4 + ax2] -= zp[ax, ax2] / st.feeder_l
+                        a[fd, self._base(d2) + 4 + ax2] -= zp[ax][ax2] / st.feeder_l
                 if has_l:
-                    a[fd, lb + 0] += zp[ax, 0] / st.feeder_l
-                    a[fd, lb + 1] += zp[ax, 1] / st.feeder_l
-                b[fd, 2 * ndg + 0] = zp[ax, 0] / st.feeder_l
-                b[fd, 2 * ndg + 1] = zp[ax, 1] / st.feeder_l
+                    a[fd, lb + 0] += zp[ax][0] / st.feeder_l
+                    a[fd, lb + 1] += zp[ax][1] / st.feeder_l
+                b[fd, 2 * ndg + 0] = zp[ax][0] / st.feeder_l
+                b[fd, 2 * ndg + 1] = zp[ax][1] / st.feeder_l
         if has_l:
             # Inductive bank: di/dt = v_bus / L, admittance scaled with load steps
             l_eff = self.load.balanced_l / self.load_scale
             for ax in (0, 1):
                 for d2 in range(ndg):
                     for ax2 in (0, 1):
-                        a[lb + ax, self._base(d2) + 4 + ax2] += zp[ax, ax2] / l_eff
-                a[lb + ax, lb + 0] -= zp[ax, 0] / l_eff
-                a[lb + ax, lb + 1] -= zp[ax, 1] / l_eff
-                b[lb + ax, 2 * ndg + 0] = -zp[ax, 0] / l_eff
-                b[lb + ax, 2 * ndg + 1] = -zp[ax, 1] / l_eff
+                        a[lb + ax, self._base(d2) + 4 + ax2] += zp[ax][ax2] / l_eff
+                a[lb + ax, lb + 0] -= zp[ax][0] / l_eff
+                a[lb + ax, lb + 1] -= zp[ax][1] / l_eff
+                b[lb + ax, 2 * ndg + 0] = -zp[ax][0] / l_eff
+                b[lb + ax, 2 * ndg + 1] = -zp[ax][1] / l_eff
         self._a = a
         self._b = b
         eye = np.eye(n)
@@ -405,12 +409,7 @@ class AcNetwork:
 
     # Dynamics -----------------------------------------------------------
     def step(self, v_inv_ab: list[tuple[float, float]], ih_ab: tuple[float, float]):
-        u = np.empty(2 * len(self.stages) + 2)
-        for d, (va, vb) in enumerate(v_inv_ab):
-            u[2 * d] = va
-            u[2 * d + 1] = vb
-        u[-2] = ih_ab[0]
-        u[-1] = ih_ab[1]
+        u = np.array([v for pair in v_inv_ab for v in pair] + [ih_ab[0], ih_ab[1]])
         if self.method == "trapezoid":
             self.x = self._t1 @ self.x + self._tu @ u
         else:
@@ -427,35 +426,45 @@ class AcNetwork:
     def bank_current(self) -> tuple[float, float]:
         if self.load.balanced_l is None:
             return 0.0, 0.0
-        lb = self.STATES_PER_DG * len(self.stages)
-        return self.x[lb], self.x[lb + 1]
+        return self._pair(self.STATES_PER_DG * len(self.stages))
 
-    def pcc_voltage(self, ih_ab: tuple[float, float]) -> tuple[float, float]:
+    def bus(self, x: list[float], ih_ab: tuple[float, float]
+            ) -> tuple[float, float, float, float]:
+        """Coupling-bus solve for the state list ``x``.
+
+        Returns ``(v_a, v_b, n_a, n_b)``: the bus voltage and the net current
+        (feeders in, harmonic sources and inductive bank out) that it drives
+        through the resistive bank.
+        """
         sa = 0.0
         sb = 0.0
         for d in range(len(self.stages)):
-            fa, fb = self.feeder_current(d)
-            sa += fa
-            sb += fb
-        la, lbk = self.bank_current()
-        zp = self._zp
+            b = self._base(d) + 4
+            sa += x[b]
+            sb += x[b + 1]
+        if self.load.balanced_l is None:
+            la = lbk = 0.0
+        else:
+            lb = self.STATES_PER_DG * len(self.stages)
+            la, lbk = x[lb], x[lb + 1]
+        (z00, z01), (z10, z11) = self._zp
         na = sa - ih_ab[0] - la
         nb = sb - ih_ab[1] - lbk
-        return zp[0, 0] * na + zp[0, 1] * nb, zp[1, 0] * na + zp[1, 1] * nb
+        return z00 * na + z01 * nb, z10 * na + z11 * nb, na, nb
 
-    def kcl_residual(self, ih_ab: tuple[float, float]) -> float:
-        """Current imbalance at the coupling bus, in amperes."""
-        va, vb = self.pcc_voltage(ih_ab)
-        y2 = self._y2
-        ir_a = y2[0, 0] * va + y2[0, 1] * vb
-        ir_b = y2[1, 0] * va + y2[1, 1] * vb
-        sa = sb = 0.0
-        for d in range(len(self.stages)):
-            fa, fb = self.feeder_current(d)
-            sa += fa
-            sb += fb
-        la, lbk = self.bank_current()
-        return math.hypot(sa - ih_ab[0] - la - ir_a, sb - ih_ab[1] - lbk - ir_b)
+    def pcc_voltage(self, ih_ab: tuple[float, float]) -> tuple[float, float]:
+        va, vb, _, _ = self.bus(self.x.tolist(), ih_ab)
+        return va, vb
+
+    def _resistor_current(self, va: float, vb: float) -> tuple[float, float]:
+        (y00, y01), (y10, y11) = self._y2
+        return y00 * va + y01 * vb, y10 * va + y11 * vb
+
+    def kcl_residual(self, bus: tuple[float, float, float, float]) -> float:
+        """Current imbalance at the coupling bus of a :meth:`bus` solve, in amperes."""
+        va, vb, na, nb = bus
+        ir_a, ir_b = self._resistor_current(va, vb)
+        return math.hypot(na - ir_a, nb - ir_b)
 
     def stored_energy(self) -> float:
         e = 0.0
@@ -472,19 +481,20 @@ class AcNetwork:
             e += 0.5 * l_eff * (la * la + lbk * lbk)
         return 1.5 * e  # two-axis quantities carry 3/2 of the per-phase energy
 
-    def feeder_loss(self) -> float:
+    def feeder_loss(self, x: list[float]) -> float:
+        """Feeder resistor dissipation for the state list ``x``."""
         p = 0.0
         for d, st in enumerate(self.stages):
-            fda, fdb = self.feeder_current(d)
+            b = self._base(d) + 4
+            fda, fdb = x[b], x[b + 1]
             p += st.feeder_r * (fda * fda + fdb * fdb)
         return 1.5 * p
 
-    def load_power(self, ih_ab: tuple[float, float]) -> tuple[float, float]:
+    def load_power(self, bus: tuple[float, float, float, float],
+                   ih_ab: tuple[float, float]) -> tuple[float, float]:
         """(resistive dissipation, power absorbed by the harmonic sources)."""
-        va, vb = self.pcc_voltage(ih_ab)
-        y2 = self._y2
-        ir_a = y2[0, 0] * va + y2[0, 1] * vb
-        ir_b = y2[1, 0] * va + y2[1, 1] * vb
+        va, vb, _, _ = bus
+        ir_a, ir_b = self._resistor_current(va, vb)
         p_res = 1.5 * (va * ir_a + vb * ir_b)
         p_harm = 1.5 * (va * ih_ab[0] + vb * ih_ab[1])
         return p_res, p_harm
@@ -553,18 +563,20 @@ class Plant:
         """Everything the controllers read, taken at the current instant."""
         scale = self.load_scale_at(self.t)
         ih = harmonic_current_ab(self.load.harmonics, theta_load, scale)
-        v_pcc = self.network.pcc_voltage(ih)
+        x = self.network.x.tolist()
+        va, vb, _, _ = self.network.bus(x, ih)
         out = {
             "t": self.t,
-            "v_pcc_ab": v_pcc,
+            "v_pcc_ab": (va, vb),
             "ih_ab": ih,
             "dg": [],
         }
         for d in range(len(self.dgs)):
+            b = self.network._base(d)
             out["dg"].append({
-                "v_o_ab": self.network.cap_voltage(d),
-                "i_l_ab": self.network.inverter_current(d),
-                "i_o_ab": self.network.feeder_current(d),
+                "v_o_ab": (x[b + 2], x[b + 3]),
+                "i_l_ab": (x[b], x[b + 1]),
+                "i_o_ab": (x[b + 4], x[b + 5]),
                 "v_dc": self.dc_states[d].v_dc,
                 "v_pv": self.dc_states[d].v_pv,
                 "i_pv": pv_current(max(self.dc_states[d].v_pv, 0.0),
@@ -589,14 +601,16 @@ class Plant:
             v_inv_abc.append(v_abc)
             v_inv_ab.append((v.x, v.y))
 
-        i_l_old = [self.network.inverter_current(d) for d in range(len(self.dgs))]
+        net = self.network
+        x = net.x.tolist()
 
         # Audit bookkeeping and KCL check at the pre-step instant
-        residual = self.network.kcl_residual(ih)
+        bus = net.bus(x, ih)
+        residual = net.kcl_residual(bus)
         if residual > self.max_kcl_residual:
             self.max_kcl_residual = residual
-        p_res, p_harm = self.network.load_power(ih)
-        p_feed = self.network.feeder_loss()
+        p_res, p_harm = net.load_power(bus, ih)
+        p_feed = net.feeder_loss(x)
         p_in = sum(side.pv_power(st) for side, st in zip(self.dc_sides, self.dc_states))
         p_out = p_res + p_harm + p_feed
         if self._p_in_prev is not None:
@@ -608,12 +622,13 @@ class Plant:
         self._p_in_prev = p_in
         self._p_out_prev = p_out
 
-        self.network.step(v_inv_ab, ih)
+        net.step(v_inv_ab, ih)
+        x1 = net.x.tolist()
 
         for d in range(len(self.dgs)):
-            ila1, ilb1 = self.network.inverter_current(d)
-            ila = 0.5 * (ila1 + i_l_old[d][0])
-            ilb = 0.5 * (ilb1 + i_l_old[d][1])
+            b = net._base(d)
+            ila = 0.5 * (x1[b] + x[b])
+            ilb = 0.5 * (x1[b + 1] + x[b + 1])
             va, vb = v_inv_ab[d]
             p_draw = 1.5 * (va * ila + vb * ilb)
             self.dc_states[d] = self.dc_sides[d].step(
@@ -629,8 +644,8 @@ class Plant:
         return abs(self.energy_in - delta - self.energy_out) / denom
 
     def _check_bounds(self):
-        x = self.network.x
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e5:
+        # NaN fails the comparison, so one reduction catches it too
+        if not np.abs(self.network.x).max() <= 1e5:
             raise SimulationDivergence(
                 f"AC state left the plausible envelope at t={self.t:.6f} s",
                 t_last_good=self.t - self.dt)

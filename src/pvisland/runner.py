@@ -53,10 +53,11 @@ class RunResult:
     cfg: ScenarioConfig
     times: np.ndarray
     channels: dict[str, np.ndarray]
-    flags: list[tuple[float, str, str]]
-    mode_transitions: list[tuple[float, str, str]]
-    energy_audit_percent: float
-    max_kcl_residual: float
+    # None where unknown: a result rebuilt from a run directory lacks them
+    flags: list[tuple[float, str, str]] | None
+    mode_transitions: list[tuple[float, str, str]] | None
+    energy_audit_percent: float | None
+    max_kcl_residual: float | None
     mpp_available_w: tuple[float, ...]
 
     def series(self, name: str, unit: str = "") -> TimeSeries:
@@ -185,7 +186,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     flags = _FlagRecorder()
 
     online = {"vuf": 0.0, "hd3": 0.0, "hd5": 0.0, "hd7": 0.0, "hd11": 0.0}
-    zero_vc = FrameVector(0.0, 0.0)
+    zero_vcs = [FrameVector(0.0, 0.0)] * len(controllers)
     # Every compensator tick broadcasts a snapshot of its effort phasors,
     # due at the units after the communication delay; the units rebuild
     # their corrections from the latest snapshot that has arrived.
@@ -230,13 +231,11 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
 
         duties = []
         mods = []
-        vc_log = []
+        vc_log = zero_vcs if efforts is None else comp.correction_from(efforts, theta)
         for d, ctl in enumerate(controllers):
-            v_c = zero_vc if efforts is None else comp.correction_from(efforts, d, theta)
-            duty, m = ctl.step(meas["dg"][d], v_c, t, dt_ctl)
+            duty, m = ctl.step(meas["dg"][d], vc_log[d], t, dt_ctl)
             duties.append(duty)
             mods.append(m)
-            vc_log.append(v_c)
             src = f"dg{d + 1}"
             flags.poll(t, src, "droop_voltage_clamp", ctl.droop.clamped)
             flags.poll(t, src, "current_reference_clamp", ctl.voltage_loop.clamped)

@@ -294,18 +294,18 @@ class SequenceExtractor:
         u = np.array([[v.x, v.y]])
         self._x = self._t1 @ self._x + self._t2 @ (u + self._u_prev)
         self._u_prev = u
-        x = self._x
+        x = self._x.tolist()
 
         def positive(band):
             i = 2 * self._band_index[band]
-            va, qa = x[i, 0], x[i + 1, 0]
-            vb, qb = x[i, 1], x[i + 1, 1]
+            va, qa = x[i][0], x[i + 1][0]
+            vb, qb = x[i][1], x[i + 1][1]
             return FrameVector(0.5 * (va - qb), 0.5 * (qa + vb), ALPHA_BETA)
 
         def negative(band):
             i = 2 * self._band_index[band]
-            va, qa = x[i, 0], x[i + 1, 0]
-            vb, qb = x[i, 1], x[i + 1, 1]
+            va, qa = x[i][0], x[i + 1][0]
+            vb, qb = x[i][1], x[i + 1][1]
             return FrameVector(0.5 * (va + qb), 0.5 * (vb - qa), ALPHA_BETA)
 
         harm = {}
@@ -375,10 +375,14 @@ class ProportionalResonant:
 
     The transfer gain at each branch center equals ``kp + gain`` by
     construction; branch centers track the frequency passed to :meth:`step`
-    so droop deviations do not detune them.
+    so droop deviations do not detune them.  One controller may regulate
+    several axes with identical gains (``axes``): :meth:`step_axes` advances
+    all of them with one set of resonator coefficients per ``(omega, dt)``,
+    and each axis evolves exactly as a scalar controller would.
     """
 
-    def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float):
+    def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float,
+                 axes: int = 1):
         self.kp = kp
         self.terms = list(terms)
         for term in self.terms:
@@ -386,36 +390,57 @@ class ProportionalResonant:
                 raise ConfigurationError(
                     f"resonator at order {term.order} exceeds the Nyquist rate for dt={dt}"
                 )
-        self._x1 = [0.0] * len(self.terms)
-        self._x2 = [0.0] * len(self.terms)
-        self._e_prev = 0.0
+        # per axis: resonator states, one entry per term
+        self._x1 = [[0.0] * len(self.terms) for _ in range(axes)]
+        self._x2 = [[0.0] * len(self.terms) for _ in range(axes)]
+        self._e_prev = [0.0] * axes
+        self._coefficients = []
+        self._built_for = (None, None)    # (omega, dt)
 
-    def step(self, e: float, omega: float, dt: float) -> float:
-        out = self.kp * e
-        e_prev = self._e_prev
-        x1 = self._x1
-        x2 = self._x2
-        for i, term in enumerate(self.terms):
+    def _rebuild(self, omega: float, dt: float):
+        # Prewarped trapezoidal solve of each resonator in control canonical
+        # form:
+        #   x1' = -2*wc*x1 - wr^2*x2 + e
+        #   x2' = x1
+        #   y   = 2*gain*wc*x1
+        coefficients = []
+        for term in self.terms:
             wr = term.order * omega
             wc = term.cutoff
-            # Prewarped trapezoidal solve of the resonator in control
-            # canonical form:
-            #   x1' = -2*wc*x1 - wr^2*x2 + e
-            #   x2' = x1
-            #   y   = 2*gain*wc*x1
             h = math.tan(0.5 * wr * dt) / wr
-            a = x1[i]
-            b = x2[i]
-            f1 = -2.0 * wc * a - wr * wr * b
-            r1 = a + h * (f1 + e_prev + e)
-            r2 = b + h * a
             m11 = 1.0 + 2.0 * h * wc
             m12 = h * wr * wr
-            det = m11 + h * m12
-            a_new = (r1 - m12 * r2) / det
-            b_new = (h * r1 + m11 * r2) / det
-            x1[i] = a_new
-            x2[i] = b_new
-            out += 2.0 * term.gain * wc * a_new
-        self._e_prev = e
+            coefficients.append((h, -2.0 * wc, wr * wr, m11, m12, m11 + h * m12,
+                                 2.0 * term.gain * wc))
+        self._coefficients = coefficients
+        self._built_for = (omega, dt)
+
+    def step_axes(self, errors, omega: float, dt: float) -> list[float]:
+        """Advance every axis by one step; returns one output per axis."""
+        if self._built_for != (omega, dt):
+            self._rebuild(omega, dt)
+        kp = self.kp
+        coefficients = self._coefficients
+        e_prev = self._e_prev
+        out = []
+        for k, e in enumerate(errors):
+            ep = e_prev[k]
+            x1 = self._x1[k]
+            x2 = self._x2[k]
+            y = kp * e
+            for i, (h, c1, w2, m11, m12, det, g) in enumerate(coefficients):
+                a = x1[i]
+                b = x2[i]
+                r1 = a + h * (c1 * a - w2 * b + ep + e)
+                r2 = b + h * a
+                a_new = (r1 - m12 * r2) / det
+                x1[i] = a_new
+                x2[i] = (h * r1 + m11 * r2) / det
+                y += g * a_new
+            e_prev[k] = e
+            out.append(y)
         return out
+
+    def step(self, e: float, omega: float, dt: float) -> float:
+        """Single-axis step (a controller built with ``axes=1``)."""
+        return self.step_axes((e,), omega, dt)[0]

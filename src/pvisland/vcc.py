@@ -10,6 +10,7 @@ reference contributes nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -19,7 +20,6 @@ from .signals import (
     LowPass2,
     ThreePhaseSample,
     clarke,
-    inverse_park,
     park,
 )
 
@@ -101,10 +101,11 @@ class CentralCompensator:
     """Quality-index PI loops and the power-ratio broadcast of corrections.
 
     The per-component correction phasors are held in their rotating frames
-    between controller ticks; consumers rebuild the stationary-frame vector
-    at any angle via :meth:`correction_for`, or via :meth:`correction_from`
-    on a snapshot of the effort phasors, so fast-rotating components do not
-    get staircased by the slower tick rate.
+    between controller ticks; consumers rebuild the stationary-frame vectors
+    of every unit at any angle via :meth:`correction_from` on a snapshot of
+    the effort phasors (or :meth:`correction_for`, one unit from the live
+    phasors), so fast-rotating components do not get staircased by the
+    slower tick rate.
     """
 
     def __init__(self, params: VccParams):
@@ -160,36 +161,44 @@ class CentralCompensator:
                 comp = extracted[c]
                 self._effort_dq[c] = (u * comp.x, u * comp.y)
         theta = extracted[1].theta  # extraction ran at this fundamental angle
-        return [self.correction_for(i, theta) for i in range(len(self.shares))]
+        return self.correction_from(self._effort_dq, theta)
 
     def correction_for(self, unit: int, theta: float) -> FrameVector:
         """Stationary-frame correction for one unit at fundamental angle theta."""
-        return self.correction_from(self._effort_dq, unit, theta)
+        return self.correction_from(self._effort_dq, theta)[unit]
 
-    def correction_from(self, efforts: dict[int, tuple[float, float]], unit: int,
-                        theta: float) -> FrameVector:
-        """As :meth:`correction_for` but from a snapshot of effort phasors."""
-        share = self.shares[unit]
+    def correction_from(self, efforts: dict[int, tuple[float, float]],
+                        theta: float) -> list[FrameVector]:
+        """Every unit's correction at angle theta from a snapshot of effort phasors.
+
+        The components are rotated back and summed once; each unit then
+        takes its rated-power share, clamped per axis.
+        """
         a = 0.0
         b = 0.0
         for c, (d, q) in efforts.items():
             if d == 0.0 and q == 0.0:
                 continue
-            v = inverse_park(FrameVector(d, q, DQ), c * theta)
-            a += v.x
-            b += v.y
-        a *= share
-        b *= share
+            ang = c * theta
+            cs = math.cos(ang)
+            sn = math.sin(ang)
+            a += d * cs - q * sn
+            b += d * sn + q * cs
         lim = self.params.output_limit
-        clamped = False
-        if a > lim:
-            a, clamped = lim, True
-        elif a < -lim:
-            a, clamped = -lim, True
-        if b > lim:
-            b, clamped = lim, True
-        elif b < -lim:
-            b, clamped = -lim, True
-        if clamped:
-            self.clamped = True  # sticky until the caller clears it
-        return FrameVector(a, b)
+        out = []
+        for share in self.shares:
+            ua = a * share
+            ub = b * share
+            clamped = False
+            if ua > lim:
+                ua, clamped = lim, True
+            elif ua < -lim:
+                ua, clamped = -lim, True
+            if ub > lim:
+                ub, clamped = lim, True
+            elif ub < -lim:
+                ub, clamped = -lim, True
+            if clamped:
+                self.clamped = True  # sticky until the caller clears it
+            out.append(FrameVector(ua, ub))
+        return out

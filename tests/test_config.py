@@ -104,6 +104,7 @@ class TestParsing:
         ("vcc.pi_h3", "nan:15.0"),
         ("load.harmonics", "3:inf"),
         ("load.harmonics", "3:1.0:nan"),
+        ("load.harmonics", "3:-1.0"),
         ("load.step_time", "nan"),
         ("vcc.enable_at", "inf"),
         ("events.irradiance", "nan:1:0.9"),
@@ -111,6 +112,7 @@ class TestParsing:
         ("events.irradiance", "1.0:1:-0.5"),
         ("events.irradiance", "1.0:0:0.9"),
         ("events.irradiance", "1.0:3:0.9"),
+        ("outputs.sample_dt", "8.0"),    # one row in the 8 s default duration
     ])
     def test_invalid_value_rejected_up_front(self, key, value, tmp_path, capsys):
         with pytest.raises(ConfigurationError) as err:

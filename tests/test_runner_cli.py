@@ -7,6 +7,7 @@ import pytest
 from pvisland import cli
 from pvisland.config import KNOWN_CHANNELS, channel_names, echo, from_mapping
 from pvisland.errors import SimulationDivergence
+from pvisland.signals import FrameVector
 from pvisland.runner import (
     build_compensator,
     build_controllers,
@@ -66,6 +67,25 @@ class TestRunArtifacts:
         assert short_run.report.energy_audit_percent < 0.5
         assert short_run.report.max_kcl_residual < 1e-9
 
+    def test_report_rebuild_marks_run_only_quantities_unavailable(self, short_run, capsys):
+        assert cli.main(["report", str(short_run.out_dir)]) == 0
+        run_only = ("energy_audit_percent", "max_kcl_residual_amps",
+                    "mode_transition_count", "flag_count")
+        listed = ("mode_transition", "flag")
+
+        def entries(name):
+            text = (short_run.out_dir / name).read_text()
+            return [tuple(line.split(" = ", 1)) for line in text.splitlines()]
+
+        rebuilt = entries("report_rebuilt.txt")
+        original = entries("report.txt")
+        assert [e for e in rebuilt if e[0] in run_only] == [
+            (key, "unavailable") for key in run_only]
+        assert not [e for e in rebuilt if e[0] in listed]
+        # every windowed key is still the run's, in the run's order
+        assert [e for e in rebuilt if e[0] not in run_only] == [
+            e for e in original if e[0] not in run_only + listed]
+
 
 class TestPlots:
     def test_voltage_window_spans_five_cycles(self, short_run):
@@ -118,6 +138,38 @@ class TestBuilders:
         assert delayed.channels["vc2_alpha"][i_before] == 0.0
         i_after = int(0.3 / dt)
         assert abs(delayed.channels["vc2_alpha"][i_after]) > 0.0
+
+    def test_tick_computes_in_python_floats(self):
+        # NumPy scalars leaking from the network state cost about three times
+        # as much per operation as Python floats in every controller
+        cfg = from_mapping({})
+        plant = build_plant(cfg)
+        controllers = build_controllers(cfg)
+        zero = FrameVector(0.0, 0.0)
+        dt = cfg.control_period
+        theta = 0.0
+        for _ in range(200):
+            meas = plant.measurements(theta)
+            steps = [ctl.step(meas["dg"][d], zero, plant.t, dt)
+                     for d, ctl in enumerate(controllers)]
+            plant.step([duty for duty, _ in steps], [m for _, m in steps], theta)
+            theta += cfg.omega * dt
+
+        def leaves(obj):
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, (list, tuple)):
+                return [leaf for item in obj for leaf in leaves(item)]
+            return [obj]
+
+        values = leaves(plant.measurements(theta))
+        for d, ctl in enumerate(controllers):
+            seq = ctl.sequences
+            values += [ctl.p_avg, ctl.droop.omega_ref, plant.dc_states[d].v_dc]
+            for v in [seq.fundamental_pos, seq.fundamental_neg, *seq.harmonic.values()]:
+                values += [v.x, v.y]
+        assert len(values) > 40
+        assert [type(v) for v in values if type(v) is not float] == []
 
     def test_mode_channel_reflects_boot_mode(self):
         cfg = from_mapping(dict(SHORT, **{"solver.duration": "0.2"}))

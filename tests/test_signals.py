@@ -358,6 +358,22 @@ class TestProportionalResonant:
         assert gain == pytest.approx(50.0, rel=0.02)
 
 
+class TestPairedAxes:
+    def test_pair_equals_two_scalar_controllers(self):
+        terms = [ResonantTerm(1, 300.0, 2.0), ResonantTerm(3, 50.0, 2.0),
+                 ResonantTerm(5, 50.0, 2.0), ResonantTerm(7, 50.0, 2.0)]
+        pair = ProportionalResonant(0.05, terms, OMEGA, DT, axes=2)
+        alpha = ProportionalResonant(0.05, terms, OMEGA, DT)
+        beta = ProportionalResonant(0.05, terms, OMEGA, DT)
+        rng = np.random.default_rng(3)
+        omega = OMEGA
+        for _ in range(2000):
+            omega += float(rng.normal(0.0, 0.05))  # moves every step
+            ea, eb = rng.uniform(-20.0, 20.0, 2).tolist()
+            got = pair.step_axes((ea, eb), omega, DT)
+            assert got == [alpha.step(ea, omega, DT), beta.step(eb, omega, DT)]
+
+
 class TestDeterminism:
     def test_block_chain_is_bit_identical(self):
         def run():
