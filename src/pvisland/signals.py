@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigurationError, FrameError
 
 ALPHA_BETA = "ab"
@@ -243,6 +241,24 @@ class SequenceExtractor:
     each band frequency prewarped, which keeps steady-state extraction exact
     at the band centers.  The positive/negative split at each frequency
     comes from the quadrature outputs.
+
+    Per axis and band ``j`` with in-phase/quadrature states ``v_j, q_j``
+    (the multiple-SOGI network of Rodriguez et al., IEEE TIE 58(1), 2011)::
+
+        v_j' = w_j * (k * (u - sum_i v_i) - q_j)
+        q_j' = w_j * v_j
+
+    Each band alone is a 2x2 rotation; the coupling is rank one (every band
+    sees the same sum), so the trapezoidal step has an exact O(n) solution.
+    With ``a_j = tan(band_j * omega * dt / 2)`` (the prewarped
+    ``w_j * dt / 2``), ``g_j = k * a_j / (1 + a_j**2)`` and ``U`` the sum of
+    the previous and the present input::
+
+        P_j   = ((1 - a_j**2) * v_j - 2 * a_j * q_j) / (1 + a_j**2)
+                + g_j * (U - sum_i v_i)
+        S     = sum_j P_j / (1 + sum_j g_j)          # new sum of v
+        v_j+  = P_j - g_j * S
+        q_j+  = q_j + a_j * (v_j + v_j+)
     """
 
     def __init__(self, orders=DEFAULT_SEQUENCE_ORDERS, gain: float = math.sqrt(2.0)):
@@ -253,14 +269,16 @@ class SequenceExtractor:
         self.gain = gain
         self.bands = sorted({abs(o) for o in orders})
         self._band_index = {b: i for i, b in enumerate(self.bands)}
-        n = 2 * len(self.bands)
-        self._x = np.zeros((n, 2))        # columns: alpha axis, beta axis
-        self._u_prev = np.zeros((1, 2))
-        self._t1 = None
-        self._t2 = None
-        self._built_for = (None, None)    # (omega, dt)
+        n = len(self.bands)
+        self._v = [[0.0] * n, [0.0] * n]    # per axis (alpha, beta), per band
+        self._q = [[0.0] * n, [0.0] * n]
+        self._u_prev = (0.0, 0.0)
+        self._coefficients = []             # per band: (c_j, s_j, g_j, a_j)
+        self._denominator = 1.0             # 1 + sum_j g_j
+        self._built_for = (None, None)      # (omega, dt)
 
     def _rebuild(self, omega: float, dt: float):
+        """Refresh the per-band coefficients for a new (omega, dt)."""
         if omega <= 0.0 or dt <= 0.0:
             raise ConfigurationError("sequence extractor needs positive frequency and step")
         if self.bands[-1] * omega >= math.pi / dt:
@@ -268,45 +286,47 @@ class SequenceExtractor:
                 f"band at order {self.bands[-1]} exceeds the Nyquist rate for dt={dt}"
             )
         k = self.gain
-        n = 2 * len(self.bands)
-        a = np.zeros((n, n))
-        b = np.zeros(n)
-        for j, band in enumerate(self.bands):
-            wj = (2.0 / dt) * math.tan(0.5 * band * omega * dt)
-            vr, qr = 2 * j, 2 * j + 1
-            for i in range(len(self.bands)):
-                a[vr, 2 * i] = -k * wj
-            a[vr, qr] = -wj
-            a[qr, vr] = wj
-            b[vr] = k * wj
-        eye = np.eye(n)
-        m = eye - 0.5 * dt * a
-        self._t1 = np.linalg.solve(m, eye + 0.5 * dt * a)
-        self._t2 = np.linalg.solve(m, 0.5 * dt * b).reshape(-1, 1)
+        coefficients = []
+        g_sum = 0.0
+        for band in self.bands:
+            a = math.tan(0.5 * band * omega * dt)
+            n = 1.0 + a * a
+            g = k * a / n
+            coefficients.append(((1.0 - a * a) / n, 2.0 * a / n, g, a))
+            g_sum += g
+        self._coefficients = coefficients
+        self._denominator = 1.0 + g_sum
         self._built_for = (omega, dt)
 
     def step(self, v: FrameVector, omega: float, dt: float) -> SequenceSet:
         if v.frame != ALPHA_BETA:
             raise FrameError("sequence extractor expects an alpha/beta input")
-        w0, dt0 = self._built_for
-        if w0 is None or dt0 != dt or abs(omega - w0) > 1e-3:
+        if self._built_for != (omega, dt):
             self._rebuild(omega, dt)
-        u = np.array([[v.x, v.y]])
-        self._x = self._t1 @ self._x + self._t2 @ (u + self._u_prev)
+        coefficients = self._coefficients
+        denominator = self._denominator
+        u = (v.x, v.y)
+        for axis in (0, 1):
+            vs = self._v[axis]
+            qs = self._q[axis]
+            e = self._u_prev[axis] + u[axis] - sum(vs)
+            ps = [c * vj - s * qj + g * e
+                  for (c, s, g, _), vj, qj in zip(coefficients, vs, qs)]
+            total = sum(ps) / denominator
+            for j, (_, _, g, a) in enumerate(coefficients):
+                v_new = ps[j] - g * total
+                qs[j] += a * (vs[j] + v_new)
+                vs[j] = v_new
         self._u_prev = u
-        x = self._x.tolist()
+        (va_s, vb_s), (qa_s, qb_s) = self._v, self._q
 
         def positive(band):
-            i = 2 * self._band_index[band]
-            va, qa = x[i][0], x[i + 1][0]
-            vb, qb = x[i][1], x[i + 1][1]
-            return FrameVector(0.5 * (va - qb), 0.5 * (qa + vb), ALPHA_BETA)
+            i = self._band_index[band]
+            return FrameVector(0.5 * (va_s[i] - qb_s[i]), 0.5 * (qa_s[i] + vb_s[i]), ALPHA_BETA)
 
         def negative(band):
-            i = 2 * self._band_index[band]
-            va, qa = x[i][0], x[i + 1][0]
-            vb, qb = x[i][1], x[i + 1][1]
-            return FrameVector(0.5 * (va + qb), 0.5 * (vb - qa), ALPHA_BETA)
+            i = self._band_index[band]
+            return FrameVector(0.5 * (va_s[i] + qb_s[i]), 0.5 * (vb_s[i] - qa_s[i]), ALPHA_BETA)
 
         harm = {}
         for order in self.orders:

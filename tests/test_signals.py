@@ -253,6 +253,51 @@ class TestSequenceExtractor:
         with pytest.raises(ConfigurationError):
             SequenceExtractor(orders=(1, 3))
 
+    def test_closed_form_matches_matrix_solve(self):
+        # Oracle: the coupled bank assembled as one matrix and advanced by an
+        # exact trapezoidal solve at every step, for the frequency of that step.
+        ext = SequenceExtractor()
+        k = ext.gain
+        bands = ext.bands
+        n = 2 * len(bands)
+
+        def trapezoid_step(x, u_sum, omega):
+            a = np.zeros((n, n))
+            b = np.zeros(n)
+            for j, band in enumerate(bands):
+                wj = (2.0 / DT) * math.tan(0.5 * band * omega * DT)
+                for i in range(len(bands)):
+                    a[2 * j, 2 * i] = -k * wj
+                a[2 * j, 2 * j + 1] = -wj
+                a[2 * j + 1, 2 * j] = wj
+                b[2 * j] = k * wj
+            eye = np.eye(n)
+            rhs = (eye + 0.5 * DT * a) @ x + np.outer(0.5 * DT * b, u_sum)
+            return np.linalg.solve(eye - 0.5 * DT * a, rhs)
+
+        rng = np.random.default_rng(11)
+        x = np.zeros((n, 2))                 # columns: alpha, beta
+        u_prev = np.zeros(2)
+        omega = OMEGA
+        worst = 0.0
+        for i in range(20000):
+            omega += float(rng.normal(0.0, 0.02))   # droop ripple moves it every step
+            t = i * DT
+            u = np.array([100.0 * math.cos(OMEGA * t) + 8.0 * math.cos(5.0 * OMEGA * t),
+                          100.0 * math.sin(OMEGA * t) - 8.0 * math.sin(5.0 * OMEGA * t)])
+            u += rng.normal(0.0, 1.0, 2)
+            seq = ext.step(FrameVector(*u.tolist()), omega, DT)
+            x = trapezoid_step(x, u + u_prev, omega)
+            u_prev = u
+            got = [seq.fundamental_pos, seq.fundamental_neg, seq.harmonic[-5]]
+            j1, j5 = 2 * bands.index(1), 2 * bands.index(5)
+            want = [(0.5 * (x[j1, 0] - x[j1 + 1, 1]), 0.5 * (x[j1 + 1, 0] + x[j1, 1])),
+                    (0.5 * (x[j1, 0] + x[j1 + 1, 1]), 0.5 * (x[j1, 1] - x[j1 + 1, 0])),
+                    (0.5 * (x[j5, 0] + x[j5 + 1, 1]), 0.5 * (x[j5, 1] - x[j5 + 1, 0]))]
+            for g, (wa, wb) in zip(got, want):
+                worst = max(worst, abs(g.x - wa), abs(g.y - wb))
+        assert worst <= 1e-10
+
 
 # ---------------------------------------------------------------------------
 # Phase-locked loop
