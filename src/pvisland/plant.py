@@ -329,8 +329,9 @@ class AcNetwork:
 
     # State slices -----------------------------------------------------
     # Reads convert the state to Python floats once (``x.tolist()``); the
-    # controllers then never compute on NumPy scalars, which cost about three
-    # times as much per operation.  Nothing is cached: callers may write ``x``.
+    # controllers then never compute on NumPy scalars, which cost three to
+    # four times as much per operation.  Nothing is cached: callers may
+    # write ``x``.
     def _base(self, d: int) -> int:
         return self.STATES_PER_DG * d
 
