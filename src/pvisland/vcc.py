@@ -10,7 +10,6 @@ reference contributes nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -20,6 +19,7 @@ from .signals import (
     LowPass2,
     ThreePhaseSample,
     clarke,
+    inverse_park,
     park,
 )
 
@@ -179,11 +179,9 @@ class CentralCompensator:
         for c, (d, q) in efforts.items():
             if d == 0.0 and q == 0.0:
                 continue
-            ang = c * theta
-            cs = math.cos(ang)
-            sn = math.sin(ang)
-            a += d * cs - q * sn
-            b += d * sn + q * cs
+            v = inverse_park(FrameVector(d, q, DQ), c * theta)
+            a += v.x
+            b += v.y
         lim = self.params.output_limit
         out = []
         for share in self.shares:
