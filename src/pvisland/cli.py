@@ -89,8 +89,7 @@ def cmd_validate(args) -> int:
     runner_mod.build_plant(cfg)
     runner_mod.build_controllers(cfg)
     runner_mod.build_compensator(cfg)
-    print(f"scenario {cfg.name!r} is valid "
-          f"({cfg.duration} s at dt={cfg.dt}, method={cfg.method})")
+    print(f"scenario {cfg.name!r} is valid ({cfg.duration} s at dt={cfg.dt})")
     return EXIT_OK
 
 

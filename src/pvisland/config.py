@@ -104,7 +104,6 @@ DEFAULTS: dict[str, str] = {
     "solver.dt": "50e-6",
     "control.period": "50e-6",
     "solver.duration": "8.0",
-    "solver.method": "trapezoid",
     "solver.startup_ramp": "0.25",
 
     "system.omega": "370.0",
@@ -196,7 +195,6 @@ class ScenarioConfig:
     dt: float
     control_period: float
     duration: float
-    method: str
     startup_ramp: float
     omega: float
     v_amp: float
@@ -411,9 +409,6 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
     if dt <= 0.0 or duration <= 0.0:
         raise ConfigurationError("solver.dt and solver.duration must be positive",
                                  key="solver.dt")
-    method = merged["solver.method"].strip()
-    if method not in ("trapezoid", "rk4"):
-        raise ConfigurationError(f"unknown method {method!r}", key="solver.method")
 
     omega = _parse_float(merged, "system.omega")
     v_amp = V_RMS_TO_AMP * _parse_float(merged, "system.v_rms")
@@ -447,7 +442,6 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
         dt=dt,
         control_period=control_period,
         duration=duration,
-        method=method,
         startup_ramp=_parse_float(merged, "solver.startup_ramp"),
         omega=omega,
         v_amp=v_amp,

@@ -13,11 +13,11 @@ Modeling choices, fixed for the whole simulator:
   zero-sequence current can circulate anywhere.  The unbalanced load is a
   star bank with a floating neutral; its neutral potential is resolved
   inside the nodal equations.
-* The whole linear AC network (filters, feeders, resistive loads) advances
-  with one trapezoidal solve per step, which is unconditionally stable.  An
-  explicit fourth-order Runge-Kutta alternative is available for
-  convergence checks.  The DC side is nonlinear (PV curve, constant-power
-  inverter draw) and advances with Heun's method, or RK4 when selected.
+* One integration scheme per side.  The whole linear AC network (filters,
+  feeders, resistive loads) advances with one trapezoidal transition step,
+  which is unconditionally stable; convergence is checked by halving the
+  step.  The DC side is nonlinear (PV curve, constant-power inverter draw)
+  and advances with Heun's method.
 """
 
 from __future__ import annotations
@@ -146,24 +146,7 @@ class DcSide:
         dv_dc = ((1.0 - duty) * st.i_boost - p_draw / v_dc) / p.c_dc
         return dv_pv, di, dv_dc
 
-    def step(self, st: DcSideState, duty: float, p_draw: float, dt: float,
-             method: str = "trapezoid") -> DcSideState:
-        if method == "rk4":
-            k1 = self.derivatives(st, duty, p_draw)
-            s2 = DcSideState(st.v_pv + 0.5 * dt * k1[0], st.i_boost + 0.5 * dt * k1[1],
-                             st.v_dc + 0.5 * dt * k1[2])
-            k2 = self.derivatives(s2, duty, p_draw)
-            s3 = DcSideState(st.v_pv + 0.5 * dt * k2[0], st.i_boost + 0.5 * dt * k2[1],
-                             st.v_dc + 0.5 * dt * k2[2])
-            k3 = self.derivatives(s3, duty, p_draw)
-            s4 = DcSideState(st.v_pv + dt * k3[0], st.i_boost + dt * k3[1],
-                             st.v_dc + dt * k3[2])
-            k4 = self.derivatives(s4, duty, p_draw)
-            return DcSideState(
-                st.v_pv + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                st.i_boost + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-                st.v_dc + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            )
+    def step(self, st: DcSideState, duty: float, p_draw: float, dt: float) -> DcSideState:
         # Heun: explicit trapezoid, adequate for the slow DC dynamics
         k1 = self.derivatives(st, duty, p_draw)
         pred = DcSideState(st.v_pv + dt * k1[0], st.i_boost + dt * k1[1],
@@ -308,12 +291,9 @@ class AcNetwork:
 
     STATES_PER_DG = 6
 
-    def __init__(self, stages: list[AcStageParams], load: LoadSpec, dt: float,
-                 method: str = "trapezoid"):
+    def __init__(self, stages: list[AcStageParams], load: LoadSpec, dt: float):
         if not stages:
             raise ConfigurationError("network needs at least one generating unit")
-        if method not in ("trapezoid", "rk4"):
-            raise ConfigurationError(f"unknown integration method {method!r}")
         for st in stages:
             if dt > 1.0 / (20.0 * st.resonance_hz()):
                 raise ConfigurationError(
@@ -322,7 +302,6 @@ class AcNetwork:
         self.stages = list(stages)
         self.load = load
         self.dt = dt
-        self.method = method
         self.load_scale = 1.0
         self._build()
         self.x = np.zeros(self._n_states)
@@ -394,8 +373,6 @@ class AcNetwork:
                 a[lb + ax, lb + 1] -= zp[ax][1] / l_eff
                 b[lb + ax, 2 * ndg + 0] = -zp[ax][0] / l_eff
                 b[lb + ax, 2 * ndg + 1] = -zp[ax][1] / l_eff
-        self._a = a
-        self._b = b
         eye = np.eye(n)
         m = eye - 0.5 * self.dt * a
         self._t1 = np.linalg.solve(m, eye + 0.5 * self.dt * a)
@@ -411,18 +388,7 @@ class AcNetwork:
     # Dynamics -----------------------------------------------------------
     def step(self, v_inv_ab: list[tuple[float, float]], ih_ab: tuple[float, float]):
         u = np.array([v for pair in v_inv_ab for v in pair] + [ih_ab[0], ih_ab[1]])
-        if self.method == "trapezoid":
-            self.x = self._t1 @ self.x + self._tu @ u
-        else:
-            a, b = self._a, self._b
-            x = self.x
-            dt = self.dt
-            bu = b @ u
-            k1 = a @ x + bu
-            k2 = a @ (x + 0.5 * dt * k1) + bu
-            k3 = a @ (x + 0.5 * dt * k2) + bu
-            k4 = a @ (x + dt * k3) + bu
-            self.x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.x = self._t1 @ self.x + self._tu @ u
 
     def bank_current(self) -> tuple[float, float]:
         if self.load.balanced_l is None:
@@ -522,12 +488,10 @@ class Plant:
     """
 
     def __init__(self, dgs: list[DgPlantParams], load: LoadSpec, dt: float,
-                 method: str = "trapezoid", v_dc_init: float = 600.0,
-                 v_pv_init: float | None = None):
+                 v_dc_init: float = 600.0, v_pv_init: float | None = None):
         self.dgs = list(dgs)
         self.dt = dt
-        self.method = method
-        self.network = AcNetwork([d.ac for d in dgs], load, dt, method)
+        self.network = AcNetwork([d.ac for d in dgs], load, dt)
         self.dc_sides = [DcSide(d.pv, d.dc, d.irradiance) for d in dgs]
         self.dc_states = [
             DcSideState(v_pv=d.pv.v_mp if v_pv_init is None else v_pv_init,
@@ -633,7 +597,7 @@ class Plant:
             va, vb = v_inv_ab[d]
             p_draw = 1.5 * (va * ila + vb * ilb)
             self.dc_states[d] = self.dc_sides[d].step(
-                self.dc_states[d], duties[d], p_draw, dt, self.method)
+                self.dc_states[d], duties[d], p_draw, dt)
 
         self.t += dt
         self._check_bounds()

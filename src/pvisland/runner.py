@@ -97,8 +97,7 @@ def build_plant(cfg: ScenarioConfig) -> Plant:
         step_time=cfg.load_step_time,
         step_scale=cfg.load_step_scale,
     )
-    return Plant(dgs, load, cfg.dt, cfg.method,
-                 v_dc_init=cfg.dgs[0].v_dc_ref)
+    return Plant(dgs, load, cfg.dt, v_dc_init=cfg.dgs[0].v_dc_ref)
 
 
 def build_controllers(cfg: ScenarioConfig) -> list[DgController]:

@@ -61,8 +61,10 @@ class TestParsing:
         assert "vcc.period" in str(err.value)
 
     def test_bad_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            from_mapping({"solver.method": "euler"})
+        # the plant has one integration scheme; the old selector is an unknown key
+        with pytest.raises(ConfigurationError) as err:
+            from_mapping({"solver.method": "trapezoid"})
+        assert err.value.key == "solver.method"
 
     def test_harmonics_list_parses(self):
         cfg = from_mapping({"load.harmonics": "-5:2.0:0.1, 7:1.0"})

@@ -313,18 +313,41 @@ class TestAcNetwork:
             AcNetwork([AcStageParams()], LoadSpec(balanced_r=10.0), 5e-4)
 
     def test_rk4_agrees_with_trapezoid(self):
+        # independent oracle: classical RK4 on the single-unit circuit written
+        # out by hand (filter L-C, R-L feeder, balanced bank with the bus
+        # voltage R * i_feeder), input held over each step as the network does
+        stage = AcStageParams()
+        r_load = 10.0
         w = 370.0
-        amps = []
-        for method in ("trapezoid", "rk4"):
-            net = AcNetwork([AcStageParams()], LoadSpec(balanced_r=10.0), DT, method)
-            for i in range(int(0.5 / DT)):
-                t = i * DT
-                net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], (0.0, 0.0))
-            amps.append(math.hypot(*net.cap_voltage(0)))
-        assert amps[0] == pytest.approx(amps[1], rel=1e-3)
+
+        def deriv(s, v_inv):
+            i_l, v_c, i_f = s
+            return ((v_inv - v_c) / stage.l_filter,
+                    (i_l - i_f) / stage.c_filter,
+                    (v_c - (stage.feeder_r + r_load) * i_f) / stage.feeder_l)
+
+        def rk4(s, v_inv):
+            k1 = deriv(s, v_inv)
+            k2 = deriv([x + 0.5 * DT * k for x, k in zip(s, k1)], v_inv)
+            k3 = deriv([x + 0.5 * DT * k for x, k in zip(s, k2)], v_inv)
+            k4 = deriv([x + DT * k for x, k in zip(s, k3)], v_inv)
+            return [x + DT / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                    for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
+
+        net = AcNetwork([stage], LoadSpec(balanced_r=r_load), DT)
+        alpha = [0.0, 0.0, 0.0]
+        beta = [0.0, 0.0, 0.0]
+        for i in range(int(0.5 / DT)):
+            t = i * DT
+            v = (170.0 * math.cos(w * t), 170.0 * math.sin(w * t))
+            net.step([v], (0.0, 0.0))
+            alpha = rk4(alpha, v[0])
+            beta = rk4(beta, v[1])
+        amp = math.hypot(*net.cap_voltage(0))
+        assert amp == pytest.approx(math.hypot(alpha[1], beta[1]), rel=1e-3)
 
 
-def _two_unit_plant(load=None, method="trapezoid"):
+def _two_unit_plant(load=None):
     pv1 = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0)
     pv2 = PvParams(6000.0, 450.0, 17.6, 380.0, 6000.0 / 380.0)
     dgs = [
@@ -336,7 +359,7 @@ def _two_unit_plant(load=None, method="trapezoid"):
     if load is None:
         load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
                         harmonics=(HarmonicInjection(-5, 2.0),))
-    return Plant(dgs, load, DT, method)
+    return Plant(dgs, load, DT)
 
 
 class TestPlant:

@@ -86,6 +86,15 @@ class TestRunArtifacts:
         assert [e for e in rebuilt if e[0] not in run_only] == [
             e for e in original if e[0] not in run_only + listed]
 
+    def test_report_rejects_echo_with_removed_method_key(self, short_run, tmp_path, capsys):
+        # run directories echoed while solver.method existed need that line removed
+        for name in ("timeseries.csv", "config.echo"):
+            (tmp_path / name).write_bytes((short_run.out_dir / name).read_bytes())
+        with open(tmp_path / "config.echo", "a", encoding="utf-8") as f:
+            f.write("solver.method = trapezoid\n")
+        assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "solver.method" in capsys.readouterr().err
+
 
 class TestPlots:
     def test_voltage_window_spans_five_cycles(self, short_run):
@@ -202,8 +211,9 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("solver.method = euler\n")
+        bad.write_text("solver.method = trapezoid\n")
         assert cli.main(["run", str(bad), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "solver.method" in capsys.readouterr().err
 
     def test_vcc_override_forms(self, tmp_path, capsys):
         out = tmp_path / "o"
