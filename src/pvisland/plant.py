@@ -488,16 +488,13 @@ class Plant:
     """
 
     def __init__(self, dgs: list[DgPlantParams], load: LoadSpec, dt: float,
-                 v_dc_init: float = 600.0, v_pv_init: float | None = None):
+                 v_dc_init: float = 600.0):
         self.dgs = list(dgs)
         self.dt = dt
         self.network = AcNetwork([d.ac for d in dgs], load, dt)
         self.dc_sides = [DcSide(d.pv, d.dc, d.irradiance) for d in dgs]
-        self.dc_states = [
-            DcSideState(v_pv=d.pv.v_mp if v_pv_init is None else v_pv_init,
-                        i_boost=0.0, v_dc=v_dc_init)
-            for d in dgs
-        ]
+        self.dc_states = [DcSideState(v_pv=d.pv.v_mp, i_boost=0.0, v_dc=v_dc_init)
+                          for d in dgs]
         self.load = load
         self.t = 0.0
         self.saturated = [False] * len(dgs)
@@ -527,6 +524,7 @@ class Plant:
     def measurements(self, theta_load: float) -> dict:
         """Everything the controllers read, taken at the current instant."""
         scale = self.load_scale_at(self.t)
+        self.network.set_load_scale(scale)
         ih = harmonic_current_ab(self.load.harmonics, theta_load, scale)
         x = self.network.x.tolist()
         va, vb, _, _ = self.network.bus(x, ih)
@@ -558,12 +556,10 @@ class Plant:
         ih = harmonic_current_ab(self.load.harmonics, theta_load, scale)
 
         v_inv_ab = []
-        v_inv_abc = []
         for d, m in enumerate(modulations):
             v_abc, sat = inverter_output(m, self.dc_states[d].v_dc)
             self.saturated[d] = sat
             v = clarke(v_abc)
-            v_inv_abc.append(v_abc)
             v_inv_ab.append((v.x, v.y))
 
         net = self.network

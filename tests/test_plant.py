@@ -442,3 +442,25 @@ class TestPlant:
         bank = math.hypot(*plant.network.bank_current())
         assert bank == pytest.approx(v / (w * 0.03), rel=0.05)
         assert plant.energy_audit_error() < 0.005
+
+    def test_measurements_see_the_load_step(self):
+        # the first tick at the step must solve the bus through the new load,
+        # the same admittance the following plant step integrates with
+        load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
+                        harmonics=(HarmonicInjection(-5, 2.0),),
+                        step_time=0.02, step_scale=0.6)
+        plant = _two_unit_plant(load=load)
+        w = 370.0
+        i = 0
+        while plant.t < load.step_time:
+            m = inverse_clarke(FrameVector(0.5 * math.cos(w * i * DT),
+                                           0.5 * math.sin(w * i * DT)))
+            plant.step([0.37, 0.37], [m, m], w * i * DT)
+            i += 1
+        theta = w * i * DT
+        measured = plant.measurements(theta)["v_pcc_ab"]
+        stepped = AcNetwork(plant.network.stages, load, DT)
+        stepped.set_load_scale(load.step_scale)
+        stepped.x = plant.network.x.copy()
+        ih = harmonic_current_ab(load.harmonics, theta, load.step_scale)
+        assert measured == stepped.pcc_voltage(ih)
