@@ -150,6 +150,10 @@ def sharing_metrics(p1: TimeSeries, p2: TimeSeries, q1: TimeSeries,
                          defined=p_ratio is not None and q_ratio is not None)
 
 
+#: Whole fundamental cycles :func:`steady_window` needs before it searches.
+MIN_STEADY_CYCLES = 20
+
+
 def steady_window(ts: TimeSeries, rel_tol: float, f1: float,
                   min_cycles: int = 5) -> tuple[float, float]:
     """Trailing span over which the cycle RMS varies less than ``rel_tol`` percent.
@@ -159,8 +163,9 @@ def steady_window(ts: TimeSeries, rel_tol: float, f1: float,
     """
     n_cycle = int(round(1.0 / (f1 * ts.dt)))
     n_cycles = len(ts.samples) // n_cycle
-    if n_cycles < 20:
-        raise AnalysisError(f"{ts.name}: need at least 20 cycles to detect steady state")
+    if n_cycles < MIN_STEADY_CYCLES:
+        raise AnalysisError(
+            f"{ts.name}: need at least {MIN_STEADY_CYCLES} cycles to detect steady state")
     tail = ts.samples[len(ts.samples) - n_cycles * n_cycle:]
     rms = np.sqrt(np.mean(tail.reshape(n_cycles, n_cycle) ** 2, axis=1))
     ref = rms[-1]

@@ -89,6 +89,7 @@ def cmd_validate(args) -> int:
     runner_mod.build_plant(cfg)
     runner_mod.build_controllers(cfg)
     runner_mod.build_compensator(cfg)
+    runner_mod.check_report_length(cfg)
     print(f"scenario {cfg.name!r} is valid ({cfg.duration} s at dt={cfg.dt})")
     return EXIT_OK
 
@@ -106,10 +107,8 @@ def cmd_report(args) -> int:
     if data.ndim == 1:
         data = data.reshape(1, -1)
     channels = {name: data[:, i] for i, name in enumerate(header) if name != "t"}
-    plant = runner_mod.build_plant(cfg)
     # the run applied every irradiance event up to the start of its last tick
     last_tick = (int(round(cfg.duration / cfg.control_period)) - 1) * cfg.control_period
-    irradiance = runner_mod.irradiance_after(cfg, last_tick)
     # Windowed metrics rebuild exactly from the recorded channels; run-time
     # diagnostics (audit, residual, transitions, flags) live only in the
     # original report and read "unavailable" here.
@@ -121,8 +120,7 @@ def cmd_report(args) -> int:
         mode_transitions=None,
         energy_audit_percent=None,
         max_kcl_residual=None,
-        mpp_available_w=tuple(runner_mod._mpp_power(dg.pv, g)
-                              for dg, g in zip(plant.dgs, irradiance)),
+        mpp_available_w=runner_mod.mpp_available_w(cfg, last_tick),
     )
     report = runner_mod.assemble_report(result)
     path = run_dir / "report_rebuilt.txt"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, TimeSeries
-from .config import ScenarioConfig, channel_names, echo, unit_channels
+from .config import DgConfig, ScenarioConfig, channel_names, echo, unit_channels
 from .control import (
     DgControlParams,
     DgController,
@@ -31,7 +31,7 @@ from .control import (
     VrParams,
     MODE_VR,
 )
-from .errors import AnalysisError
+from .errors import AnalysisError, ConfigurationError
 from .plant import (
     AcStageParams,
     DcLinkParams,
@@ -80,11 +80,44 @@ def irradiance_after(cfg: ScenarioConfig, t: float) -> list[float]:
     return out
 
 
+def _pv_params(dg: DgConfig) -> PvParams:
+    return PvParams(dg.pv.rated_w, dg.pv.v_oc, dg.pv.i_sc, dg.pv.v_mp, dg.pv.i_mp)
+
+
+def mpp_available_w(cfg: ScenarioConfig, t: float) -> tuple[float, ...]:
+    """Each unit's array maximum power under its irradiance after the events up to ``t``."""
+    return tuple(_mpp_power(_pv_params(dg), g)
+                 for dg, g in zip(cfg.dgs, irradiance_after(cfg, t)))
+
+
+def check_report_length(cfg: ScenarioConfig):
+    """Reject a duration whose recorded rows cannot hold the report's steady-state search.
+
+    The search needs :data:`analysis.MIN_STEADY_CYCLES` whole cycles; the
+    longest cycle is the one at the lowest droop frequency, reached at
+    rated power.
+    """
+    omega_min = cfg.omega - max(dg.m_p * dg.pv.rated_w for dg in cfg.dgs)
+    if omega_min <= 0.0:
+        raise ConfigurationError("droop frequency at rated power is not positive",
+                                 key="system.omega")
+    ticks = int(round(cfg.duration / cfg.control_period))
+    sample_every = int(round(cfg.sample_dt / cfg.control_period))
+    rows = (ticks + sample_every - 1) // sample_every
+    cycle_rows = int(round(2.0 * math.pi / (omega_min * cfg.sample_dt)))
+    if rows < analysis.MIN_STEADY_CYCLES * cycle_rows:
+        needed = analysis.MIN_STEADY_CYCLES * cycle_rows * cfg.sample_dt
+        raise ConfigurationError(
+            f"{cfg.duration} s is too short for the report: it needs "
+            f"{analysis.MIN_STEADY_CYCLES} cycles at {omega_min:.1f} rad/s, "
+            f"about {needed:.3f} s", key="solver.duration")
+
+
 def build_plant(cfg: ScenarioConfig) -> Plant:
     dgs = []
     for dg in cfg.dgs:
         dgs.append(DgPlantParams(
-            pv=PvParams(dg.pv.rated_w, dg.pv.v_oc, dg.pv.i_sc, dg.pv.v_mp, dg.pv.i_mp),
+            pv=_pv_params(dg),
             dc=DcLinkParams(dg.c_pv, dg.l_boost, dg.c_dc),
             ac=AcStageParams(dg.filter_l, dg.filter_c, dg.feeder_r, dg.feeder_l),
             irradiance=dg.pv.irradiance,
@@ -269,9 +302,6 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             # first-order phase bias that shows up in the harmonic voltages
             plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
 
-    mpp_available = tuple(_mpp_power(dg.pv, g)
-                          for dg, g in zip(plant.dgs, irradiance_after(cfg, t)))
-
     mode_transitions = sorted(
         (t_switch, f"dg{d + 1}", what)
         for d, ctl in enumerate(controllers) for t_switch, what in ctl.boost.transitions)
@@ -284,7 +314,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         mode_transitions=mode_transitions,
         energy_audit_percent=100.0 * plant.energy_audit_error(),
         max_kcl_residual=plant.max_kcl_residual,
-        mpp_available_w=mpp_available,
+        mpp_available_w=mpp_available_w(cfg, t),
     )
 
 
@@ -502,6 +532,7 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path,
                  with_plots: bool = False) -> RunArtifacts:
+    check_report_length(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_simulation(cfg)

@@ -229,6 +229,22 @@ class TestCli:
         rc = cli.main(["run", "baseline", "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DIVERGENCE
 
+    def test_duration_too_short_for_report_rejected_up_front(self, monkeypatch, tmp_path,
+                                                              capsys):
+        def never(cfg):
+            raise AssertionError("simulated a run the report cannot read")
+
+        monkeypatch.setattr(cli.runner_mod, "run_simulation", never)
+        short = tmp_path / "short.cfg"
+        short.write_text("solver.duration = 0.05\n")
+        assert cli.main(["validate", str(short)]) == cli.EXIT_CONFIG
+        assert cli.main(["run", str(short), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.count("solver.duration") == 2
+        assert not (tmp_path / "o").exists()
+        smoke = tmp_path / "smoke.cfg"
+        smoke.write_text("solver.duration = 0.4\n")
+        assert cli.main(["validate", str(smoke)]) == cli.EXIT_OK
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "missing")]) == cli.EXIT_IO
 
