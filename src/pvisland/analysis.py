@@ -45,7 +45,11 @@ class SpectrumResult:
     window_cycles: int
 
 
-def spectrum(ts: TimeSeries, f1: float, cycles: int, max_order: int = 50
+#: Highest harmonic order :func:`spectrum` resolves and :func:`thd` sums.
+MAX_HARMONIC_ORDER = 50
+
+
+def spectrum(ts: TimeSeries, f1: float, cycles: int, max_order: int = MAX_HARMONIC_ORDER
              ) -> SpectrumResult:
     """Single-sided DFT magnitudes at integer multiples of the fundamental.
 
@@ -79,7 +83,7 @@ def spectrum(ts: TimeSeries, f1: float, cycles: int, max_order: int = 50
     )
 
 
-def thd(sp: SpectrumResult, max_order: int = 50) -> float:
+def thd(sp: SpectrumResult, max_order: int = MAX_HARMONIC_ORDER) -> float:
     """Total harmonic distortion in percent of the fundamental."""
     m1 = sp.magnitudes[0]
     if m1 < 1e-9:

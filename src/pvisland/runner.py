@@ -91,16 +91,24 @@ def mpp_available_w(cfg: ScenarioConfig, t: float) -> tuple[float, ...]:
 
 
 def check_report_length(cfg: ScenarioConfig):
-    """Reject a duration whose recorded rows cannot hold the report's steady-state search.
+    """Reject a sample step or duration the report cannot analyse.
 
-    The search needs :data:`analysis.MIN_STEADY_CYCLES` whole cycles; the
-    longest cycle is the one at the lowest droop frequency, reached at
-    rated power.
+    The spectrum resolves orders up to :data:`analysis.MAX_HARMONIC_ORDER`
+    only with at least twice that many rows per cycle at ``system.omega``.
+    The steady-state search needs :data:`analysis.MIN_STEADY_CYCLES` whole
+    cycles; the longest cycle is the one at the lowest droop frequency,
+    reached at rated power.
     """
     omega_min = cfg.omega - max(dg.m_p * dg.pv.rated_w for dg in cfg.dgs)
     if omega_min <= 0.0:
         raise ConfigurationError("droop frequency at rated power is not positive",
                                  key="system.omega")
+    max_step = math.pi / (analysis.MAX_HARMONIC_ORDER * cfg.omega)  # two rows per period
+    if cfg.sample_dt > max_step:
+        raise ConfigurationError(
+            f"{cfg.sample_dt} s is too coarse for the report: orders up to "
+            f"{analysis.MAX_HARMONIC_ORDER} need a step of at most {max_step:.4g} s",
+            key="outputs.sample_dt")
     ticks = int(round(cfg.duration / cfg.control_period))
     sample_every = int(round(cfg.sample_dt / cfg.control_period))
     rows = (ticks + sample_every - 1) // sample_every
@@ -211,13 +219,19 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     sample_every = int(round(cfg.sample_dt / dt_ctl))
     n_rows = (ticks + sample_every - 1) // sample_every
 
-    selected = cfg.channels if cfg.channels is not None else channel_names(len(cfg.dgs))
-    unit_names = [unit_channels(d + 1) for d in range(len(controllers))]
-    times = np.empty(n_rows)
-    chan = {name: np.empty(n_rows) for name in selected}
+    # One row per sample: ``t``, then every channel in CSV column order.
+    # The loop gathers each row in recording order; ``slots`` places it.
+    columns = ["t"] + channel_names(len(cfg.dgs))
+    recorded = ["t", "vpcc_a", "vpcc_b", "vpcc_c", "vcc_active", "vcc_vuf", "vcc_hd3",
+                "vcc_hd5", "vcc_hd7", "vcc_hd11"]
+    for d in range(len(controllers)):
+        recorded += unit_channels(d + 1)
+    slots = np.array([columns.index(name) for name in recorded])
+    # column-major, so every channel is a contiguous view
+    table = np.empty((n_rows, len(columns)), order="F")
     flags = _FlagRecorder()
 
-    online = {"vuf": 0.0, "hd3": 0.0, "hd5": 0.0, "hd7": 0.0, "hd11": 0.0}
+    online = [0.0] * 5  # vcc_vuf, vcc_hd3, vcc_hd5, vcc_hd7, vcc_hd11
     zero_vcs = [FrameVector(0.0, 0.0)] * len(controllers)
     # Every compensator tick broadcasts a snapshot of its effort phasors,
     # due at the units after the communication delay; the units rebuild
@@ -228,7 +242,6 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     irr_events = sorted(cfg.irradiance_events)
     next_event = 0
 
-    row = 0
     t = -math.inf  # start of the latest tick; below every event time before the first
     for tick in range(ticks):
         t = plant.t
@@ -248,9 +261,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         if tick % vcc_every == 0:
             extracted = bank.step(v_pcc_abc, theta, cfg.vcc_period)
             pos_mag = extracted[1].magnitude()
-            online["vuf"], _ = vuf(extracted[-1].magnitude(), pos_mag)
-            for order, key in ((3, "hd3"), (-5, "hd5"), (7, "hd7"), (-11, "hd11")):
-                online[key], _ = hd(extracted[order].magnitude(), pos_mag)
+            online = [vuf(extracted[-1].magnitude(), pos_mag)[0]] + [
+                hd(extracted[order].magnitude(), pos_mag)[0] for order in (3, -5, 7, -11)]
             if vcc_active:
                 comp.step(extracted, cfg.vcc_period)
                 in_flight.append((t + cfg.vcc_comm_delay, dict(comp._effort_dq)))
@@ -275,26 +287,17 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             flags.poll(t, src, "modulation_clamp", plant.saturated[d])
 
         if tick % sample_every == 0:
-            times[row] = t
-            values = {
-                "vpcc_a": v_pcc_abc.a, "vpcc_b": v_pcc_abc.b, "vpcc_c": v_pcc_abc.c,
-                "vcc_active": 1.0 if vcc_active else 0.0,
-                "vcc_vuf": online["vuf"], "vcc_hd3": online["hd3"],
-                "vcc_hd5": online["hd5"], "vcc_hd7": online["hd7"],
-                "vcc_hd11": online["hd11"],
-            }
+            values = [t, v_pcc_abc.a, v_pcc_abc.b, v_pcc_abc.c,
+                      1.0 if vcc_active else 0.0, *online]
             for d, ctl in enumerate(controllers):
                 unit = meas["dg"][d]
                 io_abc = inverse_clarke(FrameVector(*unit["i_o_ab"]))
-                values.update(zip(unit_names[d], (
-                    ctl.p_avg, ctl.q_avg, unit["v_dc"], unit["v_pv"], duties[d],
-                    1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
-                    io_abc.a, io_abc.b, io_abc.c,
-                    unit["v_pv"] * unit["i_pv"],
-                    vc_log[d].x, vc_log[d].y)))
-            for name in selected:
-                chan[name][row] = values[name]
-            row += 1
+                values += (ctl.p_avg, ctl.q_avg, unit["v_dc"], unit["v_pv"], duties[d],
+                           1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
+                           io_abc.a, io_abc.b, io_abc.c,
+                           unit["v_pv"] * unit["i_pv"],
+                           vc_log[d].x, vc_log[d].y)
+            table[tick // sample_every, slots] = values
 
         pll.step(v_pcc_ab, dt_ctl)
         for sub in range(n_sub):
@@ -308,8 +311,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
 
     return RunResult(
         cfg=cfg,
-        times=times[:row],
-        channels={k: v[:row] for k, v in chan.items()},
+        times=table[:, 0],
+        channels=dict(zip(columns[1:], table.T[1:])),
         flags=flags.events,
         mode_transitions=mode_transitions,
         energy_audit_percent=100.0 * plant.energy_audit_error(),
@@ -449,13 +452,20 @@ class RunArtifacts:
     result: RunResult
 
 
+#: Rows turned into text at a time: small blocks keep few Python floats alive at once.
+CSV_BLOCK_ROWS = 256
+
+
 def write_csv(result: RunResult, path: Path):
-    names = [n for n in channel_names(len(result.cfg.dgs)) if n in result.channels]
+    """The recorded table, narrowed to ``outputs.channels``, in channel order."""
+    chosen = result.cfg.channels
+    names = [n for n in channel_names(len(result.cfg.dgs)) if chosen is None or n in chosen]
+    cols = [result.times] + [result.channels[n] for n in names]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(["t"] + names) + "\n")
-        cols = [result.times] + [result.channels[n] for n in names]
-        for i in range(len(result.times)):
-            f.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+        for i in range(0, len(result.times), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in cols]).tolist()
+            f.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def write_report(report: MetricsReport, cfg: ScenarioConfig, path: Path):
@@ -479,17 +489,18 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
     n_five = int(round(5.0 / f1 / sample_dt))
     written = []
 
-    def voltage_window(name: str, t_end: float):
-        i1 = int(round((t_end - t[0]) / sample_dt))
-        i0 = max(i1 - n_five, 0)
+    def columns(name: str, cols: list[str], rows: range = range(len(t))):
         path = plot_dir / name
         with open(path, "w", encoding="utf-8") as f:
-            f.write("# t vpcc_a vpcc_b vpcc_c\n")
-            for i in range(i0, i1):
-                f.write(f"{t[i]:.9f} {result.channels['vpcc_a'][i]:.6f} "
-                        f"{result.channels['vpcc_b'][i]:.6f} "
-                        f"{result.channels['vpcc_c'][i]:.6f}\n")
+            f.write("# t " + " ".join(cols) + "\n")
+            for i in rows:
+                f.write(f"{t[i]:.9f} " +
+                        " ".join(f"{result.channels[c][i]:.6f}" for c in cols) + "\n")
         written.append(path)
+
+    def voltage_window(name: str, t_end: float):
+        i1 = int(round((t_end - t[0]) / sample_dt))
+        columns(name, ["vpcc_a", "vpcc_b", "vpcc_c"], range(max(i1 - n_five, 0), i1))
 
     def spectrum_file(name: str, t_end: float):
         i1 = int(round((t_end - t[0]) / sample_dt))
@@ -513,15 +524,6 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
         spectrum_file("spectrum_pre.dat", report.pre_window[1])
     voltage_window("voltage_window_post.dat", report.window[1])
     spectrum_file("spectrum_post.dat", report.window[1])
-
-    def columns(name: str, cols: list[str]):
-        path = plot_dir / name
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("# t " + " ".join(cols) + "\n")
-            for i in range(len(t)):
-                f.write(f"{t[i]:.9f} " +
-                        " ".join(f"{result.channels[c][i]:.6f}" for c in cols) + "\n")
-        written.append(path)
 
     units = range(1, len(cfg.dgs) + 1)
     columns("power_sharing.dat", [f"dg{i}_p" for i in units] + [f"dg{i}_q" for i in units])

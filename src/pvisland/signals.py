@@ -273,12 +273,13 @@ class SequenceExtractor:
         self._v = [[0.0] * n, [0.0] * n]    # per axis (alpha, beta), per band
         self._q = [[0.0] * n, [0.0] * n]
         self._u_prev = (0.0, 0.0)
-        self._coefficients = []             # per band: (c_j, s_j, g_j, a_j)
-        self._denominator = 1.0             # 1 + sum_j g_j
-        self._built_for = (None, None)      # (omega, dt)
 
     def _rebuild(self, omega: float, dt: float):
-        """Refresh the per-band coefficients for a new (omega, dt)."""
+        """Per-band coefficients ``(c_j, s_j, g_j, a_j)`` and ``1 + sum_j g_j``.
+
+        Computed on every step, as the droop frequency moves on nearly every
+        one; the benchmark's ``control.extractor.rebuilds`` counter counts calls.
+        """
         if omega <= 0.0 or dt <= 0.0:
             raise ConfigurationError("sequence extractor needs positive frequency and step")
         if self.bands[-1] * omega >= math.pi / dt:
@@ -294,17 +295,12 @@ class SequenceExtractor:
             g = k * a / n
             coefficients.append(((1.0 - a * a) / n, 2.0 * a / n, g, a))
             g_sum += g
-        self._coefficients = coefficients
-        self._denominator = 1.0 + g_sum
-        self._built_for = (omega, dt)
+        return coefficients, 1.0 + g_sum
 
     def step(self, v: FrameVector, omega: float, dt: float) -> SequenceSet:
         if v.frame != ALPHA_BETA:
             raise FrameError("sequence extractor expects an alpha/beta input")
-        if self._built_for != (omega, dt):
-            self._rebuild(omega, dt)
-        coefficients = self._coefficients
-        denominator = self._denominator
+        coefficients, denominator = self._rebuild(omega, dt)
         u = (v.x, v.y)
         for axis in (0, 1):
             vs = self._v[axis]
@@ -397,7 +393,7 @@ class ProportionalResonant:
     construction; branch centers track the frequency passed to :meth:`step`
     so droop deviations do not detune them.  One controller may regulate
     several axes with identical gains (``axes``): :meth:`step_axes` advances
-    all of them with one set of resonator coefficients per ``(omega, dt)``,
+    all of them with one set of resonator coefficients per step,
     and each axis evolves exactly as a scalar controller would.
     """
 
@@ -414,10 +410,8 @@ class ProportionalResonant:
         self._x1 = [[0.0] * len(self.terms) for _ in range(axes)]
         self._x2 = [[0.0] * len(self.terms) for _ in range(axes)]
         self._e_prev = [0.0] * axes
-        self._coefficients = []
-        self._built_for = (None, None)    # (omega, dt)
 
-    def _rebuild(self, omega: float, dt: float):
+    def _coefficients(self, omega: float, dt: float) -> list[tuple]:
         # Prewarped trapezoidal solve of each resonator in control canonical
         # form:
         #   x1' = -2*wc*x1 - wr^2*x2 + e
@@ -432,15 +426,12 @@ class ProportionalResonant:
             m12 = h * wr * wr
             coefficients.append((h, -2.0 * wc, wr * wr, m11, m12, m11 + h * m12,
                                  2.0 * term.gain * wc))
-        self._coefficients = coefficients
-        self._built_for = (omega, dt)
+        return coefficients
 
     def step_axes(self, errors, omega: float, dt: float) -> list[float]:
         """Advance every axis by one step; returns one output per axis."""
-        if self._built_for != (omega, dt):
-            self._rebuild(omega, dt)
         kp = self.kp
-        coefficients = self._coefficients
+        coefficients = self._coefficients(omega, dt)
         e_prev = self._e_prev
         out = []
         for k, e in enumerate(errors):

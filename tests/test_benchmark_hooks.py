@@ -1,20 +1,44 @@
-"""The functions the benchmark wraps must keep existing under their names.
+"""The benchmark's view of the library must keep working.
 
 ``perfbench/trace_spans.py`` patches library functions by module and
 attribute path; a hook that no longer resolves silently drops a layer from
-the traced split, so every entry is checked here, in the fast suite.
+the traced split, so every entry is checked here, in the fast suite.  The
+benchmark's workloads are scenario files generated by
+``perfbench/workloads.py``; a tightened input check that rejected one would
+turn every benchmark run of it into a failure, so each is validated here.
 """
 
 import importlib.util
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_spans.py"
-_spec = importlib.util.spec_from_file_location("trace_spans", _PATH)
-trace_spans = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(trace_spans)
+import pytest
+
+from pvisland import cli
+
+_BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _import(name):
+    spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+trace_spans = _import("trace_spans")
+workloads = _import("workloads")
 
 
 def test_every_hook_resolves():
     missing = [f"{module}.{path}" for _, module, path in trace_spans.SPANS + trace_spans.COUNTERS
                if trace_spans._resolve(module, path) is None]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.load_spec()["workloads"]))
+def test_workload_scenario_validates(name, tmp_path, capsys):
+    workload = workloads.load_spec()["workloads"][name]
+    base = cli._load_scenario(workload["preset"]).raw
+    path = tmp_path / "scenario.cfg"
+    path.write_text(workloads.scenario_text(name, workload, 0, base), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK

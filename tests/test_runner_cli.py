@@ -128,6 +128,29 @@ class TestChannelSelection:
         assert "dg1_io_a" not in header
         assert "vpcc_a" in header
 
+    def test_subset_without_report_channels_still_reports(self, tmp_path, capsys):
+        flat = {"solver.duration": "0.4", "vcc.enable_at": "off"}
+        narrow = run_scenario(from_mapping(dict(flat, **{"outputs.channels": "vpcc_a"})),
+                              tmp_path / "narrow")
+        full = run_scenario(from_mapping(flat), tmp_path / "full")
+        assert narrow.csv_path.read_text().splitlines()[0] == "t,vpcc_a"
+        # the channel list picks CSV columns only; the report sees every channel
+        assert narrow.report_path.read_bytes() == full.report_path.read_bytes()
+        # a rebuild from the narrowed CSV cannot, and says what is missing
+        assert cli.main(["report", str(tmp_path / "narrow")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "dg1_omega" in err and "pv2_power" in err
+
+    def test_subset_run_writes_every_plot(self, tmp_path):
+        cfg = from_mapping(dict(SHORT, **{
+            "outputs.channels": "vpcc_a, vpcc_b, vpcc_c, dg1_p, dg2_p, dg1_q, "
+                                "dg2_q, dg1_vdc, dg2_vdc, dg1_omega, pv1_power, pv2_power",
+            "solver.duration": "0.5"}))
+        run_scenario(cfg, tmp_path, with_plots=True)
+        rows = (tmp_path / "plots" / "currents.dat").read_text().splitlines()
+        assert rows[0] == "# t " + " ".join(f"dg{i}_io_{p}" for i in (1, 2) for p in "abc")
+        assert len(rows) == 1 + 5000
+
 
 class TestBuilders:
     def test_validate_path_builds_everything(self):
@@ -244,6 +267,22 @@ class TestCli:
         smoke = tmp_path / "smoke.cfg"
         smoke.write_text("solver.duration = 0.4\n")
         assert cli.main(["validate", str(smoke)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("sample_dt", ["0.05", "0.004", "1e-3"])
+    def test_sample_step_too_coarse_for_report_rejected_up_front(self, monkeypatch, tmp_path,
+                                                                 capsys, sample_dt):
+        # 0.05 divided by zero in the steady-state search, 0.004 found no
+        # steady window, 1e-3 dropped the 11th harmonic from the distortion
+        def never(cfg):
+            raise AssertionError("simulated a run the report cannot read")
+
+        monkeypatch.setattr(cli.runner_mod, "run_simulation", never)
+        coarse = tmp_path / "coarse.cfg"
+        coarse.write_text(f"solver.duration = 1.0\noutputs.sample_dt = {sample_dt}\n")
+        assert cli.main(["validate", str(coarse)]) == cli.EXIT_CONFIG
+        assert cli.main(["run", str(coarse), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.count("outputs.sample_dt") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "missing")]) == cli.EXIT_IO
