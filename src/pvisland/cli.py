@@ -2,8 +2,9 @@
 
 ``run`` executes a scenario (file path or shipped preset name) and writes
 CSV time series, a metrics report and the resolved-config echo.  ``validate``
-checks a scenario without running it.  ``report`` rebuilds the metrics
-report from a finished run directory.
+parses a scenario as ``run`` does, which checks every key, the cross-key
+rules and the report's length rule, and builds nothing.  ``report``
+rebuilds the metrics report from a finished run directory.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
 4 input/output error.
@@ -32,29 +33,25 @@ EXIT_IO = 4
 PRESETS = ("baseline", "loadstep", "sharing")
 
 
-def _load_scenario(name_or_path: str) -> config_mod.ScenarioConfig:
+def _load_scenario(name_or_path: str, overrides: dict[str, str] | None = None
+                   ) -> config_mod.ScenarioConfig:
+    """Parse a scenario file or preset with ``overrides`` applied, for a reported run."""
     path = Path(name_or_path)
     if path.exists():
-        return config_mod.load_config(path)
-    if name_or_path in PRESETS:
-        text = resources.files("pvisland.scenarios").joinpath(
-            f"{name_or_path}.cfg").read_text()
-        return config_mod.parse_text(text)
-    raise ConfigurationError(
-        f"scenario {name_or_path!r} is neither a file nor one of the presets {PRESETS}")
-
-
-def _apply_overrides(cfg_text_overrides: dict[str, str],
-                     cfg: config_mod.ScenarioConfig) -> config_mod.ScenarioConfig:
-    if not cfg_text_overrides:
-        return cfg
-    flat = dict(cfg.raw)
-    flat.update(cfg_text_overrides)
-    return config_mod.from_mapping(flat)
+        cfg = config_mod.load_config(path)
+    elif name_or_path in PRESETS:
+        cfg = config_mod.parse_text(resources.files("pvisland.scenarios").joinpath(
+            f"{name_or_path}.cfg").read_text())
+    else:
+        raise ConfigurationError(
+            f"scenario {name_or_path!r} is neither a file nor one of the presets {PRESETS}")
+    if overrides:
+        cfg = config_mod.from_mapping({**cfg.raw, **overrides})
+    config_mod.check_report_length(cfg)
+    return cfg
 
 
 def cmd_run(args) -> int:
-    cfg = _load_scenario(args.scenario)
     overrides: dict[str, str] = {}
     if args.duration is not None:
         overrides["solver.duration"] = repr(args.duration)
@@ -69,7 +66,7 @@ def cmd_run(args) -> int:
             overrides["vcc.enable_at"] = args.vcc[3:]
         else:
             raise ConfigurationError("--vcc expects on, off or at=<seconds>")
-    cfg = _apply_overrides(overrides, cfg)
+    cfg = _load_scenario(args.scenario, overrides)
     artifacts = runner_mod.run_scenario(cfg, args.out, with_plots=args.emit_plots)
     rep = artifacts.report
     print(f"run complete: {cfg.name}")
@@ -86,10 +83,6 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_scenario(args.scenario)
-    runner_mod.build_plant(cfg)
-    runner_mod.build_controllers(cfg)
-    runner_mod.build_compensator(cfg)
-    runner_mod.check_report_length(cfg)
     print(f"scenario {cfg.name!r} is valid ({cfg.duration} s at dt={cfg.dt})")
     return EXIT_OK
 
@@ -147,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compensator schedule: on, off or at=<seconds>")
     p_run.add_argument("--emit-plots", action="store_true",
                        help="write plot-ready data files")
-    p_run.add_argument("--seedless", action="store_true",
-                       help="reserved; no randomness exists in the simulator")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="check a scenario without running")

@@ -1,12 +1,12 @@
-"""Scenario configuration: schema, defaults, parsing and echoing.
+"""Scenario configuration: the key table, parsing, cross-key rules and echoing.
 
 Scenario files are plain text, one ``dotted.key = value`` pair per line,
-``#`` comments allowed.  Every key has a default; an empty file is the
-calibrated baseline scenario.  The per-unit keys ``dgN.*`` come from one
-template and a roster of per-unit overrides; the length of the roster is
-the unit count.  Unknown keys are rejected with the offending path.  A
-fully resolved configuration can be echoed back to text and reloaded to
-reproduce a run bit for bit.
+``#`` comments allowed.  Every key has one row in :data:`KEYS` (kind,
+default, allowed range); an empty file is the calibrated baseline.  The
+per-unit rows ``dgN.*`` come from one template and a roster of overrides.
+:func:`from_mapping` parses every key by its row, then runs :data:`RULES`;
+every error names a key, and an accepted configuration builds and runs.
+:func:`check_report_length` adds what a run's report needs.
 """
 
 from __future__ import annotations
@@ -14,60 +14,104 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
+from . import analysis
+from .control import DgControlParams
 from .errors import ConfigurationError
+from .plant import PvParams, max_filter_step
+from .signals import DEFAULT_SEQUENCE_ORDERS, beyond_nyquist, too_coarse_for_low_pass
 
 V_RMS_TO_AMP = math.sqrt(2.0)
 
-#: One unit's keys (``dgN.<suffix>``) with DG1's defaults (as text).
-UNIT_DEFAULTS: dict[str, str] = {
-    "pv.rated_w": "3000.0",
-    "pv.v_oc": "450.0",
-    "pv.i_sc": "8.8",
-    "pv.v_mp": "380.0",
-    "pv.i_mp": "7.894736842105263",
-    "pv.irradiance": "1.0",
-    "dc.c_pv": "200e-6",
-    "dc.l_boost": "1.5e-3",
-    "dc.c_dc": "2350e-6",
-    "vr.kp": "0.002",
-    "vr.ki": "0.05",
-    "vr.v_dc_ref": "600.0",
-    "mppt.period": "1e-3",
-    "mppt.duty_step": "0.002",
-    "mppt.deadband": "0.005",
-    "mode.enter_vr_margin": "5.0",
-    "mode.exit_vr_margin": "10.0",
-    "mode.exit_hold": "0.1",
-    "droop.m_p": "12e-4",
-    "droop.n_p": "1e-3",
-    "vi.r_pos": "0.3",
-    "vi.l_pos": "0.5e-3",
-    "vi.r_neg": "2.0",
-    "vi.r_h3": "3.0",
-    "vi.r_h5": "1.0",
-    "vi.r_h7": "1.0",
-    "vi.r_h11": "0.5",
-    "vi.bandwidth_gain": "1.0",
-    "prv.kp": "0.05",
-    "prv.k1": "50.0",
-    "prv.kh": "20.0",
-    "prv.wc": "2.0",
-    "prv.orders": "1,3,5,7,11",
-    "pri.kp": "7.0",
-    "pri.k1": "600.0",
-    "pri.kh": "200.0",
-    "pri.wc": "2.0",
-    "pri.orders": "1,3,5,7,11",
-    "filter.l": "1.8e-3",
-    "filter.c": "25e-6",
-    "feeder.r": "0.8",
-    "feeder.l": "2.4e-3",
-    "current_limit_factor": "1.5",
+
+@dataclass(frozen=True)
+class Range:
+    """An interval of allowed values; an infinite end is always open."""
+
+    lo: float
+    hi: float = math.inf
+    lo_closed: bool = False
+    hi_closed: bool = False
+
+    def __contains__(self, x: float) -> bool:
+        # NaN fails every comparison, so it lies in no range
+        return ((self.lo <= x if self.lo_closed else self.lo < x)
+                and (x <= self.hi if self.hi_closed else x < self.hi))
+
+    def __str__(self) -> str:
+        return (f"{'[' if self.lo_closed else '('}{self.lo:g}, "
+                f"{self.hi:g}{']' if self.hi_closed else ')'}")
+
+
+POSITIVE = Range(0.0)
+NON_NEGATIVE = Range(0.0, lo_closed=True)
+OPEN_UNIT = Range(0.0, 1.0)
+SUNS = Range(0.0, 2.0, lo_closed=True, hi_closed=True)
+
+
+class Key(NamedTuple):
+    """One row of the key table: default text, allowed range, parser kind.
+
+    ``range`` bounds each number of a float, ``optional`` (float or ``off``)
+    or ``pair`` (``kp:ki``) value, each ``harmonics`` amplitude and each
+    ``events`` irradiance.
+    """
+
+    default: str
+    range: Range | None = None
+    kind: str = "float"
+
+
+#: One unit's rows (``dgN.<suffix>``) with DG1's defaults.
+UNIT_KEYS: dict[str, Key] = {
+    "pv.rated_w": Key("3000.0", POSITIVE),
+    "pv.v_oc": Key("450.0", POSITIVE),
+    "pv.i_sc": Key("8.8", POSITIVE),
+    "pv.v_mp": Key("380.0", POSITIVE),
+    "pv.i_mp": Key("7.894736842105263", POSITIVE),
+    "pv.irradiance": Key("1.0", SUNS),
+    "dc.c_pv": Key("200e-6", POSITIVE),
+    "dc.l_boost": Key("1.5e-3", POSITIVE),
+    "dc.c_dc": Key("2350e-6", POSITIVE),
+    "vr.kp": Key("0.002", POSITIVE),
+    "vr.ki": Key("0.05", NON_NEGATIVE),
+    "vr.v_dc_ref": Key("600.0", NON_NEGATIVE),
+    "mppt.period": Key("1e-3", POSITIVE),
+    "mppt.duty_step": Key("0.002", OPEN_UNIT),
+    "mppt.deadband": Key("0.005", NON_NEGATIVE),
+    "mode.enter_vr_margin": Key("5.0", NON_NEGATIVE),
+    "mode.exit_vr_margin": Key("10.0", NON_NEGATIVE),
+    "mode.exit_hold": Key("0.1", NON_NEGATIVE),
+    "droop.m_p": Key("12e-4", POSITIVE),
+    "droop.n_p": Key("1e-3", POSITIVE),
+    "vi.r_pos": Key("0.3", NON_NEGATIVE),
+    "vi.l_pos": Key("0.5e-3", NON_NEGATIVE),
+    "vi.r_neg": Key("2.0", NON_NEGATIVE),
+    "vi.r_h3": Key("3.0", NON_NEGATIVE),
+    "vi.r_h5": Key("1.0", NON_NEGATIVE),
+    "vi.r_h7": Key("1.0", NON_NEGATIVE),
+    "vi.r_h11": Key("0.5", NON_NEGATIVE),
+    "vi.bandwidth_gain": Key("1.0", POSITIVE),
+    "prv.kp": Key("0.05", POSITIVE),
+    "prv.k1": Key("50.0", NON_NEGATIVE),
+    "prv.kh": Key("20.0", NON_NEGATIVE),
+    "prv.wc": Key("2.0", POSITIVE),
+    "prv.orders": Key("1,3,5,7,11", kind="orders"),
+    "pri.kp": Key("7.0", POSITIVE),
+    "pri.k1": Key("600.0", NON_NEGATIVE),
+    "pri.kh": Key("200.0", NON_NEGATIVE),
+    "pri.wc": Key("2.0", POSITIVE),
+    "pri.orders": Key("1,3,5,7,11", kind="orders"),
+    "filter.l": Key("1.8e-3", POSITIVE),
+    "filter.c": Key("25e-6", POSITIVE),
+    "feeder.r": Key("0.8", POSITIVE),
+    "feeder.l": Key("2.4e-3", POSITIVE),
+    "current_limit_factor": Key("1.5", POSITIVE),
 }
 
-#: The unit roster: one entry per unit, holding the keys where that unit
-#: departs from :data:`UNIT_DEFAULTS`.  DG2 is rated for twice the power of
+#: The unit roster: one entry per unit, holding the defaults where that unit
+#: departs from :data:`UNIT_KEYS`.  DG2 is rated for twice the power of
 #: DG1, so it carries half the droop and virtual-impedance coefficients and
 #: a filter and feeder sized for twice the current.
 UNIT_OVERRIDES: tuple[dict[str, str], ...] = (
@@ -94,56 +138,59 @@ UNIT_OVERRIDES: tuple[dict[str, str], ...] = (
 
 UNIT_PREFIXES = tuple(f"dg{n}" for n in range(1, len(UNIT_OVERRIDES) + 1))
 
-#: Every known key with its default value (as text): the shared keys below,
-#: then every unit's keys from the roster.  The load block and the feeders
-#: are the calibrated fixture reproducing the target pre-compensation
-#: distortion figures.
-DEFAULTS: dict[str, str] = {
-    "scenario.name": "baseline",
+#: The key table: the shared rows below, then every unit's rows from the
+#: roster.  The load block and the feeders are the calibrated fixture
+#: reproducing the target pre-compensation distortion figures.
+KEYS: dict[str, Key] = {
+    "scenario.name": Key("baseline", kind="name"),
 
-    "solver.dt": "50e-6",
-    "control.period": "50e-6",
-    "solver.duration": "8.0",
-    "solver.startup_ramp": "0.25",
+    "solver.dt": Key("50e-6", POSITIVE),
+    "control.period": Key("50e-6", POSITIVE),
+    "solver.duration": Key("8.0", POSITIVE),
+    "solver.startup_ramp": Key("0.25", NON_NEGATIVE),
 
-    "system.omega": "370.0",
-    "system.v_rms": "120.0",
+    "system.omega": Key("370.0", POSITIVE),
+    "system.v_rms": Key("120.0", POSITIVE),
 
-    "pll.kp": "92.0",
-    "pll.ki": "4230.0",
-    "pll.band": "0.5",
+    "pll.kp": Key("92.0", POSITIVE),
+    "pll.ki": Key("4230.0", NON_NEGATIVE),
+    "pll.band": Key("0.5", OPEN_UNIT),
 
-    "load.balanced_r": "10.0",
-    "load.balanced_l": "0.060",
-    "load.unbalanced_r_a": "14.0",
-    "load.harmonics": "-1:7.4:0.0, 3:3.1:0.0, -5:4.6:0.0, 7:2.75:0.0, -11:1.3:0.0",
-    "load.step_time": "off",
-    "load.step_scale": "1.0",
+    "load.balanced_r": Key("10.0", POSITIVE),
+    "load.balanced_l": Key("0.060", POSITIVE, "optional"),
+    "load.unbalanced_r_a": Key("14.0", POSITIVE, "optional"),
+    "load.harmonics": Key("-1:7.4:0.0, 3:3.1:0.0, -5:4.6:0.0, 7:2.75:0.0, -11:1.3:0.0",
+                          NON_NEGATIVE, "harmonics"),
+    "load.step_time": Key("off", NON_NEGATIVE, "optional"),
+    "load.step_scale": Key("1.0", POSITIVE),
 
-    "vcc.enable_at": "2.0",
-    "vcc.period": "1e-3",
-    "vcc.vuf_ref": "0.2",
-    "vcc.hd_ref": "0.2",
-    "vcc.extraction_cutoff_hz": "5.0",
-    "vcc.extraction_damping": "2.5",
-    "vcc.pi_neg1": "0.5:20.0",
-    "vcc.pi_h3": "0.5:15.0",
-    "vcc.pi_h5": "5.0:30.0",
-    "vcc.pi_h7": "5.0:25.0",
-    "vcc.pi_h11": "0.5:5.0",
-    "vcc.output_limit": "80.0",
-    "vcc.effort_limit": "250.0",
-    "vcc.comm_delay": "0.0",
+    "vcc.enable_at": Key("2.0", NON_NEGATIVE, "optional"),
+    "vcc.period": Key("1e-3", POSITIVE),
+    "vcc.vuf_ref": Key("0.2", NON_NEGATIVE),
+    "vcc.hd_ref": Key("0.2", NON_NEGATIVE),
+    "vcc.extraction_cutoff_hz": Key("5.0", POSITIVE),
+    "vcc.extraction_damping": Key("2.5", POSITIVE),
+    "vcc.pi_neg1": Key("0.5:20.0", NON_NEGATIVE, "pair"),
+    "vcc.pi_h3": Key("0.5:15.0", NON_NEGATIVE, "pair"),
+    "vcc.pi_h5": Key("5.0:30.0", NON_NEGATIVE, "pair"),
+    "vcc.pi_h7": Key("5.0:25.0", NON_NEGATIVE, "pair"),
+    "vcc.pi_h11": Key("0.5:5.0", NON_NEGATIVE, "pair"),
+    "vcc.output_limit": Key("80.0", NON_NEGATIVE),
+    "vcc.effort_limit": Key("250.0", NON_NEGATIVE),
+    "vcc.comm_delay": Key("0.0", NON_NEGATIVE),
 
-    "events.irradiance": "",
+    "events.irradiance": Key("", SUNS, "events"),
 
-    "outputs.sample_dt": "1e-4",
-    "outputs.channels": "all",
+    "outputs.sample_dt": Key("1e-4", POSITIVE),
+    "outputs.channels": Key("all", kind="channels"),
 }
-DEFAULTS.update(
-    (f"{prefix}.{key}", value)
+KEYS.update(
+    (f"{prefix}.{suffix}", row._replace(default=overrides.get(suffix, row.default)))
     for prefix, overrides in zip(UNIT_PREFIXES, UNIT_OVERRIDES)
-    for key, value in {**UNIT_DEFAULTS, **overrides}.items())
+    for suffix, row in UNIT_KEYS.items())
+
+#: Every known key with its default value (as text).
+DEFAULTS: dict[str, str] = {key: row.default for key, row in KEYS.items()}
 
 
 @dataclass
@@ -224,90 +271,95 @@ class ScenarioConfig:
     raw: dict[str, str] = field(default_factory=dict, repr=False)
 
 
-def _finite(value: float, key: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigurationError(f"not a finite number: {value}", key=key)
+# ---------------------------------------------------------------------------
+# Parsers, one per kind: (text, key, range) -> value
+# ---------------------------------------------------------------------------
+
+def _number(text: str, key: str, rng: Range) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"not a number: {text!r}", key=key) from exc
+    if value not in rng:
+        raise ConfigurationError(f"{value} lies outside {rng}", key=key)
     return value
 
 
-def _parse_float(flat: dict[str, str], key: str) -> float:
-    try:
-        return _finite(float(flat[key]), key)
-    except ValueError as exc:
-        raise ConfigurationError(f"not a number: {flat[key]!r}", key=key) from exc
-
-
-def _parse_optional_time(flat: dict[str, str], key: str) -> float | None:
-    text = flat[key].strip().lower()
-    if text in ("off", "none", ""):
+def _optional(text: str, key: str, rng: Range) -> float | None:
+    if text.strip().lower() in ("off", "none", ""):
         return None
-    try:
-        value = _finite(float(text), key)
-    except ValueError as exc:
-        raise ConfigurationError(f"expected a time in seconds or 'off', got {text!r}",
-                                 key=key) from exc
-    if value < 0.0:
-        raise ConfigurationError("time must be non-negative", key=key)
-    return value
+    return _number(text, key, rng)
 
 
-def _parse_pair(flat: dict[str, str], key: str) -> tuple[float, float]:
-    parts = flat[key].split(":")
+def _pair(text: str, key: str, rng: Range) -> tuple[float, float]:
+    parts = text.split(":")
     if len(parts) != 2:
-        raise ConfigurationError(f"expected 'kp:ki', got {flat[key]!r}", key=key)
+        raise ConfigurationError(f"expected 'kp:ki', got {text!r}", key=key)
+    return _number(parts[0], key, rng), _number(parts[1], key, rng)
+
+
+def _integer(text: str, key: str) -> int:
     try:
-        return _finite(float(parts[0]), key), _finite(float(parts[1]), key)
+        return int(text)
     except ValueError as exc:
-        raise ConfigurationError(f"not numbers: {flat[key]!r}", key=key) from exc
+        raise ConfigurationError(f"not an integer: {text!r}", key=key) from exc
 
 
-def _parse_harmonics(flat: dict[str, str], key: str) -> list[tuple[int, float, float]]:
-    text = flat[key].strip()
-    if not text:
-        return []
+def _orders(text: str, key: str, rng: None) -> tuple[int, ...]:
+    orders = tuple(_integer(p, key) for p in text.split(","))
+    if 1 not in orders or min(orders) < 1:
+        raise ConfigurationError("resonator orders must be positive integers including 1",
+                                 key=key)
+    return orders
+
+
+def _items(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",")] if text.strip() else []
+
+
+def _harmonics(text: str, key: str, rng: Range) -> list[tuple[int, float, float]]:
     out = []
-    for item in text.split(","):
-        parts = [p.strip() for p in item.split(":")]
+    for item in _items(text):
+        parts = item.split(":")
         if len(parts) not in (2, 3):
-            raise ConfigurationError(
-                f"expected 'order:amplitude[:phase]', got {item.strip()!r}", key=key)
-        try:
-            order = int(parts[0])
-            amp = _finite(float(parts[1]), key)
-            phase = _finite(float(parts[2]), key) if len(parts) == 3 else 0.0
-        except ValueError as exc:
-            raise ConfigurationError(f"malformed injection {item.strip()!r}", key=key) from exc
+            raise ConfigurationError(f"expected 'order:amplitude[:phase]', got {item!r}",
+                                     key=key)
+        order = _integer(parts[0], key)
         if order == 0:
             raise ConfigurationError("injection order must be nonzero", key=key)
-        if amp < 0.0:
-            raise ConfigurationError("injection amplitude must be non-negative", key=key)
-        out.append((order, amp, phase))
+        phase = _number(parts[2], key, Range(-math.inf)) if len(parts) == 3 else 0.0
+        out.append((order, _number(parts[1], key, rng), phase))
     return out
 
 
-def _parse_irradiance_events(flat: dict[str, str], key: str, units: int
-                             ) -> list[tuple[float, int, float]]:
-    text = flat[key].strip()
-    if not text:
-        return []
+def _events(text: str, key: str, rng: Range) -> list[tuple[float, int, float]]:
     out = []
-    for item in text.split(","):
-        parts = [p.strip() for p in item.split(":")]
+    for item in _items(text):
+        parts = item.split(":")
         if len(parts) != 3:
-            raise ConfigurationError(
-                f"expected 'time:dg:value', got {item.strip()!r}", key=key)
-        try:
-            t = _finite(float(parts[0]), key)
-            dg = int(parts[1])
-            value = _finite(float(parts[2]), key)
-        except ValueError as exc:
-            raise ConfigurationError(f"malformed event {item.strip()!r}", key=key) from exc
-        if not 1 <= dg <= units:
-            raise ConfigurationError(f"dg index must lie in 1..{units}", key=key)
-        if value < 0.0:
-            raise ConfigurationError("irradiance must be non-negative", key=key)
-        out.append((t, dg - 1, value))
+            raise ConfigurationError(f"expected 'time:dg:value', got {item!r}", key=key)
+        dg = _integer(parts[1], key)
+        if not 1 <= dg <= len(UNIT_PREFIXES):
+            raise ConfigurationError(f"dg index must lie in 1..{len(UNIT_PREFIXES)}", key=key)
+        out.append((_number(parts[0], key, NON_NEGATIVE), dg - 1, _number(parts[2], key, rng)))
     return out
+
+
+def _channels(text: str, key: str, rng: None) -> list[str] | None:
+    if text.strip().lower() == "all":
+        return None
+    names = [item.strip() for item in text.split(",")]
+    unknown = [name for name in names if name not in KNOWN_CHANNELS]
+    if unknown:
+        raise ConfigurationError(f"unknown channel {unknown[0]!r}", key=key)
+    return names
+
+
+_PARSERS = {
+    "float": _number, "optional": _optional, "pair": _pair, "orders": _orders,
+    "harmonics": _harmonics, "events": _events, "channels": _channels,
+    "name": lambda text, key, rng: text.strip(),
+}
 
 
 #: Per-unit channels, ``<prefix><unit>_<suffix>``, in the order the runner
@@ -336,34 +388,113 @@ def channel_names(units: int) -> list[str]:
 KNOWN_CHANNELS = channel_names(len(UNIT_PREFIXES))
 
 
-def _parse_channels(flat: dict[str, str], key: str, known: list[str]) -> list[str] | None:
-    text = flat[key].strip()
-    if text.lower() == "all":
-        return None
-    out = []
-    for item in text.split(","):
-        name = item.strip()
-        if name not in known:
-            raise ConfigurationError(f"unknown channel {name!r}", key=key)
-        out.append(name)
-    if not out:
-        raise ConfigurationError("channel list is empty", key=key)
-    return out
+# ---------------------------------------------------------------------------
+# Cross-key rules: each raises a ConfigurationError naming a key.  Where a
+# model keeps a check of its own, the rule calls the same model helper.
+# ---------------------------------------------------------------------------
+
+def _require(holds: bool, key: str, message: str):
+    if not holds:
+        raise ConfigurationError(message, key=key)
 
 
-def _parse_orders(flat: dict[str, str], key: str) -> tuple[int, ...]:
-    try:
-        orders = tuple(int(p.strip()) for p in flat[key].split(","))
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated integers, got {flat[key]!r}",
-                                 key=key) from exc
-    if not orders or any(o < 1 for o in orders):
-        raise ConfigurationError("resonator orders must be positive integers", key=key)
-    return orders
+def _check_divides(cfg: ScenarioConfig):
+    """Every period is a whole number of the step it counts in; a run records two rows."""
+    spans = [("control.period", cfg.control_period, "solver.dt", cfg.dt)]
+    spans += [(f"{prefix}.mppt.period", dg.mppt_period, "control.period", cfg.control_period)
+              for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs)]
+    spans += [("vcc.period", cfg.vcc_period, "control.period", cfg.control_period),
+              ("outputs.sample_dt", cfg.sample_dt, "control.period", cfg.control_period)]
+    for key, period, step_key, step in spans:
+        ratio = period / step
+        _require(math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-6
+                 and round(ratio) >= 1, key,
+                 f"{period} is not an integer multiple of {step_key} = {step}")
+    ticks = cfg.duration / cfg.control_period
+    _require(math.isfinite(ticks), "solver.duration", f"{cfg.duration} s has no tick count")
+    _require(round(ticks) > round(cfg.sample_dt / cfg.control_period), "outputs.sample_dt",
+             f"records fewer than two rows in {cfg.duration} s")
 
 
-def _dg_from_flat(flat: dict[str, str], prefix: str) -> DgConfig:
-    f = lambda suffix: _parse_float(flat, f"{prefix}.{suffix}")
+def _check_pv(cfg: ScenarioConfig):
+    """Each array's corners describe a diode-like curve that peaks within its
+    rating, and its boost steps up from the maximum-power voltage."""
+    for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
+        pv = dg.pv
+        _require(pv.v_mp < pv.v_oc, f"{prefix}.pv.v_mp", f"must lie below pv.v_oc = {pv.v_oc}")
+        _require(pv.i_mp < pv.i_sc, f"{prefix}.pv.i_mp", f"must lie below pv.i_sc = {pv.i_sc}")
+        _require(pv.v_mp * pv.i_mp <= pv.rated_w * 1.001, f"{prefix}.pv.rated_w",
+                 "lies below the maximum-power point pv.v_mp * pv.i_mp")
+        try:
+            PvParams(pv.rated_w, pv.v_oc, pv.i_sc, pv.v_mp, pv.i_mp)
+        except ConfigurationError as exc:
+            raise ConfigurationError(str(exc), key=f"{prefix}.pv.v_mp") from exc
+        _require(dg.v_dc_ref > pv.v_mp, f"{prefix}.vr.v_dc_ref",
+                 f"must lie above pv.v_mp = {pv.v_mp}")
+
+
+def _check_filter_resonance(cfg: ScenarioConfig):
+    """The solver step resolves every output filter's resonance."""
+    for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
+        _require(cfg.dt <= max_filter_step(dg.filter_l, dg.filter_c), "solver.dt",
+                 f"{cfg.dt} s is too coarse for the resonance of {prefix}.filter.l/c")
+
+
+def _check_resonators(cfg: ScenarioConfig):
+    """The extractor's bands and the PR resonators lie below the control Nyquist rate."""
+    orders = [("control.period", max(abs(o) for o in DEFAULT_SEQUENCE_ORDERS))]
+    for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
+        orders += [(f"{prefix}.prv.orders", max(dg.prv_orders)),
+                   (f"{prefix}.pri.orders", max(dg.pri_orders))]
+    for key, order in orders:
+        _require(not beyond_nyquist(order, cfg.omega, cfg.control_period), key,
+                 f"order {order} at system.omega reaches the Nyquist rate of control.period")
+
+
+def _check_low_passes(cfg: ScenarioConfig):
+    """The compensator's extraction filters and the units' power filters suit their steps."""
+    for key, cutoff_hz, step in (
+            ("vcc.extraction_cutoff_hz", cfg.extraction_cutoff_hz, cfg.vcc_period),
+            ("control.period", DgControlParams.power_filter_hz, cfg.control_period)):
+        _require(not too_coarse_for_low_pass(cutoff_hz, step), key,
+                 f"a {step} s step is too coarse for a {cutoff_hz} Hz low-pass filter")
+
+
+def check_report_length(cfg: ScenarioConfig):
+    """Reject a sample step or duration the report cannot analyse.
+
+    Not one of :data:`RULES`: a configuration too short for a report still
+    simulates, so the scenario loader and the reporting run apply this
+    rule.  The spectrum resolves orders up to
+    :data:`analysis.MAX_HARMONIC_ORDER` only with at least twice that many
+    rows per cycle at ``system.omega``.  The steady-state search needs
+    :data:`analysis.MIN_STEADY_CYCLES` whole cycles; the longest cycle is
+    the one at the lowest droop frequency, reached at rated power.
+    """
+    omega_min = cfg.omega - max(dg.m_p * dg.pv.rated_w for dg in cfg.dgs)
+    _require(omega_min > 0.0, "system.omega", "droop frequency at rated power is not positive")
+    max_step = math.pi / (analysis.MAX_HARMONIC_ORDER * cfg.omega)  # two rows per period
+    _require(cfg.sample_dt <= max_step, "outputs.sample_dt",
+             f"{cfg.sample_dt} s is too coarse for the report: orders up to "
+             f"{analysis.MAX_HARMONIC_ORDER} need a step of at most {max_step:.4g} s")
+    ticks = int(round(cfg.duration / cfg.control_period))
+    sample_every = int(round(cfg.sample_dt / cfg.control_period))
+    rows = (ticks + sample_every - 1) // sample_every
+    cycle_rows = int(round(2.0 * math.pi / (omega_min * cfg.sample_dt)))
+    needed = analysis.MIN_STEADY_CYCLES * cycle_rows * cfg.sample_dt
+    _require(rows >= analysis.MIN_STEADY_CYCLES * cycle_rows, "solver.duration",
+             f"{cfg.duration} s is too short for the report: it needs "
+             f"{analysis.MIN_STEADY_CYCLES} cycles at {omega_min:.1f} rad/s, "
+             f"about {needed:.3f} s")
+
+
+#: The cross-key rules, in the order :func:`from_mapping` runs them.
+RULES = (_check_divides, _check_pv, _check_filter_resonance, _check_resonators,
+         _check_low_passes)
+
+
+def _dg_from_values(v: dict, prefix: str) -> DgConfig:
+    f = lambda suffix: v[f"{prefix}.{suffix}"]
     return DgConfig(
         pv=PvConfig(
             rated_w=f("pv.rated_w"), v_oc=f("pv.v_oc"), i_sc=f("pv.i_sc"),
@@ -381,101 +512,45 @@ def _dg_from_flat(flat: dict[str, str], prefix: str) -> DgConfig:
         vi_r_h={3: f("vi.r_h3"), -5: f("vi.r_h5"), 7: f("vi.r_h7"), -11: f("vi.r_h11")},
         vi_bandwidth_gain=f("vi.bandwidth_gain"),
         prv=(f("prv.kp"), f("prv.k1"), f("prv.kh"), f("prv.wc")),
-        prv_orders=_parse_orders(flat, f"{prefix}.prv.orders"),
+        prv_orders=f("prv.orders"),
         pri=(f("pri.kp"), f("pri.k1"), f("pri.kh"), f("pri.wc")),
-        pri_orders=_parse_orders(flat, f"{prefix}.pri.orders"),
+        pri_orders=f("pri.orders"),
         filter_l=f("filter.l"), filter_c=f("filter.c"),
         feeder_r=f("feeder.r"), feeder_l=f("feeder.l"),
         current_limit_factor=f("current_limit_factor"),
     )
 
 
-def _check_divides(period: float, dt: float, key: str):
-    ratio = period / dt
-    if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
-        raise ConfigurationError(
-            f"{key} = {period} is not an integer multiple of solver.dt = {dt}", key=key)
-
-
 def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
-    unknown = sorted(set(flat) - set(DEFAULTS))
+    unknown = sorted(set(flat) - set(KEYS))
     if unknown:
         raise ConfigurationError("unknown key", key=unknown[0])
     merged = dict(DEFAULTS)
     merged.update(flat)
-
-    dt = _parse_float(merged, "solver.dt")
-    duration = _parse_float(merged, "solver.duration")
-    if dt <= 0.0 or duration <= 0.0:
-        raise ConfigurationError("solver.dt and solver.duration must be positive",
-                                 key="solver.dt")
-
-    omega = _parse_float(merged, "system.omega")
-    v_amp = V_RMS_TO_AMP * _parse_float(merged, "system.v_rms")
-    band = _parse_float(merged, "pll.band")
-    if not 0.0 < band < 1.0:
-        raise ConfigurationError("pll.band must lie in (0, 1)", key="pll.band")
-
-    control_period = _parse_float(merged, "control.period")
-    _check_divides(control_period, dt, "control.period")
-
-    dgs = [_dg_from_flat(merged, prefix) for prefix in UNIT_PREFIXES]
-    for prefix, dg in zip(UNIT_PREFIXES, dgs):
-        _check_divides(dg.mppt_period, control_period, f"{prefix}.mppt.period")
-
-    vcc_period = _parse_float(merged, "vcc.period")
-    _check_divides(vcc_period, control_period, "vcc.period")
-    sample_dt = _parse_float(merged, "outputs.sample_dt")
-    _check_divides(sample_dt, control_period, "outputs.sample_dt")
-    if round(duration / control_period) <= round(sample_dt / control_period):
-        raise ConfigurationError(
-            f"outputs.sample_dt = {sample_dt} records fewer than two rows "
-            f"in solver.duration = {duration}", key="outputs.sample_dt")
-
-    ubr = merged["load.unbalanced_r_a"].strip().lower()
-    unbalanced = None if ubr in ("off", "none", "") else _parse_float(merged, "load.unbalanced_r_a")
-    blr = merged["load.balanced_l"].strip().lower()
-    balanced_l = None if blr in ("off", "none", "") else _parse_float(merged, "load.balanced_l")
+    v = {key: _PARSERS[row.kind](merged[key], key, row.range) for key, row in KEYS.items()}
 
     cfg = ScenarioConfig(
-        name=merged["scenario.name"].strip(),
-        dt=dt,
-        control_period=control_period,
-        duration=duration,
-        startup_ramp=_parse_float(merged, "solver.startup_ramp"),
-        omega=omega,
-        v_amp=v_amp,
-        pll_kp=_parse_float(merged, "pll.kp"),
-        pll_ki=_parse_float(merged, "pll.ki"),
-        pll_band=band,
-        dgs=dgs,
-        balanced_r=_parse_float(merged, "load.balanced_r"),
-        balanced_l=balanced_l,
-        unbalanced_r_a=unbalanced,
-        harmonics=_parse_harmonics(merged, "load.harmonics"),
-        load_step_time=_parse_optional_time(merged, "load.step_time"),
-        load_step_scale=_parse_float(merged, "load.step_scale"),
-        vcc_enable_at=_parse_optional_time(merged, "vcc.enable_at"),
-        vcc_period=vcc_period,
-        vuf_ref=_parse_float(merged, "vcc.vuf_ref"),
-        hd_ref=_parse_float(merged, "vcc.hd_ref"),
-        extraction_cutoff_hz=_parse_float(merged, "vcc.extraction_cutoff_hz"),
-        extraction_damping=_parse_float(merged, "vcc.extraction_damping"),
-        vcc_gains={
-            -1: _parse_pair(merged, "vcc.pi_neg1"),
-            3: _parse_pair(merged, "vcc.pi_h3"),
-            -5: _parse_pair(merged, "vcc.pi_h5"),
-            7: _parse_pair(merged, "vcc.pi_h7"),
-            -11: _parse_pair(merged, "vcc.pi_h11"),
-        },
-        vcc_output_limit=_parse_float(merged, "vcc.output_limit"),
-        vcc_effort_limit=_parse_float(merged, "vcc.effort_limit"),
-        vcc_comm_delay=_parse_float(merged, "vcc.comm_delay"),
-        irradiance_events=_parse_irradiance_events(merged, "events.irradiance", len(dgs)),
-        sample_dt=sample_dt,
-        channels=_parse_channels(merged, "outputs.channels", channel_names(len(dgs))),
+        name=v["scenario.name"], dt=v["solver.dt"], control_period=v["control.period"],
+        duration=v["solver.duration"], startup_ramp=v["solver.startup_ramp"],
+        omega=v["system.omega"], v_amp=V_RMS_TO_AMP * v["system.v_rms"],
+        pll_kp=v["pll.kp"], pll_ki=v["pll.ki"], pll_band=v["pll.band"],
+        dgs=[_dg_from_values(v, prefix) for prefix in UNIT_PREFIXES],
+        balanced_r=v["load.balanced_r"], balanced_l=v["load.balanced_l"],
+        unbalanced_r_a=v["load.unbalanced_r_a"], harmonics=v["load.harmonics"],
+        load_step_time=v["load.step_time"], load_step_scale=v["load.step_scale"],
+        vcc_enable_at=v["vcc.enable_at"], vcc_period=v["vcc.period"],
+        vuf_ref=v["vcc.vuf_ref"], hd_ref=v["vcc.hd_ref"],
+        extraction_cutoff_hz=v["vcc.extraction_cutoff_hz"],
+        extraction_damping=v["vcc.extraction_damping"],
+        vcc_gains={-1: v["vcc.pi_neg1"], 3: v["vcc.pi_h3"], -5: v["vcc.pi_h5"],
+                   7: v["vcc.pi_h7"], -11: v["vcc.pi_h11"]},
+        vcc_output_limit=v["vcc.output_limit"], vcc_effort_limit=v["vcc.effort_limit"],
+        vcc_comm_delay=v["vcc.comm_delay"], irradiance_events=v["events.irradiance"],
+        sample_dt=v["outputs.sample_dt"], channels=v["outputs.channels"],
         raw=merged,
     )
+    for rule in RULES:
+        rule(cfg)
     return cfg
 
 

@@ -60,12 +60,6 @@ class DroopParams:
     v_amp: float        # no-load voltage amplitude
     omega: float        # no-load angular frequency, rad/s
 
-    def __post_init__(self):
-        if self.m_p <= 0.0 or self.n_p <= 0.0:
-            raise ConfigurationError("droop coefficients must be positive")
-        if self.v_amp <= 0.0 or self.omega <= 0.0:
-            raise ConfigurationError("droop setpoints must be positive")
-
 
 class DroopControl:
     """Frequency/active and voltage/reactive droop with its own phase accumulator."""
@@ -99,11 +93,6 @@ class VirtualImpedanceParams:
     l_pos: float
     r_neg: float
     r_harmonic: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if min(self.r_pos, self.l_pos, self.r_neg) < 0.0 or \
-           any(r < 0.0 for r in self.r_harmonic.values()):
-            raise ConfigurationError("virtual impedance values must be non-negative")
 
 
 def virtual_impedance(seq: SequenceSet, p: VirtualImpedanceParams,
@@ -148,10 +137,6 @@ class PrGains:
     k_harmonic: float
     cutoff: float = 2.0          # rad/s resonant bandwidth
     orders: tuple[int, ...] = (1, 3, 5, 7)
-
-    def __post_init__(self):
-        if 1 not in self.orders:
-            raise ConfigurationError("PR loops need the fundamental resonator")
 
     def terms(self) -> list[ResonantTerm]:
         out = []

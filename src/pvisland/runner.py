@@ -19,7 +19,8 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, TimeSeries
-from .config import DgConfig, ScenarioConfig, channel_names, echo, unit_channels
+from .config import (DgConfig, ScenarioConfig, channel_names, check_report_length, echo,
+                     unit_channels)
 from .control import (
     DgControlParams,
     DgController,
@@ -31,7 +32,7 @@ from .control import (
     VrParams,
     MODE_VR,
 )
-from .errors import AnalysisError, ConfigurationError
+from .errors import AnalysisError
 from .plant import (
     AcStageParams,
     DcLinkParams,
@@ -88,37 +89,6 @@ def mpp_available_w(cfg: ScenarioConfig, t: float) -> tuple[float, ...]:
     """Each unit's array maximum power under its irradiance after the events up to ``t``."""
     return tuple(_mpp_power(_pv_params(dg), g)
                  for dg, g in zip(cfg.dgs, irradiance_after(cfg, t)))
-
-
-def check_report_length(cfg: ScenarioConfig):
-    """Reject a sample step or duration the report cannot analyse.
-
-    The spectrum resolves orders up to :data:`analysis.MAX_HARMONIC_ORDER`
-    only with at least twice that many rows per cycle at ``system.omega``.
-    The steady-state search needs :data:`analysis.MIN_STEADY_CYCLES` whole
-    cycles; the longest cycle is the one at the lowest droop frequency,
-    reached at rated power.
-    """
-    omega_min = cfg.omega - max(dg.m_p * dg.pv.rated_w for dg in cfg.dgs)
-    if omega_min <= 0.0:
-        raise ConfigurationError("droop frequency at rated power is not positive",
-                                 key="system.omega")
-    max_step = math.pi / (analysis.MAX_HARMONIC_ORDER * cfg.omega)  # two rows per period
-    if cfg.sample_dt > max_step:
-        raise ConfigurationError(
-            f"{cfg.sample_dt} s is too coarse for the report: orders up to "
-            f"{analysis.MAX_HARMONIC_ORDER} need a step of at most {max_step:.4g} s",
-            key="outputs.sample_dt")
-    ticks = int(round(cfg.duration / cfg.control_period))
-    sample_every = int(round(cfg.sample_dt / cfg.control_period))
-    rows = (ticks + sample_every - 1) // sample_every
-    cycle_rows = int(round(2.0 * math.pi / (omega_min * cfg.sample_dt)))
-    if rows < analysis.MIN_STEADY_CYCLES * cycle_rows:
-        needed = analysis.MIN_STEADY_CYCLES * cycle_rows * cfg.sample_dt
-        raise ConfigurationError(
-            f"{cfg.duration} s is too short for the report: it needs "
-            f"{analysis.MIN_STEADY_CYCLES} cycles at {omega_min:.1f} rad/s, "
-            f"about {needed:.3f} s", key="solver.duration")
 
 
 def build_plant(cfg: ScenarioConfig) -> Plant:

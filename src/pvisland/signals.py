@@ -100,6 +100,16 @@ def inverse_park(v: FrameVector, theta: float) -> FrameVector:
     return FrameVector(alpha, beta, ALPHA_BETA)
 
 
+def too_coarse_for_low_pass(cutoff_hz: float, dt: float) -> bool:
+    """Whether a step of ``dt`` is too long for a low-pass filter at ``cutoff_hz``."""
+    return dt * 2.0 * math.pi * cutoff_hz >= 1.0
+
+
+def beyond_nyquist(order: float, omega: float, dt: float) -> bool:
+    """Whether a resonance at ``order * omega`` reaches the Nyquist rate of ``dt``."""
+    return order * omega >= math.pi / dt
+
+
 class LowPass1:
     """First-order low-pass filter, unity DC gain, trapezoidal discretization."""
 
@@ -108,7 +118,7 @@ class LowPass1:
     def __init__(self, cutoff_hz: float, dt: float, initial: float = 0.0):
         if cutoff_hz <= 0.0:
             raise ConfigurationError("low-pass cutoff must be positive")
-        if dt <= 0.0 or dt * 2.0 * math.pi * cutoff_hz >= 1.0:
+        if dt <= 0.0 or too_coarse_for_low_pass(cutoff_hz, dt):
             raise ConfigurationError(
                 f"step {dt} s too large for {cutoff_hz} Hz low-pass filter"
             )
@@ -141,12 +151,6 @@ class LowPass2:
                  "_z1", "_z2")
 
     def __init__(self, cutoff_hz: float, damping: float, dt: float):
-        if cutoff_hz <= 0.0 or damping <= 0.0:
-            raise ConfigurationError("second-order low-pass needs positive cutoff and damping")
-        if dt <= 0.0 or dt * 2.0 * math.pi * cutoff_hz >= 1.0:
-            raise ConfigurationError(
-                f"step {dt} s too large for {cutoff_hz} Hz low-pass filter"
-            )
         wn = 2.0 * math.pi * cutoff_hz
         k = 2.0 / dt
         den = k * k + 2.0 * damping * wn * k + wn * wn
@@ -282,7 +286,7 @@ class SequenceExtractor:
         """
         if omega <= 0.0 or dt <= 0.0:
             raise ConfigurationError("sequence extractor needs positive frequency and step")
-        if self.bands[-1] * omega >= math.pi / dt:
+        if beyond_nyquist(self.bands[-1], omega, dt):
             raise ConfigurationError(
                 f"band at order {self.bands[-1]} exceeds the Nyquist rate for dt={dt}"
             )
@@ -402,7 +406,7 @@ class ProportionalResonant:
         self.kp = kp
         self.terms = list(terms)
         for term in self.terms:
-            if term.order * omega_nominal >= math.pi / dt:
+            if beyond_nyquist(term.order, omega_nominal, dt):
                 raise ConfigurationError(
                     f"resonator at order {term.order} exceeds the Nyquist rate for dt={dt}"
                 )

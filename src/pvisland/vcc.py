@@ -90,12 +90,6 @@ class VccParams:
     effort_limit: float = 250.0                # bound on each PI output
     pos_seq_floor: float = 1.0                 # volts of positive sequence for valid indices
 
-    def __post_init__(self):
-        if self.vuf_ref < 0.0 or any(r < 0.0 for r in self.hd_ref.values()):
-            raise ConfigurationError("quality references must be non-negative")
-        if not self.rated_powers or any(p <= 0.0 for p in self.rated_powers):
-            raise ConfigurationError("rated powers must be positive")
-
 
 class CentralCompensator:
     """Quality-index PI loops and the power-ratio broadcast of corrections.

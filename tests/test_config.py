@@ -1,6 +1,9 @@
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvisland import cli
 from pvisland.config import (
@@ -11,6 +14,7 @@ from pvisland.config import (
     parse_text,
 )
 from pvisland.errors import ConfigurationError
+from pvisland.runner import build_compensator, build_controllers, build_plant
 
 
 class TestParsing:
@@ -115,6 +119,26 @@ class TestParsing:
         ("events.irradiance", "1.0:0:0.9"),
         ("events.irradiance", "1.0:3:0.9"),
         ("outputs.sample_dt", "8.0"),    # one row in the 8 s default duration
+        ("load.step_scale", "-1"),
+        ("vcc.extraction_cutoff_hz", "0"),
+        ("vcc.extraction_damping", "0"),
+        ("vcc.comm_delay", "-1"),
+        ("solver.startup_ramp", "-0.5"),
+        ("dg1.mppt.duty_step", "-0.01"),
+        ("pll.kp", "-5"),
+        ("vcc.output_limit", "-3"),
+        ("dg1.vi.bandwidth_gain", "0"),
+        ("vcc.pi_h3", "-1:-1"),
+        ("events.irradiance", "0.2:1:50"),    # 50 suns
+        ("dg1.current_limit_factor", "0"),    # divided by zero in the voltage loop
+        ("dg2.vr.v_dc_ref", "380.0"),         # not above pv.v_mp: negative boost duty
+        ("dg1.pv.v_mp", "460.0"),             # above pv.v_oc
+        ("dg2.pv.i_mp", "18.0"),              # above pv.i_sc
+        ("dg1.pv.rated_w", "2000.0"),         # below the maximum-power point
+        ("dg2.pri.orders", "1,3,200"),        # beyond the control Nyquist rate
+        ("vcc.extraction_cutoff_hz", "200"),  # too fast for vcc.period
+        ("control.period", "1e308"),          # ratio to solver.dt is inf
+        ("solver.duration", "1e308"),         # tick count is inf
     ])
     def test_invalid_value_rejected_up_front(self, key, value, tmp_path, capsys):
         with pytest.raises(ConfigurationError) as err:
@@ -124,6 +148,55 @@ class TestParsing:
         path.write_text(f"{key} = {value}\n")
         assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flat, key", [
+        ({"dg1.pv.v_oc": "4.5e11"}, "dg1.pv.v_mp"),            # no diode-like curve
+        ({"dg1.pv.v_oc": "1e7", "dg1.pv.v_mp": "9999990",      # fit needs expm1 past 709
+          "dg1.pv.rated_w": "1e9"}, "dg1.pv.v_mp"),
+        ({"dg1.filter.c": "25e-15"}, "solver.dt"),             # resonance near 24 MHz
+        ({"system.omega": "3e4"}, "control.period"),           # extractor band 11
+        ({"system.omega": "1.0", "control.period": "0.1", "dg1.mppt.period": "0.1",
+          "dg2.mppt.period": "0.1", "vcc.period": "0.1", "outputs.sample_dt": "0.1",
+          "vcc.extraction_cutoff_hz": "1.0"},
+         "control.period"),                                    # the 2 Hz power filter
+    ])
+    def test_cross_key_rule_names_the_key_to_change(self, flat, key):
+        # the rule names the key to change, which is not the one set here
+        with pytest.raises(ConfigurationError) as err:
+            from_mapping(flat)
+        assert err.value.key == key
+
+
+def _scaled(text: str, factor: float) -> str:
+    """``text`` with every number in it multiplied by ``factor``."""
+    return re.sub(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?",
+                  lambda m: repr(float(m.group()) * factor), text)
+
+
+@st.composite
+def _key_and_value(draw):
+    key = draw(st.sampled_from(sorted(DEFAULTS)))
+    value = draw(st.one_of(
+        st.text(),
+        st.sampled_from([-1.0, 0.0, 1e-9, 1e9]).map(lambda f: _scaled(DEFAULTS[key], f)),
+        st.sampled_from(["nan", "inf", "-inf"]),
+    ))
+    return key, value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_key_and_value())
+def test_parsed_configuration_builds(key_value):
+    # a configuration that parses needs no further check: validate builds nothing
+    key, value = key_value
+    try:
+        cfg = from_mapping({key: value})
+    except ConfigurationError as err:
+        assert err.key in DEFAULTS
+        return
+    build_plant(cfg)
+    build_controllers(cfg)
+    build_compensator(cfg)
 
 
 class TestEcho:

@@ -223,6 +223,14 @@ class TestCli:
     def test_validate_ok(self, capsys):
         assert cli.main(["validate", "sharing"]) == 0
 
+    def test_validate_builds_nothing(self, monkeypatch, capsys):
+        def never(cfg):
+            raise AssertionError("validate built a model")
+
+        for name in ("build_plant", "build_controllers", "build_compensator", "run_simulation"):
+            monkeypatch.setattr(cli.runner_mod, name, never)
+        assert cli.main(["validate", "baseline"]) == cli.EXIT_OK
+
     def test_validate_unknown_scenario(self, capsys):
         assert cli.main(["validate", "does_not_exist.cfg"]) == cli.EXIT_CONFIG
 
