@@ -24,6 +24,7 @@ from . import runner as runner_mod
 from .analysis import AnalysisError
 from .errors import ConfigurationError, SimulationDivergence
 from .runner import RunResult
+from .signals import ticks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,8 +101,6 @@ def cmd_report(args) -> int:
     if data.ndim == 1:
         data = data.reshape(1, -1)
     channels = {name: data[:, i] for i, name in enumerate(header) if name != "t"}
-    # the run applied every irradiance event up to the start of its last tick
-    last_tick = (int(round(cfg.duration / cfg.control_period)) - 1) * cfg.control_period
     # Windowed metrics rebuild exactly from the recorded channels; run-time
     # diagnostics (audit, residual, transitions, flags) live only in the
     # original report and read "unavailable" here.
@@ -113,7 +112,9 @@ def cmd_report(args) -> int:
         mode_transitions=None,
         energy_audit_percent=None,
         max_kcl_residual=None,
-        mpp_available_w=runner_mod.mpp_available_w(cfg, last_tick),
+        # priced, as in the run, after every irradiance event up to its last tick
+        mpp_available_w=runner_mod.mpp_available_w(
+            cfg, ticks(cfg.duration, cfg.control_period) - 1),
     )
     report = runner_mod.assemble_report(result)
     path = run_dir / "report_rebuilt.txt"

@@ -12,6 +12,7 @@ every error names a key, and an accepted configuration builds and runs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -20,7 +21,7 @@ from . import analysis
 from .control import DgControlParams
 from .errors import ConfigurationError
 from .plant import PvParams, max_filter_step
-from .signals import DEFAULT_SEQUENCE_ORDERS, beyond_nyquist, too_coarse_for_low_pass
+from .signals import DEFAULT_SEQUENCE_ORDERS, beyond_nyquist, ticks, too_coarse_for_low_pass
 
 V_RMS_TO_AMP = math.sqrt(2.0)
 
@@ -398,22 +399,43 @@ def _require(holds: bool, key: str, message: str):
         raise ConfigurationError(message, key=key)
 
 
+def recorded_rows(cfg: ScenarioConfig) -> int:
+    """Rows of a run's table: one every ``outputs.sample_dt``, from the first tick."""
+    sample_every = ticks(cfg.sample_dt, cfg.control_period)
+    return (ticks(cfg.duration, cfg.control_period) + sample_every - 1) // sample_every
+
+
 def _check_divides(cfg: ScenarioConfig):
-    """Every period is a whole number of the step it counts in; a run records two rows."""
-    spans = [("control.period", cfg.control_period, "solver.dt", cfg.dt)]
-    spans += [(f"{prefix}.mppt.period", dg.mppt_period, "control.period", cfg.control_period)
-              for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs)]
-    spans += [("vcc.period", cfg.vcc_period, "control.period", cfg.control_period),
-              ("outputs.sample_dt", cfg.sample_dt, "control.period", cfg.control_period)]
-    for key, period, step_key, step in spans:
-        ratio = period / step
+    """Every period is a whole number (>= 1) of the step it counts in, every
+    scheduled time and span a whole number (>= 0) of control ticks; a run
+    records two rows, and its table fits in physical memory."""
+    cp = cfg.control_period
+    units = list(zip(UNIT_PREFIXES, cfg.dgs))
+    periods = [(f"{prefix}.mppt.period", dg.mppt_period) for prefix, dg in units]
+    periods += [("vcc.period", cfg.vcc_period), ("outputs.sample_dt", cfg.sample_dt)]
+    times = [("load.step_time", cfg.load_step_time), ("vcc.enable_at", cfg.vcc_enable_at),
+             ("vcc.comm_delay", cfg.vcc_comm_delay)]
+    times += [(f"{prefix}.mode.exit_hold", dg.exit_hold) for prefix, dg in units]
+    times += [("events.irradiance", t) for t, _, _ in cfg.irradiance_events]
+    spans = [("control.period", cp, "solver.dt", cfg.dt, 1)]
+    spans += [(key, period, "control.period", cp, 1) for key, period in periods]
+    spans += [(key, t, "control.period", cp, 0) for key, t in times if t is not None]
+    for key, span, step_key, step, least in spans:
+        ratio = span / step
         _require(math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-6
-                 and round(ratio) >= 1, key,
-                 f"{period} is not an integer multiple of {step_key} = {step}")
-    ticks = cfg.duration / cfg.control_period
-    _require(math.isfinite(ticks), "solver.duration", f"{cfg.duration} s has no tick count")
-    _require(round(ticks) > round(cfg.sample_dt / cfg.control_period), "outputs.sample_dt",
-             f"records fewer than two rows in {cfg.duration} s")
+                 and round(ratio) >= least, key,
+                 f"{span} is not an integer multiple of {step_key} = {step}")
+    events = [(ticks(t, cp), d) for t, d, _ in cfg.irradiance_events]
+    _require(len(set(events)) == len(events), "events.irradiance",
+             "two events for one unit on one tick")
+    _require(math.isfinite(cfg.duration / cp), "solver.duration",
+             f"{cfg.duration} s has no tick count")
+    rows = recorded_rows(cfg)
+    _require(rows > 1, "outputs.sample_dt", f"records fewer than two rows in {cfg.duration} s")
+    table_gib = 8 * rows * (1 + len(channel_names(len(cfg.dgs)))) / 2**30
+    memory_gib = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 2**30
+    _require(table_gib <= memory_gib, "solver.duration", f"{cfg.duration} s records a "
+             f"{table_gib:.3g} GiB table, over the {memory_gib:.3g} GiB of physical memory")
 
 
 def _check_pv(cfg: ScenarioConfig):
@@ -477,12 +499,9 @@ def check_report_length(cfg: ScenarioConfig):
     _require(cfg.sample_dt <= max_step, "outputs.sample_dt",
              f"{cfg.sample_dt} s is too coarse for the report: orders up to "
              f"{analysis.MAX_HARMONIC_ORDER} need a step of at most {max_step:.4g} s")
-    ticks = int(round(cfg.duration / cfg.control_period))
-    sample_every = int(round(cfg.sample_dt / cfg.control_period))
-    rows = (ticks + sample_every - 1) // sample_every
     cycle_rows = int(round(2.0 * math.pi / (omega_min * cfg.sample_dt)))
     needed = analysis.MIN_STEADY_CYCLES * cycle_rows * cfg.sample_dt
-    _require(rows >= analysis.MIN_STEADY_CYCLES * cycle_rows, "solver.duration",
+    _require(recorded_rows(cfg) >= analysis.MIN_STEADY_CYCLES * cycle_rows, "solver.duration",
              f"{cfg.duration} s is too short for the report: it needs "
              f"{analysis.MIN_STEADY_CYCLES} cycles at {omega_min:.1f} rad/s, "
              f"about {needed:.3f} s")

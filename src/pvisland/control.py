@@ -23,6 +23,7 @@ from .signals import (
     SequenceSet,
     ThreePhaseSample,
     inverse_clarke,
+    ticks,
 )
 
 
@@ -298,6 +299,7 @@ class BoostController:
     """Mode machine owning the tracker and the link regulator.
 
     Tracking runs decimated at its own period; regulation runs every step.
+    Both the decimation and the exit hold count whole steps of ``dt``.
     Transitions are hysteretic and are recorded with timestamps.  The
     machine boots in regulation mode: on startup the AC side is not loaded
     yet, so the link would immediately overvolt under tracking; regulation
@@ -306,7 +308,7 @@ class BoostController:
     """
 
     def __init__(self, mppt: MpptParams, vr: VrParams, mode: ModeParams,
-                 duty_init: float):
+                 duty_init: float, dt: float):
         self.mppt = IncrementalConductanceMppt(mppt, duty_init)
         self.vr = DcLinkRegulator(vr)
         self.mode_params = mode
@@ -315,8 +317,10 @@ class BoostController:
         self.vr.reset(duty_init)
         self.duty = duty_init
         self.transitions: list[tuple[float, str]] = []
-        self._mppt_elapsed = 0.0
-        self._below_since = None
+        self._mppt_every = ticks(mppt.period, dt)
+        self._mppt_count = 0
+        self._hold = max(ticks(mode.exit_hold, dt), 1)  # a zero hold still waits a step
+        self._below = 0     # consecutive steps with the link below the exit threshold
         self._vr_vpv_floor = None   # taken from the terminal voltage at entry
 
     VPV_FLOOR_MARGIN = 25.0  # volts below the entry point regulation may push
@@ -332,22 +336,17 @@ class BoostController:
                 self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
                 self.transitions.append((t, f"{MODE_MPPT}->{MODE_VR}"))
         else:
-            if v_dc < ref - mp.exit_vr_margin:
-                if self._below_since is None:
-                    self._below_since = t
-                elif t - self._below_since >= mp.exit_hold:
-                    self.mode = MODE_MPPT
-                    self.mppt.duty = self.duty
-                    self.mppt._v_prev = None
-                    self.transitions.append((t, f"{MODE_VR}->{MODE_MPPT}"))
-                    self._below_since = None
-            else:
-                self._below_since = None
+            self._below = self._below + 1 if v_dc < ref - mp.exit_vr_margin else 0
+            if self._below > self._hold:
+                self.mode = MODE_MPPT
+                self.mppt.duty = self.duty
+                self.mppt._v_prev = None
+                self.transitions.append((t, f"{MODE_VR}->{MODE_MPPT}"))
+                self._below = 0
 
         if self.mode == MODE_MPPT:
-            self._mppt_elapsed += dt
-            if self._mppt_elapsed + 1e-12 >= self.mppt.params.period:
-                self._mppt_elapsed = 0.0
+            self._mppt_count = (self._mppt_count + 1) % self._mppt_every
+            if self._mppt_count == 0:
                 self.duty = self.mppt.step(v_pv, i_pv)
         else:
             if self._vr_vpv_floor is None:
@@ -391,15 +390,14 @@ class DgController:
             params.pr_voltage, params.droop.omega, dt,
             params.current_limit_factor * rated_current)
         self.current_loop = CurrentLoop(params.pr_current, params.droop.omega, dt)
-        self.boost = BoostController(params.mppt, params.vr, params.mode, duty_init)
+        self.boost = BoostController(params.mppt, params.vr, params.mode, duty_init, dt)
         self.p_avg = 0.0
         self.q_avg = 0.0
         self.sequences = None
-        self._elapsed = 0.0
 
     def step(self, meas: dict, v_c: FrameVector, t: float, dt: float
              ) -> tuple[float, ThreePhaseSample]:
-        """Advance one control period; returns (boost duty, modulation)."""
+        """Advance the control period starting at ``t``; returns (boost duty, modulation)."""
         par = self.params
         v_o = FrameVector(*meas["v_o_ab"])
         i_o = FrameVector(*meas["i_o_ab"])
@@ -407,8 +405,8 @@ class DgController:
 
         self.p_avg, self.q_avg = self.power.step(v_o, i_o)
         v_droop = self.droop.step(self.p_avg, self.q_avg, dt)
-        if self._elapsed < par.startup_ramp:
-            ramp = self._elapsed / par.startup_ramp
+        if t < par.startup_ramp:
+            ramp = t / par.startup_ramp
             v_droop = FrameVector(v_droop.x * ramp, v_droop.y * ramp, ALPHA_BETA)
         self.sequences = self.extractor.step(i_o, self.droop.omega_ref, dt)
         v_vr = virtual_impedance(self.sequences, par.virtual_impedance, par.vi_omega)
@@ -416,5 +414,4 @@ class DgController:
         i_ref = self.voltage_loop.step(v_ref, v_o, self.droop.omega_ref, dt)
         m = self.current_loop.step(i_ref, i_l, meas["v_dc"], self.droop.omega_ref, dt)
         duty = self.boost.step(meas["v_pv"], meas["i_pv"], meas["v_dc"], t, dt)
-        self._elapsed += dt
         return duty, m

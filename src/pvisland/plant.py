@@ -204,8 +204,6 @@ class LoadSpec:
     balanced_r: float
     unbalanced_r_a: float | None = None
     harmonics: tuple[HarmonicInjection, ...] = ()
-    step_time: float | None = None
-    step_scale: float = 1.0
     balanced_l: float | None = None    # parallel inductive bank, henries per phase
 
     def conductances(self, scale: float = 1.0) -> tuple[float, float, float]:
@@ -474,7 +472,7 @@ class Plant:
         self.dc_states = [DcSideState(v_pv=d.pv.v_mp, i_boost=0.0, v_dc=v_dc_init)
                           for d in dgs]
         self.load = load
-        self.t = 0.0
+        self.steps = 0
         self.saturated = [False] * len(dgs)
         self.max_kcl_residual = 0.0
         # Energy audit accumulators (trapezoidal integration of powers)
@@ -487,12 +485,6 @@ class Plant:
     def set_irradiance(self, d: int, irradiance: float):
         self.dc_sides[d].irradiance = irradiance
 
-    def load_scale_at(self, t: float) -> float:
-        ld = self.load
-        if ld.step_time is not None and t >= ld.step_time:
-            return ld.step_scale
-        return 1.0
-
     def stored_energy(self) -> float:
         e = self.network.stored_energy()
         for side, st in zip(self.dc_sides, self.dc_states):
@@ -501,15 +493,11 @@ class Plant:
 
     def measurements(self, theta_load: float) -> dict:
         """Everything the controllers read, taken at the current instant."""
-        scale = self.load_scale_at(self.t)
-        self.network.set_load_scale(scale)
-        ih = harmonic_current_ab(self.load.harmonics, theta_load, scale)
+        ih = harmonic_current_ab(self.load.harmonics, theta_load, self.network.load_scale)
         x = self.network.x.tolist()
         va, vb, _, _ = self.network.bus(x, ih)
         out = {
-            "t": self.t,
             "v_pcc_ab": (va, vb),
-            "ih_ab": ih,
             "dg": [],
         }
         for d in range(len(self.dgs)):
@@ -529,9 +517,7 @@ class Plant:
              theta_load: float):
         """One integration step with the given per-unit controls."""
         dt = self.dt
-        scale = self.load_scale_at(self.t)
-        self.network.set_load_scale(scale)
-        ih = harmonic_current_ab(self.load.harmonics, theta_load, scale)
+        ih = harmonic_current_ab(self.load.harmonics, theta_load, self.network.load_scale)
 
         v_inv_ab = []
         for d, m in enumerate(modulations):
@@ -573,7 +559,7 @@ class Plant:
             self.dc_states[d] = self.dc_sides[d].step(
                 self.dc_states[d], duties[d], p_draw, dt)
 
-        self.t += dt
+        self.steps += 1
         self._check_bounds()
 
     def energy_audit_error(self) -> float:
@@ -586,12 +572,12 @@ class Plant:
         # NaN fails the comparison, so one reduction catches it too
         if not np.abs(self.network.x).max() <= 1e5:
             raise SimulationDivergence(
-                f"AC state left the plausible envelope at t={self.t:.6f} s",
-                t_last_good=self.t - self.dt)
+                f"AC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
+                t_last_good=(self.steps - 1) * self.dt)
         for st in self.dc_states:
             if (not math.isfinite(st.v_dc) or not math.isfinite(st.v_pv)
                     or not math.isfinite(st.i_boost)
                     or abs(st.v_dc) > 5e3 or abs(st.i_boost) > 1e4):
                 raise SimulationDivergence(
-                    f"DC state left the plausible envelope at t={self.t:.6f} s",
-                    t_last_good=self.t - self.dt)
+                    f"DC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
+                    t_last_good=(self.steps - 1) * self.dt)

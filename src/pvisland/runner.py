@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .analysis import MetricsReport, TimeSeries
 from .config import (DgConfig, ScenarioConfig, channel_names, check_report_length, echo,
-                     unit_channels)
+                     recorded_rows, unit_channels)
 from .control import (
     DgControlParams,
     DgController,
@@ -43,7 +43,7 @@ from .plant import (
     PvParams,
     pv_current,
 )
-from .signals import FrameVector, Pll, inverse_clarke
+from .signals import FrameVector, Pll, inverse_clarke, ticks
 from .vcc import CentralCompensator, DqExtractionBank, PiGains, VccParams, hd, vuf
 
 
@@ -72,11 +72,11 @@ def _mpp_power(pv: PvParams, irradiance: float) -> float:
     return float(ps.max())
 
 
-def irradiance_after(cfg: ScenarioConfig, t: float) -> list[float]:
-    """Each unit's irradiance once every event at or before ``t`` has applied."""
+def irradiance_after(cfg: ScenarioConfig, tick: int) -> list[float]:
+    """Each unit's irradiance once every event up to ``tick`` has applied."""
     out = [dg.pv.irradiance for dg in cfg.dgs]
     for t_event, d, value in sorted(cfg.irradiance_events):
-        if t_event <= t:
+        if ticks(t_event, cfg.control_period) <= tick:
             out[d] = value
     return out
 
@@ -85,10 +85,10 @@ def _pv_params(dg: DgConfig) -> PvParams:
     return PvParams(dg.pv.rated_w, dg.pv.v_oc, dg.pv.i_sc, dg.pv.v_mp, dg.pv.i_mp)
 
 
-def mpp_available_w(cfg: ScenarioConfig, t: float) -> tuple[float, ...]:
-    """Each unit's array maximum power under its irradiance after the events up to ``t``."""
+def mpp_available_w(cfg: ScenarioConfig, tick: int) -> tuple[float, ...]:
+    """Each unit's array maximum power under its irradiance after the events up to ``tick``."""
     return tuple(_mpp_power(_pv_params(dg), g)
-                 for dg, g in zip(cfg.dgs, irradiance_after(cfg, t)))
+                 for dg, g in zip(cfg.dgs, irradiance_after(cfg, tick)))
 
 
 def build_plant(cfg: ScenarioConfig) -> Plant:
@@ -105,8 +105,6 @@ def build_plant(cfg: ScenarioConfig) -> Plant:
         balanced_l=cfg.balanced_l,
         unbalanced_r_a=cfg.unbalanced_r_a,
         harmonics=tuple(HarmonicInjection(o, a, p) for o, a, p in cfg.harmonics),
-        step_time=cfg.load_step_time,
-        step_scale=cfg.load_step_scale,
     )
     return Plant(dgs, load, cfg.dt, v_dc_init=cfg.dgs[0].v_dc_ref)
 
@@ -181,13 +179,19 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     # several integration substeps per control tick.  Controls are held
     # between ticks, and the load synchronization angle is advanced at the
     # tracked frequency across substeps, so refining the solver step only
-    # refines the plant integration.
-    n_sub = int(round(cfg.control_period / cfg.dt))
-    ticks = int(round(cfg.duration / cfg.control_period))
+    # refines the plant integration.  The tick count is the only clock:
+    # every time compared is a tick, every time reported ``tick * dt_ctl``.
     dt_ctl = cfg.control_period
-    vcc_every = int(round(cfg.vcc_period / dt_ctl))
-    sample_every = int(round(cfg.sample_dt / dt_ctl))
-    n_rows = (ticks + sample_every - 1) // sample_every
+    n_sub = ticks(dt_ctl, cfg.dt)
+    n_ticks = ticks(cfg.duration, dt_ctl)
+    vcc_every = ticks(cfg.vcc_period, dt_ctl)
+    sample_every = ticks(cfg.sample_dt, dt_ctl)
+
+    # The schedule: a change applies at its tick, before its measurements.
+    enable_tick = n_ticks if cfg.vcc_enable_at is None else ticks(cfg.vcc_enable_at, dt_ctl)
+    load_tick = n_ticks if cfg.load_step_time is None else ticks(cfg.load_step_time, dt_ctl)
+    events = deque(sorted((ticks(t, dt_ctl), d, g) for t, d, g in cfg.irradiance_events))
+    delay_ticks = ticks(cfg.vcc_comm_delay, dt_ctl)
 
     # One row per sample: ``t``, then every channel in CSV column order.
     # The loop gathers each row in recording order; ``slots`` places it.
@@ -198,7 +202,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         recorded += unit_channels(d + 1)
     slots = np.array([columns.index(name) for name in recorded])
     # column-major, so every channel is a contiguous view
-    table = np.empty((n_rows, len(columns)), order="F")
+    table = np.empty((recorded_rows(cfg), len(columns)), order="F")
     flags = _FlagRecorder()
 
     online = [0.0] * 5  # vcc_vuf, vcc_hd3, vcc_hd5, vcc_hd7, vcc_hd11
@@ -206,23 +210,19 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     # Every compensator tick broadcasts a snapshot of its effort phasors,
     # due at the units after the communication delay; the units rebuild
     # their corrections from the latest snapshot that has arrived.
-    in_flight: deque[tuple[float, dict]] = deque()
+    in_flight: deque[tuple[int, dict]] = deque()
     efforts: dict | None = None
 
-    irr_events = sorted(cfg.irradiance_events)
-    next_event = 0
-
-    t = -math.inf  # start of the latest tick; below every event time before the first
-    for tick in range(ticks):
-        t = plant.t
+    for tick in range(n_ticks):
+        t = tick * dt_ctl
         theta = pll.theta
         omega = pll.omega
-        vcc_active = cfg.vcc_enable_at is not None and t + 1e-12 >= cfg.vcc_enable_at
-
-        while next_event < len(irr_events) and irr_events[next_event][0] <= t:
-            _, d, value = irr_events[next_event]
+        vcc_active = tick >= enable_tick
+        if tick == load_tick:
+            plant.network.set_load_scale(cfg.load_step_scale)
+        while events and events[0][0] <= tick:
+            _, d, value = events.popleft()
             plant.set_irradiance(d, value)
-            next_event += 1
 
         meas = plant.measurements(theta)
         v_pcc_ab = FrameVector(*meas["v_pcc_ab"])
@@ -235,12 +235,12 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                 hd(extracted[order].magnitude(), pos_mag)[0] for order in (3, -5, 7, -11)]
             if vcc_active:
                 comp.step(extracted, cfg.vcc_period)
-                in_flight.append((t + cfg.vcc_comm_delay, dict(comp._effort_dq)))
+                in_flight.append((tick + delay_ticks, dict(comp._effort_dq)))
                 flags.poll(t, "vcc", "output_clamp", comp.clamped)
                 comp.clamped = False
                 flags.poll(t, "vcc", "positive_sequence_floor", not comp.indices_valid)
 
-        while in_flight and in_flight[0][0] <= t:
+        while in_flight and in_flight[0][0] <= tick:
             efforts = in_flight.popleft()[1]
 
         duties = []
@@ -287,7 +287,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         mode_transitions=mode_transitions,
         energy_audit_percent=100.0 * plant.energy_audit_error(),
         max_kcl_residual=plant.max_kcl_residual,
-        mpp_available_w=mpp_available_w(cfg, t),
+        mpp_available_w=mpp_available_w(cfg, n_ticks - 1),
     )
 
 
@@ -300,14 +300,8 @@ STEADY_RMS_TOL = 2.0       # percent cycle-RMS variation treated as steady
 
 
 def last_event_time(cfg: ScenarioConfig) -> float:
-    t = 0.0
-    if cfg.vcc_enable_at is not None:
-        t = max(t, cfg.vcc_enable_at)
-    if cfg.load_step_time is not None:
-        t = max(t, cfg.load_step_time)
-    for ev in cfg.irradiance_events:
-        t = max(t, ev[0])
-    return t
+    times = [cfg.vcc_enable_at, cfg.load_step_time] + [ev[0] for ev in cfg.irradiance_events]
+    return max([0.0] + [t for t in times if t is not None])
 
 
 def assemble_report(result: RunResult) -> MetricsReport:
@@ -323,7 +317,6 @@ def assemble_report(result: RunResult) -> MetricsReport:
 
     va = result.series("vpcc_a", "V")
     sample_dt = va.dt
-    t0 = float(result.times[0])
 
     def measured_f1(w0: float, w1: float) -> float:
         """Droop frequency averaged over a window; anchors the DFT bins."""
@@ -333,7 +326,7 @@ def assemble_report(result: RunResult) -> MetricsReport:
 
     f1 = measured_f1(cfg.duration * 0.5, cfg.duration)
     start, end = analysis.steady_window(va, STEADY_RMS_TOL, f1)
-    floor = last_event_time(cfg) + SETTLE_AFTER_EVENT - t0
+    floor = last_event_time(cfg) + SETTLE_AFTER_EVENT  # the first row is tick 0, t = 0
     start = max(start, floor)
     if end - start < 10.0 / f1:
         start = max(end - 10.0 / f1, 0.0)
@@ -354,7 +347,6 @@ def assemble_report(result: RunResult) -> MetricsReport:
 
     thds, vuf_pct = window_metrics(start, end)
 
-    window_abs = (start + t0, end + t0)
     p_series = [result.series(f"dg{i}_p", "W") for i in units]
     q_series = [result.series(f"dg{i}_q", "var") for i in units]
     # the reported sharing ratios are unit 1 : unit 2
@@ -382,14 +374,14 @@ def assemble_report(result: RunResult) -> MetricsReport:
     pre_thd = None
     pre_vuf = None
     if cfg.vcc_enable_at is not None and 0.5 < cfg.vcc_enable_at < cfg.duration:
-        w1 = cfg.vcc_enable_at - t0
+        w1 = cfg.vcc_enable_at
         w0 = max(w1 - 1.0, 0.0)
         if w1 - w0 > 12.0 / f1:
             pre_thd, pre_vuf = window_metrics(w0, w1)
-            pre_window = (w0 + t0, w1 + t0)
+            pre_window = (w0, w1)
 
     return MetricsReport(
-        window=window_abs,
+        window=(start, end),
         fundamental_hz=f1,
         thd_percent=thds,
         vuf_percent=vuf_pct,
@@ -469,11 +461,11 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
         written.append(path)
 
     def voltage_window(name: str, t_end: float):
-        i1 = int(round((t_end - t[0]) / sample_dt))
+        i1 = int(round(t_end / sample_dt))
         columns(name, ["vpcc_a", "vpcc_b", "vpcc_c"], range(max(i1 - n_five, 0), i1))
 
     def spectrum_file(name: str, t_end: float):
-        i1 = int(round((t_end - t[0]) / sample_dt))
+        i1 = int(round(t_end / sample_dt))
         cycles = 20
         ts = TimeSeries("vpcc_a", "V", sample_dt, result.channels["vpcc_a"][:i1])
         sp = analysis.spectrum(ts, f1, cycles)

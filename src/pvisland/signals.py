@@ -110,6 +110,11 @@ def beyond_nyquist(order: float, omega: float, dt: float) -> bool:
     return order * omega >= math.pi / dt
 
 
+def ticks(span: float, dt: float) -> int:
+    """Whole steps of ``dt`` in ``span``: the tick of a time on the step grid."""
+    return int(round(span / dt))
+
+
 class LowPass1:
     """First-order low-pass filter, unity DC gain, trapezoidal discretization."""
 

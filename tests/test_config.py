@@ -139,6 +139,13 @@ class TestParsing:
         ("vcc.extraction_cutoff_hz", "200"),  # too fast for vcc.period
         ("control.period", "1e308"),          # ratio to solver.dt is inf
         ("solver.duration", "1e308"),         # tick count is inf
+        ("solver.duration", "1e9"),           # run table larger than physical memory
+        ("events.irradiance", "0.3:1:0.5, 0.3:1:0.9"),  # two values for one tick
+        ("load.step_time", "0.30001"),        # off the control tick grid
+        ("vcc.enable_at", "0.55001"),
+        ("vcc.comm_delay", "1e-5"),
+        ("dg1.mode.exit_hold", "0.10001"),
+        ("events.irradiance", "0.30001:1:0.9"),
     ])
     def test_invalid_value_rejected_up_front(self, key, value, tmp_path, capsys):
         with pytest.raises(ConfigurationError) as err:

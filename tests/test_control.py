@@ -278,7 +278,7 @@ class TestDcLinkRegulator:
 
 class TestBoostModeMachine:
     def _controller(self, duty=0.37):
-        return BoostController(MpptParams(), VrParams(), ModeParams(), duty)
+        return BoostController(MpptParams(), VrParams(), ModeParams(), duty, DT)
 
     def test_boots_in_regulation_then_hands_to_tracking(self):
         ctl = self._controller()
@@ -337,6 +337,22 @@ class TestBoostModeMachine:
         times = [tt for tt, _ in ctl.transitions]
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g >= 0.1 - 1e-9 for g in gaps)
+
+    def test_exit_hold_lasts_exactly_its_ticks(self):
+        # on the tick clock t = k * DT, the hand-over comes exit_hold / DT
+        # ticks after the first tick below the threshold, whatever that tick
+        hold = round(ModeParams().exit_hold / DT)
+        assert hold == 2000
+        held = {}
+        for start in range(6000, 6041):
+            ctl = self._controller()
+            for k in range(start + 2 * hold):
+                ctl.step(380.0, 7.0, 600.0 if k < start else 580.0, k * DT, DT)
+                if ctl.mode == MODE_MPPT:
+                    break
+            assert ctl.transitions == [(k * DT, "VR->MPPT")]
+            held[start] = k - start
+        assert held == {start: hold for start in held}
 
 
 class TestCurrentLoopClosedLoop:

@@ -179,13 +179,17 @@ class TestLoads:
         assert delta[0] > 0.0
 
     def test_load_step_scaling_after_event(self):
-        spec = LoadSpec(balanced_r=10.0, step_time=1.0, step_scale=0.5)
-        plant = Plant([DgPlantParams(PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0),
-                                     DcLinkParams(), AcStageParams())], spec, DT)
+        # a load step scales the bank the network solves through
+        spec = LoadSpec(balanced_r=10.0)
+        net = AcNetwork([AcStageParams()], spec, DT)
         v = ThreePhaseSample(100.0, -50.0, -50.0)
-        before = _resistive_current(spec, v, plant.load_scale_at(0.5))
-        after = _resistive_current(spec, v, plant.load_scale_at(1.5))
+        before = _resistive_current(spec, v, net.load_scale)
+        net.set_load_scale(0.5)
+        after = _resistive_current(spec, v, net.load_scale)
         assert after.a == pytest.approx(0.5 * before.a, rel=1e-12)
+        v_ab, i_ab = clarke(v), clarke(after)
+        assert net._resistor_current(v_ab.x, v_ab.y) == pytest.approx((i_ab.x, i_ab.y),
+                                                                      rel=1e-12)
 
     def test_harmonic_injection_spectrum_and_sequence(self):
         # 2 A at the 5th order, negative sequence: DFT of the generated
@@ -444,23 +448,24 @@ class TestPlant:
         assert plant.energy_audit_error() < 0.005
 
     def test_measurements_see_the_load_step(self):
-        # the first tick at the step must solve the bus through the new load,
-        # the same admittance the following plant step integrates with
+        # once the load scale is set, measurements solve the bus through the
+        # new load, the same admittance the following plant step integrates with
         load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
-                        harmonics=(HarmonicInjection(-5, 2.0),),
-                        step_time=0.02, step_scale=0.6)
+                        harmonics=(HarmonicInjection(-5, 2.0),))
         plant = _two_unit_plant(load=load)
         w = 370.0
-        i = 0
-        while plant.t < load.step_time:
+        for i in range(400):
             m = inverse_clarke(FrameVector(0.5 * math.cos(w * i * DT),
                                            0.5 * math.sin(w * i * DT)))
             plant.step([0.37, 0.37], [m, m], w * i * DT)
-            i += 1
-        theta = w * i * DT
+        theta = w * 400 * DT
+        plant.network.set_load_scale(0.6)
         measured = plant.measurements(theta)["v_pcc_ab"]
         stepped = AcNetwork(plant.network.stages, load, DT)
-        stepped.set_load_scale(load.step_scale)
+        stepped.set_load_scale(0.6)
         stepped.x = plant.network.x.copy()
-        ih = harmonic_current_ab(load.harmonics, theta, load.step_scale)
+        ih = harmonic_current_ab(load.harmonics, theta, 0.6)
         assert measured == stepped.pcc_voltage(ih)
+        unstepped = AcNetwork(plant.network.stages, load, DT)
+        unstepped.x = plant.network.x.copy()
+        assert measured != unstepped.pcc_voltage(harmonic_current_ab(load.harmonics, theta))

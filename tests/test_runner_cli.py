@@ -174,9 +174,9 @@ class TestBuilders:
         zero = FrameVector(0.0, 0.0)
         dt = cfg.control_period
         theta = 0.0
-        for _ in range(200):
+        for tick in range(200):
             meas = plant.measurements(theta)
-            steps = [ctl.step(meas["dg"][d], zero, plant.t, dt)
+            steps = [ctl.step(meas["dg"][d], zero, tick * dt, dt)
                      for d, ctl in enumerate(controllers)]
             plant.step([duty for duty, _ in steps], [m for _, m in steps], theta)
             theta += cfg.omega * dt
@@ -201,6 +201,33 @@ class TestBuilders:
         cfg = from_mapping(dict(SHORT, **{"solver.duration": "0.2"}))
         result = run_simulation(cfg)
         assert result.channels["dg1_mode"][0] == 1.0  # regulation at boot
+
+
+EVENT_FREE = {"vcc.enable_at": "off", "outputs.sample_dt": "50e-6"}
+
+
+@pytest.fixture(scope="module")
+def event_free_run():
+    # every tick is a row; no scheduled change in 1.005 s
+    return run_simulation(from_mapping(dict(EVENT_FREE, **{"solver.duration": "1.005"})))
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("change, first_row", [
+        ({"load.step_time": "0.3", "load.step_scale": "0.6"}, 6000),
+        ({"events.irradiance": "0.6:1:0.5"}, 12000),
+        ({"vcc.enable_at": "1.0"}, 20000),
+    ], ids=["load_step", "irradiance_event", "vcc_enable"])
+    def test_change_applies_on_its_tick(self, event_free_run, change, first_row):
+        # a change at time T acts on tick T / control.period, before its measurements
+        duration = repr(round((first_row + 100) * 50e-6, 6))
+        run = run_simulation(from_mapping(dict(EVENT_FREE, **change,
+                                               **{"solver.duration": duration})))
+        rows = len(run.times)
+        assert np.array_equal(run.times, event_free_run.times[:rows])
+        differing = [np.flatnonzero(run.channels[c] != event_free_run.channels[c][:rows])
+                     for c in run.channels]
+        assert min(d[0] for d in differing if d.size) == first_row
 
 
 class TestCli:
@@ -245,6 +272,13 @@ class TestCli:
         rc = cli.main(["run", "baseline", "--out", str(out),
                        "--duration", "0.5", "--vcc", "at=0.1"])
         assert rc == 0
+
+    def test_vcc_override_off_the_tick_grid_rejected(self, tmp_path, capsys):
+        rc = cli.main(["run", "baseline", "--out", str(tmp_path / "o"),
+                       "--duration", "0.6", "--vcc", "at=0.55001"])
+        assert rc == cli.EXIT_CONFIG
+        assert "vcc.enable_at" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exit_code(self, monkeypatch, tmp_path, capsys):
         def boom(cfg):
