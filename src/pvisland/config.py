@@ -308,9 +308,9 @@ def _integer(text: str, key: str) -> int:
 
 def _orders(text: str, key: str, rng: None) -> tuple[int, ...]:
     orders = tuple(_integer(p, key) for p in text.split(","))
-    if 1 not in orders or min(orders) < 1:
-        raise ConfigurationError("resonator orders must be positive integers including 1",
-                                 key=key)
+    if 1 not in orders or min(orders) < 1 or len(set(orders)) < len(orders):
+        raise ConfigurationError(
+            "resonator orders must be distinct positive integers including 1", key=key)
     return orders
 
 

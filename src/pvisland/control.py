@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .signals import (
-    ALPHA_BETA,
-    FrameVector,
     LowPass1,
     ProportionalResonant,
     ResonantTerm,
     SequenceExtractor,
-    SequenceSet,
-    ThreePhaseSample,
-    inverse_clarke,
+    inverse_clarke_xy,
+    resonator_table,
     ticks,
 )
 
@@ -34,7 +31,7 @@ from .signals import (
 class PowerCalculator:
     """Instantaneous two-axis power, averaged by first-order filters.
 
-    Inputs are amplitude-invariant stationary-frame vectors, hence the 3/2
+    Inputs are amplitude-invariant stationary-frame pairs, hence the 3/2
     factor on both powers.
     """
 
@@ -44,9 +41,9 @@ class PowerCalculator:
         self.p_inst = 0.0
         self.q_inst = 0.0
 
-    def step(self, v: FrameVector, i: FrameVector) -> tuple[float, float]:
-        self.p_inst = 1.5 * (v.x * i.x + v.y * i.y)
-        self.q_inst = 1.5 * (v.y * i.x - v.x * i.y)
+    def step(self, va: float, vb: float, ia: float, ib: float) -> tuple[float, float]:
+        self.p_inst = 1.5 * (va * ia + vb * ib)
+        self.q_inst = 1.5 * (vb * ia - va * ib)
         return self._p_filt.step(self.p_inst), self._q_filt.step(self.q_inst)
 
 
@@ -72,7 +69,7 @@ class DroopControl:
         self.v_ref = params.v_amp
         self.clamped = False
 
-    def step(self, p_avg: float, q_avg: float, dt: float) -> FrameVector:
+    def step(self, p_avg: float, q_avg: float, dt: float) -> tuple[float, float]:
         par = self.params
         self.omega_ref = par.omega - par.m_p * p_avg
         v_ref = par.v_amp - par.n_p * q_avg
@@ -80,8 +77,7 @@ class DroopControl:
         self.clamped = not (lo <= v_ref <= hi)
         self.v_ref = min(max(v_ref, lo), hi)
         self.theta = (self.theta + self.omega_ref * dt) % (2.0 * math.pi)
-        return FrameVector(self.v_ref * math.cos(self.theta),
-                           self.v_ref * math.sin(self.theta), ALPHA_BETA)
+        return self.v_ref * math.cos(self.theta), self.v_ref * math.sin(self.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +92,31 @@ class VirtualImpedanceParams:
     r_harmonic: dict[int, float] = field(default_factory=dict)
 
 
-def virtual_impedance(seq: SequenceSet, p: VirtualImpedanceParams,
-                      omega_f: float) -> FrameVector:
+def virtual_impedance(component, p: VirtualImpedanceParams,
+                      omega_f: float) -> tuple[float, float]:
     """Voltage drop synthesized from the decomposed output current.
 
-    Resistive-inductive on the positive sequence (with the usual axis
-    cross-coupling), plain resistive on the negative sequence and on each
-    configured harmonic; all contributions sum per axis.
+    ``component(order)`` is the alpha/beta pair of one signed sequence
+    order of the current.  Resistive-inductive on the positive sequence
+    (with the usual axis cross-coupling), plain resistive on the negative
+    sequence and on each configured harmonic; all contributions sum per axis.
     """
-    pos = seq.fundamental_pos
-    neg = seq.fundamental_neg
+    pa, pb = component(1)
+    na, nb = component(-1)
     xl = omega_f * p.l_pos
-    va = p.r_pos * pos.x - xl * pos.y + p.r_neg * neg.x
-    vb = p.r_pos * pos.y + xl * pos.x + p.r_neg * neg.y
+    va = p.r_pos * pa - xl * pb + p.r_neg * na
+    vb = p.r_pos * pb + xl * pa + p.r_neg * nb
     for order, r in p.r_harmonic.items():
-        h = seq.harmonic.get(order)
-        if h is None:
-            raise ConfigurationError(
-                f"virtual impedance configured for order {order} "
-                "but the sequence extractor does not provide it")
-        va += r * h.x
-        vb += r * h.y
-    return FrameVector(va, vb, ALPHA_BETA)
+        ha, hb = component(order)
+        va += r * ha
+        vb += r * hb
+    return va, vb
 
 
-def compose_reference(v_droop: FrameVector, v_vr: FrameVector,
-                      v_c: FrameVector) -> FrameVector:
+def compose_reference(v_droop, v_vr, v_c) -> tuple[float, float]:
     """Inverter voltage reference: droop minus virtual drop plus central correction."""
-    return FrameVector(v_droop.x - v_vr.x + v_c.x,
-                       v_droop.y - v_vr.y + v_c.y, ALPHA_BETA)
+    (da, db), (za, zb), (ca, cb) = v_droop, v_vr, v_c
+    return da - za + ca, db - zb + cb
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +144,21 @@ class VoltageLoop:
 
     def __init__(self, gains: PrGains, omega_nominal: float, dt: float,
                  i_limit: float):
-        self._pr = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt, axes=2)
+        self.pr = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt)
         self.i_limit = i_limit
         self.clamped = False
 
-    def step(self, v_ref: FrameVector, v_o: FrameVector, omega: float,
-             dt: float) -> FrameVector:
-        ia, ib = self._pr.step_axes((v_ref.x - v_o.x, v_ref.y - v_o.y), omega, dt)
+    def step(self, ref_a: float, ref_b: float, va: float, vb: float,
+             coefficients: list[tuple]) -> tuple[float, float]:
+        """Inductor current reference from the voltage reference and measurement."""
+        ia, ib = self.pr.step_pair(ref_a - va, ref_b - vb, coefficients)
         mag = math.hypot(ia, ib)
         self.clamped = mag > self.i_limit
         if self.clamped:
             scale = self.i_limit / mag
             ia *= scale
             ib *= scale
-        return FrameVector(ia, ib, ALPHA_BETA)
+        return ia, ib
 
 
 class CurrentLoop:
@@ -179,17 +172,18 @@ class CurrentLoop:
     V_DC_LOCKOUT = 50.0
 
     def __init__(self, gains: PrGains, omega_nominal: float, dt: float):
-        self._pr = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt, axes=2)
+        self.pr = ProportionalResonant(gains.kp, gains.terms(), omega_nominal, dt)
         self.locked_out = False
 
-    def step(self, i_ref: FrameVector, i_l: FrameVector, v_dc: float,
-             omega: float, dt: float) -> ThreePhaseSample:
-        va, vb = self._pr.step_axes((i_ref.x - i_l.x, i_ref.y - i_l.y), omega, dt)
+    def step(self, ref_a: float, ref_b: float, ia: float, ib: float, v_dc: float,
+             coefficients: list[tuple]) -> tuple[float, float, float]:
+        """Per-phase modulation commands from the current reference and measurement."""
+        va, vb = self.pr.step_pair(ref_a - ia, ref_b - ib, coefficients)
         self.locked_out = v_dc < self.V_DC_LOCKOUT
         if self.locked_out:
-            return ThreePhaseSample(0.0, 0.0, 0.0)
+            return 0.0, 0.0, 0.0
         half = v_dc / 2.0
-        return inverse_clarke(FrameVector(va / half, vb / half, ALPHA_BETA))
+        return inverse_clarke_xy(va / half, vb / half)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +372,22 @@ class DgControlParams:
 
 
 class DgController:
-    """Primary control stack of one generating unit."""
+    """Primary control stack of one generating unit.
+
+    Each step takes one resonator table at the droop frequency for the
+    extractor and both loops, which share coefficients when their terms match.
+    """
 
     def __init__(self, params: DgControlParams, dt: float, duty_init: float):
         self.params = params
         self.power = PowerCalculator(params.power_filter_hz, dt)
         self.droop = DroopControl(params.droop)
         self.extractor = SequenceExtractor(gain=params.sequence_gain)
+        for order in params.virtual_impedance.r_harmonic:
+            if order not in self.extractor.sequences().harmonic:
+                raise ConfigurationError(
+                    f"virtual impedance configured for order {order} "
+                    "but the sequence extractor does not provide it")
         rated_current = params.rated_va / (1.5 * params.droop.v_amp)
         self.voltage_loop = VoltageLoop(
             params.pr_voltage, params.droop.omega, dt,
@@ -393,25 +396,37 @@ class DgController:
         self.boost = BoostController(params.mppt, params.vr, params.mode, duty_init, dt)
         self.p_avg = 0.0
         self.q_avg = 0.0
-        self.sequences = None
+        pv, pi = params.pr_voltage, params.pr_current
+        self._orders = sorted({*self.extractor.bands, *pv.orders, *pi.orders})
+        self._shared = (pv.orders, pv.cutoff) == (pi.orders, pi.cutoff)
 
-    def step(self, meas: dict, v_c: FrameVector, t: float, dt: float
-             ) -> tuple[float, ThreePhaseSample]:
+    @property
+    def sequences(self):
+        """The extractor's decomposition of the output current at the last step."""
+        return self.extractor.sequences()
+
+    def step(self, meas: dict, v_c: tuple[float, float], t: float, dt: float
+             ) -> tuple[float, tuple[float, float, float]]:
         """Advance the control period starting at ``t``; returns (boost duty, modulation)."""
         par = self.params
-        v_o = FrameVector(*meas["v_o_ab"])
-        i_o = FrameVector(*meas["i_o_ab"])
-        i_l = FrameVector(*meas["i_l_ab"])
+        voa, vob = meas["v_o_ab"]
+        ioa, iob = meas["i_o_ab"]
+        ila, ilb = meas["i_l_ab"]
 
-        self.p_avg, self.q_avg = self.power.step(v_o, i_o)
-        v_droop = self.droop.step(self.p_avg, self.q_avg, dt)
+        self.p_avg, self.q_avg = self.power.step(voa, vob, ioa, iob)
+        da, db = self.droop.step(self.p_avg, self.q_avg, dt)
         if t < par.startup_ramp:
             ramp = t / par.startup_ramp
-            v_droop = FrameVector(v_droop.x * ramp, v_droop.y * ramp, ALPHA_BETA)
-        self.sequences = self.extractor.step(i_o, self.droop.omega_ref, dt)
-        v_vr = virtual_impedance(self.sequences, par.virtual_impedance, par.vi_omega)
-        v_ref = compose_reference(v_droop, v_vr, v_c)
-        i_ref = self.voltage_loop.step(v_ref, v_o, self.droop.omega_ref, dt)
-        m = self.current_loop.step(i_ref, i_l, meas["v_dc"], self.droop.omega_ref, dt)
+            da *= ramp
+            db *= ramp
+        omega = self.droop.omega_ref
+        table = resonator_table(self._orders, omega, dt)
+        self.extractor.advance(ioa, iob, table)
+        ra, rb = compose_reference((da, db), virtual_impedance(
+            self.extractor.component, par.virtual_impedance, par.vi_omega), v_c)
+        v_rows = self.voltage_loop.pr.coefficients(table, omega)
+        i_rows = v_rows if self._shared else self.current_loop.pr.coefficients(table, omega)
+        ia, ib = self.voltage_loop.step(ra, rb, voa, vob, v_rows)
+        m = self.current_loop.step(ia, ib, ila, ilb, meas["v_dc"], i_rows)
         duty = self.boost.step(meas["v_pv"], meas["i_pv"], meas["v_dc"], t, dt)
         return duty, m

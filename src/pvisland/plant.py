@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
-from .signals import ThreePhaseSample, clarke
 
+_ONE_OVER_SQRT3 = 1.0 / math.sqrt(3.0)
 _CLARKE = np.array([
     [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0],
-    [0.0, 1.0 / math.sqrt(3.0), -1.0 / math.sqrt(3.0)],
+    [0.0, _ONE_OVER_SQRT3, -_ONE_OVER_SQRT3],
 ])
 _INV_CLARKE = np.array([
     [1.0, 0.0],
@@ -127,23 +127,21 @@ class DcSide:
         self.params = params
         self.irradiance = irradiance
 
-    def derivatives(self, st: DcSideState, duty: float, p_draw: float):
+    def derivatives(self, v_pv: float, i_boost: float, v_dc: float, duty: float, p_draw: float):
         if not 0.0 <= duty < 1.0:
             raise ConfigurationError(f"boost duty {duty} outside [0, 1)")
         p = self.params
-        i_pv = pv_current(max(st.v_pv, 0.0), self.irradiance, self.pv)
-        v_dc = max(st.v_dc, 1.0)
-        dv_pv = (i_pv - st.i_boost) / p.c_pv
-        di = (st.v_pv - (1.0 - duty) * st.v_dc) / p.l_boost
-        dv_dc = ((1.0 - duty) * st.i_boost - p_draw / v_dc) / p.c_dc
+        i_pv = pv_current(max(v_pv, 0.0), self.irradiance, self.pv)
+        dv_pv = (i_pv - i_boost) / p.c_pv
+        di = (v_pv - (1.0 - duty) * v_dc) / p.l_boost
+        dv_dc = ((1.0 - duty) * i_boost - p_draw / max(v_dc, 1.0)) / p.c_dc
         return dv_pv, di, dv_dc
 
     def step(self, st: DcSideState, duty: float, p_draw: float, dt: float) -> DcSideState:
         # Heun: explicit trapezoid, adequate for the slow DC dynamics
-        k1 = self.derivatives(st, duty, p_draw)
-        pred = DcSideState(st.v_pv + dt * k1[0], st.i_boost + dt * k1[1],
-                           st.v_dc + dt * k1[2])
-        k2 = self.derivatives(pred, duty, p_draw)
+        k1 = self.derivatives(st.v_pv, st.i_boost, st.v_dc, duty, p_draw)
+        k2 = self.derivatives(st.v_pv + dt * k1[0], st.i_boost + dt * k1[1],
+                              st.v_dc + dt * k1[2], duty, p_draw)
         return DcSideState(
             max(st.v_pv + 0.5 * dt * (k1[0] + k2[0]), 0.0),
             st.i_boost + 0.5 * dt * (k1[1] + k2[1]),
@@ -158,28 +156,6 @@ class DcSide:
 
     def pv_power(self, st: DcSideState) -> float:
         return st.v_pv * pv_current(max(st.v_pv, 0.0), self.irradiance, self.pv)
-
-
-# ---------------------------------------------------------------------------
-# Inverter bridge
-# ---------------------------------------------------------------------------
-
-def inverter_output(m: ThreePhaseSample, v_dc: float) -> tuple[ThreePhaseSample, bool]:
-    """Averaged bridge voltage per phase; commands beyond +-1 are clamped.
-
-    Returns the phase voltages and a saturation flag.
-    """
-    saturated = False
-    out = []
-    for x in (m.a, m.b, m.c):
-        if x > 1.0:
-            x = 1.0
-            saturated = True
-        elif x < -1.0:
-            x = -1.0
-            saturated = True
-        out.append(x * v_dc / 2.0)
-    return ThreePhaseSample(*out), saturated
 
 
 # ---------------------------------------------------------------------------
@@ -496,35 +472,37 @@ class Plant:
         ih = harmonic_current_ab(self.load.harmonics, theta_load, self.network.load_scale)
         x = self.network.x.tolist()
         va, vb, _, _ = self.network.bus(x, ih)
-        out = {
-            "v_pcc_ab": (va, vb),
-            "dg": [],
-        }
-        for d in range(len(self.dgs)):
+        out = {"v_pcc_ab": (va, vb), "dg": []}
+        for d, (side, st) in enumerate(zip(self.dc_sides, self.dc_states)):
             b = self.network._base(d)
             out["dg"].append({
                 "v_o_ab": (x[b + 2], x[b + 3]),
                 "i_l_ab": (x[b], x[b + 1]),
                 "i_o_ab": (x[b + 4], x[b + 5]),
-                "v_dc": self.dc_states[d].v_dc,
-                "v_pv": self.dc_states[d].v_pv,
-                "i_pv": pv_current(max(self.dc_states[d].v_pv, 0.0),
-                                   self.dc_sides[d].irradiance, self.dgs[d].pv),
+                "v_dc": st.v_dc,
+                "v_pv": st.v_pv,
+                "i_pv": pv_current(max(st.v_pv, 0.0), side.irradiance, side.pv),
             })
         return out
 
-    def step(self, duties: list[float], modulations: list[ThreePhaseSample],
-             theta_load: float):
-        """One integration step with the given per-unit controls."""
+    def step(self, duties: list[float], modulations, theta_load: float):
+        """One integration step with the given per-unit duties and commands ``(m_a, m_b, m_c)``.
+
+        Each bridge applies ``m * v_dc / 2`` per phase, commands clamped to +-1 and flagged.
+        """
         dt = self.dt
         ih = harmonic_current_ab(self.load.harmonics, theta_load, self.network.load_scale)
 
         v_inv_ab = []
-        for d, m in enumerate(modulations):
-            v_abc, sat = inverter_output(m, self.dc_states[d].v_dc)
+        for d, (ma, mb, mc) in enumerate(modulations):
+            sat = not (-1.0 <= ma <= 1.0 and -1.0 <= mb <= 1.0 and -1.0 <= mc <= 1.0)
+            if sat:
+                ma, mb, mc = (min(max(m, -1.0), 1.0) for m in (ma, mb, mc))
             self.saturated[d] = sat
-            v = clarke(v_abc)
-            v_inv_ab.append((v.x, v.y))
+            v_dc = self.dc_states[d].v_dc
+            va, vb, vc = ma * v_dc / 2.0, mb * v_dc / 2.0, mc * v_dc / 2.0
+            v_inv_ab.append(((2.0 / 3.0) * (va - 0.5 * vb - 0.5 * vc),
+                             _ONE_OVER_SQRT3 * (vb - vc)))
 
         net = self.network
         x = net.x.tolist()
@@ -560,7 +538,7 @@ class Plant:
                 self.dc_states[d], duties[d], p_draw, dt)
 
         self.steps += 1
-        self._check_bounds()
+        self._check_bounds(x1)
 
     def energy_audit_error(self) -> float:
         """Relative conservation error accumulated since construction."""
@@ -568,12 +546,13 @@ class Plant:
         denom = max(abs(self.energy_in), abs(self.energy_out), 1.0)
         return abs(self.energy_in - delta - self.energy_out) / denom
 
-    def _check_bounds(self):
-        # NaN fails the comparison, so one reduction catches it too
-        if not np.abs(self.network.x).max() <= 1e5:
-            raise SimulationDivergence(
-                f"AC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
-                t_last_good=(self.steps - 1) * self.dt)
+    def _check_bounds(self, x: list[float]):
+        """Raise when the AC state list ``x`` or a DC state leaves its envelope."""
+        for v in x:  # one by one: NaN fails the test, and max() could skip it
+            if not -1e5 <= v <= 1e5:
+                raise SimulationDivergence(
+                    f"AC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
+                    t_last_good=(self.steps - 1) * self.dt)
         for st in self.dc_states:
             if (not math.isfinite(st.v_dc) or not math.isfinite(st.v_pv)
                     or not math.isfinite(st.i_boost)

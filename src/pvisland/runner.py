@@ -43,7 +43,7 @@ from .plant import (
     PvParams,
     pv_current,
 )
-from .signals import FrameVector, Pll, inverse_clarke, ticks
+from .signals import Pll, inverse_clarke_xy, ticks
 from .vcc import CentralCompensator, DqExtractionBank, PiGains, VccParams, hd, vuf
 
 
@@ -144,6 +144,11 @@ def build_compensator(cfg: ScenarioConfig) -> CentralCompensator:
     return CentralCompensator(params)
 
 
+#: Each unit's flags, in the order the loop gathers their states.
+UNIT_FLAGS = ("droop_voltage_clamp", "current_reference_clamp", "dc_link_lockout",
+              "modulation_clamp")
+
+
 class _FlagRecorder:
     """Rising-edge log of boolean conditions, bounded in size."""
 
@@ -193,20 +198,18 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     events = deque(sorted((ticks(t, dt_ctl), d, g) for t, d, g in cfg.irradiance_events))
     delay_ticks = ticks(cfg.vcc_comm_delay, dt_ctl)
 
-    # One row per sample: ``t``, then every channel in CSV column order.
-    # The loop gathers each row in recording order; ``slots`` places it.
-    columns = ["t"] + channel_names(len(cfg.dgs))
+    # One row per sample: ``t``, then every channel in the order the loop gathers it.
     recorded = ["t", "vpcc_a", "vpcc_b", "vpcc_c", "vcc_active", "vcc_vuf", "vcc_hd3",
                 "vcc_hd5", "vcc_hd7", "vcc_hd11"]
     for d in range(len(controllers)):
         recorded += unit_channels(d + 1)
-    slots = np.array([columns.index(name) for name in recorded])
     # column-major, so every channel is a contiguous view
-    table = np.empty((recorded_rows(cfg), len(columns)), order="F")
+    table = np.empty((recorded_rows(cfg), len(recorded)), order="F")
     flags = _FlagRecorder()
+    unit_flags = [None] * len(controllers)
 
     online = [0.0] * 5  # vcc_vuf, vcc_hd3, vcc_hd5, vcc_hd7, vcc_hd11
-    zero_vcs = [FrameVector(0.0, 0.0)] * len(controllers)
+    zero_vcs = [(0.0, 0.0)] * len(controllers)
     # Every compensator tick broadcasts a snapshot of its effort phasors,
     # due at the units after the communication delay; the units rebuild
     # their corrections from the latest snapshot that has arrived.
@@ -225,8 +228,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             plant.set_irradiance(d, value)
 
         meas = plant.measurements(theta)
-        v_pcc_ab = FrameVector(*meas["v_pcc_ab"])
-        v_pcc_abc = inverse_clarke(v_pcc_ab)
+        v_pcc_ab = meas["v_pcc_ab"]
+        v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
 
         if tick % vcc_every == 0:
             extracted = bank.step(v_pcc_abc, theta, cfg.vcc_period)
@@ -250,24 +253,22 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             duty, m = ctl.step(meas["dg"][d], vc_log[d], t, dt_ctl)
             duties.append(duty)
             mods.append(m)
-            src = f"dg{d + 1}"
-            flags.poll(t, src, "droop_voltage_clamp", ctl.droop.clamped)
-            flags.poll(t, src, "current_reference_clamp", ctl.voltage_loop.clamped)
-            flags.poll(t, src, "dc_link_lockout", ctl.current_loop.locked_out)
-            flags.poll(t, src, "modulation_clamp", plant.saturated[d])
+            states = (ctl.droop.clamped, ctl.voltage_loop.clamped,
+                      ctl.current_loop.locked_out, plant.saturated[d])
+            if states != unit_flags[d]:  # unchanged flags have no edge to log
+                unit_flags[d] = states
+                for name, active in zip(UNIT_FLAGS, states):
+                    flags.poll(t, f"dg{d + 1}", name, active)
 
         if tick % sample_every == 0:
-            values = [t, v_pcc_abc.a, v_pcc_abc.b, v_pcc_abc.c,
-                      1.0 if vcc_active else 0.0, *online]
+            values = [t, *v_pcc_abc, 1.0 if vcc_active else 0.0, *online]
             for d, ctl in enumerate(controllers):
                 unit = meas["dg"][d]
-                io_abc = inverse_clarke(FrameVector(*unit["i_o_ab"]))
                 values += (ctl.p_avg, ctl.q_avg, unit["v_dc"], unit["v_pv"], duties[d],
                            1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
-                           io_abc.a, io_abc.b, io_abc.c,
-                           unit["v_pv"] * unit["i_pv"],
-                           vc_log[d].x, vc_log[d].y)
-            table[tick // sample_every, slots] = values
+                           *inverse_clarke_xy(*unit["i_o_ab"]),
+                           unit["v_pv"] * unit["i_pv"], *vc_log[d])
+            table[tick // sample_every] = values
 
         pll.step(v_pcc_ab, dt_ctl)
         for sub in range(n_sub):
@@ -282,7 +283,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     return RunResult(
         cfg=cfg,
         times=table[:, 0],
-        channels=dict(zip(columns[1:], table.T[1:])),
+        channels={n: table[:, recorded.index(n)] for n in channel_names(len(cfg.dgs))},
         flags=flags.events,
         mode_transitions=mode_transitions,
         energy_audit_percent=100.0 * plant.energy_audit_error(),

@@ -61,43 +61,50 @@ class FrameVector:
         yield self.y
 
 
-def clarke(s: ThreePhaseSample) -> FrameVector:
+def clarke_xy(a: float, b: float, c: float) -> tuple[float, float]:
     """abc -> alpha/beta, amplitude-invariant convention."""
-    alpha = (2.0 / 3.0) * (s.a - 0.5 * s.b - 0.5 * s.c)
-    beta = _ONE_OVER_SQRT3 * (s.b - s.c)
-    return FrameVector(alpha, beta, ALPHA_BETA)
+    return (2.0 / 3.0) * (a - 0.5 * b - 0.5 * c), _ONE_OVER_SQRT3 * (b - c)
+
+
+def inverse_clarke_xy(x: float, y: float) -> tuple[float, float, float]:
+    """alpha/beta -> abc. Exact inverse of :func:`clarke_xy` for zero-sum inputs."""
+    return x, -0.5 * x + _SQRT3_OVER_2 * y, -0.5 * x - _SQRT3_OVER_2 * y
+
+
+def park_xy(x: float, y: float, theta: float) -> tuple[float, float]:
+    """Rotate a stationary-frame pair into a frame spinning at angle theta."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    return x * c + y * s, -x * s + y * c
+
+
+def inverse_park_xy(d: float, q: float, theta: float) -> tuple[float, float]:
+    """Rotate a rotating-frame pair back to the stationary frame."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    return d * c - q * s, d * s + q * c
+
+
+def clarke(s: ThreePhaseSample) -> FrameVector:
+    return FrameVector(*clarke_xy(s.a, s.b, s.c), ALPHA_BETA)
 
 
 def inverse_clarke(v: FrameVector) -> ThreePhaseSample:
-    """alpha/beta -> abc. Exact inverse of :func:`clarke` for zero-sum inputs."""
     if v.frame != ALPHA_BETA:
         raise FrameError(f"inverse_clarke expects an alpha/beta vector, got {v.frame!r}")
-    a = v.x
-    b = -0.5 * v.x + _SQRT3_OVER_2 * v.y
-    c = -0.5 * v.x - _SQRT3_OVER_2 * v.y
-    return ThreePhaseSample(a, b, c)
+    return ThreePhaseSample(*inverse_clarke_xy(v.x, v.y))
 
 
 def park(v: FrameVector, theta: float) -> FrameVector:
-    """Rotate a stationary-frame vector into a frame spinning at angle theta."""
     if v.frame != ALPHA_BETA:
         raise FrameError(f"park expects an alpha/beta vector, got {v.frame!r}")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    d = v.x * c + v.y * s
-    q = -v.x * s + v.y * c
-    return FrameVector(d, q, DQ, theta)
+    return FrameVector(*park_xy(v.x, v.y, theta), DQ, theta)
 
 
 def inverse_park(v: FrameVector, theta: float) -> FrameVector:
-    """Rotate a dq vector back to the stationary frame."""
     if v.frame != DQ:
         raise FrameError(f"inverse_park expects a dq vector, got {v.frame!r}")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    alpha = v.x * c - v.y * s
-    beta = v.x * s + v.y * c
-    return FrameVector(alpha, beta, ALPHA_BETA)
+    return FrameVector(*inverse_park_xy(v.x, v.y, theta), ALPHA_BETA)
 
 
 def too_coarse_for_low_pass(cutoff_hz: float, dt: float) -> bool:
@@ -223,6 +230,18 @@ class Sogi:
         return v1, q1
 
 
+def resonator_table(orders, omega: float, dt: float) -> dict[int, float]:
+    """Prewarped half-step tangents ``tan(0.5 * k * omega * dt)``, one row per order.
+
+    The extractor's bands and the proportional-resonant loops prewarp alike,
+    so one table per step serves all of them.  ``orders`` is ascending.
+    """
+    if not (omega > 0.0 and dt > 0.0 and orders[-1] * omega < math.pi / dt):
+        raise ConfigurationError(f"resonances up to order {orders[-1]} need a frequency "
+                                 f"between 0 and the Nyquist rate of dt={dt}; got {omega}")
+    return {k: math.tan(0.5 * k * omega * dt) for k in orders}
+
+
 @dataclass(slots=True)
 class SequenceSet:
     """Decomposition of an alpha/beta signal into rotating components.
@@ -268,6 +287,9 @@ class SequenceExtractor:
         S     = sum_j P_j / (1 + sum_j g_j)          # new sum of v
         v_j+  = P_j - g_j * S
         q_j+  = q_j + a_j * (v_j + v_j+)
+
+    The ``a_j`` come from a :func:`resonator_table` row per band, the same
+    table that feeds the unit's proportional-resonant loops.
     """
 
     def __init__(self, orders=DEFAULT_SEQUENCE_ORDERS, gain: float = math.sqrt(2.0)):
@@ -277,68 +299,67 @@ class SequenceExtractor:
         self.orders = orders
         self.gain = gain
         self.bands = sorted({abs(o) for o in orders})
-        self._band_index = {b: i for i, b in enumerate(self.bands)}
+        self._index = {o: self.bands.index(abs(o)) for o in orders}
         n = len(self.bands)
-        self._v = [[0.0] * n, [0.0] * n]    # per axis (alpha, beta), per band
-        self._q = [[0.0] * n, [0.0] * n]
+        self._v = ([0.0] * n, [0.0] * n)    # per axis (alpha, beta), per band
+        self._q = ([0.0] * n, [0.0] * n)
         self._u_prev = (0.0, 0.0)
 
-    def _rebuild(self, omega: float, dt: float):
+    def _rebuild(self, table: dict[int, float]):
         """Per-band coefficients ``(c_j, s_j, g_j, a_j)`` and ``1 + sum_j g_j``.
 
-        Computed on every step, as the droop frequency moves on nearly every
-        one; the benchmark's ``control.extractor.rebuilds`` counter counts calls.
+        Refreshed from each step's resonator table, as the droop frequency
+        moves on nearly every step; ``control.extractor.rebuilds`` counts calls.
         """
-        if omega <= 0.0 or dt <= 0.0:
-            raise ConfigurationError("sequence extractor needs positive frequency and step")
-        if beyond_nyquist(self.bands[-1], omega, dt):
-            raise ConfigurationError(
-                f"band at order {self.bands[-1]} exceeds the Nyquist rate for dt={dt}"
-            )
         k = self.gain
         coefficients = []
         g_sum = 0.0
         for band in self.bands:
-            a = math.tan(0.5 * band * omega * dt)
+            a = table[band]
             n = 1.0 + a * a
             g = k * a / n
             coefficients.append(((1.0 - a * a) / n, 2.0 * a / n, g, a))
             g_sum += g
         return coefficients, 1.0 + g_sum
 
+    def advance(self, x: float, y: float, table: dict[int, float]):
+        """One step on the alpha/beta input ``(x, y)``."""
+        coefficients, denominator = self._rebuild(table)
+        (ua, ub), (va, vb), (qa, qb) = self._u_prev, self._v, self._q
+        ea, eb = ua + x - sum(va), ub + y - sum(vb)
+        pa, pb = [], []
+        for (c, s, g, _), vj, qj, vk, qk in zip(coefficients, va, qa, vb, qb):
+            pa.append(c * vj - s * qj + g * ea)
+            pb.append(c * vk - s * qk + g * eb)
+        ta = sum(pa) / denominator
+        tb = sum(pb) / denominator
+        for j, (_, _, g, a) in enumerate(coefficients):
+            v_new = pa[j] - g * ta
+            qa[j] += a * (va[j] + v_new)
+            va[j] = v_new
+            v_new = pb[j] - g * tb
+            qb[j] += a * (vb[j] + v_new)
+            vb[j] = v_new
+        self._u_prev = (x, y)
+
+    def component(self, order: int) -> tuple[float, float]:
+        """Alpha/beta pair of one signed order (positive order = positive sequence)."""
+        i = self._index[order]
+        (va, vb), (qa, qb) = self._v, self._q
+        if order > 0:
+            return 0.5 * (va[i] - qb[i]), 0.5 * (qa[i] + vb[i])
+        return 0.5 * (va[i] + qb[i]), 0.5 * (vb[i] - qa[i])
+
+    def sequences(self) -> SequenceSet:
+        """Every configured component as of the last step."""
+        pairs = {o: FrameVector(*self.component(o)) for o in self.orders}
+        return SequenceSet(pairs.pop(1), pairs.pop(-1), pairs)
+
     def step(self, v: FrameVector, omega: float, dt: float) -> SequenceSet:
         if v.frame != ALPHA_BETA:
             raise FrameError("sequence extractor expects an alpha/beta input")
-        coefficients, denominator = self._rebuild(omega, dt)
-        u = (v.x, v.y)
-        for axis in (0, 1):
-            vs = self._v[axis]
-            qs = self._q[axis]
-            e = self._u_prev[axis] + u[axis] - sum(vs)
-            ps = [c * vj - s * qj + g * e
-                  for (c, s, g, _), vj, qj in zip(coefficients, vs, qs)]
-            total = sum(ps) / denominator
-            for j, (_, _, g, a) in enumerate(coefficients):
-                v_new = ps[j] - g * total
-                qs[j] += a * (vs[j] + v_new)
-                vs[j] = v_new
-        self._u_prev = u
-        (va_s, vb_s), (qa_s, qb_s) = self._v, self._q
-
-        def positive(band):
-            i = self._band_index[band]
-            return FrameVector(0.5 * (va_s[i] - qb_s[i]), 0.5 * (qa_s[i] + vb_s[i]), ALPHA_BETA)
-
-        def negative(band):
-            i = self._band_index[band]
-            return FrameVector(0.5 * (va_s[i] + qb_s[i]), 0.5 * (vb_s[i] - qa_s[i]), ALPHA_BETA)
-
-        harm = {}
-        for order in self.orders:
-            if order in (1, -1):
-                continue
-            harm[order] = positive(abs(order)) if order > 0 else negative(abs(order))
-        return SequenceSet(positive(1), negative(1), harm)
+        self.advance(v.x, v.y, resonator_table(self.bands, omega, dt))
+        return self.sequences()
 
 
 class Pll:
@@ -367,8 +388,10 @@ class Pll:
         self._e_prev = 0.0
         self._amp_floor = amp_floor
 
-    def step(self, v: FrameVector, dt: float) -> tuple[float, float]:
-        amp = math.hypot(v.x, v.y)
+    def step(self, v, dt: float) -> tuple[float, float]:
+        """Advance on the alpha/beta pair ``v``; returns (angle, frequency)."""
+        x, y = v
+        amp = math.hypot(x, y)
         if amp < self._amp_floor:
             # No usable error signal; hold frequency and keep spinning.
             self._e_prev = 0.0
@@ -376,7 +399,7 @@ class Pll:
             return self.theta, self.omega
         sin_t = math.sin(self.theta)
         cos_t = math.cos(self.theta)
-        e = (-v.x * sin_t + v.y * cos_t) / amp
+        e = (-x * sin_t + y * cos_t) / amp
         self._integral += 0.5 * self.ki * dt * (e + self._e_prev)
         self._e_prev = e
         omega = self._omega_ff + self.kp * e + self._integral
@@ -399,15 +422,14 @@ class ProportionalResonant:
     """Proportional controller with resonant branches at selected harmonics.
 
     The transfer gain at each branch center equals ``kp + gain`` by
-    construction; branch centers track the frequency passed to :meth:`step`
-    so droop deviations do not detune them.  One controller may regulate
-    several axes with identical gains (``axes``): :meth:`step_axes` advances
-    all of them with one set of resonator coefficients per step,
-    and each axis evolves exactly as a scalar controller would.
+    construction; branch centers track the frequency the coefficients are
+    taken at, so droop deviations do not detune them.  The controller
+    regulates a pair of axes with identical gains; :meth:`step_pair`
+    advances both with one set of resonator coefficients, and each axis
+    evolves exactly as a scalar controller would.
     """
 
-    def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float,
-                 axes: int = 1):
+    def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float):
         self.kp = kp
         self.terms = list(terms)
         for term in self.terms:
@@ -415,52 +437,49 @@ class ProportionalResonant:
                 raise ConfigurationError(
                     f"resonator at order {term.order} exceeds the Nyquist rate for dt={dt}"
                 )
-        # per axis: resonator states, one entry per term
-        self._x1 = [[0.0] * len(self.terms) for _ in range(axes)]
-        self._x2 = [[0.0] * len(self.terms) for _ in range(axes)]
-        self._e_prev = [0.0] * axes
+        self.orders = sorted({term.order for term in self.terms})
+        self._gains = [2.0 * term.gain * term.cutoff for term in self.terms]
+        # per axis (alpha, beta): resonator states, one entry per term
+        self._x1 = ([0.0] * len(self.terms), [0.0] * len(self.terms))
+        self._x2 = ([0.0] * len(self.terms), [0.0] * len(self.terms))
+        self._e_prev = (0.0, 0.0)
 
-    def _coefficients(self, omega: float, dt: float) -> list[tuple]:
-        # Prewarped trapezoidal solve of each resonator in control canonical
-        # form:
-        #   x1' = -2*wc*x1 - wr^2*x2 + e
-        #   x2' = x1
-        #   y   = 2*gain*wc*x1
+    def coefficients(self, table: dict[int, float], omega: float) -> list[tuple]:
+        """Per-term step coefficients at ``omega`` from a :func:`resonator_table`.
+
+        Prewarped trapezoidal solve of each resonator in control canonical form
+        ``x1' = -2*wc*x1 - wr^2*x2 + e``, ``x2' = x1``, ``y = 2*gain*wc*x1``.
+        Gains do not enter, so controllers with equal terms can share them.
+        """
         coefficients = []
         for term in self.terms:
             wr = term.order * omega
             wc = term.cutoff
-            h = math.tan(0.5 * wr * dt) / wr
+            h = table[term.order] / wr
             m11 = 1.0 + 2.0 * h * wc
             m12 = h * wr * wr
-            coefficients.append((h, -2.0 * wc, wr * wr, m11, m12, m11 + h * m12,
-                                 2.0 * term.gain * wc))
+            coefficients.append((h, -2.0 * wc, wr * wr, m11, m12, m11 + h * m12))
         return coefficients
 
-    def step_axes(self, errors, omega: float, dt: float) -> list[float]:
-        """Advance every axis by one step; returns one output per axis."""
-        kp = self.kp
-        coefficients = self._coefficients(omega, dt)
-        e_prev = self._e_prev
-        out = []
-        for k, e in enumerate(errors):
-            ep = e_prev[k]
-            x1 = self._x1[k]
-            x2 = self._x2[k]
-            y = kp * e
-            for i, (h, c1, w2, m11, m12, det, g) in enumerate(coefficients):
-                a = x1[i]
-                b = x2[i]
-                r1 = a + h * (c1 * a - w2 * b + ep + e)
-                r2 = b + h * a
-                a_new = (r1 - m12 * r2) / det
-                x1[i] = a_new
-                x2[i] = (h * r1 + m11 * r2) / det
-                y += g * a_new
-            e_prev[k] = e
-            out.append(y)
-        return out
+    def step_pair(self, ea: float, eb: float, coefficients: list[tuple]) -> tuple[float, float]:
+        """Advance both axes by one step on errors ``(ea, eb)``."""
+        (pa, pb), (x1a, x1b), (x2a, x2b) = self._e_prev, self._x1, self._x2
+        ya, yb = self.kp * ea, self.kp * eb
+        for i, ((h, c1, w2, m11, m12, det), g) in enumerate(zip(coefficients, self._gains)):
+            a, b = x1a[i], x2a[i]
+            r1, r2 = a + h * (c1 * a - w2 * b + pa + ea), b + h * a
+            x1a[i] = a = (r1 - m12 * r2) / det
+            x2a[i] = (h * r1 + m11 * r2) / det
+            ya += g * a
+            a, b = x1b[i], x2b[i]
+            r1, r2 = a + h * (c1 * a - w2 * b + pb + eb), b + h * a
+            x1b[i] = a = (r1 - m12 * r2) / det
+            x2b[i] = (h * r1 + m11 * r2) / det
+            yb += g * a
+        self._e_prev = (ea, eb)
+        return ya, yb
 
     def step(self, e: float, omega: float, dt: float) -> float:
-        """Single-axis step (a controller built with ``axes=1``)."""
-        return self.step_axes((e,), omega, dt)[0]
+        """Single-axis step: the alpha axis, with the beta axis idle."""
+        table = resonator_table(self.orders, omega, dt)
+        return self.step_pair(e, 0.0, self.coefficients(table, omega))[0]

@@ -13,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .signals import (
-    DQ,
-    FrameVector,
-    LowPass2,
-    ThreePhaseSample,
-    clarke,
-    inverse_park,
-    park,
-)
+from .signals import (DQ, FrameVector, LowPass2, ThreePhaseSample, clarke_xy, inverse_park_xy,
+                      park_xy)
 
 DEFAULT_COMPONENTS = (1, -1, 3, -5, 7, -11)
 
@@ -46,11 +39,12 @@ class DqExtractionBank:
 
     def step(self, v_pcc: ThreePhaseSample, theta: float, dt: float
              ) -> dict[int, FrameVector]:
-        v_ab = clarke(v_pcc)
+        """Filtered phasors of the phase voltages ``v_pcc`` (any a, b, c triple)."""
+        x, y = clarke_xy(*v_pcc)
         out = {}
         for c, (fd, fq) in self._filters.items():
-            raw = park(v_ab, c * theta)
-            out[c] = FrameVector(fd.step(raw.x), fq.step(raw.y), DQ, c * theta)
+            d, q = park_xy(x, y, c * theta)
+            out[c] = FrameVector(fd.step(d), fq.step(q), DQ, c * theta)
         return out
 
 
@@ -95,7 +89,7 @@ class CentralCompensator:
     """Quality-index PI loops and the power-ratio broadcast of corrections.
 
     The per-component correction phasors are held in their rotating frames
-    between controller ticks; consumers rebuild the stationary-frame vectors
+    between controller ticks; consumers rebuild the stationary-frame pairs
     of every unit at any angle via :meth:`correction_from` on a snapshot of
     the effort phasors (or :meth:`correction_for`, one unit from the live
     phasors), so fast-rotating components do not get staircased by the
@@ -118,7 +112,7 @@ class CentralCompensator:
         self.clamped = False
 
     def step(self, extracted: dict[int, FrameVector], dt: float
-             ) -> list[FrameVector]:
+             ) -> list[tuple[float, float]]:
         """One controller tick from freshly extracted components.
 
         Returns the per-unit stationary-frame corrections at the extraction
@@ -157,12 +151,12 @@ class CentralCompensator:
         theta = extracted[1].theta  # extraction ran at this fundamental angle
         return self.correction_from(self._effort_dq, theta)
 
-    def correction_for(self, unit: int, theta: float) -> FrameVector:
+    def correction_for(self, unit: int, theta: float) -> tuple[float, float]:
         """Stationary-frame correction for one unit at fundamental angle theta."""
         return self.correction_from(self._effort_dq, theta)[unit]
 
     def correction_from(self, efforts: dict[int, tuple[float, float]],
-                        theta: float) -> list[FrameVector]:
+                        theta: float) -> list[tuple[float, float]]:
         """Every unit's correction at angle theta from a snapshot of effort phasors.
 
         The components are rotated back and summed once; each unit then
@@ -173,24 +167,16 @@ class CentralCompensator:
         for c, (d, q) in efforts.items():
             if d == 0.0 and q == 0.0:
                 continue
-            v = inverse_park(FrameVector(d, q, DQ), c * theta)
-            a += v.x
-            b += v.y
+            x, y = inverse_park_xy(d, q, c * theta)
+            a += x
+            b += y
         lim = self.params.output_limit
         out = []
         for share in self.shares:
             ua = a * share
             ub = b * share
-            clamped = False
-            if ua > lim:
-                ua, clamped = lim, True
-            elif ua < -lim:
-                ua, clamped = -lim, True
-            if ub > lim:
-                ub, clamped = lim, True
-            elif ub < -lim:
-                ub, clamped = -lim, True
-            if clamped:
+            if not (-lim <= ua <= lim and -lim <= ub <= lim):
                 self.clamped = True  # sticky until the caller clears it
-            out.append(FrameVector(ua, ub))
+                ua, ub = min(max(ua, -lim), lim), min(max(ub, -lim), lim)
+            out.append((ua, ub))
         return out

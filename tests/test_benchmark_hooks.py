@@ -6,6 +6,9 @@ the traced split, so every entry is checked here, in the fast suite.  The
 benchmark's workloads are scenario files generated by
 ``perfbench/workloads.py``; a tightened input check that rejected one would
 turn every benchmark run of it into a failure, so each is validated here.
+The benchmark also calibrates host speed from inside the run, from the PLL
+step it expects once per control tick, so the hooks' call counts on a short
+run are pinned here too.
 """
 
 import importlib.util
@@ -13,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from pvisland import cli
+from pvisland import cli, runner
+from pvisland.config import from_mapping
+from pvisland.signals import ticks
 
 _BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +47,19 @@ def test_workload_scenario_validates(name, tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     path.write_text(workloads.scenario_text(name, workload, 0, base), encoding="utf-8")
     assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+
+
+def test_hooks_are_on_the_tick_path():
+    cfg = from_mapping({"solver.duration": "0.4"})
+    tracer = trace_spans.Tracer()
+    mark = tracer.mark()
+    with tracer.installed():
+        runner.run_simulation(cfg)
+    summary = tracer.summary(mark)
+    calls = {name: module["calls"] for name, module in summary["modules"].items()}
+    n_ticks = ticks(cfg.duration, cfg.control_period)
+    units = len(cfg.dgs)
+    assert calls["signals.pll"] == n_ticks
+    assert calls["control.step"] == n_ticks * units
+    assert calls["plant.step"] == n_ticks * ticks(cfg.control_period, cfg.dt)
+    assert summary["counts"]["control.extractor.rebuilds"] == n_ticks * units

@@ -136,6 +136,8 @@ class TestParsing:
         ("dg2.pv.i_mp", "18.0"),              # above pv.i_sc
         ("dg1.pv.rated_w", "2000.0"),         # below the maximum-power point
         ("dg2.pri.orders", "1,3,200"),        # beyond the control Nyquist rate
+        ("dg1.prv.orders", "1,3,3,5"),        # a repeat doubles that order's resonant gain
+        ("dg1.pri.orders", "1,1"),
         ("vcc.extraction_cutoff_hz", "200"),  # too fast for vcc.period
         ("control.period", "1e308"),          # ratio to solver.dt is inf
         ("solver.duration", "1e308"),         # tick count is inf

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,33 +23,39 @@ from pvisland.control import (
     compose_reference,
     virtual_impedance,
 )
+from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError
 from pvisland.plant import PvParams, pv_current
-from pvisland.signals import FrameVector, SequenceSet
+from pvisland.runner import build_controllers
+from pvisland.signals import resonator_table
 
 DT = 50e-6
 V_AMP = math.sqrt(2.0) * 120.0
 
 
-def _seq(pos=(0.0, 0.0), neg=(0.0, 0.0), **harm):
-    harmonics = {3: FrameVector(0.0, 0.0), -5: FrameVector(0.0, 0.0),
-                 7: FrameVector(0.0, 0.0), -11: FrameVector(0.0, 0.0)}
+def _components(pos=(0.0, 0.0), neg=(0.0, 0.0), **harm):
+    """Sequence components by signed order, as the extractor's ``component`` gives them."""
+    comps = {1: pos, -1: neg, 3: (0.0, 0.0), -5: (0.0, 0.0), 7: (0.0, 0.0), -11: (0.0, 0.0)}
     for key, val in harm.items():
-        order = int(key.replace("hm", "-").replace("hp", ""))
-        harmonics[order] = FrameVector(*val)
-    return SequenceSet(FrameVector(*pos), FrameVector(*neg), harmonics)
+        comps[int(key.replace("hm", "-").replace("hp", ""))] = val
+    return comps.__getitem__
+
+
+def _rows(loop, omega=370.0):
+    """A loop's resonator coefficients at ``omega``."""
+    return loop.pr.coefficients(resonator_table(loop.pr.orders, omega, DT), omega)
 
 
 class TestPowerCalculator:
     def test_instantaneous_products(self):
         pc = PowerCalculator(2.0, DT)
-        pc.step(FrameVector(170.0, 0.0), FrameVector(10.0, 0.0))
+        pc.step(170.0, 0.0, 10.0, 0.0)
         assert pc.p_inst == pytest.approx(2550.0, rel=1e-12)
         assert pc.q_inst == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_current(self):
         pc = PowerCalculator(2.0, DT)
-        p, q = pc.step(FrameVector(170.0, 0.0), FrameVector(0.0, 0.0))
+        p, q = pc.step(170.0, 0.0, 0.0, 0.0)
         assert (p, q) == (0.0, 0.0)
 
     def test_quadrature_current_reads_as_reactive(self):
@@ -58,9 +65,8 @@ class TestPowerCalculator:
         w = 370.0
         for i in range(int(1.0 / DT)):
             t = i * DT
-            v = FrameVector(170.0 * math.cos(w * t), 170.0 * math.sin(w * t))
-            cur = FrameVector(10.0 * math.sin(w * t), -10.0 * math.cos(w * t))
-            p, q = pc.step(v, cur)
+            p, q = pc.step(170.0 * math.cos(w * t), 170.0 * math.sin(w * t),
+                           10.0 * math.sin(w * t), -10.0 * math.cos(w * t))
         assert abs(p) < 0.01 * 2550.0
         assert q == pytest.approx(1.5 * 170.0 * 10.0, rel=0.01)
 
@@ -73,7 +79,7 @@ class TestDroop:
         droop = DroopControl(self._params())
         out = droop.step(0.0, 0.0, DT)
         assert droop.omega_ref == 370.0
-        assert math.hypot(out.x, out.y) == pytest.approx(V_AMP, rel=1e-12)
+        assert math.hypot(*out) == pytest.approx(V_AMP, rel=1e-12)
 
     def test_active_power_lowers_frequency(self):
         droop = DroopControl(self._params())
@@ -83,7 +89,7 @@ class TestDroop:
     def test_reactive_power_lowers_amplitude(self):
         droop = DroopControl(self._params())
         out = droop.step(0.0, 500.0, DT)
-        assert math.hypot(out.x, out.y) == pytest.approx(V_AMP - 0.5, rel=1e-12)
+        assert math.hypot(*out) == pytest.approx(V_AMP - 0.5, rel=1e-12)
 
     def test_amplitude_clamp_flags(self):
         droop = DroopControl(self._params())
@@ -103,91 +109,81 @@ class TestVirtualImpedance:
     def test_zero_current_zero_drop(self):
         params = VirtualImpedanceParams(0.3, 0.5e-3, 0.4,
                                         {3: 3.0, -5: 1.0, 7: 1.0, -11: 0.5})
-        out = virtual_impedance(_seq(), params, 370.0)
-        assert (out.x, out.y) == (0.0, 0.0)
+        assert virtual_impedance(_components(), params, 370.0) == (0.0, 0.0)
 
     def test_positive_sequence_cross_coupling(self):
         # hand arithmetic with the published numbers taken literally:
         # R = 0.3, L*w_f = 0.5 * 370 = 185, i = (10, 0)
         params = VirtualImpedanceParams(0.3, 0.5, 0.0, {})
-        out = virtual_impedance(_seq(pos=(10.0, 0.0)), params, 370.0)
-        assert out.x == pytest.approx(3.0, rel=1e-12)
-        assert out.y == pytest.approx(1850.0, rel=1e-12)
+        va, vb = virtual_impedance(_components(pos=(10.0, 0.0)), params, 370.0)
+        assert va == pytest.approx(3.0, rel=1e-12)
+        assert vb == pytest.approx(1850.0, rel=1e-12)
 
     def test_harmonic_branch_is_purely_resistive(self):
         params = VirtualImpedanceParams(0.0, 0.0, 0.0, {-5: 1.0})
-        seq = SequenceSet(FrameVector(0.0, 0.0), FrameVector(0.0, 0.0),
-                          {-5: FrameVector(1.2, -1.6)})
-        out = virtual_impedance(seq, params, 370.0)
-        assert math.hypot(out.x, out.y) == pytest.approx(2.0, rel=1e-12)
-        assert (out.x, out.y) == pytest.approx((1.2, -1.6), rel=1e-12)
+        out = virtual_impedance(_components(hm5=(1.2, -1.6)), params, 370.0)
+        assert math.hypot(*out) == pytest.approx(2.0, rel=1e-12)
+        assert out == pytest.approx((1.2, -1.6), rel=1e-12)
 
     def test_negative_sequence_branch(self):
         params = VirtualImpedanceParams(0.0, 0.0, 0.4, {})
-        out = virtual_impedance(_seq(neg=(5.0, -2.0)), params, 370.0)
-        assert (out.x, out.y) == pytest.approx((2.0, -0.8), rel=1e-12)
+        out = virtual_impedance(_components(neg=(5.0, -2.0)), params, 370.0)
+        assert out == pytest.approx((2.0, -0.8), rel=1e-12)
 
     def test_missing_extractor_order_rejected(self):
-        params = VirtualImpedanceParams(0.0, 0.0, 0.0, {9: 1.0})
-        with pytest.raises(ConfigurationError):
-            virtual_impedance(_seq(), params, 370.0)
+        # checked once, when the unit's controller is built
+        cfg = from_mapping({})
+        cfg = dataclasses.replace(cfg, dgs=[dataclasses.replace(cfg.dgs[0], vi_r_h={9: 1.0})])
+        with pytest.raises(ConfigurationError, match="order 9"):
+            build_controllers(cfg)
 
 
 class TestComposeReference:
     def test_passthrough_with_zero_corrections(self):
-        out = compose_reference(FrameVector(100.0, -40.0), FrameVector(0.0, 0.0),
-                                FrameVector(0.0, 0.0))
-        assert (out.x, out.y) == (100.0, -40.0)
+        assert compose_reference((100.0, -40.0), (0.0, 0.0), (0.0, 0.0)) == (100.0, -40.0)
 
     def test_signed_sum(self):
-        out = compose_reference(FrameVector(100.0, 0.0), FrameVector(3.0, 0.0),
-                                FrameVector(1.0, 0.0))
-        assert (out.x, out.y) == (98.0, 0.0)
+        assert compose_reference((100.0, 0.0), (3.0, 0.0), (1.0, 0.0)) == (98.0, 0.0)
 
     def test_affine_in_each_input(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             d, v, c, k = rng.uniform(-50.0, 50.0, 4)
-            base = compose_reference(FrameVector(d, 0.0), FrameVector(v, 0.0),
-                                     FrameVector(c, 0.0))
-            scaled = compose_reference(FrameVector(k * d, 0.0), FrameVector(k * v, 0.0),
-                                       FrameVector(k * c, 0.0))
-            assert scaled.x == pytest.approx(k * base.x, rel=1e-12, abs=1e-9)
+            base = compose_reference((d, 0.0), (v, 0.0), (c, 0.0))
+            scaled = compose_reference((k * d, 0.0), (k * v, 0.0), (k * c, 0.0))
+            assert scaled[0] == pytest.approx(k * base[0], rel=1e-12, abs=1e-9)
 
 
 class TestVoltageLoop:
     def test_zero_error_keeps_zero_output(self):
         loop = VoltageLoop(PrGains(0.05, 50.0, 20.0), 370.0, DT, i_limit=17.7)
-        out = loop.step(FrameVector(0.0, 0.0), FrameVector(0.0, 0.0), 370.0, DT)
-        assert (out.x, out.y) == (0.0, 0.0)
+        assert loop.step(0.0, 0.0, 0.0, 0.0, _rows(loop)) == (0.0, 0.0)
 
     def test_reference_clamp_preserves_direction(self):
         loop = VoltageLoop(PrGains(10.0, 0.0, 0.0), 370.0, DT, i_limit=5.0)
-        out = loop.step(FrameVector(3.0, 4.0), FrameVector(0.0, 0.0), 370.0, DT)
+        ia, ib = loop.step(3.0, 4.0, 0.0, 0.0, _rows(loop))
         assert loop.clamped
-        assert math.hypot(out.x, out.y) == pytest.approx(5.0, rel=1e-12)
-        assert out.y / out.x == pytest.approx(4.0 / 3.0, rel=1e-9)
+        assert math.hypot(ia, ib) == pytest.approx(5.0, rel=1e-12)
+        assert ib / ia == pytest.approx(4.0 / 3.0, rel=1e-9)
 
 
 class TestCurrentLoop:
     def test_zero_error_zero_modulation(self):
         loop = CurrentLoop(PrGains(7.0, 200.0, 200.0), 370.0, DT)
-        m = loop.step(FrameVector(0.0, 0.0), FrameVector(0.0, 0.0), 600.0, 370.0, DT)
-        assert (m.a, m.b, m.c) == (0.0, 0.0, 0.0)
+        assert loop.step(0.0, 0.0, 0.0, 0.0, 600.0, _rows(loop)) == (0.0, 0.0, 0.0)
 
     def test_output_scales_inversely_with_link_voltage(self):
         def first_command(v_dc):
             loop = CurrentLoop(PrGains(7.0, 0.0, 0.0), 370.0, DT)
-            return loop.step(FrameVector(1.0, 0.0), FrameVector(0.0, 0.0),
-                             v_dc, 370.0, DT).a
+            return loop.step(1.0, 0.0, 0.0, 0.0, v_dc, _rows(loop))[0]
 
         assert first_command(600.0) == pytest.approx(2.0 * first_command(1200.0), rel=1e-12)
 
     def test_collapsed_link_forces_zero(self):
         loop = CurrentLoop(PrGains(7.0, 200.0, 200.0), 370.0, DT)
-        m = loop.step(FrameVector(10.0, 0.0), FrameVector(0.0, 0.0), 30.0, 370.0, DT)
+        m = loop.step(10.0, 0.0, 0.0, 0.0, 30.0, _rows(loop))
         assert loop.locked_out
-        assert (m.a, m.b, m.c) == (0.0, 0.0, 0.0)
+        assert m == (0.0, 0.0, 0.0)
 
 
 class TestMppt:
@@ -372,9 +368,8 @@ class TestCurrentLoopClosedLoop:
         for i in range(int(2.5 / DT)):
             t = i * DT
             meas = plant.measurements(w * t)
-            i_ref = FrameVector(amp_ref * math.cos(w * t), amp_ref * math.sin(w * t))
-            i_l = FrameVector(*meas["dg"][0]["i_l_ab"])
-            m = loop.step(i_ref, i_l, meas["dg"][0]["v_dc"], w, DT)
+            m = loop.step(amp_ref * math.cos(w * t), amp_ref * math.sin(w * t),
+                          *meas["dg"][0]["i_l_ab"], meas["dg"][0]["v_dc"], _rows(loop, w))
             plant.step([1.0 - 380.0 / 600.0], [m], w * t)
         i_l = plant.network.inverter_current(0)
         assert math.hypot(*i_l) == pytest.approx(amp_ref, rel=0.02)

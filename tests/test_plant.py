@@ -16,11 +16,10 @@ from pvisland.plant import (
     Plant,
     PvParams,
     harmonic_current_ab,
-    inverter_output,
     load_admittance_ab,
     pv_current,
 )
-from pvisland.signals import FrameVector, ThreePhaseSample, clarke, inverse_clarke
+from pvisland.signals import FrameVector, ThreePhaseSample, clarke, clarke_xy, inverse_clarke
 
 DT = 50e-6
 
@@ -110,19 +109,35 @@ class TestDcSide:
 
 
 class TestInverterOutput:
+    """The averaged bridge inside ``Plant.step``, seen through one step from rest."""
+
+    LOAD = LoadSpec(balanced_r=10.0)
+
+    def _bridge(self, modulation):
+        """AC state after unit 1 applies ``modulation`` on a 600 V link, and its flag."""
+        plant = _two_unit_plant(load=self.LOAD)
+        plant.step([0.37, 0.37], [modulation, (0.0, 0.0, 0.0)], 0.0)
+        return plant.network.x.tolist(), plant.saturated[0]
+
+    def _applied(self, phase_volts):
+        """AC state after unit 1's bridge applies ``phase_volts`` from rest."""
+        net = _two_unit_plant(load=self.LOAD).network
+        net.step([clarke_xy(*phase_volts), (0.0, 0.0)], (0.0, 0.0))
+        return net.x.tolist()
+
     def test_zero_command(self):
-        out, sat = inverter_output(ThreePhaseSample(0.0, 0.0, 0.0), 600.0)
-        assert (out.a, out.b, out.c) == (0.0, 0.0, 0.0)
+        state, sat = self._bridge((0.0, 0.0, 0.0))
+        assert state == self._applied((0.0, 0.0, 0.0)) == [0.0] * len(state)
         assert not sat
 
     def test_scales_with_half_link_voltage(self):
-        out, sat = inverter_output(ThreePhaseSample(1.0, -1.0, 0.0), 600.0)
-        assert (out.a, out.b, out.c) == (300.0, -300.0, 0.0)
+        state, sat = self._bridge((1.0, -1.0, 0.0))
+        assert state == self._applied((300.0, -300.0, 0.0))
         assert not sat
 
     def test_clamps_and_flags(self):
-        out, sat = inverter_output(ThreePhaseSample(1.4, -2.0, 0.5), 600.0)
-        assert (out.a, out.b, out.c) == (300.0, -300.0, 150.0)
+        state, sat = self._bridge(ThreePhaseSample(1.4, -2.0, 0.5))
+        assert state == self._applied((300.0, -300.0, 150.0))
         assert sat
 
 
@@ -423,12 +438,27 @@ class TestPlant:
 
         assert run() == run()
 
-    def test_divergence_detector_aborts(self):
+    @pytest.mark.parametrize("side, value", [("AC", 1e7), ("AC", math.nan), ("AC", -math.inf),
+                                             ("DC", math.nan)],
+                             ids=["ac-1e7", "ac-nan", "ac-minus-inf", "dc-nan"])
+    def test_divergence_detector_aborts(self, side, value):
         plant = _two_unit_plant()
-        plant.network.x[0] = 1e7
-        with pytest.raises(SimulationDivergence):
+        if side == "AC":
+            plant.network.x[0] = value
+        else:
+            plant.dc_states[1].i_boost = value
+        with pytest.raises(SimulationDivergence, match=f"{side} state"):
             plant.step([0.37, 0.37],
                        [ThreePhaseSample(0.0, 0.0, 0.0)] * 2, 0.0)
+
+    def test_bounds_check_sees_a_nan_anywhere(self):
+        # a step spreads a NaN to every state; max() over a list would skip
+        # one that is not its first item
+        plant = _two_unit_plant()
+        x = plant.network.x.tolist()
+        x[-1] = math.nan
+        with pytest.raises(SimulationDivergence, match="AC state"):
+            plant._check_bounds(x)
 
     def test_inductive_bank_consumes_reactive(self):
         load = LoadSpec(balanced_r=10.0, balanced_l=0.03)

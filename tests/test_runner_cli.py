@@ -7,7 +7,6 @@ import pytest
 from pvisland import cli
 from pvisland.config import KNOWN_CHANNELS, channel_names, echo, from_mapping
 from pvisland.errors import SimulationDivergence
-from pvisland.signals import FrameVector
 from pvisland.runner import (
     build_compensator,
     build_controllers,
@@ -171,12 +170,14 @@ class TestBuilders:
         cfg = from_mapping({})
         plant = build_plant(cfg)
         controllers = build_controllers(cfg)
-        zero = FrameVector(0.0, 0.0)
+        comp = build_compensator(cfg)
+        efforts = {c: (1.5, -0.5) for c in comp.components}  # a held effort snapshot
         dt = cfg.control_period
         theta = 0.0
         for tick in range(200):
             meas = plant.measurements(theta)
-            steps = [ctl.step(meas["dg"][d], zero, tick * dt, dt)
+            corrections = comp.correction_from(efforts, theta)
+            steps = [ctl.step(meas["dg"][d], corrections[d], tick * dt, dt)
                      for d, ctl in enumerate(controllers)]
             plant.step([duty for duty, _ in steps], [m for _, m in steps], theta)
             theta += cfg.omega * dt
@@ -188,13 +189,15 @@ class TestBuilders:
                 return [leaf for item in obj for leaf in leaves(item)]
             return [obj]
 
-        values = leaves(plant.measurements(theta))
+        # the duty and modulation triple of every unit, and every correction
+        values = leaves(plant.measurements(theta)) + leaves(steps) + leaves(corrections)
+        assert len(leaves(steps)) == 4 * len(controllers)
         for d, ctl in enumerate(controllers):
             seq = ctl.sequences
             values += [ctl.p_avg, ctl.droop.omega_ref, plant.dc_states[d].v_dc]
             for v in [seq.fundamental_pos, seq.fundamental_neg, *seq.harmonic.values()]:
                 values += [v.x, v.y]
-        assert len(values) > 40
+        assert len(values) > 50
         assert [type(v) for v in values if type(v) is not float] == []
 
     def test_mode_channel_reflects_boot_mode(self):

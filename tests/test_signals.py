@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError, FrameError
+from pvisland.runner import build_controllers
 from pvisland.signals import (
     FrameVector,
     LowPass1,
@@ -18,8 +20,10 @@ from pvisland.signals import (
     ThreePhaseSample,
     clarke,
     inverse_clarke,
+    inverse_clarke_xy,
     inverse_park,
     park,
+    resonator_table,
 )
 
 DT = 50e-6
@@ -407,7 +411,7 @@ class TestPairedAxes:
     def test_pair_equals_two_scalar_controllers(self):
         terms = [ResonantTerm(1, 300.0, 2.0), ResonantTerm(3, 50.0, 2.0),
                  ResonantTerm(5, 50.0, 2.0), ResonantTerm(7, 50.0, 2.0)]
-        pair = ProportionalResonant(0.05, terms, OMEGA, DT, axes=2)
+        pair = ProportionalResonant(0.05, terms, OMEGA, DT)
         alpha = ProportionalResonant(0.05, terms, OMEGA, DT)
         beta = ProportionalResonant(0.05, terms, OMEGA, DT)
         rng = np.random.default_rng(3)
@@ -415,8 +419,130 @@ class TestPairedAxes:
         for _ in range(2000):
             omega += float(rng.normal(0.0, 0.05))  # moves every step
             ea, eb = rng.uniform(-20.0, 20.0, 2).tolist()
-            got = pair.step_axes((ea, eb), omega, DT)
-            assert got == [alpha.step(ea, omega, DT), beta.step(eb, omega, DT)]
+            rows = pair.coefficients(resonator_table(pair.orders, omega, DT), omega)
+            got = pair.step_pair(ea, eb, rows)
+            assert got == (alpha.step(ea, omega, DT), beta.step(eb, omega, DT))
+
+
+# ---------------------------------------------------------------------------
+# One resonator table per unit step
+# ---------------------------------------------------------------------------
+
+class _PerBlockExtractor:
+    """The extractor step with its own per-band ``tan(0.5 * band * omega * dt)``."""
+
+    def __init__(self, bands, gain):
+        self.bands = bands
+        self.gain = gain
+        self.v = [[0.0] * len(bands), [0.0] * len(bands)]
+        self.q = [[0.0] * len(bands), [0.0] * len(bands)]
+        self.u_prev = (0.0, 0.0)
+
+    def step(self, u, omega, dt):
+        coefficients = []
+        g_sum = 0.0
+        for band in self.bands:
+            a = math.tan(0.5 * band * omega * dt)
+            n = 1.0 + a * a
+            g = self.gain * a / n
+            coefficients.append(((1.0 - a * a) / n, 2.0 * a / n, g, a))
+            g_sum += g
+        for axis in (0, 1):
+            vs = self.v[axis]
+            qs = self.q[axis]
+            e = self.u_prev[axis] + u[axis] - sum(vs)
+            ps = [c * vj - s * qj + g * e for (c, s, g, _), vj, qj in zip(coefficients, vs, qs)]
+            total = sum(ps) / (1.0 + g_sum)
+            for j, (_, _, g, a) in enumerate(coefficients):
+                v_new = ps[j] - g * total
+                qs[j] += a * (vs[j] + v_new)
+                vs[j] = v_new
+        self.u_prev = u
+
+
+class _PerBlockPr:
+    """The two-axis PR step with its own ``tan(0.5 * wr * dt) / wr`` rows."""
+
+    def __init__(self, pr):
+        self.kp = pr.kp
+        self.terms = pr.terms
+        self.x1 = [[0.0] * len(self.terms), [0.0] * len(self.terms)]
+        self.x2 = [[0.0] * len(self.terms), [0.0] * len(self.terms)]
+        self.e_prev = [0.0, 0.0]
+
+    def step(self, errors, omega, dt):
+        coefficients = []
+        for term in self.terms:
+            wr = term.order * omega
+            wc = term.cutoff
+            h = math.tan(0.5 * wr * dt) / wr
+            m11 = 1.0 + 2.0 * h * wc
+            m12 = h * wr * wr
+            coefficients.append((h, -2.0 * wc, wr * wr, m11, m12, m11 + h * m12,
+                                 2.0 * term.gain * wc))
+        out = []
+        for k, e in enumerate(errors):
+            x1 = self.x1[k]
+            x2 = self.x2[k]
+            y = self.kp * e
+            for i, (h, c1, w2, m11, m12, det, g) in enumerate(coefficients):
+                a = x1[i]
+                b = x2[i]
+                r1 = a + h * (c1 * a - w2 * b + self.e_prev[k] + e)
+                r2 = b + h * a
+                x1[i] = (r1 - m12 * r2) / det
+                x2[i] = (h * r1 + m11 * r2) / det
+                y += g * x1[i]
+            self.e_prev[k] = e
+            out.append(y)
+        return out
+
+
+class TestResonatorTable:
+    @pytest.mark.parametrize("keys", [
+        {},  # default loops: same orders and cutoff, so they share coefficient rows
+        {"dg1.prv.orders": "1,3,9", "dg1.prv.wc": "2",
+         "dg1.pri.orders": "1,5,7", "dg1.pri.wc": "5"},
+    ], ids=["matching-loops", "mismatched-loops"])
+    def test_bit_identical_to_per_block_tangents(self, keys):
+        # Oracle: each block prewarping with its own tangents.  The unit's
+        # controller is stepped on noisy measurements, so the droop frequency
+        # moves on every step; the oracle blocks see the inputs it recorded.
+        ctl = build_controllers(from_mapping(keys))[0]
+        ext = _PerBlockExtractor(ctl.extractor.bands, ctl.extractor.gain)
+        vpr = _PerBlockPr(ctl.voltage_loop.pr)
+        ipr = _PerBlockPr(ctl.current_loop.pr)
+        rng = np.random.default_rng(5)
+        omegas = set()
+        for tick in range(3000):
+            t = tick * DT
+            c, s = math.cos(OMEGA * t), math.sin(OMEGA * t)
+            n = rng.normal(0.0, 1.0, 8).tolist()
+            meas = {"v_o_ab": (170.0 * c + n[0], 170.0 * s + n[1]),
+                    "i_o_ab": (10.0 * c + 2.0 * math.cos(5.0 * OMEGA * t) + n[2],
+                               10.0 * s - 2.0 * math.sin(5.0 * OMEGA * t) + n[3]),
+                    "i_l_ab": (10.0 * c + n[4], 10.0 * s + n[5]),
+                    "v_dc": 600.0, "v_pv": 380.0, "i_pv": 7.0}
+            _, m = ctl.step(meas, (n[6], n[7]), t, DT)
+            omega = ctl.droop.omega_ref
+            omegas.add(omega)
+            ext.step(ctl.extractor._u_prev, omega, DT)
+            ia, ib = vpr.step(ctl.voltage_loop.pr._e_prev, omega, DT)
+            va, vb = ipr.step(ctl.current_loop.pr._e_prev, omega, DT)
+            assert [ext.v, ext.q] == [list(ctl.extractor._v), list(ctl.extractor._q)]
+            for ref, pr in ((vpr, ctl.voltage_loop.pr), (ipr, ctl.current_loop.pr)):
+                assert [ref.x1, ref.x2] == [list(pr._x1), list(pr._x2)]
+            scale = min(ctl.voltage_loop.i_limit / math.hypot(ia, ib), 1.0)  # the clamp
+            ila, ilb = meas["i_l_ab"]
+            assert ctl.current_loop.pr._e_prev == (ia * scale - ila, ib * scale - ilb)
+            assert m == inverse_clarke_xy(va / 300.0, vb / 300.0)
+        assert len(omegas) > 2900
+
+    def test_rejects_frequency_outside_the_resonators_range(self):
+        with pytest.raises(ConfigurationError):
+            resonator_table([1, 3], 0.0, DT)
+        with pytest.raises(ConfigurationError, match="order 11"):
+            resonator_table([1, 11], 0.6 * math.pi / DT, DT)
 
 
 class TestDeterminism:

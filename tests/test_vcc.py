@@ -114,30 +114,30 @@ class TestCentralCompensator:
         refs_met = _extracted(neg_mag=170.0 * 0.002,
                               h_mags={c: 170.0 * 0.002 for c in (3, -5, 7, -11)})
         outs = comp.step(refs_met, DT_TICK)
-        assert all(v.magnitude() == 0.0 for v in outs)
+        assert all(v == (0.0, 0.0) for v in outs)
 
     def test_below_reference_contributes_exactly_zero(self):
         comp = CentralCompensator(VccParams())
         outs = comp.step(_extracted(neg_mag=0.1), DT_TICK)  # far below 0.2 percent
-        assert all(v.magnitude() == 0.0 for v in outs)
+        assert all(v == (0.0, 0.0) for v in outs)
 
     def test_rated_power_scaling_is_exact(self):
         comp = CentralCompensator(VccParams(rated_powers=(3000.0, 6000.0)))
         for _ in range(20):
             outs = comp.step(_extracted(neg_mag=10.0, h_mags={-5: 4.0}), DT_TICK)
-        v1, v2 = outs
-        assert v1.magnitude() > 0.0
-        assert v1.x == pytest.approx(0.5 * v2.x, rel=1e-12)
-        assert v1.y == pytest.approx(0.5 * v2.y, rel=1e-12)
+        (x1, y1), (x2, y2) = outs
+        assert math.hypot(x1, y1) > 0.0
+        assert x1 == pytest.approx(0.5 * x2, rel=1e-12)
+        assert y1 == pytest.approx(0.5 * y2, rel=1e-12)
 
     def test_corrections_collinear_across_units(self):
         comp = CentralCompensator(VccParams(rated_powers=(2000.0, 7000.0)))
         for _ in range(20):
             outs = comp.step(_extracted(neg_mag=10.0, h_mags={3: 3.0, 7: 2.0}), DT_TICK)
-        v1, v2 = outs
-        cross = v1.x * v2.y - v1.y * v2.x
-        assert abs(cross) < 1e-9 * v1.magnitude() * v2.magnitude()
-        assert v1.magnitude() / v2.magnitude() == pytest.approx(2.0 / 7.0, rel=1e-9)
+        (x1, y1), (x2, y2) = outs
+        cross = x1 * y2 - y1 * x2
+        assert abs(cross) < 1e-9 * math.hypot(x1, y1) * math.hypot(x2, y2)
+        assert math.hypot(x1, y1) / math.hypot(x2, y2) == pytest.approx(2.0 / 7.0, rel=1e-9)
 
     def test_integrators_bounded_by_effort_limit(self):
         par = VccParams(effort_limit=5.0)
@@ -153,8 +153,8 @@ class TestCentralCompensator:
         for _ in range(200):
             outs = comp.step(_extracted(neg_mag=50.0), DT_TICK)
         assert comp.clamped
-        for v in outs:
-            assert abs(v.x) <= 0.5 + 1e-12 and abs(v.y) <= 0.5 + 1e-12
+        for x, y in outs:
+            assert abs(x) <= 0.5 + 1e-12 and abs(y) <= 0.5 + 1e-12
 
     def test_positive_sequence_collapse_holds_outputs(self):
         comp = CentralCompensator(VccParams())
@@ -164,7 +164,7 @@ class TestCentralCompensator:
         comp.step(_extracted(pos_mag=0.1, neg_mag=10.0), DT_TICK)
         after = comp.correction_for(0, 0.3)
         assert not comp.indices_valid
-        assert (after.x, after.y) == (held.x, held.y)
+        assert after == held
 
     def test_reconstruction_rotates_with_angle(self):
         comp = CentralCompensator(VccParams())
@@ -172,8 +172,7 @@ class TestCentralCompensator:
             comp.step(_extracted(neg_mag=10.0), DT_TICK)
         a = comp.correction_for(0, 0.0)
         b = comp.correction_for(0, math.pi)  # half a turn: -1 frame flips sign
-        assert a.x == pytest.approx(-b.x, rel=1e-9)
-        assert a.y == pytest.approx(-b.y, rel=1e-9)
+        assert a == pytest.approx((-b[0], -b[1]), rel=1e-9)
 
     def test_gains_required_for_each_component(self):
         with pytest.raises(ConfigurationError):
