@@ -396,9 +396,9 @@ class DgController:
         self.boost = BoostController(params.mppt, params.vr, params.mode, duty_init, dt)
         self.p_avg = 0.0
         self.q_avg = 0.0
-        pv, pi = params.pr_voltage, params.pr_current
-        self._orders = sorted({*self.extractor.bands, *pv.orders, *pi.orders})
-        self._shared = (pv.orders, pv.cutoff) == (pi.orders, pi.cutoff)
+        v_gains, i_gains = params.pr_voltage, params.pr_current
+        self._orders = sorted({*self.extractor.bands, *v_gains.orders, *i_gains.orders})
+        self._shared = (v_gains.orders, v_gains.cutoff) == (i_gains.orders, i_gains.cutoff)
 
     @property
     def sequences(self):
