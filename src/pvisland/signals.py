@@ -86,22 +86,26 @@ def inverse_park_xy(d: float, q: float, theta: float) -> tuple[float, float]:
 
 
 def clarke(s: ThreePhaseSample) -> FrameVector:
+    """Typed :func:`clarke_xy`."""
     return FrameVector(*clarke_xy(s.a, s.b, s.c), ALPHA_BETA)
 
 
 def inverse_clarke(v: FrameVector) -> ThreePhaseSample:
+    """Typed :func:`inverse_clarke_xy`; the input must be an alpha/beta vector."""
     if v.frame != ALPHA_BETA:
         raise FrameError(f"inverse_clarke expects an alpha/beta vector, got {v.frame!r}")
     return ThreePhaseSample(*inverse_clarke_xy(v.x, v.y))
 
 
 def park(v: FrameVector, theta: float) -> FrameVector:
+    """Typed :func:`park_xy`; the input must be an alpha/beta vector."""
     if v.frame != ALPHA_BETA:
         raise FrameError(f"park expects an alpha/beta vector, got {v.frame!r}")
     return FrameVector(*park_xy(v.x, v.y, theta), DQ, theta)
 
 
 def inverse_park(v: FrameVector, theta: float) -> FrameVector:
+    """Typed :func:`inverse_park_xy`; the input must be a dq vector."""
     if v.frame != DQ:
         raise FrameError(f"inverse_park expects a dq vector, got {v.frame!r}")
     return FrameVector(*inverse_park_xy(v.x, v.y, theta), ALPHA_BETA)
@@ -125,7 +129,7 @@ def ticks(span: float, dt: float) -> int:
 class LowPass1:
     """First-order low-pass filter, unity DC gain, trapezoidal discretization."""
 
-    __slots__ = ("cutoff_hz", "_a", "_b", "_y", "_x_prev", "_dt")
+    __slots__ = ("cutoff_hz", "_a", "_b", "_y", "_x_prev")
 
     def __init__(self, cutoff_hz: float, dt: float, initial: float = 0.0):
         if cutoff_hz <= 0.0:
@@ -136,15 +140,10 @@ class LowPass1:
             )
         wc = 2.0 * math.pi * cutoff_hz
         self.cutoff_hz = cutoff_hz
-        self._dt = dt
         self._a = (2.0 - wc * dt) / (2.0 + wc * dt)
         self._b = wc * dt / (2.0 + wc * dt)
         self._y = initial
         self._x_prev = initial
-
-    @property
-    def value(self) -> float:
-        return self._y
 
     def step(self, x: float) -> float:
         self._y = self._a * self._y + self._b * (x + self._x_prev)
