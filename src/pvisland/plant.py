@@ -18,6 +18,12 @@ Modeling choices, fixed for the whole simulator:
   which is unconditionally stable; convergence is checked by halving the
   step.  The DC side is nonlinear (PV curve, constant-power inverter draw)
   and advances with Heun's method.
+* One pass over Python floats per step.  The network state is a list of
+  floats, and the only NumPy call is the transition product
+  ``x1 = T @ [x; u]`` over the state and the held inputs.  Each unit's PV
+  current is held at its present state and irradiance, so a step evaluates
+  the PV curve twice per unit: at the Heun predictor and at the new state.
+  The harmonic injection is a table rebuilt with the matrix on a load step.
 """
 
 from __future__ import annotations
@@ -127,35 +133,37 @@ class DcSide:
         self.params = params
         self.irradiance = irradiance
 
-    def derivatives(self, v_pv: float, i_boost: float, v_dc: float, duty: float, p_draw: float):
+    def step(self, st: DcSideState, i_pv: float, duty: float, p_draw: float, dt: float) -> float:
+        """Advance ``st`` in place by one step; returns the PV current at the new state.
+
+        ``i_pv`` is the PV current at ``st``, so the curve is evaluated only
+        at the predictor and at the new state.
+        """
         if not 0.0 <= duty < 1.0:
             raise ConfigurationError(f"boost duty {duty} outside [0, 1)")
         p = self.params
-        i_pv = pv_current(max(v_pv, 0.0), self.irradiance, self.pv)
-        dv_pv = (i_pv - i_boost) / p.c_pv
-        di = (v_pv - (1.0 - duty) * v_dc) / p.l_boost
-        dv_dc = ((1.0 - duty) * i_boost - p_draw / max(v_dc, 1.0)) / p.c_dc
-        return dv_pv, di, dv_dc
-
-    def step(self, st: DcSideState, duty: float, p_draw: float, dt: float) -> DcSideState:
+        off = 1.0 - duty
+        v_pv, i_boost, v_dc = st.v_pv, st.i_boost, st.v_dc
         # Heun: explicit trapezoid, adequate for the slow DC dynamics
-        k1 = self.derivatives(st.v_pv, st.i_boost, st.v_dc, duty, p_draw)
-        k2 = self.derivatives(st.v_pv + dt * k1[0], st.i_boost + dt * k1[1],
-                              st.v_dc + dt * k1[2], duty, p_draw)
-        return DcSideState(
-            max(st.v_pv + 0.5 * dt * (k1[0] + k2[0]), 0.0),
-            st.i_boost + 0.5 * dt * (k1[1] + k2[1]),
-            st.v_dc + 0.5 * dt * (k1[2] + k2[2]),
-        )
+        dv1 = (i_pv - i_boost) / p.c_pv
+        di1 = (v_pv - off * v_dc) / p.l_boost
+        dd1 = (off * i_boost - p_draw / max(v_dc, 1.0)) / p.c_dc
+        v2 = v_pv + dt * dv1
+        i2 = i_boost + dt * di1
+        d2 = v_dc + dt * dd1
+        dv2 = (pv_current(max(v2, 0.0), self.irradiance, self.pv) - i2) / p.c_pv
+        di2 = (v2 - off * d2) / p.l_boost
+        dd2 = (off * i2 - p_draw / max(d2, 1.0)) / p.c_dc
+        st.v_pv = max(v_pv + 0.5 * dt * (dv1 + dv2), 0.0)
+        st.i_boost = i_boost + 0.5 * dt * (di1 + di2)
+        st.v_dc = v_dc + 0.5 * dt * (dd1 + dd2)
+        return pv_current(st.v_pv, self.irradiance, self.pv)
 
     def stored_energy(self, st: DcSideState) -> float:
         p = self.params
         return (0.5 * p.c_pv * st.v_pv ** 2
                 + 0.5 * p.l_boost * st.i_boost ** 2
                 + 0.5 * p.c_dc * st.v_dc ** 2)
-
-    def pv_power(self, st: DcSideState) -> float:
-        return st.v_pv * pv_current(max(st.v_pv, 0.0), self.irradiance, self.pv)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +210,20 @@ def load_admittance_ab(ga: float, gb: float, gc: float) -> np.ndarray:
     return _CLARKE @ y_abc @ _INV_CLARKE
 
 
-def harmonic_current_ab(harmonics, theta: float, scale: float = 1.0) -> tuple[float, float]:
-    """Stationary-frame current injected by the nonlinear load at angle theta."""
+def injection_table(harmonics, scale: float = 1.0) -> tuple[tuple[int, float, float, float], ...]:
+    """``(|order|, phase, scale * amplitude, rotation sign)`` per injection, in order."""
+    return tuple((abs(h.order), h.phase, scale * h.amplitude, 1.0 if h.order > 0 else -1.0)
+                 for h in harmonics)
+
+
+def harmonic_current_ab(table, theta: float) -> tuple[float, float]:
+    """Stationary-frame current of an :func:`injection_table` at angle theta."""
     al = 0.0
     be = 0.0
-    for h in harmonics:
-        ang = abs(h.order) * theta + h.phase
-        amp = scale * h.amplitude
+    for k, phase, amp, sign in table:
+        ang = k * theta + phase
         al += amp * math.cos(ang)
-        be += amp * math.sin(ang) * (1.0 if h.order > 0 else -1.0)
+        be += amp * math.sin(ang) * sign
     return al, be
 
 
@@ -257,20 +270,22 @@ class AcNetwork:
         self.load = load
         self.dt = dt
         self.load_scale = 1.0
+        # Stored energy the inductive bank gains at load steps: a step rescales
+        # its inductance with its current held, so the audit books the jump as
+        # energy switched in with the bank.
+        self.switched_energy = 0.0
         self._build()
-        self.x = np.zeros(self._n_states)
+        self.x = [0.0] * self._n_states
 
     # State slices -----------------------------------------------------
-    # Reads convert the state to Python floats once (``x.tolist()``); the
-    # controllers then never compute on NumPy scalars, which cost three to
-    # four times as much per operation.  Nothing is cached: callers may
-    # write ``x``.
+    # The state ``x`` is a list of Python floats, so the controllers never
+    # compute on NumPy scalars, which cost three to four times as much per
+    # operation.  Nothing is cached: callers may write ``x``.
     def _base(self, d: int) -> int:
         return self.STATES_PER_DG * d
 
     def _pair(self, i: int) -> tuple[float, float]:
-        a, b = self.x[i:i + 2].tolist()
-        return a, b
+        return self.x[i], self.x[i + 1]
 
     def inverter_current(self, d: int) -> tuple[float, float]:
         return self._pair(self._base(d))
@@ -289,6 +304,7 @@ class AcNetwork:
         self._n_states = n
         y2 = load_admittance_ab(*self.load.conductances(self.load_scale))
         self._y2 = y2.tolist()
+        self.injections = injection_table(self.load.harmonics, self.load_scale)
         zp = np.linalg.inv(y2).tolist()
         self._zp = zp
         a = np.zeros((n, n))
@@ -327,20 +343,27 @@ class AcNetwork:
                 a[lb + ax, lb + 1] -= zp[ax][1] / l_eff
                 b[lb + ax, 2 * ndg + 0] = -zp[ax][0] / l_eff
                 b[lb + ax, 2 * ndg + 1] = -zp[ax][1] / l_eff
+        # One transition matrix over state and inputs: x1 = T @ [x; u]
         eye = np.eye(n)
-        m = eye - 0.5 * self.dt * a
-        self._t1 = np.linalg.solve(m, eye + 0.5 * self.dt * a)
-        self._tu = np.linalg.solve(m, self.dt * b)
+        self._t = np.linalg.solve(eye - 0.5 * self.dt * a,
+                                  np.hstack((eye + 0.5 * self.dt * a, self.dt * b)))
 
     def set_load_scale(self, scale: float):
         if scale != self.load_scale:
+            e0 = self.stored_energy()
             self.load_scale = scale
             self._build()
+            self.switched_energy += self.stored_energy() - e0
 
     # Dynamics -----------------------------------------------------------
-    def step(self, v_inv_ab: list[tuple[float, float]], ih_ab: tuple[float, float]):
-        u = np.array([v for pair in v_inv_ab for v in pair] + [ih_ab[0], ih_ab[1]])
-        self.x = self._t1 @ self.x + self._tu @ u
+    def step(self, v_inv_ab: list[tuple[float, float]], ih_ab: tuple[float, float]
+             ) -> list[float]:
+        """Advance one step with the bridge voltages and harmonic current held; returns ``x``."""
+        xu = self.x + [v for pair in v_inv_ab for v in pair]
+        xu += ih_ab
+        # ``dot`` gives the same product as ``@`` with about 1 us less call overhead
+        self.x = x1 = self._t.dot(xu).tolist()
+        return x1
 
     def bank_current(self) -> tuple[float, float]:
         if self.load.balanced_l is None:
@@ -372,18 +395,18 @@ class AcNetwork:
         return z00 * na + z01 * nb, z10 * na + z11 * nb, na, nb
 
     def pcc_voltage(self, ih_ab: tuple[float, float]) -> tuple[float, float]:
-        va, vb, _, _ = self.bus(self.x.tolist(), ih_ab)
+        va, vb, _, _ = self.bus(self.x, ih_ab)
         return va, vb
 
     def _resistor_current(self, va: float, vb: float) -> tuple[float, float]:
         (y00, y01), (y10, y11) = self._y2
         return y00 * va + y01 * vb, y10 * va + y11 * vb
 
-    def kcl_residual(self, bus: tuple[float, float, float, float]) -> float:
-        """Current imbalance at the coupling bus of a :meth:`bus` solve, in amperes."""
-        va, vb, na, nb = bus
-        ir_a, ir_b = self._resistor_current(va, vb)
-        return math.hypot(na - ir_a, nb - ir_b)
+    def kcl_residual(self, bus: tuple[float, float, float, float],
+                     i_res: tuple[float, float]) -> float:
+        """Current imbalance, in amperes, of a :meth:`bus` solve whose bank carries ``i_res``."""
+        _, _, na, nb = bus
+        return math.hypot(na - i_res[0], nb - i_res[1])
 
     def stored_energy(self) -> float:
         e = 0.0
@@ -409,11 +432,11 @@ class AcNetwork:
             p += st.feeder_r * (fda * fda + fdb * fdb)
         return 1.5 * p
 
-    def load_power(self, bus: tuple[float, float, float, float],
+    def load_power(self, bus: tuple[float, float, float, float], i_res: tuple[float, float],
                    ih_ab: tuple[float, float]) -> tuple[float, float]:
         """(resistive dissipation, power absorbed by the harmonic sources)."""
         va, vb, _, _ = bus
-        ir_a, ir_b = self._resistor_current(va, vb)
+        ir_a, ir_b = i_res
         p_res = 1.5 * (va * ir_a + vb * ir_b)
         p_harm = 1.5 * (va * ih_ab[0] + vb * ih_ab[1])
         return p_res, p_harm
@@ -441,13 +464,15 @@ class Plant:
 
     def __init__(self, dgs: list[DgPlantParams], load: LoadSpec, dt: float,
                  v_dc_init: float = 600.0):
-        self.dgs = list(dgs)
         self.dt = dt
         self.network = AcNetwork([d.ac for d in dgs], load, dt)
         self.dc_sides = [DcSide(d.pv, d.dc, d.irradiance) for d in dgs]
         self.dc_states = [DcSideState(v_pv=d.pv.v_mp, i_boost=0.0, v_dc=v_dc_init)
                           for d in dgs]
-        self.load = load
+        # each unit's PV current at its present state and irradiance
+        self.i_pv = [0.0] * len(dgs)
+        for d, dg in enumerate(dgs):
+            self.set_irradiance(d, dg.irradiance)
         self.steps = 0
         self.saturated = [False] * len(dgs)
         self.max_kcl_residual = 0.0
@@ -459,7 +484,9 @@ class Plant:
         self._p_out_prev = None
 
     def set_irradiance(self, d: int, irradiance: float):
-        self.dc_sides[d].irradiance = irradiance
+        side = self.dc_sides[d]
+        side.irradiance = irradiance
+        self.i_pv[d] = pv_current(max(self.dc_states[d].v_pv, 0.0), irradiance, side.pv)
 
     def stored_energy(self) -> float:
         e = self.network.stored_energy()
@@ -469,19 +496,20 @@ class Plant:
 
     def measurements(self, theta_load: float) -> dict:
         """Everything the controllers read, taken at the current instant."""
-        ih = harmonic_current_ab(self.load.harmonics, theta_load, self.network.load_scale)
-        x = self.network.x.tolist()
-        va, vb, _, _ = self.network.bus(x, ih)
+        net = self.network
+        ih = harmonic_current_ab(net.injections, theta_load)
+        x = net.x
+        va, vb, _, _ = net.bus(x, ih)
         out = {"v_pcc_ab": (va, vb), "dg": []}
-        for d, (side, st) in enumerate(zip(self.dc_sides, self.dc_states)):
-            b = self.network._base(d)
+        for d, st in enumerate(self.dc_states):
+            b = net._base(d)
             out["dg"].append({
                 "v_o_ab": (x[b + 2], x[b + 3]),
                 "i_l_ab": (x[b], x[b + 1]),
                 "i_o_ab": (x[b + 4], x[b + 5]),
                 "v_dc": st.v_dc,
                 "v_pv": st.v_pv,
-                "i_pv": pv_current(max(st.v_pv, 0.0), side.irradiance, side.pv),
+                "i_pv": self.i_pv[d],
             })
         return out
 
@@ -491,7 +519,8 @@ class Plant:
         Each bridge applies ``m * v_dc / 2`` per phase, commands clamped to +-1 and flagged.
         """
         dt = self.dt
-        ih = harmonic_current_ab(self.load.harmonics, theta_load, self.network.load_scale)
+        net = self.network
+        ih = harmonic_current_ab(net.injections, theta_load)
 
         v_inv_ab = []
         for d, (ma, mb, mc) in enumerate(modulations):
@@ -504,17 +533,17 @@ class Plant:
             v_inv_ab.append(((2.0 / 3.0) * (va - 0.5 * vb - 0.5 * vc),
                              _ONE_OVER_SQRT3 * (vb - vc)))
 
-        net = self.network
-        x = net.x.tolist()
+        x = net.x
 
         # Audit bookkeeping and KCL check at the pre-step instant
         bus = net.bus(x, ih)
-        residual = net.kcl_residual(bus)
+        i_res = net._resistor_current(bus[0], bus[1])
+        residual = net.kcl_residual(bus, i_res)
         if residual > self.max_kcl_residual:
             self.max_kcl_residual = residual
-        p_res, p_harm = net.load_power(bus, ih)
+        p_res, p_harm = net.load_power(bus, i_res, ih)
         p_feed = net.feeder_loss(x)
-        p_in = sum(side.pv_power(st) for side, st in zip(self.dc_sides, self.dc_states))
+        p_in = sum(st.v_pv * i_pv for st, i_pv in zip(self.dc_states, self.i_pv))
         p_out = p_res + p_harm + p_feed
         if self._p_in_prev is not None:
             self.energy_in += 0.5 * dt * (p_in + self._p_in_prev)
@@ -525,24 +554,23 @@ class Plant:
         self._p_in_prev = p_in
         self._p_out_prev = p_out
 
-        net.step(v_inv_ab, ih)
-        x1 = net.x.tolist()
+        x1 = net.step(v_inv_ab, ih)
 
-        for d in range(len(self.dgs)):
+        i_pv = self.i_pv
+        for d, (side, st) in enumerate(zip(self.dc_sides, self.dc_states)):
             b = net._base(d)
             ila = 0.5 * (x1[b] + x[b])
             ilb = 0.5 * (x1[b + 1] + x[b + 1])
             va, vb = v_inv_ab[d]
             p_draw = 1.5 * (va * ila + vb * ilb)
-            self.dc_states[d] = self.dc_sides[d].step(
-                self.dc_states[d], duties[d], p_draw, dt)
+            i_pv[d] = side.step(st, i_pv[d], duties[d], p_draw, dt)
 
         self.steps += 1
         self._check_bounds(x1)
 
     def energy_audit_error(self) -> float:
         """Relative conservation error accumulated since construction."""
-        delta = self.stored_energy() - self._stored0
+        delta = self.stored_energy() - self._stored0 - self.network.switched_energy
         denom = max(abs(self.energy_in), abs(self.energy_out), 1.0)
         return abs(self.energy_in - delta - self.energy_out) / denom
 

@@ -50,16 +50,23 @@ def test_workload_scenario_validates(name, tmp_path, capsys):
 
 
 def test_hooks_are_on_the_tick_path():
-    cfg = from_mapping({"solver.duration": "0.4"})
-    tracer = trace_spans.Tracer()
-    mark = tracer.mark()
-    with tracer.installed():
-        runner.run_simulation(cfg)
-    summary = tracer.summary(mark)
-    calls = {name: module["calls"] for name, module in summary["modules"].items()}
-    n_ticks = ticks(cfg.duration, cfg.control_period)
-    units = len(cfg.dgs)
-    assert calls["signals.pll"] == n_ticks
-    assert calls["control.step"] == n_ticks * units
-    assert calls["plant.step"] == n_ticks * ticks(cfg.control_period, cfg.dt)
-    assert summary["counts"]["control.extractor.rebuilds"] == n_ticks * units
+    # the plant hooks follow the substeps: half the solver step doubles them
+    for dt in ("50e-6", "25e-6"):
+        cfg = from_mapping({"solver.duration": "0.4", "solver.dt": dt})
+        tracer = trace_spans.Tracer()
+        mark = tracer.mark()
+        with tracer.installed():
+            runner.run_simulation(cfg)
+        summary = tracer.summary(mark)
+        calls = {name: module["calls"] for name, module in summary["modules"].items()}
+        n_ticks = ticks(cfg.duration, cfg.control_period)
+        n_steps = n_ticks * ticks(cfg.control_period, cfg.dt)
+        units = len(cfg.dgs)
+        assert calls["signals.pll"] == n_ticks
+        assert calls["control.step"] == n_ticks * units
+        assert calls["plant.step"] == n_steps
+        assert calls["plant.ac_step"] == n_steps
+        assert calls["plant.dc_step"] == n_steps * units
+        assert calls["plant.audit"] == 3 * n_steps
+        assert calls["plant.measurements"] == n_ticks
+        assert summary["counts"]["control.extractor.rebuilds"] == n_ticks * units

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from pvisland import runner
+from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError, SimulationDivergence
 from pvisland.plant import (
     AcNetwork,
@@ -16,10 +18,18 @@ from pvisland.plant import (
     Plant,
     PvParams,
     harmonic_current_ab,
+    injection_table,
     load_admittance_ab,
     pv_current,
 )
-from pvisland.signals import FrameVector, ThreePhaseSample, clarke, clarke_xy, inverse_clarke
+from pvisland.signals import (
+    FrameVector,
+    ThreePhaseSample,
+    clarke,
+    clarke_xy,
+    inverse_clarke,
+    ticks,
+)
 
 DT = 50e-6
 
@@ -67,21 +77,25 @@ class TestPvCurve:
 
 
 class TestDcSide:
+    # ``DcSide.step`` advances the state in place; it takes the PV current at
+    # the state and returns the one at the new state.
     def test_boost_ratio_at_steady_state(self, pv3k):
         dc = DcSide(pv3k, DcLinkParams())
         duty = 1.0 - 380.0 / 600.0
         draw = 380.0 * pv_current(380.0, 1.0, pv3k) * 0.999
         st = DcSideState(380.0, 7.0, 600.0)
+        i_pv = pv_current(st.v_pv, 1.0, pv3k)
         for _ in range(int(1.5 / DT)):
-            st = dc.step(st, duty, draw, DT)
+            i_pv = dc.step(st, i_pv, duty, draw, DT)
         assert st.v_dc == pytest.approx(st.v_pv / (1.0 - duty), rel=0.02)
 
     def test_link_rises_without_draw(self, pv3k):
         dc = DcSide(pv3k, DcLinkParams())
         st = DcSideState(380.0, pv_current(380.0, 1.0, pv3k), 600.0)
+        i_pv = st.i_boost
         history = [st.v_dc]
         for _ in range(int(0.02 / DT)):
-            st = dc.step(st, 1.0 - 380.0 / 600.0, 0.0, DT)
+            i_pv = dc.step(st, i_pv, 1.0 - 380.0 / 600.0, 0.0, DT)
             history.append(st.v_dc)
         assert all(b >= a for a, b in zip(history, history[1:]))
 
@@ -92,10 +106,12 @@ class TestDcSide:
         st = DcSideState(380.0, 7.2, 600.0)
         e_in = 0.0
         e0 = dc.stored_energy(st)
-        p_prev = dc.pv_power(st)
+        i_pv = pv_current(st.v_pv, 1.0, pv3k)
+        p_prev = st.v_pv * i_pv
         for _ in range(int(1.0 / DT)):
-            st = dc.step(st, duty, draw, DT)
-            p_now = dc.pv_power(st)
+            i_pv = dc.step(st, i_pv, duty, draw, DT)
+            assert i_pv == pv_current(st.v_pv, 1.0, pv3k)
+            p_now = st.v_pv * i_pv
             e_in += 0.5 * DT * (p_prev + p_now)
             p_prev = p_now
         e_out = draw * 1.0
@@ -105,7 +121,7 @@ class TestDcSide:
     def test_rejects_invalid_duty(self, pv3k):
         dc = DcSide(pv3k, DcLinkParams())
         with pytest.raises(ConfigurationError):
-            dc.step(DcSideState(380.0, 0.0, 600.0), 1.2, 0.0, DT)
+            dc.step(DcSideState(380.0, 0.0, 600.0), pv_current(380.0, 1.0, pv3k), 1.2, 0.0, DT)
 
 
 class TestInverterOutput:
@@ -117,13 +133,12 @@ class TestInverterOutput:
         """AC state after unit 1 applies ``modulation`` on a 600 V link, and its flag."""
         plant = _two_unit_plant(load=self.LOAD)
         plant.step([0.37, 0.37], [modulation, (0.0, 0.0, 0.0)], 0.0)
-        return plant.network.x.tolist(), plant.saturated[0]
+        return plant.network.x, plant.saturated[0]
 
     def _applied(self, phase_volts):
         """AC state after unit 1's bridge applies ``phase_volts`` from rest."""
         net = _two_unit_plant(load=self.LOAD).network
-        net.step([clarke_xy(*phase_volts), (0.0, 0.0)], (0.0, 0.0))
-        return net.x.tolist()
+        return net.step([clarke_xy(*phase_volts), (0.0, 0.0)], (0.0, 0.0))
 
     def test_zero_command(self):
         state, sat = self._bridge((0.0, 0.0, 0.0))
@@ -146,7 +161,8 @@ def _load_current_abc(v_pcc: ThreePhaseSample, spec: LoadSpec, theta: float,
     """Per-phase oracle of the load bank: floating-star resistors plus injections."""
     ga, gb, gc = spec.conductances(scale)
     v_n = (ga * v_pcc.a + gb * v_pcc.b + gc * v_pcc.c) / (ga + gb + gc)
-    ih = inverse_clarke(FrameVector(*harmonic_current_ab(spec.harmonics, theta, scale)))
+    ih = inverse_clarke(FrameVector(*harmonic_current_ab(injection_table(spec.harmonics, scale),
+                                                         theta)))
     return ThreePhaseSample((v_pcc.a - v_n) * ga + ih.a, (v_pcc.b - v_n) * gb + ih.b,
                             (v_pcc.c - v_n) * gc + ih.c)
 
@@ -215,7 +231,8 @@ class TestLoads:
         ia, ib, ic = [], [], []
         for i in range(n):
             theta = w * i * DT
-            cur = inverse_clarke(FrameVector(*harmonic_current_ab(harmonics, theta)))
+            cur = inverse_clarke(FrameVector(*harmonic_current_ab(injection_table(harmonics),
+                                                                  theta)))
             ia.append(cur.a)
             ib.append(cur.b)
             ic.append(cur.c)
@@ -240,7 +257,7 @@ class TestLoads:
 
     def test_injection_alpha_beta_matches_inverse_clarke(self):
         spec = (HarmonicInjection(7, 1.5, 0.2),)
-        al, be = harmonic_current_ab(spec, 0.77, 1.0)
+        al, be = harmonic_current_ab(injection_table(spec, 1.0), 0.77)
         abc = _load_current_abc(ThreePhaseSample(0.0, 0.0, 0.0),
                                 LoadSpec(balanced_r=1e9, harmonics=spec), 0.77, 1.0)
         v = clarke(abc)
@@ -295,7 +312,7 @@ class TestAcNetwork:
     def test_zero_state_zero_input_stays_zero(self):
         net = AcNetwork([AcStageParams()], LoadSpec(balanced_r=10.0), DT)
         net.step([(0.0, 0.0)], (0.0, 0.0))
-        assert np.all(net.x == 0.0)
+        assert net.x == [0.0] * len(net.x)
 
     def test_driven_amplitude_matches_phasor_divider(self):
         stage = AcStageParams()
@@ -321,11 +338,45 @@ class TestAcNetwork:
         worst = 0.0
         for i in range(5000):
             t = i * DT
-            ih = harmonic_current_ab(net.load.harmonics, w * t, 1.0)
-            net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t)),
-                      (170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], ih)
-            worst = max(worst, net.kcl_residual(net.bus(net.x.tolist(), ih)))
+            ih = harmonic_current_ab(net.injections, w * t)
+            x = net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t)),
+                          (170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], ih)
+            bus = net.bus(x, ih)
+            worst = max(worst, net.kcl_residual(bus, net._resistor_current(bus[0], bus[1])))
         assert worst < 1e-9
+
+    def test_one_matvec_matches_split_transition(self):
+        # x1 = T @ [x; u] against T1 @ x + Tu @ u, with T1 and Tu taken from
+        # networks built for each load scale and the injection from its phasor
+        # definition, so a load step's rebuilt matrix and table are covered
+        stages = [AcStageParams(), AcStageParams(feeder_r=0.4, feeder_l=1.2e-3)]
+        harmonics = (HarmonicInjection(-5, 2.0, 0.3), HarmonicInjection(7, 1.0, -0.4))
+        load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0, harmonics=harmonics,
+                        balanced_l=0.03)
+        scale = 0.6
+        scaled = LoadSpec(balanced_r=10.0 / scale, unbalanced_r_a=14.0 / scale,
+                          balanced_l=0.03 / scale,
+                          harmonics=tuple(HarmonicInjection(h.order, scale * h.amplitude, h.phase)
+                                          for h in harmonics))
+        net = AcNetwork(stages, load, DT)
+        n = len(net.x)
+        x_ref = np.zeros(n)
+        w = 370.0
+        for i in range(1000):
+            if i == 500:
+                net.set_load_scale(scale)
+            spec = load if i < 500 else scaled
+            if i in (0, 500):
+                t_ref = AcNetwork(stages, spec, DT)._t
+            theta = w * i * DT
+            ih = sum(h.amplitude * np.exp(1j * np.sign(h.order) * (abs(h.order) * theta + h.phase))
+                     for h in spec.harmonics)
+            v_inv = [(170.0 * math.cos(w * i * DT), 170.0 * math.sin(w * i * DT)),
+                     (160.0 * math.cos(w * i * DT + 0.1), 160.0 * math.sin(w * i * DT + 0.1))]
+            u = np.array([*v_inv[0], *v_inv[1], ih.real, ih.imag])
+            x_ref = t_ref[:, :n] @ x_ref + t_ref[:, n:] @ u
+            x = net.step(v_inv, harmonic_current_ab(net.injections, theta))
+            assert np.max(np.abs(np.array(x) - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_rejects_too_coarse_step(self):
         with pytest.raises(ConfigurationError):
@@ -434,7 +485,7 @@ class TestPlant:
                 m = inverse_clarke(FrameVector(0.5 * math.cos(w * t),
                                                0.5 * math.sin(w * t)))
                 plant.step([0.37, 0.4], [m, m], w * t)
-            return plant.network.x.tobytes(), plant.dc_states[0].v_dc
+            return np.array(plant.network.x).tobytes(), plant.dc_states[0].v_dc
 
         assert run() == run()
 
@@ -457,7 +508,7 @@ class TestPlant:
         # a step spreads a NaN to every state; max() over a list would skip
         # one that is not its first item
         plant = _two_unit_plant()
-        x = plant.network.x.tolist()
+        x = list(plant.network.x)
         x[-1] = math.nan
         with pytest.raises(SimulationDivergence, match="AC state"):
             plant._check_bounds(x)
@@ -479,6 +530,53 @@ class TestPlant:
         assert bank == pytest.approx(v / (w * 0.03), rel=0.05)
         assert plant.energy_audit_error() < 0.005
 
+    @pytest.mark.parametrize("scale", [0.6, 1.5])
+    def test_load_step_keeps_the_energy_audit(self, scale):
+        # a step rescales the inductive bank with its current held; the jump
+        # in its stored energy is switched in with the bank, not an audit error
+        def audit(step):
+            plant = _two_unit_plant(load=LoadSpec(balanced_r=10.0, balanced_l=0.03))
+            w = 370.0
+            n = int(0.3 / DT)
+            for i in range(n):
+                if step and i == n // 2:
+                    plant.network.set_load_scale(scale)
+                m = inverse_clarke(FrameVector(
+                    2.0 * 170.0 / 600.0 * math.cos(w * i * DT),
+                    2.0 * 170.0 / 600.0 * math.sin(w * i * DT)))
+                plant.step([0.37, 0.37], [m, m], w * i * DT)
+            return plant.energy_audit_error(), plant.network.switched_energy
+
+        error, switched = audit(True)
+        unstepped, _ = audit(False)
+        assert abs(switched) > 1.0  # joules: the bank did carry current
+        assert error < 2.0 * unstepped
+
+    def test_pv_current_follows_the_state(self, monkeypatch):
+        # the held PV current is the curve at the live state, on every tick,
+        # with two substeps per tick and on the tick of an irradiance event
+        measure = Plant.measurements
+        seen = []
+
+        def checked(plant, theta):
+            meas = measure(plant, theta)
+            for d, (side, st) in enumerate(zip(plant.dc_sides, plant.dc_states)):
+                assert meas["dg"][d]["i_pv"] == pv_current(max(st.v_pv, 0.0),
+                                                           side.irradiance, side.pv)
+            seen.append((plant.dc_sides[0].irradiance, meas["dg"][0]["i_pv"]))
+            return meas
+
+        monkeypatch.setattr(Plant, "measurements", checked)
+        cfg = from_mapping({"solver.duration": "0.3", "solver.dt": "25e-6",
+                            "events.irradiance": "0.25:1:0.5"})
+        runner.run_simulation(cfg)
+        assert ticks(cfg.control_period, cfg.dt) == 2
+        assert len(seen) == ticks(cfg.duration, cfg.control_period)
+        event = ticks(0.25, cfg.control_period)
+        (before, i_before), (after, i_after) = seen[event - 1:event + 1]
+        assert (before, after) == (1.0, 0.5)
+        assert i_before > 1.0 and i_after < i_before  # the array delivers, and the dip shows
+
     def test_measurements_see_the_load_step(self):
         # once the load scale is set, measurements solve the bus through the
         # new load, the same admittance the following plant step integrates with
@@ -496,8 +594,9 @@ class TestPlant:
         stepped = AcNetwork(plant.network.stages, load, DT)
         stepped.set_load_scale(0.6)
         stepped.x = plant.network.x.copy()
-        ih = harmonic_current_ab(load.harmonics, theta, 0.6)
+        ih = harmonic_current_ab(injection_table(load.harmonics, 0.6), theta)
         assert measured == stepped.pcc_voltage(ih)
         unstepped = AcNetwork(plant.network.stages, load, DT)
         unstepped.x = plant.network.x.copy()
-        assert measured != unstepped.pcc_voltage(harmonic_current_ab(load.harmonics, theta))
+        assert measured != unstepped.pcc_voltage(
+            harmonic_current_ab(injection_table(load.harmonics), theta))
