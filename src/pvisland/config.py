@@ -21,7 +21,8 @@ from . import analysis
 from .control import DgControlParams
 from .errors import ConfigurationError
 from .plant import PvParams, max_filter_step
-from .signals import DEFAULT_SEQUENCE_ORDERS, beyond_nyquist, ticks, too_coarse_for_low_pass
+from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, beyond_nyquist, ticks,
+                      too_coarse_for_low_pass)
 
 V_RMS_TO_AMP = math.sqrt(2.0)
 
@@ -378,12 +379,16 @@ def unit_channels(unit: int) -> list[str]:
             for suffix in suffixes]
 
 
+#: The compensator's indices: the unbalance factor, then one distortion per harmonic order.
+VCC_INDEX_CHANNELS = ("vcc_vuf", *(f"vcc_hd{abs(o)}" for o in HARMONIC_ORDERS))
+
+
 def channel_names(units: int) -> list[str]:
     """Every channel of a roster of ``units`` units, in CSV column order."""
     dg, pv, vc = ([f"{prefix}{i}_{suffix}" for i in range(1, units + 1)
                    for suffix in suffixes] for prefix, suffixes in UNIT_CHANNELS)
     return (["vpcc_a", "vpcc_b", "vpcc_c"] + dg + pv
-            + ["vcc_active", "vcc_vuf", "vcc_hd3", "vcc_hd5", "vcc_hd7", "vcc_hd11"] + vc)
+            + ["vcc_active", *VCC_INDEX_CHANNELS] + vc)
 
 
 KNOWN_CHANNELS = channel_names(len(UNIT_PREFIXES))
@@ -528,7 +533,7 @@ def _dg_from_values(v: dict, prefix: str) -> DgConfig:
         exit_hold=f("mode.exit_hold"),
         m_p=f("droop.m_p"), n_p=f("droop.n_p"),
         vi_r_pos=f("vi.r_pos"), vi_l_pos=f("vi.l_pos"), vi_r_neg=f("vi.r_neg"),
-        vi_r_h={3: f("vi.r_h3"), -5: f("vi.r_h5"), 7: f("vi.r_h7"), -11: f("vi.r_h11")},
+        vi_r_h={o: f(f"vi.r_h{abs(o)}") for o in HARMONIC_ORDERS},
         vi_bandwidth_gain=f("vi.bandwidth_gain"),
         prv=(f("prv.kp"), f("prv.k1"), f("prv.kh"), f("prv.wc")),
         prv_orders=f("prv.orders"),
@@ -561,8 +566,7 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
         vuf_ref=v["vcc.vuf_ref"], hd_ref=v["vcc.hd_ref"],
         extraction_cutoff_hz=v["vcc.extraction_cutoff_hz"],
         extraction_damping=v["vcc.extraction_damping"],
-        vcc_gains={-1: v["vcc.pi_neg1"], 3: v["vcc.pi_h3"], -5: v["vcc.pi_h5"],
-                   7: v["vcc.pi_h7"], -11: v["vcc.pi_h11"]},
+        vcc_gains={-1: v["vcc.pi_neg1"], **{o: v[f"vcc.pi_h{abs(o)}"] for o in HARMONIC_ORDERS}},
         vcc_output_limit=v["vcc.output_limit"], vcc_effort_limit=v["vcc.effort_limit"],
         vcc_comm_delay=v["vcc.comm_delay"], irradiance_events=v["events.irradiance"],
         sample_dt=v["outputs.sample_dt"], channels=v["outputs.channels"],

@@ -384,7 +384,7 @@ class DgController:
         self.droop = DroopControl(params.droop)
         self.extractor = SequenceExtractor(gain=params.sequence_gain)
         for order in params.virtual_impedance.r_harmonic:
-            if order not in self.extractor.sequences().harmonic:
+            if abs(order) == 1 or order not in self.extractor.orders:
                 raise ConfigurationError(
                     f"virtual impedance configured for order {order} "
                     "but the sequence extractor does not provide it")
@@ -399,11 +399,6 @@ class DgController:
         v_gains, i_gains = params.pr_voltage, params.pr_current
         self._orders = sorted({*self.extractor.bands, *v_gains.orders, *i_gains.orders})
         self._shared = (v_gains.orders, v_gains.cutoff) == (i_gains.orders, i_gains.cutoff)
-
-    @property
-    def sequences(self):
-        """The extractor's decomposition of the output current at the last step."""
-        return self.extractor.sequences()
 
     def step(self, meas: dict, v_c: tuple[float, float], t: float, dt: float
              ) -> tuple[float, tuple[float, float, float]]:

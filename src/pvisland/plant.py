@@ -34,17 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
+from .signals import clarke_xy, inverse_clarke_xy
 
-_ONE_OVER_SQRT3 = 1.0 / math.sqrt(3.0)
-_CLARKE = np.array([
-    [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0],
-    [0.0, _ONE_OVER_SQRT3, -_ONE_OVER_SQRT3],
-])
-_INV_CLARKE = np.array([
-    [1.0, 0.0],
-    [-0.5, math.sqrt(3.0) / 2.0],
-    [-0.5, -math.sqrt(3.0) / 2.0],
-])
+# the transforms as matrices: their images of the unit vectors, column by column
+_CLARKE = np.array([clarke_xy(*e) for e in np.eye(3).tolist()]).T.copy()
+_INV_CLARKE = np.array([inverse_clarke_xy(*e) for e in np.eye(2).tolist()]).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +524,7 @@ class Plant:
             self.saturated[d] = sat
             v_dc = self.dc_states[d].v_dc
             va, vb, vc = ma * v_dc / 2.0, mb * v_dc / 2.0, mc * v_dc / 2.0
-            v_inv_ab.append(((2.0 / 3.0) * (va - 0.5 * vb - 0.5 * vc),
-                             _ONE_OVER_SQRT3 * (vb - vc)))
+            v_inv_ab.append(clarke_xy(va, vb, vc))
 
         x = net.x
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, TimeSeries
-from .config import (DgConfig, ScenarioConfig, channel_names, check_report_length, echo,
-                     recorded_rows, unit_channels)
+from .config import (VCC_INDEX_CHANNELS, DgConfig, ScenarioConfig, channel_names,
+                     check_report_length, echo, recorded_rows, unit_channels)
 from .control import (
     DgControlParams,
     DgController,
@@ -43,8 +43,8 @@ from .plant import (
     PvParams,
     pv_current,
 )
-from .signals import Pll, inverse_clarke_xy, ticks
-from .vcc import CentralCompensator, DqExtractionBank, PiGains, VccParams, hd, vuf
+from .signals import HARMONIC_ORDERS, Pll, inverse_clarke_xy, ticks
+from .vcc import CentralCompensator, DqExtractionBank, PiGains, VccParams
 
 
 @dataclass
@@ -135,7 +135,7 @@ def build_controllers(cfg: ScenarioConfig) -> list[DgController]:
 def build_compensator(cfg: ScenarioConfig) -> CentralCompensator:
     params = VccParams(
         vuf_ref=cfg.vuf_ref,
-        hd_ref={3: cfg.hd_ref, -5: cfg.hd_ref, 7: cfg.hd_ref, -11: cfg.hd_ref},
+        hd_ref=dict.fromkeys(HARMONIC_ORDERS, cfg.hd_ref),
         gains={c: PiGains(*g) for c, g in cfg.vcc_gains.items()},
         rated_powers=tuple(dg.pv.rated_w for dg in cfg.dgs),
         output_limit=cfg.vcc_output_limit,
@@ -199,8 +199,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     delay_ticks = ticks(cfg.vcc_comm_delay, dt_ctl)
 
     # One row per sample: ``t``, then every channel in the order the loop gathers it.
-    recorded = ["t", "vpcc_a", "vpcc_b", "vpcc_c", "vcc_active", "vcc_vuf", "vcc_hd3",
-                "vcc_hd5", "vcc_hd7", "vcc_hd11"]
+    recorded = ["t", "vpcc_a", "vpcc_b", "vpcc_c", "vcc_active", *VCC_INDEX_CHANNELS]
     for d in range(len(controllers)):
         recorded += unit_channels(d + 1)
     # column-major, so every channel is a contiguous view
@@ -208,7 +207,6 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     flags = _FlagRecorder()
     unit_flags = [None] * len(controllers)
 
-    online = [0.0] * 5  # vcc_vuf, vcc_hd3, vcc_hd5, vcc_hd7, vcc_hd11
     zero_vcs = [(0.0, 0.0)] * len(controllers)
     # Every compensator tick broadcasts a snapshot of its effort phasors,
     # due at the units after the communication delay; the units rebuild
@@ -233,15 +231,14 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
 
         if tick % vcc_every == 0:
             extracted = bank.step(v_pcc_abc, theta, cfg.vcc_period)
-            pos_mag = extracted[1].magnitude()
-            online = [vuf(extracted[-1].magnitude(), pos_mag)[0]] + [
-                hd(extracted[order].magnitude(), pos_mag)[0] for order in (3, -5, 7, -11)]
             if vcc_active:
                 comp.step(extracted, cfg.vcc_period)
                 in_flight.append((tick + delay_ticks, dict(comp._effort_dq)))
                 flags.poll(t, "vcc", "output_clamp", comp.clamped)
                 comp.clamped = False
                 flags.poll(t, "vcc", "positive_sequence_floor", not comp.indices_valid)
+            else:
+                comp.measure(extracted)
 
         while in_flight and in_flight[0][0] <= tick:
             efforts = in_flight.popleft()[1]
@@ -261,7 +258,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                     flags.poll(t, f"dg{d + 1}", name, active)
 
         if tick % sample_every == 0:
-            values = [t, *v_pcc_abc, 1.0 if vcc_active else 0.0, *online]
+            values = [t, *v_pcc_abc, 1.0 if vcc_active else 0.0, comp.vuf,
+                      *map(comp.hd.__getitem__, HARMONIC_ORDERS)]
             for d, ctl in enumerate(controllers):
                 unit = meas["dg"][d]
                 values += (ctl.p_avg, ctl.q_avg, unit["v_dc"], unit["v_pv"], duties[d],

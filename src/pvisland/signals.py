@@ -129,7 +129,7 @@ def ticks(span: float, dt: float) -> int:
 class LowPass1:
     """First-order low-pass filter, unity DC gain, trapezoidal discretization."""
 
-    __slots__ = ("cutoff_hz", "_a", "_b", "_y", "_x_prev")
+    __slots__ = ("_a", "_b", "_y", "_x_prev")
 
     def __init__(self, cutoff_hz: float, dt: float, initial: float = 0.0):
         if cutoff_hz <= 0.0:
@@ -139,7 +139,6 @@ class LowPass1:
                 f"step {dt} s too large for {cutoff_hz} Hz low-pass filter"
             )
         wc = 2.0 * math.pi * cutoff_hz
-        self.cutoff_hz = cutoff_hz
         self._a = (2.0 - wc * dt) / (2.0 + wc * dt)
         self._b = wc * dt / (2.0 + wc * dt)
         self._y = initial
@@ -158,15 +157,12 @@ class LowPass2:
     transform; DC gain is exactly one for any cutoff/damping.
     """
 
-    __slots__ = ("cutoff_hz", "damping", "_b0", "_b1", "_b2", "_a1", "_a2",
-                 "_z1", "_z2")
+    __slots__ = ("_b0", "_b1", "_b2", "_a1", "_a2", "_z1", "_z2")
 
     def __init__(self, cutoff_hz: float, damping: float, dt: float):
         wn = 2.0 * math.pi * cutoff_hz
         k = 2.0 / dt
         den = k * k + 2.0 * damping * wn * k + wn * wn
-        self.cutoff_hz = cutoff_hz
-        self.damping = damping
         self._b0 = wn * wn / den
         self._b1 = 2.0 * wn * wn / den
         self._b2 = wn * wn / den
@@ -180,53 +176,6 @@ class LowPass2:
         self._z1 = self._b1 * x - self._a1 * y + self._z2
         self._z2 = self._b2 * x - self._a2 * y
         return y
-
-
-class Sogi:
-    """Band-pass quadrature generator.
-
-    Produces an in-phase output tracking the input component at the center
-    frequency and a quadrature output lagging it by 90 degrees with equal
-    amplitude.  The center frequency may move between steps (it follows the
-    droop frequency in the controllers); the trapezoidal step is prewarped
-    so the discrete resonance sits exactly on the requested frequency.
-    """
-
-    __slots__ = ("gain", "v", "qv", "_e_prev")
-
-    def __init__(self, gain: float = math.sqrt(2.0)):
-        self.gain = gain
-        self.v = 0.0
-        self.qv = 0.0
-        self._e_prev = 0.0
-
-    def peek(self, u: float, omega: float, dt: float) -> tuple[float, float]:
-        """Candidate next state for input ``u``, without committing it."""
-        if omega <= 0.0:
-            raise ConfigurationError("SOGI center frequency must be positive")
-        # Prewarped trapezoidal solve of
-        #   v'  = omega*(k*(u - v) - qv)
-        #   qv' = omega*v
-        h = math.tan(0.5 * omega * dt) / omega  # effective half step
-        kw = self.gain * omega
-        v0, q0 = self.v, self.qv
-        f1 = kw * (self._e_prev - v0) - omega * q0
-        r1 = v0 + h * (f1 + kw * u)
-        r2 = q0 + h * omega * v0
-        # Solve (I - h*A) x = r with A = [[-k*omega, -omega], [omega, 0]]
-        a11 = 1.0 + h * kw
-        a12 = h * omega
-        det = a11 + a12 * a12
-        v1 = (r1 - a12 * r2) / det
-        q1 = (a12 * r1 + a11 * r2) / det
-        return v1, q1
-
-    def step(self, u: float, omega: float, dt: float) -> tuple[float, float]:
-        v1, q1 = self.peek(u, omega, dt)
-        self.v = v1
-        self.qv = q1
-        self._e_prev = u
-        return v1, q1
 
 
 def resonator_table(orders, omega: float, dt: float) -> dict[int, float]:
@@ -255,7 +204,10 @@ class SequenceSet:
     harmonic: dict[int, FrameVector] = field(default_factory=dict)
 
 
+#: The signed orders the extractors separate: both fundamental sequences,
+#: then the harmonics the virtual impedance and the compensator act on.
 DEFAULT_SEQUENCE_ORDERS = (1, -1, 3, -5, 7, -11)
+HARMONIC_ORDERS = DEFAULT_SEQUENCE_ORDERS[2:]
 
 
 class SequenceExtractor:
@@ -359,6 +311,26 @@ class SequenceExtractor:
             raise FrameError("sequence extractor expects an alpha/beta input")
         self.advance(v.x, v.y, resonator_table(self.bands, omega, dt))
         return self.sequences()
+
+
+class Sogi:
+    """Band-pass quadrature generator: one band of :class:`SequenceExtractor` on one axis.
+
+    Produces an in-phase output tracking the input component at the center
+    frequency and a quadrature output lagging it by 90 degrees with equal
+    amplitude.  The center frequency may move between steps.
+    """
+
+    __slots__ = ("_band",)
+
+    def __init__(self, gain: float = math.sqrt(2.0)):
+        self._band = SequenceExtractor((1, -1), gain)
+
+    def step(self, u: float, omega: float, dt: float) -> tuple[float, float]:
+        """In-phase and quadrature outputs after one step on input ``u``."""
+        self._band.advance(u, 0.0, resonator_table((1,), omega, dt))
+        (va, _), (qa, _) = self._band._v, self._band._q
+        return va[0], qa[0]
 
 
 class Pll:

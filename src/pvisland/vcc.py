@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .signals import (DQ, FrameVector, LowPass2, ThreePhaseSample, clarke_xy, inverse_park_xy,
-                      park_xy)
-
-DEFAULT_COMPONENTS = (1, -1, 3, -5, 7, -11)
+from .signals import (DEFAULT_SEQUENCE_ORDERS, DQ, HARMONIC_ORDERS, FrameVector, LowPass2,
+                      ThreePhaseSample, clarke_xy, inverse_park_xy, park_xy)
 
 
 class DqExtractionBank:
@@ -27,7 +25,7 @@ class DqExtractionBank:
     leave the component's phasor as a near-DC pair.
     """
 
-    def __init__(self, dt: float, components=DEFAULT_COMPONENTS,
+    def __init__(self, dt: float, components=DEFAULT_SEQUENCE_ORDERS,
                  cutoff_hz: float = 5.0, damping: float = 2.5):
         if 1 not in components:
             raise ConfigurationError("extraction bank needs the fundamental positive sequence")
@@ -48,18 +46,15 @@ class DqExtractionBank:
         return out
 
 
-def vuf(neg_mag: float, pos_mag: float, floor: float = 1.0) -> tuple[float, bool]:
-    """Unbalance factor in percent; flags an unusable positive sequence."""
+def quality_index(mag: float, pos_mag: float, floor: float = 1.0) -> tuple[float, bool]:
+    """One component's magnitude in percent of the positive sequence.
+
+    The unbalance factor (negative sequence) or one order's harmonic
+    distortion; flags a positive sequence below ``floor`` as unusable.
+    """
     if pos_mag < floor:
         return 0.0, False
-    return 100.0 * neg_mag / pos_mag, True
-
-
-def hd(h_mag: float, pos_mag: float, floor: float = 1.0) -> tuple[float, bool]:
-    """Single-order harmonic distortion in percent; same guard as :func:`vuf`."""
-    if pos_mag < floor:
-        return 0.0, False
-    return 100.0 * h_mag / pos_mag, True
+    return 100.0 * mag / pos_mag, True
 
 
 @dataclass
@@ -71,7 +66,7 @@ class PiGains:
 @dataclass
 class VccParams:
     vuf_ref: float = 0.2                       # percent
-    hd_ref: dict[int, float] = field(default_factory=lambda: {3: 0.2, -5: 0.2, 7: 0.2, -11: 0.2})
+    hd_ref: dict[int, float] = field(default_factory=lambda: dict.fromkeys(HARMONIC_ORDERS, 0.2))
     gains: dict[int, PiGains] = field(default_factory=lambda: {
         -1: PiGains(0.5, 20.0),
         3: PiGains(0.5, 15.0),
@@ -111,6 +106,19 @@ class CentralCompensator:
         self.indices_valid = False
         self.clamped = False
 
+    def measure(self, extracted: dict[int, FrameVector]) -> bool:
+        """Update the unbalance and distortion indices from extracted components.
+
+        Below the positive-sequence floor every index reads 0 and the
+        indices are flagged invalid; returns ``indices_valid``.
+        """
+        pos_mag = extracted[1].magnitude()
+        floor = self.params.pos_seq_floor
+        self.vuf, self.indices_valid = quality_index(extracted[-1].magnitude(), pos_mag, floor)
+        for c in self.hd:
+            self.hd[c] = quality_index(extracted[c].magnitude(), pos_mag, floor)[0]
+        return self.indices_valid
+
     def step(self, extracted: dict[int, FrameVector], dt: float
              ) -> list[tuple[float, float]]:
         """One controller tick from freshly extracted components.
@@ -119,18 +127,9 @@ class CentralCompensator:
         angle (the rotating-frame phasors are retained for reconstruction).
         """
         par = self.params
-        pos = extracted[1]
-        pos_mag = pos.magnitude()
-        self.vuf, valid = vuf(extracted[-1].magnitude(), pos_mag, par.pos_seq_floor)
-        self.indices_valid = valid
-        if valid:
+        if self.measure(extracted):
             for c in self.components:
-                if c == -1:
-                    idx, ref = self.vuf, par.vuf_ref
-                else:
-                    idx, _ = hd(extracted[c].magnitude(), pos_mag, par.pos_seq_floor)
-                    self.hd[c] = idx
-                    ref = par.hd_ref[c]
+                idx, ref = (self.vuf, par.vuf_ref) if c == -1 else (self.hd[c], par.hd_ref[c])
                 err = ref - idx
                 g = par.gains[c]
                 if err >= 0.0:

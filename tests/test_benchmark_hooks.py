@@ -70,3 +70,18 @@ def test_hooks_are_on_the_tick_path():
         assert calls["plant.audit"] == 3 * n_steps
         assert calls["plant.measurements"] == n_ticks
         assert summary["counts"]["control.extractor.rebuilds"] == n_ticks * units
+
+
+def test_compensator_hooks_are_on_the_tick_path():
+    # extraction runs on every compensator tick, the PI step only once enabled
+    cfg = from_mapping({"solver.duration": "0.4", "vcc.enable_at": "0.2"})
+    tracer = trace_spans.Tracer()
+    mark = tracer.mark()
+    with tracer.installed():
+        runner.run_simulation(cfg)
+    calls = {name: module["calls"] for name, module in tracer.summary(mark)["modules"].items()}
+    vcc_every = ticks(cfg.vcc_period, cfg.control_period)
+    n_ticks = ticks(cfg.duration, cfg.control_period)
+    enable_tick = ticks(cfg.vcc_enable_at, cfg.control_period)
+    assert calls["vcc.extraction"] == n_ticks // vcc_every == 400
+    assert calls["vcc.pi"] == (n_ticks - enable_tick) // vcc_every == 200

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from pvisland import cli
 from pvisland.config import (
     DEFAULTS,
+    KEYS,
+    UNIT_PREFIXES,
+    channel_names,
     echo,
     from_mapping,
     load_config,
@@ -15,6 +18,7 @@ from pvisland.config import (
 )
 from pvisland.errors import ConfigurationError
 from pvisland.runner import build_compensator, build_controllers, build_plant
+from pvisland.signals import HARMONIC_ORDERS
 
 
 class TestParsing:
@@ -229,3 +233,159 @@ class TestEcho:
         path = tmp_path / "s.cfg"
         path.write_text("solver.duration = 1.25\n")
         assert load_config(path).duration == 1.25
+
+
+class TestComponentTable:
+    """The signed harmonic orders of ``signals.HARMONIC_ORDERS`` name the keys and channels."""
+
+    def test_compensator_channels_keep_their_csv_positions(self):
+        names = channel_names(2)
+        assert len(names) == 35
+        assert names[25:31] == ["vcc_active", "vcc_vuf", "vcc_hd3", "vcc_hd5", "vcc_hd7",
+                                "vcc_hd11"]
+
+    def test_every_order_has_its_key_rows(self):
+        for order in HARMONIC_ORDERS:
+            assert f"vcc.pi_h{abs(order)}" in KEYS
+            for prefix in UNIT_PREFIXES:
+                assert f"{prefix}.vi.r_h{abs(order)}" in KEYS
+
+    def test_each_order_reads_its_own_rows(self):
+        flat = {f"vcc.pi_h{abs(o)}": f"{i}.5:{i}.25" for i, o in enumerate(HARMONIC_ORDERS)}
+        flat.update({f"dg2.vi.r_h{abs(o)}": f"{i}.75" for i, o in enumerate(HARMONIC_ORDERS)})
+        cfg = from_mapping(flat)
+        assert cfg.vcc_gains == {-1: (0.5, 20.0), **{
+            o: (i + 0.5, i + 0.25) for i, o in enumerate(HARMONIC_ORDERS)}}
+        assert cfg.dgs[1].vi_r_h == {o: i + 0.75 for i, o in enumerate(HARMONIC_ORDERS)}
+        assert list(cfg.dgs[0].vi_r_h) == list(HARMONIC_ORDERS)
+        comp = build_compensator(cfg)
+        assert comp.components == (-1,) + tuple(sorted(HARMONIC_ORDERS))
+        assert list(comp.params.hd_ref) == list(HARMONIC_ORDERS)
+
+    def test_echo_of_an_empty_scenario_is_unchanged(self):
+        assert echo(parse_text("")) == DEFAULT_ECHO
+
+
+#: ``echo`` of an empty scenario file, byte for byte: deriving the per-order
+#: key names from the component table must not move a key or a default.
+DEFAULT_ECHO = """\
+control.period = 50e-6
+dg1.current_limit_factor = 1.5
+dg1.dc.c_dc = 2350e-6
+dg1.dc.c_pv = 200e-6
+dg1.dc.l_boost = 1.5e-3
+dg1.droop.m_p = 12e-4
+dg1.droop.n_p = 1e-3
+dg1.feeder.l = 2.4e-3
+dg1.feeder.r = 0.8
+dg1.filter.c = 25e-6
+dg1.filter.l = 1.8e-3
+dg1.mode.enter_vr_margin = 5.0
+dg1.mode.exit_hold = 0.1
+dg1.mode.exit_vr_margin = 10.0
+dg1.mppt.deadband = 0.005
+dg1.mppt.duty_step = 0.002
+dg1.mppt.period = 1e-3
+dg1.pri.k1 = 600.0
+dg1.pri.kh = 200.0
+dg1.pri.kp = 7.0
+dg1.pri.orders = 1,3,5,7,11
+dg1.pri.wc = 2.0
+dg1.prv.k1 = 50.0
+dg1.prv.kh = 20.0
+dg1.prv.kp = 0.05
+dg1.prv.orders = 1,3,5,7,11
+dg1.prv.wc = 2.0
+dg1.pv.i_mp = 7.894736842105263
+dg1.pv.i_sc = 8.8
+dg1.pv.irradiance = 1.0
+dg1.pv.rated_w = 3000.0
+dg1.pv.v_mp = 380.0
+dg1.pv.v_oc = 450.0
+dg1.vi.bandwidth_gain = 1.0
+dg1.vi.l_pos = 0.5e-3
+dg1.vi.r_h11 = 0.5
+dg1.vi.r_h3 = 3.0
+dg1.vi.r_h5 = 1.0
+dg1.vi.r_h7 = 1.0
+dg1.vi.r_neg = 2.0
+dg1.vi.r_pos = 0.3
+dg1.vr.ki = 0.05
+dg1.vr.kp = 0.002
+dg1.vr.v_dc_ref = 600.0
+dg2.current_limit_factor = 1.5
+dg2.dc.c_dc = 2350e-6
+dg2.dc.c_pv = 200e-6
+dg2.dc.l_boost = 1.5e-3
+dg2.droop.m_p = 6e-4
+dg2.droop.n_p = 0.5e-3
+dg2.feeder.l = 1.2e-3
+dg2.feeder.r = 0.4
+dg2.filter.c = 50e-6
+dg2.filter.l = 0.9e-3
+dg2.mode.enter_vr_margin = 5.0
+dg2.mode.exit_hold = 0.1
+dg2.mode.exit_vr_margin = 10.0
+dg2.mppt.deadband = 0.005
+dg2.mppt.duty_step = 0.002
+dg2.mppt.period = 1e-3
+dg2.pri.k1 = 600.0
+dg2.pri.kh = 200.0
+dg2.pri.kp = 7.0
+dg2.pri.orders = 1,3,5,7,11
+dg2.pri.wc = 2.0
+dg2.prv.k1 = 50.0
+dg2.prv.kh = 20.0
+dg2.prv.kp = 0.05
+dg2.prv.orders = 1,3,5,7,11
+dg2.prv.wc = 2.0
+dg2.pv.i_mp = 15.789473684210526
+dg2.pv.i_sc = 17.6
+dg2.pv.irradiance = 1.0
+dg2.pv.rated_w = 6000.0
+dg2.pv.v_mp = 380.0
+dg2.pv.v_oc = 450.0
+dg2.vi.bandwidth_gain = 1.0
+dg2.vi.l_pos = 0.25e-3
+dg2.vi.r_h11 = 0.25
+dg2.vi.r_h3 = 1.5
+dg2.vi.r_h5 = 0.5
+dg2.vi.r_h7 = 0.5
+dg2.vi.r_neg = 1.0
+dg2.vi.r_pos = 0.15
+dg2.vr.ki = 0.05
+dg2.vr.kp = 0.002
+dg2.vr.v_dc_ref = 600.0
+events.irradiance = 
+load.balanced_l = 0.060
+load.balanced_r = 10.0
+load.harmonics = -1:7.4:0.0, 3:3.1:0.0, -5:4.6:0.0, 7:2.75:0.0, -11:1.3:0.0
+load.step_scale = 1.0
+load.step_time = off
+load.unbalanced_r_a = 14.0
+outputs.channels = all
+outputs.sample_dt = 1e-4
+pll.band = 0.5
+pll.ki = 4230.0
+pll.kp = 92.0
+scenario.name = baseline
+solver.dt = 50e-6
+solver.duration = 8.0
+solver.startup_ramp = 0.25
+system.omega = 370.0
+system.v_rms = 120.0
+vcc.comm_delay = 0.0
+vcc.effort_limit = 250.0
+vcc.enable_at = 2.0
+vcc.extraction_cutoff_hz = 5.0
+vcc.extraction_damping = 2.5
+vcc.hd_ref = 0.2
+vcc.output_limit = 80.0
+vcc.period = 1e-3
+vcc.pi_h11 = 0.5:5.0
+vcc.pi_h3 = 0.5:15.0
+vcc.pi_h5 = 5.0:30.0
+vcc.pi_h7 = 5.0:25.0
+vcc.pi_neg1 = 0.5:20.0
+vcc.vuf_ref = 0.2
+"""

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pvisland import cli
-from pvisland.config import KNOWN_CHANNELS, channel_names, echo, from_mapping
+from pvisland.config import (KNOWN_CHANNELS, VCC_INDEX_CHANNELS, channel_names, echo,
+                             from_mapping)
 from pvisland.errors import SimulationDivergence
 from pvisland.runner import (
     build_compensator,
@@ -14,6 +15,7 @@ from pvisland.runner import (
     run_scenario,
     run_simulation,
 )
+from pvisland.signals import HARMONIC_ORDERS
 
 SHORT = {"solver.duration": "0.6", "vcc.enable_at": "off"}
 
@@ -145,6 +147,19 @@ class TestChannelSelection:
         assert "dg1_omega" in err and "pv2_power" in err
 
 
+class TestIndexChannels:
+    def test_each_distortion_channel_records_its_own_order(self):
+        # one injected harmonic at a time: its channel carries the distortion
+        for order in HARMONIC_ORDERS:
+            run = run_simulation(from_mapping({
+                "solver.duration": "0.3", "vcc.enable_at": "off", "outputs.sample_dt": "1e-3",
+                "load.unbalanced_r_a": "off", "load.harmonics": f"{order}:4.0:0.0"}))
+            final = {name: run.channels[name][-1] for name in VCC_INDEX_CHANNELS}
+            own = final.pop(f"vcc_hd{abs(order)}")
+            assert own > 0.5
+            assert max(final.values()) < 0.25 * own, order
+
+
 class TestBuilders:
     def test_validate_path_builds_everything(self):
         cfg = from_mapping({})
@@ -193,7 +208,7 @@ class TestBuilders:
         values = leaves(plant.measurements(theta)) + leaves(steps) + leaves(corrections)
         assert len(leaves(steps)) == 4 * len(controllers)
         for d, ctl in enumerate(controllers):
-            seq = ctl.sequences
+            seq = ctl.extractor.sequences()
             values += [ctl.p_avg, ctl.droop.omega_ref, plant.dc_states[d].v_dc]
             for v in [seq.fundamental_pos, seq.fundamental_neg, *seq.harmonic.values()]:
                 values += [v.x, v.y]
@@ -235,20 +250,44 @@ class TestSchedule:
 
 class TestCli:
     def test_run_and_report_round_trip(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        rc = cli.main(["run", "baseline", "--out", str(out),
-                       "--duration", "0.6", "--vcc", "off"])
-        assert rc == 0
-        rc = cli.main(["report", str(out)])
-        assert rc == 0
-        rebuilt = (out / "report_rebuilt.txt").read_text()
-        original = (out / "report.txt").read_text()
+        # a short variant of each preset, with its events moved into the run
+        variants = {
+            "baseline": {"solver.duration": "1.0", "vcc.enable_at": "0.55"},
+            "loadstep": {"solver.duration": "0.6", "load.step_time": "0.3",
+                         "events.irradiance": "0.2:1:0.90, 0.2:2:0.90"},
+            "sharing": {"solver.duration": "0.6", "vcc.enable_at": "0.1"},
+        }
+        run_only = ("energy_audit_percent", "max_kcl_residual_amps",
+                    "mode_transition_count", "flag_count")
+        units = range(1, 3)
+        rebuilt_keys = (["scenario", "duration_s", "dt_s", "window_start_s", "window_end_s",
+                         "fundamental_hz", "thd_a_percent", "thd_b_percent", "thd_c_percent",
+                         "vuf_percent"]
+                        + [f"dg{i}_{q}" for i in units for q in ("p_watts", "q_vars")]
+                        + ["p_sharing_ratio", "q_sharing_ratio"]
+                        + [f"dg{i}_vdc_{s}" for i in units for s in ("mean", "min", "max")]
+                        + ["curtailment_percent"])
+        pre_keys = ["pre_window_start_s", "pre_window_end_s", "pre_thd_a_percent",
+                    "pre_thd_b_percent", "pre_thd_c_percent", "pre_vuf_percent"]
+        for preset, overrides in variants.items():
+            scenario = tmp_path / f"{preset}.cfg"
+            scenario.write_text(echo(cli._load_scenario(preset, overrides)), encoding="utf-8")
+            out = tmp_path / preset
+            assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
+            assert cli.main(["report", str(out)]) == 0
 
-        def metric_lines(text):
-            return [l for l in text.splitlines()
-                    if l.startswith(("thd_", "vuf_", "p_sharing", "q_sharing"))]
+            def entries(name):
+                lines = (out / name).read_text().splitlines()
+                return dict(line.split(" = ", 1) for line in lines
+                            if not line.startswith(("flag = ", "mode_transition = ")))
 
-        assert metric_lines(rebuilt) == metric_lines(original)
+            rebuilt = entries("report_rebuilt.txt")
+            original = entries("report.txt")
+            assert {key: rebuilt.pop(key) for key in run_only} == dict.fromkeys(
+                run_only, "unavailable")
+            keys = rebuilt_keys + (pre_keys if preset == "baseline" else [])
+            assert sorted(rebuilt) == sorted(keys), preset
+            assert rebuilt == {key: original[key] for key in keys}, preset
 
     def test_validate_ok(self, capsys):
         assert cli.main(["validate", "sharing"]) == 0

@@ -181,7 +181,55 @@ class TestLowPass2:
 # Quadrature generator and sequence extraction
 # ---------------------------------------------------------------------------
 
+class _PrewarpedSogi:
+    """The quadrature generator with its own prewarped trapezoidal solve of
+    ``v' = omega * (k * (u - v) - qv)``, ``qv' = omega * v``."""
+
+    def __init__(self, gain=math.sqrt(2.0)):
+        self.gain = gain
+        self.v = 0.0
+        self.qv = 0.0
+        self.e_prev = 0.0
+
+    def step(self, u, omega, dt):
+        h = math.tan(0.5 * omega * dt) / omega  # effective half step
+        kw = self.gain * omega
+        v0, q0 = self.v, self.qv
+        f1 = kw * (self.e_prev - v0) - omega * q0
+        r1 = v0 + h * (f1 + kw * u)
+        r2 = q0 + h * omega * v0
+        # solve (I - h*A) x = r with A = [[-k*omega, -omega], [omega, 0]]
+        a11 = 1.0 + h * kw
+        a12 = h * omega
+        det = a11 + a12 * a12
+        self.v = (r1 - a12 * r2) / det
+        self.qv = (a12 * r1 + a11 * r2) / det
+        self.e_prev = u
+        return self.v, self.qv
+
+
 class TestSogi:
+    def test_matches_prewarped_solve_under_drifting_frequency(self):
+        # Oracle: the standalone prewarped solve, step by step over 2 s while
+        # the center frequency drifts +-5 % around nominal and the input
+        # carries a fundamental, a 5th harmonic and an offset.
+        sog = Sogi()
+        ref = _PrewarpedSogi()
+        amplitude = 170.0
+        worst = 0.0
+        for i in range(int(2.0 / DT)):
+            t = i * DT
+            omega = OMEGA * (1.0 + 0.05 * math.sin(2.0 * math.pi * 0.7 * t))
+            u = amplitude * (math.sin(OMEGA * t) + 0.1 * math.sin(5.0 * OMEGA * t) + 0.05)
+            got = sog.step(u, omega, DT)
+            want = ref.step(u, omega, DT)
+            worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
+        assert worst <= 1e-12 * amplitude
+
+    def test_rejects_non_positive_frequency(self):
+        with pytest.raises(ConfigurationError):
+            Sogi().step(1.0, 0.0, DT)
+
     def test_tracks_center_frequency_with_quadrature_lag(self):
         sog = Sogi()
         cycles = int(10.0 * 2.0 * math.pi / OMEGA / DT)

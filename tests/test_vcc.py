@@ -10,8 +10,7 @@ from pvisland.vcc import (
     DqExtractionBank,
     PiGains,
     VccParams,
-    hd,
-    vuf,
+    quality_index,
 )
 
 DT_TICK = 1e-3
@@ -57,23 +56,23 @@ class TestDqExtraction:
 
 class TestIndices:
     def test_vuf_zero_for_balanced(self):
-        value, ok = vuf(0.0, 100.0)
+        value, ok = quality_index(0.0, 100.0)
         assert ok and value == 0.0
 
     def test_vuf_direct_ratio(self):
-        value, ok = vuf(5.8, 100.0)
+        value, ok = quality_index(5.8, 100.0)
         assert ok and value == pytest.approx(5.8, rel=1e-12)
 
     def test_vuf_percent_of_amplitude(self):
-        value, ok = vuf(1.697, 169.7)
+        value, ok = quality_index(1.697, 169.7)
         assert ok and value == pytest.approx(1.0, rel=1e-12)
 
     def test_hd_direct_ratio(self):
-        value, ok = hd(2.0, 100.0)
+        value, ok = quality_index(2.0, 100.0)
         assert ok and value == pytest.approx(2.0, rel=1e-12)
 
     def test_collapsed_positive_sequence_flags(self):
-        value, ok = vuf(1.0, 0.5)
+        value, ok = quality_index(1.0, 0.5)
         assert not ok and value == 0.0
 
     def test_scale_invariance(self):
@@ -83,8 +82,8 @@ class TestIndices:
             neg = rng.uniform(0.1, 50.0)
             pos = rng.uniform(2.0, 100.0)
             k = rng.uniform(1.0, 10.0)
-            v1, ok1 = vuf(neg, pos)
-            v2, ok2 = vuf(k * neg, k * pos)
+            v1, ok1 = quality_index(neg, pos)
+            v2, ok2 = quality_index(k * neg, k * pos)
             assert ok1 and ok2
             assert v1 == pytest.approx(v2, rel=1e-12)
 
@@ -93,7 +92,7 @@ class TestIndices:
         parts = (3.0, 2.0, 2.0, 1.0)
         total = math.sqrt(sum(p * p for p in parts))
         assert total == pytest.approx(math.sqrt(18.0), rel=1e-12)
-        got = [hd(p, 100.0)[0] for p in parts]
+        got = [quality_index(p, 100.0)[0] for p in parts]
         assert math.sqrt(sum(g * g for g in got)) == pytest.approx(total, rel=1e-12)
 
 
@@ -165,6 +164,31 @@ class TestCentralCompensator:
         after = comp.correction_for(0, 0.3)
         assert not comp.indices_valid
         assert after == held
+
+    def test_positive_sequence_collapse_zeroes_every_index(self):
+        # the indices read what the runner records: 0 once the positive sequence collapses
+        comp = CentralCompensator(VccParams())
+        h_mags = {c: 3.0 for c in comp.hd}
+        for _ in range(5):
+            comp.step(_extracted(neg_mag=10.0, h_mags=h_mags), DT_TICK)
+        assert comp.indices_valid
+        assert all(value > 0.0 for value in comp.hd.values())
+        comp.step(_extracted(pos_mag=0.1, neg_mag=10.0, h_mags=h_mags), DT_TICK)
+        assert not comp.indices_valid
+        assert comp.vuf == 0.0
+        assert comp.hd == {c: 0.0 for c in comp.hd}
+
+    def test_measure_matches_the_indices_of_a_step(self):
+        # the runner measures while the compensator is off; step measures alike
+        extracted = _extracted(neg_mag=10.0, h_mags={3: 3.0, -5: 4.0, 7: 2.0, -11: 1.0})
+        measured = CentralCompensator(VccParams())
+        stepped = CentralCompensator(VccParams())
+        assert measured.measure(extracted)
+        stepped.step(extracted, DT_TICK)
+        assert (measured.vuf, measured.hd) == (stepped.vuf, stepped.hd)
+        assert measured.vuf == quality_index(10.0, 170.0)[0]
+        assert measured.hd[-5] == quality_index(4.0, 170.0)[0]
+        assert measured._effort_dq == {c: (0.0, 0.0) for c in measured.components}
 
     def test_reconstruction_rotates_with_angle(self):
         comp = CentralCompensator(VccParams())
