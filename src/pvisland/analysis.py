@@ -128,30 +128,12 @@ def vuf_measured(v_abc: tuple[TimeSeries, TimeSeries, TimeSeries], f1: float,
 class SharingRatios:
     p_ratio: float | None
     q_ratio: float | None
-    p_means: tuple[float, float]
-    q_means: tuple[float, float]
-    defined: bool
 
 
-def sharing_metrics(p1: TimeSeries, p2: TimeSeries, q1: TimeSeries,
-                    q2: TimeSeries, window: tuple[float, float]) -> SharingRatios:
-    """Time-averaged active and reactive sharing ratios over a window."""
-
-    def mean(ts: TimeSeries) -> float:
-        i0 = int(round(window[0] / ts.dt))
-        i1 = int(round(window[1] / ts.dt))
-        if not (0 <= i0 < i1 <= len(ts.samples)):
-            raise AnalysisError(f"window {window} outside series {ts.name}")
-        return float(np.mean(ts.samples[i0:i1]))
-
-    pm = (mean(p1), mean(p2))
-    qm = (mean(q1), mean(q2))
-    floor_p = 1e-3 * max(abs(pm[0]), abs(pm[1]), 1.0)
-    floor_q = 1e-3 * max(abs(qm[0]), abs(qm[1]), 1.0)
-    p_ratio = pm[0] / pm[1] if abs(pm[1]) > floor_p else None
-    q_ratio = qm[0] / qm[1] if abs(qm[1]) > floor_q else None
-    return SharingRatios(p_ratio, q_ratio, pm, qm,
-                         defined=p_ratio is not None and q_ratio is not None)
+def sharing_ratio(first: float, second: float) -> float | None:
+    """``first / second`` of two mean powers; None while ``second`` is negligible."""
+    floor = 1e-3 * max(abs(first), abs(second), 1.0)
+    return first / second if abs(second) > floor else None
 
 
 #: Whole fundamental cycles :func:`steady_window` needs before it searches.
@@ -204,7 +186,7 @@ class MetricsReport:
     vuf_percent: float
     p_watts: tuple[float, ...]
     q_vars: tuple[float, ...]
-    sharing: SharingRatios | None
+    sharing: SharingRatios
     v_dc_stats: list[dict[str, float]]
     curtailment_percent: float
     # Run-only quantities; None (printed as "unavailable") when the report is
@@ -228,11 +210,8 @@ class MetricsReport:
         for i, (p, q) in enumerate(zip(self.p_watts, self.q_vars), start=1):
             out.append(f"dg{i}_p_watts = {p:.3f}")
             out.append(f"dg{i}_q_vars = {q:.3f}")
-        if self.sharing is not None:
-            pr = "undefined" if self.sharing.p_ratio is None else f"{self.sharing.p_ratio:.6f}"
-            qr = "undefined" if self.sharing.q_ratio is None else f"{self.sharing.q_ratio:.6f}"
-            out.append(f"p_sharing_ratio = {pr}")
-            out.append(f"q_sharing_ratio = {qr}")
+        for name, ratio in (("p", self.sharing.p_ratio), ("q", self.sharing.q_ratio)):
+            out.append(f"{name}_sharing_ratio = {_known(ratio, '.6f', 'undefined')}")
         for i, st in enumerate(self.v_dc_stats, start=1):
             out.append(f"dg{i}_vdc_mean = {st['mean']:.3f}")
             out.append(f"dg{i}_vdc_min = {st['min']:.3f}")
@@ -258,5 +237,5 @@ class MetricsReport:
         return out
 
 
-def _known(value: float | None, spec: str) -> str:
-    return "unavailable" if value is None else format(value, spec)
+def _known(value: float | None, spec: str, missing: str = "unavailable") -> str:
+    return missing if value is None else format(value, spec)

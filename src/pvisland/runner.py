@@ -61,9 +61,12 @@ class RunResult:
     max_kcl_residual: float | None
     mpp_available_w: tuple[float, ...]
 
+    @property
+    def sample_dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
     def series(self, name: str, unit: str = "") -> TimeSeries:
-        return TimeSeries(name, unit, float(self.times[1] - self.times[0]),
-                          self.channels[name])
+        return TimeSeries(name, unit, self.sample_dt, self.channels[name])
 
 
 def _mpp_power(pv: PvParams, irradiance: float) -> float:
@@ -147,26 +150,36 @@ def build_compensator(cfg: ScenarioConfig) -> CentralCompensator:
 #: Each unit's flags, in the order the loop gathers their states.
 UNIT_FLAGS = ("droop_voltage_clamp", "current_reference_clamp", "dc_link_lockout",
               "modulation_clamp")
+#: The compensator's flags, in the order the loop gathers their states.
+VCC_FLAGS = ("output_clamp", "positive_sequence_floor")
 
 
-class _FlagRecorder:
-    """Rising-edge log of boolean conditions, bounded in size."""
+class FlagLog:
+    """Rising edges of each source's flags, bounded in size.
+
+    ``last`` holds every source's latest states, all clear at the start.
+    """
 
     LIMIT = 500
 
-    def __init__(self):
+    def __init__(self, sources: dict[str, tuple[str, ...]]):
+        self.names = sources
+        self.last = {source: (False,) * len(names) for source, names in sources.items()}
         self.events: list[tuple[float, str, str]] = []
-        self._last: dict[tuple[str, str], bool] = {}
         self.dropped = 0
 
-    def poll(self, t: float, source: str, name: str, active: bool):
-        key = (source, name)
-        if active and not self._last.get(key, False):
-            if len(self.events) < self.LIMIT:
-                self.events.append((t, source, name))
-            else:
-                self.dropped += 1
-        self._last[key] = active
+    def update(self, t: float, source: str, states: tuple[bool, ...]):
+        """Record ``source``'s flag states at ``t``, logging each flag that rises."""
+        last = self.last[source]
+        if states == last:  # unchanged flags have no edge to log
+            return
+        self.last[source] = states
+        for name, now, before in zip(self.names[source], states, last):
+            if now and not before:
+                if len(self.events) < self.LIMIT:
+                    self.events.append((t, source, name))
+                else:
+                    self.dropped += 1
 
 
 def run_simulation(cfg: ScenarioConfig) -> RunResult:
@@ -204,8 +217,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         recorded += unit_channels(d + 1)
     # column-major, so every channel is a contiguous view
     table = np.empty((recorded_rows(cfg), len(recorded)), order="F")
-    flags = _FlagRecorder()
-    unit_flags = [None] * len(controllers)
+    unit_sources = [f"dg{d + 1}" for d in range(len(controllers))]
+    flags = FlagLog({"vcc": VCC_FLAGS, **dict.fromkeys(unit_sources, UNIT_FLAGS)})
 
     zero_vcs = [(0.0, 0.0)] * len(controllers)
     # Every compensator tick broadcasts a snapshot of its effort phasors,
@@ -234,9 +247,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             if vcc_active:
                 comp.step(extracted, cfg.vcc_period)
                 in_flight.append((tick + delay_ticks, dict(comp._effort_dq)))
-                flags.poll(t, "vcc", "output_clamp", comp.clamped)
+                flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
                 comp.clamped = False
-                flags.poll(t, "vcc", "positive_sequence_floor", not comp.indices_valid)
             else:
                 comp.measure(extracted)
 
@@ -250,12 +262,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             duty, m = ctl.step(meas["dg"][d], vc_log[d], t, dt_ctl)
             duties.append(duty)
             mods.append(m)
-            states = (ctl.droop.clamped, ctl.voltage_loop.clamped,
-                      ctl.current_loop.locked_out, plant.saturated[d])
-            if states != unit_flags[d]:  # unchanged flags have no edge to log
-                unit_flags[d] = states
-                for name, active in zip(UNIT_FLAGS, states):
-                    flags.poll(t, f"dg{d + 1}", name, active)
+            flags.update(t, unit_sources[d], (ctl.droop.clamped, ctl.voltage_loop.clamped,
+                                              ctl.current_loop.locked_out, plant.saturated[d]))
 
         if tick % sample_every == 0:
             values = [t, *v_pcc_abc, 1.0 if vcc_active else 0.0, comp.vuf,
@@ -314,17 +322,18 @@ def assemble_report(result: RunResult) -> MetricsReport:
         raise AnalysisError(
             f"report needs channels {sorted(missing)}; add them to outputs.channels")
 
-    va = result.series("vpcc_a", "V")
-    sample_dt = va.dt
+    sample_dt = result.sample_dt
+
+    def rows(w0: float, w1: float) -> slice:
+        """The recorded rows of the window from ``w0`` to ``w1``."""
+        return slice(max(ticks(w0, sample_dt), 0), ticks(w1, sample_dt))
 
     def measured_f1(w0: float, w1: float) -> float:
         """Droop frequency averaged over a window; anchors the DFT bins."""
-        i0 = max(int(round(w0 / sample_dt)), 0)
-        i1 = int(round(w1 / sample_dt))
-        return float(np.mean(result.channels["dg1_omega"][i0:i1])) / (2.0 * math.pi)
+        return float(np.mean(result.channels["dg1_omega"][rows(w0, w1)])) / (2.0 * math.pi)
 
     f1 = measured_f1(cfg.duration * 0.5, cfg.duration)
-    start, end = analysis.steady_window(va, STEADY_RMS_TOL, f1)
+    start, end = analysis.steady_window(result.series("vpcc_a", "V"), STEADY_RMS_TOL, f1)
     floor = last_event_time(cfg) + SETTLE_AFTER_EVENT  # the first row is tick 0, t = 0
     start = max(start, floor)
     if end - start < 10.0 / f1:
@@ -333,12 +342,12 @@ def assemble_report(result: RunResult) -> MetricsReport:
     def window_metrics(w0: float, w1: float):
         fw = measured_f1(w0, w1)
         cycles = max(int((w1 - w0) * fw) - 1, 10)
-        i1 = int(round(w1 / sample_dt))
         thds = {}
         phasors = []
         for phase in ("a", "b", "c"):
-            full = result.series(f"vpcc_{phase}", "V")
-            clipped = TimeSeries(full.name, full.unit, sample_dt, full.samples[:i1])
+            name = f"vpcc_{phase}"
+            clipped = TimeSeries(name, "V", sample_dt,
+                                 result.channels[name][:ticks(w1, sample_dt)])
             sp = analysis.spectrum(clipped, fw, cycles)
             thds[phase] = analysis.thd(sp)
             phasors.append(complex(sp.phasors[0]))
@@ -346,23 +355,19 @@ def assemble_report(result: RunResult) -> MetricsReport:
 
     thds, vuf_pct = window_metrics(start, end)
 
-    p_series = [result.series(f"dg{i}_p", "W") for i in units]
-    q_series = [result.series(f"dg{i}_q", "var") for i in units]
-    # the reported sharing ratios are unit 1 : unit 2
-    sharing = analysis.sharing_metrics(p_series[0], p_series[1], q_series[0], q_series[1],
-                                       (start, end))
-
-    i0 = int(round(start / sample_dt))
-    i1 = int(round(end / sample_dt))
+    window = rows(start, end)
 
     def window_mean(name: str) -> float:
-        return float(np.mean(result.channels[name][i0:i1]))
+        return float(np.mean(result.channels[name][window]))
 
     p_means = tuple(window_mean(f"dg{i}_p") for i in units)
     q_means = tuple(window_mean(f"dg{i}_q") for i in units)
+    # the reported sharing ratios are unit 1 : unit 2
+    sharing = analysis.SharingRatios(analysis.sharing_ratio(p_means[0], p_means[1]),
+                                     analysis.sharing_ratio(q_means[0], q_means[1]))
     v_dc_stats = []
     for i in units:
-        seg = result.channels[f"dg{i}_vdc"][i0:i1]
+        seg = result.channels[f"dg{i}_vdc"][window]
         v_dc_stats.append({"mean": float(np.mean(seg)), "min": float(np.min(seg)),
                            "max": float(np.max(seg))})
     pv_actual = [window_mean(f"pv{i}_power") for i in units]
@@ -445,9 +450,9 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
     plot_dir = artifacts.out_dir / "plots"
     plot_dir.mkdir(exist_ok=True)
     t = result.times
-    sample_dt = float(t[1] - t[0])
+    sample_dt = result.sample_dt
     f1 = report.fundamental_hz
-    n_five = int(round(5.0 / f1 / sample_dt))
+    n_five = ticks(5.0 / f1, sample_dt)
     written = []
 
     def columns(name: str, cols: list[str], rows: range = range(len(t))):
@@ -460,14 +465,13 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
         written.append(path)
 
     def voltage_window(name: str, t_end: float):
-        i1 = int(round(t_end / sample_dt))
+        i1 = ticks(t_end, sample_dt)
         columns(name, ["vpcc_a", "vpcc_b", "vpcc_c"], range(max(i1 - n_five, 0), i1))
 
     def spectrum_file(name: str, t_end: float):
-        i1 = int(round(t_end / sample_dt))
-        cycles = 20
-        ts = TimeSeries("vpcc_a", "V", sample_dt, result.channels["vpcc_a"][:i1])
-        sp = analysis.spectrum(ts, f1, cycles)
+        ts = TimeSeries("vpcc_a", "V", sample_dt,
+                        result.channels["vpcc_a"][:ticks(t_end, sample_dt)])
+        sp = analysis.spectrum(ts, f1, 20)
         path = plot_dir / name
         with open(path, "w", encoding="utf-8") as f:
             f.write("# order freq_hz magnitude percent_of_fundamental\n")
@@ -477,10 +481,7 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
                         f"{100.0 * mag / m1:.4f}\n")
         written.append(path)
 
-    toggled = (cfg.vcc_enable_at is not None
-               and 0.0 < cfg.vcc_enable_at < cfg.duration
-               and report.pre_window is not None)
-    if toggled:
+    if report.pre_window is not None:
         voltage_window("voltage_window_pre.dat", report.pre_window[1])
         spectrum_file("spectrum_pre.dat", report.pre_window[1])
     voltage_window("voltage_window_post.dat", report.window[1])

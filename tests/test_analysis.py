@@ -8,7 +8,7 @@ from pvisland.analysis import (
     AnalysisError,
     SpectrumResult,
     TimeSeries,
-    sharing_metrics,
+    sharing_ratio,
     spectrum,
     steady_window,
     symmetrical_components,
@@ -136,26 +136,18 @@ class TestSymmetricalComponents:
 
 class TestSharing:
     def test_constant_ratio(self):
-        p1 = _series(np.full(1000, 1000.0))
-        p2 = _series(np.full(1000, 2000.0))
-        q1 = _series(np.full(1000, 300.0))
-        q2 = _series(np.full(1000, 600.0))
-        out = sharing_metrics(p1, p2, q1, q2, (0.0, 0.1))
-        assert out.p_ratio == pytest.approx(0.5, rel=1e-12)
-        assert out.q_ratio == pytest.approx(0.5, rel=1e-12)
-        assert out.defined
+        assert sharing_ratio(1000.0, 2000.0) == pytest.approx(0.5, rel=1e-12)
+        assert sharing_ratio(300.0, 600.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_window_flags_undefined(self):
-        zero = _series(np.zeros(1000))
-        out = sharing_metrics(zero, zero, zero, zero, (0.0, 0.1))
-        assert out.p_ratio is None
-        assert not out.defined
-        assert not math.isnan(out.p_means[0])
+        assert sharing_ratio(0.0, 0.0) is None
 
-    def test_rejects_window_outside_series(self):
-        p = _series(np.zeros(100))
-        with pytest.raises(AnalysisError):
-            sharing_metrics(p, p, p, p, (0.0, 1.0))
+    def test_negligible_second_reads_undefined(self):
+        # the floor is a thousandth of the larger magnitude, and at least 1e-3
+        assert sharing_ratio(2000.0, 1.9) is None
+        assert sharing_ratio(2000.0, 2.1) == pytest.approx(2000.0 / 2.1, rel=1e-12)
+        assert sharing_ratio(0.5, 0.9e-3) is None
+        assert sharing_ratio(0.5, -1.1e-3) == pytest.approx(0.5 / -1.1e-3, rel=1e-12)
 
 
 class TestSteadyWindow:

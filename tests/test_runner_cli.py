@@ -9,6 +9,9 @@ from pvisland.config import (KNOWN_CHANNELS, VCC_INDEX_CHANNELS, channel_names, 
                              from_mapping)
 from pvisland.errors import SimulationDivergence
 from pvisland.runner import (
+    UNIT_FLAGS,
+    VCC_FLAGS,
+    FlagLog,
     build_compensator,
     build_controllers,
     build_plant,
@@ -95,6 +98,49 @@ class TestRunArtifacts:
             f.write("solver.method = trapezoid\n")
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "solver.method" in capsys.readouterr().err
+
+
+class TestFlagLog:
+    @staticmethod
+    def _log():
+        return FlagLog({"vcc": VCC_FLAGS, "dg1": UNIT_FLAGS, "dg2": UNIT_FLAGS})
+
+    def test_logs_rising_edges_only(self):
+        log = self._log()
+        log.update(0.1, "dg1", (True, False, False, False))
+        log.update(0.2, "dg1", (False, False, False, False))
+        log.update(0.3, "dg1", (True, False, False, True))
+        assert log.events == [(0.1, "dg1", "droop_voltage_clamp"),
+                              (0.3, "dg1", "droop_voltage_clamp"),
+                              (0.3, "dg1", "modulation_clamp")]
+
+    def test_sources_keep_their_own_states(self):
+        log = self._log()
+        log.update(0.1, "dg1", (True, True, False, False))
+        log.update(0.2, "dg2", (True, False, False, False))
+        log.update(0.3, "vcc", (True, False))
+        log.update(0.4, "dg1", (True, False, False, False))
+        assert log.events == [(0.1, "dg1", "droop_voltage_clamp"),
+                              (0.1, "dg1", "current_reference_clamp"),
+                              (0.2, "dg2", "droop_voltage_clamp"),
+                              (0.3, "vcc", "output_clamp")]
+        assert log.last == {"vcc": (True, False), "dg1": (True, False, False, False),
+                            "dg2": (True, False, False, False)}
+
+    def test_held_state_logs_once(self):
+        log = self._log()
+        for tick in range(100):
+            log.update(tick * 1e-3, "vcc", (False, True))
+        assert log.events == [(0.0, "vcc", "positive_sequence_floor")]
+
+    def test_cap_counts_the_dropped_edges(self, monkeypatch):
+        monkeypatch.setattr(FlagLog, "LIMIT", 3)
+        log = self._log()
+        for tick in range(10):
+            log.update(float(tick), "vcc", (tick % 2 == 0, False))
+        assert log.events == [(0.0, "vcc", "output_clamp"), (2.0, "vcc", "output_clamp"),
+                              (4.0, "vcc", "output_clamp")]
+        assert log.dropped == 2
 
 
 class TestPlots:
