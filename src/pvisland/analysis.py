@@ -83,13 +83,12 @@ def spectrum(ts: TimeSeries, f1: float, cycles: int, max_order: int = MAX_HARMON
     )
 
 
-def thd(sp: SpectrumResult, max_order: int = MAX_HARMONIC_ORDER) -> float:
-    """Total harmonic distortion in percent of the fundamental."""
+def thd(sp: SpectrumResult) -> float:
+    """Total harmonic distortion in percent of the fundamental, up to ``MAX_HARMONIC_ORDER``."""
     m1 = sp.magnitudes[0]
     if m1 < 1e-9:
         raise AnalysisError("fundamental magnitude too small for a distortion ratio")
-    upper = min(max_order, int(sp.orders[-1]))
-    rest = sp.magnitudes[1:upper]
+    rest = sp.magnitudes[1:MAX_HARMONIC_ORDER]
     return 100.0 * math.sqrt(float(np.sum(rest * rest))) / m1
 
 

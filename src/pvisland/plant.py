@@ -388,10 +388,6 @@ class AcNetwork:
         nb = sb - ih_ab[1] - lbk
         return z00 * na + z01 * nb, z10 * na + z11 * nb, na, nb
 
-    def pcc_voltage(self, ih_ab: tuple[float, float]) -> tuple[float, float]:
-        va, vb, _, _ = self.bus(self.x, ih_ab)
-        return va, vb
-
     def _resistor_current(self, va: float, vb: float) -> tuple[float, float]:
         (y00, y01), (y10, y11) = self._y2
         return y00 * va + y01 * vb, y10 * va + y11 * vb

@@ -131,7 +131,7 @@ class LowPass1:
 
     __slots__ = ("_a", "_b", "_y", "_x_prev")
 
-    def __init__(self, cutoff_hz: float, dt: float, initial: float = 0.0):
+    def __init__(self, cutoff_hz: float, dt: float):
         if cutoff_hz <= 0.0:
             raise ConfigurationError("low-pass cutoff must be positive")
         if dt <= 0.0 or too_coarse_for_low_pass(cutoff_hz, dt):
@@ -141,8 +141,8 @@ class LowPass1:
         wc = 2.0 * math.pi * cutoff_hz
         self._a = (2.0 - wc * dt) / (2.0 + wc * dt)
         self._b = wc * dt / (2.0 + wc * dt)
-        self._y = initial
-        self._x_prev = initial
+        self._y = 0.0
+        self._x_prev = 0.0
 
     def step(self, x: float) -> float:
         self._y = self._a * self._y + self._b * (x + self._x_prev)
@@ -342,12 +342,14 @@ class Pll:
     """
 
     __slots__ = ("kp", "ki", "omega_min", "omega_max", "theta", "omega",
-                 "_omega_ff", "_integral", "_e_prev", "_amp_floor")
+                 "_omega_ff", "_integral", "_e_prev")
+
+    #: Input magnitude below which the error is unusable and the loop coasts.
+    AMP_FLOOR = 1.0
 
     def __init__(self, kp: float = 92.0, ki: float = 4230.0,
                  omega_init: float = 370.0,
-                 omega_min: float = 0.5 * 370.0, omega_max: float = 1.5 * 370.0,
-                 amp_floor: float = 1.0):
+                 omega_min: float = 0.5 * 370.0, omega_max: float = 1.5 * 370.0):
         self.kp = kp
         self.ki = ki
         self.omega_min = omega_min
@@ -357,13 +359,12 @@ class Pll:
         self._omega_ff = omega_init
         self._integral = 0.0
         self._e_prev = 0.0
-        self._amp_floor = amp_floor
 
     def step(self, v, dt: float) -> tuple[float, float]:
         """Advance on the alpha/beta pair ``v``; returns (angle, frequency)."""
         x, y = v
         amp = math.hypot(x, y)
-        if amp < self._amp_floor:
+        if amp < self.AMP_FLOOR:
             # No usable error signal; hold frequency and keep spinning.
             self._e_prev = 0.0
             self.theta = (self.theta + self.omega * dt) % (2.0 * math.pi)

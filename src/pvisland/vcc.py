@@ -25,14 +25,10 @@ class DqExtractionBank:
     leave the component's phasor as a near-DC pair.
     """
 
-    def __init__(self, dt: float, components=DEFAULT_SEQUENCE_ORDERS,
-                 cutoff_hz: float = 5.0, damping: float = 2.5):
-        if 1 not in components:
-            raise ConfigurationError("extraction bank needs the fundamental positive sequence")
-        self.components = tuple(components)
+    def __init__(self, dt: float, cutoff_hz: float = 5.0, damping: float = 2.5):
         self._filters = {
             c: (LowPass2(cutoff_hz, damping, dt), LowPass2(cutoff_hz, damping, dt))
-            for c in self.components
+            for c in DEFAULT_SEQUENCE_ORDERS
         }
 
     def step(self, v_pcc: ThreePhaseSample, theta: float, dt: float

@@ -187,7 +187,7 @@ def _bus_voltage(load: LoadSpec, feeder_ab: tuple[float, float]) -> ThreePhaseSa
     """Coupling-bus voltage the network solves for a given feeder current."""
     net = AcNetwork([AcStageParams()], load, DT)
     net.x[4:6] = feeder_ab
-    return inverse_clarke(FrameVector(*net.pcc_voltage((0.0, 0.0))))
+    return inverse_clarke(FrameVector(*net.bus(net.x, (0.0, 0.0))[:2]))
 
 
 class TestLoads:
@@ -455,7 +455,7 @@ class TestPlant:
                     2.0 * v_cmd / v_dc * math.sin(w * t))))
             plant.step([0.37, 0.37], mods, w * t)
         amp1 = math.hypot(*plant.network.cap_voltage(0))
-        amp_pcc = math.hypot(*plant.network.pcc_voltage((0.0, 0.0)))
+        amp_pcc = math.hypot(*plant.network.bus(plant.network.x, (0.0, 0.0))[:2])
 
         # independent oracle: complex nodal solve of the three-node mesh
         s1, s2 = plant.network.stages
@@ -595,8 +595,8 @@ class TestPlant:
         stepped.set_load_scale(0.6)
         stepped.x = plant.network.x.copy()
         ih = harmonic_current_ab(injection_table(load.harmonics, 0.6), theta)
-        assert measured == stepped.pcc_voltage(ih)
+        assert measured == stepped.bus(stepped.x, ih)[:2]
         unstepped = AcNetwork(plant.network.stages, load, DT)
         unstepped.x = plant.network.x.copy()
-        assert measured != unstepped.pcc_voltage(
-            harmonic_current_ab(injection_table(load.harmonics), theta))
+        assert measured != unstepped.bus(
+            unstepped.x, harmonic_current_ab(injection_table(load.harmonics), theta))[:2]
