@@ -193,6 +193,7 @@ class MetricsReport:
     energy_audit_percent: float | None
     max_kcl_residual: float | None
     flags: list[tuple[float, str, str]] | None = field(default_factory=list)
+    flags_dropped: int | None = 0
     mode_transitions: list[tuple[float, str, str]] | None = field(default_factory=list)
     pre_window: tuple[float, float] | None = None
     pre_thd_percent: dict[str, float] | None = None
@@ -233,6 +234,7 @@ class MetricsReport:
             out.append(f"{name}_count = {len(events)}")
             for t, who, what in events:
                 out.append(f"{name} = {t:.6f} {who} {what}")
+        out.append(f"flag_dropped_count = {_known(self.flags_dropped, 'd')}")
         return out
 
 

@@ -109,6 +109,7 @@ def cmd_report(args) -> int:
         times=data[:, header.index("t")],
         channels=channels,
         flags=None,
+        flags_dropped=None,
         mode_transitions=None,
         energy_audit_percent=None,
         max_kcl_residual=None,

@@ -56,6 +56,7 @@ class RunResult:
     channels: dict[str, np.ndarray]
     # None where unknown: a result rebuilt from a run directory lacks them
     flags: list[tuple[float, str, str]] | None
+    flags_dropped: int | None  # rising edges past the log's cap
     mode_transitions: list[tuple[float, str, str]] | None
     energy_audit_percent: float | None
     max_kcl_residual: float | None
@@ -291,6 +292,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         times=table[:, 0],
         channels={n: table[:, recorded.index(n)] for n in channel_names(len(cfg.dgs))},
         flags=flags.events,
+        flags_dropped=flags.dropped,
         mode_transitions=mode_transitions,
         energy_audit_percent=100.0 * plant.energy_audit_error(),
         max_kcl_residual=plant.max_kcl_residual,
@@ -397,6 +399,7 @@ def assemble_report(result: RunResult) -> MetricsReport:
         energy_audit_percent=result.energy_audit_percent,
         max_kcl_residual=result.max_kcl_residual,
         flags=result.flags,
+        flags_dropped=result.flags_dropped,
         mode_transitions=result.mode_transitions,
         pre_window=pre_window,
         pre_thd_percent=pre_thd,

@@ -47,7 +47,7 @@ class TestRunArtifacts:
         text = short_run.report_path.read_text()
         for key in ("scenario =", "thd_a_percent =", "vuf_percent =",
                     "p_sharing_ratio =", "dg1_vdc_mean =", "curtailment_percent =",
-                    "energy_audit_percent =", "flag_count ="):
+                    "energy_audit_percent =", "flag_count =", "flag_dropped_count ="):
             assert key in text
 
     def test_flags_carry_timestamps(self, short_run):
@@ -74,7 +74,7 @@ class TestRunArtifacts:
     def test_report_rebuild_marks_run_only_quantities_unavailable(self, short_run, capsys):
         assert cli.main(["report", str(short_run.out_dir)]) == 0
         run_only = ("energy_audit_percent", "max_kcl_residual_amps",
-                    "mode_transition_count", "flag_count")
+                    "mode_transition_count", "flag_count", "flag_dropped_count")
         listed = ("mode_transition", "flag")
 
         def entries(name):
@@ -141,6 +141,17 @@ class TestFlagLog:
         assert log.events == [(0.0, "vcc", "output_clamp"), (2.0, "vcc", "output_clamp"),
                               (4.0, "vcc", "output_clamp")]
         assert log.dropped == 2
+
+    def test_report_counts_the_dropped_edges(self, tmp_path, monkeypatch):
+        cfg = from_mapping({"solver.duration": "0.6", "vcc.enable_at": "0.1"})
+        every = run_simulation(cfg).flags
+        assert len(every) > 4
+        monkeypatch.setattr(FlagLog, "LIMIT", 4)
+        capped = run_scenario(cfg, tmp_path)
+        assert capped.result.flags == every[:4]
+        lines = capped.report_path.read_text().splitlines()
+        assert "flag_count = 4" in lines
+        assert lines[-1] == f"flag_dropped_count = {len(every) - 4}"
 
 
 class TestPlots:
@@ -304,7 +315,7 @@ class TestCli:
             "sharing": {"solver.duration": "0.6", "vcc.enable_at": "0.1"},
         }
         run_only = ("energy_audit_percent", "max_kcl_residual_amps",
-                    "mode_transition_count", "flag_count")
+                    "mode_transition_count", "flag_count", "flag_dropped_count")
         units = range(1, 3)
         rebuilt_keys = (["scenario", "duration_s", "dt_s", "window_start_s", "window_end_s",
                          "fundamental_hz", "thd_a_percent", "thd_b_percent", "thd_c_percent",
