@@ -91,11 +91,13 @@ class PvParams:
 
 
 def pv_current(v_pv: float, irradiance: float, p: PvParams) -> float:
-    """Terminal current of the PV string at a given voltage and irradiance."""
+    """Terminal current of the PV string at a given voltage and irradiance.
+
+    Past open circuit the diode conducts and the string sinks current.
+    """
     if v_pv < 0.0:
         raise ConfigurationError("PV terminal voltage must be non-negative")
-    i = irradiance * p.i_sc - p._i_dark * math.expm1(v_pv / p._v_scale)
-    return i if i > 0.0 else 0.0
+    return irradiance * p.i_sc - p._i_dark * math.expm1(v_pv / p._v_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,11 @@ class TestPvCurve:
     def test_open_circuit_endpoint(self, pv3k):
         assert pv_current(450.0, 1.0, pv3k) == pytest.approx(0.0, abs=1e-9)
 
-    def test_clamped_beyond_open_circuit(self, pv3k):
-        assert pv_current(460.0, 1.0, pv3k) == 0.0
+    def test_sinks_current_beyond_open_circuit(self, pv3k):
+        # the diode conducts: the current turns negative and keeps falling
+        cur = [pv_current(v, 1.0, pv3k) for v in (455.0, 460.0, 470.0, 500.0)]
+        assert cur[0] < 0.0
+        assert all(b < a for a, b in zip(cur, cur[1:]))
 
     def test_peak_power_matches_rating(self, pv3k):
         # brute-force sweep of the implemented curve

@@ -441,6 +441,16 @@ class TestCli:
         assert curtailment("report_rebuilt.txt") == curtailment("report.txt")
 
 
+class TestPvStartup:
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_pv_voltage_stays_near_open_circuit(self, preset):
+        # the string's diode holds the PV capacitor near V_oc while the link charges
+        cfg = from_mapping({**cli._load_scenario(preset).raw, "solver.duration": "0.3"})
+        run = run_simulation(cfg)
+        for i, dg in enumerate(cfg.dgs, start=1):
+            assert run.channels[f"dg{i}_vpv"].max() <= dg.pv.v_oc + 5.0, preset
+
+
 class TestUnitRoster:
     def test_three_unit_roster_runs_end_to_end(self, tmp_path):
         cfg = from_mapping({"solver.duration": "0.8", "vcc.enable_at": "0.4"})
