@@ -211,7 +211,8 @@ class MetricsReport:
             out.append(f"dg{i}_p_watts = {p:.3f}")
             out.append(f"dg{i}_q_vars = {q:.3f}")
         for name, ratio in (("p", self.sharing.p_ratio), ("q", self.sharing.q_ratio)):
-            out.append(f"{name}_sharing_ratio = {_known(ratio, '.6f', 'undefined')}")
+            out.append(f"{name}_sharing_ratio = "
+                       + ("undefined" if ratio is None else f"{ratio:.6f}"))
         for i, st in enumerate(self.v_dc_stats, start=1):
             out.append(f"dg{i}_vdc_mean = {st['mean']:.3f}")
             out.append(f"dg{i}_vdc_min = {st['min']:.3f}")
@@ -238,5 +239,5 @@ class MetricsReport:
         return out
 
 
-def _known(value: float | None, spec: str, missing: str = "unavailable") -> str:
-    return missing if value is None else format(value, spec)
+def _known(value: float | None, spec: str) -> str:
+    return "unavailable" if value is None else format(value, spec)
