@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import analysis
-from .control import DgControlParams
+from .control import POWER_FILTER_HZ
 from .errors import ConfigurationError
-from .plant import PvParams, max_filter_step
+from .plant import max_filter_step, pv_params
 from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, beyond_nyquist, ticks,
                       too_coarse_for_low_pass)
 
@@ -453,7 +453,7 @@ def _check_pv(cfg: ScenarioConfig):
         _require(pv.v_mp * pv.i_mp <= pv.rated_w * 1.001, f"{prefix}.pv.rated_w",
                  "lies below the maximum-power point pv.v_mp * pv.i_mp")
         try:
-            PvParams(pv.rated_w, pv.v_oc, pv.i_sc, pv.v_mp, pv.i_mp)
+            pv_params(pv)
         except ConfigurationError as exc:
             raise ConfigurationError(str(exc), key=f"{prefix}.pv.v_mp") from exc
         _require(dg.v_dc_ref > pv.v_mp, f"{prefix}.vr.v_dc_ref",
@@ -482,7 +482,7 @@ def _check_low_passes(cfg: ScenarioConfig):
     """The compensator's extraction filters and the units' power filters suit their steps."""
     for key, cutoff_hz, step in (
             ("vcc.extraction_cutoff_hz", cfg.extraction_cutoff_hz, cfg.vcc_period),
-            ("control.period", DgControlParams.power_filter_hz, cfg.control_period)):
+            ("control.period", POWER_FILTER_HZ, cfg.control_period)):
         _require(not too_coarse_for_low_pass(cutoff_hz, step), key,
                  f"a {step} s step is too coarse for a {cutoff_hz} Hz low-pass filter")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
 from .signals import (
@@ -22,6 +23,14 @@ from .signals import (
     resonator_table,
     ticks,
 )
+
+if TYPE_CHECKING:
+    from .config import DgConfig, ScenarioConfig
+
+#: Cutoff of every unit's power-averaging filters.
+POWER_FILTER_HZ = 2.0
+#: The boost duty range, for the tracker and the link regulator alike.
+DUTY_MIN, DUTY_MAX = 0.02, 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +137,8 @@ class PrGains:
     kp: float
     k_fundamental: float
     k_harmonic: float
-    cutoff: float = 2.0          # rad/s resonant bandwidth
-    orders: tuple[int, ...] = (1, 3, 5, 7)
+    cutoff: float                # rad/s resonant bandwidth
+    orders: tuple[int, ...]
 
     def terms(self) -> list[ResonantTerm]:
         out = []
@@ -192,11 +201,9 @@ class CurrentLoop:
 
 @dataclass
 class MpptParams:
-    period: float = 1e-3
-    duty_step: float = 0.002
-    deadband: float = 0.005     # relative conductance mismatch treated as converged
-    duty_min: float = 0.02
-    duty_max: float = 0.95
+    period: float
+    duty_step: float
+    deadband: float             # relative conductance mismatch treated as converged
 
 
 class IncrementalConductanceMppt:
@@ -204,7 +211,7 @@ class IncrementalConductanceMppt:
 
     def __init__(self, params: MpptParams, duty_init: float):
         self.params = params
-        self.duty = min(max(duty_init, params.duty_min), params.duty_max)
+        self.duty = min(max(duty_init, DUTY_MIN), DUTY_MAX)
         self._v_prev = None
         self._i_prev = None
 
@@ -219,7 +226,7 @@ class IncrementalConductanceMppt:
         if i_pv < 1e-3 and v_pv > 1.0:
             # Dead zone past open circuit: no current, no usable gradient;
             # walk the terminal voltage back down until current flows.
-            self.duty = min(self.duty + p.duty_step, p.duty_max)
+            self.duty = min(self.duty + p.duty_step, DUTY_MAX)
             return self.duty
         if abs(dv) < 1e-9:
             # Voltage unchanged; use the current movement alone, no division.
@@ -235,17 +242,15 @@ class IncrementalConductanceMppt:
                     self.duty -= p.duty_step   # raise the PV voltage
                 else:
                     self.duty += p.duty_step
-        self.duty = min(max(self.duty, p.duty_min), p.duty_max)
+        self.duty = min(max(self.duty, DUTY_MIN), DUTY_MAX)
         return self.duty
 
 
 @dataclass
 class VrParams:
-    kp: float = 0.002
-    ki: float = 0.05
-    v_dc_ref: float = 600.0
-    duty_min: float = 0.02
-    duty_max: float = 0.95
+    kp: float
+    ki: float
+    v_dc_ref: float
 
 
 class DcLinkRegulator:
@@ -267,14 +272,14 @@ class DcLinkRegulator:
 
     def step(self, v_dc: float, dt: float, duty_ceiling: float | None = None) -> float:
         p = self.params
-        hi = p.duty_max if duty_ceiling is None else min(p.duty_max, duty_ceiling)
+        hi = DUTY_MAX if duty_ceiling is None else min(DUTY_MAX, duty_ceiling)
         e = p.v_dc_ref - v_dc
         candidate = self.integral + p.ki * e * dt
         duty = p.kp * e + candidate
-        if p.duty_min <= duty <= hi:
+        if DUTY_MIN <= duty <= hi:
             self.integral = candidate
         else:
-            duty = min(max(duty, p.duty_min), hi)
+            duty = min(max(duty, DUTY_MIN), hi)
         return duty
 
 
@@ -284,9 +289,9 @@ MODE_VR = "VR"
 
 @dataclass
 class ModeParams:
-    enter_vr_margin: float = 5.0     # volts above the link reference
-    exit_vr_margin: float = 10.0     # volts below the link reference
-    exit_hold: float = 0.1           # seconds the exit condition must persist
+    enter_vr_margin: float     # volts above the link reference
+    exit_vr_margin: float      # volts below the link reference
+    exit_hold: float           # seconds the exit condition must persist
 
 
 class BoostController:
@@ -354,71 +359,62 @@ class BoostController:
 # Whole per-unit controller
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DgControlParams:
-    droop: DroopParams
-    virtual_impedance: VirtualImpedanceParams
-    pr_voltage: PrGains
-    pr_current: PrGains
-    mppt: MpptParams
-    vr: VrParams
-    mode: ModeParams
-    rated_va: float
-    power_filter_hz: float = 2.0
-    vi_omega: float = 370.0
-    current_limit_factor: float = 1.5
-    startup_ramp: float = 0.25
-    sequence_gain: float = math.sqrt(2.0)
-
-
 class DgController:
-    """Primary control stack of one generating unit.
+    """Primary control stack of one generating unit, built from its ``dgN.*`` keys.
 
     Each step takes one resonator table at the droop frequency for the
     extractor and both loops, which share coefficients when their terms match.
+    The virtual impedance's reactance is taken at the droop's no-load
+    frequency, and the boost starts at the duty that lifts the array's
+    maximum-power voltage to the link reference.
     """
 
-    def __init__(self, params: DgControlParams, dt: float, duty_init: float):
-        self.params = params
-        self.power = PowerCalculator(params.power_filter_hz, dt)
-        self.droop = DroopControl(params.droop)
-        self.extractor = SequenceExtractor(gain=params.sequence_gain)
-        for order in params.virtual_impedance.r_harmonic:
+    def __init__(self, cfg: ScenarioConfig, dg: DgConfig):
+        dt = cfg.control_period
+        self.startup_ramp = cfg.startup_ramp
+        self.power = PowerCalculator(POWER_FILTER_HZ, dt)
+        self.droop = DroopControl(DroopParams(dg.m_p, dg.n_p, cfg.v_amp, cfg.omega))
+        self.virtual_impedance = VirtualImpedanceParams(dg.vi_r_pos, dg.vi_l_pos, dg.vi_r_neg,
+                                                        dict(dg.vi_r_h))
+        self.extractor = SequenceExtractor(gain=dg.vi_bandwidth_gain)
+        for order in dg.vi_r_h:
             if abs(order) == 1 or order not in self.extractor.orders:
                 raise ConfigurationError(
                     f"virtual impedance configured for order {order} "
                     "but the sequence extractor does not provide it")
-        rated_current = params.rated_va / (1.5 * params.droop.v_amp)
-        self.voltage_loop = VoltageLoop(
-            params.pr_voltage, params.droop.omega, dt,
-            params.current_limit_factor * rated_current)
-        self.current_loop = CurrentLoop(params.pr_current, params.droop.omega, dt)
-        self.boost = BoostController(params.mppt, params.vr, params.mode, duty_init, dt)
+        rated_current = dg.pv.rated_w / (1.5 * cfg.v_amp)
+        v_gains, i_gains = PrGains(*dg.prv, dg.prv_orders), PrGains(*dg.pri, dg.pri_orders)
+        self.voltage_loop = VoltageLoop(v_gains, cfg.omega, dt,
+                                        dg.current_limit_factor * rated_current)
+        self.current_loop = CurrentLoop(i_gains, cfg.omega, dt)
+        self.boost = BoostController(
+            MpptParams(dg.mppt_period, dg.mppt_duty_step, dg.mppt_deadband),
+            VrParams(dg.vr_kp, dg.vr_ki, dg.v_dc_ref),
+            ModeParams(dg.enter_vr_margin, dg.exit_vr_margin, dg.exit_hold),
+            1.0 - dg.pv.v_mp / dg.v_dc_ref, dt)
         self.p_avg = 0.0
         self.q_avg = 0.0
-        v_gains, i_gains = params.pr_voltage, params.pr_current
         self._orders = sorted({*self.extractor.bands, *v_gains.orders, *i_gains.orders})
         self._shared = (v_gains.orders, v_gains.cutoff) == (i_gains.orders, i_gains.cutoff)
 
     def step(self, meas: dict, v_c: tuple[float, float], t: float, dt: float
              ) -> tuple[float, tuple[float, float, float]]:
         """Advance the control period starting at ``t``; returns (boost duty, modulation)."""
-        par = self.params
         voa, vob = meas["v_o_ab"]
         ioa, iob = meas["i_o_ab"]
         ila, ilb = meas["i_l_ab"]
 
         self.p_avg, self.q_avg = self.power.step(voa, vob, ioa, iob)
         da, db = self.droop.step(self.p_avg, self.q_avg, dt)
-        if t < par.startup_ramp:
-            ramp = t / par.startup_ramp
+        if t < self.startup_ramp:
+            ramp = t / self.startup_ramp
             da *= ramp
             db *= ramp
         omega = self.droop.omega_ref
         table = resonator_table(self._orders, omega, dt)
         self.extractor.advance(ioa, iob, table)
         ra, rb = compose_reference((da, db), virtual_impedance(
-            self.extractor.component, par.virtual_impedance, par.vi_omega), v_c)
+            self.extractor.component, self.virtual_impedance, self.droop.params.omega), v_c)
         v_rows = self.voltage_loop.pr.coefficients(table, omega)
         i_rows = v_rows if self._shared else self.current_loop.pr.coefficients(table, omega)
         ia, ib = self.voltage_loop.step(ra, rb, voa, vob, v_rows)

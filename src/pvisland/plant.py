@@ -30,11 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
 from .signals import clarke_xy, inverse_clarke_xy
+
+if TYPE_CHECKING:
+    from .config import PvConfig, ScenarioConfig
 
 # the transforms as matrices: their images of the unit vectors, column by column
 _CLARKE = np.array([clarke_xy(*e) for e in np.eye(3).tolist()]).T.copy()
@@ -90,6 +94,11 @@ class PvParams:
         self._i_dark = self.i_sc / math.expm1(self.v_oc / self._v_scale)
 
 
+def pv_params(pv: PvConfig) -> PvParams:
+    """The curve of one unit's ``pv.*`` keys."""
+    return PvParams(pv.rated_w, pv.v_oc, pv.i_sc, pv.v_mp, pv.i_mp)
+
+
 def pv_current(v_pv: float, irradiance: float, p: PvParams) -> float:
     """Terminal current of the PV string at a given voltage and irradiance.
 
@@ -106,9 +115,9 @@ def pv_current(v_pv: float, irradiance: float, p: PvParams) -> float:
 
 @dataclass
 class DcLinkParams:
-    c_pv: float = 200e-6
-    l_boost: float = 1.5e-3
-    c_dc: float = 2350e-6
+    c_pv: float
+    l_boost: float
+    c_dc: float
 
 
 @dataclass
@@ -124,7 +133,7 @@ class DcSide:
     Lossless: the inverter appears as a power draw on the link capacitor.
     """
 
-    def __init__(self, pv: PvParams, params: DcLinkParams, irradiance: float = 1.0):
+    def __init__(self, pv: PvParams, params: DcLinkParams, irradiance: float):
         self.pv = pv
         self.params = params
         self.irradiance = irradiance
@@ -229,10 +238,10 @@ def harmonic_current_ab(table, theta: float) -> tuple[float, float]:
 
 @dataclass
 class AcStageParams:
-    l_filter: float = 1.8e-3
-    c_filter: float = 25e-6
-    feeder_r: float = 0.8
-    feeder_l: float = 2.4e-3
+    l_filter: float
+    c_filter: float
+    feeder_r: float
+    feeder_l: float
 
     def resonance_hz(self) -> float:
         return 1.0 / (2.0 * math.pi * math.sqrt(self.l_filter * self.c_filter))
@@ -438,14 +447,6 @@ class AcNetwork:
 # Whole plant
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DgPlantParams:
-    pv: PvParams
-    dc: DcLinkParams
-    ac: AcStageParams
-    irradiance: float = 1.0
-
-
 class Plant:
     """Composed power stage: per-unit DC sides plus the shared AC network.
 
@@ -454,19 +455,22 @@ class Plant:
     computed over the step is the draw applied to each DC link.
     """
 
-    def __init__(self, dgs: list[DgPlantParams], load: LoadSpec, dt: float,
-                 v_dc_init: float = 600.0):
-        self.dt = dt
-        self.network = AcNetwork([d.ac for d in dgs], load, dt)
-        self.dc_sides = [DcSide(d.pv, d.dc, d.irradiance) for d in dgs]
-        self.dc_states = [DcSideState(v_pv=d.pv.v_mp, i_boost=0.0, v_dc=v_dc_init)
-                          for d in dgs]
+    def __init__(self, cfg: ScenarioConfig):
+        self.dt = cfg.dt
+        load = LoadSpec(cfg.balanced_r, cfg.unbalanced_r_a,
+                        tuple(HarmonicInjection(*h) for h in cfg.harmonics), cfg.balanced_l)
+        self.network = AcNetwork([AcStageParams(dg.filter_l, dg.filter_c, dg.feeder_r,
+                                                dg.feeder_l) for dg in cfg.dgs], load, cfg.dt)
+        self.dc_sides = [DcSide(pv_params(dg.pv), DcLinkParams(dg.c_pv, dg.l_boost, dg.c_dc),
+                                dg.pv.irradiance) for dg in cfg.dgs]
+        self.dc_states = [DcSideState(v_pv=dg.pv.v_mp, i_boost=0.0, v_dc=cfg.dgs[0].v_dc_ref)
+                          for dg in cfg.dgs]
         # each unit's PV current at its present state and irradiance
-        self.i_pv = [0.0] * len(dgs)
-        for d, dg in enumerate(dgs):
-            self.set_irradiance(d, dg.irradiance)
+        self.i_pv = [0.0] * len(cfg.dgs)
+        for d, side in enumerate(self.dc_sides):
+            self.set_irradiance(d, side.irradiance)
         self.steps = 0
-        self.saturated = [False] * len(dgs)
+        self.saturated = [False] * len(cfg.dgs)
         self.max_kcl_residual = 0.0
         # Energy audit accumulators (trapezoidal integration of powers)
         self.energy_in = 0.0

@@ -19,32 +19,13 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, TimeSeries
-from .config import (VCC_INDEX_CHANNELS, DgConfig, ScenarioConfig, channel_names,
-                     check_report_length, echo, recorded_rows, unit_channels)
-from .control import (
-    DgControlParams,
-    DgController,
-    DroopParams,
-    ModeParams,
-    MpptParams,
-    PrGains,
-    VirtualImpedanceParams,
-    VrParams,
-    MODE_VR,
-)
+from .config import (VCC_INDEX_CHANNELS, ScenarioConfig, channel_names, check_report_length,
+                     echo, recorded_rows, unit_channels)
+from .control import MODE_VR, DgController
 from .errors import AnalysisError
-from .plant import (
-    AcStageParams,
-    DcLinkParams,
-    DgPlantParams,
-    HarmonicInjection,
-    LoadSpec,
-    Plant,
-    PvParams,
-    pv_current,
-)
+from .plant import Plant, PvParams, pv_current, pv_params
 from .signals import HARMONIC_ORDERS, Pll, inverse_clarke_xy, ticks
-from .vcc import CentralCompensator, DqExtractionBank, PiGains, VccParams
+from .vcc import CentralCompensator, DqExtractionBank
 
 
 @dataclass
@@ -85,67 +66,22 @@ def irradiance_after(cfg: ScenarioConfig, tick: int) -> list[float]:
     return out
 
 
-def _pv_params(dg: DgConfig) -> PvParams:
-    return PvParams(dg.pv.rated_w, dg.pv.v_oc, dg.pv.i_sc, dg.pv.v_mp, dg.pv.i_mp)
-
-
 def mpp_available_w(cfg: ScenarioConfig, tick: int) -> tuple[float, ...]:
     """Each unit's array maximum power under its irradiance after the events up to ``tick``."""
-    return tuple(_mpp_power(_pv_params(dg), g)
+    return tuple(_mpp_power(pv_params(dg.pv), g)
                  for dg, g in zip(cfg.dgs, irradiance_after(cfg, tick)))
 
 
 def build_plant(cfg: ScenarioConfig) -> Plant:
-    dgs = []
-    for dg in cfg.dgs:
-        dgs.append(DgPlantParams(
-            pv=_pv_params(dg),
-            dc=DcLinkParams(dg.c_pv, dg.l_boost, dg.c_dc),
-            ac=AcStageParams(dg.filter_l, dg.filter_c, dg.feeder_r, dg.feeder_l),
-            irradiance=dg.pv.irradiance,
-        ))
-    load = LoadSpec(
-        balanced_r=cfg.balanced_r,
-        balanced_l=cfg.balanced_l,
-        unbalanced_r_a=cfg.unbalanced_r_a,
-        harmonics=tuple(HarmonicInjection(o, a, p) for o, a, p in cfg.harmonics),
-    )
-    return Plant(dgs, load, cfg.dt, v_dc_init=cfg.dgs[0].v_dc_ref)
+    return Plant(cfg)
 
 
 def build_controllers(cfg: ScenarioConfig) -> list[DgController]:
-    out = []
-    for dg in cfg.dgs:
-        params = DgControlParams(
-            droop=DroopParams(dg.m_p, dg.n_p, cfg.v_amp, cfg.omega),
-            virtual_impedance=VirtualImpedanceParams(
-                dg.vi_r_pos, dg.vi_l_pos, dg.vi_r_neg, dict(dg.vi_r_h)),
-            pr_voltage=PrGains(*dg.prv, orders=dg.prv_orders),
-            pr_current=PrGains(*dg.pri, orders=dg.pri_orders),
-            mppt=MpptParams(dg.mppt_period, dg.mppt_duty_step, dg.mppt_deadband),
-            vr=VrParams(dg.vr_kp, dg.vr_ki, dg.v_dc_ref),
-            mode=ModeParams(dg.enter_vr_margin, dg.exit_vr_margin, dg.exit_hold),
-            rated_va=dg.pv.rated_w,
-            vi_omega=cfg.omega,
-            current_limit_factor=dg.current_limit_factor,
-            startup_ramp=cfg.startup_ramp,
-            sequence_gain=dg.vi_bandwidth_gain,
-        )
-        duty_init = 1.0 - dg.pv.v_mp / dg.v_dc_ref
-        out.append(DgController(params, cfg.control_period, duty_init))
-    return out
+    return [DgController(cfg, dg) for dg in cfg.dgs]
 
 
 def build_compensator(cfg: ScenarioConfig) -> CentralCompensator:
-    params = VccParams(
-        vuf_ref=cfg.vuf_ref,
-        hd_ref=dict.fromkeys(HARMONIC_ORDERS, cfg.hd_ref),
-        gains={c: PiGains(*g) for c, g in cfg.vcc_gains.items()},
-        rated_powers=tuple(dg.pv.rated_w for dg in cfg.dgs),
-        output_limit=cfg.vcc_output_limit,
-        effort_limit=cfg.vcc_effort_limit,
-    )
-    return CentralCompensator(params)
+    return CentralCompensator(cfg)
 
 
 #: Each unit's flags, in the order the loop gathers their states.

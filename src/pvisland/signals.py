@@ -337,8 +337,8 @@ class Pll:
     """Synchronous-reference-frame phase-locked loop.
 
     The quadrature error is normalized by the input magnitude so the loop
-    bandwidth does not depend on signal amplitude; with the default gains the
-    natural frequency is about 10 Hz with damping near 0.7.
+    bandwidth does not depend on signal amplitude; with the default ``pll.kp``
+    and ``pll.ki`` the natural frequency is about 10 Hz with damping near 0.7.
     """
 
     __slots__ = ("kp", "ki", "omega_min", "omega_max", "theta", "omega",
@@ -347,9 +347,8 @@ class Pll:
     #: Input magnitude below which the error is unusable and the loop coasts.
     AMP_FLOOR = 1.0
 
-    def __init__(self, kp: float = 92.0, ki: float = 4230.0,
-                 omega_init: float = 370.0,
-                 omega_min: float = 0.5 * 370.0, omega_max: float = 1.5 * 370.0):
+    def __init__(self, kp: float, ki: float, omega_init: float, omega_min: float,
+                 omega_max: float):
         self.kp = kp
         self.ki = ki
         self.omega_min = omega_min

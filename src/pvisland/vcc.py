@@ -10,11 +10,16 @@ reference contributes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .errors import ConfigurationError
 from .signals import (DEFAULT_SEQUENCE_ORDERS, DQ, HARMONIC_ORDERS, FrameVector, LowPass2,
                       ThreePhaseSample, clarke_xy, inverse_park_xy, park_xy)
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
+
+#: Volts of positive sequence below which the quality indices are unusable.
+POS_SEQ_FLOOR = 1.0
 
 
 class DqExtractionBank:
@@ -42,42 +47,21 @@ class DqExtractionBank:
         return out
 
 
-def quality_index(mag: float, pos_mag: float, floor: float = 1.0) -> tuple[float, bool]:
+def quality_index(mag: float, pos_mag: float) -> tuple[float, bool]:
     """One component's magnitude in percent of the positive sequence.
 
     The unbalance factor (negative sequence) or one order's harmonic
-    distortion; flags a positive sequence below ``floor`` as unusable.
+    distortion; flags a positive sequence below :data:`POS_SEQ_FLOOR` as unusable.
     """
-    if pos_mag < floor:
+    if pos_mag < POS_SEQ_FLOOR:
         return 0.0, False
     return 100.0 * mag / pos_mag, True
 
 
-@dataclass
-class PiGains:
-    kp: float
-    ki: float
-
-
-@dataclass
-class VccParams:
-    vuf_ref: float = 0.2                       # percent
-    hd_ref: dict[int, float] = field(default_factory=lambda: dict.fromkeys(HARMONIC_ORDERS, 0.2))
-    gains: dict[int, PiGains] = field(default_factory=lambda: {
-        -1: PiGains(0.5, 20.0),
-        3: PiGains(0.5, 15.0),
-        -5: PiGains(5.0, 30.0),
-        7: PiGains(5.0, 25.0),
-        -11: PiGains(0.5, 5.0),
-    })
-    rated_powers: tuple[float, ...] = (3000.0, 6000.0)
-    output_limit: float = 80.0                 # volts per axis at each unit
-    effort_limit: float = 250.0                # bound on each PI output
-    pos_seq_floor: float = 1.0                 # volts of positive sequence for valid indices
-
-
 class CentralCompensator:
     """Quality-index PI loops and the power-ratio broadcast of corrections.
+
+    Built from the ``vcc.*`` keys and the units' ``pv.rated_w``.
 
     The per-component correction phasors are held in their rotating frames
     between controller ticks; consumers rebuild the stationary-frame pairs
@@ -87,14 +71,15 @@ class CentralCompensator:
     slower tick rate.
     """
 
-    def __init__(self, params: VccParams):
-        self.params = params
-        total = sum(params.rated_powers)
-        self.shares = tuple(p / total for p in params.rated_powers)
-        self.components = (-1,) + tuple(sorted(params.hd_ref))
-        for c in self.components:
-            if c not in params.gains:
-                raise ConfigurationError(f"no PI gains configured for component {c}")
+    def __init__(self, cfg: ScenarioConfig):
+        self.vuf_ref = cfg.vuf_ref                  # percent
+        self.hd_ref = cfg.hd_ref                    # percent, for every harmonic order
+        self.gains = cfg.vcc_gains                  # (kp, ki) per component
+        self.output_limit = cfg.vcc_output_limit    # volts per axis at each unit
+        self.effort_limit = cfg.vcc_effort_limit    # bound on each PI output
+        total = sum(dg.pv.rated_w for dg in cfg.dgs)
+        self.shares = tuple(dg.pv.rated_w / total for dg in cfg.dgs)
+        self.components = (-1,) + tuple(sorted(HARMONIC_ORDERS))
         self._integral = {c: 0.0 for c in self.components}
         self._effort_dq = {c: (0.0, 0.0) for c in self.components}
         self.vuf = 0.0
@@ -109,10 +94,9 @@ class CentralCompensator:
         indices are flagged invalid; returns ``indices_valid``.
         """
         pos_mag = extracted[1].magnitude()
-        floor = self.params.pos_seq_floor
-        self.vuf, self.indices_valid = quality_index(extracted[-1].magnitude(), pos_mag, floor)
+        self.vuf, self.indices_valid = quality_index(extracted[-1].magnitude(), pos_mag)
         for c in self.hd:
-            self.hd[c] = quality_index(extracted[c].magnitude(), pos_mag, floor)[0]
+            self.hd[c] = quality_index(extracted[c].magnitude(), pos_mag)[0]
         return self.indices_valid
 
     def step(self, extracted: dict[int, FrameVector], dt: float
@@ -122,12 +106,11 @@ class CentralCompensator:
         Returns the per-unit stationary-frame corrections at the extraction
         angle (the rotating-frame phasors are retained for reconstruction).
         """
-        par = self.params
         if self.measure(extracted):
             for c in self.components:
-                idx, ref = (self.vuf, par.vuf_ref) if c == -1 else (self.hd[c], par.hd_ref[c])
+                idx, ref = (self.vuf, self.vuf_ref) if c == -1 else (self.hd[c], self.hd_ref)
                 err = ref - idx
-                g = par.gains[c]
+                kp, ki = self.gains[c]
                 if err >= 0.0:
                     # Index at or better than its reference: never inject to
                     # raise it.  With no accumulated effort the contribution
@@ -138,9 +121,8 @@ class CentralCompensator:
                     if self._integral[c] == 0.0:
                         self._effort_dq[c] = (0.0, 0.0)
                     continue
-                self._integral[c] = max(self._integral[c] + g.ki * err * dt,
-                                        -par.effort_limit)
-                u = max(g.kp * err + self._integral[c], -par.effort_limit)
+                self._integral[c] = max(self._integral[c] + ki * err * dt, -self.effort_limit)
+                u = max(kp * err + self._integral[c], -self.effort_limit)
                 comp = extracted[c]
                 self._effort_dq[c] = (u * comp.x, u * comp.y)
         theta = extracted[1].theta  # extraction ran at this fundamental angle
@@ -165,7 +147,7 @@ class CentralCompensator:
             x, y = inverse_park_xy(d, q, c * theta)
             a += x
             b += y
-        lim = self.params.output_limit
+        lim = self.output_limit
         out = []
         for share in self.shares:
             ua = a * share

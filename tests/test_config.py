@@ -260,7 +260,7 @@ class TestComponentTable:
         assert list(cfg.dgs[0].vi_r_h) == list(HARMONIC_ORDERS)
         comp = build_compensator(cfg)
         assert comp.components == (-1,) + tuple(sorted(HARMONIC_ORDERS))
-        assert list(comp.params.hd_ref) == list(HARMONIC_ORDERS)
+        assert comp.gains == cfg.vcc_gains
 
     def test_echo_of_an_empty_scenario_is_unchanged(self):
         assert echo(parse_text("")) == DEFAULT_ECHO

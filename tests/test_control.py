@@ -9,15 +9,14 @@ from pvisland.control import (
     CurrentLoop,
     DcLinkRegulator,
     DroopControl,
+    DUTY_MAX,
+    DUTY_MIN,
     DroopParams,
     IncrementalConductanceMppt,
-    ModeParams,
-    MpptParams,
     PowerCalculator,
     PrGains,
     VirtualImpedanceParams,
     VoltageLoop,
-    VrParams,
     MODE_MPPT,
     MODE_VR,
     compose_reference,
@@ -25,7 +24,7 @@ from pvisland.control import (
 )
 from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError
-from pvisland.plant import PvParams, pv_current
+from pvisland.plant import Plant, PvParams, pv_current
 from pvisland.runner import build_controllers
 from pvisland.signals import resonator_table
 
@@ -39,6 +38,16 @@ def _components(pos=(0.0, 0.0), neg=(0.0, 0.0), **harm):
     for key, val in harm.items():
         comps[int(key.replace("hm", "-").replace("hp", ""))] = val
     return comps.__getitem__
+
+
+#: Unit 1's tracker, link-regulator and mode settings in the default scenario.
+_BOOST = build_controllers(from_mapping({}))[0].boost
+MPPT, VR, MODE = _BOOST.mppt.params, _BOOST.vr_params, _BOOST.mode_params
+
+
+def _pr(kp, k_fundamental, k_harmonic):
+    """PR gains with 2 rad/s wide resonators at orders 1, 3, 5 and 7."""
+    return PrGains(kp, k_fundamental, k_harmonic, 2.0, (1, 3, 5, 7))
 
 
 def _rows(loop, omega=370.0):
@@ -156,11 +165,11 @@ class TestComposeReference:
 
 class TestVoltageLoop:
     def test_zero_error_keeps_zero_output(self):
-        loop = VoltageLoop(PrGains(0.05, 50.0, 20.0), 370.0, DT, i_limit=17.7)
+        loop = VoltageLoop(_pr(0.05, 50.0, 20.0), 370.0, DT, i_limit=17.7)
         assert loop.step(0.0, 0.0, 0.0, 0.0, _rows(loop)) == (0.0, 0.0)
 
     def test_reference_clamp_preserves_direction(self):
-        loop = VoltageLoop(PrGains(10.0, 0.0, 0.0), 370.0, DT, i_limit=5.0)
+        loop = VoltageLoop(_pr(10.0, 0.0, 0.0), 370.0, DT, i_limit=5.0)
         ia, ib = loop.step(3.0, 4.0, 0.0, 0.0, _rows(loop))
         assert loop.clamped
         assert math.hypot(ia, ib) == pytest.approx(5.0, rel=1e-12)
@@ -169,18 +178,18 @@ class TestVoltageLoop:
 
 class TestCurrentLoop:
     def test_zero_error_zero_modulation(self):
-        loop = CurrentLoop(PrGains(7.0, 200.0, 200.0), 370.0, DT)
+        loop = CurrentLoop(_pr(7.0, 200.0, 200.0), 370.0, DT)
         assert loop.step(0.0, 0.0, 0.0, 0.0, 600.0, _rows(loop)) == (0.0, 0.0, 0.0)
 
     def test_output_scales_inversely_with_link_voltage(self):
         def first_command(v_dc):
-            loop = CurrentLoop(PrGains(7.0, 0.0, 0.0), 370.0, DT)
+            loop = CurrentLoop(_pr(7.0, 0.0, 0.0), 370.0, DT)
             return loop.step(1.0, 0.0, 0.0, 0.0, v_dc, _rows(loop))[0]
 
         assert first_command(600.0) == pytest.approx(2.0 * first_command(1200.0), rel=1e-12)
 
     def test_collapsed_link_forces_zero(self):
-        loop = CurrentLoop(PrGains(7.0, 200.0, 200.0), 370.0, DT)
+        loop = CurrentLoop(_pr(7.0, 200.0, 200.0), 370.0, DT)
         m = loop.step(10.0, 0.0, 0.0, 0.0, 30.0, _rows(loop))
         assert loop.locked_out
         assert m == (0.0, 0.0, 0.0)
@@ -201,13 +210,13 @@ class TestMppt:
         duties = np.linspace(0.05, 0.9, 4001)
         powers = [observe(d)[0] * observe(d)[1] for d in duties]
         d_star = duties[int(np.argmax(powers))]
-        mppt = IncrementalConductanceMppt(MpptParams(), duty_init=d_star)
+        mppt = IncrementalConductanceMppt(MPPT, duty_init=d_star)
         v, i = observe(d_star)
         mppt.step(v, i)
         d_before = mppt.duty
         v, i = observe(mppt.duty)
         mppt.step(v, i)
-        assert abs(mppt.duty - d_before) <= MpptParams().duty_step + 1e-12
+        assert abs(mppt.duty - d_before) <= MPPT.duty_step + 1e-12
 
     def test_converges_to_brute_force_peak(self):
         pv = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0)
@@ -215,52 +224,52 @@ class TestMppt:
         duties = np.linspace(0.05, 0.9, 8001)
         powers = [observe(d)[0] * observe(d)[1] for d in duties]
         d_star = duties[int(np.argmax(powers))]
-        mppt = IncrementalConductanceMppt(MpptParams(), duty_init=0.1)
+        mppt = IncrementalConductanceMppt(MPPT, duty_init=0.1)
         for _ in range(2000):  # 2 s of ticks at the 1 ms rate
             v, i = observe(mppt.duty)
             mppt.step(v, i)
-        assert abs(mppt.duty - d_star) <= 2.0 * MpptParams().duty_step
+        assert abs(mppt.duty - d_star) <= 2.0 * MPPT.duty_step
 
     def test_flat_voltage_branch_uses_current_only(self):
-        mppt = IncrementalConductanceMppt(MpptParams(), duty_init=0.4)
+        mppt = IncrementalConductanceMppt(MPPT, duty_init=0.4)
         mppt.step(380.0, 7.0)
         mppt.step(380.0, 7.5)  # same voltage, more current: no division happens
-        assert mppt.duty == pytest.approx(0.4 - MpptParams().duty_step, rel=1e-12)
+        assert mppt.duty == pytest.approx(0.4 - MPPT.duty_step, rel=1e-12)
 
     def test_duty_respects_clamp(self):
-        params = MpptParams(duty_step=0.2)
+        params = dataclasses.replace(MPPT, duty_step=0.2)
         mppt = IncrementalConductanceMppt(params, duty_init=0.9)
         for _ in range(10):
             mppt.step(380.0, 7.0)
             mppt.step(380.0, 8.0)
-        assert params.duty_min <= mppt.duty <= params.duty_max
+        assert DUTY_MIN <= mppt.duty <= DUTY_MAX
 
 
 class TestDcLinkRegulator:
     def test_zero_error_keeps_integral(self):
-        reg = DcLinkRegulator(VrParams())
+        reg = DcLinkRegulator(VR)
         reg.reset(0.4)
         duty = reg.step(600.0, DT)
         assert duty == pytest.approx(0.4, rel=1e-12)
 
     def test_constant_error_integrates(self):
-        reg = DcLinkRegulator(VrParams(kp=0.0, ki=0.05))
+        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=0.05))
         reg.reset(0.4)
         for _ in range(1000):
             duty = reg.step(590.0, 1e-3)
         assert duty == pytest.approx(0.4 + 0.05 * 10.0 * 1.0, rel=1e-9)
 
     def test_antiwindup_freezes_integral_at_clamp(self):
-        reg = DcLinkRegulator(VrParams(kp=0.0, ki=10.0))
+        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=10.0))
         reg.reset(0.4)
         for _ in range(10000):
             reg.step(0.0, 1e-3)
-        assert reg.integral <= VrParams().duty_max + 1e-9
+        assert reg.integral <= DUTY_MAX + 1e-9
 
     def test_closed_loop_settles_on_link_model(self):
         # integrator plant: C dv/dt = p_in(duty) - p_load; array power grows
         # with duty on the curtailment side, so lowering the duty sheds power
-        reg = DcLinkRegulator(VrParams())
+        reg = DcLinkRegulator(VR)
         reg.reset(0.3)
         v = 620.0
         c = 2350e-6
@@ -274,7 +283,7 @@ class TestDcLinkRegulator:
 
 class TestBoostModeMachine:
     def _controller(self, duty=0.37):
-        return BoostController(MpptParams(), VrParams(), ModeParams(), duty, DT)
+        return BoostController(MPPT, VR, MODE, duty, DT)
 
     def test_boots_in_regulation_then_hands_to_tracking(self):
         ctl = self._controller()
@@ -337,7 +346,7 @@ class TestBoostModeMachine:
     def test_exit_hold_lasts_exactly_its_ticks(self):
         # on the tick clock t = k * DT, the hand-over comes exit_hold / DT
         # ticks after the first tick below the threshold, whatever that tick
-        hold = round(ModeParams().exit_hold / DT)
+        hold = round(MODE.exit_hold / DT)
         assert hold == 2000
         held = {}
         for start in range(6000, 6041):
@@ -353,15 +362,11 @@ class TestBoostModeMachine:
 
 class TestCurrentLoopClosedLoop:
     def test_inductor_current_tracks_rotating_reference(self):
-        # current loop alone against the default single-unit power stage
-        from pvisland.plant import (
-            AcStageParams, DcLinkParams, DgPlantParams, LoadSpec, Plant, PvParams,
-        )
-
-        pv = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0)
-        plant = Plant([DgPlantParams(pv, DcLinkParams(), AcStageParams())],
-                      LoadSpec(balanced_r=9.6), DT)
-        loop = CurrentLoop(PrGains(7.0, 600.0, 200.0), 370.0, DT)
+        # current loop alone against unit 1's default power stage and a resistive bank
+        cfg = from_mapping({"load.balanced_r": "9.6", "load.balanced_l": "off",
+                            "load.unbalanced_r_a": "off", "load.harmonics": ""})
+        plant = Plant(dataclasses.replace(cfg, dgs=cfg.dgs[:1]))
+        loop = CurrentLoop(_pr(7.0, 600.0, 200.0), 370.0, DT)
         w = 370.0
         amp_ref = 10.0
         # the fundamental resonator envelope settles with a 0.5 s constant

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from pvisland.plant import (
     DcLinkParams,
     DcSide,
     DcSideState,
-    DgPlantParams,
     HarmonicInjection,
     LoadSpec,
     Plant,
@@ -32,6 +32,11 @@ from pvisland.signals import (
 )
 
 DT = 50e-6
+#: Unit 1's default link and AC stage: filter, then feeder.
+DC_LINK = DcLinkParams(c_pv=200e-6, l_boost=1.5e-3, c_dc=2350e-6)
+STAGE = AcStageParams(l_filter=1.8e-3, c_filter=25e-6, feeder_r=0.8, feeder_l=2.4e-3)
+#: ``load.*`` keys of a plain 10-ohm balanced bank, for :func:`_two_unit_plant`.
+RESISTIVE = {"unbalanced_r_a": "off", "harmonics": ""}
 
 
 @pytest.fixture
@@ -83,7 +88,7 @@ class TestDcSide:
     # ``DcSide.step`` advances the state in place; it takes the PV current at
     # the state and returns the one at the new state.
     def test_boost_ratio_at_steady_state(self, pv3k):
-        dc = DcSide(pv3k, DcLinkParams())
+        dc = DcSide(pv3k, DC_LINK, 1.0)
         duty = 1.0 - 380.0 / 600.0
         draw = 380.0 * pv_current(380.0, 1.0, pv3k) * 0.999
         st = DcSideState(380.0, 7.0, 600.0)
@@ -93,7 +98,7 @@ class TestDcSide:
         assert st.v_dc == pytest.approx(st.v_pv / (1.0 - duty), rel=0.02)
 
     def test_link_rises_without_draw(self, pv3k):
-        dc = DcSide(pv3k, DcLinkParams())
+        dc = DcSide(pv3k, DC_LINK, 1.0)
         st = DcSideState(380.0, pv_current(380.0, 1.0, pv3k), 600.0)
         i_pv = st.i_boost
         history = [st.v_dc]
@@ -103,7 +108,7 @@ class TestDcSide:
         assert all(b >= a for a, b in zip(history, history[1:]))
 
     def test_energy_balance_over_one_second(self, pv3k):
-        dc = DcSide(pv3k, DcLinkParams())
+        dc = DcSide(pv3k, DC_LINK, 1.0)
         duty = 1.0 - 380.0 / 600.0
         draw = 2800.0
         st = DcSideState(380.0, 7.2, 600.0)
@@ -122,7 +127,7 @@ class TestDcSide:
         assert residual < 0.005 * e_in
 
     def test_rejects_invalid_duty(self, pv3k):
-        dc = DcSide(pv3k, DcLinkParams())
+        dc = DcSide(pv3k, DC_LINK, 1.0)
         with pytest.raises(ConfigurationError):
             dc.step(DcSideState(380.0, 0.0, 600.0), pv_current(380.0, 1.0, pv3k), 1.2, 0.0, DT)
 
@@ -130,17 +135,15 @@ class TestDcSide:
 class TestInverterOutput:
     """The averaged bridge inside ``Plant.step``, seen through one step from rest."""
 
-    LOAD = LoadSpec(balanced_r=10.0)
-
     def _bridge(self, modulation):
         """AC state after unit 1 applies ``modulation`` on a 600 V link, and its flag."""
-        plant = _two_unit_plant(load=self.LOAD)
+        plant = _two_unit_plant(**RESISTIVE)
         plant.step([0.37, 0.37], [modulation, (0.0, 0.0, 0.0)], 0.0)
         return plant.network.x, plant.saturated[0]
 
     def _applied(self, phase_volts):
         """AC state after unit 1's bridge applies ``phase_volts`` from rest."""
-        net = _two_unit_plant(load=self.LOAD).network
+        net = _two_unit_plant(**RESISTIVE).network
         return net.step([clarke_xy(*phase_volts), (0.0, 0.0)], (0.0, 0.0))
 
     def test_zero_command(self):
@@ -188,7 +191,7 @@ def _resistive_current(spec: LoadSpec, v: ThreePhaseSample, scale: float = 1.0
 
 def _bus_voltage(load: LoadSpec, feeder_ab: tuple[float, float]) -> ThreePhaseSample:
     """Coupling-bus voltage the network solves for a given feeder current."""
-    net = AcNetwork([AcStageParams()], load, DT)
+    net = AcNetwork([STAGE], load, DT)
     net.x[4:6] = feeder_ab
     return inverse_clarke(FrameVector(*net.bus(net.x, (0.0, 0.0))[:2]))
 
@@ -215,7 +218,7 @@ class TestLoads:
     def test_load_step_scaling_after_event(self):
         # a load step scales the bank the network solves through
         spec = LoadSpec(balanced_r=10.0)
-        net = AcNetwork([AcStageParams()], spec, DT)
+        net = AcNetwork([STAGE], spec, DT)
         v = ThreePhaseSample(100.0, -50.0, -50.0)
         before = _resistive_current(spec, v, net.load_scale)
         net.set_load_scale(0.5)
@@ -299,8 +302,7 @@ class TestPccSolve:
 
 class TestAcNetwork:
     def test_open_feeder_rings_at_filter_resonance(self):
-        stage = AcStageParams(l_filter=1.8e-3, c_filter=25e-6,
-                              feeder_r=1e6, feeder_l=2.4e-3)
+        stage = dataclasses.replace(STAGE, feeder_r=1e6)
         net = AcNetwork([stage], LoadSpec(balanced_r=1e6), DT)
         hist = []
         for _ in range(20000):
@@ -313,12 +315,12 @@ class TestAcNetwork:
         assert peak == pytest.approx(stage.resonance_hz(), rel=0.02)
 
     def test_zero_state_zero_input_stays_zero(self):
-        net = AcNetwork([AcStageParams()], LoadSpec(balanced_r=10.0), DT)
+        net = AcNetwork([STAGE], LoadSpec(balanced_r=10.0), DT)
         net.step([(0.0, 0.0)], (0.0, 0.0))
         assert net.x == [0.0] * len(net.x)
 
     def test_driven_amplitude_matches_phasor_divider(self):
-        stage = AcStageParams()
+        stage = STAGE
         r_load = 9.6
         net = AcNetwork([stage], LoadSpec(balanced_r=r_load), DT)
         w = 370.0
@@ -334,7 +336,7 @@ class TestAcNetwork:
         assert amp == pytest.approx(oracle, rel=0.02)
 
     def test_kcl_residual_negligible(self):
-        net = AcNetwork([AcStageParams(), AcStageParams(feeder_r=0.4, feeder_l=1.2e-3)],
+        net = AcNetwork([STAGE, dataclasses.replace(STAGE, feeder_r=0.4, feeder_l=1.2e-3)],
                         LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
                                  harmonics=(HarmonicInjection(-5, 2.0),)), DT)
         w = 370.0
@@ -352,7 +354,7 @@ class TestAcNetwork:
         # x1 = T @ [x; u] against T1 @ x + Tu @ u, with T1 and Tu taken from
         # networks built for each load scale and the injection from its phasor
         # definition, so a load step's rebuilt matrix and table are covered
-        stages = [AcStageParams(), AcStageParams(feeder_r=0.4, feeder_l=1.2e-3)]
+        stages = [STAGE, dataclasses.replace(STAGE, feeder_r=0.4, feeder_l=1.2e-3)]
         harmonics = (HarmonicInjection(-5, 2.0, 0.3), HarmonicInjection(7, 1.0, -0.4))
         load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0, harmonics=harmonics,
                         balanced_l=0.03)
@@ -383,13 +385,13 @@ class TestAcNetwork:
 
     def test_rejects_too_coarse_step(self):
         with pytest.raises(ConfigurationError):
-            AcNetwork([AcStageParams()], LoadSpec(balanced_r=10.0), 5e-4)
+            AcNetwork([STAGE], LoadSpec(balanced_r=10.0), 5e-4)
 
     def test_rk4_agrees_with_trapezoid(self):
         # independent oracle: classical RK4 on the single-unit circuit written
         # out by hand (filter L-C, R-L feeder, balanced bank with the bus
         # voltage R * i_feeder), input held over each step as the network does
-        stage = AcStageParams()
+        stage = STAGE
         r_load = 10.0
         w = 370.0
 
@@ -420,24 +422,19 @@ class TestAcNetwork:
         assert amp == pytest.approx(math.hypot(alpha[1], beta[1]), rel=1e-3)
 
 
-def _two_unit_plant(load=None):
-    pv1 = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0)
-    pv2 = PvParams(6000.0, 450.0, 17.6, 380.0, 6000.0 / 380.0)
-    dgs = [
-        DgPlantParams(pv1, DcLinkParams(), AcStageParams()),
-        DgPlantParams(pv2, DcLinkParams(),
-                      AcStageParams(l_filter=0.9e-3, c_filter=50e-6,
-                                    feeder_r=0.4, feeder_l=1.2e-3)),
-    ]
-    if load is None:
-        load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
-                        harmonics=(HarmonicInjection(-5, 2.0),))
-    return Plant(dgs, load, DT)
+def _two_unit_plant(**load):
+    """The default scenario's plant under the ``load.*`` keys ``load``; by
+    default a 10-ohm bank, 14 ohms more on phase a and a 2 A fifth harmonic."""
+    keys = {"balanced_r": "10.0", "balanced_l": "off", "unbalanced_r_a": "14.0",
+            "harmonics": "-5:2.0", **load}
+    cfg = from_mapping({f"load.{key}": value for key, value in keys.items()})
+    assert cfg.dt == DT
+    return Plant(cfg)
 
 
 class TestPlant:
     def test_zero_controls_keep_ac_quiet(self):
-        plant = _two_unit_plant(load=LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0))
+        plant = _two_unit_plant(harmonics="")
         zero = ThreePhaseSample(0.0, 0.0, 0.0)
         for i in range(200):
             plant.step([0.37, 0.37], [zero, zero], 370.0 * i * DT)
@@ -445,7 +442,7 @@ class TestPlant:
 
     def test_driven_voltage_division_with_energy_audit(self):
         r_load = 9.6
-        plant = _two_unit_plant(load=LoadSpec(balanced_r=r_load))
+        plant = _two_unit_plant(**RESISTIVE, balanced_r=repr(r_load))
         w = 370.0
         v_cmd = 170.0
         for i in range(int(1.0 / DT)):
@@ -517,8 +514,7 @@ class TestPlant:
             plant._check_bounds(x)
 
     def test_inductive_bank_consumes_reactive(self):
-        load = LoadSpec(balanced_r=10.0, balanced_l=0.03)
-        plant = _two_unit_plant(load=load)
+        plant = _two_unit_plant(**RESISTIVE, balanced_l="0.03")
         w = 370.0
         for i in range(int(0.6 / DT)):
             t = i * DT
@@ -538,7 +534,7 @@ class TestPlant:
         # a step rescales the inductive bank with its current held; the jump
         # in its stored energy is switched in with the bank, not an audit error
         def audit(step):
-            plant = _two_unit_plant(load=LoadSpec(balanced_r=10.0, balanced_l=0.03))
+            plant = _two_unit_plant(**RESISTIVE, balanced_l="0.03")
             w = 370.0
             n = int(0.3 / DT)
             for i in range(n):
@@ -583,9 +579,8 @@ class TestPlant:
     def test_measurements_see_the_load_step(self):
         # once the load scale is set, measurements solve the bus through the
         # new load, the same admittance the following plant step integrates with
-        load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
-                        harmonics=(HarmonicInjection(-5, 2.0),))
-        plant = _two_unit_plant(load=load)
+        plant = _two_unit_plant()
+        load = plant.network.load
         w = 370.0
         for i in range(400):
             m = inverse_clarke(FrameVector(0.5 * math.cos(w * i * DT),

@@ -355,9 +355,14 @@ class TestSequenceExtractor:
 # Phase-locked loop
 # ---------------------------------------------------------------------------
 
+def _pll():
+    """The default scenario's loop: ``pll.kp``, ``pll.ki`` and ``pll.band`` at 370 rad/s."""
+    return Pll(92.0, 4230.0, OMEGA, 0.5 * OMEGA, 1.5 * OMEGA)
+
+
 class TestPll:
     def test_locks_onto_balanced_input(self):
-        pll = Pll(omega_init=370.0)
+        pll = _pll()
         w_true = 370.0
         n = int(0.5 / DT)
         for i in range(n):
@@ -367,7 +372,7 @@ class TestPll:
         assert abs(pll.omega - w_true) < 0.5
 
     def test_locks_from_detuned_start(self):
-        pll = Pll(omega_init=370.0)
+        pll = _pll()
         w_true = 355.0
         for i in range(int(0.5 / DT)):
             t = i * DT
@@ -376,7 +381,7 @@ class TestPll:
         assert abs(pll.omega - w_true) < 0.5
 
     def test_angle_advances_by_omega_dt_at_lock(self):
-        pll = Pll(omega_init=370.0)
+        pll = _pll()
         for i in range(int(0.5 / DT)):
             t = i * DT
             pll.step(FrameVector(math.cos(370.0 * t) * 170.0,
@@ -388,13 +393,13 @@ class TestPll:
         assert dtheta == pytest.approx(omega * DT, rel=1e-6)
 
     def test_holds_frequency_without_signal(self):
-        pll = Pll(omega_init=370.0)
+        pll = _pll()
         for _ in range(1000):
             pll.step(FrameVector(0.0, 0.0), DT)
         assert pll.omega == 370.0
 
     def test_theta_stays_wrapped(self):
-        pll = Pll(omega_init=370.0)
+        pll = _pll()
         for i in range(5000):
             t = i * DT
             theta, _ = pll.step(FrameVector(170.0 * math.cos(370.0 * t),
@@ -597,7 +602,7 @@ class TestDeterminism:
     def test_block_chain_is_bit_identical(self):
         def run():
             sog = Sogi()
-            pll = Pll()
+            pll = _pll()
             pr = ProportionalResonant(0.05, [ResonantTerm(1, 50.0, 2.0)], OMEGA, DT)
             acc = 0.0
             for i in range(2000):

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pvisland.errors import ConfigurationError
+from pvisland.config import from_mapping
 from pvisland.signals import FrameVector, ThreePhaseSample, inverse_clarke
 from pvisland.vcc import (
     CentralCompensator,
     DqExtractionBank,
-    PiGains,
-    VccParams,
     quality_index,
 )
 
@@ -96,6 +94,11 @@ class TestIndices:
         assert math.sqrt(sum(g * g for g in got)) == pytest.approx(total, rel=1e-12)
 
 
+def _compensator(**keys):
+    """The default scenario's compensator under the scenario keys ``keys``."""
+    return CentralCompensator(from_mapping(keys))
+
+
 def _extracted(pos_mag=170.0, neg_mag=0.0, h_mags=None, theta=0.3):
     h_mags = h_mags or {}
     out = {
@@ -109,19 +112,19 @@ def _extracted(pos_mag=170.0, neg_mag=0.0, h_mags=None, theta=0.3):
 
 class TestCentralCompensator:
     def test_quiet_network_yields_zero_corrections(self):
-        comp = CentralCompensator(VccParams())
+        comp = _compensator()
         refs_met = _extracted(neg_mag=170.0 * 0.002,
                               h_mags={c: 170.0 * 0.002 for c in (3, -5, 7, -11)})
         outs = comp.step(refs_met, DT_TICK)
         assert all(v == (0.0, 0.0) for v in outs)
 
     def test_below_reference_contributes_exactly_zero(self):
-        comp = CentralCompensator(VccParams())
+        comp = _compensator()
         outs = comp.step(_extracted(neg_mag=0.1), DT_TICK)  # far below 0.2 percent
         assert all(v == (0.0, 0.0) for v in outs)
 
     def test_rated_power_scaling_is_exact(self):
-        comp = CentralCompensator(VccParams(rated_powers=(3000.0, 6000.0)))
+        comp = _compensator()  # units rated 3 kW and 6 kW
         for _ in range(20):
             outs = comp.step(_extracted(neg_mag=10.0, h_mags={-5: 4.0}), DT_TICK)
         (x1, y1), (x2, y2) = outs
@@ -130,7 +133,7 @@ class TestCentralCompensator:
         assert y1 == pytest.approx(0.5 * y2, rel=1e-12)
 
     def test_corrections_collinear_across_units(self):
-        comp = CentralCompensator(VccParams(rated_powers=(2000.0, 7000.0)))
+        comp = _compensator(**{"dg2.pv.rated_w": "10500.0"})  # 3 kW and 10.5 kW
         for _ in range(20):
             outs = comp.step(_extracted(neg_mag=10.0, h_mags={3: 3.0, 7: 2.0}), DT_TICK)
         (x1, y1), (x2, y2) = outs
@@ -139,16 +142,14 @@ class TestCentralCompensator:
         assert math.hypot(x1, y1) / math.hypot(x2, y2) == pytest.approx(2.0 / 7.0, rel=1e-9)
 
     def test_integrators_bounded_by_effort_limit(self):
-        par = VccParams(effort_limit=5.0)
-        comp = CentralCompensator(par)
+        comp = _compensator(**{"vcc.effort_limit": "5.0"})
         for _ in range(5000):
             comp.step(_extracted(neg_mag=100.0, h_mags={-5: 80.0}), DT_TICK)
         for c, integral in comp._integral.items():
-            assert abs(integral) <= par.effort_limit + 1e-9
+            assert abs(integral) <= 5.0 + 1e-9
 
     def test_output_clamp_flags(self):
-        par = VccParams(output_limit=0.5)
-        comp = CentralCompensator(par)
+        comp = _compensator(**{"vcc.output_limit": "0.5"})
         for _ in range(200):
             outs = comp.step(_extracted(neg_mag=50.0), DT_TICK)
         assert comp.clamped
@@ -156,7 +157,7 @@ class TestCentralCompensator:
             assert abs(x) <= 0.5 + 1e-12 and abs(y) <= 0.5 + 1e-12
 
     def test_positive_sequence_collapse_holds_outputs(self):
-        comp = CentralCompensator(VccParams())
+        comp = _compensator()
         for _ in range(50):
             comp.step(_extracted(neg_mag=10.0), DT_TICK)
         held = comp.correction_for(0, 0.3)
@@ -167,7 +168,7 @@ class TestCentralCompensator:
 
     def test_positive_sequence_collapse_zeroes_every_index(self):
         # the indices read what the runner records: 0 once the positive sequence collapses
-        comp = CentralCompensator(VccParams())
+        comp = _compensator()
         h_mags = {c: 3.0 for c in comp.hd}
         for _ in range(5):
             comp.step(_extracted(neg_mag=10.0, h_mags=h_mags), DT_TICK)
@@ -181,8 +182,8 @@ class TestCentralCompensator:
     def test_measure_matches_the_indices_of_a_step(self):
         # the runner measures while the compensator is off; step measures alike
         extracted = _extracted(neg_mag=10.0, h_mags={3: 3.0, -5: 4.0, 7: 2.0, -11: 1.0})
-        measured = CentralCompensator(VccParams())
-        stepped = CentralCompensator(VccParams())
+        measured = _compensator()
+        stepped = _compensator()
         assert measured.measure(extracted)
         stepped.step(extracted, DT_TICK)
         assert (measured.vuf, measured.hd) == (stepped.vuf, stepped.hd)
@@ -191,13 +192,9 @@ class TestCentralCompensator:
         assert measured._effort_dq == {c: (0.0, 0.0) for c in measured.components}
 
     def test_reconstruction_rotates_with_angle(self):
-        comp = CentralCompensator(VccParams())
+        comp = _compensator()
         for _ in range(20):
             comp.step(_extracted(neg_mag=10.0), DT_TICK)
         a = comp.correction_for(0, 0.0)
         b = comp.correction_for(0, math.pi)  # half a turn: -1 frame flips sign
         assert a == pytest.approx((-b[0], -b[1]), rel=1e-9)
-
-    def test_gains_required_for_each_component(self):
-        with pytest.raises(ConfigurationError):
-            CentralCompensator(VccParams(gains={-1: PiGains(0.1, 1.5)}))
