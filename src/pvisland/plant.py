@@ -452,7 +452,8 @@ class Plant:
 
     Advances in a fixed order each step: coupling-bus solve, AC network, DC
     sides.  The inverter bridges conserve power exactly: the AC-side output
-    computed over the step is the draw applied to each DC link.
+    computed over the step is the draw applied to each DC link.  Each unit
+    starts at rest with its string at ``pv.v_mp`` and its link at ``vr.v_dc_ref``.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -463,7 +464,7 @@ class Plant:
                                                 dg.feeder_l) for dg in cfg.dgs], load, cfg.dt)
         self.dc_sides = [DcSide(pv_params(dg.pv), DcLinkParams(dg.c_pv, dg.l_boost, dg.c_dc),
                                 dg.pv.irradiance) for dg in cfg.dgs]
-        self.dc_states = [DcSideState(v_pv=dg.pv.v_mp, i_boost=0.0, v_dc=cfg.dgs[0].v_dc_ref)
+        self.dc_states = [DcSideState(v_pv=dg.pv.v_mp, i_boost=0.0, v_dc=dg.v_dc_ref)
                           for dg in cfg.dgs]
         # each unit's PV current at its present state and irradiance
         self.i_pv = [0.0] * len(cfg.dgs)

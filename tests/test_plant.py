@@ -489,6 +489,10 @@ class TestPlant:
 
         assert run() == run()
 
+    def test_each_link_starts_at_its_own_reference(self):
+        plant = runner.build_plant(from_mapping({"dg2.vr.v_dc_ref": "650.0"}))
+        assert [st.v_dc for st in plant.dc_states] == [600.0, 650.0]
+
     @pytest.mark.parametrize("side, value", [("AC", 1e7), ("AC", math.nan), ("AC", -math.inf),
                                              ("DC", math.nan)],
                              ids=["ac-1e7", "ac-nan", "ac-minus-inf", "dc-nan"])
