@@ -182,10 +182,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         if tick % vcc_every == 0:
             extracted = bank.step(v_pcc_abc, theta, cfg.vcc_period)
             if vcc_active:
-                comp.step(extracted, cfg.vcc_period)
-                in_flight.append((tick + delay_ticks, dict(comp._effort_dq)))
-                flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
-                comp.clamped = False
+                in_flight.append((tick + delay_ticks, comp.step(extracted, cfg.vcc_period)))
             else:
                 comp.measure(extracted)
 
@@ -195,6 +192,10 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         duties = []
         mods = []
         vc_log = zero_vcs if efforts is None else comp.correction_from(efforts, theta)
+        if vcc_active and tick % vcc_every == 0:
+            # the clamp counts once the corrections it cuts reach the units
+            flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
+            comp.clamped = False
         for d, ctl in enumerate(controllers):
             duty, m = ctl.step(meas["dg"][d], vc_log[d], t, dt_ctl)
             duties.append(duty)

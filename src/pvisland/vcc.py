@@ -100,11 +100,10 @@ class CentralCompensator:
         return self.indices_valid
 
     def step(self, extracted: dict[int, FrameVector], dt: float
-             ) -> list[tuple[float, float]]:
+             ) -> dict[int, tuple[float, float]]:
         """One controller tick from freshly extracted components.
 
-        Returns the per-unit stationary-frame corrections at the extraction
-        angle (the rotating-frame phasors are retained for reconstruction).
+        Returns a snapshot of the effort phasors, for :meth:`correction_from`.
         """
         if self.measure(extracted):
             for c in self.components:
@@ -125,8 +124,7 @@ class CentralCompensator:
                 u = max(kp * err + self._integral[c], -self.effort_limit)
                 comp = extracted[c]
                 self._effort_dq[c] = (u * comp.x, u * comp.y)
-        theta = extracted[1].theta  # extraction ran at this fundamental angle
-        return self.correction_from(self._effort_dq, theta)
+        return dict(self._effort_dq)
 
     def correction_for(self, unit: int, theta: float) -> tuple[float, float]:
         """Stationary-frame correction for one unit at fundamental angle theta."""

@@ -236,6 +236,15 @@ class TestBuilders:
         i_after = int(0.3 / dt)
         assert abs(delayed.channels["vc2_alpha"][i_after]) > 0.0
 
+    def test_clamp_waits_for_the_delayed_corrections(self):
+        # the output clamp is flagged when a clamped correction reaches the units
+        run = run_simulation(from_mapping({
+            "solver.duration": "0.2", "vcc.enable_at": "0.1", "vcc.comm_delay": "0.02",
+            "vcc.output_limit": "0.5"}))
+        arrival = run.times[np.flatnonzero(run.channels["vc1_alpha"])[0]]
+        assert arrival == pytest.approx(0.12)
+        assert [t for t, source, _ in run.flags if source == "vcc"] == [arrival]
+
     def test_tick_computes_in_python_floats(self):
         # NumPy scalars leaking from the network state cost about three times
         # as much per operation as Python floats in every controller

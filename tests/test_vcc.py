@@ -115,18 +115,18 @@ class TestCentralCompensator:
         comp = _compensator()
         refs_met = _extracted(neg_mag=170.0 * 0.002,
                               h_mags={c: 170.0 * 0.002 for c in (3, -5, 7, -11)})
-        outs = comp.step(refs_met, DT_TICK)
+        outs = comp.correction_from(comp.step(refs_met, DT_TICK), 0.3)
         assert all(v == (0.0, 0.0) for v in outs)
 
     def test_below_reference_contributes_exactly_zero(self):
         comp = _compensator()
-        outs = comp.step(_extracted(neg_mag=0.1), DT_TICK)  # far below 0.2 percent
+        outs = comp.correction_from(comp.step(_extracted(neg_mag=0.1), DT_TICK), 0.3)  # far below 0.2 percent
         assert all(v == (0.0, 0.0) for v in outs)
 
     def test_rated_power_scaling_is_exact(self):
         comp = _compensator()  # units rated 3 kW and 6 kW
         for _ in range(20):
-            outs = comp.step(_extracted(neg_mag=10.0, h_mags={-5: 4.0}), DT_TICK)
+            outs = comp.correction_from(comp.step(_extracted(neg_mag=10.0, h_mags={-5: 4.0}), DT_TICK), 0.3)
         (x1, y1), (x2, y2) = outs
         assert math.hypot(x1, y1) > 0.0
         assert x1 == pytest.approx(0.5 * x2, rel=1e-12)
@@ -135,7 +135,7 @@ class TestCentralCompensator:
     def test_corrections_collinear_across_units(self):
         comp = _compensator(**{"dg2.pv.rated_w": "10500.0"})  # 3 kW and 10.5 kW
         for _ in range(20):
-            outs = comp.step(_extracted(neg_mag=10.0, h_mags={3: 3.0, 7: 2.0}), DT_TICK)
+            outs = comp.correction_from(comp.step(_extracted(neg_mag=10.0, h_mags={3: 3.0, 7: 2.0}), DT_TICK), 0.3)
         (x1, y1), (x2, y2) = outs
         cross = x1 * y2 - y1 * x2
         assert abs(cross) < 1e-9 * math.hypot(x1, y1) * math.hypot(x2, y2)
@@ -151,10 +151,19 @@ class TestCentralCompensator:
     def test_output_clamp_flags(self):
         comp = _compensator(**{"vcc.output_limit": "0.5"})
         for _ in range(200):
-            outs = comp.step(_extracted(neg_mag=50.0), DT_TICK)
+            outs = comp.correction_from(comp.step(_extracted(neg_mag=50.0), DT_TICK), 0.3)
         assert comp.clamped
         for x, y in outs:
             assert abs(x) <= 0.5 + 1e-12 and abs(y) <= 0.5 + 1e-12
+
+    def test_step_leaves_the_clamp_to_the_reconstruction(self):
+        # a tick only updates the efforts; the clamp flags a correction that is rebuilt
+        comp = _compensator(**{"vcc.output_limit": "0.5"})
+        efforts = comp.step(_extracted(neg_mag=50.0), DT_TICK)
+        assert efforts == comp._effort_dq and efforts is not comp._effort_dq
+        assert not comp.clamped
+        comp.correction_from(efforts, 0.3)
+        assert comp.clamped
 
     def test_positive_sequence_collapse_holds_outputs(self):
         comp = _compensator()
