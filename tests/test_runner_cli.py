@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from pvisland import cli
-from pvisland.config import (KNOWN_CHANNELS, VCC_INDEX_CHANNELS, channel_names, echo,
-                             from_mapping)
-from pvisland.errors import SimulationDivergence
+from pvisland.config import (KEYS, KNOWN_CHANNELS, UNIT_KEYS, UNIT_PREFIXES,
+                             VCC_INDEX_CHANNELS, channel_names, echo, from_mapping)
+from pvisland.errors import ConfigurationError, SimulationDivergence
 from pvisland.runner import (
     UNIT_FLAGS,
     VCC_FLAGS,
@@ -217,7 +217,66 @@ class TestIndexChannels:
             assert max(final.values()) < 0.25 * own, order
 
 
+def _moved(key: str):
+    """The default scenario with ``key`` moved off its default to a value the rules accept."""
+    row = KEYS[key]
+    if row.kind == "orders":
+        candidates = ["1,3,5"]
+    else:  # a float or a kp:ki pair, each number scaled
+        candidates = [":".join(repr(factor * float(x)) for x in row.default.split(":"))
+                      for factor in (1.1, 0.9)]
+    for text in candidates:
+        try:
+            return from_mapping({key: text})
+        except ConfigurationError:
+            pass
+    raise AssertionError(f"no accepted value off the default of {key}")
+
+
+def _contents(obj):
+    """Everything a built object holds, as nested plain values that compare by value."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _contents(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_contents(value) for value in obj]
+    names = getattr(obj, "__slots__", None) or getattr(obj, "__dict__", None)
+    if names is None:
+        return obj
+    return type(obj).__name__, {name: _contents(getattr(obj, name)) for name in names}
+
+
+def _unit_parts(cfg, unit: int):
+    """What the builders make for one unit: its AC stage, DC side and controller."""
+    plant = build_plant(cfg)
+    return _contents((plant.network.stages[unit], plant.dc_sides[unit], plant.dc_states[unit],
+                      plant.i_pv[unit], build_controllers(cfg)[unit]))
+
+
+#: The keys the compensator reads; the runner reads the other ``vcc.*`` keys.
+COMPENSATOR_KEYS = ("vcc.vuf_ref", "vcc.hd_ref", "vcc.pi_neg1",
+                    *(f"vcc.pi_h{abs(o)}" for o in HARMONIC_ORDERS),
+                    "vcc.output_limit", "vcc.effort_limit")
+
+
 class TestBuilders:
+    # Byte-identical runs of the shipped scenarios check the defaults only;
+    # these catch a key wired to the wrong unit, or to nothing.
+    @pytest.mark.parametrize("suffix", sorted(UNIT_KEYS))
+    @pytest.mark.parametrize("unit", range(len(UNIT_PREFIXES)))
+    def test_each_unit_key_reaches_its_own_unit_only(self, unit, suffix):
+        default = from_mapping({})
+        moved = _moved(f"{UNIT_PREFIXES[unit]}.{suffix}")
+        for other in range(len(UNIT_PREFIXES)):
+            same = _unit_parts(moved, other) == _unit_parts(default, other)
+            assert same == (other != unit), UNIT_PREFIXES[other]
+
+    @pytest.mark.parametrize("key", COMPENSATOR_KEYS)
+    def test_each_compensator_key_reaches_the_compensator(self, key):
+        assert (_contents(build_compensator(_moved(key)))
+                != _contents(build_compensator(from_mapping({}))))
+
     def test_validate_path_builds_everything(self):
         cfg = from_mapping({})
         build_plant(cfg)
