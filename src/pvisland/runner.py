@@ -1,11 +1,13 @@
-"""Scenario execution: wiring, the time loop, artifacts.
+"""Scenario execution: the time loop, report assembly, artifacts.
 
-Controllers run at their own fixed period (the boost trackers and the
-central compensator decimate further); the plant integrates at the solver
-step, taking several substeps per control tick when the step is refined.
-All channels are sampled on a fixed output grid and written as CSV with
-full round-trip float precision, so a re-run from the echoed configuration
-is byte-identical.
+Each model builds itself from the parsed scenario, so :func:`build_plant`,
+:func:`build_controllers` and :func:`build_compensator` are one constructor
+call each.  Controllers run at their own fixed period (the boost trackers
+and the central compensator decimate further); the plant integrates at the
+solver step, taking several substeps per control tick when the step is
+refined.  All channels are sampled on a fixed output grid and written as
+CSV with full round-trip float precision, so a re-run from the echoed
+configuration is byte-identical.
 """
 
 from __future__ import annotations
