@@ -9,14 +9,14 @@ from pvisland.control import (
     CurrentLoop,
     DcLinkRegulator,
     DroopControl,
-    DUTY_MAX,
-    DUTY_MIN,
     DroopParams,
     IncrementalConductanceMppt,
     PowerCalculator,
     PrGains,
     VirtualImpedanceParams,
     VoltageLoop,
+    DUTY_MAX,
+    DUTY_MIN,
     MODE_MPPT,
     MODE_VR,
     compose_reference,
