@@ -10,10 +10,9 @@ between maximum-power tracking and DC-link voltage regulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigurationError
 from .signals import (
     LowPass1,
     ProportionalResonant,
@@ -93,39 +92,25 @@ class DroopControl:
 # Virtual impedance
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VirtualImpedanceParams:
-    r_pos: float
-    l_pos: float
-    r_neg: float
-    r_harmonic: dict[int, float] = field(default_factory=dict)
-
-
-def virtual_impedance(component, p: VirtualImpedanceParams,
-                      omega_f: float) -> tuple[float, float]:
+def virtual_impedance(components: list[tuple[float, float]], r_pos: float, x_pos: float,
+                      r_neg: float, r_harmonics: list[float]) -> tuple[float, float]:
     """Voltage drop synthesized from the decomposed output current.
 
-    ``component(order)`` is the alpha/beta pair of one signed sequence
-    order of the current.  Resistive-inductive on the positive sequence
-    (with the usual axis cross-coupling), plain resistive on the negative
-    sequence and on each configured harmonic; all contributions sum per axis.
+    ``components`` holds the alpha/beta pairs of the current's positive and
+    negative sequences, then of each harmonic, as
+    :meth:`~pvisland.signals.SequenceExtractor.components` gives them;
+    ``r_harmonics`` holds one resistance per harmonic, in the same order.
+    Resistive-inductive on the positive sequence (reactance ``x_pos``, with
+    the usual axis cross-coupling), plain resistive on the negative sequence
+    and on each harmonic; all contributions sum per axis.
     """
-    pa, pb = component(1)
-    na, nb = component(-1)
-    xl = omega_f * p.l_pos
-    va = p.r_pos * pa - xl * pb + p.r_neg * na
-    vb = p.r_pos * pb + xl * pa + p.r_neg * nb
-    for order, r in p.r_harmonic.items():
-        ha, hb = component(order)
+    (pa, pb), (na, nb), *harmonics = components
+    va = r_pos * pa - x_pos * pb + r_neg * na
+    vb = r_pos * pb + x_pos * pa + r_neg * nb
+    for r, (ha, hb) in zip(r_harmonics, harmonics):
         va += r * ha
         vb += r * hb
     return va, vb
-
-
-def compose_reference(v_droop, v_vr, v_c) -> tuple[float, float]:
-    """Inverter voltage reference: droop minus virtual drop plus central correction."""
-    (da, db), (za, zb), (ca, cb) = v_droop, v_vr, v_c
-    return da - za + ca, db - zb + cb
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +347,24 @@ class BoostController:
 class DgController:
     """Primary control stack of one generating unit, built from its ``dgN.*`` keys.
 
-    Each step takes one resonator table at the droop frequency for the
-    extractor and both loops, which share coefficients when their terms match.
+    Each step covers one ``control.period`` and takes one resonator table at
+    the droop frequency for the extractor and both loops, which share
+    coefficients when their terms match.
     The virtual impedance's reactance is taken at the droop's no-load
     frequency, and the boost starts at the duty that lifts the array's
     maximum-power voltage to the link reference.
     """
 
     def __init__(self, cfg: ScenarioConfig, dg: DgConfig):
-        dt = cfg.control_period
+        self.dt = dt = cfg.control_period
         self.startup_ramp = cfg.startup_ramp
         self.power = PowerCalculator(POWER_FILTER_HZ, dt)
         self.droop = DroopControl(DroopParams(dg.m_p, dg.n_p, cfg.v_amp, cfg.omega))
-        self.virtual_impedance = VirtualImpedanceParams(dg.vi_r_pos, dg.vi_l_pos, dg.vi_r_neg,
-                                                        dict(dg.vi_r_h))
         self.extractor = SequenceExtractor(gain=dg.vi_bandwidth_gain)
-        for order in dg.vi_r_h:
-            if abs(order) == 1 or order not in self.extractor.orders:
-                raise ConfigurationError(
-                    f"virtual impedance configured for order {order} "
-                    "but the sequence extractor does not provide it")
+        # virtual impedance: resistances, and the reactance at the no-load frequency
+        self.vi_r_pos, self.vi_r_neg = dg.vi_r_pos, dg.vi_r_neg
+        self.vi_x_pos = cfg.omega * dg.vi_l_pos
+        self.vi_r_harmonics = [dg.vi_r_h[order] for order in self.extractor.orders[2:]]
         rated_current = dg.pv.rated_w / (1.5 * cfg.v_amp)
         v_gains, i_gains = PrGains(*dg.prv, dg.prv_orders), PrGains(*dg.pri, dg.pri_orders)
         self.voltage_loop = VoltageLoop(v_gains, cfg.omega, dt,
@@ -397,12 +380,14 @@ class DgController:
         self._orders = sorted({*self.extractor.bands, *v_gains.orders, *i_gains.orders})
         self._shared = (v_gains.orders, v_gains.cutoff) == (i_gains.orders, i_gains.cutoff)
 
-    def step(self, meas: dict, v_c: tuple[float, float], t: float, dt: float
+    def step(self, row: tuple[float, ...], v_c: tuple[float, float], t: float
              ) -> tuple[float, tuple[float, float, float]]:
-        """Advance the control period starting at ``t``; returns (boost duty, modulation)."""
-        voa, vob = meas["v_o_ab"]
-        ioa, iob = meas["i_o_ab"]
-        ila, ilb = meas["i_l_ab"]
+        """Advance the control period starting at ``t``; returns (boost duty, modulation).
+
+        ``row`` is the unit's row of :meth:`~pvisland.plant.Plant.measurements`.
+        """
+        dt = self.dt
+        ila, ilb, voa, vob, ioa, iob, v_dc, v_pv, i_pv = row
 
         self.p_avg, self.q_avg = self.power.step(voa, vob, ioa, iob)
         da, db = self.droop.step(self.p_avg, self.q_avg, dt)
@@ -413,11 +398,13 @@ class DgController:
         omega = self.droop.omega_ref
         table = resonator_table(self._orders, omega, dt)
         self.extractor.advance(ioa, iob, table)
-        ra, rb = compose_reference((da, db), virtual_impedance(
-            self.extractor.component, self.virtual_impedance, self.droop.params.omega), v_c)
+        # reference: droop minus virtual drop plus central correction
+        za, zb = virtual_impedance(self.extractor.components(), self.vi_r_pos, self.vi_x_pos,
+                                   self.vi_r_neg, self.vi_r_harmonics)
+        ra, rb = da - za + v_c[0], db - zb + v_c[1]
         v_rows = self.voltage_loop.pr.coefficients(table, omega)
         i_rows = v_rows if self._shared else self.current_loop.pr.coefficients(table, omega)
         ia, ib = self.voltage_loop.step(ra, rb, voa, vob, v_rows)
-        m = self.current_loop.step(ia, ib, ila, ilb, meas["v_dc"], i_rows)
-        duty = self.boost.step(meas["v_pv"], meas["i_pv"], meas["v_dc"], t, dt)
+        m = self.current_loop.step(ia, ib, ila, ilb, v_dc, i_rows)
+        duty = self.boost.step(v_pv, i_pv, v_dc, t, dt)
         return duty, m

@@ -120,37 +120,41 @@ class DcLinkParams:
     c_dc: float
 
 
-@dataclass
-class DcSideState:
-    v_pv: float
-    i_boost: float
-    v_dc: float
-
-
 class DcSide:
-    """Averaged boost converter between a PV string and the DC link.
+    """Averaged boost converter between a PV string and the DC link, with its state.
 
     Lossless: the inverter appears as a power draw on the link capacitor.
+    The state is the string voltage ``v_pv``, the boost inductor current
+    ``i_boost`` and the link voltage ``v_dc``; ``i_pv`` is the string's
+    current at that state and the present irradiance, kept up to date by
+    :meth:`step` and :meth:`set_irradiance`.  The inductor starts at rest.
     """
 
-    def __init__(self, pv: PvParams, params: DcLinkParams, irradiance: float):
+    def __init__(self, pv: PvParams, params: DcLinkParams, irradiance: float,
+                 v_pv: float, v_dc: float):
         self.pv = pv
         self.params = params
+        self.v_pv = v_pv
+        self.i_boost = 0.0
+        self.v_dc = v_dc
+        self.set_irradiance(irradiance)
+
+    def set_irradiance(self, irradiance: float):
         self.irradiance = irradiance
+        self.i_pv = pv_current(max(self.v_pv, 0.0), irradiance, self.pv)
 
-    def step(self, st: DcSideState, i_pv: float, duty: float, p_draw: float, dt: float) -> float:
-        """Advance ``st`` in place by one step; returns the PV current at the new state.
+    def step(self, duty: float, p_draw: float, dt: float):
+        """Advance the state by one step.
 
-        ``i_pv`` is the PV current at ``st``, so the curve is evaluated only
-        at the predictor and at the new state.
+        The PV curve is evaluated only at the predictor and at the new state.
         """
         if not 0.0 <= duty < 1.0:
             raise ConfigurationError(f"boost duty {duty} outside [0, 1)")
         p = self.params
         off = 1.0 - duty
-        v_pv, i_boost, v_dc = st.v_pv, st.i_boost, st.v_dc
+        v_pv, i_boost, v_dc = self.v_pv, self.i_boost, self.v_dc
         # Heun: explicit trapezoid, adequate for the slow DC dynamics
-        dv1 = (i_pv - i_boost) / p.c_pv
+        dv1 = (self.i_pv - i_boost) / p.c_pv
         di1 = (v_pv - off * v_dc) / p.l_boost
         dd1 = (off * i_boost - p_draw / max(v_dc, 1.0)) / p.c_dc
         v2 = v_pv + dt * dv1
@@ -159,16 +163,16 @@ class DcSide:
         dv2 = (pv_current(max(v2, 0.0), self.irradiance, self.pv) - i2) / p.c_pv
         di2 = (v2 - off * d2) / p.l_boost
         dd2 = (off * i2 - p_draw / max(d2, 1.0)) / p.c_dc
-        st.v_pv = max(v_pv + 0.5 * dt * (dv1 + dv2), 0.0)
-        st.i_boost = i_boost + 0.5 * dt * (di1 + di2)
-        st.v_dc = v_dc + 0.5 * dt * (dd1 + dd2)
-        return pv_current(st.v_pv, self.irradiance, self.pv)
+        self.v_pv = max(v_pv + 0.5 * dt * (dv1 + dv2), 0.0)
+        self.i_boost = i_boost + 0.5 * dt * (di1 + di2)
+        self.v_dc = v_dc + 0.5 * dt * (dd1 + dd2)
+        self.i_pv = pv_current(self.v_pv, self.irradiance, self.pv)
 
-    def stored_energy(self, st: DcSideState) -> float:
+    def stored_energy(self) -> float:
         p = self.params
-        return (0.5 * p.c_pv * st.v_pv ** 2
-                + 0.5 * p.l_boost * st.i_boost ** 2
-                + 0.5 * p.c_dc * st.v_dc ** 2)
+        return (0.5 * p.c_pv * self.v_pv ** 2
+                + 0.5 * p.l_boost * self.i_boost ** 2
+                + 0.5 * p.c_dc * self.v_dc ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +458,8 @@ class Plant:
     sides.  The inverter bridges conserve power exactly: the AC-side output
     computed over the step is the draw applied to each DC link.  Each unit
     starts at rest with its string at ``pv.v_mp`` and its link at ``vr.v_dc_ref``.
+    Unit ``d`` owns ``dc_sides[d]``, which holds its DC state and irradiance,
+    and the six network states from ``d * AcNetwork.STATES_PER_DG``.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -463,13 +469,8 @@ class Plant:
         self.network = AcNetwork([AcStageParams(dg.filter_l, dg.filter_c, dg.feeder_r,
                                                 dg.feeder_l) for dg in cfg.dgs], load, cfg.dt)
         self.dc_sides = [DcSide(pv_params(dg.pv), DcLinkParams(dg.c_pv, dg.l_boost, dg.c_dc),
-                                dg.pv.irradiance) for dg in cfg.dgs]
-        self.dc_states = [DcSideState(v_pv=dg.pv.v_mp, i_boost=0.0, v_dc=dg.v_dc_ref)
-                          for dg in cfg.dgs]
-        # each unit's PV current at its present state and irradiance
-        self.i_pv = [0.0] * len(cfg.dgs)
-        for d, side in enumerate(self.dc_sides):
-            self.set_irradiance(d, side.irradiance)
+                                dg.pv.irradiance, v_pv=dg.pv.v_mp, v_dc=dg.v_dc_ref)
+                         for dg in cfg.dgs]
         self.steps = 0
         self.saturated = [False] * len(cfg.dgs)
         self.max_kcl_residual = 0.0
@@ -480,35 +481,26 @@ class Plant:
         self._p_in_prev = None
         self._p_out_prev = None
 
-    def set_irradiance(self, d: int, irradiance: float):
-        side = self.dc_sides[d]
-        side.irradiance = irradiance
-        self.i_pv[d] = pv_current(max(self.dc_states[d].v_pv, 0.0), irradiance, side.pv)
-
     def stored_energy(self) -> float:
         e = self.network.stored_energy()
-        for side, st in zip(self.dc_sides, self.dc_states):
-            e += side.stored_energy(st)
+        for side in self.dc_sides:
+            e += side.stored_energy()
         return e
 
-    def measurements(self, theta_load: float) -> dict:
-        """Everything the controllers read, taken at the current instant."""
+    def measurements(self, theta_load: float
+                     ) -> tuple[tuple[float, float], list[tuple[float, ...]]]:
+        """Everything the controllers read, taken at the current instant.
+
+        Returns the coupling-bus voltage pair and one row per unit: its six
+        network states (inductor, capacitor-voltage and feeder pairs), then
+        ``v_dc``, ``v_pv`` and ``i_pv``.
+        """
         net = self.network
-        ih = harmonic_current_ab(net.injections, theta_load)
         x = net.x
-        va, vb, _, _ = net.bus(x, ih)
-        out = {"v_pcc_ab": (va, vb), "dg": []}
-        for d, st in enumerate(self.dc_states):
-            b = net._base(d)
-            out["dg"].append({
-                "v_o_ab": (x[b + 2], x[b + 3]),
-                "i_l_ab": (x[b], x[b + 1]),
-                "i_o_ab": (x[b + 4], x[b + 5]),
-                "v_dc": st.v_dc,
-                "v_pv": st.v_pv,
-                "i_pv": self.i_pv[d],
-            })
-        return out
+        va, vb, _, _ = net.bus(x, harmonic_current_ab(net.injections, theta_load))
+        n = net.STATES_PER_DG
+        return (va, vb), [(*x[n * d:n * d + n], side.v_dc, side.v_pv, side.i_pv)
+                          for d, side in enumerate(self.dc_sides)]
 
     def step(self, duties: list[float], modulations, theta_load: float):
         """One integration step with the given per-unit duties and commands ``(m_a, m_b, m_c)``.
@@ -525,7 +517,7 @@ class Plant:
             if sat:
                 ma, mb, mc = (min(max(m, -1.0), 1.0) for m in (ma, mb, mc))
             self.saturated[d] = sat
-            v_dc = self.dc_states[d].v_dc
+            v_dc = self.dc_sides[d].v_dc
             va, vb, vc = ma * v_dc / 2.0, mb * v_dc / 2.0, mc * v_dc / 2.0
             v_inv_ab.append(clarke_xy(va, vb, vc))
 
@@ -539,7 +531,7 @@ class Plant:
             self.max_kcl_residual = residual
         p_res, p_harm = net.load_power(bus, i_res, ih)
         p_feed = net.feeder_loss(x)
-        p_in = sum(st.v_pv * i_pv for st, i_pv in zip(self.dc_states, self.i_pv))
+        p_in = sum(side.v_pv * side.i_pv for side in self.dc_sides)
         p_out = p_res + p_harm + p_feed
         if self._p_in_prev is not None:
             self.energy_in += 0.5 * dt * (p_in + self._p_in_prev)
@@ -552,14 +544,12 @@ class Plant:
 
         x1 = net.step(v_inv_ab, ih)
 
-        i_pv = self.i_pv
-        for d, (side, st) in enumerate(zip(self.dc_sides, self.dc_states)):
+        for d, side in enumerate(self.dc_sides):
             b = net._base(d)
             ila = 0.5 * (x1[b] + x[b])
             ilb = 0.5 * (x1[b + 1] + x[b + 1])
             va, vb = v_inv_ab[d]
-            p_draw = 1.5 * (va * ila + vb * ilb)
-            i_pv[d] = side.step(st, i_pv[d], duties[d], p_draw, dt)
+            side.step(duties[d], 1.5 * (va * ila + vb * ilb), dt)
 
         self.steps += 1
         self._check_bounds(x1)
@@ -577,10 +567,10 @@ class Plant:
                 raise SimulationDivergence(
                     f"AC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
                     t_last_good=(self.steps - 1) * self.dt)
-        for st in self.dc_states:
-            if (not math.isfinite(st.v_dc) or not math.isfinite(st.v_pv)
-                    or not math.isfinite(st.i_boost)
-                    or abs(st.v_dc) > 5e3 or abs(st.i_boost) > 1e4):
+        for side in self.dc_sides:
+            if (not math.isfinite(side.v_dc) or not math.isfinite(side.v_pv)
+                    or not math.isfinite(side.i_boost)
+                    or abs(side.v_dc) > 5e3 or abs(side.i_boost) > 1e4):
                 raise SimulationDivergence(
                     f"DC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
                     t_last_good=(self.steps - 1) * self.dt)

@@ -175,10 +175,9 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             plant.network.set_load_scale(cfg.load_step_scale)
         while events and events[0][0] <= tick:
             _, d, value = events.popleft()
-            plant.set_irradiance(d, value)
+            plant.dc_sides[d].set_irradiance(value)
 
-        meas = plant.measurements(theta)
-        v_pcc_ab = meas["v_pcc_ab"]
+        v_pcc_ab, rows = plant.measurements(theta)
         v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
 
         if tick % vcc_every == 0:
@@ -198,22 +197,19 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             # the clamp counts once the corrections it cuts reach the units
             flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
             comp.clamped = False
-        for d, ctl in enumerate(controllers):
-            duty, m = ctl.step(meas["dg"][d], vc_log[d], t, dt_ctl)
+        for ctl, row, v_c in zip(controllers, rows, vc_log):
+            duty, m = ctl.step(row, v_c, t)
             duties.append(duty)
             mods.append(m)
-            flags.update(t, unit_sources[d], (ctl.droop.clamped, ctl.voltage_loop.clamped,
-                                              ctl.current_loop.locked_out, plant.saturated[d]))
 
         if tick % sample_every == 0:
             values = [t, *v_pcc_abc, 1.0 if vcc_active else 0.0, comp.vuf,
                       *map(comp.hd.__getitem__, HARMONIC_ORDERS)]
-            for d, ctl in enumerate(controllers):
-                unit = meas["dg"][d]
-                values += (ctl.p_avg, ctl.q_avg, unit["v_dc"], unit["v_pv"], duties[d],
+            for ctl, row, duty, v_c in zip(controllers, rows, duties, vc_log):
+                _, _, _, _, ioa, iob, v_dc, v_pv, i_pv = row
+                values += (ctl.p_avg, ctl.q_avg, v_dc, v_pv, duty,
                            1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
-                           *inverse_clarke_xy(*unit["i_o_ab"]),
-                           unit["v_pv"] * unit["i_pv"], *vc_log[d])
+                           *inverse_clarke_xy(ioa, iob), v_pv * i_pv, *v_c)
             table[tick // sample_every] = values
 
         pll.step(v_pcc_ab, dt_ctl)
@@ -221,6 +217,10 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             # injections evaluated mid-substep: a start-of-step hold leaves a
             # first-order phase bias that shows up in the harmonic voltages
             plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
+        # after the substeps, so a bridge clamp is stamped with the tick of its commands
+        for source, ctl, saturated in zip(unit_sources, controllers, plant.saturated):
+            flags.update(t, source, (ctl.droop.clamped, ctl.voltage_loop.clamped,
+                                     ctl.current_loop.locked_out, saturated))
 
     mode_transitions = sorted(
         (t_switch, f"dg{d + 1}", what)

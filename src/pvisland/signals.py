@@ -250,7 +250,8 @@ class SequenceExtractor:
         self.orders = orders
         self.gain = gain
         self.bands = sorted({abs(o) for o in orders})
-        self._index = {o: self.bands.index(abs(o)) for o in orders}
+        # each order's band and whether it is the band's positive sequence
+        self._taps = [(self.bands.index(abs(o)), o > 0) for o in orders]
         n = len(self.bands)
         self._v = ([0.0] * n, [0.0] * n)    # per axis (alpha, beta), per band
         self._q = ([0.0] * n, [0.0] * n)
@@ -293,17 +294,20 @@ class SequenceExtractor:
             vb[j] = v_new
         self._u_prev = (x, y)
 
-    def component(self, order: int) -> tuple[float, float]:
-        """Alpha/beta pair of one signed order (positive order = positive sequence)."""
-        i = self._index[order]
+    def components(self) -> list[tuple[float, float]]:
+        """Alpha/beta pair of each of ``orders``, in that order, as of the last step."""
         (va, vb), (qa, qb) = self._v, self._q
-        if order > 0:
-            return 0.5 * (va[i] - qb[i]), 0.5 * (qa[i] + vb[i])
-        return 0.5 * (va[i] + qb[i]), 0.5 * (vb[i] - qa[i])
+        out = []
+        for i, positive in self._taps:
+            if positive:
+                out.append((0.5 * (va[i] - qb[i]), 0.5 * (qa[i] + vb[i])))
+            else:
+                out.append((0.5 * (va[i] + qb[i]), 0.5 * (vb[i] - qa[i])))
+        return out
 
     def sequences(self) -> SequenceSet:
         """Every configured component as of the last step."""
-        pairs = {o: FrameVector(*self.component(o)) for o in self.orders}
+        pairs = {o: FrameVector(*pair) for o, pair in zip(self.orders, self.components())}
         return SequenceSet(pairs.pop(1), pairs.pop(-1), pairs)
 
     def step(self, v: FrameVector, omega: float, dt: float) -> SequenceSet:

@@ -13,31 +13,28 @@ from pvisland.control import (
     IncrementalConductanceMppt,
     PowerCalculator,
     PrGains,
-    VirtualImpedanceParams,
     VoltageLoop,
     DUTY_MAX,
     DUTY_MIN,
     MODE_MPPT,
     MODE_VR,
-    compose_reference,
     virtual_impedance,
 )
 from pvisland.config import from_mapping
-from pvisland.errors import ConfigurationError
 from pvisland.plant import Plant, PvParams, pv_current
 from pvisland.runner import build_controllers
-from pvisland.signals import resonator_table
+from pvisland.signals import SequenceExtractor, resonator_table
 
 DT = 50e-6
 V_AMP = math.sqrt(2.0) * 120.0
 
 
 def _components(pos=(0.0, 0.0), neg=(0.0, 0.0), **harm):
-    """Sequence components by signed order, as the extractor's ``component`` gives them."""
+    """Sequence components in the extractor's order, as its ``components`` gives them."""
     comps = {1: pos, -1: neg, 3: (0.0, 0.0), -5: (0.0, 0.0), 7: (0.0, 0.0), -11: (0.0, 0.0)}
     for key, val in harm.items():
         comps[int(key.replace("hm", "-").replace("hp", ""))] = val
-    return comps.__getitem__
+    return [comps[order] for order in SequenceExtractor().orders]
 
 
 #: Unit 1's tracker, link-regulator and mode settings in the default scenario.
@@ -115,52 +112,28 @@ class TestDroop:
 
 
 class TestVirtualImpedance:
+    # harmonic resistances follow the extractor's harmonics: 3, -5, 7, -11
     def test_zero_current_zero_drop(self):
-        params = VirtualImpedanceParams(0.3, 0.5e-3, 0.4,
-                                        {3: 3.0, -5: 1.0, 7: 1.0, -11: 0.5})
-        assert virtual_impedance(_components(), params, 370.0) == (0.0, 0.0)
+        assert virtual_impedance(_components(), 0.3, 0.5e-3 * 370.0, 0.4,
+                                 [3.0, 1.0, 1.0, 0.5]) == (0.0, 0.0)
 
     def test_positive_sequence_cross_coupling(self):
         # hand arithmetic with the published numbers taken literally:
         # R = 0.3, L*w_f = 0.5 * 370 = 185, i = (10, 0)
-        params = VirtualImpedanceParams(0.3, 0.5, 0.0, {})
-        va, vb = virtual_impedance(_components(pos=(10.0, 0.0)), params, 370.0)
+        va, vb = virtual_impedance(_components(pos=(10.0, 0.0)), 0.3, 0.5 * 370.0, 0.0,
+                                   [0.0] * 4)
         assert va == pytest.approx(3.0, rel=1e-12)
         assert vb == pytest.approx(1850.0, rel=1e-12)
 
     def test_harmonic_branch_is_purely_resistive(self):
-        params = VirtualImpedanceParams(0.0, 0.0, 0.0, {-5: 1.0})
-        out = virtual_impedance(_components(hm5=(1.2, -1.6)), params, 370.0)
+        out = virtual_impedance(_components(hm5=(1.2, -1.6)), 0.0, 0.0, 0.0,
+                                [0.0, 1.0, 0.0, 0.0])
         assert math.hypot(*out) == pytest.approx(2.0, rel=1e-12)
         assert out == pytest.approx((1.2, -1.6), rel=1e-12)
 
     def test_negative_sequence_branch(self):
-        params = VirtualImpedanceParams(0.0, 0.0, 0.4, {})
-        out = virtual_impedance(_components(neg=(5.0, -2.0)), params, 370.0)
+        out = virtual_impedance(_components(neg=(5.0, -2.0)), 0.0, 0.0, 0.4, [0.0] * 4)
         assert out == pytest.approx((2.0, -0.8), rel=1e-12)
-
-    def test_missing_extractor_order_rejected(self):
-        # checked once, when the unit's controller is built
-        cfg = from_mapping({})
-        cfg = dataclasses.replace(cfg, dgs=[dataclasses.replace(cfg.dgs[0], vi_r_h={9: 1.0})])
-        with pytest.raises(ConfigurationError, match="order 9"):
-            build_controllers(cfg)
-
-
-class TestComposeReference:
-    def test_passthrough_with_zero_corrections(self):
-        assert compose_reference((100.0, -40.0), (0.0, 0.0), (0.0, 0.0)) == (100.0, -40.0)
-
-    def test_signed_sum(self):
-        assert compose_reference((100.0, 0.0), (3.0, 0.0), (1.0, 0.0)) == (98.0, 0.0)
-
-    def test_affine_in_each_input(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            d, v, c, k = rng.uniform(-50.0, 50.0, 4)
-            base = compose_reference((d, 0.0), (v, 0.0), (c, 0.0))
-            scaled = compose_reference((k * d, 0.0), (k * v, 0.0), (k * c, 0.0))
-            assert scaled[0] == pytest.approx(k * base[0], rel=1e-12, abs=1e-9)
 
 
 class TestVoltageLoop:
@@ -372,9 +345,9 @@ class TestCurrentLoopClosedLoop:
         # the fundamental resonator envelope settles with a 0.5 s constant
         for i in range(int(2.5 / DT)):
             t = i * DT
-            meas = plant.measurements(w * t)
+            (ila, ilb, _, _, _, _, v_dc, _, _), = plant.measurements(w * t)[1]
             m = loop.step(amp_ref * math.cos(w * t), amp_ref * math.sin(w * t),
-                          *meas["dg"][0]["i_l_ab"], meas["dg"][0]["v_dc"], _rows(loop, w))
+                          ila, ilb, v_dc, _rows(loop, w))
             plant.step([1.0 - 380.0 / 600.0], [m], w * t)
         i_l = plant.network.inverter_current(0)
         assert math.hypot(*i_l) == pytest.approx(amp_ref, rel=0.02)

@@ -12,7 +12,6 @@ from pvisland.plant import (
     AcStageParams,
     DcLinkParams,
     DcSide,
-    DcSideState,
     HarmonicInjection,
     LoadSpec,
     Plant,
@@ -85,51 +84,48 @@ class TestPvCurve:
 
 
 class TestDcSide:
-    # ``DcSide.step`` advances the state in place; it takes the PV current at
-    # the state and returns the one at the new state.
+    # ``DcSide.step`` advances the side's own state and keeps its PV current
+    # at that state.
     def test_boost_ratio_at_steady_state(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0)
+        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
+        dc.i_boost = 7.0
         duty = 1.0 - 380.0 / 600.0
         draw = 380.0 * pv_current(380.0, 1.0, pv3k) * 0.999
-        st = DcSideState(380.0, 7.0, 600.0)
-        i_pv = pv_current(st.v_pv, 1.0, pv3k)
         for _ in range(int(1.5 / DT)):
-            i_pv = dc.step(st, i_pv, duty, draw, DT)
-        assert st.v_dc == pytest.approx(st.v_pv / (1.0 - duty), rel=0.02)
+            dc.step(duty, draw, DT)
+        assert dc.v_dc == pytest.approx(dc.v_pv / (1.0 - duty), rel=0.02)
 
     def test_link_rises_without_draw(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0)
-        st = DcSideState(380.0, pv_current(380.0, 1.0, pv3k), 600.0)
-        i_pv = st.i_boost
-        history = [st.v_dc]
+        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
+        dc.i_boost = dc.i_pv
+        history = [dc.v_dc]
         for _ in range(int(0.02 / DT)):
-            i_pv = dc.step(st, i_pv, 1.0 - 380.0 / 600.0, 0.0, DT)
-            history.append(st.v_dc)
+            dc.step(1.0 - 380.0 / 600.0, 0.0, DT)
+            history.append(dc.v_dc)
         assert all(b >= a for a, b in zip(history, history[1:]))
 
     def test_energy_balance_over_one_second(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0)
+        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
+        dc.i_boost = 7.2
         duty = 1.0 - 380.0 / 600.0
         draw = 2800.0
-        st = DcSideState(380.0, 7.2, 600.0)
         e_in = 0.0
-        e0 = dc.stored_energy(st)
-        i_pv = pv_current(st.v_pv, 1.0, pv3k)
-        p_prev = st.v_pv * i_pv
+        e0 = dc.stored_energy()
+        p_prev = dc.v_pv * dc.i_pv
         for _ in range(int(1.0 / DT)):
-            i_pv = dc.step(st, i_pv, duty, draw, DT)
-            assert i_pv == pv_current(st.v_pv, 1.0, pv3k)
-            p_now = st.v_pv * i_pv
+            dc.step(duty, draw, DT)
+            assert dc.i_pv == pv_current(dc.v_pv, 1.0, pv3k)
+            p_now = dc.v_pv * dc.i_pv
             e_in += 0.5 * DT * (p_prev + p_now)
             p_prev = p_now
         e_out = draw * 1.0
-        residual = abs(e_in - (dc.stored_energy(st) - e0) - e_out)
+        residual = abs(e_in - (dc.stored_energy() - e0) - e_out)
         assert residual < 0.005 * e_in
 
     def test_rejects_invalid_duty(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0)
+        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
         with pytest.raises(ConfigurationError):
-            dc.step(DcSideState(380.0, 0.0, 600.0), pv_current(380.0, 1.0, pv3k), 1.2, 0.0, DT)
+            dc.step(1.2, 0.0, DT)
 
 
 class TestInverterOutput:
@@ -449,7 +445,7 @@ class TestPlant:
             t = i * DT
             mods = []
             for d in (0, 1):
-                v_dc = plant.dc_states[d].v_dc
+                v_dc = plant.dc_sides[d].v_dc
                 mods.append(inverse_clarke(FrameVector(
                     2.0 * v_cmd / v_dc * math.cos(w * t),
                     2.0 * v_cmd / v_dc * math.sin(w * t))))
@@ -485,13 +481,13 @@ class TestPlant:
                 m = inverse_clarke(FrameVector(0.5 * math.cos(w * t),
                                                0.5 * math.sin(w * t)))
                 plant.step([0.37, 0.4], [m, m], w * t)
-            return np.array(plant.network.x).tobytes(), plant.dc_states[0].v_dc
+            return np.array(plant.network.x).tobytes(), plant.dc_sides[0].v_dc
 
         assert run() == run()
 
     def test_each_link_starts_at_its_own_reference(self):
         plant = runner.build_plant(from_mapping({"dg2.vr.v_dc_ref": "650.0"}))
-        assert [st.v_dc for st in plant.dc_states] == [600.0, 650.0]
+        assert [side.v_dc for side in plant.dc_sides] == [600.0, 650.0]
 
     @pytest.mark.parametrize("side, value", [("AC", 1e7), ("AC", math.nan), ("AC", -math.inf),
                                              ("DC", math.nan)],
@@ -501,7 +497,7 @@ class TestPlant:
         if side == "AC":
             plant.network.x[0] = value
         else:
-            plant.dc_states[1].i_boost = value
+            plant.dc_sides[1].i_boost = value
         # inf * 0 in the transition product is NaN, as intended here
         with np.errstate(invalid="ignore"), pytest.raises(SimulationDivergence,
                                                           match=f"{side} state"):
@@ -527,8 +523,7 @@ class TestPlant:
                 2.0 * 170.0 / 600.0 * math.sin(w * t)))
             plant.step([0.37, 0.37], [m, m], w * t)
         # bank current magnitude close to V/(w L) at the coupling bus
-        meas = plant.measurements(w * 0.6)
-        v = math.hypot(*meas["v_pcc_ab"])
+        v = math.hypot(*plant.measurements(w * 0.6)[0])
         bank = math.hypot(*plant.network.bank_current())
         assert bank == pytest.approx(v / (w * 0.03), rel=0.05)
         assert plant.energy_audit_error() < 0.005
@@ -563,10 +558,9 @@ class TestPlant:
 
         def checked(plant, theta):
             meas = measure(plant, theta)
-            for d, (side, st) in enumerate(zip(plant.dc_sides, plant.dc_states)):
-                assert meas["dg"][d]["i_pv"] == pv_current(max(st.v_pv, 0.0),
-                                                           side.irradiance, side.pv)
-            seen.append((plant.dc_sides[0].irradiance, meas["dg"][0]["i_pv"]))
+            for row, side in zip(meas[1], plant.dc_sides):
+                assert row[-1] == pv_current(max(side.v_pv, 0.0), side.irradiance, side.pv)
+            seen.append((plant.dc_sides[0].irradiance, meas[1][0][-1]))
             return meas
 
         monkeypatch.setattr(Plant, "measurements", checked)
@@ -580,6 +574,24 @@ class TestPlant:
         assert (before, after) == (1.0, 0.5)
         assert i_before > 1.0 and i_after < i_before  # the array delivers, and the dip shows
 
+    def test_measurement_rows_follow_the_unit_states(self):
+        # one row per unit: its six network states, then its link voltage,
+        # string voltage and string current, read where the plant keeps them
+        plant = _two_unit_plant()
+        w = 370.0
+        for i in range(400):
+            m = inverse_clarke(FrameVector(0.5 * math.cos(w * i * DT),
+                                           0.5 * math.sin(w * i * DT)))
+            plant.step([0.37, 0.4], [m, m], w * i * DT)
+        theta = w * 400 * DT
+        net = plant.network
+        v_pcc, rows = plant.measurements(theta)
+        assert v_pcc == net.bus(net.x, harmonic_current_ab(net.injections, theta))[:2]
+        n = AcNetwork.STATES_PER_DG
+        assert rows == [(*net.x[n * d:n * d + n], side.v_dc, side.v_pv, side.i_pv)
+                        for d, side in enumerate(plant.dc_sides)]
+        assert rows[0] != rows[1]
+
     def test_measurements_see_the_load_step(self):
         # once the load scale is set, measurements solve the bus through the
         # new load, the same admittance the following plant step integrates with
@@ -592,7 +604,7 @@ class TestPlant:
             plant.step([0.37, 0.37], [m, m], w * i * DT)
         theta = w * 400 * DT
         plant.network.set_load_scale(0.6)
-        measured = plant.measurements(theta)["v_pcc_ab"]
+        measured = plant.measurements(theta)[0]
         stepped = AcNetwork(plant.network.stages, load, DT)
         stepped.set_load_scale(0.6)
         stepped.x = plant.network.x.copy()

@@ -18,7 +18,8 @@ from pvisland.runner import (
     run_scenario,
     run_simulation,
 )
-from pvisland.signals import HARMONIC_ORDERS
+from pvisland.plant import Plant
+from pvisland.signals import HARMONIC_ORDERS, ticks
 
 SHORT = {"solver.duration": "0.6", "vcc.enable_at": "off"}
 
@@ -250,8 +251,8 @@ def _contents(obj):
 def _unit_parts(cfg, unit: int):
     """What the builders make for one unit: its AC stage, DC side and controller."""
     plant = build_plant(cfg)
-    return _contents((plant.network.stages[unit], plant.dc_sides[unit], plant.dc_states[unit],
-                      plant.i_pv[unit], build_controllers(cfg)[unit]))
+    return _contents((plant.network.stages[unit], plant.dc_sides[unit],
+                      build_controllers(cfg)[unit]))
 
 
 #: The keys the compensator reads; the runner reads the other ``vcc.*`` keys.
@@ -315,28 +316,26 @@ class TestBuilders:
         dt = cfg.control_period
         theta = 0.0
         for tick in range(200):
-            meas = plant.measurements(theta)
+            _, rows = plant.measurements(theta)
             corrections = comp.correction_from(efforts, theta)
-            steps = [ctl.step(meas["dg"][d], corrections[d], tick * dt, dt)
-                     for d, ctl in enumerate(controllers)]
+            steps = [ctl.step(row, v_c, tick * dt)
+                     for ctl, row, v_c in zip(controllers, rows, corrections)]
             plant.step([duty for duty, _ in steps], [m for _, m in steps], theta)
             theta += cfg.omega * dt
 
         def leaves(obj):
-            if isinstance(obj, dict):
-                obj = list(obj.values())
             if isinstance(obj, (list, tuple)):
                 return [leaf for item in obj for leaf in leaves(item)]
             return [obj]
 
-        # the duty and modulation triple of every unit, and every correction
+        # the bus pair and every unit's row, the duty and modulation triple of
+        # every unit, and every correction
         values = leaves(plant.measurements(theta)) + leaves(steps) + leaves(corrections)
         assert len(leaves(steps)) == 4 * len(controllers)
-        for d, ctl in enumerate(controllers):
-            seq = ctl.extractor.sequences()
-            values += [ctl.p_avg, ctl.droop.omega_ref, plant.dc_states[d].v_dc]
-            for v in [seq.fundamental_pos, seq.fundamental_neg, *seq.harmonic.values()]:
-                values += [v.x, v.y]
+        for ctl, side in zip(controllers, plant.dc_sides):
+            values += [ctl.p_avg, ctl.droop.omega_ref, side.v_dc, side.v_pv, side.i_boost,
+                       side.i_pv]
+            values += leaves(ctl.extractor.components())
         assert len(values) > 50
         assert [type(v) for v in values if type(v) is not float] == []
 
@@ -371,6 +370,24 @@ class TestSchedule:
         differing = [np.flatnonzero(run.channels[c] != event_free_run.channels[c][:rows])
                      for c in run.channels]
         assert min(d[0] for d in differing if d.size) == first_row
+
+    @pytest.mark.parametrize("clamp_tick", [1234, 1999], ids=["mid-run", "final-tick"])
+    def test_modulation_clamp_is_stamped_with_its_tick(self, monkeypatch, clamp_tick):
+        # a bridge clamp carries the time of the tick whose commands it cut,
+        # the final tick included
+        step = Plant.step
+
+        def clamping(plant, duties, modulations, theta):
+            step(plant, duties, modulations, theta)
+            plant.saturated[0] = plant.steps == clamp_tick + 1
+
+        monkeypatch.setattr(Plant, "step", clamping)
+        cfg = from_mapping({"solver.duration": "0.1", "vcc.enable_at": "off"})
+        assert ticks(cfg.duration, cfg.control_period) == 2000
+        assert ticks(cfg.control_period, cfg.dt) == 1
+        run = run_simulation(cfg)
+        assert [(t, source) for t, source, name in run.flags if name == "modulation_clamp"] == [
+            (clamp_tick * cfg.control_period, "dg1")]
 
 
 class TestCli:

@@ -562,6 +562,7 @@ class TestResonatorTable:
         # controller is stepped on noisy measurements, so the droop frequency
         # moves on every step; the oracle blocks see the inputs it recorded.
         ctl = build_controllers(from_mapping(keys))[0]
+        assert ctl.dt == DT  # a step covers one control period
         ext = _PerBlockExtractor(ctl.extractor.bands, ctl.extractor.gain)
         vpr = _PerBlockPr(ctl.voltage_loop.pr)
         ipr = _PerBlockPr(ctl.current_loop.pr)
@@ -571,12 +572,11 @@ class TestResonatorTable:
             t = tick * DT
             c, s = math.cos(OMEGA * t), math.sin(OMEGA * t)
             n = rng.normal(0.0, 1.0, 8).tolist()
-            meas = {"v_o_ab": (170.0 * c + n[0], 170.0 * s + n[1]),
-                    "i_o_ab": (10.0 * c + 2.0 * math.cos(5.0 * OMEGA * t) + n[2],
-                               10.0 * s - 2.0 * math.sin(5.0 * OMEGA * t) + n[3]),
-                    "i_l_ab": (10.0 * c + n[4], 10.0 * s + n[5]),
-                    "v_dc": 600.0, "v_pv": 380.0, "i_pv": 7.0}
-            _, m = ctl.step(meas, (n[6], n[7]), t, DT)
+            ila, ilb = 10.0 * c + n[4], 10.0 * s + n[5]
+            row = (ila, ilb, 170.0 * c + n[0], 170.0 * s + n[1],
+                   10.0 * c + 2.0 * math.cos(5.0 * OMEGA * t) + n[2],
+                   10.0 * s - 2.0 * math.sin(5.0 * OMEGA * t) + n[3], 600.0, 380.0, 7.0)
+            _, m = ctl.step(row, (n[6], n[7]), t)
             omega = ctl.droop.omega_ref
             omegas.add(omega)
             ext.step(ctl.extractor._u_prev, omega, DT)
@@ -586,7 +586,6 @@ class TestResonatorTable:
             for ref, pr in ((vpr, ctl.voltage_loop.pr), (ipr, ctl.current_loop.pr)):
                 assert [ref.x1, ref.x2] == [list(pr._x1), list(pr._x2)]
             scale = min(ctl.voltage_loop.i_limit / math.hypot(ia, ib), 1.0)  # the clamp
-            ila, ilb = meas["i_l_ab"]
             assert ctl.current_loop.pr._e_prev == (ia * scale - ila, ib * scale - ilb)
             assert m == inverse_clarke_xy(va / 300.0, vb / 300.0)
         assert len(omegas) > 2900
