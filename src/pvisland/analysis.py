@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError
+from .signals import MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES
 
 
 @dataclass
@@ -43,10 +44,6 @@ class SpectrumResult:
     phasors: np.ndarray         # complex phasor per order (cosine reference)
     window_samples: int
     window_cycles: int
-
-
-#: Highest harmonic order :func:`spectrum` resolves and :func:`thd` sums.
-MAX_HARMONIC_ORDER = 50
 
 
 def spectrum(ts: TimeSeries, f1: float, cycles: int, max_order: int = MAX_HARMONIC_ORDER
@@ -135,10 +132,6 @@ def sharing_ratio(first: float, second: float) -> float | None:
     return first / second if abs(second) > floor else None
 
 
-#: Whole fundamental cycles :func:`steady_window` needs before it searches.
-MIN_STEADY_CYCLES = 20
-
-
 def steady_window(ts: TimeSeries, rel_tol: float, f1: float,
                   min_cycles: int = 5) -> tuple[float, float]:
     """Trailing span over which the cycle RMS varies less than ``rel_tol`` percent.
@@ -180,6 +173,9 @@ class MetricsReport:
     """Steady-state quality and sharing summary of one run."""
 
     window: tuple[float, float]
+    # False when no ten settled cycles follow the last event and the window
+    # is the run's last ten cycles
+    window_settled: bool
     fundamental_hz: float
     thd_percent: dict[str, float]
     vuf_percent: float
@@ -203,6 +199,7 @@ class MetricsReport:
         out = []
         out.append(f"window_start_s = {self.window[0]:.6f}")
         out.append(f"window_end_s = {self.window[1]:.6f}")
+        out.append(f"window_settled = {'true' if self.window_settled else 'false'}")
         out.append(f"fundamental_hz = {self.fundamental_hz:.6f}")
         for phase, value in self.thd_percent.items():
             out.append(f"thd_{phase}_percent = {value:.6f}")

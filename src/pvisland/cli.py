@@ -4,7 +4,13 @@
 CSV time series, a metrics report and the resolved-config echo.  ``validate``
 parses a scenario as ``run`` does, which checks every key, the cross-key
 rules and the report's length rule, and builds nothing.  ``report``
-rebuilds the metrics report from a finished run directory.
+rebuilds the metrics report from a finished run directory; it parses the
+time column and the channels the report reads
+(:func:`pvisland.runner.report_channels`) and skips the rest of the CSV.
+
+Importing this module loads the scenario parser only, so ``validate``
+loads neither NumPy nor the models.  ``run`` and ``report`` import the
+runner, and NumPy with it, once their scenario has parsed.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
 4 input/output error.
@@ -17,13 +23,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import config as config_mod
-from . import runner as runner_mod
-from .analysis import AnalysisError
-from .errors import ConfigurationError, SimulationDivergence
-from .runner import RunResult
+from .errors import AnalysisError, ConfigurationError, SimulationDivergence
 from .signals import ticks
 
 EXIT_OK = 0
@@ -68,7 +69,9 @@ def cmd_run(args) -> int:
         else:
             raise ConfigurationError("--vcc expects on, off or at=<seconds>")
     cfg = _load_scenario(args.scenario, overrides)
-    artifacts = runner_mod.run_scenario(cfg, args.out, with_plots=args.emit_plots)
+    from . import runner
+
+    artifacts = runner.run_scenario(cfg, args.out, with_plots=args.emit_plots)
     rep = artifacts.report
     print(f"run complete: {cfg.name}")
     print(f"  window      {rep.window[0]:.3f}..{rep.window[1]:.3f} s")
@@ -95,31 +98,37 @@ def cmd_report(args) -> int:
     if not echo_path.exists() or not csv_path.exists():
         raise FileNotFoundError(f"{run_dir} does not look like a run directory")
     cfg = config_mod.load_config(echo_path)
+    import numpy as np
+
+    from . import runner
+
     with open(csv_path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data.reshape(1, -1)
-    channels = {name: data[:, i] for i, name in enumerate(header) if name != "t"}
+    # only the time and the report's channels are parsed; a channel the
+    # narrowed CSV lacks is named by the report's own check
+    wanted = {"t", *runner.report_channels(len(cfg.dgs))}
+    columns = [i for i, name in enumerate(header) if name in wanted]
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=columns, ndmin=2)
+    parsed = dict(zip((header[i] for i in columns), data.T))
     # Windowed metrics rebuild exactly from the recorded channels; run-time
     # diagnostics (audit, residual, transitions, flags) live only in the
     # original report and read "unavailable" here.
-    result = RunResult(
+    result = runner.RunResult(
         cfg=cfg,
-        times=data[:, header.index("t")],
-        channels=channels,
+        times=parsed.pop("t"),
+        channels=parsed,
         flags=None,
         flags_dropped=None,
         mode_transitions=None,
         energy_audit_percent=None,
         max_kcl_residual=None,
         # priced, as in the run, after every irradiance event up to its last tick
-        mpp_available_w=runner_mod.mpp_available_w(
+        mpp_available_w=runner.mpp_available_w(
             cfg, ticks(cfg.duration, cfg.control_period) - 1),
     )
-    report = runner_mod.assemble_report(result)
+    report = runner.assemble_report(result)
     path = run_dir / "report_rebuilt.txt"
-    runner_mod.write_report(report, cfg, path)
+    runner.write_report(report, cfg, path)
     print(path)
     return EXIT_OK
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from . import analysis
 from .control import POWER_FILTER_HZ
 from .errors import ConfigurationError
-from .plant import max_filter_step, pv_params
-from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, beyond_nyquist, ticks,
+from .pv import pv_params
+from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, MAX_HARMONIC_ORDER,
+                      MIN_STEADY_CYCLES, beyond_nyquist, max_filter_step, ticks,
                       too_coarse_for_low_pass)
 
 V_RMS_TO_AMP = math.sqrt(2.0)
@@ -493,22 +493,23 @@ def check_report_length(cfg: ScenarioConfig):
     Not one of :data:`RULES`: a configuration too short for a report still
     simulates, so the scenario loader and the reporting run apply this
     rule.  The spectrum resolves orders up to
-    :data:`analysis.MAX_HARMONIC_ORDER` only with at least twice that many
-    rows per cycle at ``system.omega``.  The steady-state search needs
-    :data:`analysis.MIN_STEADY_CYCLES` whole cycles; the longest cycle is
-    the one at the lowest droop frequency, reached at rated power.
+    :data:`~pvisland.signals.MAX_HARMONIC_ORDER` only with at least twice
+    that many rows per cycle at ``system.omega``.  The steady-state search
+    needs :data:`~pvisland.signals.MIN_STEADY_CYCLES` whole cycles; the
+    longest cycle is the one at the lowest droop frequency, reached at rated
+    power.
     """
     omega_min = cfg.omega - max(dg.m_p * dg.pv.rated_w for dg in cfg.dgs)
     _require(omega_min > 0.0, "system.omega", "droop frequency at rated power is not positive")
-    max_step = math.pi / (analysis.MAX_HARMONIC_ORDER * cfg.omega)  # two rows per period
+    max_step = math.pi / (MAX_HARMONIC_ORDER * cfg.omega)  # two rows per period
     _require(cfg.sample_dt <= max_step, "outputs.sample_dt",
              f"{cfg.sample_dt} s is too coarse for the report: orders up to "
-             f"{analysis.MAX_HARMONIC_ORDER} need a step of at most {max_step:.4g} s")
+             f"{MAX_HARMONIC_ORDER} need a step of at most {max_step:.4g} s")
     cycle_rows = int(round(2.0 * math.pi / (omega_min * cfg.sample_dt)))
-    needed = analysis.MIN_STEADY_CYCLES * cycle_rows * cfg.sample_dt
-    _require(recorded_rows(cfg) >= analysis.MIN_STEADY_CYCLES * cycle_rows, "solver.duration",
+    needed = MIN_STEADY_CYCLES * cycle_rows * cfg.sample_dt
+    _require(recorded_rows(cfg) >= MIN_STEADY_CYCLES * cycle_rows, "solver.duration",
              f"{cfg.duration} s is too short for the report: it needs "
-             f"{analysis.MIN_STEADY_CYCLES} cycles at {omega_min:.1f} rad/s, "
+             f"{MIN_STEADY_CYCLES} cycles at {omega_min:.1f} rad/s, "
              f"about {needed:.3f} s")
 
 

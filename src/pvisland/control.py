@@ -248,18 +248,20 @@ class DcLinkRegulator:
     where more duty would shed power instead of recovering the link.
     """
 
-    def __init__(self, params: VrParams):
+    def __init__(self, params: VrParams, dt: float):
         self.params = params
+        self.dt = dt
         self.integral = 0.0
 
     def reset(self, duty: float):
         self.integral = duty
 
-    def step(self, v_dc: float, dt: float, duty_ceiling: float | None = None) -> float:
+    def step(self, v_dc: float, duty_ceiling: float | None = None) -> float:
+        """One step of ``dt`` on the link voltage ``v_dc``; returns the duty."""
         p = self.params
         hi = DUTY_MAX if duty_ceiling is None else min(DUTY_MAX, duty_ceiling)
         e = p.v_dc_ref - v_dc
-        candidate = self.integral + p.ki * e * dt
+        candidate = self.integral + p.ki * e * self.dt
         duty = p.kp * e + candidate
         if DUTY_MIN <= duty <= hi:
             self.integral = candidate
@@ -282,8 +284,9 @@ class ModeParams:
 class BoostController:
     """Mode machine owning the tracker and the link regulator.
 
-    Tracking runs decimated at its own period; regulation runs every step.
-    Both the decimation and the exit hold count whole steps of ``dt``.
+    Each step covers the ``dt`` the machine was built with.  Tracking runs
+    decimated at its own period; regulation runs every step.  Both the
+    decimation and the exit hold count whole steps of ``dt``.
     Transitions are hysteretic and are recorded with timestamps.  The
     machine boots in regulation mode: on startup the AC side is not loaded
     yet, so the link would immediately overvolt under tracking; regulation
@@ -294,7 +297,7 @@ class BoostController:
     def __init__(self, mppt: MpptParams, vr: VrParams, mode: ModeParams,
                  duty_init: float, dt: float):
         self.mppt = IncrementalConductanceMppt(mppt, duty_init)
-        self.vr = DcLinkRegulator(vr)
+        self.vr = DcLinkRegulator(vr, dt)
         self.mode_params = mode
         self.vr_params = vr
         self.mode = MODE_VR
@@ -309,8 +312,7 @@ class BoostController:
 
     VPV_FLOOR_MARGIN = 25.0  # volts below the entry point regulation may push
 
-    def step(self, v_pv: float, i_pv: float, v_dc: float, t: float,
-             dt: float) -> float:
+    def step(self, v_pv: float, i_pv: float, v_dc: float, t: float) -> float:
         ref = self.vr_params.v_dc_ref
         mp = self.mode_params
         if self.mode == MODE_MPPT:
@@ -336,7 +338,7 @@ class BoostController:
             if self._vr_vpv_floor is None:
                 self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
             ceiling = 1.0 - self._vr_vpv_floor / max(v_dc, 50.0)
-            self.duty = self.vr.step(v_dc, dt, ceiling)
+            self.duty = self.vr.step(v_dc, ceiling)
         return self.duty
 
 
@@ -406,5 +408,5 @@ class DgController:
         i_rows = v_rows if self._shared else self.current_loop.pr.coefficients(table, omega)
         ia, ib = self.voltage_loop.step(ra, rb, voa, vob, v_rows)
         m = self.current_loop.step(ia, ib, ila, ilb, v_dc, i_rows)
-        duty = self.boost.step(v_pv, i_pv, v_dc, t, dt)
+        duty = self.boost.step(v_pv, i_pv, v_dc, t)
         return duty, m

@@ -25,7 +25,8 @@ from .config import (VCC_INDEX_CHANNELS, ScenarioConfig, channel_names, check_re
                      echo, recorded_rows, unit_channels)
 from .control import MODE_VR, DgController
 from .errors import AnalysisError
-from .plant import Plant, PvParams, pv_current, pv_params
+from .plant import Plant
+from .pv import PvParams, pv_current, pv_params
 from .signals import HARMONIC_ORDERS, Pll, inverse_clarke_xy, ticks
 from .vcc import CentralCompensator, DqExtractionBank
 
@@ -252,13 +253,17 @@ def last_event_time(cfg: ScenarioConfig) -> float:
     return max([0.0] + [t for t in times if t is not None])
 
 
+def report_channels(n_units: int) -> list[str]:
+    """The channels :func:`assemble_report` reads from a roster of ``n_units`` units."""
+    return ["vpcc_a", "vpcc_b", "vpcc_c", "dg1_omega"] + [
+        name for i in range(1, n_units + 1)
+        for name in (f"dg{i}_p", f"dg{i}_q", f"dg{i}_vdc", f"pv{i}_power")]
+
+
 def assemble_report(result: RunResult) -> MetricsReport:
     cfg = result.cfg
     units = range(1, len(cfg.dgs) + 1)
-    needed = {"vpcc_a", "vpcc_b", "vpcc_c", "dg1_omega"}
-    for i in units:
-        needed |= {f"dg{i}_p", f"dg{i}_q", f"dg{i}_vdc", f"pv{i}_power"}
-    missing = needed - set(result.channels)
+    missing = set(report_channels(len(cfg.dgs))) - set(result.channels)
     if missing:
         raise AnalysisError(
             f"report needs channels {sorted(missing)}; add them to outputs.channels")
@@ -277,7 +282,9 @@ def assemble_report(result: RunResult) -> MetricsReport:
     start, end = analysis.steady_window(result.series("vpcc_a", "V"), STEADY_RMS_TOL, f1)
     floor = last_event_time(cfg) + SETTLE_AFTER_EVENT  # the first row is tick 0, t = 0
     start = max(start, floor)
-    if end - start < 10.0 / f1:
+    # short of ten settled cycles the report falls back to the last ten
+    settled = end - start >= 10.0 / f1
+    if not settled:
         start = max(end - 10.0 / f1, 0.0)
 
     def window_metrics(w0: float, w1: float):
@@ -327,6 +334,7 @@ def assemble_report(result: RunResult) -> MetricsReport:
 
     return MetricsReport(
         window=(start, end),
+        window_settled=settled,
         fundamental_hz=f1,
         thd_percent=thds,
         vuf_percent=vuf_pct,

@@ -111,6 +111,22 @@ def inverse_park(v: FrameVector, theta: float) -> FrameVector:
     return FrameVector(*inverse_park_xy(v.x, v.y, theta), ALPHA_BETA)
 
 
+# Step rules: what a step must resolve.  The scenario checks call the same
+# rules as the blocks and the report that rely on them.
+
+#: Highest harmonic order :func:`pvisland.analysis.spectrum` resolves and
+#: :func:`pvisland.analysis.thd` sums.
+MAX_HARMONIC_ORDER = 50
+
+#: Whole fundamental cycles :func:`pvisland.analysis.steady_window` needs before it searches.
+MIN_STEADY_CYCLES = 20
+
+
+def max_filter_step(l_filter: float, c_filter: float) -> float:
+    """Coarsest step that samples an LC filter's resonance 20 times per period."""
+    return 2.0 * math.pi * math.sqrt(l_filter * c_filter) / 20.0
+
+
 def too_coarse_for_low_pass(cutoff_hz: float, dt: float) -> bool:
     """Whether a step of ``dt`` is too long for a low-pass filter at ``cutoff_hz``."""
     return dt * 2.0 * math.pi * cutoff_hz >= 1.0

@@ -21,7 +21,8 @@ from pvisland.control import (
     virtual_impedance,
 )
 from pvisland.config import from_mapping
-from pvisland.plant import Plant, PvParams, pv_current
+from pvisland.plant import Plant
+from pvisland.pv import PvParams, pv_current
 from pvisland.runner import build_controllers
 from pvisland.signals import SequenceExtractor, resonator_table
 
@@ -220,34 +221,34 @@ class TestMppt:
 
 class TestDcLinkRegulator:
     def test_zero_error_keeps_integral(self):
-        reg = DcLinkRegulator(VR)
+        reg = DcLinkRegulator(VR, DT)
         reg.reset(0.4)
-        duty = reg.step(600.0, DT)
+        duty = reg.step(600.0)
         assert duty == pytest.approx(0.4, rel=1e-12)
 
     def test_constant_error_integrates(self):
-        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=0.05))
+        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=0.05), 1e-3)
         reg.reset(0.4)
         for _ in range(1000):
-            duty = reg.step(590.0, 1e-3)
+            duty = reg.step(590.0)
         assert duty == pytest.approx(0.4 + 0.05 * 10.0 * 1.0, rel=1e-9)
 
     def test_antiwindup_freezes_integral_at_clamp(self):
-        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=10.0))
+        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=10.0), 1e-3)
         reg.reset(0.4)
         for _ in range(10000):
-            reg.step(0.0, 1e-3)
+            reg.step(0.0)
         assert reg.integral <= DUTY_MAX + 1e-9
 
     def test_closed_loop_settles_on_link_model(self):
         # integrator plant: C dv/dt = p_in(duty) - p_load; array power grows
         # with duty on the curtailment side, so lowering the duty sheds power
-        reg = DcLinkRegulator(VR)
+        reg = DcLinkRegulator(VR, 1e-3)
         reg.reset(0.3)
         v = 620.0
         c = 2350e-6
         for _ in range(int(2.0 / 1e-3)):
-            duty = reg.step(v, 1e-3)
+            duty = reg.step(v)
             p_surplus = 3000.0 * duty / 0.45 - 2000.0
             v += 1e-3 * p_surplus / (c * v)
             v = max(v, 1.0)
@@ -262,7 +263,7 @@ class TestBoostModeMachine:
         ctl = self._controller()
         t = 0.0
         for _ in range(5000):
-            ctl.step(380.0, 7.0, 580.0, t, DT)
+            ctl.step(380.0, 7.0, 580.0, t)
             t += DT
         assert ctl.mode == MODE_MPPT
         assert ctl.transitions[0][1] == "VR->MPPT"
@@ -271,10 +272,10 @@ class TestBoostModeMachine:
         ctl = self._controller()
         t = 0.0
         for _ in range(5000):  # leave regulation first
-            ctl.step(380.0, 7.0, 580.0, t, DT)
+            ctl.step(380.0, 7.0, 580.0, t)
             t += DT
         for _ in range(5000):
-            ctl.step(380.0, 7.0, 590.0, t, DT)
+            ctl.step(380.0, 7.0, 590.0, t)
             t += DT
         assert ctl.mode == MODE_MPPT
 
@@ -282,9 +283,9 @@ class TestBoostModeMachine:
         ctl = self._controller()
         t = 0.0
         for _ in range(5000):
-            ctl.step(380.0, 7.0, 580.0, t, DT)
+            ctl.step(380.0, 7.0, 580.0, t)
             t += DT
-        ctl.step(380.0, 7.0, 606.0, t, DT)
+        ctl.step(380.0, 7.0, 606.0, t)
         assert ctl.mode == MODE_VR
         assert ctl.transitions[-1][1] == "MPPT->VR"
 
@@ -292,12 +293,12 @@ class TestBoostModeMachine:
         ctl = self._controller()
         t = 0.0
         for _ in range(5000):
-            ctl.step(380.0, 7.0, 580.0, t, DT)
+            ctl.step(380.0, 7.0, 580.0, t)
             t += DT
         n_before = len(ctl.transitions)
         for i in range(40000):  # 2 s of +-1 V wobble around the reference
             v_dc = 600.0 + math.sin(2.0 * math.pi * 7.0 * t)
-            ctl.step(380.0, 7.0, v_dc, t, DT)
+            ctl.step(380.0, 7.0, v_dc, t)
             t += DT
         assert len(ctl.transitions) == n_before
 
@@ -305,12 +306,12 @@ class TestBoostModeMachine:
         ctl = self._controller()
         t = 0.0
         for _ in range(5000):
-            ctl.step(380.0, 7.0, 580.0, t, DT)
+            ctl.step(380.0, 7.0, 580.0, t)
             t += DT
         # run a synthetic trace wandering across both thresholds
         for i in range(int(3.0 / DT)):
             v_dc = 600.0 + 15.0 * math.sin(2.0 * math.pi * 2.0 * t)
-            ctl.step(380.0, 7.0, v_dc, t, DT)
+            ctl.step(380.0, 7.0, v_dc, t)
             t += DT
         times = [tt for tt, _ in ctl.transitions]
         gaps = [b - a for a, b in zip(times, times[1:])]
@@ -325,7 +326,7 @@ class TestBoostModeMachine:
         for start in range(6000, 6041):
             ctl = self._controller()
             for k in range(start + 2 * hold):
-                ctl.step(380.0, 7.0, 600.0 if k < start else 580.0, k * DT, DT)
+                ctl.step(380.0, 7.0, 600.0 if k < start else 580.0, k * DT)
                 if ctl.mode == MODE_MPPT:
                     break
             assert ctl.transitions == [(k * DT, "VR->MPPT")]

@@ -15,12 +15,11 @@ from pvisland.plant import (
     HarmonicInjection,
     LoadSpec,
     Plant,
-    PvParams,
     harmonic_current_ab,
     injection_table,
     load_admittance_ab,
-    pv_current,
 )
+from pvisland.pv import PvParams, pv_current
 from pvisland.signals import (
     FrameVector,
     ThreePhaseSample,

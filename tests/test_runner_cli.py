@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pvisland import cli
+from pvisland import cli, runner
 from pvisland.config import (KEYS, KNOWN_CHANNELS, UNIT_KEYS, UNIT_PREFIXES,
                              VCC_INDEX_CHANNELS, channel_names, echo, from_mapping)
 from pvisland.errors import ConfigurationError, SimulationDivergence
@@ -408,7 +411,7 @@ class TestCli:
                         + [f"dg{i}_{q}" for i in units for q in ("p_watts", "q_vars")]
                         + ["p_sharing_ratio", "q_sharing_ratio"]
                         + [f"dg{i}_vdc_{s}" for i in units for s in ("mean", "min", "max")]
-                        + ["curtailment_percent"])
+                        + ["curtailment_percent", "window_settled"])
         pre_keys = ["pre_window_start_s", "pre_window_end_s", "pre_thd_a_percent",
                     "pre_thd_b_percent", "pre_thd_c_percent", "pre_vuf_percent"]
         for preset, overrides in variants.items():
@@ -439,8 +442,20 @@ class TestCli:
             raise AssertionError("validate built a model")
 
         for name in ("build_plant", "build_controllers", "build_compensator", "run_simulation"):
-            monkeypatch.setattr(cli.runner_mod, name, never)
+            monkeypatch.setattr(runner, name, never)
         assert cli.main(["validate", "baseline"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_validate_loads_neither_numpy_nor_the_models(self, preset):
+        # in a fresh interpreter, which has loaded nothing the test session did
+        lazy = ("numpy", "pvisland.plant", "pvisland.runner", "pvisland.analysis")
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); from pvisland import cli; "
+                 "code = cli.main(['validate', sys.argv[2]]); "
+                 "print(code, *sorted(set(sys.argv[3:]) & set(sys.modules)))")
+        src = str(Path(cli.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", probe, src, preset, *lazy],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0"
 
     def test_validate_unknown_scenario(self, capsys):
         assert cli.main(["validate", "does_not_exist.cfg"]) == cli.EXIT_CONFIG
@@ -468,7 +483,7 @@ class TestCli:
         def boom(cfg):
             raise SimulationDivergence("test", t_last_good=0.1)
 
-        monkeypatch.setattr(cli.runner_mod, "run_simulation", boom)
+        monkeypatch.setattr(runner, "run_simulation", boom)
         rc = cli.main(["run", "baseline", "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DIVERGENCE
 
@@ -477,7 +492,7 @@ class TestCli:
         def never(cfg):
             raise AssertionError("simulated a run the report cannot read")
 
-        monkeypatch.setattr(cli.runner_mod, "run_simulation", never)
+        monkeypatch.setattr(runner, "run_simulation", never)
         short = tmp_path / "short.cfg"
         short.write_text("solver.duration = 0.05\n")
         assert cli.main(["validate", str(short)]) == cli.EXIT_CONFIG
@@ -496,7 +511,7 @@ class TestCli:
         def never(cfg):
             raise AssertionError("simulated a run the report cannot read")
 
-        monkeypatch.setattr(cli.runner_mod, "run_simulation", never)
+        monkeypatch.setattr(runner, "run_simulation", never)
         coarse = tmp_path / "coarse.cfg"
         coarse.write_text(f"solver.duration = 1.0\noutputs.sample_dt = {sample_dt}\n")
         assert cli.main(["validate", str(coarse)]) == cli.EXIT_CONFIG
@@ -565,3 +580,22 @@ class TestToggledPlots:
                      "voltage_window_post.dat", "spectrum_post.dat"):
             assert (tmp_path / "plots" / name).exists()
         assert art.report.pre_window is not None
+
+
+class TestWindowSettled:
+    @pytest.mark.parametrize("flat, settled", [
+        # the 2 s granted after the switch-on at 0.55 s outlast the run, so
+        # the report falls back to its last ten cycles
+        ({"solver.duration": "1.0", "vcc.enable_at": "0.55"}, False),
+        ({"solver.duration": "2.4", "vcc.enable_at": "off"}, True),
+    ])
+    def test_report_says_whether_its_window_settled(self, flat, settled):
+        cfg = from_mapping(flat)
+        report = runner.assemble_report(run_simulation(cfg))
+        assert report.window_settled is settled
+        assert f"window_settled = {str(settled).lower()}" in report.lines()
+        if settled:
+            assert report.window[0] >= runner.last_event_time(cfg) + runner.SETTLE_AFTER_EVENT
+        else:
+            span = report.window[1] - report.window[0]
+            assert span == pytest.approx(10.0 / report.fundamental_hz)
