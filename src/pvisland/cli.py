@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -98,12 +99,17 @@ def cmd_report(args) -> int:
     if not echo_path.exists() or not csv_path.exists():
         raise FileNotFoundError(f"{run_dir} does not look like a run directory")
     cfg = config_mod.load_config(echo_path)
+    with open(csv_path, "r", encoding="utf-8") as f:
+        header = f.readline().strip().split(",")
+        rows = sum(1 for _ in itertools.islice(f, 2))
+    if "t" not in header:
+        raise AnalysisError(f"{csv_path} has no 't' column")
+    if rows < 2:
+        raise AnalysisError(f"{csv_path} has fewer than two rows")
     import numpy as np
 
     from . import runner
 
-    with open(csv_path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
     # only the time and the report's channels are parsed; a channel the
     # narrowed CSV lacks is named by the report's own check
     wanted = {"t", *runner.report_channels(len(cfg.dgs))}

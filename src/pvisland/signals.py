@@ -436,37 +436,46 @@ class ProportionalResonant:
         self._e_prev = (0.0, 0.0)
 
     def coefficients(self, table: dict[int, float], omega: float) -> list[tuple]:
-        """Per-term step coefficients at ``omega`` from a :func:`resonator_table`.
+        """Per-term one-step transitions ``(alpha, beta, gamma, h)`` at ``omega``.
 
-        Prewarped trapezoidal solve of each resonator in control canonical form
-        ``x1' = -2*wc*x1 - wr^2*x2 + e``, ``x2' = x1``, ``y = 2*gain*wc*x1``.
-        Gains do not enter, so controllers with equal terms can share them.
+        Each resonator is ``x1' = -2*wc*x1 - wr^2*x2 + e``, ``x2' = x1``,
+        ``y = 2*gain*wc*x1`` in control canonical form, stepped by the
+        trapezoidal rule prewarped to ``wr``: ``h = tan(0.5*wr*dt) / wr``, the
+        tangent read from a :func:`resonator_table`.  The rule's 2x2 implicit
+        system is solved here, once per table, into a one-step transition::
+
+            m12 = h * wr**2,   det = 1 + 2*h*wc + h*m12
+            x1+ = alpha*x1 + beta*x2 + gamma*(e + e_prev)
+            x2+ = x2 + h*(x1 + x1+)
+
+        with ``alpha = (1 - 2*h*wc - h*m12) / det``, ``beta = -2*m12 / det``
+        and ``gamma = h / det``.  Gains do not enter, so controllers with
+        equal terms can share them.
         """
         coefficients = []
         for term in self.terms:
             wr = term.order * omega
-            wc = term.cutoff
             h = table[term.order] / wr
-            m11 = 1.0 + 2.0 * h * wc
+            hc = 2.0 * h * term.cutoff
             m12 = h * wr * wr
-            coefficients.append((h, -2.0 * wc, wr * wr, m11, m12, m11 + h * m12))
+            det = 1.0 + hc + h * m12
+            coefficients.append(((1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h))
         return coefficients
 
     def step_pair(self, ea: float, eb: float, coefficients: list[tuple]) -> tuple[float, float]:
-        """Advance both axes by one step on errors ``(ea, eb)``."""
+        """Advance both axes by one step on errors ``(ea, eb)`` with :meth:`coefficients` rows."""
         (pa, pb), (x1a, x1b), (x2a, x2b) = self._e_prev, self._x1, self._x2
+        sa, sb = pa + ea, pb + eb
         ya, yb = self.kp * ea, self.kp * eb
-        for i, ((h, c1, w2, m11, m12, det), g) in enumerate(zip(coefficients, self._gains)):
-            a, b = x1a[i], x2a[i]
-            r1, r2 = a + h * (c1 * a - w2 * b + pa + ea), b + h * a
-            x1a[i] = a = (r1 - m12 * r2) / det
-            x2a[i] = (h * r1 + m11 * r2) / det
-            ya += g * a
-            a, b = x1b[i], x2b[i]
-            r1, r2 = a + h * (c1 * a - w2 * b + pb + eb), b + h * a
-            x1b[i] = a = (r1 - m12 * r2) / det
-            x2b[i] = (h * r1 + m11 * r2) / det
-            yb += g * a
+        for i, ((alpha, beta, gamma, h), g) in enumerate(zip(coefficients, self._gains)):
+            a = x1a[i]
+            x1a[i] = n = alpha * a + beta * x2a[i] + gamma * sa
+            x2a[i] += h * (a + n)
+            ya += g * n
+            a = x1b[i]
+            x1b[i] = n = alpha * a + beta * x2b[i] + gamma * sb
+            x2b[i] += h * (a + n)
+            yb += g * n
         self._e_prev = (ea, eb)
         return ya, yb
 

@@ -103,6 +103,20 @@ class TestRunArtifacts:
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "solver.method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda lines: [line.split(",", 1)[1] for line in lines], "no 't' column"),
+        (lambda lines: lines[:1], "fewer than two rows"),
+        (lambda lines: lines[:2], "fewer than two rows"),
+    ], ids=["no-time-column", "header-only", "one-row"])
+    def test_report_rejects_unusable_csv(self, short_run, tmp_path, capsys, cut, message):
+        (tmp_path / "config.echo").write_bytes((short_run.out_dir / "config.echo").read_bytes())
+        lines = (short_run.out_dir / "timeseries.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "timeseries.csv").write_text("".join(cut(lines)))
+        assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestFlagLog:
     @staticmethod

@@ -514,7 +514,7 @@ class _PerBlockExtractor:
 
 
 class _PerBlockPr:
-    """The two-axis PR step with its own ``tan(0.5 * wr * dt) / wr`` rows."""
+    """The two-axis PR transition with its own ``tan(0.5 * wr * dt) / wr`` rows."""
 
     def __init__(self, pr):
         self.kp = pr.kp
@@ -527,25 +527,50 @@ class _PerBlockPr:
         coefficients = []
         for term in self.terms:
             wr = term.order * omega
-            wc = term.cutoff
             h = math.tan(0.5 * wr * dt) / wr
-            m11 = 1.0 + 2.0 * h * wc
+            hc = 2.0 * h * term.cutoff
             m12 = h * wr * wr
-            coefficients.append((h, -2.0 * wc, wr * wr, m11, m12, m11 + h * m12,
-                                 2.0 * term.gain * wc))
+            det = 1.0 + hc + h * m12
+            coefficients.append(((1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h,
+                                 2.0 * term.gain * term.cutoff))
+        out = []
+        for k, e in enumerate(errors):
+            x1 = self.x1[k]
+            x2 = self.x2[k]
+            s = self.e_prev[k] + e
+            y = self.kp * e
+            for i, (alpha, beta, gamma, h, g) in enumerate(coefficients):
+                n = alpha * x1[i] + beta * x2[i] + gamma * s
+                x2[i] += h * (x1[i] + n)
+                x1[i] = n
+                y += g * n
+            self.e_prev[k] = e
+            out.append(y)
+        return out
+
+
+class _ImplicitSolvePr(_PerBlockPr):
+    """The two-axis PR step as a 2x2 implicit trapezoidal solve on every step."""
+
+    def step(self, errors, omega, table):
         out = []
         for k, e in enumerate(errors):
             x1 = self.x1[k]
             x2 = self.x2[k]
             y = self.kp * e
-            for i, (h, c1, w2, m11, m12, det, g) in enumerate(coefficients):
-                a = x1[i]
-                b = x2[i]
-                r1 = a + h * (c1 * a - w2 * b + self.e_prev[k] + e)
+            for i, term in enumerate(self.terms):
+                wr = term.order * omega
+                wc = term.cutoff
+                h = table[term.order] / wr
+                m11 = 1.0 + 2.0 * h * wc
+                m12 = h * wr * wr
+                det = m11 + h * m12
+                a, b = x1[i], x2[i]
+                r1 = a + h * (-2.0 * wc * a - wr * wr * b + self.e_prev[k] + e)
                 r2 = b + h * a
                 x1[i] = (r1 - m12 * r2) / det
                 x2[i] = (h * r1 + m11 * r2) / det
-                y += g * x1[i]
+                y += 2.0 * term.gain * wc * x1[i]
             self.e_prev[k] = e
             out.append(y)
         return out
@@ -589,6 +614,29 @@ class TestResonatorTable:
             assert ctl.current_loop.pr._e_prev == (ia * scale - ila, ib * scale - ilb)
             assert m == inverse_clarke_xy(va / 300.0, vb / 300.0)
         assert len(omegas) > 2900
+
+    def test_transition_tracks_the_implicit_solve(self):
+        # Oracle: the same prewarped trapezoidal rule solved as a 2x2 system on
+        # every step.  The transition form rounds differently, never by more
+        # than 1e-9 of the state's or the output's size.
+        terms = [ResonantTerm(1, 300.0, 2.0), ResonantTerm(3, 50.0, 2.0),
+                 ResonantTerm(5, 50.0, 5.0), ResonantTerm(7, 50.0, 2.0),
+                 ResonantTerm(11, 20.0, 2.0)]
+        pr = ProportionalResonant(0.05, terms, OMEGA, DT)
+        ref = _ImplicitSolvePr(pr)
+        rng = np.random.default_rng(11)
+        omega = OMEGA
+        for tick in range(4000):
+            omega += float(rng.normal(0.0, 0.05))  # moves every step
+            t = tick * DT
+            na, nb = rng.normal(0.0, 1.0, 2).tolist()
+            ea = sum(math.cos(k * omega * t + k) for k in pr.orders) + na
+            eb = sum(math.sin(k * omega * t - k) for k in pr.orders) + nb
+            table = resonator_table(pr.orders, omega, DT)
+            got = pr.step_pair(ea, eb, pr.coefficients(table, omega))
+            want = ref.step((ea, eb), omega, table)
+            for g, w in ((got, want), *zip((*pr._x1, *pr._x2), (*ref.x1, *ref.x2))):
+                assert max(abs(p - q) for p, q in zip(g, w)) <= 1e-9 * max(map(abs, w))
 
     def test_rejects_frequency_outside_the_resonators_range(self):
         with pytest.raises(ConfigurationError):
