@@ -3,7 +3,8 @@
 Scenario files are plain text, one ``dotted.key = value`` pair per line,
 ``#`` comments allowed.  Every key has one row in :data:`KEYS` (kind,
 default, allowed range); an empty file is the calibrated baseline.  The
-per-unit rows ``dgN.*`` come from one template and a roster of overrides.
+per-unit rows ``dgN.*`` come from one template and a roster of overrides,
+and each unit's key groups parse into its records (:data:`UNIT_GROUPS`).
 :func:`from_mapping` parses every key by its row, then runs :data:`RULES`;
 every error names a key, and an accepted configuration builds and runs.
 :func:`check_report_length` adds what a run's report needs.
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 from .control import POWER_FILTER_HZ
 from .errors import ConfigurationError
-from .pv import pv_params
+from .params import (V_DC_LIMIT, DcLinkParams, DroopParams, FeederParams, FilterParams,
+                     ModeParams, MpptParams, PrGains, PvParams, ViParams, VrParams)
 from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, MAX_HARMONIC_ORDER,
                       MIN_STEADY_CYCLES, beyond_nyquist, max_filter_step, ticks,
                       too_coarse_for_low_pass)
@@ -195,47 +197,33 @@ KEYS.update(
 DEFAULTS: dict[str, str] = {key: row.default for key, row in KEYS.items()}
 
 
-@dataclass
-class PvConfig:
-    rated_w: float
-    v_oc: float
-    i_sc: float
-    v_mp: float
-    i_mp: float
-    irradiance: float
+#: Each key group of :data:`UNIT_KEYS` and the record it parses into: the
+#: record's fields are the group's key suffixes.
+UNIT_GROUPS = {"pv": PvParams, "dc": DcLinkParams, "vr": VrParams, "mppt": MpptParams,
+               "mode": ModeParams, "droop": DroopParams, "vi": ViParams, "prv": PrGains,
+               "pri": PrGains, "filter": FilterParams, "feeder": FeederParams}
 
 
 @dataclass
 class DgConfig:
-    pv: PvConfig
-    c_pv: float
-    l_boost: float
-    c_dc: float
-    vr_kp: float
-    vr_ki: float
-    v_dc_ref: float
-    mppt_period: float
-    mppt_duty_step: float
-    mppt_deadband: float
-    enter_vr_margin: float
-    exit_vr_margin: float
-    exit_hold: float
-    m_p: float
-    n_p: float
-    vi_r_pos: float
-    vi_l_pos: float
-    vi_r_neg: float
-    vi_r_h: dict[int, float]
-    vi_bandwidth_gain: float
-    prv: tuple[float, float, float, float]   # kp, k1, kh, wc
-    prv_orders: tuple[int, ...]
-    pri: tuple[float, float, float, float]
-    pri_orders: tuple[int, ...]
-    filter_l: float
-    filter_c: float
-    feeder_r: float
-    feeder_l: float
+    """One unit's ``dgN.*`` keys: a record per key group, named after it."""
+
+    pv: PvParams
+    dc: DcLinkParams
+    vr: VrParams
+    mppt: MpptParams
+    mode: ModeParams
+    droop: DroopParams
+    vi: ViParams
+    prv: PrGains
+    pri: PrGains
+    filter: FilterParams
+    feeder: FeederParams
     current_limit_factor: float
+
+    # the two settings the acceptance criteria read
+    m_p = property(lambda self: self.droop.m_p)
+    v_dc_ref = property(lambda self: self.vr.v_dc_ref)
 
 
 @dataclass
@@ -416,11 +404,11 @@ def _check_divides(cfg: ScenarioConfig):
     records two rows, and its table fits in physical memory."""
     cp = cfg.control_period
     units = list(zip(UNIT_PREFIXES, cfg.dgs))
-    periods = [(f"{prefix}.mppt.period", dg.mppt_period) for prefix, dg in units]
+    periods = [(f"{prefix}.mppt.period", dg.mppt.period) for prefix, dg in units]
     periods += [("vcc.period", cfg.vcc_period), ("outputs.sample_dt", cfg.sample_dt)]
     times = [("load.step_time", cfg.load_step_time), ("vcc.enable_at", cfg.vcc_enable_at),
              ("vcc.comm_delay", cfg.vcc_comm_delay)]
-    times += [(f"{prefix}.mode.exit_hold", dg.exit_hold) for prefix, dg in units]
+    times += [(f"{prefix}.mode.exit_hold", dg.mode.exit_hold) for prefix, dg in units]
     times += [("events.irradiance", t) for t, _, _ in cfg.irradiance_events]
     spans = [("control.period", cp, "solver.dt", cfg.dt, 1)]
     spans += [(key, period, "control.period", cp, 1) for key, period in periods]
@@ -443,27 +431,19 @@ def _check_divides(cfg: ScenarioConfig):
              f"{table_gib:.3g} GiB table, over the {memory_gib:.3g} GiB of physical memory")
 
 
-def _check_pv(cfg: ScenarioConfig):
-    """Each array's corners describe a diode-like curve that peaks within its
-    rating, and its boost steps up from the maximum-power voltage."""
+def _check_link_reference(cfg: ScenarioConfig):
+    """Each boost steps up from its array's maximum-power voltage to a link
+    reference inside the plant's DC envelope."""
     for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
-        pv = dg.pv
-        _require(pv.v_mp < pv.v_oc, f"{prefix}.pv.v_mp", f"must lie below pv.v_oc = {pv.v_oc}")
-        _require(pv.i_mp < pv.i_sc, f"{prefix}.pv.i_mp", f"must lie below pv.i_sc = {pv.i_sc}")
-        _require(pv.v_mp * pv.i_mp <= pv.rated_w * 1.001, f"{prefix}.pv.rated_w",
-                 "lies below the maximum-power point pv.v_mp * pv.i_mp")
-        try:
-            pv_params(pv)
-        except ConfigurationError as exc:
-            raise ConfigurationError(str(exc), key=f"{prefix}.pv.v_mp") from exc
-        _require(dg.v_dc_ref > pv.v_mp, f"{prefix}.vr.v_dc_ref",
-                 f"must lie above pv.v_mp = {pv.v_mp}")
+        key, ref = f"{prefix}.vr.v_dc_ref", dg.vr.v_dc_ref
+        _require(ref > dg.pv.v_mp, key, f"must lie above pv.v_mp = {dg.pv.v_mp}")
+        _require(ref < V_DC_LIMIT, key, f"must lie below the {V_DC_LIMIT:g} V DC envelope")
 
 
 def _check_filter_resonance(cfg: ScenarioConfig):
     """The solver step resolves every output filter's resonance."""
     for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
-        _require(cfg.dt <= max_filter_step(dg.filter_l, dg.filter_c), "solver.dt",
+        _require(cfg.dt <= max_filter_step(dg.filter.l, dg.filter.c), "solver.dt",
                  f"{cfg.dt} s is too coarse for the resonance of {prefix}.filter.l/c")
 
 
@@ -471,8 +451,8 @@ def _check_resonators(cfg: ScenarioConfig):
     """The extractor's bands and the PR resonators lie below the control Nyquist rate."""
     orders = [("control.period", max(abs(o) for o in DEFAULT_SEQUENCE_ORDERS))]
     for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
-        orders += [(f"{prefix}.prv.orders", max(dg.prv_orders)),
-                   (f"{prefix}.pri.orders", max(dg.pri_orders))]
+        orders += [(f"{prefix}.prv.orders", max(dg.prv.orders)),
+                   (f"{prefix}.pri.orders", max(dg.pri.orders))]
     for key, order in orders:
         _require(not beyond_nyquist(order, cfg.omega, cfg.control_period), key,
                  f"order {order} at system.omega reaches the Nyquist rate of control.period")
@@ -499,7 +479,7 @@ def check_report_length(cfg: ScenarioConfig):
     longest cycle is the one at the lowest droop frequency, reached at rated
     power.
     """
-    omega_min = cfg.omega - max(dg.m_p * dg.pv.rated_w for dg in cfg.dgs)
+    omega_min = cfg.omega - max(dg.droop.m_p * dg.pv.rated_w for dg in cfg.dgs)
     _require(omega_min > 0.0, "system.omega", "droop frequency at rated power is not positive")
     max_step = math.pi / (MAX_HARMONIC_ORDER * cfg.omega)  # two rows per period
     _require(cfg.sample_dt <= max_step, "outputs.sample_dt",
@@ -514,36 +494,20 @@ def check_report_length(cfg: ScenarioConfig):
 
 
 #: The cross-key rules, in the order :func:`from_mapping` runs them.
-RULES = (_check_divides, _check_pv, _check_filter_resonance, _check_resonators,
+RULES = (_check_divides, _check_link_reference, _check_filter_resonance, _check_resonators,
          _check_low_passes)
 
 
-def _dg_from_values(v: dict, prefix: str) -> DgConfig:
-    f = lambda suffix: v[f"{prefix}.{suffix}"]
-    return DgConfig(
-        pv=PvConfig(
-            rated_w=f("pv.rated_w"), v_oc=f("pv.v_oc"), i_sc=f("pv.i_sc"),
-            v_mp=f("pv.v_mp"), i_mp=f("pv.i_mp"), irradiance=f("pv.irradiance"),
-        ),
-        c_pv=f("dc.c_pv"), l_boost=f("dc.l_boost"), c_dc=f("dc.c_dc"),
-        vr_kp=f("vr.kp"), vr_ki=f("vr.ki"), v_dc_ref=f("vr.v_dc_ref"),
-        mppt_period=f("mppt.period"), mppt_duty_step=f("mppt.duty_step"),
-        mppt_deadband=f("mppt.deadband"),
-        enter_vr_margin=f("mode.enter_vr_margin"),
-        exit_vr_margin=f("mode.exit_vr_margin"),
-        exit_hold=f("mode.exit_hold"),
-        m_p=f("droop.m_p"), n_p=f("droop.n_p"),
-        vi_r_pos=f("vi.r_pos"), vi_l_pos=f("vi.l_pos"), vi_r_neg=f("vi.r_neg"),
-        vi_r_h={o: f(f"vi.r_h{abs(o)}") for o in HARMONIC_ORDERS},
-        vi_bandwidth_gain=f("vi.bandwidth_gain"),
-        prv=(f("prv.kp"), f("prv.k1"), f("prv.kh"), f("prv.wc")),
-        prv_orders=f("prv.orders"),
-        pri=(f("pri.kp"), f("pri.k1"), f("pri.kh"), f("pri.wc")),
-        pri_orders=f("pri.orders"),
-        filter_l=f("filter.l"), filter_c=f("filter.c"),
-        feeder_r=f("feeder.r"), feeder_l=f("feeder.l"),
-        current_limit_factor=f("current_limit_factor"),
-    )
+def _unit(v: dict, prefix: str) -> DgConfig:
+    """One unit's records, each built from its group's ``<prefix>.<group>.*`` values."""
+    records = {}
+    for group, record in UNIT_GROUPS.items():
+        try:
+            records[group] = record(**{f.name: v[f"{prefix}.{group}.{f.name}"]
+                                       for f in fields(record) if f.init})
+        except ConfigurationError as exc:  # the record names its field
+            raise ConfigurationError(exc.args[0], key=f"{prefix}.{group}.{exc.key}") from exc
+    return DgConfig(**records, current_limit_factor=v[f"{prefix}.current_limit_factor"])
 
 
 def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
@@ -559,7 +523,7 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
         duration=v["solver.duration"], startup_ramp=v["solver.startup_ramp"],
         omega=v["system.omega"], v_amp=V_RMS_TO_AMP * v["system.v_rms"],
         pll_kp=v["pll.kp"], pll_ki=v["pll.ki"], pll_band=v["pll.band"],
-        dgs=[_dg_from_values(v, prefix) for prefix in UNIT_PREFIXES],
+        dgs=[_unit(v, prefix) for prefix in UNIT_PREFIXES],
         balanced_r=v["load.balanced_r"], balanced_l=v["load.balanced_l"],
         unbalanced_r_a=v["load.unbalanced_r_a"], harmonics=v["load.harmonics"],
         load_step_time=v["load.step_time"], load_step_scale=v["load.step_scale"],

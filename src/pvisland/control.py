@@ -10,13 +10,11 @@ between maximum-power tracking and DC-link voltage regulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .signals import (
     LowPass1,
     ProportionalResonant,
-    ResonantTerm,
     SequenceExtractor,
     inverse_clarke_xy,
     resonator_table,
@@ -25,6 +23,7 @@ from .signals import (
 
 if TYPE_CHECKING:
     from .config import DgConfig, ScenarioConfig
+    from .params import DroopParams, ModeParams, MpptParams, PrGains, VrParams
 
 #: Cutoff of every unit's power-averaging filters.
 POWER_FILTER_HZ = 2.0
@@ -59,29 +58,25 @@ class PowerCalculator:
 # Droop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DroopParams:
-    m_p: float          # (rad/s) per watt
-    n_p: float          # volt per var
-    v_amp: float        # no-load voltage amplitude
-    omega: float        # no-load angular frequency, rad/s
-
-
 class DroopControl:
-    """Frequency/active and voltage/reactive droop with its own phase accumulator."""
+    """Frequency/active and voltage/reactive droop with its own phase accumulator,
+    from the no-load voltage amplitude ``v_amp`` and angular frequency ``omega``."""
 
-    def __init__(self, params: DroopParams):
+    def __init__(self, params: DroopParams, v_amp: float, omega: float):
         self.params = params
+        self.v_amp = v_amp
+        self.omega = omega
         self.theta = 0.0
-        self.omega_ref = params.omega
-        self.v_ref = params.v_amp
+        self.omega_ref = omega
+        self.v_ref = v_amp
         self.clamped = False
 
     def step(self, p_avg: float, q_avg: float, dt: float) -> tuple[float, float]:
         par = self.params
-        self.omega_ref = par.omega - par.m_p * p_avg
-        v_ref = par.v_amp - par.n_p * q_avg
-        lo, hi = 0.5 * par.v_amp, 1.2 * par.v_amp
+        v_amp = self.v_amp
+        self.omega_ref = self.omega - par.m_p * p_avg
+        v_ref = v_amp - par.n_p * q_avg
+        lo, hi = 0.5 * v_amp, 1.2 * v_amp
         self.clamped = not (lo <= v_ref <= hi)
         self.v_ref = min(max(v_ref, lo), hi)
         self.theta = (self.theta + self.omega_ref * dt) % (2.0 * math.pi)
@@ -116,22 +111,6 @@ def virtual_impedance(components: list[tuple[float, float]], r_pos: float, x_pos
 # ---------------------------------------------------------------------------
 # Cascaded PR loops
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PrGains:
-    kp: float
-    k_fundamental: float
-    k_harmonic: float
-    cutoff: float                # rad/s resonant bandwidth
-    orders: tuple[int, ...]
-
-    def terms(self) -> list[ResonantTerm]:
-        out = []
-        for k in self.orders:
-            gain = self.k_fundamental if k == 1 else self.k_harmonic
-            out.append(ResonantTerm(k, gain, self.cutoff))
-        return out
-
 
 class VoltageLoop:
     """PR regulation of the filter capacitor voltage, both axes in one pass."""
@@ -184,13 +163,6 @@ class CurrentLoop:
 # Boost duty control: maximum-power tracking and link-voltage regulation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MpptParams:
-    period: float
-    duty_step: float
-    deadband: float             # relative conductance mismatch treated as converged
-
-
 class IncrementalConductanceMppt:
     """Hill climbing on the PV curve via the incremental-conductance test."""
 
@@ -231,13 +203,6 @@ class IncrementalConductanceMppt:
         return self.duty
 
 
-@dataclass
-class VrParams:
-    kp: float
-    ki: float
-    v_dc_ref: float
-
-
 class DcLinkRegulator:
     """PI regulation of the DC-link voltage through the boost duty cycle.
 
@@ -272,13 +237,6 @@ class DcLinkRegulator:
 
 MODE_MPPT = "MPPT"
 MODE_VR = "VR"
-
-
-@dataclass
-class ModeParams:
-    enter_vr_margin: float     # volts above the link reference
-    exit_vr_margin: float      # volts below the link reference
-    exit_hold: float           # seconds the exit condition must persist
 
 
 class BoostController:
@@ -337,7 +295,8 @@ class BoostController:
         else:
             if self._vr_vpv_floor is None:
                 self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
-            ceiling = 1.0 - self._vr_vpv_floor / max(v_dc, 50.0)
+            # never under the duty range: a link sagged below the floor gets the least duty
+            ceiling = max(1.0 - self._vr_vpv_floor / max(v_dc, 50.0), DUTY_MIN)
             self.duty = self.vr.step(v_dc, ceiling)
         return self.duty
 
@@ -347,7 +306,7 @@ class BoostController:
 # ---------------------------------------------------------------------------
 
 class DgController:
-    """Primary control stack of one generating unit, built from its ``dgN.*`` keys.
+    """Primary control stack of one generating unit, built from its ``dgN.*`` records.
 
     Each step covers one ``control.period`` and takes one resonator table at
     the droop frequency for the extractor and both loops, which share
@@ -361,26 +320,22 @@ class DgController:
         self.dt = dt = cfg.control_period
         self.startup_ramp = cfg.startup_ramp
         self.power = PowerCalculator(POWER_FILTER_HZ, dt)
-        self.droop = DroopControl(DroopParams(dg.m_p, dg.n_p, cfg.v_amp, cfg.omega))
-        self.extractor = SequenceExtractor(gain=dg.vi_bandwidth_gain)
+        self.droop = DroopControl(dg.droop, cfg.v_amp, cfg.omega)
+        self.extractor = SequenceExtractor(gain=dg.vi.bandwidth_gain)
         # virtual impedance: resistances, and the reactance at the no-load frequency
-        self.vi_r_pos, self.vi_r_neg = dg.vi_r_pos, dg.vi_r_neg
-        self.vi_x_pos = cfg.omega * dg.vi_l_pos
-        self.vi_r_harmonics = [dg.vi_r_h[order] for order in self.extractor.orders[2:]]
+        self.vi_r_pos, self.vi_r_neg = dg.vi.r_pos, dg.vi.r_neg
+        self.vi_x_pos = cfg.omega * dg.vi.l_pos
+        self.vi_r_harmonics = [dg.vi.r_harmonic(order) for order in self.extractor.orders[2:]]
         rated_current = dg.pv.rated_w / (1.5 * cfg.v_amp)
-        v_gains, i_gains = PrGains(*dg.prv, dg.prv_orders), PrGains(*dg.pri, dg.pri_orders)
-        self.voltage_loop = VoltageLoop(v_gains, cfg.omega, dt,
+        self.voltage_loop = VoltageLoop(dg.prv, cfg.omega, dt,
                                         dg.current_limit_factor * rated_current)
-        self.current_loop = CurrentLoop(i_gains, cfg.omega, dt)
-        self.boost = BoostController(
-            MpptParams(dg.mppt_period, dg.mppt_duty_step, dg.mppt_deadband),
-            VrParams(dg.vr_kp, dg.vr_ki, dg.v_dc_ref),
-            ModeParams(dg.enter_vr_margin, dg.exit_vr_margin, dg.exit_hold),
-            1.0 - dg.pv.v_mp / dg.v_dc_ref, dt)
+        self.current_loop = CurrentLoop(dg.pri, cfg.omega, dt)
+        self.boost = BoostController(dg.mppt, dg.vr, dg.mode,
+                                     1.0 - dg.pv.v_mp / dg.vr.v_dc_ref, dt)
         self.p_avg = 0.0
         self.q_avg = 0.0
-        self._orders = sorted({*self.extractor.bands, *v_gains.orders, *i_gains.orders})
-        self._shared = (v_gains.orders, v_gains.cutoff) == (i_gains.orders, i_gains.cutoff)
+        self._orders = sorted({*self.extractor.bands, *dg.prv.orders, *dg.pri.orders})
+        self._shared = (dg.prv.orders, dg.prv.wc) == (dg.pri.orders, dg.pri.wc)
 
     def step(self, row: tuple[float, ...], v_c: tuple[float, float], t: float
              ) -> tuple[float, tuple[float, float, float]]:

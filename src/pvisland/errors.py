@@ -10,9 +10,11 @@ class ConfigurationError(PvIslandError):
 
     def __init__(self, message, key=None):
         self.key = key
-        if key is not None:
-            message = f"{key}: {message}"
         super().__init__(message)
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.key is None else f"{self.key}: {message}"
 
 
 class FrameError(PvIslandError):

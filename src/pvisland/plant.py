@@ -35,11 +35,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
-from .pv import PvParams, pv_current, pv_params
+from .params import V_DC_LIMIT, pv_current
 from .signals import clarke_xy, inverse_clarke_xy, max_filter_step
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
+    from .params import DcLinkParams, FeederParams, FilterParams, PvParams
 
 # the transforms as matrices: their images of the unit vectors, column by column
 _CLARKE = np.array([clarke_xy(*e) for e in np.eye(3).tolist()]).T.copy()
@@ -50,13 +51,6 @@ _INV_CLARKE = np.array([inverse_clarke_xy(*e) for e in np.eye(2).tolist()]).T.co
 # DC side: boost converter and DC link
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DcLinkParams:
-    c_pv: float
-    l_boost: float
-    c_dc: float
-
-
 class DcSide:
     """Averaged boost converter between a PV string and the DC link, with its state.
 
@@ -64,17 +58,17 @@ class DcSide:
     The state is the string voltage ``v_pv``, the boost inductor current
     ``i_boost`` and the link voltage ``v_dc``; ``i_pv`` is the string's
     current at that state and the present irradiance, kept up to date by
-    :meth:`step` and :meth:`set_irradiance`.  The inductor starts at rest.
+    :meth:`step` and :meth:`set_irradiance`.  The inductor starts at rest,
+    the irradiance at ``pv.irradiance``.
     """
 
-    def __init__(self, pv: PvParams, params: DcLinkParams, irradiance: float,
-                 v_pv: float, v_dc: float):
+    def __init__(self, pv: PvParams, params: DcLinkParams, v_pv: float, v_dc: float):
         self.pv = pv
         self.params = params
         self.v_pv = v_pv
         self.i_boost = 0.0
         self.v_dc = v_dc
-        self.set_irradiance(irradiance)
+        self.set_irradiance(pv.irradiance)
 
     def set_irradiance(self, irradiance: float):
         self.irradiance = irradiance
@@ -84,9 +78,10 @@ class DcSide:
         """Advance the state by one step.
 
         The PV curve is evaluated only at the predictor and at the new state.
+        The controllers keep the duty in range: one outside [0, 1) is a bug.
         """
         if not 0.0 <= duty < 1.0:
-            raise ConfigurationError(f"boost duty {duty} outside [0, 1)")
+            raise ValueError(f"boost duty {duty} outside [0, 1)")
         p = self.params
         off = 1.0 - duty
         v_pv, i_boost, v_dc = self.v_pv, self.i_boost, self.v_dc
@@ -177,35 +172,26 @@ def harmonic_current_ab(table, theta: float) -> tuple[float, float]:
 # AC network
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AcStageParams:
-    l_filter: float
-    c_filter: float
-    feeder_r: float
-    feeder_l: float
-
-    def resonance_hz(self) -> float:
-        return 1.0 / (2.0 * math.pi * math.sqrt(self.l_filter * self.c_filter))
-
-
 class AcNetwork:
     """All filter, feeder and resistive-load dynamics on the two axes.
 
     State per unit: filter inductor current, filter capacitor voltage and
     feeder current (alpha and beta each).  The coupling-bus voltage is an
     algebraic function of the feeder currents and the harmonic injection, so
-    Kirchhoff's current law holds to rounding error at every step.
+    Kirchhoff's current law holds to rounding error at every step.  Each
+    unit's stage is its ``(filter, feeder)`` pair.
     """
 
     STATES_PER_DG = 6
 
-    def __init__(self, stages: list[AcStageParams], load: LoadSpec, dt: float):
+    def __init__(self, stages: list[tuple[FilterParams, FeederParams]], load: LoadSpec,
+                 dt: float):
         if not stages:
             raise ConfigurationError("network needs at least one generating unit")
-        for st in stages:
-            if dt > max_filter_step(st.l_filter, st.c_filter):
+        for flt, _ in stages:
+            if dt > max_filter_step(flt.l, flt.c):
                 raise ConfigurationError(
-                    f"step {dt} s too coarse for the {st.resonance_hz():.0f} Hz filter resonance"
+                    f"step {dt} s too coarse for the {flt.resonance_hz():.0f} Hz filter resonance"
                 )
         self.stages = list(stages)
         self.load = load
@@ -253,26 +239,26 @@ class AcNetwork:
         # Bus-current columns: contributions of each state to the coupling-bus
         # nodal current (feeders in, inductive bank out).
         lb = self.STATES_PER_DG * ndg  # index of the inductive bank states
-        for d, st in enumerate(self.stages):
+        for d, (flt, fdr) in enumerate(self.stages):
             base = self._base(d)
             for ax in (0, 1):
                 il = base + ax
                 vo = base + 2 + ax
                 fd = base + 4 + ax
-                a[il, vo] = -1.0 / st.l_filter
-                b[il, 2 * d + ax] = 1.0 / st.l_filter
-                a[vo, il] = 1.0 / st.c_filter
-                a[vo, fd] = -1.0 / st.c_filter
-                a[fd, vo] = 1.0 / st.feeder_l
-                a[fd, fd] -= st.feeder_r / st.feeder_l
+                a[il, vo] = -1.0 / flt.l
+                b[il, 2 * d + ax] = 1.0 / flt.l
+                a[vo, il] = 1.0 / flt.c
+                a[vo, fd] = -1.0 / flt.c
+                a[fd, vo] = 1.0 / fdr.l
+                a[fd, fd] -= fdr.r / fdr.l
                 for d2 in range(ndg):
                     for ax2 in (0, 1):
-                        a[fd, self._base(d2) + 4 + ax2] -= zp[ax][ax2] / st.feeder_l
+                        a[fd, self._base(d2) + 4 + ax2] -= zp[ax][ax2] / fdr.l
                 if has_l:
-                    a[fd, lb + 0] += zp[ax][0] / st.feeder_l
-                    a[fd, lb + 1] += zp[ax][1] / st.feeder_l
-                b[fd, 2 * ndg + 0] = zp[ax][0] / st.feeder_l
-                b[fd, 2 * ndg + 1] = zp[ax][1] / st.feeder_l
+                    a[fd, lb + 0] += zp[ax][0] / fdr.l
+                    a[fd, lb + 1] += zp[ax][1] / fdr.l
+                b[fd, 2 * ndg + 0] = zp[ax][0] / fdr.l
+                b[fd, 2 * ndg + 1] = zp[ax][1] / fdr.l
         if has_l:
             # Inductive bank: di/dt = v_bus / L, admittance scaled with load steps
             l_eff = self.load.balanced_l / self.load_scale
@@ -347,13 +333,13 @@ class AcNetwork:
 
     def stored_energy(self) -> float:
         e = 0.0
-        for d, st in enumerate(self.stages):
+        for d, (flt, fdr) in enumerate(self.stages):
             ila, ilb = self.inverter_current(d)
             voa, vob = self.cap_voltage(d)
             fda, fdb = self.feeder_current(d)
-            e += 0.5 * st.l_filter * (ila * ila + ilb * ilb)
-            e += 0.5 * st.c_filter * (voa * voa + vob * vob)
-            e += 0.5 * st.feeder_l * (fda * fda + fdb * fdb)
+            e += 0.5 * flt.l * (ila * ila + ilb * ilb)
+            e += 0.5 * flt.c * (voa * voa + vob * vob)
+            e += 0.5 * fdr.l * (fda * fda + fdb * fdb)
         if self.load.balanced_l is not None:
             la, lbk = self.bank_current()
             l_eff = self.load.balanced_l / self.load_scale
@@ -363,10 +349,10 @@ class AcNetwork:
     def feeder_loss(self, x: list[float]) -> float:
         """Feeder resistor dissipation for the state list ``x``."""
         p = 0.0
-        for d, st in enumerate(self.stages):
+        for d, (_, fdr) in enumerate(self.stages):
             b = self._base(d) + 4
             fda, fdb = x[b], x[b + 1]
-            p += st.feeder_r * (fda * fda + fdb * fdb)
+            p += fdr.r * (fda * fda + fdb * fdb)
         return 1.5 * p
 
     def load_power(self, bus: tuple[float, float, float, float], i_res: tuple[float, float],
@@ -398,10 +384,8 @@ class Plant:
         self.dt = cfg.dt
         load = LoadSpec(cfg.balanced_r, cfg.unbalanced_r_a,
                         tuple(HarmonicInjection(*h) for h in cfg.harmonics), cfg.balanced_l)
-        self.network = AcNetwork([AcStageParams(dg.filter_l, dg.filter_c, dg.feeder_r,
-                                                dg.feeder_l) for dg in cfg.dgs], load, cfg.dt)
-        self.dc_sides = [DcSide(pv_params(dg.pv), DcLinkParams(dg.c_pv, dg.l_boost, dg.c_dc),
-                                dg.pv.irradiance, v_pv=dg.pv.v_mp, v_dc=dg.v_dc_ref)
+        self.network = AcNetwork([(dg.filter, dg.feeder) for dg in cfg.dgs], load, cfg.dt)
+        self.dc_sides = [DcSide(dg.pv, dg.dc, v_pv=dg.pv.v_mp, v_dc=dg.vr.v_dc_ref)
                          for dg in cfg.dgs]
         self.steps = 0
         self.saturated = [False] * len(cfg.dgs)
@@ -475,15 +459,17 @@ class Plant:
         self._p_out_prev = p_out
 
         x1 = net.step(v_inv_ab, ih)
+        self.steps += 1
 
         for d, side in enumerate(self.dc_sides):
             b = net._base(d)
             ila = 0.5 * (x1[b] + x[b])
             ilb = 0.5 * (x1[b + 1] + x[b + 1])
             va, vb = v_inv_ab[d]
-            side.step(duties[d], 1.5 * (va * ila + vb * ilb), dt)
-
-        self.steps += 1
+            try:
+                side.step(duties[d], 1.5 * (va * ila + vb * ilb), dt)
+            except OverflowError as exc:  # the PV curve's exponential, past a float's range
+                raise self._divergence("DC state") from exc
         self._check_bounds(x1)
 
     def energy_audit_error(self) -> float:
@@ -492,17 +478,18 @@ class Plant:
         denom = max(abs(self.energy_in), abs(self.energy_out), 1.0)
         return abs(self.energy_in - delta - self.energy_out) / denom
 
+    def _divergence(self, what: str) -> SimulationDivergence:
+        return SimulationDivergence(
+            f"{what} left the plausible envelope at t={self.steps * self.dt:.6f} s",
+            t_last_good=(self.steps - 1) * self.dt)
+
     def _check_bounds(self, x: list[float]):
         """Raise when the AC state list ``x`` or a DC state leaves its envelope."""
         for v in x:  # one by one: NaN fails the test, and max() could skip it
             if not -1e5 <= v <= 1e5:
-                raise SimulationDivergence(
-                    f"AC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
-                    t_last_good=(self.steps - 1) * self.dt)
+                raise self._divergence("AC state")
         for side in self.dc_sides:
             if (not math.isfinite(side.v_dc) or not math.isfinite(side.v_pv)
                     or not math.isfinite(side.i_boost)
-                    or abs(side.v_dc) > 5e3 or abs(side.i_boost) > 1e4):
-                raise SimulationDivergence(
-                    f"DC state left the plausible envelope at t={self.steps * self.dt:.6f} s",
-                    t_last_good=(self.steps - 1) * self.dt)
+                    or abs(side.v_dc) > V_DC_LIMIT or abs(side.i_boost) > 1e4):
+                raise self._divergence("DC state")

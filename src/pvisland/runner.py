@@ -26,7 +26,7 @@ from .config import (VCC_INDEX_CHANNELS, ScenarioConfig, channel_names, check_re
 from .control import MODE_VR, DgController
 from .errors import AnalysisError
 from .plant import Plant
-from .pv import PvParams, pv_current, pv_params
+from .params import PvParams, pv_current
 from .signals import HARMONIC_ORDERS, Pll, inverse_clarke_xy, ticks
 from .vcc import CentralCompensator, DqExtractionBank
 
@@ -71,8 +71,7 @@ def irradiance_after(cfg: ScenarioConfig, tick: int) -> list[float]:
 
 def mpp_available_w(cfg: ScenarioConfig, tick: int) -> tuple[float, ...]:
     """Each unit's array maximum power under its irradiance after the events up to ``tick``."""
-    return tuple(_mpp_power(pv_params(dg.pv), g)
-                 for dg, g in zip(cfg.dgs, irradiance_after(cfg, tick)))
+    return tuple(_mpp_power(dg.pv, g) for dg, g in zip(cfg.dgs, irradiance_after(cfg, tick)))
 
 
 def build_plant(cfg: ScenarioConfig) -> Plant:

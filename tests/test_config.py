@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,10 @@ from pvisland import cli
 from pvisland.config import (
     DEFAULTS,
     KEYS,
+    UNIT_GROUPS,
+    UNIT_KEYS,
     UNIT_PREFIXES,
+    DgConfig,
     channel_names,
     echo,
     from_mapping,
@@ -17,6 +21,7 @@ from pvisland.config import (
     parse_text,
 )
 from pvisland.errors import ConfigurationError
+from pvisland.params import ViParams
 from pvisland.runner import build_compensator, build_controllers, build_plant
 from pvisland.signals import HARMONIC_ORDERS
 
@@ -28,13 +33,13 @@ class TestParsing:
         assert cfg.dt == 50e-6
         assert cfg.omega == 370.0
         assert cfg.v_amp == pytest.approx(math.sqrt(2.0) * 120.0)
-        assert cfg.dgs[0].m_p == pytest.approx(12e-4)
-        assert cfg.dgs[1].m_p == pytest.approx(6e-4)
-        assert cfg.dgs[0].n_p == pytest.approx(2.0 * cfg.dgs[1].n_p)
+        assert cfg.dgs[0].droop.m_p == pytest.approx(12e-4)
+        assert cfg.dgs[1].droop.m_p == pytest.approx(6e-4)
+        assert cfg.dgs[0].droop.n_p == pytest.approx(2.0 * cfg.dgs[1].droop.n_p)
 
     def test_scientific_notation_values_parse(self):
         cfg = parse_text("dg1.droop.n_p = 1e-3\n")
-        assert cfg.dgs[0].n_p == 1e-3
+        assert cfg.dgs[0].droop.n_p == 1e-3
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_text("# comment\n\nsolver.duration = 2.5  # trailing\n")
@@ -100,7 +105,7 @@ class TestParsing:
 
     def test_resonator_orders_parse(self):
         cfg = from_mapping({"dg1.prv.orders": "1,3,5"})
-        assert cfg.dgs[0].prv_orders == (1, 3, 5)
+        assert cfg.dgs[0].prv.orders == (1, 3, 5)
 
     def test_bad_resonator_orders_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -136,6 +141,7 @@ class TestParsing:
         ("events.irradiance", "0.2:1:50"),    # 50 suns
         ("dg1.current_limit_factor", "0"),    # divided by zero in the voltage loop
         ("dg2.vr.v_dc_ref", "380.0"),         # not above pv.v_mp: negative boost duty
+        ("dg1.vr.v_dc_ref", "6000"),          # beyond the plant's DC envelope
         ("dg1.pv.v_mp", "460.0"),             # above pv.v_oc
         ("dg2.pv.i_mp", "18.0"),              # above pv.i_sc
         ("dg1.pv.rated_w", "2000.0"),         # below the maximum-power point
@@ -212,6 +218,21 @@ def test_parsed_configuration_builds(key_value):
     build_compensator(cfg)
 
 
+class TestUnitGroups:
+    def test_group_records_spell_every_unit_key_once(self):
+        # a record's fields are its group's key suffixes, and a unit is its records
+        spelled = [f"{group}.{f.name}" for group, record in UNIT_GROUPS.items()
+                   for f in fields(record) if f.init]
+        assert sorted(spelled + ["current_limit_factor"]) == sorted(UNIT_KEYS)
+        assert [f.name for f in fields(DgConfig)] == [*UNIT_GROUPS, "current_limit_factor"]
+
+    def test_a_record_rejection_names_the_units_key(self):
+        with pytest.raises(ConfigurationError) as err:
+            from_mapping({"dg2.pv.i_mp": "18.0"})
+        assert err.value.key == "dg2.pv.i_mp"
+        assert str(err.value) == "dg2.pv.i_mp: must lie below pv.i_sc = 17.6"
+
+
 class TestEcho:
     def test_round_trip_reproduces_config(self):
         cfg = from_mapping({"solver.duration": "2.0", "load.balanced_r": "7.5"})
@@ -256,8 +277,10 @@ class TestComponentTable:
         cfg = from_mapping(flat)
         assert cfg.vcc_gains == {-1: (0.5, 20.0), **{
             o: (i + 0.5, i + 0.25) for i, o in enumerate(HARMONIC_ORDERS)}}
-        assert cfg.dgs[1].vi_r_h == {o: i + 0.75 for i, o in enumerate(HARMONIC_ORDERS)}
-        assert list(cfg.dgs[0].vi_r_h) == list(HARMONIC_ORDERS)
+        assert ([cfg.dgs[1].vi.r_harmonic(o) for o in HARMONIC_ORDERS]
+                == [i + 0.75 for i, _ in enumerate(HARMONIC_ORDERS)])
+        assert ([f.name for f in fields(ViParams) if f.name.startswith("r_h")]
+                == [f"r_h{abs(o)}" for o in HARMONIC_ORDERS])
         comp = build_compensator(cfg)
         assert comp.components == (-1,) + tuple(sorted(HARMONIC_ORDERS))
         assert comp.gains == cfg.vcc_gains

@@ -9,10 +9,8 @@ from pvisland.control import (
     CurrentLoop,
     DcLinkRegulator,
     DroopControl,
-    DroopParams,
     IncrementalConductanceMppt,
     PowerCalculator,
-    PrGains,
     VoltageLoop,
     DUTY_MAX,
     DUTY_MIN,
@@ -22,7 +20,7 @@ from pvisland.control import (
 )
 from pvisland.config import from_mapping
 from pvisland.plant import Plant
-from pvisland.pv import PvParams, pv_current
+from pvisland.params import DroopParams, PrGains, PvParams, pv_current
 from pvisland.runner import build_controllers
 from pvisland.signals import SequenceExtractor, resonator_table
 
@@ -43,9 +41,9 @@ _BOOST = build_controllers(from_mapping({}))[0].boost
 MPPT, VR, MODE = _BOOST.mppt.params, _BOOST.vr_params, _BOOST.mode_params
 
 
-def _pr(kp, k_fundamental, k_harmonic):
+def _pr(kp, k1, kh):
     """PR gains with 2 rad/s wide resonators at orders 1, 3, 5 and 7."""
-    return PrGains(kp, k_fundamental, k_harmonic, 2.0, (1, 3, 5, 7))
+    return PrGains(kp, k1, kh, 2.0, (1, 3, 5, 7))
 
 
 def _rows(loop, omega=370.0):
@@ -79,33 +77,33 @@ class TestPowerCalculator:
 
 
 class TestDroop:
-    def _params(self):
-        return DroopParams(m_p=12e-4, n_p=1e-3, v_amp=V_AMP, omega=370.0)
+    def _droop(self):
+        return DroopControl(DroopParams(m_p=12e-4, n_p=1e-3), V_AMP, 370.0)
 
     def test_no_load_point(self):
-        droop = DroopControl(self._params())
+        droop = self._droop()
         out = droop.step(0.0, 0.0, DT)
         assert droop.omega_ref == 370.0
         assert math.hypot(*out) == pytest.approx(V_AMP, rel=1e-12)
 
     def test_active_power_lowers_frequency(self):
-        droop = DroopControl(self._params())
+        droop = self._droop()
         droop.step(1000.0, 0.0, DT)
         assert droop.omega_ref == pytest.approx(368.8, rel=1e-12)
 
     def test_reactive_power_lowers_amplitude(self):
-        droop = DroopControl(self._params())
+        droop = self._droop()
         out = droop.step(0.0, 500.0, DT)
         assert math.hypot(*out) == pytest.approx(V_AMP - 0.5, rel=1e-12)
 
     def test_amplitude_clamp_flags(self):
-        droop = DroopControl(self._params())
+        droop = self._droop()
         droop.step(0.0, 1e6, DT)
         assert droop.clamped
         assert droop.v_ref == pytest.approx(0.5 * V_AMP)
 
     def test_phase_accumulates_at_reference_rate(self):
-        droop = DroopControl(self._params())
+        droop = self._droop()
         droop.step(1000.0, 0.0, DT)
         theta0 = droop.theta
         droop.step(1000.0, 0.0, DT)
@@ -178,7 +176,7 @@ class TestMppt:
         return observe
 
     def test_holds_at_exact_peak(self):
-        pv = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0)
+        pv = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0, 1.0)
         observe = self._static_rig(pv)
         # find the true peak duty by brute force first
         duties = np.linspace(0.05, 0.9, 4001)
@@ -193,7 +191,7 @@ class TestMppt:
         assert abs(mppt.duty - d_before) <= MPPT.duty_step + 1e-12
 
     def test_converges_to_brute_force_peak(self):
-        pv = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0)
+        pv = PvParams(3000.0, 450.0, 8.8, 380.0, 3000.0 / 380.0, 1.0)
         observe = self._static_rig(pv)
         duties = np.linspace(0.05, 0.9, 8001)
         powers = [observe(d)[0] * observe(d)[1] for d in duties]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +6,9 @@ import pytest
 from pvisland import runner
 from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError, SimulationDivergence
+from pvisland.params import DcLinkParams, FeederParams, FilterParams, PvParams, pv_current
 from pvisland.plant import (
     AcNetwork,
-    AcStageParams,
-    DcLinkParams,
     DcSide,
     HarmonicInjection,
     LoadSpec,
@@ -19,7 +17,6 @@ from pvisland.plant import (
     injection_table,
     load_admittance_ab,
 )
-from pvisland.pv import PvParams, pv_current
 from pvisland.signals import (
     FrameVector,
     ThreePhaseSample,
@@ -32,14 +29,18 @@ from pvisland.signals import (
 DT = 50e-6
 #: Unit 1's default link and AC stage: filter, then feeder.
 DC_LINK = DcLinkParams(c_pv=200e-6, l_boost=1.5e-3, c_dc=2350e-6)
-STAGE = AcStageParams(l_filter=1.8e-3, c_filter=25e-6, feeder_r=0.8, feeder_l=2.4e-3)
+FILTER = FilterParams(l=1.8e-3, c=25e-6)
+STAGE = (FILTER, FeederParams(r=0.8, l=2.4e-3))
+#: Unit 1's filter on unit 2's default feeder.
+STAGE_2 = (FILTER, FeederParams(r=0.4, l=1.2e-3))
 #: ``load.*`` keys of a plain 10-ohm balanced bank, for :func:`_two_unit_plant`.
 RESISTIVE = {"unbalanced_r_a": "off", "harmonics": ""}
 
 
 @pytest.fixture
 def pv3k():
-    return PvParams(rated_w=3000.0, v_oc=450.0, i_sc=8.8, v_mp=380.0, i_mp=3000.0 / 380.0)
+    return PvParams(rated_w=3000.0, v_oc=450.0, i_sc=8.8, v_mp=380.0, i_mp=3000.0 / 380.0,
+                    irradiance=1.0)
 
 
 class TestPvCurve:
@@ -86,7 +87,7 @@ class TestDcSide:
     # ``DcSide.step`` advances the side's own state and keeps its PV current
     # at that state.
     def test_boost_ratio_at_steady_state(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
+        dc = DcSide(pv3k, DC_LINK, v_pv=380.0, v_dc=600.0)
         dc.i_boost = 7.0
         duty = 1.0 - 380.0 / 600.0
         draw = 380.0 * pv_current(380.0, 1.0, pv3k) * 0.999
@@ -95,7 +96,7 @@ class TestDcSide:
         assert dc.v_dc == pytest.approx(dc.v_pv / (1.0 - duty), rel=0.02)
 
     def test_link_rises_without_draw(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
+        dc = DcSide(pv3k, DC_LINK, v_pv=380.0, v_dc=600.0)
         dc.i_boost = dc.i_pv
         history = [dc.v_dc]
         for _ in range(int(0.02 / DT)):
@@ -104,7 +105,7 @@ class TestDcSide:
         assert all(b >= a for a, b in zip(history, history[1:]))
 
     def test_energy_balance_over_one_second(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
+        dc = DcSide(pv3k, DC_LINK, v_pv=380.0, v_dc=600.0)
         dc.i_boost = 7.2
         duty = 1.0 - 380.0 / 600.0
         draw = 2800.0
@@ -122,8 +123,8 @@ class TestDcSide:
         assert residual < 0.005 * e_in
 
     def test_rejects_invalid_duty(self, pv3k):
-        dc = DcSide(pv3k, DC_LINK, 1.0, v_pv=380.0, v_dc=600.0)
-        with pytest.raises(ConfigurationError):
+        dc = DcSide(pv3k, DC_LINK, v_pv=380.0, v_dc=600.0)
+        with pytest.raises(ValueError):
             dc.step(1.2, 0.0, DT)
 
 
@@ -297,7 +298,7 @@ class TestPccSolve:
 
 class TestAcNetwork:
     def test_open_feeder_rings_at_filter_resonance(self):
-        stage = dataclasses.replace(STAGE, feeder_r=1e6)
+        stage = (FILTER, FeederParams(r=1e6, l=2.4e-3))
         net = AcNetwork([stage], LoadSpec(balanced_r=1e6), DT)
         hist = []
         for _ in range(20000):
@@ -307,7 +308,7 @@ class TestAcNetwork:
         spectrum = np.abs(np.fft.rfft(hist))
         freq = np.fft.rfftfreq(len(hist), DT)
         peak = freq[spectrum.argmax()]
-        assert peak == pytest.approx(stage.resonance_hz(), rel=0.02)
+        assert peak == pytest.approx(FILTER.resonance_hz(), rel=0.02)
 
     def test_zero_state_zero_input_stays_zero(self):
         net = AcNetwork([STAGE], LoadSpec(balanced_r=10.0), DT)
@@ -315,23 +316,23 @@ class TestAcNetwork:
         assert net.x == [0.0] * len(net.x)
 
     def test_driven_amplitude_matches_phasor_divider(self):
-        stage = STAGE
+        flt, fdr = STAGE
         r_load = 9.6
-        net = AcNetwork([stage], LoadSpec(balanced_r=r_load), DT)
+        net = AcNetwork([STAGE], LoadSpec(balanced_r=r_load), DT)
         w = 370.0
         for i in range(int(1.0 / DT)):
             t = i * DT
             net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], (0.0, 0.0))
         amp = math.hypot(*net.cap_voltage(0))
         jw = 1j * w
-        z_c = 1.0 / (jw * stage.c_filter)
-        z_load = stage.feeder_r + jw * stage.feeder_l + r_load
+        z_c = 1.0 / (jw * flt.c)
+        z_load = fdr.r + jw * fdr.l + r_load
         z_par = z_c * z_load / (z_c + z_load)
-        oracle = abs(z_par / (jw * stage.l_filter + z_par)) * 170.0
+        oracle = abs(z_par / (jw * flt.l + z_par)) * 170.0
         assert amp == pytest.approx(oracle, rel=0.02)
 
     def test_kcl_residual_negligible(self):
-        net = AcNetwork([STAGE, dataclasses.replace(STAGE, feeder_r=0.4, feeder_l=1.2e-3)],
+        net = AcNetwork([STAGE, STAGE_2],
                         LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
                                  harmonics=(HarmonicInjection(-5, 2.0),)), DT)
         w = 370.0
@@ -349,7 +350,7 @@ class TestAcNetwork:
         # x1 = T @ [x; u] against T1 @ x + Tu @ u, with T1 and Tu taken from
         # networks built for each load scale and the injection from its phasor
         # definition, so a load step's rebuilt matrix and table are covered
-        stages = [STAGE, dataclasses.replace(STAGE, feeder_r=0.4, feeder_l=1.2e-3)]
+        stages = [STAGE, STAGE_2]
         harmonics = (HarmonicInjection(-5, 2.0, 0.3), HarmonicInjection(7, 1.0, -0.4))
         load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0, harmonics=harmonics,
                         balanced_l=0.03)
@@ -386,15 +387,15 @@ class TestAcNetwork:
         # independent oracle: classical RK4 on the single-unit circuit written
         # out by hand (filter L-C, R-L feeder, balanced bank with the bus
         # voltage R * i_feeder), input held over each step as the network does
-        stage = STAGE
+        flt, fdr = STAGE
         r_load = 10.0
         w = 370.0
 
         def deriv(s, v_inv):
             i_l, v_c, i_f = s
-            return ((v_inv - v_c) / stage.l_filter,
-                    (i_l - i_f) / stage.c_filter,
-                    (v_c - (stage.feeder_r + r_load) * i_f) / stage.feeder_l)
+            return ((v_inv - v_c) / flt.l,
+                    (i_l - i_f) / flt.c,
+                    (v_c - (fdr.r + r_load) * i_f) / fdr.l)
 
         def rk4(s, v_inv):
             k1 = deriv(s, v_inv)
@@ -404,7 +405,7 @@ class TestAcNetwork:
             return [x + DT / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                     for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
 
-        net = AcNetwork([stage], LoadSpec(balanced_r=r_load), DT)
+        net = AcNetwork([STAGE], LoadSpec(balanced_r=r_load), DT)
         alpha = [0.0, 0.0, 0.0]
         beta = [0.0, 0.0, 0.0]
         for i in range(int(0.5 / DT)):
@@ -457,13 +458,13 @@ class TestPlant:
         jw = 1j * w
         y = np.zeros((3, 3), dtype=complex)
         rhs = np.zeros(3, dtype=complex)
-        for k, (st, v_src) in enumerate(((s1, v_cmd), (s2, v_cmd))):
-            zf = st.feeder_r + jw * st.feeder_l
-            y[k, k] = 1.0 / (jw * st.l_filter) + jw * st.c_filter + 1.0 / zf
+        for k, ((flt, fdr), v_src) in enumerate(((s1, v_cmd), (s2, v_cmd))):
+            zf = fdr.r + jw * fdr.l
+            y[k, k] = 1.0 / (jw * flt.l) + jw * flt.c + 1.0 / zf
             y[k, 2] = -1.0 / zf
             y[2, k] = -1.0 / zf
             y[2, 2] += 1.0 / zf
-            rhs[k] = v_src / (jw * st.l_filter)
+            rhs[k] = v_src / (jw * flt.l)
         y[2, 2] += 1.0 / r_load
         sol = np.linalg.solve(y, rhs)
         assert amp1 == pytest.approx(abs(sol[0]), rel=0.02)
@@ -484,6 +485,13 @@ class TestPlant:
 
         assert run() == run()
 
+    def test_dc_sides_keep_the_parsed_pv_curves(self):
+        # the curve is solved once, when the scenario parses
+        cfg = from_mapping({})
+        plant = Plant(cfg)
+        for side, dg in zip(plant.dc_sides, cfg.dgs):
+            assert side.pv is dg.pv
+
     def test_each_link_starts_at_its_own_reference(self):
         plant = runner.build_plant(from_mapping({"dg2.vr.v_dc_ref": "650.0"}))
         assert [side.v_dc for side in plant.dc_sides] == [600.0, 650.0]
@@ -502,6 +510,14 @@ class TestPlant:
                                                           match=f"{side} state"):
             plant.step([0.37, 0.37],
                        [ThreePhaseSample(0.0, 0.0, 0.0)] * 2, 0.0)
+
+    def test_dc_overflow_is_a_divergence(self):
+        # a string voltage far past open circuit overflows the PV curve's exponential
+        plant = _two_unit_plant()
+        plant.dc_sides[1].v_pv = 1e6
+        with pytest.raises(SimulationDivergence, match="DC state") as err:
+            plant.step([0.37, 0.37], [ThreePhaseSample(0.0, 0.0, 0.0)] * 2, 0.0)
+        assert err.value.t_last_good == 0.0
 
     def test_bounds_check_sees_a_nan_anywhere(self):
         # a step spreads a NaN to every state; max() over a list would skip

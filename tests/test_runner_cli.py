@@ -501,6 +501,23 @@ class TestCli:
         rc = cli.main(["run", "baseline", "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DIVERGENCE
 
+    # Settings that once passed validate and failed the run: the first three
+    # drove the boost duty out of its range, which exited 2 naming no key, and
+    # dc.c_pv then overflowed the PV curve with a traceback; the link
+    # reference lay past the plant's DC envelope and diverged on the first step.
+    @pytest.mark.parametrize("key, value", [
+        ("dg1.dc.c_dc", "1.5e-05"), ("dg1.dc.c_pv", "2e-06"), ("dg1.dc.l_boost", "1.5e-05"),
+        ("dg1.vr.v_dc_ref", "6000")])
+    def test_accepted_input_runs_or_fails_by_its_exit_code(self, tmp_path, capsys, key, value):
+        # an exception escaping main would exit 1 with a traceback
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(f"solver.duration = 0.4\nvcc.enable_at = 0.2\n{key} = {value}\n")
+        rc = cli.main(["run", str(scenario), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE), err
+        if rc == cli.EXIT_CONFIG:
+            assert key in err
+
     def test_duration_too_short_for_report_rejected_up_front(self, monkeypatch, tmp_path,
                                                               capsys):
         def never(cfg):
