@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from .errors import ConfigurationError, SimulationDivergence
 from .signals import (
+    HARMONIC_ORDERS,
     LowPass1,
     ProportionalResonant,
     SequenceExtractor,
@@ -81,31 +83,6 @@ class DroopControl:
         self.v_ref = min(max(v_ref, lo), hi)
         self.theta = (self.theta + self.omega_ref * dt) % (2.0 * math.pi)
         return self.v_ref * math.cos(self.theta), self.v_ref * math.sin(self.theta)
-
-
-# ---------------------------------------------------------------------------
-# Virtual impedance
-# ---------------------------------------------------------------------------
-
-def virtual_impedance(components: list[tuple[float, float]], r_pos: float, x_pos: float,
-                      r_neg: float, r_harmonics: list[float]) -> tuple[float, float]:
-    """Voltage drop synthesized from the decomposed output current.
-
-    ``components`` holds the alpha/beta pairs of the current's positive and
-    negative sequences, then of each harmonic, as
-    :meth:`~pvisland.signals.SequenceExtractor.components` gives them;
-    ``r_harmonics`` holds one resistance per harmonic, in the same order.
-    Resistive-inductive on the positive sequence (reactance ``x_pos``, with
-    the usual axis cross-coupling), plain resistive on the negative sequence
-    and on each harmonic; all contributions sum per axis.
-    """
-    (pa, pb), (na, nb), *harmonics = components
-    va = r_pos * pa - x_pos * pb + r_neg * na
-    vb = r_pos * pb + x_pos * pa + r_neg * nb
-    for r, (ha, hb) in zip(r_harmonics, harmonics):
-        va += r * ha
-        vb += r * hb
-    return va, vb
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +283,24 @@ class BoostController:
 # ---------------------------------------------------------------------------
 
 class DgController:
-    """Primary control stack of one generating unit, built from its ``dgN.*`` records.
+    """Primary control stack of the unit ``name``, built from its ``dgN.*`` records.
 
-    Each step covers one ``control.period`` and takes one resonator table at
-    the droop frequency for the extractor and both loops, which share
-    coefficients when their terms match.
-    The virtual impedance's reactance is taken at the droop's no-load
-    frequency, and the boost starts at the duty that lifts the array's
-    maximum-power voltage to the link reference.
+    Each step covers one ``control.period`` and makes one resonance pass at
+    the droop frequency for the extractor's bands and both loops; the
+    extractor's band update sums the virtual impedance's drop, its reactance
+    taken at the no-load frequency.  The boost starts at the duty that lifts
+    the array's maximum-power voltage to the link reference.
     """
 
-    def __init__(self, cfg: ScenarioConfig, dg: DgConfig):
+    def __init__(self, cfg: ScenarioConfig, dg: DgConfig, name: str):
+        self.name = name
         self.dt = dt = cfg.control_period
         self.startup_ramp = cfg.startup_ramp
         self.power = PowerCalculator(POWER_FILTER_HZ, dt)
         self.droop = DroopControl(dg.droop, cfg.v_amp, cfg.omega)
-        self.extractor = SequenceExtractor(gain=dg.vi.bandwidth_gain)
-        # virtual impedance: resistances, and the reactance at the no-load frequency
-        self.vi_r_pos, self.vi_r_neg = dg.vi.r_pos, dg.vi.r_neg
-        self.vi_x_pos = cfg.omega * dg.vi.l_pos
-        self.vi_r_harmonics = [dg.vi.r_harmonic(order) for order in self.extractor.orders[2:]]
+        self.extractor = SequenceExtractor(gain=dg.vi.bandwidth_gain, impedance=(
+            dg.vi.r_pos, cfg.omega * dg.vi.l_pos, dg.vi.r_neg,
+            {order: dg.vi.r_harmonic(order) for order in HARMONIC_ORDERS}))
         rated_current = dg.pv.rated_w / (1.5 * cfg.v_amp)
         self.voltage_loop = VoltageLoop(dg.prv, cfg.omega, dt,
                                         dg.current_limit_factor * rated_current)
@@ -334,8 +309,8 @@ class DgController:
                                      1.0 - dg.pv.v_mp / dg.vr.v_dc_ref, dt)
         self.p_avg = 0.0
         self.q_avg = 0.0
-        self._orders = sorted({*self.extractor.bands, *dg.prv.orders, *dg.pri.orders})
-        self._shared = (dg.prv.orders, dg.prv.wc) == (dg.pri.orders, dg.pri.wc)
+        self._table, (self._v_rows, self._i_rows) = resonator_table(
+            self.extractor.bands, self.voltage_loop.pr.terms, self.current_loop.pr.terms)
 
     def step(self, row: tuple[float, ...], v_c: tuple[float, float], t: float
              ) -> tuple[float, tuple[float, float, float]]:
@@ -352,15 +327,15 @@ class DgController:
             ramp = t / self.startup_ramp
             da *= ramp
             db *= ramp
-        omega = self.droop.omega_ref
-        table = resonator_table(self._orders, omega, dt)
-        self.extractor.advance(ioa, iob, table)
+        try:
+            za, zb, rows = self.extractor.advance(ioa, iob, self.droop.omega_ref, dt, self._table)
+        except ConfigurationError as exc:  # the droop moved it there, not a setting
+            raise SimulationDivergence(f"{self.name} droop frequency at t={t:.6f} s: {exc}",
+                                       t_last_good=t - dt) from exc
         # reference: droop minus virtual drop plus central correction
-        za, zb = virtual_impedance(self.extractor.components(), self.vi_r_pos, self.vi_x_pos,
-                                   self.vi_r_neg, self.vi_r_harmonics)
         ra, rb = da - za + v_c[0], db - zb + v_c[1]
-        v_rows = self.voltage_loop.pr.coefficients(table, omega)
-        i_rows = v_rows if self._shared else self.current_loop.pr.coefficients(table, omega)
+        v_rows = rows if self._v_rows is None else [rows[i] for i in self._v_rows]
+        i_rows = rows if self._i_rows is None else [rows[i] for i in self._i_rows]
         ia, ib = self.voltage_loop.step(ra, rb, voa, vob, v_rows)
         m = self.current_loop.step(ia, ib, ila, ilb, v_dc, i_rows)
         duty = self.boost.step(v_pv, i_pv, v_dc, t)

@@ -79,7 +79,7 @@ def build_plant(cfg: ScenarioConfig) -> Plant:
 
 
 def build_controllers(cfg: ScenarioConfig) -> list[DgController]:
-    return [DgController(cfg, dg) for dg in cfg.dgs]
+    return [DgController(cfg, dg, f"dg{d + 1}") for d, dg in enumerate(cfg.dgs)]
 
 
 def build_compensator(cfg: ScenarioConfig) -> CentralCompensator:
@@ -449,18 +449,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_simulation(cfg)
-    report = assemble_report(result)
-    artifacts = RunArtifacts(
-        out_dir=out,
-        csv_path=out / "timeseries.csv",
-        report_path=out / "report.txt",
-        echo_path=out / "config.echo",
-        report=report,
-        result=result,
-    )
-    write_csv(result, artifacts.csv_path)
+    csv_path, echo_path = out / "timeseries.csv", out / "config.echo"
+    # the data first, so a report that cannot be assembled leaves the run readable
+    write_csv(result, csv_path)
+    echo_path.write_text(echo(cfg), encoding="utf-8")
+    try:
+        report = assemble_report(result)
+    except AnalysisError as exc:
+        raise AnalysisError(f"{exc}; timeseries.csv and config.echo are in {out}") from exc
+    artifacts = RunArtifacts(out_dir=out, csv_path=csv_path, report_path=out / "report.txt",
+                             echo_path=echo_path, report=report, result=result)
     write_report(report, cfg, artifacts.report_path)
-    artifacts.echo_path.write_text(echo(cfg), encoding="utf-8")
     if with_plots:
         emit_plots(artifacts)
     return artifacts

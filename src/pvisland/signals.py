@@ -194,16 +194,60 @@ class LowPass2:
         return y
 
 
-def resonator_table(orders, omega: float, dt: float) -> dict[int, float]:
-    """Prewarped half-step tangents ``tan(0.5 * k * omega * dt)``, one row per order.
-
-    The extractor's bands and the proportional-resonant loops prewarp alike,
-    so one table per step serves all of them.  ``orders`` is ascending.
-    """
-    if not (omega > 0.0 and dt > 0.0 and orders[-1] * omega < math.pi / dt):
-        raise ConfigurationError(f"resonances up to order {orders[-1]} need a frequency "
+def _require_in_range(top: int, omega: float, dt: float):
+    if not (omega > 0.0 and dt > 0.0 and not beyond_nyquist(top, omega, dt)):
+        raise ConfigurationError(f"resonances up to order {top} need a frequency "
                                  f"between 0 and the Nyquist rate of dt={dt}; got {omega}")
-    return {k: math.tan(0.5 * k * omega * dt) for k in orders}
+
+
+def resonator_table(bands, *loops) -> tuple[list[tuple], list[list[int] | None]]:
+    """The rows a :func:`resonance_pass` walks, and where each loop's transitions fall.
+
+    One row ``(0.5 * k, k, band, cutoffs)`` per distinct order ``k`` of the
+    extractor ``bands`` and the loops' terms, ascending: ``band`` indexes
+    ``bands`` or is None, ``cutoffs`` are the terms' distinct cutoffs at ``k``.
+    Per loop: its terms' indices among the transitions, or None if in order.
+    """
+    slots = sorted({(t.order, t.cutoff) for terms in loops for t in terms})
+    table = [(0.5 * k, k, bands.index(k) if k in bands else None,
+              tuple(wc for order, wc in slots if order == k))
+             for k in sorted({*bands, *(order for order, _ in slots)})]
+    index = [[slots.index((t.order, t.cutoff)) for t in terms] for terms in loops]
+    return table, [None if i == list(range(len(slots))) else i for i in index]
+
+
+def resonance_pass(table, omega: float, dt: float, gain: float = 0.0,
+                   va=(), qa=(), ea: float = 0.0, vb=(), qb=(), eb: float = 0.0):
+    """One walk over a :func:`resonator_table` at ``omega``, one tangent per order.
+
+    Every band and resonator is a trapezoidal step prewarped to its center, so
+    ``omega`` enters only through ``a = tan(0.5 * k * omega * dt)``.  A band row
+    makes the :class:`SequenceExtractor` predictors ``P_j`` (band states ``va,
+    qa, vb, qb``, input errors ``ea, eb``), a cutoff one transition row.  Returns
+    the bands' ``(g_j, a_j)``, both axes' ``P_j``, ``1 + sum_j g_j``, the rows.
+    """
+    bands, pa, pb, rows = [], [], [], []
+    g_sum = 0.0
+    for half, k, j, cutoffs in table:
+        a = math.tan(half * omega * dt)
+        if j is not None:
+            n = 1.0 + a * a
+            g = gain * a / n
+            c = (1.0 - a * a) / n
+            s = 2.0 * a / n
+            pa.append(c * va[j] - s * qa[j] + g * ea)
+            pb.append(c * vb[j] - s * qb[j] + g * eb)
+            bands.append((g, a))
+            g_sum += g
+        if cutoffs:
+            wr = k * omega
+            h = a / wr
+            m12 = h * wr * wr
+            for wc in cutoffs:
+                hc = 2.0 * h * wc
+                det = 1.0 + hc + h * m12
+                rows.append(((1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h))
+    return bands, pa, pb, 1.0 + g_sum, rows
 
 
 @dataclass(slots=True)
@@ -255,81 +299,79 @@ class SequenceExtractor:
         v_j+  = P_j - g_j * S
         q_j+  = q_j + a_j * (v_j + v_j+)
 
-    The ``a_j`` come from a :func:`resonator_table` row per band, the same
-    table that feeds the unit's proportional-resonant loops.
+    A step is one :func:`resonance_pass` (:meth:`_rebuild`) for the ``a_j``
+    and ``P_j``, then the band update, which also sums the drop across the
+    sequence-selective ``impedance`` ``(r_pos, x_pos, r_neg, {order: r})``:
+    resistive-inductive on the positive sequence, resistive elsewhere.
     """
 
-    def __init__(self, orders=DEFAULT_SEQUENCE_ORDERS, gain: float = math.sqrt(2.0)):
+    def __init__(self, orders=DEFAULT_SEQUENCE_ORDERS, gain: float = math.sqrt(2.0),
+                 impedance=(0.0, 0.0, 0.0, {})):
         orders = tuple(orders)
-        if 1 not in orders or -1 not in orders:
-            raise ConfigurationError("sequence extractor needs both fundamental sequences")
+        self.bands = sorted({abs(o) for o in orders})
+        if {1, -1} - set(orders) or 0 in orders or len(orders) != len(self.bands) + 1:
+            raise ConfigurationError("sequence extractor needs 1, -1 and one order per other band")
         self.orders = orders
         self.gain = gain
-        self.bands = sorted({abs(o) for o in orders})
-        # each order's band and whether it is the band's positive sequence
-        self._taps = [(self.bands.index(abs(o)), o > 0) for o in orders]
+        # the fundamental's (r_pos, x_pos, r_neg), then each harmonic band's sign and resistance
+        self._drop = [impedance[:3]] + [(math.copysign(1.0, o), impedance[3].get(o, 0.0))
+                                        for o in sorted(orders, key=abs) if abs(o) > 1]
+        self._table = resonator_table(self.bands)[0]
         n = len(self.bands)
         self._v = ([0.0] * n, [0.0] * n)    # per axis (alpha, beta), per band
         self._q = ([0.0] * n, [0.0] * n)
         self._u_prev = (0.0, 0.0)
 
-    def _rebuild(self, table: dict[int, float]):
-        """Per-band coefficients ``(c_j, s_j, g_j, a_j)`` and ``1 + sum_j g_j``.
-
-        Refreshed from each step's resonator table, as the droop frequency
-        moves on nearly every step; ``control.extractor.rebuilds`` counts calls.
-        """
-        k = self.gain
-        coefficients = []
-        g_sum = 0.0
-        for band in self.bands:
-            a = table[band]
-            n = 1.0 + a * a
-            g = k * a / n
-            coefficients.append(((1.0 - a * a) / n, 2.0 * a / n, g, a))
-            g_sum += g
-        return coefficients, 1.0 + g_sum
-
-    def advance(self, x: float, y: float, table: dict[int, float]):
-        """One step on the alpha/beta input ``(x, y)``."""
-        coefficients, denominator = self._rebuild(table)
+    def _rebuild(self, x: float, y: float, omega: float, dt: float, table):
+        """A step's :func:`resonance_pass`; ``control.extractor.rebuilds`` counts calls."""
         (ua, ub), (va, vb), (qa, qb) = self._u_prev, self._v, self._q
-        ea, eb = ua + x - sum(va), ub + y - sum(vb)
-        pa, pb = [], []
-        for (c, s, g, _), vj, qj, vk, qk in zip(coefficients, va, qa, vb, qb):
-            pa.append(c * vj - s * qj + g * ea)
-            pb.append(c * vk - s * qk + g * eb)
+        self._u_prev = (x, y)
+        return resonance_pass(table, omega, dt, self.gain,
+                              va, qa, ua + x - sum(va), vb, qb, ub + y - sum(vb))
+
+    def advance(self, x: float, y: float, omega: float, dt: float, table):
+        """One step on the alpha/beta input ``(x, y)`` at ``omega`` with a
+        :func:`resonator_table` of the bands (and maybe of a unit's loops);
+        returns the drop ``(za, zb)`` and the table's transitions."""
+        _require_in_range(table[-1][1], omega, dt)
+        bands, pa, pb, denominator, rows = self._rebuild(x, y, omega, dt, table)
+        (va, vb), (qa, qb) = self._v, self._q
+        drop = self._drop
         ta = sum(pa) / denominator
         tb = sum(pb) / denominator
-        for j, (_, _, g, a) in enumerate(coefficients):
-            v_new = pa[j] - g * ta
-            qa[j] += a * (va[j] + v_new)
-            va[j] = v_new
-            v_new = pb[j] - g * tb
-            qb[j] += a * (vb[j] + v_new)
-            vb[j] = v_new
-        self._u_prev = (x, y)
-
-    def components(self) -> list[tuple[float, float]]:
-        """Alpha/beta pair of each of ``orders``, in that order, as of the last step."""
-        (va, vb), (qa, qb) = self._v, self._q
-        out = []
-        for i, positive in self._taps:
-            if positive:
-                out.append((0.5 * (va[i] - qb[i]), 0.5 * (qa[i] + vb[i])))
+        for j, (g, a) in enumerate(bands):
+            vj = pa[j] - g * ta
+            qa[j] = qj = qa[j] + a * (va[j] + vj)
+            va[j] = vj
+            vk = pb[j] - g * tb
+            qb[j] = qk = qb[j] + a * (vb[j] + vk)
+            vb[j] = vk
+            # the drop sums the fundamental's sequences, then the harmonics in band order
+            if j:
+                sign, r = drop[j]
+                za += r * (0.5 * (vj - sign * qk))
+                zb += r * (0.5 * (sign * qj + vk))
             else:
-                out.append((0.5 * (va[i] + qb[i]), 0.5 * (vb[i] - qa[i])))
-        return out
+                r_pos, x_pos, r_neg = drop[0]
+                pos_a, pos_b = 0.5 * (vj - qk), 0.5 * (qj + vk)
+                neg_a, neg_b = 0.5 * (vj + qk), 0.5 * (vk - qj)
+                za = r_pos * pos_a - x_pos * pos_b + r_neg * neg_a
+                zb = r_pos * pos_b + x_pos * pos_a + r_neg * neg_b
+        return za, zb, rows
 
     def sequences(self) -> SequenceSet:
         """Every configured component as of the last step."""
-        pairs = {o: FrameVector(*pair) for o, pair in zip(self.orders, self.components())}
+        (va, vb), (qa, qb) = self._v, self._q
+        pairs = {}
+        for o in self.orders:
+            i, sign = self.bands.index(abs(o)), math.copysign(1.0, o)
+            pairs[o] = FrameVector(0.5 * (va[i] - sign * qb[i]), 0.5 * (sign * qa[i] + vb[i]))
         return SequenceSet(pairs.pop(1), pairs.pop(-1), pairs)
 
     def step(self, v: FrameVector, omega: float, dt: float) -> SequenceSet:
         if v.frame != ALPHA_BETA:
             raise FrameError("sequence extractor expects an alpha/beta input")
-        self.advance(v.x, v.y, resonator_table(self.bands, omega, dt))
+        self.advance(v.x, v.y, omega, dt, self._table)
         return self.sequences()
 
 
@@ -348,7 +390,7 @@ class Sogi:
 
     def step(self, u: float, omega: float, dt: float) -> tuple[float, float]:
         """In-phase and quadrature outputs after one step on input ``u``."""
-        self._band.advance(u, 0.0, resonator_table((1,), omega, dt))
+        self._band.advance(u, 0.0, omega, dt, self._band._table)
         (va, _), (qa, _) = self._band._v, self._band._q
         return va[0], qa[0]
 
@@ -423,47 +465,32 @@ class ProportionalResonant:
     def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float):
         self.kp = kp
         self.terms = list(terms)
-        for term in self.terms:
-            if beyond_nyquist(term.order, omega_nominal, dt):
-                raise ConfigurationError(
-                    f"resonator at order {term.order} exceeds the Nyquist rate for dt={dt}"
-                )
-        self.orders = sorted({term.order for term in self.terms})
+        self._table, (self._index,) = resonator_table((), self.terms)
+        _require_in_range(self._table[-1][1], omega_nominal, dt)
         self._gains = [2.0 * term.gain * term.cutoff for term in self.terms]
         # per axis (alpha, beta): resonator states, one entry per term
         self._x1 = ([0.0] * len(self.terms), [0.0] * len(self.terms))
         self._x2 = ([0.0] * len(self.terms), [0.0] * len(self.terms))
         self._e_prev = (0.0, 0.0)
 
-    def coefficients(self, table: dict[int, float], omega: float) -> list[tuple]:
+    def transitions(self, omega: float, dt: float) -> list[tuple]:
         """Per-term one-step transitions ``(alpha, beta, gamma, h)`` at ``omega``.
 
-        Each resonator is ``x1' = -2*wc*x1 - wr^2*x2 + e``, ``x2' = x1``,
-        ``y = 2*gain*wc*x1`` in control canonical form, stepped by the
-        trapezoidal rule prewarped to ``wr``: ``h = tan(0.5*wr*dt) / wr``, the
-        tangent read from a :func:`resonator_table`.  The rule's 2x2 implicit
-        system is solved here, once per table, into a one-step transition::
-
-            m12 = h * wr**2,   det = 1 + 2*h*wc + h*m12
-            x1+ = alpha*x1 + beta*x2 + gamma*(e + e_prev)
-            x2+ = x2 + h*(x1 + x1+)
-
-        with ``alpha = (1 - 2*h*wc - h*m12) / det``, ``beta = -2*m12 / det``
-        and ``gamma = h / det``.  Gains do not enter, so controllers with
-        equal terms can share them.
+        Each resonator ``x1' = -2*wc*x1 - wr^2*x2 + e``, ``x2' = x1``,
+        ``y = 2*gain*wc*x1`` steps by the trapezoidal rule prewarped to ``wr``,
+        ``h = tan(0.5*wr*dt) / wr``; :func:`resonance_pass` solves its 2x2
+        implicit system into ``x1+ = alpha*x1 + beta*x2 + gamma*(e + e_prev)``,
+        ``x2+ = x2 + h*(x1 + x1+)``, with ``m12 = h*wr**2``,
+        ``det = 1 + 2*h*wc + h*m12``, ``alpha = (1 - 2*h*wc - h*m12) / det``,
+        ``beta = -2*m12 / det`` and ``gamma = h / det``.  Gains do not enter,
+        so controllers with equal terms share them.
         """
-        coefficients = []
-        for term in self.terms:
-            wr = term.order * omega
-            h = table[term.order] / wr
-            hc = 2.0 * h * term.cutoff
-            m12 = h * wr * wr
-            det = 1.0 + hc + h * m12
-            coefficients.append(((1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h))
-        return coefficients
+        _require_in_range(self._table[-1][1], omega, dt)
+        rows = resonance_pass(self._table, omega, dt)[4]
+        return rows if self._index is None else [rows[i] for i in self._index]
 
     def step_pair(self, ea: float, eb: float, coefficients: list[tuple]) -> tuple[float, float]:
-        """Advance both axes by one step on errors ``(ea, eb)`` with :meth:`coefficients` rows."""
+        """Advance both axes by one step on errors ``(ea, eb)`` with :meth:`transitions` rows."""
         (pa, pb), (x1a, x1b), (x2a, x2b) = self._e_prev, self._x1, self._x2
         sa, sb = pa + ea, pb + eb
         ya, yb = self.kp * ea, self.kp * eb
@@ -481,5 +508,4 @@ class ProportionalResonant:
 
     def step(self, e: float, omega: float, dt: float) -> float:
         """Single-axis step: the alpha axis, with the beta axis idle."""
-        table = resonator_table(self.orders, omega, dt)
-        return self.step_pair(e, 0.0, self.coefficients(table, omega))[0]
+        return self.step_pair(e, 0.0, self.transitions(omega, dt))[0]

@@ -16,24 +16,43 @@ from pvisland.control import (
     DUTY_MIN,
     MODE_MPPT,
     MODE_VR,
-    virtual_impedance,
 )
 from pvisland.config import from_mapping
 from pvisland.plant import Plant
 from pvisland.params import DroopParams, PrGains, PvParams, pv_current
 from pvisland.runner import build_controllers
-from pvisland.signals import SequenceExtractor, resonator_table
+from pvisland.errors import SimulationDivergence
+from pvisland.signals import HARMONIC_ORDERS, SequenceExtractor
 
 DT = 50e-6
 V_AMP = math.sqrt(2.0) * 120.0
 
 
-def _components(pos=(0.0, 0.0), neg=(0.0, 0.0), **harm):
-    """Sequence components in the extractor's order, as its ``components`` gives them."""
+def _drop(r_pos, x_pos, r_neg, r_harmonics, pos=(0.0, 0.0), neg=(0.0, 0.0), **harm):
+    """The extractor's virtual-impedance drop with its components set to the given pairs.
+
+    ``r_harmonics`` follows the extractor's harmonics.  The band states are
+    set so that each component reads its pair; a table of zero tangents
+    then holds every band where it is, so the step reads the state as set.
+    """
     comps = {1: pos, -1: neg, 3: (0.0, 0.0), -5: (0.0, 0.0), 7: (0.0, 0.0), -11: (0.0, 0.0)}
     for key, val in harm.items():
         comps[int(key.replace("hm", "-").replace("hp", ""))] = val
-    return [comps[order] for order in SequenceExtractor().orders]
+    ext = SequenceExtractor(impedance=(r_pos, x_pos, r_neg,
+                                       dict(zip(HARMONIC_ORDERS, r_harmonics))))
+    (va, vb), (qa, qb) = ext._v, ext._q
+    for order, (x, y) in comps.items():
+        j, sign = ext.bands.index(abs(order)), math.copysign(1.0, order)
+        va[j] += x
+        vb[j] += y
+        qa[j] += sign * y
+        qb[j] -= sign * x
+    hold = [(0.0, band, j, ()) for j, band in enumerate(ext.bands)]
+    za, zb, _ = ext.advance(0.0, 0.0, 370.0, DT, hold)
+    seq = ext.sequences()
+    held = {1: seq.fundamental_pos, -1: seq.fundamental_neg, **seq.harmonic}
+    assert {order: tuple(pair) for order, pair in held.items()} == comps
+    return za, zb
 
 
 #: Unit 1's tracker, link-regulator and mode settings in the default scenario.
@@ -47,8 +66,8 @@ def _pr(kp, k1, kh):
 
 
 def _rows(loop, omega=370.0):
-    """A loop's resonator coefficients at ``omega``."""
-    return loop.pr.coefficients(resonator_table(loop.pr.orders, omega, DT), omega)
+    """A loop's resonator transitions at ``omega``."""
+    return loop.pr.transitions(omega, DT)
 
 
 class TestPowerCalculator:
@@ -113,25 +132,22 @@ class TestDroop:
 class TestVirtualImpedance:
     # harmonic resistances follow the extractor's harmonics: 3, -5, 7, -11
     def test_zero_current_zero_drop(self):
-        assert virtual_impedance(_components(), 0.3, 0.5e-3 * 370.0, 0.4,
-                                 [3.0, 1.0, 1.0, 0.5]) == (0.0, 0.0)
+        assert _drop(0.3, 0.5e-3 * 370.0, 0.4, [3.0, 1.0, 1.0, 0.5]) == (0.0, 0.0)
 
     def test_positive_sequence_cross_coupling(self):
         # hand arithmetic with the published numbers taken literally:
         # R = 0.3, L*w_f = 0.5 * 370 = 185, i = (10, 0)
-        va, vb = virtual_impedance(_components(pos=(10.0, 0.0)), 0.3, 0.5 * 370.0, 0.0,
-                                   [0.0] * 4)
+        va, vb = _drop(0.3, 0.5 * 370.0, 0.0, [0.0] * 4, pos=(10.0, 0.0))
         assert va == pytest.approx(3.0, rel=1e-12)
         assert vb == pytest.approx(1850.0, rel=1e-12)
 
     def test_harmonic_branch_is_purely_resistive(self):
-        out = virtual_impedance(_components(hm5=(1.2, -1.6)), 0.0, 0.0, 0.0,
-                                [0.0, 1.0, 0.0, 0.0])
+        out = _drop(0.0, 0.0, 0.0, [0.0, 1.0, 0.0, 0.0], hm5=(1.2, -1.6))
         assert math.hypot(*out) == pytest.approx(2.0, rel=1e-12)
         assert out == pytest.approx((1.2, -1.6), rel=1e-12)
 
     def test_negative_sequence_branch(self):
-        out = virtual_impedance(_components(neg=(5.0, -2.0)), 0.0, 0.0, 0.4, [0.0] * 4)
+        out = _drop(0.0, 0.0, 0.4, [0.0] * 4, neg=(5.0, -2.0))
         assert out == pytest.approx((2.0, -0.8), rel=1e-12)
 
 
@@ -350,3 +366,16 @@ class TestCurrentLoopClosedLoop:
             plant.step([1.0 - 380.0 / 600.0], [m], w * t)
         i_l = plant.network.inverter_current(0)
         assert math.hypot(*i_l) == pytest.approx(amp_ref, rel=0.02)
+
+
+class TestDgController:
+    def test_droop_frequency_out_of_range_is_a_divergence(self):
+        # a row no network produces: the droop frequency falls through zero at tick 11
+        ctl = build_controllers(from_mapping({}))[0]
+        row = (0.0, 0.0, 300.0, 0.0, 1e5, 0.0, 600.0, 300.0, 10.0)
+        with pytest.raises(SimulationDivergence, match="dg1 droop frequency") as err:
+            for tick in range(100):
+                ctl.step(row, (0.0, 0.0), tick * DT)
+        assert tick == 11
+        assert ctl.droop.omega_ref == pytest.approx(-18.8, abs=0.05)
+        assert err.value.t_last_good == pytest.approx(10 * DT, rel=1e-12)

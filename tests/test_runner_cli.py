@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvisland import cli, runner
+from pvisland import analysis, cli, control, runner
 from pvisland.config import (KEYS, KNOWN_CHANNELS, UNIT_KEYS, UNIT_PREFIXES,
-                             VCC_INDEX_CHANNELS, channel_names, echo, from_mapping)
-from pvisland.errors import ConfigurationError, SimulationDivergence
+                             VCC_INDEX_CHANNELS, channel_names, echo, from_mapping,
+                             recorded_rows)
+from pvisland.errors import AnalysisError, ConfigurationError, SimulationDivergence
 from pvisland.runner import (
     UNIT_FLAGS,
     VCC_FLAGS,
@@ -352,7 +353,7 @@ class TestBuilders:
         for ctl, side in zip(controllers, plant.dc_sides):
             values += [ctl.p_avg, ctl.droop.omega_ref, side.v_dc, side.v_pv, side.i_boost,
                        side.i_pv]
-            values += leaves(ctl.extractor.components())
+            values += leaves([*ctl.extractor._v, *ctl.extractor._q])
         assert len(values) > 50
         assert [type(v) for v in values if type(v) is not float] == []
 
@@ -517,6 +518,42 @@ class TestCli:
         assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE), err
         if rc == cli.EXIT_CONFIG:
             assert key in err
+
+    def test_droop_frequency_leaving_its_range_is_a_divergence(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # the droop frequency falls through zero mid-run: the run diverged,
+        # no setting is at fault
+        step = control.DroopControl.step
+        calls = iter(range(10**9))
+
+        def falling(self, p_avg, q_avg, dt):
+            out = step(self, p_avg, q_avg, dt)
+            if next(calls) >= 2000:  # both units' droops, 1000 ticks
+                self.omega_ref = -18.8
+            return out
+
+        monkeypatch.setattr(control.DroopControl, "step", falling)
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("solver.duration = 0.4\n")
+        rc = cli.main(["run", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DIVERGENCE
+        assert "dg1 droop frequency at t=0.050000 s" in capsys.readouterr().err
+
+    def test_run_keeps_its_data_when_the_report_fails(self, monkeypatch, tmp_path, capsys):
+        def no_window(*args, **kwargs):
+            raise AnalysisError("vpcc_a: no steady window")
+
+        monkeypatch.setattr(analysis, "steady_window", no_window)
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("solver.duration = 0.4\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", str(scenario), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no steady window" in err and f"config.echo are in {out}" in err
+        assert sorted(p.name for p in out.iterdir()) == ["config.echo", "timeseries.csv"]
+        cfg = cli._load_scenario(str(out / "config.echo"))
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        assert len(lines) == 1 + recorded_rows(cfg)
 
     def test_duration_too_short_for_report_rejected_up_front(self, monkeypatch, tmp_path,
                                                               capsys):

@@ -23,7 +23,6 @@ from pvisland.signals import (
     inverse_clarke_xy,
     inverse_park,
     park,
-    resonator_table,
 )
 
 DT = 50e-6
@@ -305,6 +304,11 @@ class TestSequenceExtractor:
         with pytest.raises(ConfigurationError):
             SequenceExtractor(orders=(1, 3))
 
+    @pytest.mark.parametrize("orders", [(1, -1, 5, -5), (1, -1, 3, 3), (1, -1, -1), (1, -1, 0)])
+    def test_requires_one_sequence_per_harmonic_band(self, orders):
+        with pytest.raises(ConfigurationError):
+            SequenceExtractor(orders=orders)
+
     def test_closed_form_matches_matrix_solve(self):
         # Oracle: the coupled bank assembled as one matrix and advanced by an
         # exact trapezoidal solve at every step, for the frequency of that step.
@@ -472,8 +476,7 @@ class TestPairedAxes:
         for _ in range(2000):
             omega += float(rng.normal(0.0, 0.05))  # moves every step
             ea, eb = rng.uniform(-20.0, 20.0, 2).tolist()
-            rows = pair.coefficients(resonator_table(pair.orders, omega, DT), omega)
-            got = pair.step_pair(ea, eb, rows)
+            got = pair.step_pair(ea, eb, pair.transitions(omega, DT))
             assert got == (alpha.step(ea, omega, DT), beta.step(eb, omega, DT))
 
 
@@ -552,7 +555,7 @@ class _PerBlockPr:
 class _ImplicitSolvePr(_PerBlockPr):
     """The two-axis PR step as a 2x2 implicit trapezoidal solve on every step."""
 
-    def step(self, errors, omega, table):
+    def step(self, errors, omega, dt):
         out = []
         for k, e in enumerate(errors):
             x1 = self.x1[k]
@@ -561,7 +564,7 @@ class _ImplicitSolvePr(_PerBlockPr):
             for i, term in enumerate(self.terms):
                 wr = term.order * omega
                 wc = term.cutoff
-                h = table[term.order] / wr
+                h = math.tan(0.5 * wr * dt) / wr
                 m11 = 1.0 + 2.0 * h * wc
                 m12 = h * wr * wr
                 det = m11 + h * m12
@@ -574,6 +577,126 @@ class _ImplicitSolvePr(_PerBlockPr):
             self.e_prev[k] = e
             out.append(y)
         return out
+
+
+class _SeparatePasses:
+    """A unit step whose resonance work runs as separate passes.
+
+    A dict of tangents for every order, the extractor's band rows from it,
+    the band update, a list of every component, the virtual impedance over
+    that list and each loop's transition rows.  It steps a second
+    controller's blocks, so only the resonance work differs.
+    """
+
+    def __init__(self, ctl, keys):
+        cfg = from_mapping(keys)
+        dg = cfg.dgs[0]
+        self.ctl = ctl
+        ext = ctl.extractor
+        self.orders = sorted({*ext.bands, *dg.prv.orders, *dg.pri.orders})
+        self.shared = (dg.prv.orders, dg.prv.wc) == (dg.pri.orders, dg.pri.wc)
+        self.vi = (dg.vi.r_pos, cfg.omega * dg.vi.l_pos, dg.vi.r_neg,
+                   [dg.vi.r_harmonic(order) for order in ext.orders[2:]])
+
+    def _band_rows(self, table):
+        ext = self.ctl.extractor
+        coefficients = []
+        g_sum = 0.0
+        for band in ext.bands:
+            a = table[band]
+            n = 1.0 + a * a
+            g = ext.gain * a / n
+            coefficients.append(((1.0 - a * a) / n, 2.0 * a / n, g, a))
+            g_sum += g
+        return coefficients, 1.0 + g_sum
+
+    def _advance(self, x, y, table):
+        ext = self.ctl.extractor
+        coefficients, denominator = self._band_rows(table)
+        (ua, ub), (va, vb), (qa, qb) = ext._u_prev, ext._v, ext._q
+        ea, eb = ua + x - sum(va), ub + y - sum(vb)
+        pa, pb = [], []
+        for (c, s, g, _), vj, qj, vk, qk in zip(coefficients, va, qa, vb, qb):
+            pa.append(c * vj - s * qj + g * ea)
+            pb.append(c * vk - s * qk + g * eb)
+        ta = sum(pa) / denominator
+        tb = sum(pb) / denominator
+        for j, (_, _, g, a) in enumerate(coefficients):
+            v_new = pa[j] - g * ta
+            qa[j] += a * (va[j] + v_new)
+            va[j] = v_new
+            v_new = pb[j] - g * tb
+            qb[j] += a * (vb[j] + v_new)
+            vb[j] = v_new
+        ext._u_prev = (x, y)
+
+    def _components(self):
+        ext = self.ctl.extractor
+        (va, vb), (qa, qb) = ext._v, ext._q
+        out = []
+        for o in ext.orders:
+            i = ext.bands.index(abs(o))
+            if o > 0:
+                out.append((0.5 * (va[i] - qb[i]), 0.5 * (qa[i] + vb[i])))
+            else:
+                out.append((0.5 * (va[i] + qb[i]), 0.5 * (vb[i] - qa[i])))
+        return out
+
+    def _virtual_impedance(self):
+        r_pos, x_pos, r_neg, r_harmonics = self.vi
+        (pa, pb), (na, nb), *harmonics = self._components()
+        va = r_pos * pa - x_pos * pb + r_neg * na
+        vb = r_pos * pb + x_pos * pa + r_neg * nb
+        for r, (ha, hb) in zip(r_harmonics, harmonics):
+            va += r * ha
+            vb += r * hb
+        return va, vb
+
+    @staticmethod
+    def _coefficients(pr, table, omega):
+        coefficients = []
+        for term in pr.terms:
+            wr = term.order * omega
+            h = table[term.order] / wr
+            hc = 2.0 * h * term.cutoff
+            m12 = h * wr * wr
+            det = 1.0 + hc + h * m12
+            coefficients.append(((1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h))
+        return coefficients
+
+    def step(self, row, v_c, t):
+        """The drop, the voltage loop's output, and the step's (duty, modulation)."""
+        c = self.ctl
+        dt = c.dt
+        ila, ilb, voa, vob, ioa, iob, v_dc, v_pv, i_pv = row
+        c.p_avg, c.q_avg = c.power.step(voa, vob, ioa, iob)
+        da, db = c.droop.step(c.p_avg, c.q_avg, dt)
+        if t < c.startup_ramp:
+            ramp = t / c.startup_ramp
+            da *= ramp
+            db *= ramp
+        omega = c.droop.omega_ref
+        table = {k: math.tan(0.5 * k * omega * dt) for k in self.orders}
+        self._advance(ioa, iob, table)
+        za, zb = self._virtual_impedance()
+        ra, rb = da - za + v_c[0], db - zb + v_c[1]
+        v_rows = self._coefficients(c.voltage_loop.pr, table, omega)
+        i_rows = v_rows if self.shared else self._coefficients(c.current_loop.pr, table, omega)
+        ia, ib = c.voltage_loop.step(ra, rb, voa, vob, v_rows)
+        m = c.current_loop.step(ia, ib, ila, ilb, v_dc, i_rows)
+        return (za, zb), (ia, ib), (c.boost.step(v_pv, i_pv, v_dc, t), m)
+
+
+def _spy(owner, name, calls):
+    """Record every return value of ``owner``'s method ``name`` in ``calls``."""
+    method = getattr(owner, name)
+
+    def spy(*args):
+        out = method(*args)
+        calls.append(out)
+        return out
+
+    setattr(owner, name, spy)
 
 
 class TestResonatorTable:
@@ -615,6 +738,44 @@ class TestResonatorTable:
             assert m == inverse_clarke_xy(va / 300.0, vb / 300.0)
         assert len(omegas) > 2900
 
+    @pytest.mark.parametrize("keys", [
+        {},
+        {"dg1.prv.orders": "1,3,9", "dg1.prv.wc": "2",
+         "dg1.pri.orders": "1,5,7", "dg1.pri.wc": "5"},
+        {"dg1.prv.orders": "13,1,9,5", "dg1.prv.wc": "3",
+         "dg1.pri.orders": "13,1,9,5", "dg1.pri.wc": "3"},
+    ], ids=["matching-loops", "mismatched-loops", "orders-outside-the-bands"])
+    def test_one_pass_equals_separate_passes(self, keys):
+        # Oracle: the same step with its resonance work in separate passes,
+        # on a second controller fed the same noisy rows, so the droop
+        # frequency moves on every step; every state and output must be equal.
+        ctl, ref = (build_controllers(from_mapping(keys))[0] for _ in range(2))
+        oracle = _SeparatePasses(ref, keys)
+        drops, currents = [], []
+        _spy(ctl.extractor, "advance", drops)
+        _spy(ctl.voltage_loop, "step", currents)
+        rng = np.random.default_rng(7)
+        omegas = set()
+        for tick in range(4000):
+            t = tick * DT
+            c, s = math.cos(OMEGA * t), math.sin(OMEGA * t)
+            n = rng.normal(0.0, 1.0, 8).tolist()
+            row = (10.0 * c + n[4], 10.0 * s + n[5], 170.0 * c + n[0], 170.0 * s + n[1],
+                   10.0 * c + 2.0 * math.cos(5.0 * OMEGA * t) + n[2],
+                   10.0 * s - 2.0 * math.sin(5.0 * OMEGA * t) + n[3], 600.0, 380.0, 7.0)
+            got = ctl.step(row, (n[6], n[7]), t)
+            drop, current, want = oracle.step(row, (n[6], n[7]), t)
+            omegas.add(ctl.droop.omega_ref)
+            assert drops[-1][:2] == drop
+            assert currents[-1] == current
+            assert got == want
+            ea, eb = ctl.extractor, ref.extractor
+            assert (ea._u_prev, ea._v, ea._q) == (eb._u_prev, eb._v, eb._q)
+            for pa, pb in ((ctl.voltage_loop.pr, ref.voltage_loop.pr),
+                           (ctl.current_loop.pr, ref.current_loop.pr)):
+                assert (pa._e_prev, pa._x1, pa._x2) == (pb._e_prev, pb._x1, pb._x2)
+        assert len(omegas) > 3900
+
     def test_transition_tracks_the_implicit_solve(self):
         # Oracle: the same prewarped trapezoidal rule solved as a 2x2 system on
         # every step.  The transition form rounds differently, never by more
@@ -630,19 +791,26 @@ class TestResonatorTable:
             omega += float(rng.normal(0.0, 0.05))  # moves every step
             t = tick * DT
             na, nb = rng.normal(0.0, 1.0, 2).tolist()
-            ea = sum(math.cos(k * omega * t + k) for k in pr.orders) + na
-            eb = sum(math.sin(k * omega * t - k) for k in pr.orders) + nb
-            table = resonator_table(pr.orders, omega, DT)
-            got = pr.step_pair(ea, eb, pr.coefficients(table, omega))
-            want = ref.step((ea, eb), omega, table)
+            ea = sum(math.cos(term.order * omega * t + term.order) for term in terms) + na
+            eb = sum(math.sin(term.order * omega * t - term.order) for term in terms) + nb
+            got = pr.step_pair(ea, eb, pr.transitions(omega, DT))
+            want = ref.step((ea, eb), omega, DT)
             for g, w in ((got, want), *zip((*pr._x1, *pr._x2), (*ref.x1, *ref.x2))):
                 assert max(abs(p - q) for p, q in zip(g, w)) <= 1e-9 * max(map(abs, w))
 
     def test_rejects_frequency_outside_the_resonators_range(self):
+        pr = ProportionalResonant(0.05, [ResonantTerm(1, 50.0, 2.0), ResonantTerm(3, 20.0, 2.0)],
+                                  OMEGA, DT)
         with pytest.raises(ConfigurationError):
-            resonator_table([1, 3], 0.0, DT)
+            pr.transitions(0.0, DT)
+        with pytest.raises(ConfigurationError):
+            SequenceExtractor().step(FrameVector(1.0, 0.0), 0.0, DT)
+        pr = ProportionalResonant(0.05, [ResonantTerm(1, 50.0, 2.0), ResonantTerm(11, 20.0, 2.0)],
+                                  OMEGA, DT)
         with pytest.raises(ConfigurationError, match="order 11"):
-            resonator_table([1, 11], 0.6 * math.pi / DT, DT)
+            pr.transitions(0.6 * math.pi / DT, DT)
+        with pytest.raises(ConfigurationError, match="order 11"):
+            SequenceExtractor().step(FrameVector(1.0, 0.0), 0.6 * math.pi / DT, DT)
 
 
 class TestDeterminism:
