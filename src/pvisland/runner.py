@@ -450,13 +450,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     result = run_simulation(cfg)
     csv_path, echo_path = out / "timeseries.csv", out / "config.echo"
-    # the data first, so a report that cannot be assembled leaves the run readable
-    write_csv(result, csv_path)
-    echo_path.write_text(echo(cfg), encoding="utf-8")
     try:
         report = assemble_report(result)
     except AnalysisError as exc:
         raise AnalysisError(f"{exc}; timeseries.csv and config.echo are in {out}") from exc
+    finally:  # a report that cannot be assembled still leaves the run's data
+        write_csv(result, csv_path)
+        echo_path.write_text(echo(cfg), encoding="utf-8")
     artifacts = RunArtifacts(out_dir=out, csv_path=csv_path, report_path=out / "report.txt",
                              echo_path=echo_path, report=report, result=result)
     write_report(report, cfg, artifacts.report_path)
