@@ -3,8 +3,9 @@
 Scenario files are plain text, one ``dotted.key = value`` pair per line,
 ``#`` comments allowed.  Every key has one row in :data:`KEYS` (kind,
 default, allowed range); an empty file is the calibrated baseline.  The
-per-unit rows ``dgN.*`` come from one template and a roster of overrides,
-and each unit's key groups parse into its records (:data:`UNIT_GROUPS`).
+per-unit rows ``dgN.*`` come from one template and a roster of overrides.
+Each key group parses into the record its model keeps: the shared groups
+(:data:`GROUPS`) and each unit's (:data:`UNIT_GROUPS`), by one loop.
 :func:`from_mapping` parses every key by its row, then runs :data:`RULES`;
 every error names a key, and an accepted configuration builds and runs.
 :func:`check_report_length` adds what a run's report needs.
@@ -21,7 +22,8 @@ from typing import NamedTuple
 from .control import POWER_FILTER_HZ
 from .errors import ConfigurationError
 from .params import (V_DC_LIMIT, DcLinkParams, DroopParams, FeederParams, FilterParams,
-                     ModeParams, MpptParams, PrGains, PvParams, ViParams, VrParams)
+                     LoadParams, ModeParams, MpptParams, PllParams, PrGains, PvParams,
+                     VccParams, ViParams, VrParams)
 from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, MAX_HARMONIC_ORDER,
                       MIN_STEADY_CYCLES, beyond_nyquist, max_filter_step, ticks,
                       too_coarse_for_low_pass)
@@ -197,8 +199,11 @@ KEYS.update(
 DEFAULTS: dict[str, str] = {key: row.default for key, row in KEYS.items()}
 
 
-#: Each key group of :data:`UNIT_KEYS` and the record it parses into: the
+#: Each shared key group of :data:`KEYS` and the record it parses into: the
 #: record's fields are the group's key suffixes.
+GROUPS = {"pll": PllParams, "load": LoadParams, "vcc": VccParams}
+
+#: Each key group of :data:`UNIT_KEYS` and the record it parses into.
 UNIT_GROUPS = {"pv": PvParams, "dc": DcLinkParams, "vr": VrParams, "mppt": MpptParams,
                "mode": ModeParams, "droop": DroopParams, "vi": ViParams, "prv": PrGains,
                "pri": PrGains, "filter": FilterParams, "feeder": FeederParams}
@@ -235,30 +240,16 @@ class ScenarioConfig:
     startup_ramp: float
     omega: float
     v_amp: float
-    pll_kp: float
-    pll_ki: float
-    pll_band: float
+    pll: PllParams
+    load: LoadParams
+    vcc: VccParams
     dgs: list[DgConfig]
-    balanced_r: float
-    balanced_l: float | None
-    unbalanced_r_a: float | None
-    harmonics: list[tuple[int, float, float]]
-    load_step_time: float | None
-    load_step_scale: float
-    vcc_enable_at: float | None
-    vcc_period: float
-    vuf_ref: float
-    hd_ref: float
-    extraction_cutoff_hz: float
-    extraction_damping: float
-    vcc_gains: dict[int, tuple[float, float]]
-    vcc_output_limit: float
-    vcc_effort_limit: float
-    vcc_comm_delay: float
     irradiance_events: list[tuple[float, int, float]]
     sample_dt: float
     channels: list[str] | None      # None means every known channel
     raw: dict[str, str] = field(default_factory=dict, repr=False)
+
+    load_step_time = property(lambda self: self.load.step_time)  # read by the acceptance suite
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +396,9 @@ def _check_divides(cfg: ScenarioConfig):
     cp = cfg.control_period
     units = list(zip(UNIT_PREFIXES, cfg.dgs))
     periods = [(f"{prefix}.mppt.period", dg.mppt.period) for prefix, dg in units]
-    periods += [("vcc.period", cfg.vcc_period), ("outputs.sample_dt", cfg.sample_dt)]
-    times = [("load.step_time", cfg.load_step_time), ("vcc.enable_at", cfg.vcc_enable_at),
-             ("vcc.comm_delay", cfg.vcc_comm_delay)]
+    periods += [("vcc.period", cfg.vcc.period), ("outputs.sample_dt", cfg.sample_dt)]
+    times = [("load.step_time", cfg.load.step_time), ("vcc.enable_at", cfg.vcc.enable_at),
+             ("vcc.comm_delay", cfg.vcc.comm_delay)]
     times += [(f"{prefix}.mode.exit_hold", dg.mode.exit_hold) for prefix, dg in units]
     times += [("events.irradiance", t) for t, _, _ in cfg.irradiance_events]
     spans = [("control.period", cp, "solver.dt", cfg.dt, 1)]
@@ -461,7 +452,7 @@ def _check_resonators(cfg: ScenarioConfig):
 def _check_low_passes(cfg: ScenarioConfig):
     """The compensator's extraction filters and the units' power filters suit their steps."""
     for key, cutoff_hz, step in (
-            ("vcc.extraction_cutoff_hz", cfg.extraction_cutoff_hz, cfg.vcc_period),
+            ("vcc.extraction_cutoff_hz", cfg.vcc.extraction_cutoff_hz, cfg.vcc.period),
             ("control.period", POWER_FILTER_HZ, cfg.control_period)):
         _require(not too_coarse_for_low_pass(cutoff_hz, step), key,
                  f"a {step} s step is too coarse for a {cutoff_hz} Hz low-pass filter")
@@ -498,16 +489,16 @@ RULES = (_check_divides, _check_link_reference, _check_filter_resonance, _check_
          _check_low_passes)
 
 
-def _unit(v: dict, prefix: str) -> DgConfig:
-    """One unit's records, each built from its group's ``<prefix>.<group>.*`` values."""
+def _records(v: dict, groups: dict, prefix: str = "") -> dict:
+    """Each group's record, built from its ``<prefix><group>.*`` values."""
     records = {}
-    for group, record in UNIT_GROUPS.items():
+    for group, record in groups.items():
         try:
-            records[group] = record(**{f.name: v[f"{prefix}.{group}.{f.name}"]
+            records[group] = record(**{f.name: v[f"{prefix}{group}.{f.name}"]
                                        for f in fields(record) if f.init})
         except ConfigurationError as exc:  # the record names its field
-            raise ConfigurationError(exc.args[0], key=f"{prefix}.{group}.{exc.key}") from exc
-    return DgConfig(**records, current_limit_factor=v[f"{prefix}.current_limit_factor"])
+            raise ConfigurationError(exc.args[0], key=f"{prefix}{group}.{exc.key}") from exc
+    return records
 
 
 def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
@@ -522,18 +513,11 @@ def from_mapping(flat: dict[str, str]) -> ScenarioConfig:
         name=v["scenario.name"], dt=v["solver.dt"], control_period=v["control.period"],
         duration=v["solver.duration"], startup_ramp=v["solver.startup_ramp"],
         omega=v["system.omega"], v_amp=V_RMS_TO_AMP * v["system.v_rms"],
-        pll_kp=v["pll.kp"], pll_ki=v["pll.ki"], pll_band=v["pll.band"],
-        dgs=[_unit(v, prefix) for prefix in UNIT_PREFIXES],
-        balanced_r=v["load.balanced_r"], balanced_l=v["load.balanced_l"],
-        unbalanced_r_a=v["load.unbalanced_r_a"], harmonics=v["load.harmonics"],
-        load_step_time=v["load.step_time"], load_step_scale=v["load.step_scale"],
-        vcc_enable_at=v["vcc.enable_at"], vcc_period=v["vcc.period"],
-        vuf_ref=v["vcc.vuf_ref"], hd_ref=v["vcc.hd_ref"],
-        extraction_cutoff_hz=v["vcc.extraction_cutoff_hz"],
-        extraction_damping=v["vcc.extraction_damping"],
-        vcc_gains={-1: v["vcc.pi_neg1"], **{o: v[f"vcc.pi_h{abs(o)}"] for o in HARMONIC_ORDERS}},
-        vcc_output_limit=v["vcc.output_limit"], vcc_effort_limit=v["vcc.effort_limit"],
-        vcc_comm_delay=v["vcc.comm_delay"], irradiance_events=v["events.irradiance"],
+        **_records(v, GROUPS),
+        dgs=[DgConfig(**_records(v, UNIT_GROUPS, f"{prefix}."),
+                      current_limit_factor=v[f"{prefix}.current_limit_factor"])
+             for prefix in UNIT_PREFIXES],
+        irradiance_events=v["events.irradiance"],
         sample_dt=v["outputs.sample_dt"], channels=v["outputs.channels"],
         raw=merged,
     )

@@ -1,7 +1,7 @@
-"""One unit's parameter records, one per key group of ``config.UNIT_GROUPS``.
+"""Parameter records, one per key group of ``config.UNIT_GROUPS`` and ``config.GROUPS``.
 
 A record's fields are its group's key suffixes (``dgN.vr.kp`` is
-``VrParams.kp``) and have no defaults.  A record that rejects its values
+``VrParams.kp``, ``vcc.period`` is ``VccParams.period``) and have no defaults.  A record that rejects its values
 names the field; the parser names the key.  Plain floats and no NumPy, so
 the parser builds every record, the PV curve included, without the models.
 """
@@ -166,3 +166,54 @@ class FeederParams:
 
     r: float
     l: float
+
+
+
+@dataclass
+class PllParams:
+    kp: float
+    ki: float
+    band: float                 # the frequency band either side, a fraction of system.omega
+
+
+@dataclass
+class LoadParams:
+    """The coupling-bus load: a floating-star resistive bank, an optional extra
+    resistor on phase a, an optional parallel inductive bank (henries per
+    phase) and current sources locked to the system angle, one ``(order,
+    amplitude, phase)`` each; a positive order rotates with the fundamental,
+    a negative one against it.  At ``step_time`` every element scales by ``step_scale``."""
+
+    balanced_r: float
+    balanced_l: float | None
+    unbalanced_r_a: float | None
+    harmonics: list[tuple[int, float, float]]
+    step_time: float | None
+    step_scale: float
+
+    def conductances(self, scale: float = 1.0) -> tuple[float, float, float]:
+        g = scale / self.balanced_r
+        ga = g + (scale / self.unbalanced_r_a if self.unbalanced_r_a else 0.0)
+        return ga, g, g
+
+
+@dataclass
+class VccParams:
+    enable_at: float | None
+    period: float
+    vuf_ref: float              # percent
+    hd_ref: float               # percent, for every harmonic order
+    extraction_cutoff_hz: float
+    extraction_damping: float
+    pi_neg1: tuple[float, float]
+    pi_h3: tuple[float, float]
+    pi_h5: tuple[float, float]
+    pi_h7: tuple[float, float]
+    pi_h11: tuple[float, float]
+    output_limit: float         # volts per axis at each unit
+    effort_limit: float         # bound on each PI output
+    comm_delay: float
+
+    def pi(self, component: int) -> tuple[float, float]:
+        """``(kp, ki)`` of component -1 or a signed harmonic order, from its ``vcc.pi_*`` key."""
+        return getattr(self, "pi_neg1" if component == -1 else f"pi_h{abs(component)}")

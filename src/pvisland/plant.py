@@ -29,7 +29,6 @@ Modeling choices, fixed for the whole simulator:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,7 +39,7 @@ from .signals import clarke_xy, inverse_clarke_xy, max_filter_step
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
-    from .params import DcLinkParams, FeederParams, FilterParams, PvParams
+    from .params import DcLinkParams, FeederParams, FilterParams, LoadParams, PvParams
 
 # the transforms as matrices: their images of the unit vectors, column by column
 _CLARKE = np.array([clarke_xy(*e) for e in np.eye(3).tolist()]).T.copy()
@@ -111,32 +110,6 @@ class DcSide:
 # Loads
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HarmonicInjection:
-    """One current-source component locked to the system angle.
-
-    ``order`` is signed: positive orders rotate with the fundamental
-    (positive sequence), negative orders against it.
-    """
-
-    order: int
-    amplitude: float
-    phase: float = 0.0
-
-
-@dataclass
-class LoadSpec:
-    balanced_r: float
-    unbalanced_r_a: float | None = None
-    harmonics: tuple[HarmonicInjection, ...] = ()
-    balanced_l: float | None = None    # parallel inductive bank, henries per phase
-
-    def conductances(self, scale: float = 1.0) -> tuple[float, float, float]:
-        g = scale / self.balanced_r
-        ga = g + (scale / self.unbalanced_r_a if self.unbalanced_r_a else 0.0)
-        return ga, g, g
-
-
 def load_admittance_ab(ga: float, gb: float, gc: float) -> np.ndarray:
     """Two-axis admittance of a floating-star resistive bank.
 
@@ -152,9 +125,9 @@ def load_admittance_ab(ga: float, gb: float, gc: float) -> np.ndarray:
 
 
 def injection_table(harmonics, scale: float = 1.0) -> tuple[tuple[int, float, float, float], ...]:
-    """``(|order|, phase, scale * amplitude, rotation sign)`` per injection, in order."""
-    return tuple((abs(h.order), h.phase, scale * h.amplitude, 1.0 if h.order > 0 else -1.0)
-                 for h in harmonics)
+    """``(|order|, phase, scale * amplitude, rotation sign)`` per ``(order, amplitude, phase)``."""
+    return tuple((abs(order), phase, scale * amp, 1.0 if order > 0 else -1.0)
+                 for order, amp, phase in harmonics)
 
 
 def harmonic_current_ab(table, theta: float) -> tuple[float, float]:
@@ -184,7 +157,7 @@ class AcNetwork:
 
     STATES_PER_DG = 6
 
-    def __init__(self, stages: list[tuple[FilterParams, FeederParams]], load: LoadSpec,
+    def __init__(self, stages: list[tuple[FilterParams, FeederParams]], load: LoadParams,
                  dt: float):
         if not stages:
             raise ConfigurationError("network needs at least one generating unit")
@@ -382,9 +355,7 @@ class Plant:
 
     def __init__(self, cfg: ScenarioConfig):
         self.dt = cfg.dt
-        load = LoadSpec(cfg.balanced_r, cfg.unbalanced_r_a,
-                        tuple(HarmonicInjection(*h) for h in cfg.harmonics), cfg.balanced_l)
-        self.network = AcNetwork([(dg.filter, dg.feeder) for dg in cfg.dgs], load, cfg.dt)
+        self.network = AcNetwork([(dg.filter, dg.feeder) for dg in cfg.dgs], cfg.load, cfg.dt)
         self.dc_sides = [DcSide(dg.pv, dg.dc, v_pv=dg.pv.v_mp, v_dc=dg.vr.v_dc_ref)
                          for dg in cfg.dgs]
         self.steps = 0

@@ -125,12 +125,12 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     plant = build_plant(cfg)
     controllers = build_controllers(cfg)
     comp = build_compensator(cfg)
-    bank = DqExtractionBank(cfg.vcc_period,
-                            cutoff_hz=cfg.extraction_cutoff_hz,
-                            damping=cfg.extraction_damping)
-    pll = Pll(cfg.pll_kp, cfg.pll_ki, omega_init=cfg.omega,
-              omega_min=cfg.omega * (1.0 - cfg.pll_band),
-              omega_max=cfg.omega * (1.0 + cfg.pll_band))
+    vcc = cfg.vcc
+    bank = DqExtractionBank(vcc.period, cutoff_hz=vcc.extraction_cutoff_hz,
+                            damping=vcc.extraction_damping)
+    pll = Pll(cfg.pll.kp, cfg.pll.ki, omega_init=cfg.omega,
+              omega_min=cfg.omega * (1.0 - cfg.pll.band),
+              omega_max=cfg.omega * (1.0 + cfg.pll.band))
 
     # The controllers run at their own fixed period; the plant may take
     # several integration substeps per control tick.  Controls are held
@@ -141,14 +141,14 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     dt_ctl = cfg.control_period
     n_sub = ticks(dt_ctl, cfg.dt)
     n_ticks = ticks(cfg.duration, dt_ctl)
-    vcc_every = ticks(cfg.vcc_period, dt_ctl)
+    vcc_every = ticks(vcc.period, dt_ctl)
     sample_every = ticks(cfg.sample_dt, dt_ctl)
 
     # The schedule: a change applies at its tick, before its measurements.
-    enable_tick = n_ticks if cfg.vcc_enable_at is None else ticks(cfg.vcc_enable_at, dt_ctl)
-    load_tick = n_ticks if cfg.load_step_time is None else ticks(cfg.load_step_time, dt_ctl)
+    enable_tick = n_ticks if vcc.enable_at is None else ticks(vcc.enable_at, dt_ctl)
+    load_tick = n_ticks if cfg.load.step_time is None else ticks(cfg.load.step_time, dt_ctl)
     events = deque(sorted((ticks(t, dt_ctl), d, g) for t, d, g in cfg.irradiance_events))
-    delay_ticks = ticks(cfg.vcc_comm_delay, dt_ctl)
+    delay_ticks = ticks(vcc.comm_delay, dt_ctl)
 
     # One row per sample: ``t``, then every channel in the order the loop gathers it.
     recorded = ["t", "vpcc_a", "vpcc_b", "vpcc_c", "vcc_active", *VCC_INDEX_CHANNELS]
@@ -172,7 +172,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         omega = pll.omega
         vcc_active = tick >= enable_tick
         if tick == load_tick:
-            plant.network.set_load_scale(cfg.load_step_scale)
+            plant.network.set_load_scale(cfg.load.step_scale)
         while events and events[0][0] <= tick:
             _, d, value = events.popleft()
             plant.dc_sides[d].set_irradiance(value)
@@ -181,9 +181,9 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
         v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
 
         if tick % vcc_every == 0:
-            extracted = bank.step(v_pcc_abc, theta, cfg.vcc_period)
+            extracted = bank.step(v_pcc_abc, theta, vcc.period)
             if vcc_active:
-                in_flight.append((tick + delay_ticks, comp.step(extracted, cfg.vcc_period)))
+                in_flight.append((tick + delay_ticks, comp.step(extracted, vcc.period)))
             else:
                 comp.measure(extracted)
 
@@ -248,7 +248,7 @@ STEADY_RMS_TOL = 2.0       # percent cycle-RMS variation treated as steady
 
 
 def last_event_time(cfg: ScenarioConfig) -> float:
-    times = [cfg.vcc_enable_at, cfg.load_step_time] + [ev[0] for ev in cfg.irradiance_events]
+    times = [cfg.vcc.enable_at, cfg.load.step_time] + [ev[0] for ev in cfg.irradiance_events]
     return max([0.0] + [t for t in times if t is not None])
 
 
@@ -324,8 +324,8 @@ def assemble_report(result: RunResult) -> MetricsReport:
     pre_window = None
     pre_thd = None
     pre_vuf = None
-    if cfg.vcc_enable_at is not None and 0.5 < cfg.vcc_enable_at < cfg.duration:
-        w1 = cfg.vcc_enable_at
+    if cfg.vcc.enable_at is not None and 0.5 < cfg.vcc.enable_at < cfg.duration:
+        w1 = cfg.vcc.enable_at
         w0 = max(w1 - 1.0, 0.0)
         if w1 - w0 > 12.0 / f1:
             pre_thd, pre_vuf = window_metrics(w0, w1)

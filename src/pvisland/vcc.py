@@ -61,7 +61,7 @@ def quality_index(mag: float, pos_mag: float) -> tuple[float, bool]:
 class CentralCompensator:
     """Quality-index PI loops and the power-ratio broadcast of corrections.
 
-    Built from the ``vcc.*`` keys and the units' ``pv.rated_w``.
+    Built from the ``vcc.*`` record and the units' ``pv.rated_w``.
 
     The per-component correction phasors are held in their rotating frames
     between controller ticks; consumers rebuild the stationary-frame pairs
@@ -72,11 +72,7 @@ class CentralCompensator:
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        self.vuf_ref = cfg.vuf_ref                  # percent
-        self.hd_ref = cfg.hd_ref                    # percent, for every harmonic order
-        self.gains = cfg.vcc_gains                  # (kp, ki) per component
-        self.output_limit = cfg.vcc_output_limit    # volts per axis at each unit
-        self.effort_limit = cfg.vcc_effort_limit    # bound on each PI output
+        self.params = cfg.vcc
         total = sum(dg.pv.rated_w for dg in cfg.dgs)
         self.shares = tuple(dg.pv.rated_w / total for dg in cfg.dgs)
         self.components = (-1,) + tuple(sorted(HARMONIC_ORDERS))
@@ -105,11 +101,12 @@ class CentralCompensator:
 
         Returns a snapshot of the effort phasors, for :meth:`correction_from`.
         """
+        p = self.params
         if self.measure(extracted):
             for c in self.components:
-                idx, ref = (self.vuf, self.vuf_ref) if c == -1 else (self.hd[c], self.hd_ref)
+                idx, ref = (self.vuf, p.vuf_ref) if c == -1 else (self.hd[c], p.hd_ref)
                 err = ref - idx
-                kp, ki = self.gains[c]
+                kp, ki = p.pi(c)
                 if err >= 0.0:
                     # Index at or better than its reference: never inject to
                     # raise it.  With no accumulated effort the contribution
@@ -120,8 +117,8 @@ class CentralCompensator:
                     if self._integral[c] == 0.0:
                         self._effort_dq[c] = (0.0, 0.0)
                     continue
-                self._integral[c] = max(self._integral[c] + ki * err * dt, -self.effort_limit)
-                u = max(kp * err + self._integral[c], -self.effort_limit)
+                self._integral[c] = max(self._integral[c] + ki * err * dt, -p.effort_limit)
+                u = max(kp * err + self._integral[c], -p.effort_limit)
                 comp = extracted[c]
                 self._effort_dq[c] = (u * comp.x, u * comp.y)
         return dict(self._effort_dq)
@@ -145,7 +142,7 @@ class CentralCompensator:
             x, y = inverse_park_xy(d, q, c * theta)
             a += x
             b += y
-        lim = self.output_limit
+        lim = self.params.output_limit
         out = []
         for share in self.shares:
             ua = a * share

@@ -80,8 +80,8 @@ def test_compensator_hooks_are_on_the_tick_path():
     with tracer.installed():
         runner.run_simulation(cfg)
     calls = {name: module["calls"] for name, module in tracer.summary(mark)["modules"].items()}
-    vcc_every = ticks(cfg.vcc_period, cfg.control_period)
+    vcc_every = ticks(cfg.vcc.period, cfg.control_period)
     n_ticks = ticks(cfg.duration, cfg.control_period)
-    enable_tick = ticks(cfg.vcc_enable_at, cfg.control_period)
+    enable_tick = ticks(cfg.vcc.enable_at, cfg.control_period)
     assert calls["vcc.extraction"] == n_ticks // vcc_every == 400
     assert calls["vcc.pi"] == (n_ticks - enable_tick) // vcc_every == 200

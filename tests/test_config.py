@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from pvisland import cli
 from pvisland.config import (
     DEFAULTS,
+    GROUPS,
     KEYS,
     UNIT_GROUPS,
     UNIT_KEYS,
     UNIT_PREFIXES,
     DgConfig,
+    ScenarioConfig,
     channel_names,
     echo,
     from_mapping,
@@ -81,7 +83,7 @@ class TestParsing:
 
     def test_harmonics_list_parses(self):
         cfg = from_mapping({"load.harmonics": "-5:2.0:0.1, 7:1.0"})
-        assert cfg.harmonics == [(-5, 2.0, 0.1), (7, 1.0, 0.0)]
+        assert cfg.load.harmonics == [(-5, 2.0, 0.1), (7, 1.0, 0.0)]
 
     def test_zero_order_injection_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -89,7 +91,7 @@ class TestParsing:
 
     def test_vcc_off_parses_to_none(self):
         cfg = from_mapping({"vcc.enable_at": "off"})
-        assert cfg.vcc_enable_at is None
+        assert cfg.vcc.enable_at is None
 
     def test_irradiance_events_parse(self):
         cfg = from_mapping({"events.irradiance": "1.0:1:0.9, 2.0:2:0.8"})
@@ -226,11 +228,54 @@ class TestUnitGroups:
         assert sorted(spelled + ["current_limit_factor"]) == sorted(UNIT_KEYS)
         assert [f.name for f in fields(DgConfig)] == [*UNIT_GROUPS, "current_limit_factor"]
 
+    def test_shared_records_hold_each_key_once(self):
+        # each pll.*, load.* and vcc.* key is one field of its group's record,
+        # which holds the key's parsed value; no two values here are equal
+        assert len({repr(value) for _, value in SHARED_VALUES.values()}) == len(SHARED_VALUES)
+        cfg = from_mapping({key: text for key, (text, _) in SHARED_VALUES.items()})
+        spelled = [f"{group}.{f.name}" for group, record in GROUPS.items()
+                   for f in fields(record)]
+        assert sorted(spelled) == sorted(key for key in KEYS if key.split(".")[0] in GROUPS)
+        assert sorted(spelled) == sorted(SHARED_VALUES)
+        for key, (_, value) in SHARED_VALUES.items():
+            group, name = key.split(".")
+            assert getattr(getattr(cfg, group), name) == value, key
+        assert [f.name for f in fields(ScenarioConfig) if f.name in GROUPS] == list(GROUPS)
+        assert cfg.load_step_time == 0.3
+
     def test_a_record_rejection_names_the_units_key(self):
         with pytest.raises(ConfigurationError) as err:
             from_mapping({"dg2.pv.i_mp": "18.0"})
         assert err.value.key == "dg2.pv.i_mp"
         assert str(err.value) == "dg2.pv.i_mp: must lie below pv.i_sc = 17.6"
+
+
+#: Text and parsed value of every shared model key, no two values equal.
+SHARED_VALUES = {
+    "pll.kp": ("91.0", 91.0),
+    "pll.ki": ("4231.0", 4231.0),
+    "pll.band": ("0.45", 0.45),
+    "load.balanced_r": ("10.5", 10.5),
+    "load.balanced_l": ("0.061", 0.061),
+    "load.unbalanced_r_a": ("14.5", 14.5),
+    "load.harmonics": ("-5:2.0:0.1, 7:1.0", [(-5, 2.0, 0.1), (7, 1.0, 0.0)]),
+    "load.step_time": ("0.3", 0.3),
+    "load.step_scale": ("0.9", 0.9),
+    "vcc.enable_at": ("0.2", 0.2),
+    "vcc.period": ("2e-3", 2e-3),
+    "vcc.vuf_ref": ("0.25", 0.25),
+    "vcc.hd_ref": ("0.35", 0.35),
+    "vcc.extraction_cutoff_hz": ("4.0", 4.0),
+    "vcc.extraction_damping": ("2.0", 2.0),
+    "vcc.pi_neg1": ("0.6:21.0", (0.6, 21.0)),
+    "vcc.pi_h3": ("0.7:16.0", (0.7, 16.0)),
+    "vcc.pi_h5": ("5.1:31.0", (5.1, 31.0)),
+    "vcc.pi_h7": ("5.2:26.0", (5.2, 26.0)),
+    "vcc.pi_h11": ("0.8:6.0", (0.8, 6.0)),
+    "vcc.output_limit": ("81.0", 81.0),
+    "vcc.effort_limit": ("251.0", 251.0),
+    "vcc.comm_delay": ("1e-3", 1e-3),
+}
 
 
 class TestEcho:
@@ -275,15 +320,15 @@ class TestComponentTable:
         flat = {f"vcc.pi_h{abs(o)}": f"{i}.5:{i}.25" for i, o in enumerate(HARMONIC_ORDERS)}
         flat.update({f"dg2.vi.r_h{abs(o)}": f"{i}.75" for i, o in enumerate(HARMONIC_ORDERS)})
         cfg = from_mapping(flat)
-        assert cfg.vcc_gains == {-1: (0.5, 20.0), **{
-            o: (i + 0.5, i + 0.25) for i, o in enumerate(HARMONIC_ORDERS)}}
+        assert ([cfg.vcc.pi(c) for c in (-1, *HARMONIC_ORDERS)]
+                == [(0.5, 20.0), *((i + 0.5, i + 0.25) for i, _ in enumerate(HARMONIC_ORDERS))])
         assert ([cfg.dgs[1].vi.r_harmonic(o) for o in HARMONIC_ORDERS]
                 == [i + 0.75 for i, _ in enumerate(HARMONIC_ORDERS)])
         assert ([f.name for f in fields(ViParams) if f.name.startswith("r_h")]
                 == [f"r_h{abs(o)}" for o in HARMONIC_ORDERS])
         comp = build_compensator(cfg)
         assert comp.components == (-1,) + tuple(sorted(HARMONIC_ORDERS))
-        assert comp.gains == cfg.vcc_gains
+        assert comp.params is cfg.vcc
 
     def test_echo_of_an_empty_scenario_is_unchanged(self):
         assert echo(parse_text("")) == DEFAULT_ECHO

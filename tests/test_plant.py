@@ -6,12 +6,11 @@ import pytest
 from pvisland import runner
 from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError, SimulationDivergence
-from pvisland.params import DcLinkParams, FeederParams, FilterParams, PvParams, pv_current
+from pvisland.params import (DcLinkParams, FeederParams, FilterParams, LoadParams, PvParams,
+                             pv_current)
 from pvisland.plant import (
     AcNetwork,
     DcSide,
-    HarmonicInjection,
-    LoadSpec,
     Plant,
     harmonic_current_ab,
     injection_table,
@@ -35,6 +34,13 @@ STAGE = (FILTER, FeederParams(r=0.8, l=2.4e-3))
 STAGE_2 = (FILTER, FeederParams(r=0.4, l=1.2e-3))
 #: ``load.*`` keys of a plain 10-ohm balanced bank, for :func:`_two_unit_plant`.
 RESISTIVE = {"unbalanced_r_a": "off", "harmonics": ""}
+
+
+def _load(balanced_r: float, unbalanced_r_a: float | None = None,
+          harmonics: tuple[tuple[int, float, float], ...] = (),
+          balanced_l: float | None = None) -> LoadParams:
+    """A load record with no step; ``harmonics`` holds ``(order, amplitude, phase)``."""
+    return LoadParams(balanced_r, balanced_l, unbalanced_r_a, list(harmonics), None, 1.0)
 
 
 @pytest.fixture
@@ -158,7 +164,7 @@ class TestInverterOutput:
         assert sat
 
 
-def _load_current_abc(v_pcc: ThreePhaseSample, spec: LoadSpec, theta: float,
+def _load_current_abc(v_pcc: ThreePhaseSample, spec: LoadParams, theta: float,
                       scale: float) -> ThreePhaseSample:
     """Per-phase oracle of the load bank: floating-star resistors plus injections."""
     ga, gb, gc = spec.conductances(scale)
@@ -177,7 +183,7 @@ def _pcc_solve_abc(feeder_total: ThreePhaseSample, conductances: tuple[float, fl
     return ThreePhaseSample(*(v_n + d for d in drops))
 
 
-def _resistive_current(spec: LoadSpec, v: ThreePhaseSample, scale: float = 1.0
+def _resistive_current(spec: LoadParams, v: ThreePhaseSample, scale: float = 1.0
                        ) -> ThreePhaseSample:
     """Bank current through the two-axis admittance the network uses."""
     v_ab = clarke(v)
@@ -185,7 +191,7 @@ def _resistive_current(spec: LoadSpec, v: ThreePhaseSample, scale: float = 1.0
     return inverse_clarke(FrameVector(*i_ab))
 
 
-def _bus_voltage(load: LoadSpec, feeder_ab: tuple[float, float]) -> ThreePhaseSample:
+def _bus_voltage(load: LoadParams, feeder_ab: tuple[float, float]) -> ThreePhaseSample:
     """Coupling-bus voltage the network solves for a given feeder current."""
     net = AcNetwork([STAGE], load, DT)
     net.x[4:6] = feeder_ab
@@ -194,14 +200,14 @@ def _bus_voltage(load: LoadSpec, feeder_ab: tuple[float, float]) -> ThreePhaseSa
 
 class TestLoads:
     def test_balanced_resistor_follows_voltage(self):
-        spec = LoadSpec(balanced_r=10.0)
+        spec = _load(balanced_r=10.0)
         i = _resistive_current(spec, ThreePhaseSample(100.0, -50.0, -50.0))
         assert (i.a, i.b, i.c) == pytest.approx((10.0, -5.0, -5.0), rel=1e-12)
 
     def test_phase_a_element_carries_only_phase_a(self):
         # contribution of the single-phase element alone
-        spec_with = LoadSpec(balanced_r=10.0, unbalanced_r_a=20.0)
-        spec_without = LoadSpec(balanced_r=10.0)
+        spec_with = _load(balanced_r=10.0, unbalanced_r_a=20.0)
+        spec_without = _load(balanced_r=10.0)
         v = ThreePhaseSample(80.0, -30.0, -50.0)
         with_u = _resistive_current(spec_with, v)
         base = _resistive_current(spec_without, v)
@@ -213,7 +219,7 @@ class TestLoads:
 
     def test_load_step_scaling_after_event(self):
         # a load step scales the bank the network solves through
-        spec = LoadSpec(balanced_r=10.0)
+        spec = _load(balanced_r=10.0)
         net = AcNetwork([STAGE], spec, DT)
         v = ThreePhaseSample(100.0, -50.0, -50.0)
         before = _resistive_current(spec, v, net.load_scale)
@@ -227,7 +233,7 @@ class TestLoads:
     def test_harmonic_injection_spectrum_and_sequence(self):
         # 2 A at the 5th order, negative sequence: DFT of the generated
         # waveform shows 2 A there and the right rotation, nothing elsewhere
-        harmonics = (HarmonicInjection(-5, 2.0, 0.3),)
+        harmonics = ((-5, 2.0, 0.3),)
         w = 370.0
         n = int(round(40.0 * 2.0 * math.pi / w / DT))
         ia, ib, ic = [], [], []
@@ -258,10 +264,10 @@ class TestLoads:
         assert shift == pytest.approx(2.0 * math.pi / 3.0, abs=0.02)
 
     def test_injection_alpha_beta_matches_inverse_clarke(self):
-        spec = (HarmonicInjection(7, 1.5, 0.2),)
+        spec = ((7, 1.5, 0.2),)
         al, be = harmonic_current_ab(injection_table(spec, 1.0), 0.77)
         abc = _load_current_abc(ThreePhaseSample(0.0, 0.0, 0.0),
-                                LoadSpec(balanced_r=1e9, harmonics=spec), 0.77, 1.0)
+                                _load(balanced_r=1e9, harmonics=spec), 0.77, 1.0)
         v = clarke(abc)
         assert (v.x, v.y) == pytest.approx((al, be), rel=1e-12)
 
@@ -269,11 +275,11 @@ class TestLoads:
 class TestPccSolve:
     def test_single_source_ohms_law(self):
         # 0.5 S per phase: a 2-ohm balanced bank
-        v = _bus_voltage(LoadSpec(balanced_r=2.0), (10.0, 0.0))
+        v = _bus_voltage(_load(balanced_r=2.0), (10.0, 0.0))
         assert (v.a, v.b, v.c) == pytest.approx((20.0, -10.0, -10.0), rel=1e-12)
 
     def test_superposition_of_equal_feeders(self):
-        load = LoadSpec(balanced_r=2.0)
+        load = _load(balanced_r=2.0)
         one = _bus_voltage(load, (10.0, 3.0))
         two = _bus_voltage(load, (20.0, 6.0))
         assert two.a == pytest.approx(2.0 * one.a, rel=1e-12)
@@ -299,7 +305,7 @@ class TestPccSolve:
 class TestAcNetwork:
     def test_open_feeder_rings_at_filter_resonance(self):
         stage = (FILTER, FeederParams(r=1e6, l=2.4e-3))
-        net = AcNetwork([stage], LoadSpec(balanced_r=1e6), DT)
+        net = AcNetwork([stage], _load(balanced_r=1e6), DT)
         hist = []
         for _ in range(20000):
             net.step([(100.0, 0.0)], (0.0, 0.0))
@@ -311,14 +317,14 @@ class TestAcNetwork:
         assert peak == pytest.approx(FILTER.resonance_hz(), rel=0.02)
 
     def test_zero_state_zero_input_stays_zero(self):
-        net = AcNetwork([STAGE], LoadSpec(balanced_r=10.0), DT)
+        net = AcNetwork([STAGE], _load(balanced_r=10.0), DT)
         net.step([(0.0, 0.0)], (0.0, 0.0))
         assert net.x == [0.0] * len(net.x)
 
     def test_driven_amplitude_matches_phasor_divider(self):
         flt, fdr = STAGE
         r_load = 9.6
-        net = AcNetwork([STAGE], LoadSpec(balanced_r=r_load), DT)
+        net = AcNetwork([STAGE], _load(balanced_r=r_load), DT)
         w = 370.0
         for i in range(int(1.0 / DT)):
             t = i * DT
@@ -333,8 +339,8 @@ class TestAcNetwork:
 
     def test_kcl_residual_negligible(self):
         net = AcNetwork([STAGE, STAGE_2],
-                        LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0,
-                                 harmonics=(HarmonicInjection(-5, 2.0),)), DT)
+                        _load(balanced_r=10.0, unbalanced_r_a=14.0,
+                              harmonics=((-5, 2.0, 0.0),)), DT)
         w = 370.0
         worst = 0.0
         for i in range(5000):
@@ -351,14 +357,14 @@ class TestAcNetwork:
         # networks built for each load scale and the injection from its phasor
         # definition, so a load step's rebuilt matrix and table are covered
         stages = [STAGE, STAGE_2]
-        harmonics = (HarmonicInjection(-5, 2.0, 0.3), HarmonicInjection(7, 1.0, -0.4))
-        load = LoadSpec(balanced_r=10.0, unbalanced_r_a=14.0, harmonics=harmonics,
-                        balanced_l=0.03)
+        harmonics = ((-5, 2.0, 0.3), (7, 1.0, -0.4))
+        load = _load(balanced_r=10.0, unbalanced_r_a=14.0, harmonics=harmonics,
+                     balanced_l=0.03)
         scale = 0.6
-        scaled = LoadSpec(balanced_r=10.0 / scale, unbalanced_r_a=14.0 / scale,
-                          balanced_l=0.03 / scale,
-                          harmonics=tuple(HarmonicInjection(h.order, scale * h.amplitude, h.phase)
-                                          for h in harmonics))
+        scaled = _load(balanced_r=10.0 / scale, unbalanced_r_a=14.0 / scale,
+                       balanced_l=0.03 / scale,
+                       harmonics=tuple((order, scale * amp, phase)
+                                       for order, amp, phase in harmonics))
         net = AcNetwork(stages, load, DT)
         n = len(net.x)
         x_ref = np.zeros(n)
@@ -370,8 +376,8 @@ class TestAcNetwork:
             if i in (0, 500):
                 t_ref = AcNetwork(stages, spec, DT)._t
             theta = w * i * DT
-            ih = sum(h.amplitude * np.exp(1j * np.sign(h.order) * (abs(h.order) * theta + h.phase))
-                     for h in spec.harmonics)
+            ih = sum(amp * np.exp(1j * np.sign(order) * (abs(order) * theta + phase))
+                     for order, amp, phase in spec.harmonics)
             v_inv = [(170.0 * math.cos(w * i * DT), 170.0 * math.sin(w * i * DT)),
                      (160.0 * math.cos(w * i * DT + 0.1), 160.0 * math.sin(w * i * DT + 0.1))]
             u = np.array([*v_inv[0], *v_inv[1], ih.real, ih.imag])
@@ -381,7 +387,7 @@ class TestAcNetwork:
 
     def test_rejects_too_coarse_step(self):
         with pytest.raises(ConfigurationError):
-            AcNetwork([STAGE], LoadSpec(balanced_r=10.0), 5e-4)
+            AcNetwork([STAGE], _load(balanced_r=10.0), 5e-4)
 
     def test_rk4_agrees_with_trapezoid(self):
         # independent oracle: classical RK4 on the single-unit circuit written
@@ -405,7 +411,7 @@ class TestAcNetwork:
             return [x + DT / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                     for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
 
-        net = AcNetwork([STAGE], LoadSpec(balanced_r=r_load), DT)
+        net = AcNetwork([STAGE], _load(balanced_r=r_load), DT)
         alpha = [0.0, 0.0, 0.0]
         beta = [0.0, 0.0, 0.0]
         for i in range(int(0.5 / DT)):
