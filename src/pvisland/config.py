@@ -438,15 +438,18 @@ def _check_filter_resonance(cfg: ScenarioConfig):
                  f"{cfg.dt} s is too coarse for the resonance of {prefix}.filter.l/c")
 
 
-def _check_resonators(cfg: ScenarioConfig):
-    """The extractor's bands and the PR resonators lie below the control Nyquist rate."""
-    orders = [("control.period", max(abs(o) for o in DEFAULT_SEQUENCE_ORDERS))]
+def _check_nyquist(cfg: ScenarioConfig):
+    """The extractor's bands and the PR resonators lie below the Nyquist rate of
+    control.period, the load's injections (which would alias) below solver.dt's."""
+    cp = ("control.period", cfg.control_period)
+    orders = [("control.period", max(abs(o) for o in DEFAULT_SEQUENCE_ORDERS), cp)]
     for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
-        orders += [(f"{prefix}.prv.orders", max(dg.prv.orders)),
-                   (f"{prefix}.pri.orders", max(dg.pri.orders))]
-    for key, order in orders:
-        _require(not beyond_nyquist(order, cfg.omega, cfg.control_period), key,
-                 f"order {order} at system.omega reaches the Nyquist rate of control.period")
+        orders += [(f"{prefix}.prv.orders", max(dg.prv.orders), cp),
+                   (f"{prefix}.pri.orders", max(dg.pri.orders), cp)]
+    orders += [("load.harmonics", o, ("solver.dt", cfg.dt)) for o, _, _ in cfg.load.harmonics]
+    for key, order, (step_key, step) in orders:
+        _require(not beyond_nyquist(abs(order), cfg.omega, step), key,
+                 f"order {order} at system.omega reaches the Nyquist rate of {step_key}")
 
 
 def _check_low_passes(cfg: ScenarioConfig):
@@ -485,7 +488,7 @@ def check_report_length(cfg: ScenarioConfig):
 
 
 #: The cross-key rules, in the order :func:`from_mapping` runs them.
-RULES = (_check_divides, _check_link_reference, _check_filter_resonance, _check_resonators,
+RULES = (_check_divides, _check_link_reference, _check_filter_resonance, _check_nyquist,
          _check_low_passes)
 
 

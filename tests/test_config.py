@@ -180,12 +180,21 @@ class TestParsing:
           "dg2.mppt.period": "0.1", "vcc.period": "0.1", "outputs.sample_dt": "0.1",
           "vcc.extraction_cutoff_hz": "1.0"},
          "control.period"),                                    # the 2 Hz power filter
+        ({"solver.duration": "0.4", "vcc.enable_at": "off",    # would alias onto a low order
+          "load.harmonics": "-999:3.0:0.0"}, "load.harmonics"),
+        ({"load.harmonics": "3:1.0, 170:1.0"}, "load.harmonics"),  # 3.145 rad per solver.dt
+        ({"load.harmonics": "169:1.0", "system.omega": "372.0"}, "load.harmonics"),
     ])
     def test_cross_key_rule_names_the_key_to_change(self, flat, key):
-        # the rule names the key to change, which is not the one set here
+        # the rule names the key to change, which need not be the one set here
         with pytest.raises(ConfigurationError) as err:
             from_mapping(flat)
         assert err.value.key == key
+
+    def test_load_injection_below_the_solver_nyquist_rate_is_accepted(self):
+        # order 169 at system.omega advances 3.127 rad per solver.dt, under pi
+        cfg = from_mapping({"load.harmonics": "-169:1.0"})
+        assert cfg.load.harmonics == [(-169, 1.0, 0.0)]
 
 
 def _scaled(text: str, factor: float) -> str:
