@@ -343,19 +343,12 @@ _PARSERS = {
 }
 
 
-#: Per-unit channels, ``<prefix><unit>_<suffix>``, in the order the runner
-#: records each unit's values.
+#: Per-unit channels, ``<prefix><unit>_<suffix>``: one block of each prefix per unit.
 UNIT_CHANNELS = (
     ("dg", ("p", "q", "vdc", "vpv", "duty", "mode", "omega", "io_a", "io_b", "io_c")),
     ("pv", ("power",)),
     ("vc", ("alpha", "beta")),
 )
-
-
-def unit_channels(unit: int) -> list[str]:
-    """Channel names of one unit (numbered from 1), in recording order."""
-    return [f"{prefix}{unit}_{suffix}" for prefix, suffixes in UNIT_CHANNELS
-            for suffix in suffixes]
 
 
 #: The compensator's indices: the unbalance factor, then one distortion per harmonic order.

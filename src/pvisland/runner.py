@@ -21,8 +21,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, TimeSeries
-from .config import (VCC_INDEX_CHANNELS, ScenarioConfig, channel_names, check_report_length,
-                     echo, recorded_rows, unit_channels)
+from .config import ScenarioConfig, channel_names, check_report_length, echo, recorded_rows
 from .control import MODE_VR, DgController
 from .errors import AnalysisError
 from .plant import Plant
@@ -150,12 +149,10 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     events = deque(sorted((ticks(t, dt_ctl), d, g) for t, d, g in cfg.irradiance_events))
     delay_ticks = ticks(vcc.comm_delay, dt_ctl)
 
-    # One row per sample: ``t``, then every channel in the order the loop gathers it.
-    recorded = ["t", "vpcc_a", "vpcc_b", "vpcc_c", "vcc_active", *VCC_INDEX_CHANNELS]
-    for d in range(len(controllers)):
-        recorded += unit_channels(d + 1)
-    # column-major, so every channel is a contiguous view
-    table = np.empty((recorded_rows(cfg), len(recorded)), order="F")
+    # One row per sample: ``t``, then every channel in CSV column order;
+    # column-major, so every channel is a contiguous view.
+    names = channel_names(len(cfg.dgs))
+    table = np.empty((recorded_rows(cfg), 1 + len(names)), order="F")
     unit_sources = [f"dg{d + 1}" for d in range(len(controllers))]
     flags = FlagLog({"vcc": VCC_FLAGS, **dict.fromkeys(unit_sources, UNIT_FLAGS)})
 
@@ -203,13 +200,17 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             mods.append(m)
 
         if tick % sample_every == 0:
-            values = [t, *v_pcc_abc, 1.0 if vcc_active else 0.0, comp.vuf,
-                      *map(comp.hd.__getitem__, HARMONIC_ORDERS)]
-            for ctl, row, duty, v_c in zip(controllers, rows, duties, vc_log):
-                _, _, _, _, ioa, iob, v_dc, v_pv, i_pv = row
+            values = [t, *v_pcc_abc]
+            for ctl, row, duty in zip(controllers, rows, duties):
+                _, _, _, _, ioa, iob, v_dc, v_pv, _ = row
                 values += (ctl.p_avg, ctl.q_avg, v_dc, v_pv, duty,
                            1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
-                           *inverse_clarke_xy(ioa, iob), v_pv * i_pv, *v_c)
+                           *inverse_clarke_xy(ioa, iob))
+            values += [row[7] * row[8] for row in rows]  # v_pv * i_pv
+            values += (1.0 if vcc_active else 0.0, comp.vuf,
+                       *map(comp.hd.__getitem__, HARMONIC_ORDERS))
+            for v_c in vc_log:
+                values += v_c
             table[tick // sample_every] = values
 
         pll.step(v_pcc_ab, dt_ctl)
@@ -229,7 +230,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     return RunResult(
         cfg=cfg,
         times=table[:, 0],
-        channels={n: table[:, recorded.index(n)] for n in channel_names(len(cfg.dgs))},
+        channels={n: table[:, i] for i, n in enumerate(names, start=1)},
         flags=flags.events,
         flags_dropped=flags.dropped,
         mode_transitions=mode_transitions,
