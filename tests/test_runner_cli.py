@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvisland import analysis, cli, control, runner
 from pvisland.config import (KEYS, KNOWN_CHANNELS, UNIT_KEYS, UNIT_PREFIXES,
@@ -221,6 +223,35 @@ class TestChannelSelection:
         assert cli.main(["report", str(tmp_path / "narrow")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "dg1_omega" in err and "pv2_power" in err
+
+
+#: The float keys the property test scales: unit 1's and the shared groups'.  The
+#: test sets vcc.enable_at itself.
+SCALED_KEYS = sorted(
+    key for key, row in KEYS.items()
+    if key.split(".")[0] in ("dg1", "vcc", "pll", "load", "system")
+    and row.kind in ("float", "optional") and row.default != "off" and key != "vcc.enable_at")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(SCALED_KEYS), st.sampled_from([0.01, 0.1, 10.0, 100.0]),
+                       min_size=2, max_size=4))
+def test_every_input_is_rejected_by_key_runs_or_diverges(factors):
+    # 2-4 keys at once, each far off its default: a rule names a key up front,
+    # or the run reaches its end with finite channels, or it diverges (exit 3)
+    flat = {"solver.duration": "0.3", "vcc.enable_at": "0.15"}
+    flat.update({key: repr(factor * float(KEYS[key].default)) for key, factor in factors.items()})
+    try:
+        cfg = from_mapping(flat)
+    except ConfigurationError as err:
+        assert err.key in KEYS
+        return
+    try:
+        result = run_simulation(cfg)
+    except SimulationDivergence:
+        return
+    assert len(result.times) == recorded_rows(cfg)
+    assert all(np.isfinite(values).all() for values in result.channels.values())
 
 
 class TestIndexChannels:
