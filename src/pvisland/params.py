@@ -1,9 +1,10 @@
 """Parameter records, one per key group of ``config.UNIT_GROUPS`` and ``config.GROUPS``.
 
 A record's fields are its group's key suffixes (``dgN.vr.kp`` is
-``VrParams.kp``, ``vcc.period`` is ``VccParams.period``) and have no defaults.  A record that rejects its values
-names the field; the parser names the key.  Plain floats and no NumPy, so
-the parser builds every record, the PV curve included, without the models.
+``VrParams.kp``, ``vcc.period`` is ``VccParams.period``) and have no
+defaults.  A record that rejects its values names the field; the parser
+names the key.  Plain floats and no NumPy, so the parser builds every
+record, the PV curve included, without the models.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class FeederParams:
 
     r: float
     l: float
-
 
 
 @dataclass
