@@ -368,20 +368,43 @@ class RunArtifacts:
     result: RunResult
 
 
-#: Rows turned into text at a time: small blocks keep few Python floats alive at once.
+#: Rows turned into text at a time: small blocks keep few Python objects alive at once.
 CSV_BLOCK_ROWS = 256
 
 
+def _column_text(values: np.ndarray) -> list[str]:
+    """The ``repr`` of each float64 value, formatting each run of equal values once.
+
+    Held channels (the compensator's indices, modes, corrections before its
+    first effort) repeat for many rows, and ``repr`` is most of the write's
+    cost.  Runs are found on the bits, so ``0.0`` and ``-0.0`` stay apart
+    and repeated NaNs form a run.
+    """
+    bits = values.view(np.int64)
+    head = np.empty(len(bits), dtype=bool)  # where a run starts
+    head[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    if head.all():  # nothing repeats: expanding runs would only cost time
+        return list(map(repr, values.tolist()))
+    text = list(map(repr, values[head].tolist()))
+    return list(map(text.__getitem__, (np.cumsum(head) - 1).tolist()))
+
+
 def write_csv(result: RunResult, path: Path):
-    """The recorded table, narrowed to ``outputs.channels``, in channel order."""
+    """The recorded table, narrowed to ``outputs.channels``, in channel order.
+
+    Each block of rows is turned into text column by column, then joined
+    row by row; every value is written as its ``repr``.
+    """
     chosen = result.cfg.channels
     names = [n for n in channel_names(len(result.cfg.dgs)) if chosen is None or n in chosen]
     cols = [result.times] + [result.channels[n] for n in names]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(["t"] + names) + "\n")
         for i in range(0, len(result.times), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in cols]).tolist()
-            f.writelines(",".join(map(repr, row)) + "\n" for row in block)
+            texts = [_column_text(c[i:i + CSV_BLOCK_ROWS]) for c in cols]
+            f.writelines(",".join(row) + "\n" for row in zip(*texts))
+            del texts  # one block's strings alive at a time, not two
 
 
 def write_report(report: MetricsReport, cfg: ScenarioConfig, path: Path):
@@ -399,24 +422,25 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
     cfg = result.cfg
     plot_dir = artifacts.out_dir / "plots"
     plot_dir.mkdir(exist_ok=True)
-    t = result.times
+    times = result.times.tolist()
     sample_dt = result.sample_dt
     f1 = report.fundamental_hz
     n_five = ticks(5.0 / f1, sample_dt)
     written = []
 
-    def columns(name: str, cols: list[str], rows: range = range(len(t))):
+    def columns(name: str, cols: list[str], rows: slice = slice(None)):
         path = plot_dir / name
+        # read once as Python floats: a NumPy scalar per value doubles the formatting cost
+        values = [result.channels[c][rows].tolist() for c in cols]
         with open(path, "w", encoding="utf-8") as f:
             f.write("# t " + " ".join(cols) + "\n")
-            for i in rows:
-                f.write(f"{t[i]:.9f} " +
-                        " ".join(f"{result.channels[c][i]:.6f}" for c in cols) + "\n")
+            for t, row in zip(times[rows], zip(*values)):
+                f.write(f"{t:.9f} " + " ".join(f"{v:.6f}" for v in row) + "\n")
         written.append(path)
 
     def voltage_window(name: str, t_end: float):
         i1 = ticks(t_end, sample_dt)
-        columns(name, ["vpcc_a", "vpcc_b", "vpcc_c"], range(max(i1 - n_five, 0), i1))
+        columns(name, ["vpcc_a", "vpcc_b", "vpcc_c"], slice(max(i1 - n_five, 0), i1))
 
     def spectrum_file(name: str, t_end: float):
         ts = TimeSeries("vpcc_a", "V", sample_dt,

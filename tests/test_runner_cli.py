@@ -44,11 +44,39 @@ class TestRunArtifacts:
 
     def test_csv_floats_round_trip(self, short_run):
         lines = short_run.csv_path.read_text().splitlines()
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        # full precision repr: reparses to the identical float
-        for cell in lines[2].split(","):
-            assert repr(float(cell)) == cell
+        parsed = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        assert parsed[0, 0] == 0.0
+        # full precision repr: every cell reparses to the recorded bits
+        result = short_run.result
+        table = np.column_stack([result.times] + [result.channels[n] for n in KNOWN_CHANNELS])
+        assert parsed.shape == table.shape
+        assert np.array_equal(parsed.view(np.int64), table.view(np.int64))
+
+    def test_csv_lines_are_each_rows_repr(self, tmp_path):
+        # held runs are formatted once per block: the text must not show it
+        n = 2 * runner.CSV_BLOCK_ROWS + 1  # the last block is one row
+        rows = np.arange(n)
+        signed_zeros = np.where(rows < 100, 0.0, -0.0)
+        signed_zeros[300:] = 0.0
+        specials = np.select([rows < 50, rows < 120, rows < 200],
+                             [np.nan, np.inf, -np.inf], default=np.nan)
+        across = np.where((rows >= 200) & (rows < 400), 1.5, 0.1)  # runs over row 256
+        distinct = np.random.default_rng(0).standard_normal(n) * 10.0 ** (rows % 40 - 20)
+        held_to_end = np.repeat([3.25, 2.0, 7.0], [255, 257, 1])  # last run one row long
+        patterns = [signed_zeros, specials, across, distinct, held_to_end]
+        cfg = from_mapping(SHORT)
+        names = channel_names(len(cfg.dgs))
+        result = runner.RunResult(
+            cfg=cfg, times=rows * 1e-4,
+            channels={name: patterns[i % len(patterns)].copy() for i, name in enumerate(names)},
+            flags=None, flags_dropped=None, mode_transitions=None,
+            energy_audit_percent=None, max_kcl_residual=None, mpp_available_w=())
+        path = tmp_path / "timeseries.csv"
+        runner.write_csv(result, path)
+        table = np.column_stack([result.times] + [result.channels[name] for name in names])
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == ",".join(["t"] + names)
+        assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()] + [""]
 
     def test_report_has_fixed_keys(self, short_run):
         text = short_run.report_path.read_text()
