@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -7,12 +7,19 @@ and the central compensator decimate further); the plant integrates at the
 solver step, taking several substeps per control tick when the step is
 refined.  All channels are sampled on a fixed output grid and written as
 CSV with full round-trip float precision, so a re-run from the echoed
-configuration is byte-identical.
+configuration is byte-identical.  Where the process may use a second CPU,
+a forked child formats the later half of the CSV's rows while this
+process writes the earlier half; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import signal
+import tempfile
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -390,21 +397,83 @@ def _column_text(values: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, (np.cumsum(head) - 1).tolist()))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _write_rows(f, cols: list[np.ndarray], start: int, stop: int):
+    """Rows ``start`` to ``stop`` of ``cols`` as CSV lines, a block at a time.
+
+    Each block is turned into text column by column, then joined row by
+    row; every value is written as its ``repr``.
+    """
+    for i in range(start, stop, CSV_BLOCK_ROWS):
+        texts = [_column_text(c[i:min(i + CSV_BLOCK_ROWS, stop)]) for c in cols]
+        f.writelines(",".join(row) + "\n" for row in zip(*texts))
+        del texts  # one block's strings alive at a time, not two
+
+
 def write_csv(result: RunResult, path: Path):
     """The recorded table, narrowed to ``outputs.channels``, in channel order.
 
-    Each block of rows is turned into text column by column, then joined
-    row by row; every value is written as its ``repr``.
+    With a second usable CPU and at least two blocks of rows, the write
+    forks once: the child formats the later half of the blocks into an
+    unnamed temporary file in the CSV's directory, while this process
+    writes the header and the earlier half, reaps the child and appends
+    its text.  Otherwise every row is written here.  Both halves go
+    through :func:`_write_rows`, so the bytes do not depend on the path.
+    A child that fails raises an ``OSError`` naming the CSV; if this
+    process's half raises, the child is killed and reaped first.
     """
     chosen = result.cfg.channels
     names = [n for n in channel_names(len(result.cfg.dgs)) if chosen is None or n in chosen]
     cols = [result.times] + [result.channels[n] for n in names]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(["t"] + names) + "\n")
-        for i in range(0, len(result.times), CSV_BLOCK_ROWS):
-            texts = [_column_text(c[i:i + CSV_BLOCK_ROWS]) for c in cols]
-            f.writelines(",".join(row) + "\n" for row in zip(*texts))
-            del texts  # one block's strings alive at a time, not two
+    rows = len(result.times)
+    blocks = -(-rows // CSV_BLOCK_ROWS)
+    header = ",".join(["t"] + names) + "\n"
+    if blocks < 2 or _usable_cpus() < 2:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(header)
+            _write_rows(f, cols, 0, rows)
+        return
+    # the child takes the later blocks, so this process writes the CSV in
+    # order and only the child's text is copied
+    split = CSV_BLOCK_ROWS * ((blocks + 1) // 2)
+    with tempfile.TemporaryFile(dir=path.parent) as later:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks, and
+            # NumPy's BLAS pool is one.  The child takes no lock another
+            # thread may hold: it calls no BLAS routine, formats text and
+            # leaves with os._exit.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: no cleanup of the parent's state may run here
+            code = 1
+            try:
+                with open(later.fileno(), "w", encoding="utf-8", newline="",
+                          closefd=False) as f:
+                    _write_rows(f, cols, split, rows)
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(header)
+                _write_rows(f, cols, 0, split)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid = 0
+                if status != 0:
+                    raise OSError(f"{path}: the process formatting rows {split} to "
+                                  f"{rows - 1} exited with status {status}")
+                f.flush()
+                later.seek(0)
+                shutil.copyfileobj(later, f.buffer)
+        finally:
+            if pid:  # this process's half raised: the child's text is not needed
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def write_report(report: MetricsReport, cfg: ScenarioConfig, path: Path):

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +54,9 @@ class TestRunArtifacts:
         assert parsed.shape == table.shape
         assert np.array_equal(parsed.view(np.int64), table.view(np.int64))
 
-    def test_csv_lines_are_each_rows_repr(self, tmp_path):
-        # held runs are formatted once per block: the text must not show it
-        n = 2 * runner.CSV_BLOCK_ROWS + 1  # the last block is one row
+    @staticmethod
+    def _patterned_result(n: int) -> runner.RunResult:
+        """A result whose channels hold runs that ``write_csv``'s blocks and split cut."""
         rows = np.arange(n)
         signed_zeros = np.where(rows < 100, 0.0, -0.0)
         signed_zeros[300:] = 0.0
@@ -62,21 +64,108 @@ class TestRunArtifacts:
                              [np.nan, np.inf, -np.inf], default=np.nan)
         across = np.where((rows >= 200) & (rows < 400), 1.5, 0.1)  # runs over row 256
         distinct = np.random.default_rng(0).standard_normal(n) * 10.0 ** (rows % 40 - 20)
-        held_to_end = np.repeat([3.25, 2.0, 7.0], [255, 257, 1])  # last run one row long
-        patterns = [signed_zeros, specials, across, distinct, held_to_end]
+        held_to_end = np.repeat([3.25, 2.0, 7.0], [255, n - 256, 1])  # last run one row long
+        # held from row 200 to the end: any block edge the write splits at lies inside
+        over_split = np.where(rows < 200, -0.5, 6.25)
+        patterns = [signed_zeros, specials, across, distinct, held_to_end, over_split]
         cfg = from_mapping(SHORT)
         names = channel_names(len(cfg.dgs))
-        result = runner.RunResult(
+        return runner.RunResult(
             cfg=cfg, times=rows * 1e-4,
             channels={name: patterns[i % len(patterns)].copy() for i, name in enumerate(names)},
             flags=None, flags_dropped=None, mode_transitions=None,
             energy_audit_percent=None, max_kcl_residual=None, mpp_available_w=())
-        path = tmp_path / "timeseries.csv"
-        runner.write_csv(result, path)
+
+    @staticmethod
+    def _expected_lines(result: runner.RunResult) -> list[str]:
+        names = channel_names(len(result.cfg.dgs))
         table = np.column_stack([result.times] + [result.channels[name] for name in names])
-        lines = path.read_text(encoding="utf-8").split("\n")
-        assert lines[0] == ",".join(["t"] + names)
-        assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()] + [""]
+        return ([",".join(["t"] + names)]
+                + [",".join(map(repr, row)) for row in table.tolist()] + [""])
+
+    def test_csv_lines_are_each_rows_repr(self, tmp_path, monkeypatch):
+        # held runs are formatted once per block, and with a second CPU a
+        # forked child writes the later blocks: the text must show neither
+        n = 2 * runner.CSV_BLOCK_ROWS + 1  # the last block is one row
+        result = self._patterned_result(n)
+        expected = self._expected_lines(result)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        for cpus, forked in ((2, 1), (1, 0)):
+            monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+            path = tmp_path / f"timeseries{cpus}.csv"
+            runner.write_csv(result, path)
+            assert len(forks) == forked, cpus
+            forks.clear()
+            assert path.read_text(encoding="utf-8").split("\n") == expected, cpus
+            with pytest.raises(ChildProcessError):  # no child is left behind
+                os.waitpid(-1, os.WNOHANG)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["timeseries1.csv",
+                                                                "timeseries2.csv"]
+
+    def test_one_block_is_written_without_a_fork(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for a single block")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        result = self._patterned_result(runner.CSV_BLOCK_ROWS)
+        runner.write_csv(result, tmp_path / "timeseries.csv")
+        text = (tmp_path / "timeseries.csv").read_text(encoding="utf-8")
+        assert text.split("\n") == self._expected_lines(result)
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_failed_half_leaves_no_child_and_no_temporary_file(self, tmp_path, monkeypatch,
+                                                                 failing):
+        real = runner._column_text
+        parent = os.getpid()
+
+        def column_text(values):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise MemoryError(f"{failing} half")
+            return real(values)
+
+        monkeypatch.setattr(runner, "_column_text", column_text)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        path = tmp_path / "timeseries.csv"
+        result = self._patterned_result(4 * runner.CSV_BLOCK_ROWS)
+        if failing == "child":
+            # the child's error cannot cross the fork: the parent reports it for the CSV
+            with pytest.raises(OSError, match=str(path)):
+                runner.write_csv(result, path)
+        else:
+            with pytest.raises(MemoryError, match="parent half"):
+                runner.write_csv(result, path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [p.name for p in tmp_path.iterdir()] == ["timeseries.csv"]
+
+    def test_fork_warning_of_a_threaded_process_is_silenced(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns in the parent when a process with threads forks
+        real_fork = os.fork
+
+        def warning_fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            runner.write_csv(self._patterned_result(600), tmp_path / "timeseries.csv")
+        assert seen == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_report_has_fixed_keys(self, short_run):
         text = short_run.report_path.read_text()
@@ -648,6 +737,19 @@ class TestCli:
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "missing")]) == cli.EXIT_IO
+
+    def test_run_into_a_regular_file_exits_with_io_error(self, monkeypatch, tmp_path, capsys):
+        def never(cfg):
+            raise AssertionError("simulated a run whose artifacts cannot be written")
+
+        monkeypatch.setattr(runner, "run_simulation", never)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert cli.main(["run", "baseline", "--out", str(taken)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and str(taken) in err
+        assert "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"
 
     def test_report_rebuild_prices_arrays_after_events(self, tmp_path, capsys):
         # loadstep shape: irradiance dip, then a load drop that curtails the arrays
