@@ -92,6 +92,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _first_bad_line(csv_path: Path, width: int) -> int | None:
+    """The number of the first line after the header that is not ``width`` numbers."""
+    with open(csv_path, "r", encoding="utf-8") as f:
+        for number, line in enumerate(itertools.islice(f, 1, None), start=2):
+            try:
+                if len(list(map(float, line.split(",")))) == width:
+                    continue
+            except ValueError:
+                pass
+            return number
+    return None
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     echo_path = run_dir / "config.echo"
@@ -114,7 +127,12 @@ def cmd_report(args) -> int:
     # narrowed CSV lacks is named by the report's own check
     wanted = {"t", *runner.report_channels(len(cfg.dgs))}
     columns = [i for i, name in enumerate(header) if name in wanted]
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=columns, ndmin=2)
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=columns, ndmin=2)
+    except ValueError as exc:  # a line cut short, or a cell that is not a number
+        line = _first_bad_line(csv_path, len(header))
+        raise AnalysisError(f"{csv_path}: line {line} is not {len(header)} numbers"
+                            if line else f"{csv_path}: {exc}") from exc
     parsed = dict(zip((header[i] for i in columns), data.T))
     # Windowed metrics rebuild exactly from the recorded channels; run-time
     # diagnostics (audit, residual, transitions, flags) live only in the

@@ -7,19 +7,22 @@ and the central compensator decimate further); the plant integrates at the
 solver step, taking several substeps per control tick when the step is
 refined.  All channels are sampled on a fixed output grid and written as
 CSV with full round-trip float precision, so a re-run from the echoed
-configuration is byte-identical.  Where the process may use a second CPU,
-a forked child formats the later half of the CSV's rows while this
-process writes the earlier half; the bytes are the same either way.
+configuration is byte-identical.  The table lives in memory a forked
+child shares: where the process may use a second CPU, a writer forked
+before the first tick turns each finished block of rows into CSV text
+while the run goes on, so the text is ready when the last tick ends.  The
+bytes are the same as those of the in-process write.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import shutil
 import signal
 import tempfile
 import warnings
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +54,9 @@ class RunResult:
     energy_audit_percent: float | None
     max_kcl_residual: float | None
     mpp_available_w: tuple[float, ...]
+    # the CSV's rows as text, when a writer formatted them during the run: a
+    # descriptor of an unlinked file, closed when the result is collected
+    csv_rows: int | None = None
 
     @property
     def sample_dt(self) -> float:
@@ -62,7 +68,7 @@ class RunResult:
 
 def _mpp_power(pv: PvParams, irradiance: float) -> float:
     vs = np.linspace(0.0, pv.v_oc, 4001)
-    ps = vs * np.array([pv_current(v, irradiance, pv) for v in vs])
+    ps = vs * np.array([pv_current(v, irradiance, pv) for v in vs.tolist()])
     return float(ps.max())
 
 
@@ -128,6 +134,15 @@ class FlagLog:
 
 
 def run_simulation(cfg: ScenarioConfig) -> RunResult:
+    """Simulate ``cfg`` and record every channel on the output grid.
+
+    The table of samples is shared with a forked writer when more than one
+    CPU is usable and the table holds more than one ``CSV_BLOCK_ROWS``
+    block: the writer formats each block once it is recorded, and the
+    result's ``csv_rows`` holds the text.  The writer is reaped before
+    this returns, and killed and reaped before any exception propagates;
+    a writer that fails raises an ``OSError``.
+    """
     plant = build_plant(cfg)
     controllers = build_controllers(cfg)
     comp = build_compensator(cfg)
@@ -159,7 +174,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     # One row per sample: ``t``, then every channel in CSV column order;
     # column-major, so every channel is a contiguous view.
     names = channel_names(len(cfg.dgs))
-    table = np.empty((recorded_rows(cfg), 1 + len(names)), order="F")
+    table = _shared_table(recorded_rows(cfg), 1 + len(names))
+    channels = {n: table[:, i] for i, n in enumerate(names, start=1)}
     unit_sources = [f"dg{d + 1}" for d in range(len(controllers))]
     flags = FlagLog({"vcc": VCC_FLAGS, **dict.fromkeys(unit_sources, UNIT_FLAGS)})
 
@@ -170,81 +186,98 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     in_flight: deque[tuple[int, dict]] = deque()
     efforts: dict | None = None
 
-    for tick in range(n_ticks):
-        t = tick * dt_ctl
-        theta = pll.theta
-        omega = pll.omega
-        vcc_active = tick >= enable_tick
-        if tick == load_tick:
-            plant.network.set_load_scale(cfg.load.step_scale)
-        while events and events[0][0] <= tick:
-            _, d, value = events.popleft()
-            plant.dc_sides[d].set_irradiance(value)
+    writer = None
+    if _usable_cpus() > 1 and len(table) > CSV_BLOCK_ROWS:
+        writer = _RowWriter([table[:, 0]] + [channels[n] for n in _csv_names(cfg)])
+    try:
+        for tick in range(n_ticks):
+            t = tick * dt_ctl
+            theta = pll.theta
+            omega = pll.omega
+            vcc_active = tick >= enable_tick
+            if tick == load_tick:
+                plant.network.set_load_scale(cfg.load.step_scale)
+            while events and events[0][0] <= tick:
+                _, d, value = events.popleft()
+                plant.dc_sides[d].set_irradiance(value)
 
-        v_pcc_ab, rows = plant.measurements(theta)
-        v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
+            v_pcc_ab, rows = plant.measurements(theta)
+            v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
 
-        if tick % vcc_every == 0:
-            extracted = bank.step(v_pcc_abc, theta, vcc.period)
-            if vcc_active:
-                in_flight.append((tick + delay_ticks, comp.step(extracted, vcc.period)))
-            else:
-                comp.measure(extracted)
+            if tick % vcc_every == 0:
+                extracted = bank.step(v_pcc_abc, theta, vcc.period)
+                if vcc_active:
+                    in_flight.append((tick + delay_ticks, comp.step(extracted, vcc.period)))
+                else:
+                    comp.measure(extracted)
 
-        while in_flight and in_flight[0][0] <= tick:
-            efforts = in_flight.popleft()[1]
+            while in_flight and in_flight[0][0] <= tick:
+                efforts = in_flight.popleft()[1]
 
-        duties = []
-        mods = []
-        vc_log = zero_vcs if efforts is None else comp.correction_from(efforts, theta)
-        if vcc_active and tick % vcc_every == 0:
-            # the clamp counts once the corrections it cuts reach the units
-            flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
-            comp.clamped = False
-        for ctl, row, v_c in zip(controllers, rows, vc_log):
-            duty, m = ctl.step(row, v_c, t)
-            duties.append(duty)
-            mods.append(m)
+            duties = []
+            mods = []
+            vc_log = zero_vcs if efforts is None else comp.correction_from(efforts, theta)
+            if vcc_active and tick % vcc_every == 0:
+                # the clamp counts once the corrections it cuts reach the units
+                flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
+                comp.clamped = False
+            for ctl, row, v_c in zip(controllers, rows, vc_log):
+                duty, m = ctl.step(row, v_c, t)
+                duties.append(duty)
+                mods.append(m)
 
-        if tick % sample_every == 0:
-            values = [t, *v_pcc_abc]
-            for ctl, row, duty in zip(controllers, rows, duties):
-                _, _, _, _, ioa, iob, v_dc, v_pv, _ = row
-                values += (ctl.p_avg, ctl.q_avg, v_dc, v_pv, duty,
-                           1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
-                           *inverse_clarke_xy(ioa, iob))
-            values += [row[7] * row[8] for row in rows]  # v_pv * i_pv
-            values += (1.0 if vcc_active else 0.0, comp.vuf,
-                       *map(comp.hd.__getitem__, HARMONIC_ORDERS))
-            for v_c in vc_log:
-                values += v_c
-            table[tick // sample_every] = values
+            if tick % sample_every == 0:
+                values = [t, *v_pcc_abc]
+                for ctl, row, duty in zip(controllers, rows, duties):
+                    _, _, _, _, ioa, iob, v_dc, v_pv, _ = row
+                    values += (ctl.p_avg, ctl.q_avg, v_dc, v_pv, duty,
+                               1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
+                               *inverse_clarke_xy(ioa, iob))
+                values += [row[7] * row[8] for row in rows]  # v_pv * i_pv
+                values += (1.0 if vcc_active else 0.0, comp.vuf,
+                           *map(comp.hd.__getitem__, HARMONIC_ORDERS))
+                for v_c in vc_log:
+                    values += v_c
+                sample = tick // sample_every
+                table[sample] = values
+                if writer is not None and (sample + 1) % CSV_BLOCK_ROWS == 0:
+                    writer.send(sample + 1)
 
-        pll.step(v_pcc_ab, dt_ctl)
-        for sub in range(n_sub):
-            # injections evaluated mid-substep: a start-of-step hold leaves a
-            # first-order phase bias that shows up in the harmonic voltages
-            plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
-        # after the substeps, so a bridge clamp is stamped with the tick of its commands
-        for source, ctl, saturated in zip(unit_sources, controllers, plant.saturated):
-            flags.update(t, source, (ctl.droop.clamped, ctl.voltage_loop.clamped,
-                                     ctl.current_loop.locked_out, saturated))
+            pll.step(v_pcc_ab, dt_ctl)
+            for sub in range(n_sub):
+                # injections evaluated mid-substep: a start-of-step hold leaves a
+                # first-order phase bias that shows up in the harmonic voltages
+                plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
+            # after the substeps, so a bridge clamp is stamped with the tick of its commands
+            for source, ctl, saturated in zip(unit_sources, controllers, plant.saturated):
+                flags.update(t, source, (ctl.droop.clamped, ctl.voltage_loop.clamped,
+                                         ctl.current_loop.locked_out, saturated))
 
-    mode_transitions = sorted(
-        (t_switch, f"dg{d + 1}", what)
-        for d, ctl in enumerate(controllers) for t_switch, what in ctl.boost.transitions)
+        if writer is not None:
+            writer.finish(len(table))  # the last rows are formatted while the run closes
 
-    return RunResult(
-        cfg=cfg,
-        times=table[:, 0],
-        channels={n: table[:, i] for i, n in enumerate(names, start=1)},
-        flags=flags.events,
-        flags_dropped=flags.dropped,
-        mode_transitions=mode_transitions,
-        energy_audit_percent=100.0 * plant.energy_audit_error(),
-        max_kcl_residual=plant.max_kcl_residual,
-        mpp_available_w=mpp_available_w(cfg, n_ticks - 1),
-    )
+        mode_transitions = sorted(
+            (t_switch, f"dg{d + 1}", what)
+            for d, ctl in enumerate(controllers) for t_switch, what in ctl.boost.transitions)
+
+        result = RunResult(
+            cfg=cfg,
+            times=table[:, 0],
+            channels=channels,
+            flags=flags.events,
+            flags_dropped=flags.dropped,
+            mode_transitions=mode_transitions,
+            energy_audit_percent=100.0 * plant.energy_audit_error(),
+            max_kcl_residual=plant.max_kcl_residual,
+            mpp_available_w=mpp_available_w(cfg, n_ticks - 1),
+        )
+        if writer is not None:
+            result.csv_rows = writer.reap()
+            weakref.finalize(result, os.close, result.csv_rows)
+        return result
+    finally:
+        if writer is not None:
+            writer.discard()
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +435,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _shared_table(rows: int, cols: int) -> np.ndarray:
+    """A zeroed float64 table in column-major order, in memory a forked child shares."""
+    return np.ndarray((rows, cols), order="F", buffer=mmap.mmap(-1, 8 * rows * cols))
+
+
+def _csv_names(cfg: ScenarioConfig) -> list[str]:
+    """The CSV's channels: ``outputs.channels``, in channel order."""
+    chosen = cfg.channels
+    return [n for n in channel_names(len(cfg.dgs)) if chosen is None or n in chosen]
+
+
 def _write_rows(f, cols: list[np.ndarray], start: int, stop: int):
     """Rows ``start`` to ``stop`` of ``cols`` as CSV lines, a block at a time.
 
@@ -414,66 +458,112 @@ def _write_rows(f, cols: list[np.ndarray], start: int, stop: int):
         del texts  # one block's strings alive at a time, not two
 
 
+class _RowWriter:
+    """A forked child that turns a shared table's rows into CSV text as they are recorded.
+
+    This process sends the end of each finished block down a pipe; the
+    child writes the rows up to it with :func:`_write_rows` into an
+    unlinked temporary file, and exits once the pipe is closed.  Blocks
+    start where the in-process write starts them, so the text is the same.
+    """
+
+    def __init__(self, cols: list[np.ndarray]):
+        self.pid = 0
+        self.pipe = self.fd = stops = -1
+        try:
+            self.fd, name = tempfile.mkstemp(prefix="pvisland-rows-")
+            os.unlink(name)
+            stops, self.pipe = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a process with threads forks, and
+                # NumPy's BLAS pool is one.  The child takes no lock another
+                # thread may hold: it calls no BLAS routine, formats text and
+                # leaves with os._exit.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                self.pid = os.fork()
+        except BaseException:
+            if stops >= 0:
+                os.close(stops)
+            self.discard()
+            raise
+        if self.pid == 0:
+            self._format(stops, cols)
+        os.close(stops)
+
+    def _format(self, stops: int, cols: list[np.ndarray]):
+        """The child's whole life: no cleanup of the parent's state may run here."""
+        code = 1
+        try:
+            os.close(self.pipe)
+            with open(stops, "rb") as ends, open(self.fd, "w", encoding="utf-8", newline="",
+                                                  closefd=False) as f:
+                done = 0
+                while end := ends.read(8):
+                    stop = int.from_bytes(end, "little")
+                    _write_rows(f, cols, done, stop)
+                    done = stop
+            code = 0
+        finally:
+            os._exit(code)
+
+    def send(self, stop: int):
+        """Have the rows up to ``stop`` formatted."""
+        try:
+            os.write(self.pipe, stop.to_bytes(8, "little"))
+        except BrokenPipeError:  # the child has left: say how
+            self.reap()
+            raise
+
+    def finish(self, rows: int):
+        """Send the last rows; the child exits once they are formatted."""
+        self.send(rows)
+        os.close(self.pipe)
+        self.pipe = -1
+
+    def reap(self) -> int:
+        """Wait for the child; the descriptor of its text, which the caller then owns."""
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = 0
+        if status != 0:
+            raise OSError(f"the process formatting the CSV's rows exited with status {status}")
+        fd, self.fd = self.fd, -1
+        return fd
+
+    def discard(self):
+        """Kill and reap the child if it is running; close what this writer still holds."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        for fd in (self.pipe, self.fd):
+            if fd >= 0:
+                os.close(fd)
+        self.pipe = self.fd = -1
+
+
 def write_csv(result: RunResult, path: Path):
     """The recorded table, narrowed to ``outputs.channels``, in channel order.
 
-    With a second usable CPU and at least two blocks of rows, the write
-    forks once: the child formats the later half of the blocks into an
-    unnamed temporary file in the CSV's directory, while this process
-    writes the header and the earlier half, reaps the child and appends
-    its text.  Otherwise every row is written here.  Both halves go
-    through :func:`_write_rows`, so the bytes do not depend on the path.
-    A child that fails raises an ``OSError`` naming the CSV; if this
-    process's half raises, the child is killed and reaped first.
+    When a writer formatted the rows during the run (``result.csv_rows``),
+    the header is written and that text copied after it; the text is read
+    at explicit offsets, so the same result can be written again.  Otherwise
+    (one usable CPU, a single block, or a result rebuilt from a CSV) every
+    row is formatted here with the same row writer, so the bytes do not
+    depend on the path.
     """
-    chosen = result.cfg.channels
-    names = [n for n in channel_names(len(result.cfg.dgs)) if chosen is None or n in chosen]
-    cols = [result.times] + [result.channels[n] for n in names]
-    rows = len(result.times)
-    blocks = -(-rows // CSV_BLOCK_ROWS)
-    header = ",".join(["t"] + names) + "\n"
-    if blocks < 2 or _usable_cpus() < 2:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(header)
-            _write_rows(f, cols, 0, rows)
-        return
-    # the child takes the later blocks, so this process writes the CSV in
-    # order and only the child's text is copied
-    split = CSV_BLOCK_ROWS * ((blocks + 1) // 2)
-    with tempfile.TemporaryFile(dir=path.parent) as later:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads forks, and
-            # NumPy's BLAS pool is one.  The child takes no lock another
-            # thread may hold: it calls no BLAS routine, formats text and
-            # leaves with os._exit.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:  # the child: no cleanup of the parent's state may run here
-            code = 1
-            try:
-                with open(later.fileno(), "w", encoding="utf-8", newline="",
-                          closefd=False) as f:
-                    _write_rows(f, cols, split, rows)
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(header)
-                _write_rows(f, cols, 0, split)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                pid = 0
-                if status != 0:
-                    raise OSError(f"{path}: the process formatting rows {split} to "
-                                  f"{rows - 1} exited with status {status}")
-                f.flush()
-                later.seek(0)
-                shutil.copyfileobj(later, f.buffer)
-        finally:
-            if pid:  # this process's half raised: the child's text is not needed
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    names = _csv_names(result.cfg)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(["t"] + names) + "\n")
+        if result.csv_rows is None:
+            cols = [result.times] + [result.channels[n] for n in names]
+            _write_rows(f, cols, 0, len(result.times))
+            return
+        f.flush()
+        offset = 0
+        while chunk := os.pread(result.csv_rows, 1 << 16, offset):
+            f.buffer.write(chunk)
+            offset += len(chunk)
 
 
 def write_report(report: MetricsReport, cfg: ScenarioConfig, path: Path):
@@ -542,8 +632,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path,
     check_report_length(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_simulation(cfg)
     csv_path, echo_path = out / "timeseries.csv", out / "config.echo"
+    try:
+        result = run_simulation(cfg)
+    except OSError as exc:  # the run's system calls all serve the CSV: its table and writer
+        raise OSError(f"{csv_path}: {exc}") from exc
     try:
         report = assemble_report(result)
     except AnalysisError as exc:

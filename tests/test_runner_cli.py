@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -56,7 +58,7 @@ class TestRunArtifacts:
 
     @staticmethod
     def _patterned_result(n: int) -> runner.RunResult:
-        """A result whose channels hold runs that ``write_csv``'s blocks and split cut."""
+        """A result whose channels hold runs that the CSV's blocks cut."""
         rows = np.arange(n)
         signed_zeros = np.where(rows < 100, 0.0, -0.0)
         signed_zeros[300:] = 0.0
@@ -65,9 +67,9 @@ class TestRunArtifacts:
         across = np.where((rows >= 200) & (rows < 400), 1.5, 0.1)  # runs over row 256
         distinct = np.random.default_rng(0).standard_normal(n) * 10.0 ** (rows % 40 - 20)
         held_to_end = np.repeat([3.25, 2.0, 7.0], [255, n - 256, 1])  # last run one row long
-        # held from row 200 to the end: any block edge the write splits at lies inside
-        over_split = np.where(rows < 200, -0.5, 6.25)
-        patterns = [signed_zeros, specials, across, distinct, held_to_end, over_split]
+        # held from row 200 to the end: every later block edge lies inside it
+        over_edges = np.where(rows < 200, -0.5, 6.25)
+        patterns = [signed_zeros, specials, across, distinct, held_to_end, over_edges]
         cfg = from_mapping(SHORT)
         names = channel_names(len(cfg.dgs))
         return runner.RunResult(
@@ -83,12 +85,43 @@ class TestRunArtifacts:
         return ([",".join(["t"] + names)]
                 + [",".join(map(repr, row)) for row in table.tolist()] + [""])
 
-    def test_csv_lines_are_each_rows_repr(self, tmp_path, monkeypatch):
-        # held runs are formatted once per block, and with a second CPU a
-        # forked child writes the later blocks: the text must show neither
+    def test_csv_lines_are_each_rows_repr(self, tmp_path):
+        # held runs are formatted once per block, in this process for a
+        # rebuilt result and by the writer a run forks: the text shows neither
         n = 2 * runner.CSV_BLOCK_ROWS + 1  # the last block is one row
         result = self._patterned_result(n)
         expected = self._expected_lines(result)
+        runner.write_csv(result, tmp_path / "in_process.csv")
+
+        # the writer's side of a run: rows recorded into the shared table a
+        # block at a time, each block sent once it is complete
+        recorded = np.column_stack(
+            [result.times] + [result.channels[name] for name in channel_names(2)])
+        table = runner._shared_table(*recorded.shape)
+        writer = runner._RowWriter(list(table.T))
+        try:
+            for stop in range(runner.CSV_BLOCK_ROWS, n + 1, runner.CSV_BLOCK_ROWS):
+                table[stop - runner.CSV_BLOCK_ROWS:stop] = recorded[
+                    stop - runner.CSV_BLOCK_ROWS:stop]
+                writer.send(stop)
+            table[stop:] = recorded[stop:]
+            writer.finish(n)
+            streamed = dataclasses.replace(result, csv_rows=writer.reap())
+        finally:
+            writer.discard()
+        try:
+            runner.write_csv(streamed, tmp_path / "streamed.csv")
+        finally:
+            os.close(streamed.csv_rows)
+        for name in ("in_process.csv", "streamed.csv"):
+            assert (tmp_path / name).read_text(encoding="utf-8").split("\n") == expected, name
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("channels", ["all", "vpcc_b, dg2_q, vcc_hd5, vc2_beta"])
+    def test_streamed_rows_are_the_in_process_bytes(self, tmp_path, monkeypatch, channels):
+        cfg = from_mapping({"solver.duration": "0.12", "vcc.enable_at": "0.06",
+                            "outputs.channels": channels})
         forks = []
         real_fork = os.fork
 
@@ -97,17 +130,24 @@ class TestRunArtifacts:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
+        texts = {}
         for cpus, forked in ((2, 1), (1, 0)):
             monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
-            path = tmp_path / f"timeseries{cpus}.csv"
-            runner.write_csv(result, path)
+            result = run_simulation(cfg)
             assert len(forks) == forked, cpus
             forks.clear()
-            assert path.read_text(encoding="utf-8").split("\n") == expected, cpus
-            with pytest.raises(ChildProcessError):  # no child is left behind
+            assert (result.csv_rows is not None) == (cpus == 2)
+            # the rows are copied, not consumed: every write gives the same bytes
+            for i in range(3):
+                path = tmp_path / f"timeseries{cpus}-{i}.csv"
+                runner.write_csv(result, path)
+                texts[path.name] = path.read_bytes()
+            with pytest.raises(ChildProcessError):  # the run reaped its writer
                 os.waitpid(-1, os.WNOHANG)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["timeseries1.csv",
-                                                                "timeseries2.csv"]
+        assert len(set(texts.values())) == 1
+        header = texts["timeseries1-0.csv"].split(b"\n", 1)[0].decode()
+        assert header.split(",")[1:] == [n for n in KNOWN_CHANNELS
+                                         if channels == "all" or n in channels.split(", ")]
 
     def test_one_block_is_written_without_a_fork(self, tmp_path, monkeypatch):
         def no_fork():
@@ -115,38 +155,61 @@ class TestRunArtifacts:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
-        result = self._patterned_result(runner.CSV_BLOCK_ROWS)
+        result = run_simulation(from_mapping({"solver.duration": "0.02"}))
+        assert len(result.times) <= runner.CSV_BLOCK_ROWS
+        assert result.csv_rows is None
         runner.write_csv(result, tmp_path / "timeseries.csv")
         text = (tmp_path / "timeseries.csv").read_text(encoding="utf-8")
         assert text.split("\n") == self._expected_lines(result)
 
-    @pytest.mark.parametrize("failing", ["child", "parent"])
+    @pytest.mark.parametrize("failing", ["child", "parent", "parent-at-block-edge"])
     def test_a_failed_half_leaves_no_child_and_no_temporary_file(self, tmp_path, monkeypatch,
-                                                                 failing):
-        real = runner._column_text
-        parent = os.getpid()
-
-        def column_text(values):
-            if (os.getpid() == parent) == (failing == "parent"):
-                raise MemoryError(f"{failing} half")
-            return real(values)
-
-        monkeypatch.setattr(runner, "_column_text", column_text)
+                                                                 capsys, failing):
+        # the writer fails on its first block, or the run diverges mid-block
+        # or right after its first block was sent (ticks 0-510 recorded rows
+        # 0-255 at two ticks per row)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
-        path = tmp_path / "timeseries.csv"
-        result = self._patterned_result(4 * runner.CSV_BLOCK_ROWS)
+        temporary = tmp_path / "tmp"
+        temporary.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temporary))
         if failing == "child":
-            # the child's error cannot cross the fork: the parent reports it for the CSV
-            with pytest.raises(OSError, match=str(path)):
-                runner.write_csv(result, path)
+            real = runner._column_text
+            parent = os.getpid()
+
+            def column_text(values):
+                if os.getpid() != parent:
+                    raise MemoryError("writer")
+                return real(values)
+
+            monkeypatch.setattr(runner, "_column_text", column_text)
         else:
-            with pytest.raises(MemoryError, match="parent half"):
-                runner.write_csv(result, path)
+            fail_at = 700 if failing == "parent" else 510
+            real_step = Plant.step
+            calls = itertools.count(1)
+
+            def step(plant, *args):
+                if next(calls) > fail_at:
+                    raise SimulationDivergence("diverged", t_last_good=0.0)
+                return real_step(plant, *args)
+
+            monkeypatch.setattr(Plant, "step", step)
+        open_before = sorted(os.listdir("/dev/fd"))
+        out = tmp_path / "run"
+        code = cli.main(["run", "baseline", "--duration", "0.6", "--vcc", "off",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        if failing == "child":
+            # the child's error cannot cross the fork: the run reports it for the CSV
+            assert code == cli.EXIT_IO
+            assert str(out / "timeseries.csv") in err and "status 1" in err
+        else:
+            assert code == cli.EXIT_DIVERGENCE
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert [p.name for p in tmp_path.iterdir()] == ["timeseries.csv"]
+        assert sorted(os.listdir("/dev/fd")) == open_before
+        assert list(out.iterdir()) == [] and list(temporary.iterdir()) == []
 
-    def test_fork_warning_of_a_threaded_process_is_silenced(self, tmp_path, monkeypatch):
+    def test_fork_warning_of_a_threaded_process_is_silenced(self, monkeypatch):
         # Python 3.12+ warns in the parent when a process with threads forks
         real_fork = os.fork
 
@@ -162,7 +225,7 @@ class TestRunArtifacts:
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            runner.write_csv(self._patterned_result(600), tmp_path / "timeseries.csv")
+            assert run_simulation(from_mapping({"solver.duration": "0.06"})).csv_rows is not None
         assert seen == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -227,14 +290,17 @@ class TestRunArtifacts:
         (lambda lines: [line.split(",", 1)[1] for line in lines], "no 't' column"),
         (lambda lines: lines[:1], "fewer than two rows"),
         (lambda lines: lines[:2], "fewer than two rows"),
-    ], ids=["no-time-column", "header-only", "one-row"])
+        (lambda lines: lines[:3000] + [lines[3000][:25]], "line 3001 is not 36 numbers"),
+        (lambda lines: lines[:9] + ["-" + lines[9][lines[9].index(","):]] + lines[10:],
+         "line 10 is not 36 numbers"),
+    ], ids=["no-time-column", "header-only", "one-row", "cut-mid-line", "not-a-number"])
     def test_report_rejects_unusable_csv(self, short_run, tmp_path, capsys, cut, message):
         (tmp_path / "config.echo").write_bytes((short_run.out_dir / "config.echo").read_bytes())
         lines = (short_run.out_dir / "timeseries.csv").read_text().splitlines(keepends=True)
         (tmp_path / "timeseries.csv").write_text("".join(cut(lines)))
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert message in err
+        assert message in err and str(tmp_path / "timeseries.csv") in err
         assert "Traceback" not in err
 
 
