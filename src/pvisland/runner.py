@@ -11,7 +11,9 @@ configuration is byte-identical.  The table lives in memory a forked
 child shares: where the process may use a second CPU, a writer forked
 before the first tick turns each finished block of rows into CSV text
 while the run goes on, so the text is ready when the last tick ends.  The
-bytes are the same as those of the in-process write.
+writer keeps off the CPU the run forked it from until the last rows, so
+the ticks do not wait for it.  The bytes are the same as those of the
+in-process write.
 """
 
 from __future__ import annotations
@@ -138,8 +140,9 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
 
     The table of samples is shared with a forked writer when more than one
     CPU is usable and the table holds more than one ``CSV_BLOCK_ROWS``
-    block: the writer formats each block once it is recorded, and the
-    result's ``csv_rows`` holds the text.  The writer is reaped before
+    block: the writer formats each block once it is recorded, on the
+    other usable CPUs while the ticks run, and the result's ``csv_rows``
+    holds the text.  The writer is reaped before
     this returns, and killed and reaped before any exception propagates;
     a writer that fails raises an ``OSError``.
     """
@@ -435,6 +438,18 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _current_cpu() -> int:
+    """The CPU this process is on: ``processor``, field 39 of ``/proc/self/stat``.
+
+    The fields are counted after the last ``)``, since the command name
+    before it may hold spaces.  Raises ``OSError`` where the file is
+    unreadable, ``ValueError`` or ``IndexError`` where it does not parse.
+    """
+    with open("/proc/self/stat", "rb") as f:
+        stat = f.read()
+    return int(stat[stat.rindex(b")") + 2:].split()[36])
+
+
 def _shared_table(rows: int, cols: int) -> np.ndarray:
     """A zeroed float64 table in column-major order, in memory a forked child shares."""
     return np.ndarray((rows, cols), order="F", buffer=mmap.mmap(-1, 8 * rows * cols))
@@ -465,6 +480,12 @@ class _RowWriter:
     child writes the rows up to it with :func:`_write_rows` into an
     unlinked temporary file, and exits once the pipe is closed.  Blocks
     start where the in-process write starts them, so the text is the same.
+    The child is pinned to the usable CPUs other than the one this process
+    was on just before the fork (:func:`_current_cpu`), and unpinned when
+    it is sent the table's last row, which it formats while this process
+    only waits.  The scheduler tends to wake a pipe's reader on the
+    writer's CPU, so an unpinned child formats on the ticks' CPU, taking
+    turns with them while another CPU idles.
     """
 
     def __init__(self, cols: list[np.ndarray]):
@@ -474,6 +495,10 @@ class _RowWriter:
             self.fd, name = tempfile.mkstemp(prefix="pvisland-rows-")
             os.unlink(name)
             stops, self.pipe = os.pipe()
+            try:
+                cpu = _current_cpu()
+            except (OSError, ValueError, IndexError):
+                cpu = None
             with warnings.catch_warnings():
                 # Python 3.12+ warns when a process with threads forks, and
                 # NumPy's BLAS pool is one.  The child takes no lock another
@@ -488,19 +513,30 @@ class _RowWriter:
             self.discard()
             raise
         if self.pid == 0:
-            self._format(stops, cols)
+            self._format(stops, cols, cpu)
         os.close(stops)
 
-    def _format(self, stops: int, cols: list[np.ndarray]):
-        """The child's whole life: no cleanup of the parent's state may run here."""
+    def _format(self, stops: int, cols: list[np.ndarray], cpu: int | None):
+        """The child's whole life: no cleanup of the parent's state may run here.
+
+        ``cpu`` is the parent's CPU at the fork; with it unknown (``None``),
+        or no other CPU usable, the child is not pinned.
+        """
         code = 1
         try:
             os.close(self.pipe)
+            usable = os.sched_getaffinity(0)
+            away = usable - {cpu}
+            pinned = 0 < len(away) < len(usable)
+            if pinned:
+                os.sched_setaffinity(0, away)
             with open(stops, "rb") as ends, open(self.fd, "w", encoding="utf-8", newline="",
                                                   closefd=False) as f:
                 done = 0
                 while end := ends.read(8):
                     stop = int.from_bytes(end, "little")
+                    if pinned and stop == len(cols[0]):
+                        os.sched_setaffinity(0, usable)
                     _write_rows(f, cols, done, stop)
                     done = stop
             code = 0

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -148,6 +149,72 @@ class TestRunArtifacts:
         header = texts["timeseries1-0.csv"].split(b"\n", 1)[0].decode()
         assert header.split(",")[1:] == [n for n in KNOWN_CHANNELS
                                          if channels == "all" or n in channels.split(", ")]
+
+    @pytest.mark.parametrize("case", ["pinned", "one-cpu", "cpu-unknown"])
+    def test_writer_keeps_off_the_simulating_cpu(self, tmp_path, monkeypatch, case):
+        # the writer formats on the CPUs the run did not fork on, and its
+        # last rows on any; held to one CPU, or with the run's CPU unknown,
+        # it is not pinned; the bytes never change
+        usable = os.sched_getaffinity(0)
+        if case == "pinned" and len(usable) < 2:
+            pytest.skip("needs two usable CPUs")
+        cfg = from_mapping({"solver.duration": "0.12", "vcc.enable_at": "0.06"})
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+        runner.write_csv(run_simulation(cfg), tmp_path / "in_process.csv")
+
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        at_fork = []
+        real_cpu = runner._current_cpu
+
+        def current_cpu():
+            if case == "cpu-unknown":
+                raise OSError("no /proc/self/stat")
+            at_fork.append(real_cpu())
+            return at_fork[-1]
+
+        at_first_send = []
+        real_send = runner._RowWriter.send
+
+        def send(writer, stop):
+            if not at_first_send:
+                cpus = os.sched_getaffinity(writer.pid)
+                deadline = time.monotonic() + 5  # the child pins itself once it runs
+                while case == "pinned" and cpus == usable and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                    cpus = os.sched_getaffinity(writer.pid)
+                at_first_send.append(cpus)
+            real_send(writer, stop)
+
+        parent = os.getpid()
+        last_block = tmp_path / "last-block-cpus"
+        real_write_rows = runner._write_rows
+
+        def write_rows(f, cols, start, stop):
+            if os.getpid() != parent and stop == len(cols[0]):
+                last_block.write_text(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+            real_write_rows(f, cols, start, stop)
+
+        monkeypatch.setattr(runner, "_current_cpu", current_cpu)
+        monkeypatch.setattr(runner._RowWriter, "send", send)
+        monkeypatch.setattr(runner, "_write_rows", write_rows)
+        held = {min(usable)} if case == "one-cpu" else usable
+        os.sched_setaffinity(0, held)
+        try:
+            result = run_simulation(cfg)
+        finally:
+            os.sched_setaffinity(0, usable)
+        assert result.csv_rows is not None
+        runner.write_csv(result, tmp_path / "streamed.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+        if case == "pinned":
+            assert at_first_send[0] and at_fork[0] not in at_first_send[0]
+            assert at_first_send[0] < usable
+        else:
+            assert at_first_send == [held]
+        # the last rows are formatted wherever a CPU is free
+        assert last_block.read_text() == " ".join(map(str, sorted(held)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_one_block_is_written_without_a_fork(self, tmp_path, monkeypatch):
         def no_fork():
