@@ -8,12 +8,10 @@ solver step, taking several substeps per control tick when the step is
 refined.  All channels are sampled on a fixed output grid and written as
 CSV with full round-trip float precision, so a re-run from the echoed
 configuration is byte-identical.  The table lives in memory a forked
-child shares: where the process may use a second CPU, a writer forked
-before the first tick turns each finished block of rows into CSV text
-while the run goes on, so the text is ready when the last tick ends.  The
-writer keeps off the CPU the run forked it from until the last rows, so
-the ticks do not wait for it.  The bytes are the same as those of the
-in-process write.
+child shares: a writer forked before the first tick turns each finished
+block of rows into CSV text while the run goes on, so the text is ready
+when the last tick ends.  Where another CPU is usable, the writer keeps
+off the one the run forked it from, so the ticks do not wait for it.
 """
 
 from __future__ import annotations
@@ -56,8 +54,9 @@ class RunResult:
     energy_audit_percent: float | None
     max_kcl_residual: float | None
     mpp_available_w: tuple[float, ...]
-    # the CSV's rows as text, when a writer formatted them during the run: a
-    # descriptor of an unlinked file, closed when the result is collected
+    # the CSV's rows as text, formatted by the run's writer: a descriptor of
+    # an unlinked file, closed when the result is collected; None in a
+    # result rebuilt from a run directory
     csv_rows: int | None = None
 
     @property
@@ -138,11 +137,9 @@ class FlagLog:
 def run_simulation(cfg: ScenarioConfig) -> RunResult:
     """Simulate ``cfg`` and record every channel on the output grid.
 
-    The table of samples is shared with a forked writer when more than one
-    CPU is usable and the table holds more than one ``CSV_BLOCK_ROWS``
-    block: the writer formats each block once it is recorded, on the
-    other usable CPUs while the ticks run, and the result's ``csv_rows``
-    holds the text.  The writer is reaped before
+    The table of samples is shared with a forked writer, which formats
+    each ``CSV_BLOCK_ROWS`` block once it is recorded, while the ticks run;
+    the result's ``csv_rows`` holds the text.  The writer is reaped before
     this returns, and killed and reaped before any exception propagates;
     a writer that fails raises an ``OSError``.
     """
@@ -189,9 +186,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     in_flight: deque[tuple[int, dict]] = deque()
     efforts: dict | None = None
 
-    writer = None
-    if _usable_cpus() > 1 and len(table) > CSV_BLOCK_ROWS:
-        writer = _RowWriter([table[:, 0]] + [channels[n] for n in _csv_names(cfg)])
+    writer = _RowWriter([table[:, 0]] + [channels[n] for n in _csv_names(cfg)])
     try:
         for tick in range(n_ticks):
             t = tick * dt_ctl
@@ -243,7 +238,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                     values += v_c
                 sample = tick // sample_every
                 table[sample] = values
-                if writer is not None and (sample + 1) % CSV_BLOCK_ROWS == 0:
+                if (sample + 1) % CSV_BLOCK_ROWS == 0:
                     writer.send(sample + 1)
 
             pll.step(v_pcc_ab, dt_ctl)
@@ -255,9 +250,6 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             for source, ctl, saturated in zip(unit_sources, controllers, plant.saturated):
                 flags.update(t, source, (ctl.droop.clamped, ctl.voltage_loop.clamped,
                                          ctl.current_loop.locked_out, saturated))
-
-        if writer is not None:
-            writer.finish(len(table))  # the last rows are formatted while the run closes
 
         mode_transitions = sorted(
             (t_switch, f"dg{d + 1}", what)
@@ -273,14 +265,12 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             energy_audit_percent=100.0 * plant.energy_audit_error(),
             max_kcl_residual=plant.max_kcl_residual,
             mpp_available_w=mpp_available_w(cfg, n_ticks - 1),
+            csv_rows=writer.finish(len(table)),
         )
-        if writer is not None:
-            result.csv_rows = writer.reap()
-            weakref.finalize(result, os.close, result.csv_rows)
+        weakref.finalize(result, os.close, result.csv_rows)
         return result
     finally:
-        if writer is not None:
-            writer.discard()
+        writer.discard()
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +423,19 @@ def _column_text(values: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, (np.cumsum(head) - 1).tolist()))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _current_cpu() -> int:
+def _current_cpu() -> int | None:
     """The CPU this process is on: ``processor``, field 39 of ``/proc/self/stat``.
 
     The fields are counted after the last ``)``, since the command name
-    before it may hold spaces.  Raises ``OSError`` where the file is
-    unreadable, ``ValueError`` or ``IndexError`` where it does not parse.
+    before it may hold spaces.  ``None`` where the file cannot be read or
+    does not parse.
     """
-    with open("/proc/self/stat", "rb") as f:
-        stat = f.read()
-    return int(stat[stat.rindex(b")") + 2:].split()[36])
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            stat = f.read()
+        return int(stat[stat.rindex(b")") + 2:].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _shared_table(rows: int, cols: int) -> np.ndarray:
@@ -478,14 +466,13 @@ class _RowWriter:
 
     This process sends the end of each finished block down a pipe; the
     child writes the rows up to it with :func:`_write_rows` into an
-    unlinked temporary file, and exits once the pipe is closed.  Blocks
-    start where the in-process write starts them, so the text is the same.
-    The child is pinned to the usable CPUs other than the one this process
-    was on just before the fork (:func:`_current_cpu`), and unpinned when
-    it is sent the table's last row, which it formats while this process
-    only waits.  The scheduler tends to wake a pipe's reader on the
-    writer's CPU, so an unpinned child formats on the ticks' CPU, taking
-    turns with them while another CPU idles.
+    unlinked temporary file, and exits once the pipe is closed.  The child
+    pins itself, once, to the usable CPUs other than the one this process
+    was on just before the fork (:func:`_current_cpu`): the scheduler tends
+    to wake a pipe's reader on the writer's CPU, so an unpinned child
+    formats on the ticks' CPU, taking turns with them while another CPU
+    idles.  With that CPU unknown, or no other CPU usable, the child leaves
+    its CPUs as they are and formats between the ticks.
     """
 
     def __init__(self, cols: list[np.ndarray]):
@@ -495,10 +482,7 @@ class _RowWriter:
             self.fd, name = tempfile.mkstemp(prefix="pvisland-rows-")
             os.unlink(name)
             stops, self.pipe = os.pipe()
-            try:
-                cpu = _current_cpu()
-            except (OSError, ValueError, IndexError):
-                cpu = None
+            cpu = _current_cpu()
             with warnings.catch_warnings():
                 # Python 3.12+ warns when a process with threads forks, and
                 # NumPy's BLAS pool is one.  The child takes no lock another
@@ -519,24 +503,20 @@ class _RowWriter:
     def _format(self, stops: int, cols: list[np.ndarray], cpu: int | None):
         """The child's whole life: no cleanup of the parent's state may run here.
 
-        ``cpu`` is the parent's CPU at the fork; with it unknown (``None``),
-        or no other CPU usable, the child is not pinned.
+        ``cpu`` is the parent's CPU at the fork, or ``None`` where unknown.
         """
         code = 1
         try:
             os.close(self.pipe)
-            usable = os.sched_getaffinity(0)
-            away = usable - {cpu}
-            pinned = 0 < len(away) < len(usable)
-            if pinned:
-                os.sched_setaffinity(0, away)
+            if cpu is not None:
+                away = os.sched_getaffinity(0) - {cpu}
+                if away:
+                    os.sched_setaffinity(0, away)
             with open(stops, "rb") as ends, open(self.fd, "w", encoding="utf-8", newline="",
                                                   closefd=False) as f:
                 done = 0
                 while end := ends.read(8):
                     stop = int.from_bytes(end, "little")
-                    if pinned and stop == len(cols[0]):
-                        os.sched_setaffinity(0, usable)
                     _write_rows(f, cols, done, stop)
                     done = stop
             code = 0
@@ -551,11 +531,12 @@ class _RowWriter:
             self.reap()
             raise
 
-    def finish(self, rows: int):
-        """Send the last rows; the child exits once they are formatted."""
+    def finish(self, rows: int) -> int:
+        """Have the rows up to ``rows`` formatted, close the pipe and :meth:`reap` the child."""
         self.send(rows)
         os.close(self.pipe)
         self.pipe = -1
+        return self.reap()
 
     def reap(self) -> int:
         """Wait for the child; the descriptor of its text, which the caller then owns."""
@@ -581,20 +562,18 @@ class _RowWriter:
 def write_csv(result: RunResult, path: Path):
     """The recorded table, narrowed to ``outputs.channels``, in channel order.
 
-    When a writer formatted the rows during the run (``result.csv_rows``),
-    the header is written and that text copied after it; the text is read
-    at explicit offsets, so the same result can be written again.  Otherwise
-    (one usable CPU, a single block, or a result rebuilt from a CSV) every
-    row is formatted here with the same row writer, so the bytes do not
-    depend on the path.
+    The header is written, then the rows the run's writer formatted
+    (``result.csv_rows``) are copied after it; the text is read at explicit
+    offsets, so the same result can be written again.  A result without
+    those rows, such as one rebuilt from a run directory, raises
+    ``ValueError``.
     """
+    if result.csv_rows is None:
+        raise ValueError("the result carries no streamed CSV rows; only a result of "
+                         "run_simulation can be written as CSV")
     names = _csv_names(result.cfg)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(["t"] + names) + "\n")
-        if result.csv_rows is None:
-            cols = [result.times] + [result.channels[n] for n in names]
-            _write_rows(f, cols, 0, len(result.times))
-            return
         f.flush()
         offset = 0
         while chunk := os.pread(result.csv_rows, 1 << 16, offset):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import itertools
@@ -33,6 +34,18 @@ from pvisland.plant import Plant
 from pvisland.signals import HARMONIC_ORDERS, ticks
 
 SHORT = {"solver.duration": "0.6", "vcc.enable_at": "off"}
+
+
+@contextlib.contextmanager
+def held_to(cpus: str):
+    """This thread held to one of its usable CPUs (``"one-cpu"``) or to all; yields the set."""
+    usable = os.sched_getaffinity(0)
+    held = {min(usable)} if cpus == "one-cpu" else usable
+    os.sched_setaffinity(0, held)
+    try:
+        yield held
+    finally:
+        os.sched_setaffinity(0, usable)
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +93,21 @@ class TestRunArtifacts:
             energy_audit_percent=None, max_kcl_residual=None, mpp_available_w=())
 
     @staticmethod
-    def _expected_lines(result: runner.RunResult) -> list[str]:
-        names = channel_names(len(result.cfg.dgs))
+    def _expected_lines(result: runner.RunResult, names: list[str] | None = None) -> list[str]:
+        names = channel_names(len(result.cfg.dgs)) if names is None else names
         table = np.column_stack([result.times] + [result.channels[name] for name in names])
         return ([",".join(["t"] + names)]
                 + [",".join(map(repr, row)) for row in table.tolist()] + [""])
 
     def test_csv_lines_are_each_rows_repr(self, tmp_path):
-        # held runs are formatted once per block, in this process for a
-        # rebuilt result and by the writer a run forks: the text shows neither
+        # held runs are formatted once per block by the writer a run forks:
+        # the text does not show it
         n = 2 * runner.CSV_BLOCK_ROWS + 1  # the last block is one row
         result = self._patterned_result(n)
-        expected = self._expected_lines(result)
-        runner.write_csv(result, tmp_path / "in_process.csv")
+        # a result without streamed rows, as `pvisland report` rebuilds one, has no CSV
+        with pytest.raises(ValueError, match="no streamed CSV rows"):
+            runner.write_csv(result, tmp_path / "rebuilt.csv")
+        assert not (tmp_path / "rebuilt.csv").exists()
 
         # the writer's side of a run: rows recorded into the shared table a
         # block at a time, each block sent once it is complete
@@ -106,23 +121,38 @@ class TestRunArtifacts:
                     stop - runner.CSV_BLOCK_ROWS:stop]
                 writer.send(stop)
             table[stop:] = recorded[stop:]
-            writer.finish(n)
-            streamed = dataclasses.replace(result, csv_rows=writer.reap())
+            streamed = dataclasses.replace(result, csv_rows=writer.finish(n))
         finally:
             writer.discard()
         try:
             runner.write_csv(streamed, tmp_path / "streamed.csv")
         finally:
             os.close(streamed.csv_rows)
-        for name in ("in_process.csv", "streamed.csv"):
-            assert (tmp_path / name).read_text(encoding="utf-8").split("\n") == expected, name
+        text = (tmp_path / "streamed.csv").read_text(encoding="utf-8")
+        assert text.split("\n") == self._expected_lines(result)
         with pytest.raises(ChildProcessError):  # no child is left behind
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("channels", ["all", "vpcc_b, dg2_q, vcc_hd5, vc2_beta"])
-    def test_streamed_rows_are_the_in_process_bytes(self, tmp_path, monkeypatch, channels):
+    def test_streamed_rows_are_each_rows_repr(self, tmp_path, channels):
         cfg = from_mapping({"solver.duration": "0.12", "vcc.enable_at": "0.06",
                             "outputs.channels": channels})
+        result = run_simulation(cfg)
+        with pytest.raises(ChildProcessError):  # the run reaped its writer
+            os.waitpid(-1, os.WNOHANG)
+        names = [n for n in KNOWN_CHANNELS if channels == "all" or n in channels.split(", ")]
+        expected = self._expected_lines(result, names)
+        # the rows are copied, not consumed: every write gives the same bytes
+        for i in range(3):
+            path = tmp_path / f"timeseries{i}.csv"
+            runner.write_csv(result, path)
+            assert path.read_text(encoding="utf-8").split("\n") == expected, i
+
+    @pytest.mark.parametrize("cpus", ["all-cpus", "one-cpu"])
+    @pytest.mark.parametrize("rows", [2, runner.CSV_BLOCK_ROWS - 1, runner.CSV_BLOCK_ROWS,
+                                      runner.CSV_BLOCK_ROWS + 1])
+    def test_every_table_is_streamed_by_one_writer(self, tmp_path, monkeypatch, rows, cpus):
+        # tables short of one block, of exactly one, and one row past it
         forks = []
         real_fork = os.fork
 
@@ -131,45 +161,31 @@ class TestRunArtifacts:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        texts = {}
-        for cpus, forked in ((2, 1), (1, 0)):
-            monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        cfg = from_mapping({"solver.duration": str(rows / 1e4)})  # a row every 0.1 ms
+        assert recorded_rows(cfg) == rows
+        with held_to(cpus):
             result = run_simulation(cfg)
-            assert len(forks) == forked, cpus
-            forks.clear()
-            assert (result.csv_rows is not None) == (cpus == 2)
-            # the rows are copied, not consumed: every write gives the same bytes
-            for i in range(3):
-                path = tmp_path / f"timeseries{cpus}-{i}.csv"
-                runner.write_csv(result, path)
-                texts[path.name] = path.read_bytes()
-            with pytest.raises(ChildProcessError):  # the run reaped its writer
-                os.waitpid(-1, os.WNOHANG)
-        assert len(set(texts.values())) == 1
-        header = texts["timeseries1-0.csv"].split(b"\n", 1)[0].decode()
-        assert header.split(",")[1:] == [n for n in KNOWN_CHANNELS
-                                         if channels == "all" or n in channels.split(", ")]
+        assert len(forks) == 1
+        assert result.csv_rows is not None
+        runner.write_csv(result, tmp_path / "timeseries.csv")
+        text = (tmp_path / "timeseries.csv").read_text(encoding="utf-8")
+        assert text.split("\n") == self._expected_lines(result)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("case", ["pinned", "one-cpu", "cpu-unknown"])
     def test_writer_keeps_off_the_simulating_cpu(self, tmp_path, monkeypatch, case):
-        # the writer formats on the CPUs the run did not fork on, and its
-        # last rows on any; held to one CPU, or with the run's CPU unknown,
-        # it is not pinned; the bytes never change
+        # the writer formats on the CPUs the run did not fork on; held to
+        # one CPU, or with the run's CPU unknown, it is not pinned; the
+        # bytes never change
         usable = os.sched_getaffinity(0)
         if case == "pinned" and len(usable) < 2:
             pytest.skip("needs two usable CPUs")
-        cfg = from_mapping({"solver.duration": "0.12", "vcc.enable_at": "0.06"})
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
-        runner.write_csv(run_simulation(cfg), tmp_path / "in_process.csv")
-
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         at_fork = []
         real_cpu = runner._current_cpu
 
         def current_cpu():
-            if case == "cpu-unknown":
-                raise OSError("no /proc/self/stat")
-            at_fork.append(real_cpu())
+            at_fork.append(None if case == "cpu-unknown" else real_cpu())
             return at_fork[-1]
 
         at_first_send = []
@@ -185,57 +201,31 @@ class TestRunArtifacts:
                 at_first_send.append(cpus)
             real_send(writer, stop)
 
-        parent = os.getpid()
-        last_block = tmp_path / "last-block-cpus"
-        real_write_rows = runner._write_rows
-
-        def write_rows(f, cols, start, stop):
-            if os.getpid() != parent and stop == len(cols[0]):
-                last_block.write_text(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
-            real_write_rows(f, cols, start, stop)
-
         monkeypatch.setattr(runner, "_current_cpu", current_cpu)
         monkeypatch.setattr(runner._RowWriter, "send", send)
-        monkeypatch.setattr(runner, "_write_rows", write_rows)
-        held = {min(usable)} if case == "one-cpu" else usable
-        os.sched_setaffinity(0, held)
-        try:
+        cfg = from_mapping({"solver.duration": "0.12", "vcc.enable_at": "0.06"})
+        with held_to("one-cpu" if case == "one-cpu" else "all-cpus") as held:
             result = run_simulation(cfg)
-        finally:
-            os.sched_setaffinity(0, usable)
-        assert result.csv_rows is not None
-        runner.write_csv(result, tmp_path / "streamed.csv")
-        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+        runner.write_csv(result, tmp_path / "timeseries.csv")
+        text = (tmp_path / "timeseries.csv").read_text(encoding="utf-8")
+        assert text.split("\n") == self._expected_lines(result)
         if case == "pinned":
             assert at_first_send[0] and at_fork[0] not in at_first_send[0]
             assert at_first_send[0] < usable
         else:
             assert at_first_send == [held]
-        # the last rows are formatted wherever a CPU is free
-        assert last_block.read_text() == " ".join(map(str, sorted(held)))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_one_block_is_written_without_a_fork(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked for a single block")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
-        result = run_simulation(from_mapping({"solver.duration": "0.02"}))
-        assert len(result.times) <= runner.CSV_BLOCK_ROWS
-        assert result.csv_rows is None
-        runner.write_csv(result, tmp_path / "timeseries.csv")
-        text = (tmp_path / "timeseries.csv").read_text(encoding="utf-8")
-        assert text.split("\n") == self._expected_lines(result)
-
-    @pytest.mark.parametrize("failing", ["child", "parent", "parent-at-block-edge"])
+    @pytest.mark.parametrize("failing, cpus", [
+        pytest.param(failing, cpus, id=failing if cpus == "all-cpus" else f"{failing}-{cpus}")
+        for cpus in ("all-cpus", "one-cpu")
+        for failing in ("child", "parent", "parent-at-block-edge")])
     def test_a_failed_half_leaves_no_child_and_no_temporary_file(self, tmp_path, monkeypatch,
-                                                                 capsys, failing):
+                                                                 capsys, failing, cpus):
         # the writer fails on its first block, or the run diverges mid-block
         # or right after its first block was sent (ticks 0-510 recorded rows
         # 0-255 at two ticks per row)
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         temporary = tmp_path / "tmp"
         temporary.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(temporary))
@@ -262,8 +252,9 @@ class TestRunArtifacts:
             monkeypatch.setattr(Plant, "step", step)
         open_before = sorted(os.listdir("/dev/fd"))
         out = tmp_path / "run"
-        code = cli.main(["run", "baseline", "--duration", "0.6", "--vcc", "off",
-                         "--out", str(out)])
+        with held_to(cpus):
+            code = cli.main(["run", "baseline", "--duration", "0.6", "--vcc", "off",
+                             "--out", str(out)])
         err = capsys.readouterr().err
         if failing == "child":
             # the child's error cannot cross the fork: the run reports it for the CSV
@@ -289,7 +280,6 @@ class TestRunArtifacts:
             return pid
 
         monkeypatch.setattr(os, "fork", warning_fork)
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert run_simulation(from_mapping({"solver.duration": "0.06"})).csv_rows is not None
