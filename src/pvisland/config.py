@@ -24,9 +24,9 @@ from .errors import ConfigurationError
 from .params import (V_DC_LIMIT, DcLinkParams, DroopParams, FeederParams, FilterParams,
                      LoadParams, ModeParams, MpptParams, PllParams, PrGains, PvParams,
                      VccParams, ViParams, VrParams)
-from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, MAX_HARMONIC_ORDER,
-                      MIN_STEADY_CYCLES, beyond_nyquist, max_filter_step, ticks,
-                      too_coarse_for_low_pass)
+from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, HEUN_REAL_LIMIT,
+                      MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES, beyond_nyquist, max_filter_step,
+                      ticks, too_coarse_for_low_pass)
 
 V_RMS_TO_AMP = math.sqrt(2.0)
 
@@ -431,6 +431,22 @@ def _check_filter_resonance(cfg: ScenarioConfig):
                  f"{cfg.dt} s is too coarse for the resonance of {prefix}.filter.l/c")
 
 
+def _check_dc_steps(cfg: ScenarioConfig):
+    """The solver step resolves each DC side, which steps by Heun's method: the
+    PV node's pole ``-g / c_pv`` (``g`` the string's incremental conductance
+    at open circuit, its steepest) within Heun's real-axis limit, and the
+    boost inductor's resonance with the PV capacitor at zero duty."""
+    for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
+        c_pv, l_boost = dg.dc.c_pv, dg.dc.l_boost
+        reach = cfg.dt * dg.pv.conductance(dg.pv.v_oc) / c_pv
+        _require(reach < HEUN_REAL_LIMIT, f"{prefix}.dc.c_pv",
+                 f"{c_pv} F is too small for solver.dt = {cfg.dt} s: the PV node's pole "
+                 f"takes {reach:.3g} of a step, Heun's method is stable below {HEUN_REAL_LIMIT:g}")
+        _require(cfg.dt <= max_filter_step(l_boost, c_pv), f"{prefix}.dc.l_boost",
+                 f"{l_boost} H is too small for solver.dt = {cfg.dt} s: its resonance "
+                 f"with {prefix}.dc.c_pv = {c_pv} F needs a finer step")
+
+
 def _check_nyquist(cfg: ScenarioConfig):
     """The extractor's bands and the PR resonators lie below the Nyquist rate of
     control.period, the load's injections (which would alias) below solver.dt's."""
@@ -481,8 +497,8 @@ def check_report_length(cfg: ScenarioConfig):
 
 
 #: The cross-key rules, in the order :func:`from_mapping` runs them.
-RULES = (_check_divides, _check_link_reference, _check_filter_resonance, _check_nyquist,
-         _check_low_passes)
+RULES = (_check_divides, _check_link_reference, _check_filter_resonance, _check_dc_steps,
+         _check_nyquist, _check_low_passes)
 
 
 def _records(v: dict, groups: dict, prefix: str = "") -> dict:

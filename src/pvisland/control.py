@@ -19,7 +19,6 @@ from .signals import (
     ProportionalResonant,
     SequenceExtractor,
     inverse_clarke_xy,
-    resonator_table,
     ticks,
 )
 
@@ -99,9 +98,9 @@ class VoltageLoop:
         self.clamped = False
 
     def step(self, ref_a: float, ref_b: float, va: float, vb: float,
-             coefficients: list[tuple]) -> tuple[float, float]:
+             rows: tuple[float, ...]) -> tuple[float, float]:
         """Inductor current reference from the voltage reference and measurement."""
-        ia, ib = self.pr.step_pair(ref_a - va, ref_b - vb, coefficients)
+        ia, ib = self.pr.step_pair(ref_a - va, ref_b - vb, rows)
         mag = math.hypot(ia, ib)
         self.clamped = mag > self.i_limit
         if self.clamped:
@@ -126,9 +125,9 @@ class CurrentLoop:
         self.locked_out = False
 
     def step(self, ref_a: float, ref_b: float, ia: float, ib: float, v_dc: float,
-             coefficients: list[tuple]) -> tuple[float, float, float]:
+             rows: tuple[float, ...]) -> tuple[float, float, float]:
         """Per-phase modulation commands from the current reference and measurement."""
-        va, vb = self.pr.step_pair(ref_a - ia, ref_b - ib, coefficients)
+        va, vb = self.pr.step_pair(ref_a - ia, ref_b - ib, rows)
         self.locked_out = v_dc < self.V_DC_LOCKOUT
         if self.locked_out:
             return 0.0, 0.0, 0.0
@@ -286,10 +285,11 @@ class DgController:
     """Primary control stack of the unit ``name``, built from its ``dgN.*`` records.
 
     Each step covers one ``control.period`` and makes one resonance pass at
-    the droop frequency for the extractor's bands and both loops; the
-    extractor's band update sums the virtual impedance's drop, its reactance
-    taken at the no-load frequency.  The boost starts at the duty that lifts
-    the array's maximum-power voltage to the link reference.
+    the droop frequency, the extractor's kernel, which also gives both loops
+    their rows; the extractor's band update sums the virtual impedance's
+    drop, its reactance taken at the no-load frequency.  The boost starts at
+    the duty that lifts the array's maximum-power voltage to the link
+    reference.
     """
 
     def __init__(self, cfg: ScenarioConfig, dg: DgConfig, name: str):
@@ -298,19 +298,18 @@ class DgController:
         self.startup_ramp = cfg.startup_ramp
         self.power = PowerCalculator(POWER_FILTER_HZ, dt)
         self.droop = DroopControl(dg.droop, cfg.v_amp, cfg.omega)
-        self.extractor = SequenceExtractor(gain=dg.vi.bandwidth_gain, impedance=(
-            dg.vi.r_pos, cfg.omega * dg.vi.l_pos, dg.vi.r_neg,
-            {order: dg.vi.r_harmonic(order) for order in HARMONIC_ORDERS}))
         rated_current = dg.pv.rated_w / (1.5 * cfg.v_amp)
         self.voltage_loop = VoltageLoop(dg.prv, cfg.omega, dt,
                                         dg.current_limit_factor * rated_current)
         self.current_loop = CurrentLoop(dg.pri, cfg.omega, dt)
+        self.extractor = SequenceExtractor(gain=dg.vi.bandwidth_gain, impedance=(
+            dg.vi.r_pos, cfg.omega * dg.vi.l_pos, dg.vi.r_neg,
+            {order: dg.vi.r_harmonic(order) for order in HARMONIC_ORDERS}),
+            loops=(self.voltage_loop.pr.terms, self.current_loop.pr.terms))
         self.boost = BoostController(dg.mppt, dg.vr, dg.mode,
                                      1.0 - dg.pv.v_mp / dg.vr.v_dc_ref, dt)
         self.p_avg = 0.0
         self.q_avg = 0.0
-        self._table, (self._v_rows, self._i_rows) = resonator_table(
-            self.extractor.bands, self.voltage_loop.pr.terms, self.current_loop.pr.terms)
 
     def step(self, row: tuple[float, ...], v_c: tuple[float, float], t: float
              ) -> tuple[float, tuple[float, float, float]]:
@@ -328,14 +327,12 @@ class DgController:
             da *= ramp
             db *= ramp
         try:
-            za, zb, rows = self.extractor.advance(ioa, iob, self.droop.omega_ref, dt, self._table)
+            za, zb, v_rows, i_rows = self.extractor.advance(ioa, iob, self.droop.omega_ref, dt)
         except ConfigurationError as exc:  # the droop moved it there, not a setting
             raise SimulationDivergence(f"{self.name} droop frequency at t={t:.6f} s: {exc}",
                                        t_last_good=t - dt) from exc
         # reference: droop minus virtual drop plus central correction
         ra, rb = da - za + v_c[0], db - zb + v_c[1]
-        v_rows = rows if self._v_rows is None else [rows[i] for i in self._v_rows]
-        i_rows = rows if self._i_rows is None else [rows[i] for i in self._i_rows]
         ia, ib = self.voltage_loop.step(ra, rb, voa, vob, v_rows)
         m = self.current_loop.step(ia, ib, ila, ilb, v_dc, i_rows)
         duty = self.boost.step(v_pv, i_pv, v_dc, t)

@@ -122,6 +122,10 @@ MAX_HARMONIC_ORDER = 50
 MIN_STEADY_CYCLES = 20
 
 
+#: Heun's method is stable on a real pole ``-p`` while ``p * dt`` stays below this.
+HEUN_REAL_LIMIT = 2.0
+
+
 def max_filter_step(l_filter: float, c_filter: float) -> float:
     """Coarsest step that samples an LC filter's resonance 20 times per period."""
     return 2.0 * math.pi * math.sqrt(l_filter * c_filter) / 20.0
@@ -201,7 +205,7 @@ def _require_in_range(top: int, omega: float, dt: float):
 
 
 def resonator_table(bands, *loops) -> tuple[list[tuple], list[list[int] | None]]:
-    """The rows a :func:`resonance_pass` walks, and where each loop's transitions fall.
+    """The rows a :func:`table_kernel` walks, and where each loop's transitions fall.
 
     One row ``(0.5 * k, k, band, cutoffs)`` per distinct order ``k`` of the
     extractor ``bands`` and the loops' terms, ascending: ``band`` indexes
@@ -216,38 +220,162 @@ def resonator_table(bands, *loops) -> tuple[list[tuple], list[list[int] | None]]
     return table, [None if i == list(range(len(slots))) else i for i in index]
 
 
-def resonance_pass(table, omega: float, dt: float, gain: float = 0.0,
-                   va=(), qa=(), ea: float = 0.0, vb=(), qb=(), eb: float = 0.0):
-    """One walk over a :func:`resonator_table` at ``omega``, one tangent per order.
+# Resonator kernels: a block's fixed table and constants written out as
+# straight-line Python, with the float operations of a loop over the table in
+# the same order.  A kernel's source holds only numbers, so blocks with equal
+# tables and constants share one compiled kernel.
+
+_KERNELS: dict = {}
+#: Sources kept compiled; past this, a process that builds many scenarios drops the oldest.
+_MAX_KERNELS = 256
+
+
+def _literal(x) -> str:
+    """Source text that evaluates to the number ``x``, bit for bit."""
+    text = repr(x) if isinstance(x, int) else repr(float(x))
+    if not math.isfinite(x):
+        return f"float({text!r})"
+    return f"({text})" if text.startswith("-") else text
+
+
+def _names(prefix: str, indices) -> list[str]:
+    return [f"{prefix}{i}" for i in indices]
+
+
+def _chain(first: str, terms) -> str:
+    """``first + t1 + t2 ...``: a running sum, added left to right."""
+    return " + ".join([first, *terms])
+
+
+def _compiled(lines: list[str]):
+    """The function ``kernel`` that ``lines`` define, compiled once per distinct source."""
+    source = "\n".join(lines) + "\n"
+    kernel = _KERNELS.get(source)
+    if kernel is None:
+        if len(_KERNELS) >= _MAX_KERNELS:
+            del _KERNELS[next(iter(_KERNELS))]
+        namespace = {"tan": math.tan, "_require_in_range": _require_in_range}
+        exec(compile(source, "<resonator kernel>", "exec"), namespace)
+        kernel = _KERNELS[source] = namespace["kernel"]
+    return kernel
+
+
+def table_kernel(table, index, gain: float = 0.0, drop=()):
+    """One step over a :func:`resonator_table` at ``omega``, one tangent per order.
 
     Every band and resonator is a trapezoidal step prewarped to its center, so
-    ``omega`` enters only through ``a = tan(0.5 * k * omega * dt)``.  A band row
-    makes the :class:`SequenceExtractor` predictors ``P_j`` (band states ``va,
-    qa, vb, qb``, input errors ``ea, eb``), a cutoff one transition row.  Returns
-    the bands' ``(g_j, a_j)``, both axes' ``P_j``, ``1 + sum_j g_j``, the rows.
+    ``omega`` enters only through ``a = tan(0.5 * k * omega * dt)``.  A band
+    row makes the :class:`SequenceExtractor` predictor ``P_j`` of both axes,
+    and the band update sums the drop across the extractor's impedance
+    ``drop``; a cutoff makes one :meth:`ProportionalResonant.transitions`
+    row, and ``index`` places each loop's among them (as
+    :func:`resonator_table` gives it).
+
+    A table with bands gives ``kernel(ext, x, y, omega, dt)``, which steps the
+    extractor ``ext`` of those bands, ``gain`` and ``drop`` on the input
+    ``(x, y)`` and returns ``(za, zb, *rows)``; one without gives
+    ``kernel(omega, dt)``, which returns the rows.  Each loop's rows are one
+    flat tuple ``(alpha, beta, gamma, h, ...)`` in the order of its terms.
+    Both raise :class:`ConfigurationError` for an ``omega`` whose highest
+    order reaches the Nyquist rate of ``dt``.
     """
-    bands, pa, pb, rows = [], [], [], []
-    g_sum = 0.0
-    for half, k, j, cutoffs in table:
-        a = math.tan(half * omega * dt)
+    top = _literal(table[-1][1])
+    bands = [(r, j) for r, (_, _, j, _) in enumerate(table) if j is not None]
+    js = range(len(bands))
+    nyquist = f"{top} * omega >= {_literal(math.pi)} / dt"  # beyond_nyquist(top, omega, dt)
+    out = [f"def kernel({'ext, x, y, ' if bands else ''}omega, dt):",
+           f"    if not (omega > 0.0 and dt > 0.0 and not {nyquist}):",
+           f"        _require_in_range({top}, omega, dt)"]
+    if bands:
+        out += ["    (va, vb), (qa, qb) = ext._v, ext._q",
+                "    ua, ub = ext._u_prev",
+                "    ext._u_prev = (x, y)"]
+        out += [f"    {', '.join(_names(state, js))}, = {state}"
+                for state in ("va", "qa", "vb", "qb")]
+        # the input errors: sum() adds the bands to an integer zero
+        out += [f"    e{ax} = u{ax} + {u} - ({_chain('0', _names(f'v{ax}', js))})"
+                for ax, u in (("a", "x"), ("b", "y"))]
+    rows = []  # the table row of each transition
+    for r, (half, k, j, cutoffs) in enumerate(table):
+        out.append(f"    a{r} = tan({_literal(half)} * omega * dt)")
         if j is not None:
-            n = 1.0 + a * a
-            g = gain * a / n
-            c = (1.0 - a * a) / n
-            s = 2.0 * a / n
-            pa.append(c * va[j] - s * qa[j] + g * ea)
-            pb.append(c * vb[j] - s * qb[j] + g * eb)
-            bands.append((g, a))
-            g_sum += g
+            out += [f"    aa{r} = a{r} * a{r}",
+                    f"    n{j} = 1.0 + aa{r}",
+                    f"    g{j} = {_literal(gain)} * a{r} / n{j}",
+                    f"    c{j} = (1.0 - aa{r}) / n{j}",
+                    f"    s{j} = 2.0 * a{r} / n{j}",
+                    f"    pa{j} = c{j} * va{j} - s{j} * qa{j} + g{j} * ea",
+                    f"    pb{j} = c{j} * vb{j} - s{j} * qb{j} + g{j} * eb"]
         if cutoffs:
-            wr = k * omega
-            h = a / wr
-            m12 = h * wr * wr
-            for wc in cutoffs:
-                hc = 2.0 * h * wc
-                det = 1.0 + hc + h * m12
-                rows.append(((1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h))
-    return bands, pa, pb, 1.0 + g_sum, rows
+            out += [f"    w{r} = {_literal(k)} * omega",
+                    f"    h{r} = a{r} / w{r}",
+                    f"    m{r} = h{r} * w{r} * w{r}",
+                    f"    hm{r} = h{r} * m{r}"]
+        for wc in cutoffs:
+            i = len(rows)
+            rows.append(r)
+            out += [f"    hc = 2.0 * h{r} * {_literal(wc)}",
+                    f"    d = 1.0 + hc + hm{r}",
+                    f"    al{i} = (1.0 - hc - hm{r}) / d",
+                    f"    be{i} = -2.0 * m{r} / d",
+                    f"    ga{i} = h{r} / d"]
+    returned = []
+    if bands:
+        # the rank-one band update, both axes, writing each band's new states
+        out += [f"    den = 1.0 + ({_chain('0.0', _names('g', js))})"]
+        out += [f"    t{ax} = ({_chain('0', _names(f'p{ax}', js))}) / den" for ax in "ab"]
+        for r, j in bands:
+            for ax in "ab":
+                out += [f"    nv{ax}{j} = v{ax}[{j}] = p{ax}{j} - g{j} * t{ax}",
+                        f"    nq{ax}{j} = q{ax}[{j}] = q{ax}{j} + a{r} * (v{ax}{j} + nv{ax}{j})"]
+        # the drop: the fundamental's sequences, then the harmonics in band
+        # order, where a negative sequence turns an addition into a subtraction
+        r_pos, x_pos, r_neg = (_literal(z) for z in drop[0])
+        harmonics = [(j, _literal(r), sign > 0) for j, (sign, r) in enumerate(drop[1:], 1)]
+        out += ["    pos_a = 0.5 * (nva0 - nqb0)",
+                "    pos_b = 0.5 * (nqa0 + nvb0)",
+                "    za = " + _chain(
+                    f"{r_pos} * pos_a - {x_pos} * pos_b + {r_neg} * (0.5 * (nva0 + nqb0))",
+                    [f"{r} * (0.5 * (nva{j} {'-' if pos else '+'} nqb{j}))"
+                     for j, r, pos in harmonics]),
+                "    zb = " + _chain(
+                    f"{r_pos} * pos_b + {x_pos} * pos_a + {r_neg} * (0.5 * (nvb0 - nqa0))",
+                    [f"{r} * (0.5 * ({f'nqa{j} + nvb{j}' if pos else f'nvb{j} - nqa{j}'}))"
+                     for j, r, pos in harmonics])]
+        returned += ["za", "zb"]
+    for loop in index:
+        row = [f"al{i}, be{i}, ga{i}, h{rows[i]}" for i in (range(len(rows)) if loop is None
+                                                            else loop)]
+        returned.append(f"({', '.join(row)},)")
+    out.append(f"    return {', '.join(returned)},")
+    return _compiled(out)
+
+
+def pair_kernel(kp: float, gains):
+    """Both axes' step of a :class:`ProportionalResonant` with ``kp`` and resonator ``gains``.
+
+    Gives ``kernel(pr, ea, eb, rows)``: one step of ``pr``'s resonators on the
+    errors ``(ea, eb)`` with :meth:`ProportionalResonant.transitions` rows,
+    returning both axes' outputs.
+    """
+    ins = range(len(gains))
+    out = ["def kernel(pr, ea, eb, rows):",
+           f"    {', '.join(f'al{i}, be{i}, ga{i}, h{i}' for i in ins)}, = rows",
+           "    (x1a, x1b), (x2a, x2b) = pr._x1, pr._x2",
+           "    pa, pb = pr._e_prev",
+           "    sa = pa + ea",
+           "    sb = pb + eb"]
+    out += [f"    {', '.join(_names(x, ins))}, = {x}" for x in ("x1a", "x2a", "x1b", "x2b")]
+    for i in ins:
+        for ax in "ab":
+            out += [f"    n{ax}{i} = x1{ax}[{i}] = "
+                    f"al{i} * x1{ax}{i} + be{i} * x2{ax}{i} + ga{i} * s{ax}",
+                    f"    x2{ax}[{i}] = x2{ax}{i} + h{i} * (x1{ax}{i} + n{ax}{i})"]
+    outputs = [_chain(f"{_literal(kp)} * e{ax}",
+                      [f"{_literal(g)} * n{ax}{i}" for i, g in zip(ins, gains)]) for ax in "ab"]
+    out += ["    pr._e_prev = (ea, eb)",
+            f"    return {', '.join(outputs)}"]
+    return _compiled(out)
 
 
 @dataclass(slots=True)
@@ -299,14 +427,17 @@ class SequenceExtractor:
         v_j+  = P_j - g_j * S
         q_j+  = q_j + a_j * (v_j + v_j+)
 
-    A step is one :func:`resonance_pass` (:meth:`_rebuild`) for the ``a_j``
-    and ``P_j``, then the band update, which also sums the drop across the
-    sequence-selective ``impedance`` ``(r_pos, x_pos, r_neg, {order: r})``:
-    resistive-inductive on the positive sequence, resistive elsewhere.
+    A step is one call of the extractor's :func:`table_kernel` (from
+    :meth:`_rebuild`) for the ``a_j``, the ``P_j`` and the band update, which
+    also sums the drop across the sequence-selective ``impedance`` ``(r_pos,
+    x_pos, r_neg, {order: r})``: resistive-inductive on the positive sequence,
+    resistive elsewhere.  The same tangents give the transition rows of the
+    PR ``loops`` (one list of :class:`ResonantTerm` each), which the step
+    returns after the drop.
     """
 
     def __init__(self, orders=DEFAULT_SEQUENCE_ORDERS, gain: float = math.sqrt(2.0),
-                 impedance=(0.0, 0.0, 0.0, {})):
+                 impedance=(0.0, 0.0, 0.0, {}), loops=()):
         orders = tuple(orders)
         self.bands = sorted({abs(o) for o in orders})
         if {1, -1} - set(orders) or 0 in orders or len(orders) != len(self.bands) + 1:
@@ -316,48 +447,20 @@ class SequenceExtractor:
         # the fundamental's (r_pos, x_pos, r_neg), then each harmonic band's sign and resistance
         self._drop = [impedance[:3]] + [(math.copysign(1.0, o), impedance[3].get(o, 0.0))
                                         for o in sorted(orders, key=abs) if abs(o) > 1]
-        self._table = resonator_table(self.bands)[0]
+        self._kernel = table_kernel(*resonator_table(self.bands, *loops), gain, self._drop)
         n = len(self.bands)
         self._v = ([0.0] * n, [0.0] * n)    # per axis (alpha, beta), per band
         self._q = ([0.0] * n, [0.0] * n)
         self._u_prev = (0.0, 0.0)
 
-    def _rebuild(self, x: float, y: float, omega: float, dt: float, table):
-        """A step's :func:`resonance_pass`; ``control.extractor.rebuilds`` counts calls."""
-        (ua, ub), (va, vb), (qa, qb) = self._u_prev, self._v, self._q
-        self._u_prev = (x, y)
-        return resonance_pass(table, omega, dt, self.gain,
-                              va, qa, ua + x - sum(va), vb, qb, ub + y - sum(vb))
+    def _rebuild(self, x: float, y: float, omega: float, dt: float) -> tuple:
+        """A step's kernel call; ``control.extractor.rebuilds`` counts calls."""
+        return self._kernel(self, x, y, omega, dt)
 
-    def advance(self, x: float, y: float, omega: float, dt: float, table):
-        """One step on the alpha/beta input ``(x, y)`` at ``omega`` with a
-        :func:`resonator_table` of the bands (and maybe of a unit's loops);
-        returns the drop ``(za, zb)`` and the table's transitions."""
-        _require_in_range(table[-1][1], omega, dt)
-        bands, pa, pb, denominator, rows = self._rebuild(x, y, omega, dt, table)
-        (va, vb), (qa, qb) = self._v, self._q
-        drop = self._drop
-        ta = sum(pa) / denominator
-        tb = sum(pb) / denominator
-        for j, (g, a) in enumerate(bands):
-            vj = pa[j] - g * ta
-            qa[j] = qj = qa[j] + a * (va[j] + vj)
-            va[j] = vj
-            vk = pb[j] - g * tb
-            qb[j] = qk = qb[j] + a * (vb[j] + vk)
-            vb[j] = vk
-            # the drop sums the fundamental's sequences, then the harmonics in band order
-            if j:
-                sign, r = drop[j]
-                za += r * (0.5 * (vj - sign * qk))
-                zb += r * (0.5 * (sign * qj + vk))
-            else:
-                r_pos, x_pos, r_neg = drop[0]
-                pos_a, pos_b = 0.5 * (vj - qk), 0.5 * (qj + vk)
-                neg_a, neg_b = 0.5 * (vj + qk), 0.5 * (vk - qj)
-                za = r_pos * pos_a - x_pos * pos_b + r_neg * neg_a
-                zb = r_pos * pos_b + x_pos * pos_a + r_neg * neg_b
-        return za, zb, rows
+    def advance(self, x: float, y: float, omega: float, dt: float) -> tuple:
+        """One step on the alpha/beta input ``(x, y)`` at ``omega``; returns the
+        drop ``(za, zb)``, then each loop's transition rows."""
+        return self._rebuild(x, y, omega, dt)
 
     def sequences(self) -> SequenceSet:
         """Every configured component as of the last step."""
@@ -371,7 +474,7 @@ class SequenceExtractor:
     def step(self, v: FrameVector, omega: float, dt: float) -> SequenceSet:
         if v.frame != ALPHA_BETA:
             raise FrameError("sequence extractor expects an alpha/beta input")
-        self.advance(v.x, v.y, omega, dt, self._table)
+        self.advance(v.x, v.y, omega, dt)
         return self.sequences()
 
 
@@ -390,7 +493,7 @@ class Sogi:
 
     def step(self, u: float, omega: float, dt: float) -> tuple[float, float]:
         """In-phase and quadrature outputs after one step on input ``u``."""
-        self._band.advance(u, 0.0, omega, dt, self._band._table)
+        self._band.advance(u, 0.0, omega, dt)
         (va, _), (qa, _) = self._band._v, self._band._q
         return va[0], qa[0]
 
@@ -465,46 +568,32 @@ class ProportionalResonant:
     def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float):
         self.kp = kp
         self.terms = list(terms)
-        self._table, (self._index,) = resonator_table((), self.terms)
-        _require_in_range(self._table[-1][1], omega_nominal, dt)
-        self._gains = [2.0 * term.gain * term.cutoff for term in self.terms]
+        table, index = resonator_table((), self.terms)
+        _require_in_range(table[-1][1], omega_nominal, dt)
+        self._transitions = table_kernel(table, index)
+        self._kernel = pair_kernel(kp, [2.0 * term.gain * term.cutoff for term in self.terms])
         # per axis (alpha, beta): resonator states, one entry per term
         self._x1 = ([0.0] * len(self.terms), [0.0] * len(self.terms))
         self._x2 = ([0.0] * len(self.terms), [0.0] * len(self.terms))
         self._e_prev = (0.0, 0.0)
 
-    def transitions(self, omega: float, dt: float) -> list[tuple]:
-        """Per-term one-step transitions ``(alpha, beta, gamma, h)`` at ``omega``.
+    def transitions(self, omega: float, dt: float) -> tuple[float, ...]:
+        """The terms' one-step transitions ``(alpha, beta, gamma, h)`` at ``omega``, flat.
 
         Each resonator ``x1' = -2*wc*x1 - wr^2*x2 + e``, ``x2' = x1``,
         ``y = 2*gain*wc*x1`` steps by the trapezoidal rule prewarped to ``wr``,
-        ``h = tan(0.5*wr*dt) / wr``; :func:`resonance_pass` solves its 2x2
+        ``h = tan(0.5*wr*dt) / wr``; :func:`table_kernel` solves its 2x2
         implicit system into ``x1+ = alpha*x1 + beta*x2 + gamma*(e + e_prev)``,
         ``x2+ = x2 + h*(x1 + x1+)``, with ``m12 = h*wr**2``,
         ``det = 1 + 2*h*wc + h*m12``, ``alpha = (1 - 2*h*wc - h*m12) / det``,
         ``beta = -2*m12 / det`` and ``gamma = h / det``.  Gains do not enter,
         so controllers with equal terms share them.
         """
-        _require_in_range(self._table[-1][1], omega, dt)
-        rows = resonance_pass(self._table, omega, dt)[4]
-        return rows if self._index is None else [rows[i] for i in self._index]
+        return self._transitions(omega, dt)[0]
 
-    def step_pair(self, ea: float, eb: float, coefficients: list[tuple]) -> tuple[float, float]:
+    def step_pair(self, ea: float, eb: float, rows: tuple[float, ...]) -> tuple[float, float]:
         """Advance both axes by one step on errors ``(ea, eb)`` with :meth:`transitions` rows."""
-        (pa, pb), (x1a, x1b), (x2a, x2b) = self._e_prev, self._x1, self._x2
-        sa, sb = pa + ea, pb + eb
-        ya, yb = self.kp * ea, self.kp * eb
-        for i, ((alpha, beta, gamma, h), g) in enumerate(zip(coefficients, self._gains)):
-            a = x1a[i]
-            x1a[i] = n = alpha * a + beta * x2a[i] + gamma * sa
-            x2a[i] += h * (a + n)
-            ya += g * n
-            a = x1b[i]
-            x1b[i] = n = alpha * a + beta * x2b[i] + gamma * sb
-            x2b[i] += h * (a + n)
-            yb += g * n
-        self._e_prev = (ea, eb)
-        return ya, yb
+        return self._kernel(self, ea, eb, rows)
 
     def step(self, e: float, omega: float, dt: float) -> float:
         """Single-axis step: the alpha axis, with the beta axis idle."""

@@ -148,6 +148,9 @@ class TestParsing:
         ("dg2.pv.i_mp", "18.0"),              # above pv.i_sc
         ("dg1.pv.rated_w", "2000.0"),         # below the maximum-power point
         ("dg2.pri.orders", "1,3,200"),        # beyond the control Nyquist rate
+        ("dg1.dc.l_boost", "1.5e-5"),         # rings with dc.c_pv at 0.91 rad per solver.dt
+        ("dg1.dc.c_pv", "2e-6"),              # PV pole at 7.1 steps, past Heun's limit of 2
+        ("dg2.dc.c_pv", "2e-6"),
         ("dg1.prv.orders", "1,3,3,5"),        # a repeat doubles that order's resonant gain
         ("dg1.pri.orders", "1,1"),
         ("vcc.extraction_cutoff_hz", "200"),  # too fast for vcc.period
@@ -190,6 +193,13 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as err:
             from_mapping(flat)
         assert err.value.key == key
+
+    @pytest.mark.parametrize("flat", [
+        {"dg1.dc.l_boost": "1.5e-4"},                        # 0.29 rad per solver.dt
+        {"dg1.dc.c_pv": "7.5e-6", "dg1.dc.l_boost": "1e-2"},  # PV pole at 1.91 steps
+    ])
+    def test_dc_side_the_step_resolves_is_accepted(self, flat):
+        assert from_mapping(flat).dgs[0].dc.l_boost == float(flat["dg1.dc.l_boost"])
 
     def test_load_injection_below_the_solver_nyquist_rate_is_accepted(self):
         # order 169 at system.omega advances 3.127 rad per solver.dt, under pi

@@ -22,7 +22,7 @@ from pvisland.plant import Plant
 from pvisland.params import DroopParams, PrGains, PvParams, pv_current
 from pvisland.runner import build_controllers
 from pvisland.errors import SimulationDivergence
-from pvisland.signals import HARMONIC_ORDERS, SequenceExtractor
+from pvisland.signals import HARMONIC_ORDERS, SequenceExtractor, table_kernel
 
 DT = 50e-6
 V_AMP = math.sqrt(2.0) * 120.0
@@ -48,7 +48,7 @@ def _drop(r_pos, x_pos, r_neg, r_harmonics, pos=(0.0, 0.0), neg=(0.0, 0.0), **ha
         qa[j] += sign * y
         qb[j] -= sign * x
     hold = [(0.0, band, j, ()) for j, band in enumerate(ext.bands)]
-    za, zb, _ = ext.advance(0.0, 0.0, 370.0, DT, hold)
+    za, zb = table_kernel(hold, (), ext.gain, ext._drop)(ext, 0.0, 0.0, 370.0, DT)
     seq = ext.sequences()
     held = {1: seq.fundamental_pos, -1: seq.fundamental_neg, **seq.harmonic}
     assert {order: tuple(pair) for order, pair in held.items()} == comps

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError, FrameError
+from pvisland import signals
 from pvisland.runner import build_controllers
 from pvisland.signals import (
     FrameVector,
@@ -588,9 +589,9 @@ class _SeparatePasses:
     controller's blocks, so only the resonance work differs.
     """
 
-    def __init__(self, ctl, keys):
+    def __init__(self, ctl, keys, unit=0):
         cfg = from_mapping(keys)
-        dg = cfg.dgs[0]
+        dg = cfg.dgs[unit]
         self.ctl = ctl
         ext = ctl.extractor
         self.orders = sorted({*ext.bands, *dg.prv.orders, *dg.pri.orders})
@@ -661,7 +662,7 @@ class _SeparatePasses:
             hc = 2.0 * h * term.cutoff
             m12 = h * wr * wr
             det = 1.0 + hc + h * m12
-            coefficients.append(((1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h))
+            coefficients += [(1.0 - hc - h * m12) / det, -2.0 * m12 / det, h / det, h]
         return coefficients
 
     def step(self, row, v_c, t):
@@ -704,7 +705,8 @@ class TestResonatorTable:
         {},  # default loops: same orders and cutoff, so they share coefficient rows
         {"dg1.prv.orders": "1,3,9", "dg1.prv.wc": "2",
          "dg1.pri.orders": "1,5,7", "dg1.pri.wc": "5"},
-    ], ids=["matching-loops", "mismatched-loops"])
+        {"dg1.prv.orders": "1", "dg1.pri.orders": "1"},
+    ], ids=["matching-loops", "mismatched-loops", "one-term-loops"])
     def test_bit_identical_to_per_block_tangents(self, keys):
         # Oracle: each block prewarping with its own tangents.  The unit's
         # controller is stepped on noisy measurements, so the droop frequency
@@ -738,19 +740,22 @@ class TestResonatorTable:
             assert m == inverse_clarke_xy(va / 300.0, vb / 300.0)
         assert len(omegas) > 2900
 
-    @pytest.mark.parametrize("keys", [
-        {},
-        {"dg1.prv.orders": "1,3,9", "dg1.prv.wc": "2",
-         "dg1.pri.orders": "1,5,7", "dg1.pri.wc": "5"},
-        {"dg1.prv.orders": "13,1,9,5", "dg1.prv.wc": "3",
-         "dg1.pri.orders": "13,1,9,5", "dg1.pri.wc": "3"},
-    ], ids=["matching-loops", "mismatched-loops", "orders-outside-the-bands"])
-    def test_one_pass_equals_separate_passes(self, keys):
+    @pytest.mark.parametrize("keys, unit", [
+        ({}, 0),
+        ({"dg1.prv.orders": "1,3,9", "dg1.prv.wc": "2",
+          "dg1.pri.orders": "1,5,7", "dg1.pri.wc": "5"}, 0),
+        ({"dg1.prv.orders": "13,1,9,5", "dg1.prv.wc": "3",
+          "dg1.pri.orders": "13,1,9,5", "dg1.pri.wc": "3"}, 0),
+        ({}, 1),  # the second unit: the first unit's table, other drop impedances
+        ({"dg1.prv.orders": "1", "dg1.pri.orders": "1"}, 0),
+    ], ids=["matching-loops", "mismatched-loops", "orders-outside-the-bands", "second-unit",
+            "one-term-loops"])
+    def test_one_pass_equals_separate_passes(self, keys, unit):
         # Oracle: the same step with its resonance work in separate passes,
         # on a second controller fed the same noisy rows, so the droop
         # frequency moves on every step; every state and output must be equal.
-        ctl, ref = (build_controllers(from_mapping(keys))[0] for _ in range(2))
-        oracle = _SeparatePasses(ref, keys)
+        ctl, ref = (build_controllers(from_mapping(keys))[unit] for _ in range(2))
+        oracle = _SeparatePasses(ref, keys, unit)
         drops, currents = [], []
         _spy(ctl.extractor, "advance", drops)
         _spy(ctl.voltage_loop, "step", currents)
@@ -811,6 +816,20 @@ class TestResonatorTable:
             pr.transitions(0.6 * math.pi / DT, DT)
         with pytest.raises(ConfigurationError, match="order 11"):
             SequenceExtractor().step(FrameVector(1.0, 0.0), 0.6 * math.pi / DT, DT)
+
+
+class TestKernelCache:
+    def test_blocks_share_a_source_and_keep_theirs_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(signals, "_KERNELS", {})
+        monkeypatch.setattr(signals, "_MAX_KERNELS", 3)
+        terms = [ResonantTerm(1, 50.0, 2.0)]
+        # one transitions source for all four, one step source per kp: five in all
+        prs = [ProportionalResonant(kp, terms, OMEGA, DT) for kp in (0.1, 0.2, 0.3, 0.4)]
+        assert len(signals._KERNELS) == 3
+        assert ProportionalResonant(0.4, terms, OMEGA, DT)._kernel is prs[-1]._kernel
+        again = ProportionalResonant(0.1, terms, OMEGA, DT)  # its source was dropped
+        assert again._kernel is not prs[0]._kernel
+        assert again.step(1.0, OMEGA, DT) == prs[0].step(1.0, OMEGA, DT)
 
 
 class TestDeterminism:
