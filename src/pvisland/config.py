@@ -433,15 +433,18 @@ def _check_filter_resonance(cfg: ScenarioConfig):
 
 def _check_dc_steps(cfg: ScenarioConfig):
     """The solver step resolves each DC side, which steps by Heun's method: the
-    PV node's pole ``-g / c_pv`` (``g`` the string's incremental conductance
-    at open circuit, its steepest) within Heun's real-axis limit, and the
-    boost inductor's resonance with the PV capacitor at zero duty."""
-    for prefix, dg in zip(UNIT_PREFIXES, cfg.dgs):
+    PV node's pole ``-g / c_pv`` within Heun's real-axis limit, ``g`` the
+    string's incremental conductance at open circuit under the brightest
+    irradiance the unit sees, and the boost inductor's resonance with the PV
+    capacitor at zero duty."""
+    for d, (prefix, dg) in enumerate(zip(UNIT_PREFIXES, cfg.dgs)):
         c_pv, l_boost = dg.dc.c_pv, dg.dc.l_boost
-        reach = cfg.dt * dg.pv.conductance(dg.pv.v_oc) / c_pv
+        suns = max([dg.pv.irradiance] + [g for _, unit, g in cfg.irradiance_events if unit == d])
+        reach = cfg.dt * dg.pv.open_circuit_conductance(suns) / c_pv
         _require(reach < HEUN_REAL_LIMIT, f"{prefix}.dc.c_pv",
-                 f"{c_pv} F is too small for solver.dt = {cfg.dt} s: the PV node's pole "
-                 f"takes {reach:.3g} of a step, Heun's method is stable below {HEUN_REAL_LIMIT:g}")
+                 f"{c_pv} F is too small for solver.dt = {cfg.dt} s: at irradiance {suns:g} the PV "
+                 f"node's pole takes {reach:.3g} of a step, Heun's method is stable below "
+                 f"{HEUN_REAL_LIMIT:g}")
         _require(cfg.dt <= max_filter_step(l_boost, c_pv), f"{prefix}.dc.l_boost",
                  f"{l_boost} H is too small for solver.dt = {cfg.dt} s: its resonance "
                  f"with {prefix}.dc.c_pv = {c_pv} F needs a finer step")

@@ -74,9 +74,10 @@ class PvParams:
                                      key="v_mp")
         self._i_dark = self.i_sc / math.expm1(self.v_oc / self._v_scale)
 
-    def conductance(self, v_pv: float) -> float:
-        """The string's incremental conductance ``-di/dv`` at ``v_pv``, at any irradiance."""
-        return self._i_dark * math.exp(v_pv / self._v_scale) / self._v_scale
+    def open_circuit_conductance(self, irradiance: float) -> float:
+        """The string's incremental conductance ``-di/dv`` at its open-circuit
+        voltage under ``irradiance``: the steepest between short and open circuit."""
+        return (self._i_dark + irradiance * self.i_sc) / self._v_scale
 
 
 def pv_current(v_pv: float, irradiance: float, p: PvParams) -> float:

@@ -14,6 +14,7 @@ Conventions used throughout the simulator:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -225,10 +226,6 @@ def resonator_table(bands, *loops) -> tuple[list[tuple], list[list[int] | None]]
 # the same order.  A kernel's source holds only numbers, so blocks with equal
 # tables and constants share one compiled kernel.
 
-_KERNELS: dict = {}
-#: Sources kept compiled; past this, a process that builds many scenarios drops the oldest.
-_MAX_KERNELS = 256
-
 
 def _literal(x) -> str:
     """Source text that evaluates to the number ``x``, bit for bit."""
@@ -247,17 +244,12 @@ def _chain(first: str, terms) -> str:
     return " + ".join([first, *terms])
 
 
-def _compiled(lines: list[str]):
-    """The function ``kernel`` that ``lines`` define, compiled once per distinct source."""
-    source = "\n".join(lines) + "\n"
-    kernel = _KERNELS.get(source)
-    if kernel is None:
-        if len(_KERNELS) >= _MAX_KERNELS:
-            del _KERNELS[next(iter(_KERNELS))]
-        namespace = {"tan": math.tan, "_require_in_range": _require_in_range}
-        exec(compile(source, "<resonator kernel>", "exec"), namespace)
-        kernel = _KERNELS[source] = namespace["kernel"]
-    return kernel
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The function ``kernel`` that ``source`` defines, compiled once per distinct source."""
+    namespace = {"tan": math.tan, "_require_in_range": _require_in_range}
+    exec(compile(source, "<resonator kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def table_kernel(table, index, gain: float = 0.0, drop=()):
@@ -292,7 +284,7 @@ def table_kernel(table, index, gain: float = 0.0, drop=()):
                 "    ext._u_prev = (x, y)"]
         out += [f"    {', '.join(_names(state, js))}, = {state}"
                 for state in ("va", "qa", "vb", "qb")]
-        # the input errors: sum() adds the bands to an integer zero
+        # the input errors: the bands added to an integer zero, left to right
         out += [f"    e{ax} = u{ax} + {u} - ({_chain('0', _names(f'v{ax}', js))})"
                 for ax, u in (("a", "x"), ("b", "y"))]
     rows = []  # the table row of each transition
@@ -348,7 +340,7 @@ def table_kernel(table, index, gain: float = 0.0, drop=()):
                                                             else loop)]
         returned.append(f"({', '.join(row)},)")
     out.append(f"    return {', '.join(returned)},")
-    return _compiled(out)
+    return _compiled("\n".join(out))
 
 
 def pair_kernel(kp: float, gains):
@@ -375,7 +367,7 @@ def pair_kernel(kp: float, gains):
                       [f"{_literal(g)} * n{ax}{i}" for i, g in zip(ins, gains)]) for ax in "ab"]
     out += ["    pr._e_prev = (ea, eb)",
             f"    return {', '.join(outputs)}"]
-    return _compiled(out)
+    return _compiled("\n".join(out))
 
 
 @dataclass(slots=True)
@@ -433,7 +425,8 @@ class SequenceExtractor:
     x_pos, r_neg, {order: r})``: resistive-inductive on the positive sequence,
     resistive elsewhere.  The same tangents give the transition rows of the
     PR ``loops`` (one list of :class:`ResonantTerm` each), which the step
-    returns after the drop.
+    returns after the drop.  ``gain``, ``impedance`` and ``loops`` are
+    compiled into the step at construction.
     """
 
     def __init__(self, orders=DEFAULT_SEQUENCE_ORDERS, gain: float = math.sqrt(2.0),
@@ -562,15 +555,15 @@ class ProportionalResonant:
     taken at, so droop deviations do not detune them.  The controller
     regulates a pair of axes with identical gains; :meth:`step_pair`
     advances both with one set of resonator coefficients, and each axis
-    evolves exactly as a scalar controller would.
+    evolves exactly as a scalar controller would.  ``kp`` and ``terms`` are
+    compiled into the step at construction: assigning them later changes
+    nothing.
     """
 
     def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float):
         self.kp = kp
-        self.terms = list(terms)
-        table, index = resonator_table((), self.terms)
-        _require_in_range(table[-1][1], omega_nominal, dt)
-        self._transitions = table_kernel(table, index)
+        self.terms = tuple(terms)
+        _require_in_range(max(term.order for term in self.terms), omega_nominal, dt)
         self._kernel = pair_kernel(kp, [2.0 * term.gain * term.cutoff for term in self.terms])
         # per axis (alpha, beta): resonator states, one entry per term
         self._x1 = ([0.0] * len(self.terms), [0.0] * len(self.terms))
@@ -590,6 +583,11 @@ class ProportionalResonant:
         so controllers with equal terms share them.
         """
         return self._transitions(omega, dt)[0]
+
+    @functools.cached_property
+    def _transitions(self):
+        # Built on first use: inside a unit the extractor's kernel gives the rows.
+        return table_kernel(*resonator_table((), self.terms))
 
     def step_pair(self, ea: float, eb: float, rows: tuple[float, ...]) -> tuple[float, float]:
         """Advance both axes by one step on errors ``(ea, eb)`` with :meth:`transitions` rows."""

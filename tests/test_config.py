@@ -187,6 +187,10 @@ class TestParsing:
           "load.harmonics": "-999:3.0:0.0"}, "load.harmonics"),
         ({"load.harmonics": "3:1.0, 170:1.0"}, "load.harmonics"),  # 3.145 rad per solver.dt
         ({"load.harmonics": "169:1.0", "system.omega": "372.0"}, "load.harmonics"),
+        ({"dg1.pv.irradiance": "2", "dg1.dc.c_pv": "7.5e-6",   # PV pole at 3.8 steps
+          "dg1.dc.l_boost": "1e-2"}, "dg1.dc.c_pv"),
+        ({"events.irradiance": "0.1:1:2", "dg1.dc.c_pv": "7.5e-6",
+          "dg1.dc.l_boost": "1e-2"}, "dg1.dc.c_pv"),
     ])
     def test_cross_key_rule_names_the_key_to_change(self, flat, key):
         # the rule names the key to change, which need not be the one set here
@@ -197,6 +201,8 @@ class TestParsing:
     @pytest.mark.parametrize("flat", [
         {"dg1.dc.l_boost": "1.5e-4"},                        # 0.29 rad per solver.dt
         {"dg1.dc.c_pv": "7.5e-6", "dg1.dc.l_boost": "1e-2"},  # PV pole at 1.91 steps
+        {"dg1.dc.c_pv": "7.5e-6", "dg1.dc.l_boost": "1e-2",   # the brighter unit is dg2
+         "events.irradiance": "0.1:2:2"},
     ])
     def test_dc_side_the_step_resolves_is_accepted(self, flat):
         assert from_mapping(flat).dgs[0].dc.l_boost == float(flat["dg1.dc.l_boost"])

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -485,6 +487,12 @@ class TestPairedAxes:
 # One resonator table per unit step
 # ---------------------------------------------------------------------------
 
+def _added(xs):
+    """``0 + x0 + x1 + ...`` left to right, as the kernels add (``sum()`` of
+    floats compensates its rounding from Python 3.12 on)."""
+    return functools.reduce(operator.add, xs, 0)
+
+
 class _PerBlockExtractor:
     """The extractor step with its own per-band ``tan(0.5 * band * omega * dt)``."""
 
@@ -507,9 +515,9 @@ class _PerBlockExtractor:
         for axis in (0, 1):
             vs = self.v[axis]
             qs = self.q[axis]
-            e = self.u_prev[axis] + u[axis] - sum(vs)
+            e = self.u_prev[axis] + u[axis] - _added(vs)
             ps = [c * vj - s * qj + g * e for (c, s, g, _), vj, qj in zip(coefficients, vs, qs)]
-            total = sum(ps) / (1.0 + g_sum)
+            total = _added(ps) / (1.0 + g_sum)
             for j, (_, _, g, a) in enumerate(coefficients):
                 v_new = ps[j] - g * total
                 qs[j] += a * (vs[j] + v_new)
@@ -615,13 +623,13 @@ class _SeparatePasses:
         ext = self.ctl.extractor
         coefficients, denominator = self._band_rows(table)
         (ua, ub), (va, vb), (qa, qb) = ext._u_prev, ext._v, ext._q
-        ea, eb = ua + x - sum(va), ub + y - sum(vb)
+        ea, eb = ua + x - _added(va), ub + y - _added(vb)
         pa, pb = [], []
         for (c, s, g, _), vj, qj, vk, qk in zip(coefficients, va, qa, vb, qb):
             pa.append(c * vj - s * qj + g * ea)
             pb.append(c * vk - s * qk + g * eb)
-        ta = sum(pa) / denominator
-        tb = sum(pb) / denominator
+        ta = _added(pa) / denominator
+        tb = _added(pb) / denominator
         for j, (_, _, g, a) in enumerate(coefficients):
             v_new = pa[j] - g * ta
             qa[j] += a * (va[j] + v_new)
@@ -819,17 +827,16 @@ class TestResonatorTable:
 
 
 class TestKernelCache:
-    def test_blocks_share_a_source_and_keep_theirs_past_the_limit(self, monkeypatch):
-        monkeypatch.setattr(signals, "_KERNELS", {})
-        monkeypatch.setattr(signals, "_MAX_KERNELS", 3)
+    def test_blocks_with_equal_constants_share_a_kernel(self):
+        signals._compiled.cache_clear()
         terms = [ResonantTerm(1, 50.0, 2.0)]
-        # one transitions source for all four, one step source per kp: five in all
-        prs = [ProportionalResonant(kp, terms, OMEGA, DT) for kp in (0.1, 0.2, 0.3, 0.4)]
-        assert len(signals._KERNELS) == 3
-        assert ProportionalResonant(0.4, terms, OMEGA, DT)._kernel is prs[-1]._kernel
-        again = ProportionalResonant(0.1, terms, OMEGA, DT)  # its source was dropped
-        assert again._kernel is not prs[0]._kernel
-        assert again.step(1.0, OMEGA, DT) == prs[0].step(1.0, OMEGA, DT)
+        prs = [ProportionalResonant(kp, terms, OMEGA, DT) for kp in (0.1, 0.2, 0.1)]
+        assert prs[2]._kernel is prs[0]._kernel is not prs[1]._kernel
+        assert signals._compiled.cache_info().currsize == 2
+        # the loop-only transitions kernel compiles on first use, once for all three
+        outputs = [pr.step(1.0, OMEGA, DT) for pr in prs]
+        assert signals._compiled.cache_info().currsize == 3
+        assert outputs[0] == outputs[2] != outputs[1]
 
 
 class TestDeterminism:
