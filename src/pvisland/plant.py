@@ -23,7 +23,13 @@ Modeling choices, fixed for the whole simulator:
   ``x1 = T @ [x; u]`` over the state and the held inputs.  Each unit's PV
   current is held at its present state and irradiance, so a step evaluates
   the PV curve twice per unit: at the Heun predictor and at the new state.
-  The harmonic injection is a table rebuilt with the matrix on a load step.
+* Generated kernels for the fixed tables.  The harmonic injection, the
+  coupling-bus solve and the AC envelope check are straight-line functions
+  written from the network's injection table, feeder and bank indices and
+  load impedance, with every constant an exact literal and the float
+  operations of a loop over the table in the same order.  They are rebuilt
+  with the matrix on a load step, and compiled through the resonator
+  kernels' cache (``signals._compiled``).
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
 from .params import V_DC_LIMIT, pv_current
-from .signals import clarke_xy, inverse_clarke_xy, max_filter_step
+from .signals import (_chain, _compiled, _literal, _names, clarke_xy, inverse_clarke_xy,
+                      max_filter_step)
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -67,37 +74,43 @@ class DcSide:
         self.v_pv = v_pv
         self.i_boost = 0.0
         self.v_dc = v_dc
+        self._consts = (params.c_pv, params.l_boost, params.c_dc, pv._i_dark, pv._v_scale)
         self.set_irradiance(pv.irradiance)
 
     def set_irradiance(self, irradiance: float):
         self.irradiance = irradiance
+        self._i_light = irradiance * self.pv.i_sc  # the first term of the PV curve
         self.i_pv = pv_current(max(self.v_pv, 0.0), irradiance, self.pv)
 
     def step(self, duty: float, p_draw: float, dt: float):
         """Advance the state by one step.
 
-        The PV curve is evaluated only at the predictor and at the new state.
-        The controllers keep the duty in range: one outside [0, 1) is a bug.
+        The PV curve is evaluated only at the predictor and at the new state,
+        as :func:`~pvisland.params.pv_current`'s expression written out.  The
+        controllers keep the duty in range: one outside [0, 1) is a bug.
+        ``c if c > a else a`` is ``max(a, c)``, NaN and -0.0 included.
         """
         if not 0.0 <= duty < 1.0:
             raise ValueError(f"boost duty {duty} outside [0, 1)")
-        p = self.params
+        c_pv, l_boost, c_dc, i_dark, v_scale = self._consts
+        i_light = self._i_light
         off = 1.0 - duty
         v_pv, i_boost, v_dc = self.v_pv, self.i_boost, self.v_dc
         # Heun: explicit trapezoid, adequate for the slow DC dynamics
-        dv1 = (self.i_pv - i_boost) / p.c_pv
-        di1 = (v_pv - off * v_dc) / p.l_boost
-        dd1 = (off * i_boost - p_draw / max(v_dc, 1.0)) / p.c_dc
+        dv1 = (self.i_pv - i_boost) / c_pv
+        di1 = (v_pv - off * v_dc) / l_boost
+        dd1 = (off * i_boost - p_draw / (1.0 if 1.0 > v_dc else v_dc)) / c_dc
         v2 = v_pv + dt * dv1
         i2 = i_boost + dt * di1
         d2 = v_dc + dt * dd1
-        dv2 = (pv_current(max(v2, 0.0), self.irradiance, self.pv) - i2) / p.c_pv
-        di2 = (v2 - off * d2) / p.l_boost
-        dd2 = (off * i2 - p_draw / max(d2, 1.0)) / p.c_dc
-        self.v_pv = max(v_pv + 0.5 * dt * (dv1 + dv2), 0.0)
+        dv2 = (i_light - i_dark * math.expm1((0.0 if 0.0 > v2 else v2) / v_scale) - i2) / c_pv
+        di2 = (v2 - off * d2) / l_boost
+        dd2 = (off * i2 - p_draw / (1.0 if 1.0 > d2 else d2)) / c_dc
+        v_pv = v_pv + 0.5 * dt * (dv1 + dv2)
+        self.v_pv = v_pv = 0.0 if 0.0 > v_pv else v_pv
         self.i_boost = i_boost + 0.5 * dt * (di1 + di2)
         self.v_dc = v_dc + 0.5 * dt * (dd1 + dd2)
-        self.i_pv = pv_current(self.v_pv, self.irradiance, self.pv)
+        self.i_pv = i_light - i_dark * math.expm1(v_pv / v_scale)
 
     def stored_energy(self) -> float:
         p = self.params
@@ -130,15 +143,55 @@ def injection_table(harmonics, scale: float = 1.0) -> tuple[tuple[int, float, fl
                  for order, amp, phase in harmonics)
 
 
-def harmonic_current_ab(table, theta: float) -> tuple[float, float]:
-    """Stationary-frame current of an :func:`injection_table` at angle theta."""
-    al = 0.0
-    be = 0.0
-    for k, phase, amp, sign in table:
-        ang = k * theta + phase
-        al += amp * math.cos(ang)
-        be += amp * math.sin(ang) * sign
-    return al, be
+# Plant kernels: the network's fixed tables written out as straight-line
+# Python, with the float operations of a loop over the table in the same order.
+
+
+def injection_kernel(table):
+    """``kernel(theta)``: the stationary-frame current of an :func:`injection_table` at theta.
+
+    Per row, ``g = k * theta + phase`` gives ``amp * cos(g)`` on alpha and
+    ``amp * sin(g) * sign`` on beta; each axis adds its rows to ``0.0``,
+    left to right.  An empty table gives ``(0.0, 0.0)``.
+    """
+    rows = [(i, *(_literal(v) for v in row)) for i, row in enumerate(table)]
+    out = ["def kernel(theta):"]
+    out += [f"    g{i} = {k} * theta + {phase}" for i, k, phase, _, _ in rows]
+    al = _chain("0.0", [f"{amp} * cos(g{i})" for i, _, _, amp, _ in rows])
+    be = _chain("0.0", [f"{amp} * sin(g{i}) * {sign}" for i, _, _, amp, sign in rows])
+    out.append(f"    return {al}, {be}")
+    return _compiled("\n".join(out))
+
+
+def bus_kernel(feeders, bank, zp):
+    """``kernel(x, ih)``: the coupling-bus solve, as ``AcNetwork.bus`` documents it.
+
+    ``feeders`` are the state indices of the feeder currents' alpha axes, in
+    unit order, and ``bank`` is the inductive bank's, or None without one,
+    when ``0.0`` is subtracted in its place; ``zp`` is the 2x2 impedance
+    that maps the net current to the bus voltage.
+    """
+    (z00, z01), (z10, z11) = ([_literal(z) for z in row] for row in zp)
+    out = ["def kernel(x, ih):"]
+    for ax in (0, 1):
+        la = "0.0" if bank is None else f"x[{bank + ax}]"
+        summed = _chain("0.0", [f"x[{b + ax}]" for b in feeders])
+        out.append(f"    n{ax} = {summed} - ih[{ax}] - {la}")
+    out.append(f"    return {z00} * n0 + {z01} * n1, {z10} * n0 + {z11} * n1, n0, n1")
+    return _compiled("\n".join(out))
+
+
+def envelope_kernel(n: int, bound: float):
+    """``kernel(x)``: whether each of the ``n`` states in ``x`` lies within +-``bound``.
+
+    One chain of range tests, so a NaN or an infinity at any index fails it.
+    """
+    lo, hi = _literal(-bound), _literal(bound)
+    names = _names("x", range(n))
+    return _compiled("\n".join([
+        "def kernel(x):",
+        f"    {', '.join(names)}, = x",
+        f"    return {' and '.join(f'{lo} <= {v} <= {hi}' for v in names)}"]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +209,8 @@ class AcNetwork:
     """
 
     STATES_PER_DG = 6
+    #: The envelope of every AC state, in amperes or volts.
+    AC_BOUND = 1e5
 
     def __init__(self, stages: list[tuple[FilterParams, FeederParams]], load: LoadParams,
                  dt: float):
@@ -204,9 +259,7 @@ class AcNetwork:
         self._n_states = n
         y2 = load_admittance_ab(*self.load.conductances(self.load_scale))
         self._y2 = y2.tolist()
-        self.injections = injection_table(self.load.harmonics, self.load_scale)
         zp = np.linalg.inv(y2).tolist()
-        self._zp = zp
         a = np.zeros((n, n))
         b = np.zeros((n, 2 * ndg + 2))  # inputs: v_inv per DG (2 axes), harmonic current
         # Bus-current columns: contributions of each state to the coupling-bus
@@ -247,6 +300,16 @@ class AcNetwork:
         eye = np.eye(n)
         self._t = np.linalg.solve(eye - 0.5 * self.dt * a,
                                   np.hstack((eye + 0.5 * self.dt * a, self.dt * b)))
+        #: ``inject(theta)``: the harmonic sources' current at the load angle.
+        self.inject = injection_kernel(injection_table(self.load.harmonics, self.load_scale))
+        #: ``bus(x, ih)``: the coupling-bus voltage ``(v_a, v_b)`` for the state
+        #: list ``x`` and harmonic current ``ih``, then the net current
+        #: ``(n_a, n_b)`` (feeders in, harmonic sources and inductive bank
+        #: out) that it drives through the resistive bank.
+        self.bus = bus_kernel([self._base(d) + 4 for d in range(ndg)],
+                              lb if has_l else None, zp)
+        #: ``in_envelope(x)``: whether every state of ``x`` is within ``AC_BOUND``.
+        self.in_envelope = envelope_kernel(n, self.AC_BOUND)
 
     def set_load_scale(self, scale: float):
         if scale != self.load_scale:
@@ -270,37 +333,13 @@ class AcNetwork:
             return 0.0, 0.0
         return self._pair(self.STATES_PER_DG * len(self.stages))
 
-    def bus(self, x: list[float], ih_ab: tuple[float, float]
-            ) -> tuple[float, float, float, float]:
-        """Coupling-bus solve for the state list ``x``.
-
-        Returns ``(v_a, v_b, n_a, n_b)``: the bus voltage and the net current
-        (feeders in, harmonic sources and inductive bank out) that it drives
-        through the resistive bank.
-        """
-        sa = 0.0
-        sb = 0.0
-        for d in range(len(self.stages)):
-            b = self._base(d) + 4
-            sa += x[b]
-            sb += x[b + 1]
-        if self.load.balanced_l is None:
-            la = lbk = 0.0
-        else:
-            lb = self.STATES_PER_DG * len(self.stages)
-            la, lbk = x[lb], x[lb + 1]
-        (z00, z01), (z10, z11) = self._zp
-        na = sa - ih_ab[0] - la
-        nb = sb - ih_ab[1] - lbk
-        return z00 * na + z01 * nb, z10 * na + z11 * nb, na, nb
-
     def _resistor_current(self, va: float, vb: float) -> tuple[float, float]:
         (y00, y01), (y10, y11) = self._y2
         return y00 * va + y01 * vb, y10 * va + y11 * vb
 
     def kcl_residual(self, bus: tuple[float, float, float, float],
                      i_res: tuple[float, float]) -> float:
-        """Current imbalance, in amperes, of a :meth:`bus` solve whose bank carries ``i_res``."""
+        """Current imbalance, in amperes, of a ``bus`` solve whose bank carries ``i_res``."""
         _, _, na, nb = bus
         return math.hypot(na - i_res[0], nb - i_res[1])
 
@@ -323,7 +362,7 @@ class AcNetwork:
         """Feeder resistor dissipation for the state list ``x``."""
         p = 0.0
         for d, (_, fdr) in enumerate(self.stages):
-            b = self._base(d) + 4
+            b = self.STATES_PER_DG * d + 4
             fda, fdb = x[b], x[b + 1]
             p += fdr.r * (fda * fda + fdb * fdb)
         return 1.5 * p
@@ -384,7 +423,7 @@ class Plant:
         """
         net = self.network
         x = net.x
-        va, vb, _, _ = net.bus(x, harmonic_current_ab(net.injections, theta_load))
+        va, vb, _, _ = net.bus(x, net.inject(theta_load))
         n = net.STATES_PER_DG
         return (va, vb), [(*x[n * d:n * d + n], side.v_dc, side.v_pv, side.i_pv)
                           for d, side in enumerate(self.dc_sides)]
@@ -396,7 +435,9 @@ class Plant:
         """
         dt = self.dt
         net = self.network
-        ih = harmonic_current_ab(net.injections, theta_load)
+        sides = self.dc_sides
+        n = net.STATES_PER_DG
+        ih = net.inject(theta_load)
 
         v_inv_ab = []
         for d, (ma, mb, mc) in enumerate(modulations):
@@ -404,7 +445,7 @@ class Plant:
             if sat:
                 ma, mb, mc = (min(max(m, -1.0), 1.0) for m in (ma, mb, mc))
             self.saturated[d] = sat
-            v_dc = self.dc_sides[d].v_dc
+            v_dc = sides[d].v_dc
             va, vb, vc = ma * v_dc / 2.0, mb * v_dc / 2.0, mc * v_dc / 2.0
             v_inv_ab.append(clarke_xy(va, vb, vc))
 
@@ -418,7 +459,9 @@ class Plant:
             self.max_kcl_residual = residual
         p_res, p_harm = net.load_power(bus, i_res, ih)
         p_feed = net.feeder_loss(x)
-        p_in = sum(side.v_pv * side.i_pv for side in self.dc_sides)
+        p_in = 0.0
+        for side in sides:  # left to right: from Python 3.12 on, sum() compensates
+            p_in += side.v_pv * side.i_pv
         p_out = p_res + p_harm + p_feed
         if self._p_in_prev is not None:
             self.energy_in += 0.5 * dt * (p_in + self._p_in_prev)
@@ -432,8 +475,8 @@ class Plant:
         x1 = net.step(v_inv_ab, ih)
         self.steps += 1
 
-        for d, side in enumerate(self.dc_sides):
-            b = net._base(d)
+        for d, side in enumerate(sides):
+            b = n * d
             ila = 0.5 * (x1[b] + x[b])
             ilb = 0.5 * (x1[b + 1] + x[b + 1])
             va, vb = v_inv_ab[d]
@@ -456,11 +499,10 @@ class Plant:
 
     def _check_bounds(self, x: list[float]):
         """Raise when the AC state list ``x`` or a DC state leaves its envelope."""
-        for v in x:  # one by one: NaN fails the test, and max() could skip it
-            if not -1e5 <= v <= 1e5:
-                raise self._divergence("AC state")
+        # chained range tests: NaN and the infinities fail each one
+        if not self.network.in_envelope(x):
+            raise self._divergence("AC state")
         for side in self.dc_sides:
-            if (not math.isfinite(side.v_dc) or not math.isfinite(side.v_pv)
-                    or not math.isfinite(side.i_boost)
-                    or abs(side.v_dc) > V_DC_LIMIT or abs(side.i_boost) > 1e4):
+            if not (-V_DC_LIMIT <= side.v_dc <= V_DC_LIMIT and -1e4 <= side.i_boost <= 1e4
+                    and -math.inf < side.v_pv < math.inf):
                 raise self._divergence("DC state")

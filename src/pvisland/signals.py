@@ -224,7 +224,8 @@ def resonator_table(bands, *loops) -> tuple[list[tuple], list[list[int] | None]]
 # Resonator kernels: a block's fixed table and constants written out as
 # straight-line Python, with the float operations of a loop over the table in
 # the same order.  A kernel's source holds only numbers, so blocks with equal
-# tables and constants share one compiled kernel.
+# tables and constants share one compiled kernel.  The plant's injection, bus
+# and envelope kernels compile through the same cache.
 
 
 def _literal(x) -> str:
@@ -247,8 +248,9 @@ def _chain(first: str, terms) -> str:
 @functools.lru_cache(maxsize=256)
 def _compiled(source: str):
     """The function ``kernel`` that ``source`` defines, compiled once per distinct source."""
-    namespace = {"tan": math.tan, "_require_in_range": _require_in_range}
-    exec(compile(source, "<resonator kernel>", "exec"), namespace)
+    namespace = {"cos": math.cos, "sin": math.sin, "tan": math.tan,
+                 "_require_in_range": _require_in_range}
+    exec(compile(source, "<generated kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 

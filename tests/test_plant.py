@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +8,14 @@ import pytest
 from pvisland import runner
 from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError, SimulationDivergence
-from pvisland.params import (DcLinkParams, FeederParams, FilterParams, LoadParams, PvParams,
-                             pv_current)
+from pvisland.params import (V_DC_LIMIT, DcLinkParams, FeederParams, FilterParams, LoadParams,
+                             PvParams, pv_current)
 from pvisland.plant import (
     AcNetwork,
     DcSide,
     Plant,
-    harmonic_current_ab,
+    envelope_kernel,
+    injection_kernel,
     injection_table,
     load_admittance_ab,
 )
@@ -133,6 +136,50 @@ class TestDcSide:
         with pytest.raises(ValueError):
             dc.step(1.2, 0.0, DT)
 
+    @pytest.mark.parametrize("v_pv, i_boost, v_dc, draw", [
+        (380.0, 7.0, 600.0, 2800.0),
+        (0.01, 40.0, 600.0, 0.0),      # the string voltage clamps at the predictor and the end
+        (380.0, 7.0, 0.5, 2800.0),     # a link below 1 V divides the draw by 1 V
+        (math.nan, 7.0, 600.0, 2800.0),  # max() passes a NaN through, and so must the clamps
+    ], ids=["running", "string-clamped", "link-below-one-volt", "nan-string"])
+    def test_step_matches_the_curve_and_max_oracle(self, pv3k, v_pv, i_boost, v_dc, draw):
+        # the written-out PV curve and the conditional clamps are max() and
+        # pv_current to the bit; repr tells NaN and the sign of a zero apart
+        dc = DcSide(pv3k, DC_LINK, v_pv=v_pv, v_dc=v_dc)
+        dc.i_boost = i_boost
+        dc.set_irradiance(0.8)
+        want = _dc_step_loop(dc, 0.37, draw, DT)
+        dc.step(0.37, draw, DT)
+        got = (dc.v_pv, dc.i_boost, dc.v_dc, dc.i_pv)
+        assert [type(v) for v in got] == [float] * 4
+        assert list(map(repr, got)) == list(map(repr, want))
+
+
+def _dc_step_loop(side, duty, p_draw, dt):
+    """``DcSide.step`` through ``max`` and ``pv_current``: ``(v_pv, i_boost, v_dc, i_pv)``."""
+    p = side.params
+    off = 1.0 - duty
+    v_pv, i_boost, v_dc = side.v_pv, side.i_boost, side.v_dc
+    dv1 = (side.i_pv - i_boost) / p.c_pv
+    di1 = (v_pv - off * v_dc) / p.l_boost
+    dd1 = (off * i_boost - p_draw / max(v_dc, 1.0)) / p.c_dc
+    v2 = v_pv + dt * dv1
+    i2 = i_boost + dt * di1
+    d2 = v_dc + dt * dd1
+    dv2 = (pv_current(max(v2, 0.0), side.irradiance, side.pv) - i2) / p.c_pv
+    di2 = (v2 - off * d2) / p.l_boost
+    dd2 = (off * i2 - p_draw / max(d2, 1.0)) / p.c_dc
+    v_new = max(v_pv + 0.5 * dt * (dv1 + dv2), 0.0)
+    return (v_new, i_boost + 0.5 * dt * (di1 + di2), v_dc + 0.5 * dt * (dd1 + dd2),
+            pv_current(v_new, side.irradiance, side.pv))
+
+
+def _assert_bitwise(got, want):
+    """``got`` holds Python floats equal to ``want`` bit for bit; ``==`` misses a zero's sign."""
+    assert [type(v) for v in got] == [float] * len(want)
+    assert list(got) == list(want)
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
 
 class TestInverterOutput:
     """The averaged bridge inside ``Plant.step``, seen through one step from rest."""
@@ -169,8 +216,8 @@ def _load_current_abc(v_pcc: ThreePhaseSample, spec: LoadParams, theta: float,
     """Per-phase oracle of the load bank: floating-star resistors plus injections."""
     ga, gb, gc = spec.conductances(scale)
     v_n = (ga * v_pcc.a + gb * v_pcc.b + gc * v_pcc.c) / (ga + gb + gc)
-    ih = inverse_clarke(FrameVector(*harmonic_current_ab(injection_table(spec.harmonics, scale),
-                                                         theta)))
+    ih = inverse_clarke(FrameVector(*injection_kernel(injection_table(spec.harmonics, scale))(
+        theta)))
     return ThreePhaseSample((v_pcc.a - v_n) * ga + ih.a, (v_pcc.b - v_n) * gb + ih.b,
                             (v_pcc.c - v_n) * gc + ih.c)
 
@@ -236,11 +283,11 @@ class TestLoads:
         harmonics = ((-5, 2.0, 0.3),)
         w = 370.0
         n = int(round(40.0 * 2.0 * math.pi / w / DT))
+        inject = injection_kernel(injection_table(harmonics))
         ia, ib, ic = [], [], []
         for i in range(n):
             theta = w * i * DT
-            cur = inverse_clarke(FrameVector(*harmonic_current_ab(injection_table(harmonics),
-                                                                  theta)))
+            cur = inverse_clarke(FrameVector(*inject(theta)))
             ia.append(cur.a)
             ib.append(cur.b)
             ic.append(cur.c)
@@ -265,7 +312,7 @@ class TestLoads:
 
     def test_injection_alpha_beta_matches_inverse_clarke(self):
         spec = ((7, 1.5, 0.2),)
-        al, be = harmonic_current_ab(injection_table(spec, 1.0), 0.77)
+        al, be = injection_kernel(injection_table(spec, 1.0))(0.77)
         abc = _load_current_abc(ThreePhaseSample(0.0, 0.0, 0.0),
                                 _load(balanced_r=1e9, harmonics=spec), 0.77, 1.0)
         v = clarke(abc)
@@ -345,7 +392,7 @@ class TestAcNetwork:
         worst = 0.0
         for i in range(5000):
             t = i * DT
-            ih = harmonic_current_ab(net.injections, w * t)
+            ih = net.inject(w * t)
             x = net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t)),
                           (170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], ih)
             bus = net.bus(x, ih)
@@ -382,7 +429,7 @@ class TestAcNetwork:
                      (160.0 * math.cos(w * i * DT + 0.1), 160.0 * math.sin(w * i * DT + 0.1))]
             u = np.array([*v_inv[0], *v_inv[1], ih.real, ih.imag])
             x_ref = t_ref[:, :n] @ x_ref + t_ref[:, n:] @ u
-            x = net.step(v_inv, harmonic_current_ab(net.injections, theta))
+            x = net.step(v_inv, net.inject(theta))
             assert np.max(np.abs(np.array(x) - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_rejects_too_coarse_step(self):
@@ -422,6 +469,117 @@ class TestAcNetwork:
             beta = rk4(beta, v[1])
         amp = math.hypot(*net.cap_voltage(0))
         assert amp == pytest.approx(math.hypot(alpha[1], beta[1]), rel=1e-3)
+
+
+def _injection_loop(table, theta):
+    """The injection as a loop over an :func:`injection_table`: the kernel's oracle."""
+    al = 0.0
+    be = 0.0
+    for k, phase, amp, sign in table:
+        ang = k * theta + phase
+        al += amp * math.cos(ang)
+        be += amp * math.sin(ang) * sign
+    return al, be
+
+
+def _bus_loop(net, x, ih):
+    """The coupling-bus solve as a loop over the units, at the network's load scale."""
+    y2 = load_admittance_ab(*net.load.conductances(net.load_scale))
+    (z00, z01), (z10, z11) = np.linalg.inv(y2).tolist()
+    n = AcNetwork.STATES_PER_DG
+    sa = 0.0
+    sb = 0.0
+    for d in range(len(net.stages)):
+        sa += x[n * d + 4]
+        sb += x[n * d + 5]
+    if net.load.balanced_l is None:
+        la = lbk = 0.0
+    else:
+        la, lbk = x[n * len(net.stages)], x[n * len(net.stages) + 1]
+    na = sa - ih[0] - la
+    nb = sb - ih[1] - lbk
+    return z00 * na + z01 * nb, z10 * na + z11 * nb, na, nb
+
+
+#: Injection specs: none, one silent tone, whose terms are signed zeros, one
+#: tone, and signed orders with zero, negative and large phases and a silent row.
+HARMONIC_SPECS = [(), ((-7, 0.0, 2.0),), ((-5, 2.0, 0.3),),
+                  ((-1, 7.4, 0.0), (3, 3.1, -0.4), (-5, 4.6, 2.9), (7, 0.0, 1.0),
+                   (-11, 1.3, -31.7), (13, 0.7, 0.25))]
+#: Load angles: both zeros, small and large, either side of zero.
+THETAS = [0.0, -0.0, 1e-9, 0.77, -2.5, 314.159, 1.0e4 + 0.123]
+
+
+class TestPlantKernels:
+    """The generated injection, bus and envelope kernels against their loops, bit for bit."""
+
+    @pytest.mark.parametrize("spec", HARMONIC_SPECS, ids=["empty", "silent", "one", "six"])
+    @pytest.mark.parametrize("scale", [1.0, 0.6])
+    def test_injection_matches_the_loop(self, spec, scale):
+        table = injection_table(spec, scale)
+        inject = injection_kernel(table)
+        for theta in THETAS:
+            _assert_bitwise(inject(theta), _injection_loop(table, theta))
+        if not spec:
+            assert inject(0.77) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("units", [1, 2, 3])
+    @pytest.mark.parametrize("bank", [None, 0.03], ids=["no-bank", "bank"])
+    def test_bus_matches_the_loop(self, units, bank):
+        net = AcNetwork([STAGE, STAGE_2, STAGE][:units],
+                        _load(balanced_r=10.0, unbalanced_r_a=14.0, balanced_l=bank), DT)
+        rng = np.random.default_rng(units)
+        states = [[-0.0] * len(net.x), [0.0] * len(net.x)]
+        states += [rng.normal(0.0, 50.0, len(net.x)).tolist() for _ in range(20)]
+        for x in states:
+            for ih in [(0.0, 0.0), (-0.0, -0.0), tuple(rng.normal(0.0, 3.0, 2).tolist())]:
+                _assert_bitwise(net.bus(x, ih), _bus_loop(net, x, ih))
+
+    @pytest.mark.parametrize("bank", [None, 0.03], ids=["no-bank", "bank"])
+    def test_kernels_follow_a_load_step(self, bank):
+        spec = HARMONIC_SPECS[-1]
+        net = AcNetwork([STAGE, STAGE_2],
+                        _load(balanced_r=10.0, unbalanced_r_a=14.0, harmonics=spec,
+                              balanced_l=bank), DT)
+        x = np.random.default_rng(5).normal(0.0, 50.0, len(net.x)).tolist()
+        before = net.inject(0.77), net.bus(x, (1.0, -2.0))
+        net.set_load_scale(0.6)
+        for theta in THETAS:
+            _assert_bitwise(net.inject(theta), _injection_loop(injection_table(spec, 0.6), theta))
+        _assert_bitwise(net.bus(x, (1.0, -2.0)), _bus_loop(net, x, (1.0, -2.0)))
+        assert (net.inject(0.77), net.bus(x, (1.0, -2.0))) != before
+
+    @pytest.mark.parametrize("n", [6, 12, 14])
+    def test_envelope_matches_the_range_loop(self, n):
+        bound = AcNetwork.AC_BOUND
+        in_envelope = envelope_kernel(n, bound)
+        edges = [-bound, bound, -0.0, 0.0]
+        states = [[edges[i % 4] for i in range(n)]]  # inside, at the edges
+        for i in range(n):
+            for value in (math.nan, math.inf, -math.inf, math.nextafter(bound, math.inf),
+                          math.nextafter(-bound, -math.inf)):
+                x = [0.0] * n
+                x[i] = value
+                states.append(x)
+        verdicts = [in_envelope(x) for x in states]
+        assert verdicts == [all(-bound <= v <= bound for v in x) for x in states]
+        assert verdicts == [True] + [False] * (len(states) - 1)
+
+    def test_kernels_return_python_floats(self):
+        # a NumPy scalar from a kernel would turn every controller downstream
+        # into float64 arithmetic
+        plant = _two_unit_plant(balanced_l="0.03")
+        w = 370.0
+        for i in range(50):
+            m = inverse_clarke(FrameVector(0.5 * math.cos(w * i * DT),
+                                           0.5 * math.sin(w * i * DT)))
+            plant.step([0.37, 0.37], [m, m], w * i * DT)
+        net = plant.network
+        ih = net.inject(w * 50 * DT)
+        values = [*ih, *net.bus(net.x, ih), *plant.measurements(w * 50 * DT)[0]]
+        assert [type(v) for v in values] == [float] * len(values)
+        assert any(values)
+        assert net.in_envelope(net.x) is True
 
 
 def _two_unit_plant(**load):
@@ -527,12 +685,52 @@ class TestPlant:
 
     def test_bounds_check_sees_a_nan_anywhere(self):
         # a step spreads a NaN to every state; max() over a list would skip
-        # one that is not its first item
+        # one that is not its first item.  NaN and either infinity fail the
+        # check at every AC index and in every DC state, bank or not.
+        for bank in ("off", "0.03"):
+            plant = _two_unit_plant(balanced_l=bank)
+            for value in (math.nan, math.inf, -math.inf):
+                for i in range(len(plant.network.x)):
+                    x = list(plant.network.x)
+                    x[i] = value
+                    with pytest.raises(SimulationDivergence, match="AC state"):
+                        plant._check_bounds(x)
+                for side in plant.dc_sides:
+                    for name in ("v_pv", "i_boost", "v_dc"):
+                        healthy = getattr(side, name)
+                        setattr(side, name, value)
+                        with pytest.raises(SimulationDivergence, match="DC state"):
+                            plant._check_bounds(plant.network.x)
+                        setattr(side, name, healthy)
+            plant._check_bounds(plant.network.x)
+
+    def test_dc_envelope_edges(self):
+        # the range tests admit their limits and nothing past them
         plant = _two_unit_plant()
-        x = list(plant.network.x)
-        x[-1] = math.nan
-        with pytest.raises(SimulationDivergence, match="AC state"):
-            plant._check_bounds(x)
+        side = plant.dc_sides[0]
+        for name, limit in (("v_dc", V_DC_LIMIT), ("i_boost", 1e4)):
+            healthy = getattr(side, name)
+            for value in (limit, -limit):
+                setattr(side, name, value)
+                plant._check_bounds(plant.network.x)
+                setattr(side, name, math.nextafter(value, math.copysign(math.inf, value)))
+                with pytest.raises(SimulationDivergence, match="DC state"):
+                    plant._check_bounds(plant.network.x)
+            setattr(side, name, healthy)
+
+    def test_pv_power_adds_left_to_right(self):
+        # sum() compensates its rounding from Python 3.12 on, so a three-unit
+        # audit would differ between versions; the plant adds in unit order
+        cfg = from_mapping({})
+        cfg = dataclasses.replace(cfg, dgs=cfg.dgs + [copy.deepcopy(cfg.dgs[0])])
+        plant = Plant(cfg)
+        for side, irradiance in zip(plant.dc_sides, (1.0, 0.21, 0.34)):
+            side.set_irradiance(irradiance)
+        p1, p2, p3 = (side.v_pv * side.i_pv for side in plant.dc_sides)
+        # these powers round differently when the sum is compensated
+        assert math.fsum((p1, p2, p3)) != ((0 + p1) + p2) + p3
+        plant.step([0.37] * 3, [ThreePhaseSample(0.0, 0.0, 0.0)] * 3, 0.0)
+        assert plant.energy_in == cfg.dt * (((0 + p1) + p2) + p3)
 
     def test_inductive_bank_consumes_reactive(self):
         plant = _two_unit_plant(**RESISTIVE, balanced_l="0.03")
@@ -607,7 +805,7 @@ class TestPlant:
         theta = w * 400 * DT
         net = plant.network
         v_pcc, rows = plant.measurements(theta)
-        assert v_pcc == net.bus(net.x, harmonic_current_ab(net.injections, theta))[:2]
+        assert v_pcc == net.bus(net.x, net.inject(theta))[:2]
         n = AcNetwork.STATES_PER_DG
         assert rows == [(*net.x[n * d:n * d + n], side.v_dc, side.v_pv, side.i_pv)
                         for d, side in enumerate(plant.dc_sides)]
@@ -629,9 +827,9 @@ class TestPlant:
         stepped = AcNetwork(plant.network.stages, load, DT)
         stepped.set_load_scale(0.6)
         stepped.x = plant.network.x.copy()
-        ih = harmonic_current_ab(injection_table(load.harmonics, 0.6), theta)
+        ih = injection_kernel(injection_table(load.harmonics, 0.6))(theta)
         assert measured == stepped.bus(stepped.x, ih)[:2]
         unstepped = AcNetwork(plant.network.stages, load, DT)
         unstepped.x = plant.network.x.copy()
         assert measured != unstepped.bus(
-            unstepped.x, harmonic_current_ab(injection_table(load.harmonics), theta))[:2]
+            unstepped.x, injection_kernel(injection_table(load.harmonics))(theta))[:2]
