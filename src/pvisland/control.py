@@ -5,6 +5,14 @@ slow averaging filters, frequency/voltage droop, sequence-selective virtual
 impedance, and the cascaded proportional-resonant voltage and current
 loops.  The boost duty cycle comes from a mode machine that switches
 between maximum-power tracking and DC-link voltage regulation.
+
+A unit's step is written through: :meth:`DgController.step` does the
+power products, both filters, the droop and the start-up ramp as float
+operations, then calls the extractor's kernel (through the counted
+``SequenceExtractor._rebuild``), each loop's step, which calls its
+resonator kernel, and the boost machine.  The clamps on the tick are
+conditional expressions: ``c if c > a else a`` is ``max(a, c)`` and
+``c if c < a else a`` is ``min(a, c)``, NaN and -0.0 included.
 """
 
 from __future__ import annotations
@@ -14,74 +22,22 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, SimulationDivergence
 from .signals import (
+    _SQRT3_OVER_2,
     HARMONIC_ORDERS,
     LowPass1,
     ProportionalResonant,
     SequenceExtractor,
-    inverse_clarke_xy,
     ticks,
 )
 
 if TYPE_CHECKING:
     from .config import DgConfig, ScenarioConfig
-    from .params import DroopParams, ModeParams, MpptParams, PrGains, VrParams
+    from .params import ModeParams, MpptParams, PrGains, VrParams
 
 #: Cutoff of every unit's power-averaging filters.
 POWER_FILTER_HZ = 2.0
 #: The boost duty range, for the tracker and the link regulator alike.
 DUTY_MIN, DUTY_MAX = 0.02, 0.95
-
-
-# ---------------------------------------------------------------------------
-# Power calculation
-# ---------------------------------------------------------------------------
-
-class PowerCalculator:
-    """Instantaneous two-axis power, averaged by first-order filters.
-
-    Inputs are amplitude-invariant stationary-frame pairs, hence the 3/2
-    factor on both powers.
-    """
-
-    def __init__(self, cutoff_hz: float, dt: float):
-        self._p_filt = LowPass1(cutoff_hz, dt)
-        self._q_filt = LowPass1(cutoff_hz, dt)
-        self.p_inst = 0.0
-        self.q_inst = 0.0
-
-    def step(self, va: float, vb: float, ia: float, ib: float) -> tuple[float, float]:
-        self.p_inst = 1.5 * (va * ia + vb * ib)
-        self.q_inst = 1.5 * (vb * ia - va * ib)
-        return self._p_filt.step(self.p_inst), self._q_filt.step(self.q_inst)
-
-
-# ---------------------------------------------------------------------------
-# Droop
-# ---------------------------------------------------------------------------
-
-class DroopControl:
-    """Frequency/active and voltage/reactive droop with its own phase accumulator,
-    from the no-load voltage amplitude ``v_amp`` and angular frequency ``omega``."""
-
-    def __init__(self, params: DroopParams, v_amp: float, omega: float):
-        self.params = params
-        self.v_amp = v_amp
-        self.omega = omega
-        self.theta = 0.0
-        self.omega_ref = omega
-        self.v_ref = v_amp
-        self.clamped = False
-
-    def step(self, p_avg: float, q_avg: float, dt: float) -> tuple[float, float]:
-        par = self.params
-        v_amp = self.v_amp
-        self.omega_ref = self.omega - par.m_p * p_avg
-        v_ref = v_amp - par.n_p * q_avg
-        lo, hi = 0.5 * v_amp, 1.2 * v_amp
-        self.clamped = not (lo <= v_ref <= hi)
-        self.v_ref = min(max(v_ref, lo), hi)
-        self.theta = (self.theta + self.omega_ref * dt) % (2.0 * math.pi)
-        return self.v_ref * math.cos(self.theta), self.v_ref * math.sin(self.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +56,8 @@ class VoltageLoop:
     def step(self, ref_a: float, ref_b: float, va: float, vb: float,
              rows: tuple[float, ...]) -> tuple[float, float]:
         """Inductor current reference from the voltage reference and measurement."""
-        ia, ib = self.pr.step_pair(ref_a - va, ref_b - vb, rows)
+        pr = self.pr
+        ia, ib = pr._kernel(pr, ref_a - va, ref_b - vb, rows)
         mag = math.hypot(ia, ib)
         self.clamped = mag > self.i_limit
         if self.clamped:
@@ -114,8 +71,9 @@ class CurrentLoop:
     """PR regulation of the filter inductor current, both axes in one pass.
 
     The controller output is normalized by half the DC-link voltage to form
-    per-phase modulation commands; a collapsed link forces the commands to
-    zero rather than dividing by a vanishing voltage.
+    per-phase modulation commands (the inverse Clarke transform written
+    out); a collapsed link forces the commands to zero rather than dividing
+    by a vanishing voltage.
     """
 
     V_DC_LOCKOUT = 50.0
@@ -127,12 +85,15 @@ class CurrentLoop:
     def step(self, ref_a: float, ref_b: float, ia: float, ib: float, v_dc: float,
              rows: tuple[float, ...]) -> tuple[float, float, float]:
         """Per-phase modulation commands from the current reference and measurement."""
-        va, vb = self.pr.step_pair(ref_a - ia, ref_b - ib, rows)
+        pr = self.pr
+        va, vb = pr._kernel(pr, ref_a - ia, ref_b - ib, rows)
         self.locked_out = v_dc < self.V_DC_LOCKOUT
         if self.locked_out:
             return 0.0, 0.0, 0.0
         half = v_dc / 2.0
-        return inverse_clarke_xy(va / half, vb / half)
+        x = va / half
+        y = vb / half
+        return x, -0.5 * x + _SQRT3_OVER_2 * y, -0.5 * x - _SQRT3_OVER_2 * y
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +161,15 @@ class DcLinkRegulator:
     def step(self, v_dc: float, duty_ceiling: float | None = None) -> float:
         """One step of ``dt`` on the link voltage ``v_dc``; returns the duty."""
         p = self.params
-        hi = DUTY_MAX if duty_ceiling is None else min(DUTY_MAX, duty_ceiling)
+        hi = duty_ceiling if duty_ceiling is not None and duty_ceiling < DUTY_MAX else DUTY_MAX
         e = p.v_dc_ref - v_dc
         candidate = self.integral + p.ki * e * self.dt
         duty = p.kp * e + candidate
         if DUTY_MIN <= duty <= hi:
             self.integral = candidate
-        else:
-            duty = min(max(duty, DUTY_MIN), hi)
+        else:  # min(max(duty, DUTY_MIN), hi)
+            duty = DUTY_MIN if DUTY_MIN > duty else duty
+            duty = hi if hi < duty else duty
         return duty
 
 
@@ -272,8 +234,8 @@ class BoostController:
             if self._vr_vpv_floor is None:
                 self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
             # never under the duty range: a link sagged below the floor gets the least duty
-            ceiling = max(1.0 - self._vr_vpv_floor / max(v_dc, 50.0), DUTY_MIN)
-            self.duty = self.vr.step(v_dc, ceiling)
+            ceiling = 1.0 - self._vr_vpv_floor / (50.0 if 50.0 > v_dc else v_dc)
+            self.duty = self.vr.step(v_dc, DUTY_MIN if DUTY_MIN > ceiling else ceiling)
         return self.duty
 
 
@@ -284,8 +246,14 @@ class BoostController:
 class DgController:
     """Primary control stack of the unit ``name``, built from its ``dgN.*`` records.
 
-    Each step covers one ``control.period`` and makes one resonance pass at
-    the droop frequency, the extractor's kernel, which also gives both loops
+    Each step covers one ``control.period``.  The instantaneous two-axis
+    powers ``p_inst``/``q_inst`` (amplitude-invariant pairs, hence the 3/2
+    factor) are averaged by two first-order :class:`~pvisland.signals.LowPass1`
+    filters at ``POWER_FILTER_HZ`` into ``p_avg``/``q_avg``.  The droop sets
+    ``omega_ref`` and the amplitude ``v_ref`` from them, clamped to
+    0.5-1.2 of the no-load amplitude (``droop_clamped`` flags a clamp), and
+    advances its own phase ``theta``.  Then comes one resonance pass at the
+    droop frequency, the extractor's kernel, which also gives both loops
     their rows; the extractor's band update sums the virtual impedance's
     drop, its reactance taken at the no-load frequency.  The boost starts at
     the duty that lifts the array's maximum-power voltage to the link
@@ -296,8 +264,16 @@ class DgController:
         self.name = name
         self.dt = dt = cfg.control_period
         self.startup_ramp = cfg.startup_ramp
-        self.power = PowerCalculator(POWER_FILTER_HZ, dt)
-        self.droop = DroopControl(dg.droop, cfg.v_amp, cfg.omega)
+        power_filter = LowPass1(POWER_FILTER_HZ, dt)
+        # the droop's constants, and the coefficients both power filters share
+        self._consts = (dg.droop.m_p, dg.droop.n_p, cfg.v_amp, cfg.omega,
+                        0.5 * cfg.v_amp, 1.2 * cfg.v_amp, power_filter._a, power_filter._b)
+        self.p_inst = self.q_inst = 0.0
+        self.p_avg = self.q_avg = 0.0
+        self.omega_ref = cfg.omega
+        self.v_ref = cfg.v_amp
+        self.theta = 0.0
+        self.droop_clamped = False
         rated_current = dg.pv.rated_w / (1.5 * cfg.v_amp)
         self.voltage_loop = VoltageLoop(dg.prv, cfg.omega, dt,
                                         dg.current_limit_factor * rated_current)
@@ -308,8 +284,6 @@ class DgController:
             loops=(self.voltage_loop.pr.terms, self.current_loop.pr.terms))
         self.boost = BoostController(dg.mppt, dg.vr, dg.mode,
                                      1.0 - dg.pv.v_mp / dg.vr.v_dc_ref, dt)
-        self.p_avg = 0.0
-        self.q_avg = 0.0
 
     def step(self, row: tuple[float, ...], v_c: tuple[float, float], t: float
              ) -> tuple[float, tuple[float, float, float]]:
@@ -319,15 +293,31 @@ class DgController:
         """
         dt = self.dt
         ila, ilb, voa, vob, ioa, iob, v_dc, v_pv, i_pv = row
+        m_p, n_p, v_amp, omega, lo, hi, a, b = self._consts
 
-        self.p_avg, self.q_avg = self.power.step(voa, vob, ioa, iob)
-        da, db = self.droop.step(self.p_avg, self.q_avg, dt)
+        p_inst = 1.5 * (voa * ioa + vob * iob)
+        q_inst = 1.5 * (vob * ioa - voa * iob)
+        self.p_avg = p_avg = a * self.p_avg + b * (p_inst + self.p_inst)
+        self.q_avg = q_avg = a * self.q_avg + b * (q_inst + self.q_inst)
+        self.p_inst = p_inst
+        self.q_inst = q_inst
+
+        self.omega_ref = omega_ref = omega - m_p * p_avg
+        v_ref = v_amp - n_p * q_avg
+        self.droop_clamped = clamped = not (lo <= v_ref <= hi)
+        if clamped:  # min(max(v_ref, lo), hi)
+            v_ref = lo if lo > v_ref else v_ref
+            v_ref = hi if hi < v_ref else v_ref
+        self.v_ref = v_ref
+        self.theta = theta = (self.theta + omega_ref * dt) % (2.0 * math.pi)
+        da = v_ref * math.cos(theta)
+        db = v_ref * math.sin(theta)
         if t < self.startup_ramp:
             ramp = t / self.startup_ramp
             da *= ramp
             db *= ramp
         try:
-            za, zb, v_rows, i_rows = self.extractor.advance(ioa, iob, self.droop.omega_ref, dt)
+            za, zb, v_rows, i_rows = self.extractor._rebuild(ioa, iob, omega_ref, dt)
         except ConfigurationError as exc:  # the droop moved it there, not a setting
             raise SimulationDivergence(f"{self.name} droop frequency at t={t:.6f} s: {exc}",
                                        t_last_good=t - dt) from exc

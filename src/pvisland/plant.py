@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
 from .params import V_DC_LIMIT, pv_current
-from .signals import (_chain, _compiled, _literal, _names, clarke_xy, inverse_clarke_xy,
-                      max_filter_step)
+from .signals import (_ONE_OVER_SQRT3, _chain, _compiled, _literal, _names, clarke_xy,
+                      inverse_clarke_xy, max_filter_step)
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -258,7 +258,7 @@ class AcNetwork:
         n = self.STATES_PER_DG * ndg + (2 if has_l else 0)
         self._n_states = n
         y2 = load_admittance_ab(*self.load.conductances(self.load_scale))
-        self._y2 = y2.tolist()
+        self._y2 = tuple(y2.ravel().tolist())  # y00, y01, y10, y11
         zp = np.linalg.inv(y2).tolist()
         a = np.zeros((n, n))
         b = np.zeros((n, 2 * ndg + 2))  # inputs: v_inv per DG (2 axes), harmonic current
@@ -332,10 +332,6 @@ class AcNetwork:
         if self.load.balanced_l is None:
             return 0.0, 0.0
         return self._pair(self.STATES_PER_DG * len(self.stages))
-
-    def _resistor_current(self, va: float, vb: float) -> tuple[float, float]:
-        (y00, y01), (y10, y11) = self._y2
-        return y00 * va + y01 * vb, y10 * va + y11 * vb
 
     def kcl_residual(self, bus: tuple[float, float, float, float],
                      i_res: tuple[float, float]) -> float:
@@ -447,13 +443,17 @@ class Plant:
             self.saturated[d] = sat
             v_dc = sides[d].v_dc
             va, vb, vc = ma * v_dc / 2.0, mb * v_dc / 2.0, mc * v_dc / 2.0
-            v_inv_ab.append(clarke_xy(va, vb, vc))
+            v_inv_ab.append(((2.0 / 3.0) * (va - 0.5 * vb - 0.5 * vc),  # clarke_xy(va, vb, vc)
+                             _ONE_OVER_SQRT3 * (vb - vc)))
 
         x = net.x
 
-        # Audit bookkeeping and KCL check at the pre-step instant
+        # Audit bookkeeping and KCL check at the pre-step instant; the
+        # resistive bank carries its admittance times the bus voltage
         bus = net.bus(x, ih)
-        i_res = net._resistor_current(bus[0], bus[1])
+        bus_a, bus_b, _, _ = bus
+        y00, y01, y10, y11 = net._y2
+        i_res = (y00 * bus_a + y01 * bus_b, y10 * bus_a + y11 * bus_b)
         residual = net.kcl_residual(bus, i_res)
         if residual > self.max_kcl_residual:
             self.max_kcl_residual = residual

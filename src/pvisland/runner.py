@@ -180,6 +180,9 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     flags = FlagLog({"vcc": VCC_FLAGS, **dict.fromkeys(unit_sources, UNIT_FLAGS)})
 
     zero_vcs = [(0.0, 0.0)] * len(controllers)
+    # each unit's duty and modulation triple, rewritten on every tick
+    duties = [0.0] * len(controllers)
+    mods = [(0.0, 0.0, 0.0)] * len(controllers)
     # Every compensator tick broadcasts a snapshot of its effort phasors,
     # due at the units after the communication delay; the units rebuild
     # their corrections from the latest snapshot that has arrived.
@@ -200,9 +203,12 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                 plant.dc_sides[d].set_irradiance(value)
 
             v_pcc_ab, rows = plant.measurements(theta)
-            v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
+            vcc_tick = tick % vcc_every == 0
+            sample_tick = tick % sample_every == 0
+            if vcc_tick or sample_tick:  # the phase voltages, read on these ticks only
+                v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
 
-            if tick % vcc_every == 0:
+            if vcc_tick:
                 extracted = bank.step(v_pcc_abc, theta, vcc.period)
                 if vcc_active:
                     in_flight.append((tick + delay_ticks, comp.step(extracted, vcc.period)))
@@ -212,24 +218,20 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             while in_flight and in_flight[0][0] <= tick:
                 efforts = in_flight.popleft()[1]
 
-            duties = []
-            mods = []
             vc_log = zero_vcs if efforts is None else comp.correction_from(efforts, theta)
-            if vcc_active and tick % vcc_every == 0:
+            if vcc_active and vcc_tick:
                 # the clamp counts once the corrections it cuts reach the units
                 flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
                 comp.clamped = False
-            for ctl, row, v_c in zip(controllers, rows, vc_log):
-                duty, m = ctl.step(row, v_c, t)
-                duties.append(duty)
-                mods.append(m)
+            for d, (ctl, row, v_c) in enumerate(zip(controllers, rows, vc_log)):
+                duties[d], mods[d] = ctl.step(row, v_c, t)
 
-            if tick % sample_every == 0:
+            if sample_tick:
                 values = [t, *v_pcc_abc]
                 for ctl, row, duty in zip(controllers, rows, duties):
                     _, _, _, _, ioa, iob, v_dc, v_pv, _ = row
                     values += (ctl.p_avg, ctl.q_avg, v_dc, v_pv, duty,
-                               1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.droop.omega_ref,
+                               1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.omega_ref,
                                *inverse_clarke_xy(ioa, iob))
                 values += [row[7] * row[8] for row in rows]  # v_pv * i_pv
                 values += (1.0 if vcc_active else 0.0, comp.vuf,
@@ -248,7 +250,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                 plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
             # after the substeps, so a bridge clamp is stamped with the tick of its commands
             for source, ctl, saturated in zip(unit_sources, controllers, plant.saturated):
-                flags.update(t, source, (ctl.droop.clamped, ctl.voltage_loop.clamped,
+                flags.update(t, source, (ctl.droop_clamped, ctl.voltage_loop.clamped,
                                          ctl.current_loop.locked_out, saturated))
 
         mode_transitions = sorted(

@@ -269,7 +269,8 @@ def table_kernel(table, index, gain: float = 0.0, drop=()):
     extractor ``ext`` of those bands, ``gain`` and ``drop`` on the input
     ``(x, y)`` and returns ``(za, zb, *rows)``; one without gives
     ``kernel(omega, dt)``, which returns the rows.  Each loop's rows are one
-    flat tuple ``(alpha, beta, gamma, h, ...)`` in the order of its terms.
+    flat tuple ``(alpha, beta, gamma, h, ...)`` in the order of its terms;
+    loops with equal ``index`` entries get the same tuple.
     Both raise :class:`ConfigurationError` for an ``omega`` whose highest
     order reaches the Nyquist rate of ``dt``.
     """
@@ -337,10 +338,12 @@ def table_kernel(table, index, gain: float = 0.0, drop=()):
                     [f"{r} * (0.5 * ({f'nqa{j} + nvb{j}' if pos else f'nvb{j} - nqa{j}'}))"
                      for j, r, pos in harmonics])]
         returned += ["za", "zb"]
-    for loop in index:
-        row = [f"al{i}, be{i}, ga{i}, h{rows[i]}" for i in (range(len(rows)) if loop is None
-                                                            else loop)]
-        returned.append(f"({', '.join(row)},)")
+    for n, loop in enumerate(index):
+        if loop not in index[:n]:  # the tuple rows{n}, returned for every equal entry
+            row = [f"al{i}, be{i}, ga{i}, h{rows[i]}" for i in (range(len(rows)) if loop is None
+                                                                else loop)]
+            out.append(f"    rows{n} = ({', '.join(row)},)")
+        returned.append(f"rows{index.index(loop)}")
     out.append(f"    return {', '.join(returned)},")
     return _compiled("\n".join(out))
 
@@ -534,7 +537,8 @@ class Pll:
         self._integral += 0.5 * self.ki * dt * (e + self._e_prev)
         self._e_prev = e
         omega = self._omega_ff + self.kp * e + self._integral
-        omega = min(max(omega, self.omega_min), self.omega_max)
+        omega = self.omega_min if self.omega_min > omega else omega  # max(omega, omega_min)
+        omega = self.omega_max if self.omega_max < omega else omega  # min(omega, omega_max)
         self.omega = omega
         self.theta = (self.theta + omega * dt) % (2.0 * math.pi)
         return self.theta, self.omega

@@ -10,10 +10,11 @@ reference contributes nothing.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .signals import (DEFAULT_SEQUENCE_ORDERS, DQ, HARMONIC_ORDERS, FrameVector, LowPass2,
-                      ThreePhaseSample, clarke_xy, inverse_park_xy, park_xy)
+                      ThreePhaseSample, clarke_xy, park_xy)
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -139,9 +140,11 @@ class CentralCompensator:
         for c, (d, q) in efforts.items():
             if d == 0.0 and q == 0.0:
                 continue
-            x, y = inverse_park_xy(d, q, c * theta)
-            a += x
-            b += y
+            angle = c * theta
+            cos_c = math.cos(angle)
+            sin_c = math.sin(angle)
+            a += d * cos_c - q * sin_c
+            b += d * sin_c + q * cos_c
         lim = self.params.output_limit
         out = []
         for share in self.shares:

@@ -3,8 +3,11 @@
 ``tests/calls_per_tick.py`` counts each preset's profiled calls per
 control tick.  The count is deterministic, so unlike ticks/s it does not
 drift with the host, and a change that gives calls back shows here.  The
-ceilings are the counts recorded on CPython 3.11 with the plant's
-injection, bus and envelope kernels, plus one call of margin.
+ceilings are the counts recorded on CPython 3.11 with each unit's control
+chain written through, plus one call of margin.  The default scenario at
+half the solver step takes two plant substeps per control tick, as the
+benchmark's sharing-halfstep workload does, so the substep's calls count
+twice there.
 """
 
 import importlib.util
@@ -20,9 +23,17 @@ calls_per_tick = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(calls_per_tick)
 
 #: Profiled calls per control tick, as recorded.
-RECORDED = {"baseline": 115.905, "loadstep": 96.0535, "sharing": 116.05425}
+RECORDED = {"baseline": 80.405, "loadstep": 60.5535, "sharing": 80.55425}
+#: The same for the default scenario with ``solver.dt = 25e-6``.
+RECORDED_TWO_SUBSTEPS = 109.556
 
 
 @pytest.mark.parametrize("preset", cli.PRESETS)
 def test_calls_per_tick_stay_under_the_ceiling(preset):
     assert calls_per_tick.calls_per_tick(preset) <= RECORDED[preset] + 1.0
+
+
+def test_calls_per_tick_with_two_substeps_stay_under_the_ceiling(tmp_path):
+    scenario = tmp_path / "halfstep.cfg"
+    scenario.write_text("solver.dt = 25e-6\n", encoding="utf-8")
+    assert calls_per_tick.calls_per_tick(str(scenario)) <= RECORDED_TWO_SUBSTEPS + 1.0

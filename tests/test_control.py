@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from pvisland.control import (
+    POWER_FILTER_HZ,
     BoostController,
     CurrentLoop,
     DcLinkRegulator,
-    DroopControl,
     IncrementalConductanceMppt,
-    PowerCalculator,
     VoltageLoop,
     DUTY_MAX,
     DUTY_MIN,
@@ -19,12 +18,15 @@ from pvisland.control import (
 )
 from pvisland.config import from_mapping
 from pvisland.plant import Plant
-from pvisland.params import DroopParams, PrGains, PvParams, pv_current
-from pvisland.runner import build_controllers
+from pvisland.vcc import CentralCompensator
+from pvisland.params import PrGains, PvParams, pv_current
+from pvisland.runner import build_compensator, build_controllers, build_plant
 from pvisland.errors import SimulationDivergence
-from pvisland.signals import HARMONIC_ORDERS, SequenceExtractor, table_kernel
+from pvisland.signals import (HARMONIC_ORDERS, LowPass1, Pll, SequenceExtractor, clarke_xy,
+                              inverse_clarke_xy, inverse_park_xy, table_kernel)
 
 DT = 50e-6
+OMEGA = 370.0
 V_AMP = math.sqrt(2.0) * 120.0
 
 
@@ -70,63 +72,106 @@ def _rows(loop, omega=370.0):
     return loop.pr.transitions(omega, DT)
 
 
+#: No virtual impedance and no start-up ramp: a unit's voltage reference is its droop output.
+_BARE = {"solver.startup_ramp": "0", "dg1.vi.r_pos": "0", "dg1.vi.l_pos": "0",
+         "dg1.vi.r_neg": "0", "dg1.vi.r_h3": "0", "dg1.vi.r_h5": "0", "dg1.vi.r_h7": "0",
+         "dg1.vi.r_h11": "0"}
+
+
+def _bare_unit():
+    """Unit 1 (droop 12e-4 / 1e-3 at 370 rad/s and ``V_AMP``) with the ``_BARE`` settings."""
+    return build_controllers(from_mapping(_BARE))[0]
+
+
+def _row(voa=0.0, vob=0.0, ioa=0.0, iob=0.0):
+    """A measurement row with the given output voltage and current pairs, the link at 600 V."""
+    return (0.0, 0.0, voa, vob, ioa, iob, 600.0, 380.0, 7.0)
+
+
+def _droop_output(ctl, row):
+    """Step the bare unit ``ctl`` on ``row``; returns the droop's output pair.
+
+    With no drop and no correction, the voltage loop's error is that pair
+    minus the measured output voltage.
+    """
+    ctl.step(row, (0.0, 0.0), 0.0)
+    ea, eb = ctl.voltage_loop.pr._e_prev
+    return ea + row[2], eb + row[3]
+
+
+def _at_powers(ctl, p, q):
+    """Step the bare unit ``ctl`` at averaged powers ``p`` and ``q``; returns the droop output.
+
+    The filters start settled at ``p`` and ``q``, and the row's
+    instantaneous powers are ``p`` and ``q`` too.
+    """
+    ctl.p_avg = ctl.p_inst = p
+    ctl.q_avg = ctl.q_inst = q
+    return _droop_output(ctl, _row(100.0, 0.0, p / 150.0, -q / 150.0))
+
+
 class TestPowerCalculator:
+    """The unit step's power products and their 2 Hz averaging filters."""
+
     def test_instantaneous_products(self):
-        pc = PowerCalculator(2.0, DT)
-        pc.step(170.0, 0.0, 10.0, 0.0)
-        assert pc.p_inst == pytest.approx(2550.0, rel=1e-12)
-        assert pc.q_inst == pytest.approx(0.0, abs=1e-12)
+        ctl = _bare_unit()
+        ctl.step(_row(170.0, 0.0, 10.0, 0.0), (0.0, 0.0), 0.0)
+        assert ctl.p_inst == pytest.approx(2550.0, rel=1e-12)
+        assert ctl.q_inst == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_current(self):
-        pc = PowerCalculator(2.0, DT)
-        p, q = pc.step(170.0, 0.0, 0.0, 0.0)
-        assert (p, q) == (0.0, 0.0)
+        ctl = _bare_unit()
+        ctl.step(_row(170.0, 0.0, 0.0, 0.0), (0.0, 0.0), 0.0)
+        assert (ctl.p_avg, ctl.q_avg) == (0.0, 0.0)
 
     def test_quadrature_current_reads_as_reactive(self):
         # current lagging the rotating voltage by 90 degrees: averaged
         # active power vanishes, reactive settles at 1.5*V*I
-        pc = PowerCalculator(2.0, DT)
+        ctl = _bare_unit()
         w = 370.0
         for i in range(int(1.0 / DT)):
             t = i * DT
-            p, q = pc.step(170.0 * math.cos(w * t), 170.0 * math.sin(w * t),
-                           10.0 * math.sin(w * t), -10.0 * math.cos(w * t))
-        assert abs(p) < 0.01 * 2550.0
-        assert q == pytest.approx(1.5 * 170.0 * 10.0, rel=0.01)
+            ctl.step(_row(170.0 * math.cos(w * t), 170.0 * math.sin(w * t),
+                          10.0 * math.sin(w * t), -10.0 * math.cos(w * t)), (0.0, 0.0), t)
+        assert abs(ctl.p_avg) < 0.01 * 2550.0
+        assert ctl.q_avg == pytest.approx(1.5 * 170.0 * 10.0, rel=0.01)
 
 
 class TestDroop:
-    def _droop(self):
-        return DroopControl(DroopParams(m_p=12e-4, n_p=1e-3), V_AMP, 370.0)
+    """The unit step's droop: frequency and amplitude from the averaged powers."""
 
     def test_no_load_point(self):
-        droop = self._droop()
-        out = droop.step(0.0, 0.0, DT)
-        assert droop.omega_ref == 370.0
+        ctl = _bare_unit()
+        out = _droop_output(ctl, _row())
+        assert ctl.omega_ref == 370.0
         assert math.hypot(*out) == pytest.approx(V_AMP, rel=1e-12)
 
     def test_active_power_lowers_frequency(self):
-        droop = self._droop()
-        droop.step(1000.0, 0.0, DT)
-        assert droop.omega_ref == pytest.approx(368.8, rel=1e-12)
+        ctl = _bare_unit()
+        _at_powers(ctl, 1000.0, 0.0)
+        assert ctl.omega_ref == pytest.approx(368.8, rel=1e-12)
 
     def test_reactive_power_lowers_amplitude(self):
-        droop = self._droop()
-        out = droop.step(0.0, 500.0, DT)
+        out = _at_powers(_bare_unit(), 0.0, 500.0)
         assert math.hypot(*out) == pytest.approx(V_AMP - 0.5, rel=1e-12)
 
     def test_amplitude_clamp_flags(self):
-        droop = self._droop()
-        droop.step(0.0, 1e6, DT)
-        assert droop.clamped
-        assert droop.v_ref == pytest.approx(0.5 * V_AMP)
+        ctl = _bare_unit()
+        _at_powers(ctl, 0.0, 1e6)
+        assert ctl.droop_clamped
+        assert ctl.v_ref == pytest.approx(0.5 * V_AMP)
+        _at_powers(ctl, 0.0, -1e6)
+        assert ctl.droop_clamped
+        assert ctl.v_ref == pytest.approx(1.2 * V_AMP)
+        _at_powers(ctl, 0.0, 500.0)
+        assert not ctl.droop_clamped
 
     def test_phase_accumulates_at_reference_rate(self):
-        droop = self._droop()
-        droop.step(1000.0, 0.0, DT)
-        theta0 = droop.theta
-        droop.step(1000.0, 0.0, DT)
-        assert (droop.theta - theta0) % (2.0 * math.pi) == pytest.approx(368.8 * DT, rel=1e-9)
+        ctl = _bare_unit()
+        _at_powers(ctl, 1000.0, 0.0)
+        theta0 = ctl.theta
+        _at_powers(ctl, 1000.0, 0.0)
+        assert (ctl.theta - theta0) % (2.0 * math.pi) == pytest.approx(368.8 * DT, rel=1e-9)
 
 
 class TestVirtualImpedance:
@@ -377,5 +422,400 @@ class TestDgController:
             for tick in range(100):
                 ctl.step(row, (0.0, 0.0), tick * DT)
         assert tick == 11
-        assert ctl.droop.omega_ref == pytest.approx(-18.8, abs=0.05)
+        assert ctl.omega_ref == pytest.approx(-18.8, abs=0.05)
         assert err.value.t_last_good == pytest.approx(10 * DT, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the block chain the unit step, the PLL, the corrections and the
+# plant step were written through from.  Each piece below is the call-based
+# code they replaced, with its min/max clamps; the comparisons are by repr,
+# so a NaN or a signed zero that differs shows.
+# ---------------------------------------------------------------------------
+
+class _PowerCalculator:
+    def __init__(self, cutoff_hz, dt):
+        self._p_filt = LowPass1(cutoff_hz, dt)
+        self._q_filt = LowPass1(cutoff_hz, dt)
+        self.p_inst = 0.0
+        self.q_inst = 0.0
+
+    def step(self, va, vb, ia, ib):
+        self.p_inst = 1.5 * (va * ia + vb * ib)
+        self.q_inst = 1.5 * (vb * ia - va * ib)
+        return self._p_filt.step(self.p_inst), self._q_filt.step(self.q_inst)
+
+
+class _DroopControl:
+    def __init__(self, params, v_amp, omega):
+        self.params = params
+        self.v_amp = v_amp
+        self.omega = omega
+        self.theta = 0.0
+        self.omega_ref = omega
+        self.v_ref = v_amp
+        self.clamped = False
+
+    def step(self, p_avg, q_avg, dt):
+        par = self.params
+        v_amp = self.v_amp
+        self.omega_ref = self.omega - par.m_p * p_avg
+        v_ref = v_amp - par.n_p * q_avg
+        lo, hi = 0.5 * v_amp, 1.2 * v_amp
+        self.clamped = not (lo <= v_ref <= hi)
+        self.v_ref = min(max(v_ref, lo), hi)
+        self.theta = (self.theta + self.omega_ref * dt) % (2.0 * math.pi)
+        return self.v_ref * math.cos(self.theta), self.v_ref * math.sin(self.theta)
+
+
+def _voltage_loop_step(loop, ref_a, ref_b, va, vb, rows):
+    ia, ib = loop.pr.step_pair(ref_a - va, ref_b - vb, rows)
+    mag = math.hypot(ia, ib)
+    loop.clamped = mag > loop.i_limit
+    if loop.clamped:
+        scale = loop.i_limit / mag
+        ia *= scale
+        ib *= scale
+    return ia, ib
+
+
+def _current_loop_step(loop, ref_a, ref_b, ia, ib, v_dc, rows):
+    va, vb = loop.pr.step_pair(ref_a - ia, ref_b - ib, rows)
+    loop.locked_out = v_dc < loop.V_DC_LOCKOUT
+    if loop.locked_out:
+        return 0.0, 0.0, 0.0
+    half = v_dc / 2.0
+    return inverse_clarke_xy(va / half, vb / half)
+
+
+def _regulator_step(reg, v_dc, duty_ceiling=None, seen=None):
+    """``DcLinkRegulator.step``; adds the branch it takes to ``seen``."""
+    p = reg.params
+    hi = DUTY_MAX if duty_ceiling is None else min(DUTY_MAX, duty_ceiling)
+    e = p.v_dc_ref - v_dc
+    candidate = reg.integral + p.ki * e * reg.dt
+    duty = p.kp * e + candidate
+    if DUTY_MIN <= duty <= hi:
+        reg.integral = candidate
+        branch = "in range"
+    else:
+        duty = min(max(duty, DUTY_MIN), hi)
+        branch = "at the floor" if duty == DUTY_MIN else "at the ceiling"
+    if seen is not None:
+        seen.add(branch)
+        if hi < DUTY_MAX:
+            seen.add("ceiling below the range's top")
+    return duty
+
+
+def _boost_step(boost, v_pv, i_pv, v_dc, t, seen=None):
+    ref = boost.vr_params.v_dc_ref
+    mp = boost.mode_params
+    if boost.mode == MODE_MPPT:
+        if v_dc > ref + mp.enter_vr_margin:
+            boost.mode = MODE_VR
+            boost.vr.reset(boost.duty)
+            boost._vr_vpv_floor = max(v_pv - boost.VPV_FLOOR_MARGIN, 50.0)
+            boost.transitions.append((t, f"{MODE_MPPT}->{MODE_VR}"))
+    else:
+        boost._below = boost._below + 1 if v_dc < ref - mp.exit_vr_margin else 0
+        if boost._below > boost._hold:
+            boost.mode = MODE_MPPT
+            boost.mppt.duty = boost.duty
+            boost.mppt._v_prev = None
+            boost.transitions.append((t, f"{MODE_VR}->{MODE_MPPT}"))
+            boost._below = 0
+    if boost.mode == MODE_MPPT:
+        boost._mppt_count = (boost._mppt_count + 1) % boost._mppt_every
+        if boost._mppt_count == 0:
+            boost.duty = boost.mppt.step(v_pv, i_pv)
+    else:
+        if boost._vr_vpv_floor is None:
+            boost._vr_vpv_floor = max(v_pv - boost.VPV_FLOOR_MARGIN, 50.0)
+        ceiling = max(1.0 - boost._vr_vpv_floor / max(v_dc, 50.0), DUTY_MIN)
+        if seen is not None and ceiling == DUTY_MIN:
+            seen.add("ceiling at the range's floor")
+        boost.duty = _regulator_step(boost.vr, v_dc, ceiling, seen)
+    return boost.duty
+
+
+class _BlockChain:
+    """A unit step as the chain of block calls, on a second controller of the same unit."""
+
+    def __init__(self, ctl, cfg, dg):
+        self.ctl = ctl
+        self.power = _PowerCalculator(POWER_FILTER_HZ, ctl.dt)
+        self.droop = _DroopControl(dg.droop, cfg.v_amp, cfg.omega)
+        self.seen = set()
+
+    def step(self, row, v_c, t):
+        c = self.ctl
+        dt = c.dt
+        ila, ilb, voa, vob, ioa, iob, v_dc, v_pv, i_pv = row
+        p_avg, q_avg = self.power.step(voa, vob, ioa, iob)
+        da, db = self.droop.step(p_avg, q_avg, dt)
+        if t < c.startup_ramp:
+            ramp = t / c.startup_ramp
+            da *= ramp
+            db *= ramp
+        za, zb, v_rows, i_rows = c.extractor.advance(ioa, iob, self.droop.omega_ref, dt)
+        ra, rb = da - za + v_c[0], db - zb + v_c[1]
+        ia, ib = _voltage_loop_step(c.voltage_loop, ra, rb, voa, vob, v_rows)
+        m = _current_loop_step(c.current_loop, ia, ib, ila, ilb, v_dc, i_rows)
+        return _boost_step(c.boost, v_pv, i_pv, v_dc, t, self.seen), m
+
+    def state(self):
+        pc, dr = self.power, self.droop
+        return (pc._p_filt._y, pc._q_filt._y, pc.p_inst, pc.q_inst,
+                dr.omega_ref, dr.v_ref, dr.theta, dr.clamped)
+
+
+def _unit_state(ctl):
+    return (ctl.p_avg, ctl.q_avg, ctl.p_inst, ctl.q_inst,
+            ctl.omega_ref, ctl.v_ref, ctl.theta, ctl.droop_clamped)
+
+
+def _block_states(ctl):
+    """Every state the unit's blocks hold."""
+    ext, vl, cl, boost = ctl.extractor, ctl.voltage_loop, ctl.current_loop, ctl.boost
+    return (ext._u_prev, ext._v, ext._q,
+            vl.clamped, vl.pr._e_prev, vl.pr._x1, vl.pr._x2,
+            cl.locked_out, cl.pr._e_prev, cl.pr._x1, cl.pr._x2,
+            boost.mode, boost.duty, boost.vr.integral, boost._below, boost._vr_vpv_floor,
+            boost.transitions, boost.mppt.duty)
+
+
+def _pll_step(pll, v, dt):
+    x, y = v
+    amp = math.hypot(x, y)
+    if amp < pll.AMP_FLOOR:
+        pll._e_prev = 0.0
+        pll.theta = (pll.theta + pll.omega * dt) % (2.0 * math.pi)
+        return pll.theta, pll.omega
+    sin_t = math.sin(pll.theta)
+    cos_t = math.cos(pll.theta)
+    e = (-x * sin_t + y * cos_t) / amp
+    pll._integral += 0.5 * pll.ki * dt * (e + pll._e_prev)
+    pll._e_prev = e
+    omega = pll._omega_ff + pll.kp * e + pll._integral
+    omega = min(max(omega, pll.omega_min), pll.omega_max)
+    pll.omega = omega
+    pll.theta = (pll.theta + omega * dt) % (2.0 * math.pi)
+    return pll.theta, pll.omega
+
+
+def _pll_state(pll):
+    return pll.theta, pll.omega, pll._integral, pll._e_prev
+
+
+def _correction_from(comp, efforts, theta):
+    a = 0.0
+    b = 0.0
+    for c, (d, q) in efforts.items():
+        if d == 0.0 and q == 0.0:
+            continue
+        x, y = inverse_park_xy(d, q, c * theta)
+        a += x
+        b += y
+    lim = comp.params.output_limit
+    out = []
+    for share in comp.shares:
+        ua = a * share
+        ub = b * share
+        if not (-lim <= ua <= lim and -lim <= ub <= lim):
+            comp.clamped = True
+            ua, ub = min(max(ua, -lim), lim), min(max(ub, -lim), lim)
+        out.append((ua, ub))
+    return out
+
+
+def _plant_step(plant, duties, modulations, theta_load):
+    dt = plant.dt
+    net = plant.network
+    sides = plant.dc_sides
+    n = net.STATES_PER_DG
+    ih = net.inject(theta_load)
+    v_inv_ab = []
+    for d, (ma, mb, mc) in enumerate(modulations):
+        sat = not (-1.0 <= ma <= 1.0 and -1.0 <= mb <= 1.0 and -1.0 <= mc <= 1.0)
+        if sat:
+            ma, mb, mc = (min(max(m, -1.0), 1.0) for m in (ma, mb, mc))
+        plant.saturated[d] = sat
+        v_dc = sides[d].v_dc
+        va, vb, vc = ma * v_dc / 2.0, mb * v_dc / 2.0, mc * v_dc / 2.0
+        v_inv_ab.append(clarke_xy(va, vb, vc))
+    x = net.x
+    bus = net.bus(x, ih)
+    y00, y01, y10, y11 = net._y2
+    i_res = y00 * bus[0] + y01 * bus[1], y10 * bus[0] + y11 * bus[1]
+    residual = net.kcl_residual(bus, i_res)
+    if residual > plant.max_kcl_residual:
+        plant.max_kcl_residual = residual
+    p_res, p_harm = net.load_power(bus, i_res, ih)
+    p_feed = net.feeder_loss(x)
+    p_in = 0.0
+    for side in sides:
+        p_in += side.v_pv * side.i_pv
+    p_out = p_res + p_harm + p_feed
+    if plant._p_in_prev is not None:
+        plant.energy_in += 0.5 * dt * (p_in + plant._p_in_prev)
+        plant.energy_out += 0.5 * dt * (p_out + plant._p_out_prev)
+    else:
+        plant.energy_in += dt * p_in
+        plant.energy_out += dt * p_out
+    plant._p_in_prev = p_in
+    plant._p_out_prev = p_out
+    x1 = net.step(v_inv_ab, ih)
+    plant.steps += 1
+    for d, side in enumerate(sides):
+        b = n * d
+        ila = 0.5 * (x1[b] + x[b])
+        ilb = 0.5 * (x1[b + 1] + x[b + 1])
+        va, vb = v_inv_ab[d]
+        side.step(duties[d], 1.5 * (va * ila + vb * ilb), dt)
+    plant._check_bounds(x1)
+
+
+def _plant_state(plant):
+    return (plant.network.x, plant.saturated, plant.max_kcl_residual, plant.energy_in,
+            plant.energy_out, [(s.v_pv, s.i_boost, s.v_dc, s.i_pv) for s in plant.dc_sides])
+
+
+#: A start-up ramp that ends at tick 600 of the oracle's 2400.
+_RAMPED = {"solver.startup_ramp": "0.03"}
+
+
+def _unit_and_chain(keys=_RAMPED):
+    cfg = from_mapping(keys)
+    ctl, other = (build_controllers(cfg)[0] for _ in range(2))
+    return ctl, _BlockChain(other, cfg, cfg.dgs[0])
+
+
+def _assert_same(ctl, chain, got, want):
+    assert repr(got) == repr(want)
+    assert repr(_unit_state(ctl)) == repr(chain.state())
+    assert repr(_block_states(ctl)) == repr(_block_states(chain.ctl))
+
+
+class TestWrittenThrough:
+    def test_unit_step_equals_the_block_chain(self):
+        # 8 stretches of 300 ticks: a quiet unit under its start-up ramp, a
+        # large lagging then leading current that drives the droop to both
+        # clamps and the current reference to its limit, a collapsed link
+        # (lockout, and a regulator ceiling at the range's floor), a link
+        # above and below its reference (the regulator at its floor and at
+        # its ceiling), then noisy rows
+        ctl, chain = _unit_and_chain()
+        rng = np.random.default_rng(3)
+        currents = (10.0, 3000.0, -6000.0, 10.0, 10.0, 10.0, 30.0, 300.0)
+        links = (600.0, 600.0, 600.0, 30.0, 700.0, 560.0, None, None)
+        seen = set()
+        for tick in range(2400):
+            t = tick * DT
+            stretch = tick // 300
+            c, s = math.cos(OMEGA * t), math.sin(OMEGA * t)
+            n = rng.normal(0.0, 1.0, 10).tolist()
+            amp = currents[stretch]
+            v_dc = 600.0 + 20.0 * n[8] if links[stretch] is None else links[stretch]
+            row = (amp * s + n[4], -amp * c + n[5], 170.0 * c + n[0], 170.0 * s + n[1],
+                   amp * s + n[2], -amp * c + n[3], v_dc, 380.0 + n[9], 7.0)
+            v_c = (5.0 * n[6], 5.0 * n[7])
+            _assert_same(ctl, chain, ctl.step(row, v_c, t), chain.step(row, v_c, t))
+            droop = "low" if ctl.v_ref < V_AMP else "high"
+            seen |= {("ramp", t < ctl.startup_ramp), ("current clamp", ctl.voltage_loop.clamped),
+                     ("droop clamp", droop if ctl.droop_clamped else None),
+                     ("lockout", ctl.current_loop.locked_out)}
+        assert seen == {(what, flag) for what in ("ramp", "current clamp", "lockout")
+                        for flag in (False, True)} | {("droop clamp", side)
+                                                      for side in (None, "low", "high")}
+        assert chain.seen == {"in range", "at the floor", "at the ceiling",
+                              "ceiling below the range's top", "ceiling at the range's floor"}
+
+    @pytest.mark.parametrize("case", ["droop", "link", "string at entry"])
+    def test_nan_reaches_the_unit_clamps_as_min_max_does(self, case):
+        ctl, chain = _unit_and_chain()
+        row = _row(170.0, 0.0, 10.0, 0.0)
+        if case == "droop":  # a NaN reactive average: the amplitude clamp sees NaN
+            ctl.q_avg = chain.power._q_filt._y = math.nan
+        elif case == "link":  # the ceiling's max, then the regulator's min and max see NaN
+            row = row[:6] + (math.nan,) + row[7:]
+        for tick in range(3):
+            if case == "string at entry":  # a NaN floor: the ceiling is NaN, the link is not
+                row = row[:7] + ((math.nan if tick == 0 else 380.0),) + row[8:]
+            _assert_same(ctl, chain, ctl.step(row, (0.0, 0.0), tick * DT),
+                         chain.step(row, (0.0, 0.0), tick * DT))
+        assert math.isnan({"droop": ctl.v_ref, "link": ctl.boost.duty,
+                           "string at entry": ctl.boost._vr_vpv_floor}[case])
+
+    @pytest.mark.parametrize("v_dc", [600.0, 590.0, 700.0, 0.0, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("ceiling", [None, 0.5, 2.0, DUTY_MIN, 0.0, -0.0, math.nan])
+    def test_regulator_clamp_equals_min_max(self, v_dc, ceiling):
+        reg, ref = (DcLinkRegulator(VR, DT) for _ in range(2))
+        for r in (reg, ref):
+            r.reset(0.4)
+        for _ in range(3):
+            assert repr(reg.step(v_dc, ceiling)) == repr(_regulator_step(ref, v_dc, ceiling))
+            assert repr(reg.integral) == repr(ref.integral)
+
+    @pytest.mark.parametrize("v", [(170.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                                   (0.0, -math.inf), (170.0, math.nan)])
+    @pytest.mark.parametrize("band", [(370.0, 300.0, 400.0), (370.0, 370.0, 370.0),
+                                      (370.0, math.nan, 400.0), (370.0, 300.0, math.nan),
+                                      (0.0, 0.0, -0.0), (0.0, -0.0, 0.0)])
+    def test_pll_clamp_equals_min_max(self, v, band):
+        # (initial frequency, lower bound, upper bound): from 0 rad/s the
+        # frequency falls below the signed-zero bands
+        pll, ref = (Pll(50.0, 2000.0, *band) for _ in range(2))
+        for tick in range(4):
+            x, y = v if tick % 2 else (170.0 * math.cos(tick), -170.0 * math.sin(tick))
+            assert repr(pll.step((x, y), DT)) == repr(_pll_step(ref, (x, y), DT))
+            assert repr(_pll_state(pll)) == repr(_pll_state(ref))
+
+    def test_zero_efforts_are_skipped_even_at_a_nan_angle(self):
+        # rotated, a zero effort at a NaN angle would make every correction NaN
+        comp, ref = (build_compensator(from_mapping({})) for _ in range(2))
+        efforts = dict.fromkeys(comp.components, (0.0, 0.0))
+        got = comp.correction_from(efforts, math.nan)
+        assert repr(got) == repr(_correction_from(ref, efforts, math.nan))
+        assert got == [(0.0, 0.0)] * len(comp.shares)
+
+    def test_plant_pll_and_corrections_equal_the_old_calls(self):
+        # two copies of the default system, closed loop, one stepped through
+        # the old calls; effort snapshots vary, some components are zero, some
+        # corrections clamp, and on every 50th tick the bridges saturate
+        cfg = from_mapping({})
+        plants = [build_plant(cfg) for _ in range(2)]
+        units = [build_controllers(cfg) for _ in range(2)]
+        comps = [build_compensator(cfg) for _ in range(2)]
+        plls = [Pll(cfg.pll.kp, cfg.pll.ki, cfg.omega, cfg.omega * (1.0 - cfg.pll.band),
+                    cfg.omega * (1.0 + cfg.pll.band)) for _ in range(2)]
+        # (correction_from, Pll.step, Plant.step) as they are, then as they were
+        calls = ((CentralCompensator.correction_from, Pll.step, Plant.step),
+                 (_correction_from, _pll_step, _plant_step))
+        rng = np.random.default_rng(9)
+        dt = cfg.control_period
+        clamps = saturations = 0
+        for tick in range(2000):
+            t = tick * dt
+            efforts = {c: (0.0, 0.0) if rng.random() < 0.3 else
+                       tuple(rng.normal(0.0, 60.0, 2).tolist()) for c in comps[0].components}
+            outs = []
+            for plant, ctls, comp, pll, (correction_from, pll_step, plant_step) in zip(
+                    plants, units, comps, plls, calls):
+                theta = pll.theta
+                v_pcc, rows = plant.measurements(theta)
+                comp.clamped = False
+                v_cs = correction_from(comp, efforts, theta)
+                steps = [ctl.step(row, v_c, t) for ctl, row, v_c in zip(ctls, rows, v_cs)]
+                duties = [duty for duty, _ in steps]
+                mods = [(ma + 1.5, mb, mc - 1.5) if tick % 50 == 25 else (ma, mb, mc)
+                        for _, (ma, mb, mc) in steps]
+                pll_out = pll_step(pll, v_pcc, dt)
+                plant_step(plant, duties, mods, theta)
+                outs.append(repr((v_pcc, rows, v_cs, comp.clamped, pll_out, _pll_state(pll),
+                                  steps, _plant_state(plant))))
+            assert outs[0] == outs[1]
+            clamps += comps[0].clamped
+            saturations += any(plants[0].saturated)
+        assert 0 < clamps < 2000
+        assert saturations >= 20

@@ -238,6 +238,12 @@ def _resistive_current(spec: LoadParams, v: ThreePhaseSample, scale: float = 1.0
     return inverse_clarke(FrameVector(*i_ab))
 
 
+def _resistor_current(net: AcNetwork, va: float, vb: float) -> tuple[float, float]:
+    """The current the network's resistive bank draws at the bus voltage ``(va, vb)``."""
+    y00, y01, y10, y11 = net._y2
+    return y00 * va + y01 * vb, y10 * va + y11 * vb
+
+
 def _bus_voltage(load: LoadParams, feeder_ab: tuple[float, float]) -> ThreePhaseSample:
     """Coupling-bus voltage the network solves for a given feeder current."""
     net = AcNetwork([STAGE], load, DT)
@@ -274,8 +280,8 @@ class TestLoads:
         after = _resistive_current(spec, v, net.load_scale)
         assert after.a == pytest.approx(0.5 * before.a, rel=1e-12)
         v_ab, i_ab = clarke(v), clarke(after)
-        assert net._resistor_current(v_ab.x, v_ab.y) == pytest.approx((i_ab.x, i_ab.y),
-                                                                      rel=1e-12)
+        assert _resistor_current(net, v_ab.x, v_ab.y) == pytest.approx((i_ab.x, i_ab.y),
+                                                                       rel=1e-12)
 
     def test_harmonic_injection_spectrum_and_sequence(self):
         # 2 A at the 5th order, negative sequence: DFT of the generated
@@ -396,7 +402,7 @@ class TestAcNetwork:
             x = net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t)),
                           (170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], ih)
             bus = net.bus(x, ih)
-            worst = max(worst, net.kcl_residual(bus, net._resistor_current(bus[0], bus[1])))
+            worst = max(worst, net.kcl_residual(bus, _resistor_current(net, bus[0], bus[1])))
         assert worst < 1e-9
 
     def test_one_matvec_matches_split_transition(self):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvisland import analysis, cli, control, runner
+from pvisland import analysis, cli, runner, signals
 from pvisland.config import (KEYS, KNOWN_CHANNELS, UNIT_KEYS, UNIT_PREFIXES,
                              VCC_INDEX_CHANNELS, channel_names, echo, from_mapping,
                              recorded_rows)
@@ -622,7 +622,7 @@ class TestBuilders:
         values = leaves(plant.measurements(theta)) + leaves(steps) + leaves(corrections)
         assert len(leaves(steps)) == 4 * len(controllers)
         for ctl, side in zip(controllers, plant.dc_sides):
-            values += [ctl.p_avg, ctl.droop.omega_ref, side.v_dc, side.v_pv, side.i_boost,
+            values += [ctl.p_avg, ctl.omega_ref, side.v_dc, side.v_pv, side.i_boost,
                        side.i_pv]
             values += leaves([*ctl.extractor._v, *ctl.extractor._q])
         assert len(values) > 50
@@ -794,16 +794,15 @@ class TestCli:
                                                                capsys):
         # the droop frequency falls through zero mid-run: the run diverged,
         # no setting is at fault
-        step = control.DroopControl.step
+        rebuild = signals.SequenceExtractor._rebuild
         calls = iter(range(10**9))
 
-        def falling(self, p_avg, q_avg, dt):
-            out = step(self, p_avg, q_avg, dt)
-            if next(calls) >= 2000:  # both units' droops, 1000 ticks
-                self.omega_ref = -18.8
-            return out
+        def falling(self, x, y, omega, dt):
+            if next(calls) >= 2000:  # both units' extractors, 1000 ticks
+                omega = -18.8
+            return rebuild(self, x, y, omega, dt)
 
-        monkeypatch.setattr(control.DroopControl, "step", falling)
+        monkeypatch.setattr(signals.SequenceExtractor, "_rebuild", falling)
         scenario = tmp_path / "s.cfg"
         scenario.write_text("solver.duration = 0.4\n")
         rc = cli.main(["run", str(scenario), "--out", str(tmp_path / "o")])

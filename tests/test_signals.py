@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvisland.config import from_mapping
+from pvisland.control import POWER_FILTER_HZ
 from pvisland.errors import ConfigurationError, FrameError
 from pvisland import signals
 from pvisland.runner import build_controllers
@@ -601,6 +602,10 @@ class _SeparatePasses:
         cfg = from_mapping(keys)
         dg = cfg.dgs[unit]
         self.ctl = ctl
+        # the power filters and the droop, as the unit steps them
+        self.filters = (LowPass1(POWER_FILTER_HZ, ctl.dt), LowPass1(POWER_FILTER_HZ, ctl.dt))
+        self.droop = (dg.droop.m_p, dg.droop.n_p, cfg.v_amp, cfg.omega)
+        self.theta = 0.0
         ext = ctl.extractor
         self.orders = sorted({*ext.bands, *dg.prv.orders, *dg.pri.orders})
         self.shared = (dg.prv.orders, dg.prv.wc) == (dg.pri.orders, dg.pri.wc)
@@ -678,13 +683,18 @@ class _SeparatePasses:
         c = self.ctl
         dt = c.dt
         ila, ilb, voa, vob, ioa, iob, v_dc, v_pv, i_pv = row
-        c.p_avg, c.q_avg = c.power.step(voa, vob, ioa, iob)
-        da, db = c.droop.step(c.p_avg, c.q_avg, dt)
+        p_filter, q_filter = self.filters
+        p_avg = p_filter.step(1.5 * (voa * ioa + vob * iob))
+        q_avg = q_filter.step(1.5 * (vob * ioa - voa * iob))
+        m_p, n_p, v_amp, omega_nl = self.droop
+        omega = omega_nl - m_p * p_avg
+        v_ref = min(max(v_amp - n_p * q_avg, 0.5 * v_amp), 1.2 * v_amp)
+        self.theta = (self.theta + omega * dt) % (2.0 * math.pi)
+        da, db = v_ref * math.cos(self.theta), v_ref * math.sin(self.theta)
         if t < c.startup_ramp:
             ramp = t / c.startup_ramp
             da *= ramp
             db *= ramp
-        omega = c.droop.omega_ref
         table = {k: math.tan(0.5 * k * omega * dt) for k in self.orders}
         self._advance(ioa, iob, table)
         za, zb = self._virtual_impedance()
@@ -735,7 +745,7 @@ class TestResonatorTable:
                    10.0 * c + 2.0 * math.cos(5.0 * OMEGA * t) + n[2],
                    10.0 * s - 2.0 * math.sin(5.0 * OMEGA * t) + n[3], 600.0, 380.0, 7.0)
             _, m = ctl.step(row, (n[6], n[7]), t)
-            omega = ctl.droop.omega_ref
+            omega = ctl.omega_ref
             omegas.add(omega)
             ext.step(ctl.extractor._u_prev, omega, DT)
             ia, ib = vpr.step(ctl.voltage_loop.pr._e_prev, omega, DT)
@@ -765,7 +775,7 @@ class TestResonatorTable:
         ctl, ref = (build_controllers(from_mapping(keys))[unit] for _ in range(2))
         oracle = _SeparatePasses(ref, keys, unit)
         drops, currents = [], []
-        _spy(ctl.extractor, "advance", drops)
+        _spy(ctl.extractor, "_rebuild", drops)
         _spy(ctl.voltage_loop, "step", currents)
         rng = np.random.default_rng(7)
         omegas = set()
@@ -778,7 +788,7 @@ class TestResonatorTable:
                    10.0 * s - 2.0 * math.sin(5.0 * OMEGA * t) + n[3], 600.0, 380.0, 7.0)
             got = ctl.step(row, (n[6], n[7]), t)
             drop, current, want = oracle.step(row, (n[6], n[7]), t)
-            omegas.add(ctl.droop.omega_ref)
+            omegas.add(ctl.omega_ref)
             assert drops[-1][:2] == drop
             assert currents[-1] == current
             assert got == want
@@ -788,6 +798,19 @@ class TestResonatorTable:
                            (ctl.current_loop.pr, ref.current_loop.pr)):
                 assert (pa._e_prev, pa._x1, pa._x2) == (pb._e_prev, pb._x1, pb._x2)
         assert len(omegas) > 3900
+
+    def test_loops_with_equal_terms_share_one_rows_tuple(self):
+        for ctl in build_controllers(from_mapping({})):
+            _, _, v_rows, i_rows = ctl.extractor._rebuild(1.0, -2.0, OMEGA, DT)
+            assert v_rows is i_rows
+            assert v_rows == ctl.current_loop.pr.transitions(OMEGA, DT)
+
+    def test_loops_with_other_terms_get_their_own_rows(self):
+        ctl = build_controllers(from_mapping({"dg1.prv.orders": "1,3,9", "dg1.prv.wc": "2",
+                                              "dg1.pri.orders": "1,5,7", "dg1.pri.wc": "5"}))[0]
+        _, _, v_rows, i_rows = ctl.extractor._rebuild(1.0, -2.0, OMEGA, DT)
+        assert v_rows == ctl.voltage_loop.pr.transitions(OMEGA, DT) != i_rows
+        assert i_rows == ctl.current_loop.pr.transitions(OMEGA, DT)
 
     def test_transition_tracks_the_implicit_solve(self):
         # Oracle: the same prewarped trapezoidal rule solved as a 2x2 system on
