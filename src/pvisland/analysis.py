@@ -28,9 +28,6 @@ class TimeSeries:
         if self.dt <= 0.0:
             raise AnalysisError(f"{self.name}: sampling step must be positive")
 
-    def __len__(self):
-        return len(self.samples)
-
     @property
     def duration(self) -> float:
         return len(self.samples) * self.dt

@@ -3,15 +3,16 @@
 Each generating unit runs, at the control period: power calculation with
 slow averaging filters, frequency/voltage droop, sequence-selective virtual
 impedance, and the cascaded proportional-resonant voltage and current
-loops.  The boost duty cycle comes from a mode machine that switches
+loops.  The boost duty cycle comes from one mode machine that switches
 between maximum-power tracking and DC-link voltage regulation.
 
 A unit's step is written through: :meth:`DgController.step` does the
 power products, both filters, the droop and the start-up ramp as float
 operations, then calls the extractor's kernel (through the counted
 ``SequenceExtractor._rebuild``), each loop's step, which calls its
-resonator kernel, and the boost machine.  The clamps on the tick are
-conditional expressions: ``c if c > a else a`` is ``max(a, c)`` and
+resonator kernel, and the boost machine's step, which regulates in place
+and calls its tracker once per tracking period.  The clamps on the tick
+are conditional expressions: ``c if c > a else a`` is ``max(a, c)`` and
 ``c if c < a else a`` is ``min(a, c)``, NaN and -0.0 included.
 """
 
@@ -100,85 +101,12 @@ class CurrentLoop:
 # Boost duty control: maximum-power tracking and link-voltage regulation
 # ---------------------------------------------------------------------------
 
-class IncrementalConductanceMppt:
-    """Hill climbing on the PV curve via the incremental-conductance test."""
-
-    def __init__(self, params: MpptParams, duty_init: float):
-        self.params = params
-        self.duty = min(max(duty_init, DUTY_MIN), DUTY_MAX)
-        self._v_prev = None
-        self._i_prev = None
-
-    def step(self, v_pv: float, i_pv: float) -> float:
-        p = self.params
-        if self._v_prev is None:
-            self._v_prev, self._i_prev = v_pv, i_pv
-            return self.duty
-        dv = v_pv - self._v_prev
-        di = i_pv - self._i_prev
-        self._v_prev, self._i_prev = v_pv, i_pv
-        if i_pv < 1e-3 and v_pv > 1.0:
-            # Dead zone past open circuit: no current, no usable gradient;
-            # walk the terminal voltage back down until current flows.
-            self.duty = min(self.duty + p.duty_step, DUTY_MAX)
-            return self.duty
-        if abs(dv) < 1e-9:
-            # Voltage unchanged; use the current movement alone, no division.
-            if di > 1e-9:
-                self.duty -= p.duty_step
-            elif di < -1e-9:
-                self.duty += p.duty_step
-        else:
-            # dP/dV = i + v * di/dv; positive means below the peak voltage.
-            mismatch = di / dv + i_pv / max(v_pv, 1e-6)
-            if abs(mismatch) * v_pv >= p.deadband * max(i_pv, 1e-6):
-                if mismatch > 0.0:
-                    self.duty -= p.duty_step   # raise the PV voltage
-                else:
-                    self.duty += p.duty_step
-        self.duty = min(max(self.duty, DUTY_MIN), DUTY_MAX)
-        return self.duty
-
-
-class DcLinkRegulator:
-    """PI regulation of the DC-link voltage through the boost duty cycle.
-
-    Anti-windup freezes the integrator while the duty sits on a clamp.
-    Regulation only has authority on the curtailment side of the array
-    curve; the caller may pass a dynamic ceiling that keeps the duty from
-    pushing the terminal voltage below the tracking point during a deficit,
-    where more duty would shed power instead of recovering the link.
-    """
-
-    def __init__(self, params: VrParams, dt: float):
-        self.params = params
-        self.dt = dt
-        self.integral = 0.0
-
-    def reset(self, duty: float):
-        self.integral = duty
-
-    def step(self, v_dc: float, duty_ceiling: float | None = None) -> float:
-        """One step of ``dt`` on the link voltage ``v_dc``; returns the duty."""
-        p = self.params
-        hi = duty_ceiling if duty_ceiling is not None and duty_ceiling < DUTY_MAX else DUTY_MAX
-        e = p.v_dc_ref - v_dc
-        candidate = self.integral + p.ki * e * self.dt
-        duty = p.kp * e + candidate
-        if DUTY_MIN <= duty <= hi:
-            self.integral = candidate
-        else:  # min(max(duty, DUTY_MIN), hi)
-            duty = DUTY_MIN if DUTY_MIN > duty else duty
-            duty = hi if hi < duty else duty
-        return duty
-
-
 MODE_MPPT = "MPPT"
 MODE_VR = "VR"
 
 
 class BoostController:
-    """Mode machine owning the tracker and the link regulator.
+    """Mode machine holding the boost duty: maximum-power tracking or link regulation.
 
     Each step covers the ``dt`` the machine was built with.  Tracking runs
     decimated at its own period; regulation runs every step.  Both the
@@ -188,17 +116,31 @@ class BoostController:
     yet, so the link would immediately overvolt under tracking; regulation
     hands over to tracking through the normal exit hysteresis once demand
     exceeds the array maximum.
+
+    Tracking hill-climbs the PV curve by the incremental-conductance test:
+    ``dP/dV = i + v * di/dv`` is positive below the peak voltage, so the
+    duty falls to raise the terminal voltage.  It compares each sample with
+    the last, so its first sample after a hand-over only records.
+
+    Regulation is a PI loop on the link voltage whose integrator starts from
+    the duty at entry.  Anti-windup freezes the integrator while the duty
+    sits on a clamp.  Regulation only has authority on the curtailment side
+    of the array curve, so its ceiling keeps the duty from pushing the
+    terminal voltage more than ``VPV_FLOOR_MARGIN`` below where it was at
+    entry: during a deficit more duty would shed power instead of
+    recovering the link.  The ceiling is never under the duty range.
     """
 
     def __init__(self, mppt: MpptParams, vr: VrParams, mode: ModeParams,
                  duty_init: float, dt: float):
-        self.mppt = IncrementalConductanceMppt(mppt, duty_init)
-        self.vr = DcLinkRegulator(vr, dt)
-        self.mode_params = mode
+        self.mppt_params = mppt
         self.vr_params = vr
+        self.mode_params = mode
+        self.dt = dt
         self.mode = MODE_VR
-        self.vr.reset(duty_init)
         self.duty = duty_init
+        self._integral = duty_init  # the regulator's integrator
+        self._v_prev = self._i_prev = None  # the tracker's last sample
         self.transitions: list[tuple[float, str]] = []
         self._mppt_every = ticks(mppt.period, dt)
         self._mppt_count = 0
@@ -208,35 +150,75 @@ class BoostController:
 
     VPV_FLOOR_MARGIN = 25.0  # volts below the entry point regulation may push
 
+    def _track(self, v_pv: float, i_pv: float):
+        """One incremental-conductance move of the duty on the sample ``(v_pv, i_pv)``."""
+        p = self.mppt_params
+        if self._v_prev is None:
+            self._v_prev, self._i_prev = v_pv, i_pv
+            return
+        dv = v_pv - self._v_prev
+        di = i_pv - self._i_prev
+        self._v_prev, self._i_prev = v_pv, i_pv
+        duty = self.duty
+        if i_pv < 1e-3 and v_pv > 1.0:
+            # Dead zone past open circuit: no current, no usable gradient;
+            # walk the terminal voltage back down until current flows.
+            self.duty = min(duty + p.duty_step, DUTY_MAX)
+            return
+        if abs(dv) < 1e-9:
+            # Voltage unchanged; use the current movement alone, no division.
+            if di > 1e-9:
+                duty -= p.duty_step
+            elif di < -1e-9:
+                duty += p.duty_step
+        else:
+            mismatch = di / dv + i_pv / max(v_pv, 1e-6)
+            if abs(mismatch) * v_pv >= p.deadband * max(i_pv, 1e-6):
+                if mismatch > 0.0:
+                    duty -= p.duty_step   # raise the PV voltage
+                else:
+                    duty += p.duty_step
+        self.duty = min(max(duty, DUTY_MIN), DUTY_MAX)
+
     def step(self, v_pv: float, i_pv: float, v_dc: float, t: float) -> float:
-        ref = self.vr_params.v_dc_ref
+        p = self.vr_params
+        ref = p.v_dc_ref
         mp = self.mode_params
         if self.mode == MODE_MPPT:
             if v_dc > ref + mp.enter_vr_margin:
                 self.mode = MODE_VR
-                self.vr.reset(self.duty)
+                self._integral = self.duty
                 self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
                 self.transitions.append((t, f"{MODE_MPPT}->{MODE_VR}"))
         else:
             self._below = self._below + 1 if v_dc < ref - mp.exit_vr_margin else 0
             if self._below > self._hold:
                 self.mode = MODE_MPPT
-                self.mppt.duty = self.duty
-                self.mppt._v_prev = None
+                self._v_prev = None
                 self.transitions.append((t, f"{MODE_VR}->{MODE_MPPT}"))
                 self._below = 0
 
         if self.mode == MODE_MPPT:
             self._mppt_count = (self._mppt_count + 1) % self._mppt_every
             if self._mppt_count == 0:
-                self.duty = self.mppt.step(v_pv, i_pv)
-        else:
-            if self._vr_vpv_floor is None:
-                self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
-            # never under the duty range: a link sagged below the floor gets the least duty
-            ceiling = 1.0 - self._vr_vpv_floor / (50.0 if 50.0 > v_dc else v_dc)
-            self.duty = self.vr.step(v_dc, DUTY_MIN if DUTY_MIN > ceiling else ceiling)
-        return self.duty
+                self._track(v_pv, i_pv)
+            return self.duty
+        if self._vr_vpv_floor is None:
+            self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
+        # never under the duty range: a link sagged below the floor gets the least duty
+        ceiling = 1.0 - self._vr_vpv_floor / (50.0 if 50.0 > v_dc else v_dc)
+        ceiling = DUTY_MIN if DUTY_MIN > ceiling else ceiling
+        hi = ceiling if ceiling < DUTY_MAX else DUTY_MAX  # a NaN ceiling is the range's top
+        e = ref - v_dc
+        candidate = self._integral + p.ki * e * self.dt
+        duty = p.kp * e + candidate
+        if DUTY_MIN <= duty <= hi:
+            self._integral = candidate
+        else:  # min(max(duty, DUTY_MIN), hi)
+            duty = DUTY_MIN if DUTY_MIN > duty else duty
+            duty = hi if hi < duty else duty
+        self.duty = duty
+        return duty
 
 
 # ---------------------------------------------------------------------------

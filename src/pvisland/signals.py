@@ -452,13 +452,11 @@ class SequenceExtractor:
         self._u_prev = (0.0, 0.0)
 
     def _rebuild(self, x: float, y: float, omega: float, dt: float) -> tuple:
-        """A step's kernel call; ``control.extractor.rebuilds`` counts calls."""
-        return self._kernel(self, x, y, omega, dt)
-
-    def advance(self, x: float, y: float, omega: float, dt: float) -> tuple:
         """One step on the alpha/beta input ``(x, y)`` at ``omega``; returns the
-        drop ``(za, zb)``, then each loop's transition rows."""
-        return self._rebuild(x, y, omega, dt)
+        drop ``(za, zb)``, then each loop's transition rows.
+
+        ``control.extractor.rebuilds`` counts its calls."""
+        return self._kernel(self, x, y, omega, dt)
 
     def sequences(self) -> SequenceSet:
         """Every configured component as of the last step."""
@@ -472,7 +470,7 @@ class SequenceExtractor:
     def step(self, v: FrameVector, omega: float, dt: float) -> SequenceSet:
         if v.frame != ALPHA_BETA:
             raise FrameError("sequence extractor expects an alpha/beta input")
-        self.advance(v.x, v.y, omega, dt)
+        self._rebuild(v.x, v.y, omega, dt)
         return self.sequences()
 
 
@@ -491,7 +489,7 @@ class Sogi:
 
     def step(self, u: float, omega: float, dt: float) -> tuple[float, float]:
         """In-phase and quadrature outputs after one step on input ``u``."""
-        self._band.advance(u, 0.0, omega, dt)
+        self._band._rebuild(u, 0.0, omega, dt)
         (va, _), (qa, _) = self._band._v, self._band._q
         return va[0], qa[0]
 

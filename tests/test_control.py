@@ -8,8 +8,6 @@ from pvisland.control import (
     POWER_FILTER_HZ,
     BoostController,
     CurrentLoop,
-    DcLinkRegulator,
-    IncrementalConductanceMppt,
     VoltageLoop,
     DUTY_MAX,
     DUTY_MIN,
@@ -58,8 +56,8 @@ def _drop(r_pos, x_pos, r_neg, r_harmonics, pos=(0.0, 0.0), neg=(0.0, 0.0), **ha
 
 
 #: Unit 1's tracker, link-regulator and mode settings in the default scenario.
-_BOOST = build_controllers(from_mapping({}))[0].boost
-MPPT, VR, MODE = _BOOST.mppt.params, _BOOST.vr_params, _BOOST.mode_params
+_DG = from_mapping({}).dgs[0]
+MPPT, VR, MODE = _DG.mppt, _DG.vr, _DG.mode
 
 
 def _pr(kp, k1, kh):
@@ -228,6 +226,17 @@ class TestCurrentLoop:
         assert m == (0.0, 0.0, 0.0)
 
 
+def _tracker(duty, mppt=MPPT):
+    """A boost machine whose tracker the test drives through ``_track``."""
+    return BoostController(mppt, VR, MODE, duty, DT)
+
+
+def _regulating(vr=VR, duty=0.4, dt=DT):
+    """A boost machine that stays in regulation: no link is below an infinite exit margin."""
+    return BoostController(MPPT, vr, dataclasses.replace(MODE, exit_vr_margin=math.inf),
+                           duty, dt)
+
+
 class TestMppt:
     def _static_rig(self, pv, v_dc=600.0):
         # frozen plant: terminal voltage follows the duty directly
@@ -243,12 +252,12 @@ class TestMppt:
         duties = np.linspace(0.05, 0.9, 4001)
         powers = [observe(d)[0] * observe(d)[1] for d in duties]
         d_star = duties[int(np.argmax(powers))]
-        mppt = IncrementalConductanceMppt(MPPT, duty_init=d_star)
+        mppt = _tracker(d_star)
         v, i = observe(d_star)
-        mppt.step(v, i)
+        mppt._track(v, i)
         d_before = mppt.duty
         v, i = observe(mppt.duty)
-        mppt.step(v, i)
+        mppt._track(v, i)
         assert abs(mppt.duty - d_before) <= MPPT.duty_step + 1e-12
 
     def test_converges_to_brute_force_peak(self):
@@ -257,57 +266,62 @@ class TestMppt:
         duties = np.linspace(0.05, 0.9, 8001)
         powers = [observe(d)[0] * observe(d)[1] for d in duties]
         d_star = duties[int(np.argmax(powers))]
-        mppt = IncrementalConductanceMppt(MPPT, duty_init=0.1)
+        mppt = _tracker(0.1)
         for _ in range(2000):  # 2 s of ticks at the 1 ms rate
             v, i = observe(mppt.duty)
-            mppt.step(v, i)
+            mppt._track(v, i)
         assert abs(mppt.duty - d_star) <= 2.0 * MPPT.duty_step
 
     def test_flat_voltage_branch_uses_current_only(self):
-        mppt = IncrementalConductanceMppt(MPPT, duty_init=0.4)
-        mppt.step(380.0, 7.0)
-        mppt.step(380.0, 7.5)  # same voltage, more current: no division happens
+        mppt = _tracker(0.4)
+        mppt._track(380.0, 7.0)
+        mppt._track(380.0, 7.5)  # same voltage, more current: no division happens
         assert mppt.duty == pytest.approx(0.4 - MPPT.duty_step, rel=1e-12)
 
     def test_duty_respects_clamp(self):
         params = dataclasses.replace(MPPT, duty_step=0.2)
-        mppt = IncrementalConductanceMppt(params, duty_init=0.9)
+        mppt = _tracker(0.9, params)
         for _ in range(10):
-            mppt.step(380.0, 7.0)
-            mppt.step(380.0, 8.0)
+            mppt._track(380.0, 7.0)
+            mppt._track(380.0, 8.0)
         assert DUTY_MIN <= mppt.duty <= DUTY_MAX
 
 
 class TestDcLinkRegulator:
+    # A string at 0 V puts the entry floor at 50 V, so the ceiling is
+    # 1 - 50 / v_dc: above every duty these tests reach but the anti-windup
+    # test's, which it clamps.
+
     def test_zero_error_keeps_integral(self):
-        reg = DcLinkRegulator(VR, DT)
-        reg.reset(0.4)
-        duty = reg.step(600.0)
+        reg = _regulating()
+        duty = reg.step(0.0, 0.0, 600.0, 0.0)
         assert duty == pytest.approx(0.4, rel=1e-12)
 
     def test_constant_error_integrates(self):
-        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=0.05), 1e-3)
-        reg.reset(0.4)
-        for _ in range(1000):
-            duty = reg.step(590.0)
+        reg = _regulating(dataclasses.replace(VR, kp=0.0, ki=0.05), dt=1e-3)
+        for k in range(1000):
+            duty = reg.step(0.0, 0.0, 590.0, k * 1e-3)
+        assert reg.mode == MODE_VR
         assert duty == pytest.approx(0.4 + 0.05 * 10.0 * 1.0, rel=1e-9)
 
     def test_antiwindup_freezes_integral_at_clamp(self):
-        reg = DcLinkRegulator(dataclasses.replace(VR, kp=0.0, ki=10.0), 1e-3)
-        reg.reset(0.4)
-        for _ in range(10000):
-            reg.step(0.0)
-        assert reg.integral <= DUTY_MAX + 1e-9
+        # each step would add 0.1 to the duty: it stops at the ceiling, and
+        # the integrator at the last duty under it
+        reg = _regulating(dataclasses.replace(VR, kp=0.0, ki=10.0), dt=1e-3)
+        for k in range(10000):
+            duty = reg.step(0.0, 0.0, 590.0, k * 1e-3)
+        assert duty == 1.0 - 50.0 / 590.0
+        assert reg._integral == pytest.approx(0.9, rel=1e-12)
+        assert reg._integral <= duty <= DUTY_MAX
 
     def test_closed_loop_settles_on_link_model(self):
         # integrator plant: C dv/dt = p_in(duty) - p_load; array power grows
         # with duty on the curtailment side, so lowering the duty sheds power
-        reg = DcLinkRegulator(VR, 1e-3)
-        reg.reset(0.3)
+        reg = _regulating(duty=0.3, dt=1e-3)
         v = 620.0
         c = 2350e-6
-        for _ in range(int(2.0 / 1e-3)):
-            duty = reg.step(v)
+        for k in range(int(2.0 / 1e-3)):
+            duty = reg.step(0.0, 0.0, v, k * 1e-3)
             p_surplus = 3000.0 * duty / 0.45 - 2000.0
             v += 1e-3 * p_surplus / (c * v)
             v = max(v, 1.0)
@@ -375,6 +389,40 @@ class TestBoostModeMachine:
         times = [tt for tt, _ in ctl.transitions]
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g >= 0.1 - 1e-9 for g in gaps)
+
+    def test_hand_overs_carry_the_duty(self):
+        # a drooping string, so that the tracker has a gradient to move on
+        ctl = self._controller()
+        k = 0
+
+        def tick(v_dc):
+            nonlocal k
+            ctl.step(380.0 - 0.01 * k, 7.0, v_dc, k * DT)
+            k += 1
+
+        for _ in range(2):  # the second round hands over with a sample from before
+            while ctl.mode == MODE_VR:  # a sagging link hands over to tracking
+                last = ctl.duty
+                tick(580.0)
+            # the tracker's first sample only records; its first move is one
+            # step from the regulator's last duty
+            for _ in range(ctl._mppt_every):
+                tick(580.0)
+                assert ctl.duty == last
+            while ctl.duty == last:
+                tick(580.0)
+            assert ctl.duty in (last - MPPT.duty_step, last + MPPT.duty_step)
+            for _ in range(200):
+                tick(580.0)
+            # an overvolted link: the integrator starts from the tracker's last duty
+            last = ctl.duty
+            v_dc = VR.v_dc_ref + MODE.enter_vr_margin + 1.0
+            e = VR.v_dc_ref - v_dc
+            tick(v_dc)
+            assert ctl.transitions[-1] == ((k - 1) * DT, "MPPT->VR")
+            assert ctl.duty == VR.kp * e + (last + VR.ki * e * DT)
+            assert ctl._integral == last + VR.ki * e * DT
+        assert [what for _, what in ctl.transitions] == ["VR->MPPT", "MPPT->VR"] * 2
 
     def test_exit_hold_lasts_exactly_its_ticks(self):
         # on the tick clock t = k * DT, the hand-over comes exit_hold / DT
@@ -488,15 +536,15 @@ def _current_loop_step(loop, ref_a, ref_b, ia, ib, v_dc, rows):
     return inverse_clarke_xy(va / half, vb / half)
 
 
-def _regulator_step(reg, v_dc, duty_ceiling=None, seen=None):
-    """``DcLinkRegulator.step``; adds the branch it takes to ``seen``."""
-    p = reg.params
-    hi = DUTY_MAX if duty_ceiling is None else min(DUTY_MAX, duty_ceiling)
+def _regulator_step(boost, v_dc, ceiling, seen=None):
+    """The regulation in ``BoostController.step``; adds the branch it takes to ``seen``."""
+    p = boost.vr_params
+    hi = min(DUTY_MAX, ceiling)
     e = p.v_dc_ref - v_dc
-    candidate = reg.integral + p.ki * e * reg.dt
+    candidate = boost._integral + p.ki * e * boost.dt
     duty = p.kp * e + candidate
     if DUTY_MIN <= duty <= hi:
-        reg.integral = candidate
+        boost._integral = candidate
         branch = "in range"
     else:
         duty = min(max(duty, DUTY_MIN), hi)
@@ -514,28 +562,27 @@ def _boost_step(boost, v_pv, i_pv, v_dc, t, seen=None):
     if boost.mode == MODE_MPPT:
         if v_dc > ref + mp.enter_vr_margin:
             boost.mode = MODE_VR
-            boost.vr.reset(boost.duty)
+            boost._integral = boost.duty
             boost._vr_vpv_floor = max(v_pv - boost.VPV_FLOOR_MARGIN, 50.0)
             boost.transitions.append((t, f"{MODE_MPPT}->{MODE_VR}"))
     else:
         boost._below = boost._below + 1 if v_dc < ref - mp.exit_vr_margin else 0
         if boost._below > boost._hold:
             boost.mode = MODE_MPPT
-            boost.mppt.duty = boost.duty
-            boost.mppt._v_prev = None
+            boost._v_prev = None
             boost.transitions.append((t, f"{MODE_VR}->{MODE_MPPT}"))
             boost._below = 0
     if boost.mode == MODE_MPPT:
         boost._mppt_count = (boost._mppt_count + 1) % boost._mppt_every
         if boost._mppt_count == 0:
-            boost.duty = boost.mppt.step(v_pv, i_pv)
+            boost._track(v_pv, i_pv)
     else:
         if boost._vr_vpv_floor is None:
             boost._vr_vpv_floor = max(v_pv - boost.VPV_FLOOR_MARGIN, 50.0)
         ceiling = max(1.0 - boost._vr_vpv_floor / max(v_dc, 50.0), DUTY_MIN)
         if seen is not None and ceiling == DUTY_MIN:
             seen.add("ceiling at the range's floor")
-        boost.duty = _regulator_step(boost.vr, v_dc, ceiling, seen)
+        boost.duty = _regulator_step(boost, v_dc, ceiling, seen)
     return boost.duty
 
 
@@ -558,7 +605,7 @@ class _BlockChain:
             ramp = t / c.startup_ramp
             da *= ramp
             db *= ramp
-        za, zb, v_rows, i_rows = c.extractor.advance(ioa, iob, self.droop.omega_ref, dt)
+        za, zb, v_rows, i_rows = c.extractor._rebuild(ioa, iob, self.droop.omega_ref, dt)
         ra, rb = da - za + v_c[0], db - zb + v_c[1]
         ia, ib = _voltage_loop_step(c.voltage_loop, ra, rb, voa, vob, v_rows)
         m = _current_loop_step(c.current_loop, ia, ib, ila, ilb, v_dc, i_rows)
@@ -581,8 +628,8 @@ def _block_states(ctl):
     return (ext._u_prev, ext._v, ext._q,
             vl.clamped, vl.pr._e_prev, vl.pr._x1, vl.pr._x2,
             cl.locked_out, cl.pr._e_prev, cl.pr._x1, cl.pr._x2,
-            boost.mode, boost.duty, boost.vr.integral, boost._below, boost._vr_vpv_floor,
-            boost.transitions, boost.mppt.duty)
+            boost.mode, boost.duty, boost._integral, boost._below, boost._vr_vpv_floor,
+            boost.transitions, boost._v_prev, boost._i_prev)
 
 
 def _pll_step(pll, v, dt):
@@ -750,12 +797,20 @@ class TestWrittenThrough:
     @pytest.mark.parametrize("v_dc", [600.0, 590.0, 700.0, 0.0, -math.inf, math.inf, math.nan])
     @pytest.mark.parametrize("ceiling", [None, 0.5, 2.0, DUTY_MIN, 0.0, -0.0, math.nan])
     def test_regulator_clamp_equals_min_max(self, v_dc, ceiling):
-        reg, ref = (DcLinkRegulator(VR, DT) for _ in range(2))
-        for r in (reg, ref):
-            r.reset(0.4)
-        for _ in range(3):
-            assert repr(reg.step(v_dc, ceiling)) == repr(_regulator_step(ref, v_dc, ceiling))
-            assert repr(reg.integral) == repr(ref.integral)
+        # ``ceiling`` is 1 - floor / max(v_dc, 50) on a finite link, before
+        # the machine lifts it to at least DUTY_MIN: the entry floor is set
+        # to give it (None: no floor yet, so the first regulation tick takes
+        # one from the string).  The zeros are lifted to DUTY_MIN, 2.0 is
+        # above the range's top, and on an infinite or NaN link the ceiling
+        # is NaN.
+        boost, ref = (_regulating() for _ in range(2))
+        if ceiling is not None:
+            for b in (boost, ref):
+                b._vr_vpv_floor = (1.0 - ceiling) * max(v_dc, 50.0)
+        for tick in range(3):
+            assert repr(boost.step(380.0, 7.0, v_dc, tick * DT)) == repr(
+                _boost_step(ref, 380.0, 7.0, v_dc, tick * DT))
+            assert repr(boost._integral) == repr(ref._integral)
 
     @pytest.mark.parametrize("v", [(170.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
                                    (0.0, -math.inf), (170.0, math.nan)])
