@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,12 +185,12 @@ class MetricsReport:
     # rebuilt from recorded channels, which do not carry them.
     energy_audit_percent: float | None
     max_kcl_residual: float | None
-    flags: list[tuple[float, str, str]] | None = field(default_factory=list)
-    flags_dropped: int | None = 0
-    mode_transitions: list[tuple[float, str, str]] | None = field(default_factory=list)
-    pre_window: tuple[float, float] | None = None
-    pre_thd_percent: dict[str, float] | None = None
-    pre_vuf_percent: float | None = None
+    flags: list[tuple[float, str, str]] | None
+    flags_dropped: int | None
+    mode_transitions: list[tuple[float, str, str]] | None
+    pre_window: tuple[float, float] | None
+    pre_thd_percent: dict[str, float] | None
+    pre_vuf_percent: float | None
 
     def lines(self) -> list[str]:
         out = []

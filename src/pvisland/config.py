@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .control import POWER_FILTER_HZ
 from .errors import ConfigurationError
-from .params import (V_DC_LIMIT, DcLinkParams, DroopParams, FeederParams, FilterParams,
-                     LoadParams, ModeParams, MpptParams, PllParams, PrGains, PvParams,
-                     VccParams, ViParams, VrParams)
+from .params import (POWER_FILTER_HZ, V_DC_LIMIT, DcLinkParams, DroopParams, FeederParams,
+                     FilterParams, LoadParams, ModeParams, MpptParams, PllParams, PrGains,
+                     PvParams, VccParams, ViParams, VrParams)
 from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, HEUN_REAL_LIMIT,
                       MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES, beyond_nyquist, max_filter_step,
                       ticks, too_coarse_for_low_pass)

@@ -22,6 +22,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, SimulationDivergence
+from .params import POWER_FILTER_HZ
 from .signals import (
     _SQRT3_OVER_2,
     HARMONIC_ORDERS,
@@ -35,8 +36,6 @@ if TYPE_CHECKING:
     from .config import DgConfig, ScenarioConfig
     from .params import ModeParams, MpptParams, PrGains, VrParams
 
-#: Cutoff of every unit's power-averaging filters.
-POWER_FILTER_HZ = 2.0
 #: The boost duty range, for the tracker and the link regulator alike.
 DUTY_MIN, DUTY_MAX = 0.02, 0.95
 

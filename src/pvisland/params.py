@@ -4,7 +4,9 @@ A record's fields are its group's key suffixes (``dgN.vr.kp`` is
 ``VrParams.kp``, ``vcc.period`` is ``VccParams.period``) and have no
 defaults.  A record that rejects its values names the field; the parser
 names the key.  Plain floats and no NumPy, so the parser builds every
-record, the PV curve included, without the models.
+record, the PV curve included, without the models.  The model constants
+that a parser rule checks live here too: ``V_DC_LIMIT`` and
+``POWER_FILTER_HZ``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .signals import ResonantTerm
 
 #: The DC link voltage beyond which a run is taken to have diverged, volts.
 V_DC_LIMIT = 5e3
+#: Cutoff of every unit's power-averaging filters.
+POWER_FILTER_HZ = 2.0
 
 
 @dataclass

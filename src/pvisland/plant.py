@@ -201,11 +201,17 @@ def envelope_kernel(n: int, bound: float):
 class AcNetwork:
     """All filter, feeder and resistive-load dynamics on the two axes.
 
-    State per unit: filter inductor current, filter capacitor voltage and
-    feeder current (alpha and beta each).  The coupling-bus voltage is an
-    algebraic function of the feeder currents and the harmonic injection, so
-    Kirchhoff's current law holds to rounding error at every step.  Each
-    unit's stage is its ``(filter, feeder)`` pair.
+    Unit ``d``'s states start at ``STATES_PER_DG * d``: filter inductor
+    current, filter capacitor voltage and feeder current, an (alpha, beta)
+    pair each.  The inductive bank's current, if the load has one, is the
+    last pair.  The coupling-bus voltage is an algebraic function of the
+    feeder currents and the harmonic injection, so Kirchhoff's current law
+    holds to rounding error at every step.  Each unit's stage is its
+    ``(filter, feeder)`` pair.
+
+    The state ``x`` is a list of Python floats, so the controllers never
+    compute on NumPy scalars, which cost three to four times as much per
+    operation.  Nothing is cached: callers may write ``x``.
     """
 
     STATES_PER_DG = 6
@@ -232,30 +238,12 @@ class AcNetwork:
         self._build()
         self.x = [0.0] * self._n_states
 
-    # State slices -----------------------------------------------------
-    # The state ``x`` is a list of Python floats, so the controllers never
-    # compute on NumPy scalars, which cost three to four times as much per
-    # operation.  Nothing is cached: callers may write ``x``.
-    def _base(self, d: int) -> int:
-        return self.STATES_PER_DG * d
-
-    def _pair(self, i: int) -> tuple[float, float]:
-        return self.x[i], self.x[i + 1]
-
-    def inverter_current(self, d: int) -> tuple[float, float]:
-        return self._pair(self._base(d))
-
-    def cap_voltage(self, d: int) -> tuple[float, float]:
-        return self._pair(self._base(d) + 2)
-
-    def feeder_current(self, d: int) -> tuple[float, float]:
-        return self._pair(self._base(d) + 4)
-
     # Matrix assembly ---------------------------------------------------
     def _build(self):
         ndg = len(self.stages)
         has_l = self.load.balanced_l is not None
-        n = self.STATES_PER_DG * ndg + (2 if has_l else 0)
+        per = self.STATES_PER_DG
+        n = per * ndg + (2 if has_l else 0)
         self._n_states = n
         y2 = load_admittance_ab(*self.load.conductances(self.load_scale))
         self._y2 = tuple(y2.ravel().tolist())  # y00, y01, y10, y11
@@ -264,9 +252,9 @@ class AcNetwork:
         b = np.zeros((n, 2 * ndg + 2))  # inputs: v_inv per DG (2 axes), harmonic current
         # Bus-current columns: contributions of each state to the coupling-bus
         # nodal current (feeders in, inductive bank out).
-        lb = self.STATES_PER_DG * ndg  # index of the inductive bank states
+        lb = per * ndg  # index of the inductive bank states
         for d, (flt, fdr) in enumerate(self.stages):
-            base = self._base(d)
+            base = per * d
             for ax in (0, 1):
                 il = base + ax
                 vo = base + 2 + ax
@@ -279,7 +267,7 @@ class AcNetwork:
                 a[fd, fd] -= fdr.r / fdr.l
                 for d2 in range(ndg):
                     for ax2 in (0, 1):
-                        a[fd, self._base(d2) + 4 + ax2] -= zp[ax][ax2] / fdr.l
+                        a[fd, per * d2 + 4 + ax2] -= zp[ax][ax2] / fdr.l
                 if has_l:
                     a[fd, lb + 0] += zp[ax][0] / fdr.l
                     a[fd, lb + 1] += zp[ax][1] / fdr.l
@@ -291,7 +279,7 @@ class AcNetwork:
             for ax in (0, 1):
                 for d2 in range(ndg):
                     for ax2 in (0, 1):
-                        a[lb + ax, self._base(d2) + 4 + ax2] += zp[ax][ax2] / l_eff
+                        a[lb + ax, per * d2 + 4 + ax2] += zp[ax][ax2] / l_eff
                 a[lb + ax, lb + 0] -= zp[ax][0] / l_eff
                 a[lb + ax, lb + 1] -= zp[ax][1] / l_eff
                 b[lb + ax, 2 * ndg + 0] = -zp[ax][0] / l_eff
@@ -306,7 +294,7 @@ class AcNetwork:
         #: list ``x`` and harmonic current ``ih``, then the net current
         #: ``(n_a, n_b)`` (feeders in, harmonic sources and inductive bank
         #: out) that it drives through the resistive bank.
-        self.bus = bus_kernel([self._base(d) + 4 for d in range(ndg)],
+        self.bus = bus_kernel([per * d + 4 for d in range(ndg)],
                               lb if has_l else None, zp)
         #: ``in_envelope(x)``: whether every state of ``x`` is within ``AC_BOUND``.
         self.in_envelope = envelope_kernel(n, self.AC_BOUND)
@@ -328,11 +316,6 @@ class AcNetwork:
         self.x = x1 = self._t.dot(xu).tolist()
         return x1
 
-    def bank_current(self) -> tuple[float, float]:
-        if self.load.balanced_l is None:
-            return 0.0, 0.0
-        return self._pair(self.STATES_PER_DG * len(self.stages))
-
     def kcl_residual(self, bus: tuple[float, float, float, float],
                      i_res: tuple[float, float]) -> float:
         """Current imbalance, in amperes, of a ``bus`` solve whose bank carries ``i_res``."""
@@ -340,16 +323,16 @@ class AcNetwork:
         return math.hypot(na - i_res[0], nb - i_res[1])
 
     def stored_energy(self) -> float:
+        x = self.x
+        n = self.STATES_PER_DG
         e = 0.0
         for d, (flt, fdr) in enumerate(self.stages):
-            ila, ilb = self.inverter_current(d)
-            voa, vob = self.cap_voltage(d)
-            fda, fdb = self.feeder_current(d)
+            ila, ilb, voa, vob, fda, fdb = x[n * d:n * d + n]
             e += 0.5 * flt.l * (ila * ila + ilb * ilb)
             e += 0.5 * flt.c * (voa * voa + vob * vob)
             e += 0.5 * fdr.l * (fda * fda + fdb * fdb)
         if self.load.balanced_l is not None:
-            la, lbk = self.bank_current()
+            la, lbk = x[n * len(self.stages):]
             l_eff = self.load.balanced_l / self.load_scale
             e += 0.5 * l_eff * (la * la + lbk * lbk)
         return 1.5 * e  # two-axis quantities carry 3/2 of the per-phase energy

@@ -176,8 +176,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     names = channel_names(len(cfg.dgs))
     table = _shared_table(recorded_rows(cfg), 1 + len(names))
     channels = {n: table[:, i] for i, n in enumerate(names, start=1)}
-    unit_sources = [f"dg{d + 1}" for d in range(len(controllers))]
-    flags = FlagLog({"vcc": VCC_FLAGS, **dict.fromkeys(unit_sources, UNIT_FLAGS)})
+    flags = FlagLog({"vcc": VCC_FLAGS, **{ctl.name: UNIT_FLAGS for ctl in controllers}})
 
     zero_vcs = [(0.0, 0.0)] * len(controllers)
     # each unit's duty and modulation triple, rewritten on every tick
@@ -249,13 +248,12 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                 # first-order phase bias that shows up in the harmonic voltages
                 plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
             # after the substeps, so a bridge clamp is stamped with the tick of its commands
-            for source, ctl, saturated in zip(unit_sources, controllers, plant.saturated):
-                flags.update(t, source, (ctl.droop_clamped, ctl.voltage_loop.clamped,
-                                         ctl.current_loop.locked_out, saturated))
+            for ctl, saturated in zip(controllers, plant.saturated):
+                flags.update(t, ctl.name, (ctl.droop_clamped, ctl.voltage_loop.clamped,
+                                           ctl.current_loop.locked_out, saturated))
 
-        mode_transitions = sorted(
-            (t_switch, f"dg{d + 1}", what)
-            for d, ctl in enumerate(controllers) for t_switch, what in ctl.boost.transitions)
+        mode_transitions = sorted((t_switch, ctl.name, what) for ctl in controllers
+                                  for t_switch, what in ctl.boost.transitions)
 
         result = RunResult(
             cfg=cfg,

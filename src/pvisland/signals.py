@@ -205,20 +205,19 @@ def _require_in_range(top: int, omega: float, dt: float):
                                  f"between 0 and the Nyquist rate of dt={dt}; got {omega}")
 
 
-def resonator_table(bands, *loops) -> tuple[list[tuple], list[list[int] | None]]:
+def resonator_table(bands, *loops) -> tuple[list[tuple], list[list[int]]]:
     """The rows a :func:`table_kernel` walks, and where each loop's transitions fall.
 
     One row ``(0.5 * k, k, band, cutoffs)`` per distinct order ``k`` of the
     extractor ``bands`` and the loops' terms, ascending: ``band`` indexes
     ``bands`` or is None, ``cutoffs`` are the terms' distinct cutoffs at ``k``.
-    Per loop: its terms' indices among the transitions, or None if in order.
+    Per loop: its terms' indices among the transitions.
     """
     slots = sorted({(t.order, t.cutoff) for terms in loops for t in terms})
     table = [(0.5 * k, k, bands.index(k) if k in bands else None,
               tuple(wc for order, wc in slots if order == k))
              for k in sorted({*bands, *(order for order, _ in slots)})]
-    index = [[slots.index((t.order, t.cutoff)) for t in terms] for terms in loops]
-    return table, [None if i == list(range(len(slots))) else i for i in index]
+    return table, [[slots.index((t.order, t.cutoff)) for t in terms] for terms in loops]
 
 
 # Resonator kernels: a block's fixed table and constants written out as
@@ -340,8 +339,7 @@ def table_kernel(table, index, gain: float = 0.0, drop=()):
         returned += ["za", "zb"]
     for n, loop in enumerate(index):
         if loop not in index[:n]:  # the tuple rows{n}, returned for every equal entry
-            row = [f"al{i}, be{i}, ga{i}, h{rows[i]}" for i in (range(len(rows)) if loop is None
-                                                                else loop)]
+            row = [f"al{i}, be{i}, ga{i}, h{rows[i]}" for i in loop]
             out.append(f"    rows{n} = ({', '.join(row)},)")
         returned.append(f"rows{index.index(loop)}")
     out.append(f"    return {', '.join(returned)},")
@@ -431,7 +429,7 @@ class SequenceExtractor:
     resistive elsewhere.  The same tangents give the transition rows of the
     PR ``loops`` (one list of :class:`ResonantTerm` each), which the step
     returns after the drop.  ``gain``, ``impedance`` and ``loops`` are
-    compiled into the step at construction.
+    compiled into the step at construction and held nowhere else.
     """
 
     def __init__(self, orders=DEFAULT_SEQUENCE_ORDERS, gain: float = math.sqrt(2.0),
@@ -441,11 +439,10 @@ class SequenceExtractor:
         if {1, -1} - set(orders) or 0 in orders or len(orders) != len(self.bands) + 1:
             raise ConfigurationError("sequence extractor needs 1, -1 and one order per other band")
         self.orders = orders
-        self.gain = gain
         # the fundamental's (r_pos, x_pos, r_neg), then each harmonic band's sign and resistance
-        self._drop = [impedance[:3]] + [(math.copysign(1.0, o), impedance[3].get(o, 0.0))
-                                        for o in sorted(orders, key=abs) if abs(o) > 1]
-        self._kernel = table_kernel(*resonator_table(self.bands, *loops), gain, self._drop)
+        drop = [impedance[:3]] + [(math.copysign(1.0, o), impedance[3].get(o, 0.0))
+                                  for o in sorted(orders, key=abs) if abs(o) > 1]
+        self._kernel = table_kernel(*resonator_table(self.bands, *loops), gain, drop)
         n = len(self.bands)
         self._v = ([0.0] * n, [0.0] * n)    # per axis (alpha, beta), per band
         self._q = ([0.0] * n, [0.0] * n)
@@ -559,13 +556,12 @@ class ProportionalResonant:
     taken at, so droop deviations do not detune them.  The controller
     regulates a pair of axes with identical gains; :meth:`step_pair`
     advances both with one set of resonator coefficients, and each axis
-    evolves exactly as a scalar controller would.  ``kp`` and ``terms`` are
-    compiled into the step at construction: assigning them later changes
-    nothing.
+    evolves exactly as a scalar controller would.  ``kp`` and the terms'
+    gains are compiled into the step at construction and held nowhere else;
+    ``terms`` gives the transitions.
     """
 
     def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float):
-        self.kp = kp
         self.terms = tuple(terms)
         _require_in_range(max(term.order for term in self.terms), omega_nominal, dt)
         self._kernel = pair_kernel(kp, [2.0 * term.gain * term.cutoff for term in self.terms])

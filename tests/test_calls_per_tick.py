@@ -5,7 +5,7 @@ control tick.  The count is deterministic, so unlike ticks/s it does not
 drift with the host, and a change that gives calls back shows here.  The
 ceilings are the counts recorded on CPython 3.11 with each unit's control
 chain written through and the boost's regulation written into its mode
-machine, plus one call of margin.  The default scenario at
+machine, every generated kernel's calls counted, plus one call of margin.  The default scenario at
 half the solver step takes two plant substeps per control tick, as the
 benchmark's sharing-halfstep workload does, so the substep's calls count
 twice there.
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from pvisland import cli
+from pvisland import cli, signals
 
 _spec = importlib.util.spec_from_file_location(
     "calls_per_tick", Path(__file__).resolve().parent / "calls_per_tick.py")
@@ -24,9 +24,9 @@ calls_per_tick = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(calls_per_tick)
 
 #: Profiled calls per control tick, as recorded.
-RECORDED = {"baseline": 78.405, "loadstep": 58.5535, "sharing": 78.55425}
+RECORDED = {"baseline": 87.856, "loadstep": 67.856, "sharing": 87.856}
 #: The same for the default scenario with ``solver.dt = 25e-6``.
-RECORDED_TWO_SUBSTEPS = 107.556
+RECORDED_TWO_SUBSTEPS = 118.856
 
 
 @pytest.mark.parametrize("preset", cli.PRESETS)
@@ -38,3 +38,20 @@ def test_calls_per_tick_with_two_substeps_stay_under_the_ceiling(tmp_path):
     scenario = tmp_path / "halfstep.cfg"
     scenario.write_text("solver.dt = 25e-6\n", encoding="utf-8")
     assert calls_per_tick.calls_per_tick(str(scenario)) <= RECORDED_TWO_SUBSTEPS + 1.0
+
+
+def _call_each(functions, n):
+    for _ in range(n):
+        for f in functions:
+            f()
+
+
+def test_functions_sharing_a_file_line_and_name_are_each_counted():
+    # two generated kernels: one label, ``<generated kernel>:1 kernel``, two code objects
+    kernels = [signals._compiled(f"def kernel():\n    return {i}") for i in (1, 2)]
+    assert [k.__code__.co_filename for k in kernels] == ["<generated kernel>"] * 2
+    assert kernels[0] is not kernels[1]
+    n = 50
+    extra = (calls_per_tick.profiled_calls(_call_each, kernels, n)
+             - calls_per_tick.profiled_calls(_call_each, [], n))
+    assert extra == 2 * n

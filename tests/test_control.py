@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pvisland.control import (
-    POWER_FILTER_HZ,
     BoostController,
     CurrentLoop,
     VoltageLoop,
@@ -17,7 +16,7 @@ from pvisland.control import (
 from pvisland.config import from_mapping
 from pvisland.plant import Plant
 from pvisland.vcc import CentralCompensator
-from pvisland.params import PrGains, PvParams, pv_current
+from pvisland.params import POWER_FILTER_HZ, PrGains, PvParams, pv_current
 from pvisland.runner import build_compensator, build_controllers, build_plant
 from pvisland.errors import SimulationDivergence
 from pvisland.signals import (HARMONIC_ORDERS, LowPass1, Pll, SequenceExtractor, clarke_xy,
@@ -29,17 +28,17 @@ V_AMP = math.sqrt(2.0) * 120.0
 
 
 def _drop(r_pos, x_pos, r_neg, r_harmonics, pos=(0.0, 0.0), neg=(0.0, 0.0), **harm):
-    """The extractor's virtual-impedance drop with its components set to the given pairs.
+    """The virtual-impedance drop an extractor step sums, its components set to the given pairs.
 
     ``r_harmonics`` follows the extractor's harmonics.  The band states are
     set so that each component reads its pair; a table of zero tangents
-    then holds every band where it is, so the step reads the state as set.
+    then holds every band where it is, so the step, compiled with this
+    impedance, reads the state as set.
     """
     comps = {1: pos, -1: neg, 3: (0.0, 0.0), -5: (0.0, 0.0), 7: (0.0, 0.0), -11: (0.0, 0.0)}
     for key, val in harm.items():
         comps[int(key.replace("hm", "-").replace("hp", ""))] = val
-    ext = SequenceExtractor(impedance=(r_pos, x_pos, r_neg,
-                                       dict(zip(HARMONIC_ORDERS, r_harmonics))))
+    ext = SequenceExtractor()
     (va, vb), (qa, qb) = ext._v, ext._q
     for order, (x, y) in comps.items():
         j, sign = ext.bands.index(abs(order)), math.copysign(1.0, order)
@@ -48,7 +47,9 @@ def _drop(r_pos, x_pos, r_neg, r_harmonics, pos=(0.0, 0.0), neg=(0.0, 0.0), **ha
         qa[j] += sign * y
         qb[j] -= sign * x
     hold = [(0.0, band, j, ()) for j, band in enumerate(ext.bands)]
-    za, zb = table_kernel(hold, (), ext.gain, ext._drop)(ext, 0.0, 0.0, 370.0, DT)
+    drop = [(r_pos, x_pos, r_neg)] + [(math.copysign(1.0, o), r)
+                                      for o, r in zip(HARMONIC_ORDERS, r_harmonics)]
+    za, zb = table_kernel(hold, (), 0.0, drop)(ext, 0.0, 0.0, 370.0, DT)
     seq = ext.sequences()
     held = {1: seq.fundamental_pos, -1: seq.fundamental_neg, **seq.harmonic}
     assert {order: tuple(pair) for order, pair in held.items()} == comps
@@ -457,7 +458,7 @@ class TestCurrentLoopClosedLoop:
             m = loop.step(amp_ref * math.cos(w * t), amp_ref * math.sin(w * t),
                           ila, ilb, v_dc, _rows(loop, w))
             plant.step([1.0 - 380.0 / 600.0], [m], w * t)
-        i_l = plant.network.inverter_current(0)
+        i_l = plant.network.x[0:2]  # the filter inductor current
         assert math.hypot(*i_l) == pytest.approx(amp_ref, rel=0.02)
 
 

@@ -362,7 +362,7 @@ class TestAcNetwork:
         hist = []
         for _ in range(20000):
             net.step([(100.0, 0.0)], (0.0, 0.0))
-            hist.append(net.cap_voltage(0)[0])
+            hist.append(net.x[2])  # the capacitor voltage's alpha axis
         hist = np.array(hist) - np.mean(hist)
         spectrum = np.abs(np.fft.rfft(hist))
         freq = np.fft.rfftfreq(len(hist), DT)
@@ -382,7 +382,7 @@ class TestAcNetwork:
         for i in range(int(1.0 / DT)):
             t = i * DT
             net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], (0.0, 0.0))
-        amp = math.hypot(*net.cap_voltage(0))
+        amp = math.hypot(*net.x[2:4])  # the capacitor voltage
         jw = 1j * w
         z_c = 1.0 / (jw * flt.c)
         z_load = fdr.r + jw * fdr.l + r_load
@@ -404,6 +404,28 @@ class TestAcNetwork:
             bus = net.bus(x, ih)
             worst = max(worst, net.kcl_residual(bus, _resistor_current(net, bus[0], bus[1])))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("bank", [None, 0.03], ids=["no-bank", "bank"])
+    def test_stored_energy_is_the_elements_sum(self, bank):
+        # bit for bit: per unit its inductor, capacitor and feeder, then the
+        # bank at its inductance scaled by the load step, times 3/2
+        stages = [STAGE, STAGE_2]
+        net = AcNetwork(stages, _load(balanced_r=10.0, unbalanced_r_a=14.0, balanced_l=bank),
+                        DT)
+        net.set_load_scale(0.6)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            net.x = x = rng.normal(0.0, 50.0, len(net.x)).tolist()
+            e = 0.0
+            for d, (flt, fdr) in enumerate(stages):
+                ila, ilb, voa, vob, fda, fdb = x[6 * d:6 * d + 6]
+                e += 0.5 * flt.l * (ila * ila + ilb * ilb)
+                e += 0.5 * flt.c * (voa * voa + vob * vob)
+                e += 0.5 * fdr.l * (fda * fda + fdb * fdb)
+            if bank is not None:
+                la, lb = x[12], x[13]
+                e += 0.5 * (bank / 0.6) * (la * la + lb * lb)
+            assert repr(net.stored_energy()) == repr(1.5 * e)
 
     def test_one_matvec_matches_split_transition(self):
         # x1 = T @ [x; u] against T1 @ x + Tu @ u, with T1 and Tu taken from
@@ -473,7 +495,7 @@ class TestAcNetwork:
             net.step([v], (0.0, 0.0))
             alpha = rk4(alpha, v[0])
             beta = rk4(beta, v[1])
-        amp = math.hypot(*net.cap_voltage(0))
+        amp = math.hypot(*net.x[2:4])  # the capacitor voltage
         assert amp == pytest.approx(math.hypot(alpha[1], beta[1]), rel=1e-3)
 
 
@@ -620,7 +642,7 @@ class TestPlant:
                     2.0 * v_cmd / v_dc * math.cos(w * t),
                     2.0 * v_cmd / v_dc * math.sin(w * t))))
             plant.step([0.37, 0.37], mods, w * t)
-        amp1 = math.hypot(*plant.network.cap_voltage(0))
+        amp1 = math.hypot(*plant.network.x[2:4])  # unit 1's capacitor voltage
         amp_pcc = math.hypot(*plant.network.bus(plant.network.x, (0.0, 0.0))[:2])
 
         # independent oracle: complex nodal solve of the three-node mesh
@@ -749,7 +771,7 @@ class TestPlant:
             plant.step([0.37, 0.37], [m, m], w * t)
         # bank current magnitude close to V/(w L) at the coupling bus
         v = math.hypot(*plant.measurements(w * 0.6)[0])
-        bank = math.hypot(*plant.network.bank_current())
+        bank = math.hypot(*plant.network.x[-2:])  # the inductive bank's pair, last
         assert bank == pytest.approx(v / (w * 0.03), rel=0.05)
         assert plant.energy_audit_error() < 0.005
 

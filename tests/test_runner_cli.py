@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -531,6 +532,8 @@ def _contents(obj):
         return {key: _contents(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_contents(value) for value in obj]
+    if isinstance(obj, types.FunctionType):  # a generated kernel holds its constants
+        return "function", obj.__code__.co_consts
     names = getattr(obj, "__slots__", None) or getattr(obj, "__dict__", None)
     if names is None:
         return obj
@@ -734,7 +737,8 @@ class TestCli:
     @pytest.mark.parametrize("preset", cli.PRESETS)
     def test_validate_loads_neither_numpy_nor_the_models(self, preset):
         # in a fresh interpreter, which has loaded nothing the test session did
-        lazy = ("numpy", "pvisland.plant", "pvisland.runner", "pvisland.analysis")
+        lazy = ("numpy", "pvisland.control", "pvisland.plant", "pvisland.runner",
+                "pvisland.analysis", "pvisland.vcc")
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); from pvisland import cli; "
                  "code = cli.main(['validate', sys.argv[2]]); "
                  "print(code, *sorted(set(sys.argv[3:]) & set(sys.modules)))")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvisland.config import from_mapping
-from pvisland.control import POWER_FILTER_HZ
+from pvisland.params import POWER_FILTER_HZ
 from pvisland.errors import ConfigurationError, FrameError
 from pvisland import signals
 from pvisland.runner import build_controllers
@@ -316,8 +316,8 @@ class TestSequenceExtractor:
     def test_closed_form_matches_matrix_solve(self):
         # Oracle: the coupled bank assembled as one matrix and advanced by an
         # exact trapezoidal solve at every step, for the frequency of that step.
-        ext = SequenceExtractor()
-        k = ext.gain
+        k = math.sqrt(2.0)
+        ext = SequenceExtractor(gain=k)
         bands = ext.bands
         n = 2 * len(bands)
 
@@ -529,9 +529,9 @@ class _PerBlockExtractor:
 class _PerBlockPr:
     """The two-axis PR transition with its own ``tan(0.5 * wr * dt) / wr`` rows."""
 
-    def __init__(self, pr):
-        self.kp = pr.kp
-        self.terms = pr.terms
+    def __init__(self, kp, terms):
+        self.kp = kp
+        self.terms = terms
         self.x1 = [[0.0] * len(self.terms), [0.0] * len(self.terms)]
         self.x2 = [[0.0] * len(self.terms), [0.0] * len(self.terms)]
         self.e_prev = [0.0, 0.0]
@@ -602,6 +602,7 @@ class _SeparatePasses:
         cfg = from_mapping(keys)
         dg = cfg.dgs[unit]
         self.ctl = ctl
+        self.gain = dg.vi.bandwidth_gain
         # the power filters and the droop, as the unit steps them
         self.filters = (LowPass1(POWER_FILTER_HZ, ctl.dt), LowPass1(POWER_FILTER_HZ, ctl.dt))
         self.droop = (dg.droop.m_p, dg.droop.n_p, cfg.v_amp, cfg.omega)
@@ -619,7 +620,7 @@ class _SeparatePasses:
         for band in ext.bands:
             a = table[band]
             n = 1.0 + a * a
-            g = ext.gain * a / n
+            g = self.gain * a / n
             coefficients.append(((1.0 - a * a) / n, 2.0 * a / n, g, a))
             g_sum += g
         return coefficients, 1.0 + g_sum
@@ -729,11 +730,13 @@ class TestResonatorTable:
         # Oracle: each block prewarping with its own tangents.  The unit's
         # controller is stepped on noisy measurements, so the droop frequency
         # moves on every step; the oracle blocks see the inputs it recorded.
-        ctl = build_controllers(from_mapping(keys))[0]
+        cfg = from_mapping(keys)
+        dg = cfg.dgs[0]
+        ctl = build_controllers(cfg)[0]
         assert ctl.dt == DT  # a step covers one control period
-        ext = _PerBlockExtractor(ctl.extractor.bands, ctl.extractor.gain)
-        vpr = _PerBlockPr(ctl.voltage_loop.pr)
-        ipr = _PerBlockPr(ctl.current_loop.pr)
+        ext = _PerBlockExtractor(ctl.extractor.bands, dg.vi.bandwidth_gain)
+        vpr = _PerBlockPr(dg.prv.kp, dg.prv.terms())
+        ipr = _PerBlockPr(dg.pri.kp, dg.pri.terms())
         rng = np.random.default_rng(5)
         omegas = set()
         for tick in range(3000):
@@ -820,7 +823,7 @@ class TestResonatorTable:
                  ResonantTerm(5, 50.0, 5.0), ResonantTerm(7, 50.0, 2.0),
                  ResonantTerm(11, 20.0, 2.0)]
         pr = ProportionalResonant(0.05, terms, OMEGA, DT)
-        ref = _ImplicitSolvePr(pr)
+        ref = _ImplicitSolvePr(0.05, terms)
         rng = np.random.default_rng(11)
         omega = OMEGA
         for tick in range(4000):
