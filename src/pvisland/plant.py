@@ -20,7 +20,9 @@ Modeling choices, fixed for the whole simulator:
   and advances with Heun's method.
 * One pass over Python floats per step.  The network state is a list of
   floats, and the only NumPy call is the transition product
-  ``x1 = T @ [x; u]`` over the state and the held inputs.  Each unit's PV
+  ``x1 = T @ [x; u]`` over the state and the held inputs.  ``Plant.step``
+  builds the bridge voltages as a flat list, ``u``'s leading values in
+  order, which ``AcNetwork.step`` appends to the state as it is.  Each unit's PV
   current is held at its present state and irradiance, so a step evaluates
   the PV curve twice per unit: at the Heun predictor and at the new state.
 * Generated kernels for the fixed tables.  The harmonic injection, the
@@ -228,6 +230,8 @@ class AcNetwork:
                     f"step {dt} s too coarse for the {flt.resonance_hz():.0f} Hz filter resonance"
                 )
         self.stages = list(stages)
+        # each feeder's alpha-axis state index and resistance, for feeder_loss
+        self._feeders = [(self.STATES_PER_DG * d + 4, fdr.r) for d, (_, fdr) in enumerate(stages)]
         self.load = load
         self.dt = dt
         self.load_scale = 1.0
@@ -307,10 +311,13 @@ class AcNetwork:
             self.switched_energy += self.stored_energy() - e0
 
     # Dynamics -----------------------------------------------------------
-    def step(self, v_inv_ab: list[tuple[float, float]], ih_ab: tuple[float, float]
-             ) -> list[float]:
-        """Advance one step with the bridge voltages and harmonic current held; returns ``x``."""
-        xu = self.x + [v for pair in v_inv_ab for v in pair]
+    def step(self, v_inv: list[float], ih_ab: tuple[float, float]) -> list[float]:
+        """Advance one step with the bridge voltages and harmonic current held; returns ``x``.
+
+        ``v_inv`` holds each unit's bridge voltage pair in unit order, flat:
+        ``[v_a1, v_b1, v_a2, v_b2, ...]``, the transition's inputs as they follow the state.
+        """
+        xu = self.x + v_inv
         xu += ih_ab
         # ``dot`` gives the same product as ``@`` with about 1 us less call overhead
         self.x = x1 = self._t.dot(xu).tolist()
@@ -340,10 +347,9 @@ class AcNetwork:
     def feeder_loss(self, x: list[float]) -> float:
         """Feeder resistor dissipation for the state list ``x``."""
         p = 0.0
-        for d, (_, fdr) in enumerate(self.stages):
-            b = self.STATES_PER_DG * d + 4
+        for b, r in self._feeders:
             fda, fdb = x[b], x[b + 1]
-            p += fdr.r * (fda * fda + fdb * fdb)
+            p += r * (fda * fda + fdb * fdb)
         return 1.5 * p
 
     def load_power(self, bus: tuple[float, float, float, float], i_res: tuple[float, float],
@@ -418,7 +424,7 @@ class Plant:
         n = net.STATES_PER_DG
         ih = net.inject(theta_load)
 
-        v_inv_ab = []
+        v_inv = []  # flat, as AcNetwork.step takes it
         for d, (ma, mb, mc) in enumerate(modulations):
             sat = not (-1.0 <= ma <= 1.0 and -1.0 <= mb <= 1.0 and -1.0 <= mc <= 1.0)
             if sat:
@@ -426,8 +432,8 @@ class Plant:
             self.saturated[d] = sat
             v_dc = sides[d].v_dc
             va, vb, vc = ma * v_dc / 2.0, mb * v_dc / 2.0, mc * v_dc / 2.0
-            v_inv_ab.append(((2.0 / 3.0) * (va - 0.5 * vb - 0.5 * vc),  # clarke_xy(va, vb, vc)
-                             _ONE_OVER_SQRT3 * (vb - vc)))
+            v_inv += ((2.0 / 3.0) * (va - 0.5 * vb - 0.5 * vc),  # clarke_xy(va, vb, vc)
+                      _ONE_OVER_SQRT3 * (vb - vc))
 
         x = net.x
 
@@ -455,14 +461,14 @@ class Plant:
         self._p_in_prev = p_in
         self._p_out_prev = p_out
 
-        x1 = net.step(v_inv_ab, ih)
+        x1 = net.step(v_inv, ih)
         self.steps += 1
 
         for d, side in enumerate(sides):
             b = n * d
             ila = 0.5 * (x1[b] + x[b])
             ilb = 0.5 * (x1[b + 1] + x[b + 1])
-            va, vb = v_inv_ab[d]
+            va, vb = v_inv[2 * d], v_inv[2 * d + 1]
             try:
                 side.step(duties[d], 1.5 * (va * ila + vb * ilb), dt)
             except OverflowError as exc:  # the PV curve's exponential, past a float's range

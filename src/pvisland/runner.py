@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 import os
 import signal
 import tempfile
@@ -36,7 +37,7 @@ from .control import MODE_VR, DgController
 from .errors import AnalysisError
 from .plant import Plant
 from .params import PvParams, pv_current
-from .signals import HARMONIC_ORDERS, Pll, inverse_clarke_xy, ticks
+from .signals import _SQRT3_OVER_2, HARMONIC_ORDERS, Pll, ticks
 from .vcc import CentralCompensator, DqExtractionBank
 
 
@@ -160,7 +161,9 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     # refines the plant integration.  The tick count is the only clock:
     # every time compared is a tick, every time reported ``tick * dt_ctl``.
     dt_ctl = cfg.control_period
-    n_sub = ticks(dt_ctl, cfg.dt)
+    # injections evaluated mid-substep: a start-of-step hold leaves a
+    # first-order phase bias that shows up in the harmonic voltages
+    offsets = [(sub + 0.5) * cfg.dt for sub in range(ticks(dt_ctl, cfg.dt))]
     n_ticks = ticks(cfg.duration, dt_ctl)
     vcc_every = ticks(vcc.period, dt_ctl)
     sample_every = ticks(cfg.sample_dt, dt_ctl)
@@ -177,6 +180,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     table = _shared_table(recorded_rows(cfg), 1 + len(names))
     channels = {n: table[:, i] for i, n in enumerate(names, start=1)}
     flags = FlagLog({"vcc": VCC_FLAGS, **{ctl.name: UNIT_FLAGS for ctl in controllers}})
+    last_flags = flags.last
+    hd_row = operator.itemgetter(*HARMONIC_ORDERS)  # the distortion indices in channel order
 
     zero_vcs = [(0.0, 0.0)] * len(controllers)
     # each unit's duty and modulation triple, rewritten on every tick
@@ -205,7 +210,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
             vcc_tick = tick % vcc_every == 0
             sample_tick = tick % sample_every == 0
             if vcc_tick or sample_tick:  # the phase voltages, read on these ticks only
-                v_pcc_abc = inverse_clarke_xy(*v_pcc_ab)
+                va, vb = v_pcc_ab  # inverse_clarke_xy(va, vb), written out
+                v_pcc_abc = va, -0.5 * va + _SQRT3_OVER_2 * vb, -0.5 * va - _SQRT3_OVER_2 * vb
 
             if vcc_tick:
                 extracted = bank.step(v_pcc_abc, theta, vcc.period)
@@ -227,14 +233,16 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
 
             if sample_tick:
                 values = [t, *v_pcc_abc]
-                for ctl, row, duty in zip(controllers, rows, duties):
+                for ctl, row in zip(controllers, rows):
                     _, _, _, _, ioa, iob, v_dc, v_pv, _ = row
-                    values += (ctl.p_avg, ctl.q_avg, v_dc, v_pv, duty,
-                               1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.omega_ref,
-                               *inverse_clarke_xy(ioa, iob))
+                    boost = ctl.boost
+                    values += (ctl.p_avg, ctl.q_avg, v_dc, v_pv, boost.duty,
+                               1.0 if boost.mode == MODE_VR else 0.0, ctl.omega_ref,
+                               ioa, -0.5 * ioa + _SQRT3_OVER_2 * iob,
+                               -0.5 * ioa - _SQRT3_OVER_2 * iob)
                 values += [row[7] * row[8] for row in rows]  # v_pv * i_pv
-                values += (1.0 if vcc_active else 0.0, comp.vuf,
-                           *map(comp.hd.__getitem__, HARMONIC_ORDERS))
+                values += (1.0 if vcc_active else 0.0, comp.vuf)
+                values += hd_row(comp.hd)
                 for v_c in vc_log:
                     values += v_c
                 sample = tick // sample_every
@@ -243,14 +251,15 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                     writer.send(sample + 1)
 
             pll.step(v_pcc_ab, dt_ctl)
-            for sub in range(n_sub):
-                # injections evaluated mid-substep: a start-of-step hold leaves a
-                # first-order phase bias that shows up in the harmonic voltages
-                plant.step(duties, mods, theta + omega * ((sub + 0.5) * cfg.dt))
-            # after the substeps, so a bridge clamp is stamped with the tick of its commands
+            for offset in offsets:
+                plant.step(duties, mods, theta + omega * offset)
+            # after the substeps, so a bridge clamp is stamped with the tick of its commands;
+            # an unchanged unit has no edge to log
             for ctl, saturated in zip(controllers, plant.saturated):
-                flags.update(t, ctl.name, (ctl.droop_clamped, ctl.voltage_loop.clamped,
-                                           ctl.current_loop.locked_out, saturated))
+                states = (ctl.droop_clamped, ctl.voltage_loop.clamped,
+                          ctl.current_loop.locked_out, saturated)
+                if states != last_flags[ctl.name]:
+                    flags.update(t, ctl.name, states)
 
         mode_transitions = sorted((t_switch, ctl.name, what) for ctl in controllers
                                   for t_switch, what in ctl.boost.transitions)

@@ -4,14 +4,16 @@
 control tick.  The count is deterministic, so unlike ticks/s it does not
 drift with the host, and a change that gives calls back shows here.  The
 ceilings are the counts recorded on CPython 3.11 with each unit's control
-chain written through and the boost's regulation written into its mode
-machine, every generated kernel's calls counted, plus one call of margin.  The default scenario at
-half the solver step takes two plant substeps per control tick, as the
-benchmark's sharing-halfstep workload does, so the substep's calls count
-twice there.
+chain written through, the boost's regulation written into its mode
+machine and the runner's and the plant's glue around the traced layers
+written out, every generated kernel's calls counted, plus one call of
+margin.  The default scenario and the sharing preset at half the solver
+step take two plant substeps per control tick, as the benchmark's
+sharing-halfstep workload does, so the substep's calls count twice there.
 """
 
 import importlib.util
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -24,9 +26,11 @@ calls_per_tick = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(calls_per_tick)
 
 #: Profiled calls per control tick, as recorded.
-RECORDED = {"baseline": 87.856, "loadstep": 67.856, "sharing": 87.856}
+RECORDED = {"baseline": 81.356, "loadstep": 61.356, "sharing": 81.356}
 #: The same for the default scenario with ``solver.dt = 25e-6``.
-RECORDED_TWO_SUBSTEPS = 118.856
+RECORDED_TWO_SUBSTEPS = 109.356
+#: The same for the sharing preset with ``solver.dt = 25e-6``: the benchmark's sharing-halfstep.
+RECORDED_SHARING_TWO_SUBSTEPS = 109.356
 
 
 @pytest.mark.parametrize("preset", cli.PRESETS)
@@ -38,6 +42,13 @@ def test_calls_per_tick_with_two_substeps_stay_under_the_ceiling(tmp_path):
     scenario = tmp_path / "halfstep.cfg"
     scenario.write_text("solver.dt = 25e-6\n", encoding="utf-8")
     assert calls_per_tick.calls_per_tick(str(scenario)) <= RECORDED_TWO_SUBSTEPS + 1.0
+
+
+def test_calls_per_tick_of_sharing_at_half_the_step_stay_under_the_ceiling(tmp_path):
+    scenario = tmp_path / "sharing-halfstep.cfg"
+    preset = resources.files("pvisland.scenarios").joinpath("sharing.cfg").read_text()
+    scenario.write_text(preset + "solver.dt = 25e-6\n", encoding="utf-8")
+    assert calls_per_tick.calls_per_tick(str(scenario)) <= RECORDED_SHARING_TWO_SUBSTEPS + 1.0
 
 
 def _call_each(functions, n):

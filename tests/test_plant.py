@@ -193,7 +193,7 @@ class TestInverterOutput:
     def _applied(self, phase_volts):
         """AC state after unit 1's bridge applies ``phase_volts`` from rest."""
         net = _two_unit_plant(**RESISTIVE).network
-        return net.step([clarke_xy(*phase_volts), (0.0, 0.0)], (0.0, 0.0))
+        return net.step([*clarke_xy(*phase_volts), 0.0, 0.0], (0.0, 0.0))
 
     def test_zero_command(self):
         state, sat = self._bridge((0.0, 0.0, 0.0))
@@ -361,7 +361,7 @@ class TestAcNetwork:
         net = AcNetwork([stage], _load(balanced_r=1e6), DT)
         hist = []
         for _ in range(20000):
-            net.step([(100.0, 0.0)], (0.0, 0.0))
+            net.step([100.0, 0.0], (0.0, 0.0))
             hist.append(net.x[2])  # the capacitor voltage's alpha axis
         hist = np.array(hist) - np.mean(hist)
         spectrum = np.abs(np.fft.rfft(hist))
@@ -371,7 +371,7 @@ class TestAcNetwork:
 
     def test_zero_state_zero_input_stays_zero(self):
         net = AcNetwork([STAGE], _load(balanced_r=10.0), DT)
-        net.step([(0.0, 0.0)], (0.0, 0.0))
+        net.step([0.0, 0.0], (0.0, 0.0))
         assert net.x == [0.0] * len(net.x)
 
     def test_driven_amplitude_matches_phasor_divider(self):
@@ -381,7 +381,7 @@ class TestAcNetwork:
         w = 370.0
         for i in range(int(1.0 / DT)):
             t = i * DT
-            net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], (0.0, 0.0))
+            net.step([170.0 * math.cos(w * t), 170.0 * math.sin(w * t)], (0.0, 0.0))
         amp = math.hypot(*net.x[2:4])  # the capacitor voltage
         jw = 1j * w
         z_c = 1.0 / (jw * flt.c)
@@ -399,8 +399,8 @@ class TestAcNetwork:
         for i in range(5000):
             t = i * DT
             ih = net.inject(w * t)
-            x = net.step([(170.0 * math.cos(w * t), 170.0 * math.sin(w * t)),
-                          (170.0 * math.cos(w * t), 170.0 * math.sin(w * t))], ih)
+            x = net.step([170.0 * math.cos(w * t), 170.0 * math.sin(w * t),
+                          170.0 * math.cos(w * t), 170.0 * math.sin(w * t)], ih)
             bus = net.bus(x, ih)
             worst = max(worst, net.kcl_residual(bus, _resistor_current(net, bus[0], bus[1])))
         assert worst < 1e-9
@@ -453,9 +453,9 @@ class TestAcNetwork:
             theta = w * i * DT
             ih = sum(amp * np.exp(1j * np.sign(order) * (abs(order) * theta + phase))
                      for order, amp, phase in spec.harmonics)
-            v_inv = [(170.0 * math.cos(w * i * DT), 170.0 * math.sin(w * i * DT)),
-                     (160.0 * math.cos(w * i * DT + 0.1), 160.0 * math.sin(w * i * DT + 0.1))]
-            u = np.array([*v_inv[0], *v_inv[1], ih.real, ih.imag])
+            v_inv = [170.0 * math.cos(w * i * DT), 170.0 * math.sin(w * i * DT),
+                     160.0 * math.cos(w * i * DT + 0.1), 160.0 * math.sin(w * i * DT + 0.1)]
+            u = np.array([*v_inv, ih.real, ih.imag])
             x_ref = t_ref[:, :n] @ x_ref + t_ref[:, n:] @ u
             x = net.step(v_inv, net.inject(theta))
             assert np.max(np.abs(np.array(x) - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
@@ -492,7 +492,7 @@ class TestAcNetwork:
         for i in range(int(0.5 / DT)):
             t = i * DT
             v = (170.0 * math.cos(w * t), 170.0 * math.sin(w * t))
-            net.step([v], (0.0, 0.0))
+            net.step([*v], (0.0, 0.0))
             alpha = rk4(alpha, v[0])
             beta = rk4(beta, v[1])
         amp = math.hypot(*net.x[2:4])  # the capacitor voltage
