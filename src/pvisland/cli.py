@@ -65,7 +65,7 @@ def cmd_run(args) -> int:
             overrides["vcc.enable_at"] = "0.0"
         elif args.vcc == "off":
             overrides["vcc.enable_at"] = "off"
-        elif args.vcc.startswith("at="):
+        elif args.vcc.startswith("at=") and args.vcc[3:].strip():
             overrides["vcc.enable_at"] = args.vcc[3:]
         else:
             raise ConfigurationError("--vcc expects on, off or at=<seconds>")

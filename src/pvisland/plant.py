@@ -72,7 +72,6 @@ class DcSide:
 
     def __init__(self, pv: PvParams, params: DcLinkParams, v_pv: float, v_dc: float):
         self.pv = pv
-        self.params = params
         self.v_pv = v_pv
         self.i_boost = 0.0
         self.v_dc = v_dc
@@ -115,10 +114,10 @@ class DcSide:
         self.i_pv = i_light - i_dark * math.expm1(v_pv / v_scale)
 
     def stored_energy(self) -> float:
-        p = self.params
-        return (0.5 * p.c_pv * self.v_pv ** 2
-                + 0.5 * p.l_boost * self.i_boost ** 2
-                + 0.5 * p.c_dc * self.v_dc ** 2)
+        c_pv, l_boost, c_dc, _, _ = self._consts
+        return (0.5 * c_pv * self.v_pv ** 2
+                + 0.5 * l_boost * self.i_boost ** 2
+                + 0.5 * c_dc * self.v_dc ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +206,13 @@ class AcNetwork:
     current, filter capacitor voltage and feeder current, an (alpha, beta)
     pair each.  The inductive bank's current, if the load has one, is the
     last pair.  The coupling-bus voltage is an algebraic function of the
-    feeder currents and the harmonic injection, so Kirchhoff's current law
-    holds to rounding error at every step.  Each unit's stage is its
-    ``(filter, feeder)`` pair.
+    state and the harmonic injection, ``v_bus = zs @ x - zp @ ih``: ``zp``
+    is the resistive bank's two-axis impedance, and the coupling row ``zs``
+    holds ``zp`` at each feeder's pair and ``-zp`` at the bank's, so
+    Kirchhoff's current law holds to rounding error at every step.  The
+    transition matrix, the bus kernel, the feeder loss and the stored energy
+    all read the index and energy tables ``_build`` makes once per load
+    scale.  Each unit's stage is its ``(filter, feeder)`` pair.
 
     The state ``x`` is a list of Python floats, so the controllers never
     compute on NumPy scalars, which cost three to four times as much per
@@ -230,8 +233,6 @@ class AcNetwork:
                     f"step {dt} s too coarse for the {flt.resonance_hz():.0f} Hz filter resonance"
                 )
         self.stages = list(stages)
-        # each feeder's alpha-axis state index and resistance, for feeder_loss
-        self._feeders = [(self.STATES_PER_DG * d + 4, fdr.r) for d, (_, fdr) in enumerate(stages)]
         self.load = load
         self.dt = dt
         self.load_scale = 1.0
@@ -245,49 +246,46 @@ class AcNetwork:
     # Matrix assembly ---------------------------------------------------
     def _build(self):
         ndg = len(self.stages)
-        has_l = self.load.balanced_l is not None
         per = self.STATES_PER_DG
-        n = per * ndg + (2 if has_l else 0)
+        feeders = [per * d + 4 for d in range(ndg)]  # each feeder current's alpha index
+        bank = None if self.load.balanced_l is None else per * ndg  # the inductive bank's
+        n = per * ndg + (0 if bank is None else 2)
         self._n_states = n
         y2 = load_admittance_ab(*self.load.conductances(self.load_scale))
         self._y2 = tuple(y2.ravel().tolist())  # y00, y01, y10, y11
-        zp = np.linalg.inv(y2).tolist()
+        zp = np.linalg.inv(y2)
+        # The coupling row: v_bus = zs @ x - zp @ ih (feeders in, inductive bank out)
+        zs = np.zeros((2, n))
+        for fd in feeders:
+            zs[:, fd:fd + 2] = zp
+        if bank is not None:
+            zs[:, bank:] = -zp
         a = np.zeros((n, n))
         b = np.zeros((n, 2 * ndg + 2))  # inputs: v_inv per DG (2 axes), harmonic current
-        # Bus-current columns: contributions of each state to the coupling-bus
-        # nodal current (feeders in, inductive bank out).
-        lb = per * ndg  # index of the inductive bank states
-        for d, (flt, fdr) in enumerate(self.stages):
-            base = per * d
+        #: each feeder's alpha index and resistance, for feeder_loss
+        self._feeders = [(fd, fdr.r) for fd, (_, fdr) in zip(feeders, self.stages)]
+        #: ``(alpha index, half its L or C)`` per store, for stored_energy: each
+        #: unit's filter inductor, filter capacitor and feeder, then the bank
+        self._energy = []
+        for d, ((flt, fdr), fd) in enumerate(zip(self.stages, feeders)):
+            il, vo = per * d, per * d + 2
+            self._energy += ((il, 0.5 * flt.l), (vo, 0.5 * flt.c), (fd, 0.5 * fdr.l))
             for ax in (0, 1):
-                il = base + ax
-                vo = base + 2 + ax
-                fd = base + 4 + ax
-                a[il, vo] = -1.0 / flt.l
-                b[il, 2 * d + ax] = 1.0 / flt.l
-                a[vo, il] = 1.0 / flt.c
-                a[vo, fd] = -1.0 / flt.c
-                a[fd, vo] = 1.0 / fdr.l
-                a[fd, fd] -= fdr.r / fdr.l
-                for d2 in range(ndg):
-                    for ax2 in (0, 1):
-                        a[fd, per * d2 + 4 + ax2] -= zp[ax][ax2] / fdr.l
-                if has_l:
-                    a[fd, lb + 0] += zp[ax][0] / fdr.l
-                    a[fd, lb + 1] += zp[ax][1] / fdr.l
-                b[fd, 2 * ndg + 0] = zp[ax][0] / fdr.l
-                b[fd, 2 * ndg + 1] = zp[ax][1] / fdr.l
-        if has_l:
+                a[il + ax, vo + ax] = -1.0 / flt.l
+                b[il + ax, 2 * d + ax] = 1.0 / flt.l
+                a[vo + ax, il + ax] = 1.0 / flt.c
+                a[vo + ax, fd + ax] = -1.0 / flt.c
+                a[fd + ax, vo + ax] = 1.0 / fdr.l
+                a[fd + ax, fd + ax] -= fdr.r / fdr.l
+                a[fd + ax] -= zs[ax] / fdr.l
+                b[fd + ax, -2:] = zp[ax] / fdr.l
+        if bank is not None:
             # Inductive bank: di/dt = v_bus / L, admittance scaled with load steps
             l_eff = self.load.balanced_l / self.load_scale
+            self._energy.append((bank, 0.5 * l_eff))
             for ax in (0, 1):
-                for d2 in range(ndg):
-                    for ax2 in (0, 1):
-                        a[lb + ax, per * d2 + 4 + ax2] += zp[ax][ax2] / l_eff
-                a[lb + ax, lb + 0] -= zp[ax][0] / l_eff
-                a[lb + ax, lb + 1] -= zp[ax][1] / l_eff
-                b[lb + ax, 2 * ndg + 0] = -zp[ax][0] / l_eff
-                b[lb + ax, 2 * ndg + 1] = -zp[ax][1] / l_eff
+                a[bank + ax] += zs[ax] / l_eff
+                b[bank + ax, -2:] = -zp[ax] / l_eff
         # One transition matrix over state and inputs: x1 = T @ [x; u]
         eye = np.eye(n)
         self._t = np.linalg.solve(eye - 0.5 * self.dt * a,
@@ -298,8 +296,7 @@ class AcNetwork:
         #: list ``x`` and harmonic current ``ih``, then the net current
         #: ``(n_a, n_b)`` (feeders in, harmonic sources and inductive bank
         #: out) that it drives through the resistive bank.
-        self.bus = bus_kernel([per * d + 4 for d in range(ndg)],
-                              lb if has_l else None, zp)
+        self.bus = bus_kernel(feeders, bank, zp)
         #: ``in_envelope(x)``: whether every state of ``x`` is within ``AC_BOUND``.
         self.in_envelope = envelope_kernel(n, self.AC_BOUND)
 
@@ -331,17 +328,10 @@ class AcNetwork:
 
     def stored_energy(self) -> float:
         x = self.x
-        n = self.STATES_PER_DG
         e = 0.0
-        for d, (flt, fdr) in enumerate(self.stages):
-            ila, ilb, voa, vob, fda, fdb = x[n * d:n * d + n]
-            e += 0.5 * flt.l * (ila * ila + ilb * ilb)
-            e += 0.5 * flt.c * (voa * voa + vob * vob)
-            e += 0.5 * fdr.l * (fda * fda + fdb * fdb)
-        if self.load.balanced_l is not None:
-            la, lbk = x[n * len(self.stages):]
-            l_eff = self.load.balanced_l / self.load_scale
-            e += 0.5 * l_eff * (la * la + lbk * lbk)
+        for i, half in self._energy:
+            xa, xb = x[i], x[i + 1]
+            e += half * (xa * xa + xb * xb)
         return 1.5 * e  # two-axis quantities carry 3/2 of the per-phase energy
 
     def feeder_loss(self, x: list[float]) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import operator
 import os
 import signal
 import tempfile
@@ -37,7 +36,7 @@ from .control import MODE_VR, DgController
 from .errors import AnalysisError
 from .plant import Plant
 from .params import PvParams, pv_current
-from .signals import _SQRT3_OVER_2, HARMONIC_ORDERS, Pll, ticks
+from .signals import _SQRT3_OVER_2, Pll, ticks
 from .vcc import CentralCompensator, DqExtractionBank
 
 
@@ -181,7 +180,6 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     channels = {n: table[:, i] for i, n in enumerate(names, start=1)}
     flags = FlagLog({"vcc": VCC_FLAGS, **{ctl.name: UNIT_FLAGS for ctl in controllers}})
     last_flags = flags.last
-    hd_row = operator.itemgetter(*HARMONIC_ORDERS)  # the distortion indices in channel order
 
     zero_vcs = [(0.0, 0.0)] * len(controllers)
     # each unit's duty and modulation triple, rewritten on every tick
@@ -242,7 +240,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                                -0.5 * ioa - _SQRT3_OVER_2 * iob)
                 values += [row[7] * row[8] for row in rows]  # v_pv * i_pv
                 values += (1.0 if vcc_active else 0.0, comp.vuf)
-                values += hd_row(comp.hd)
+                values += comp.hd.values()
                 for v_c in vc_log:
                     values += v_c
                 sample = tick // sample_every

@@ -80,7 +80,7 @@ class CentralCompensator:
         self._integral = {c: 0.0 for c in self.components}
         self._effort_dq = {c: (0.0, 0.0) for c in self.components}
         self.vuf = 0.0
-        self.hd = {c: 0.0 for c in self.components if c != -1}
+        self.hd = {c: 0.0 for c in HARMONIC_ORDERS}  # in channel order
         self.indices_valid = False
         self.clamped = False
 

@@ -157,18 +157,18 @@ class TestDcSide:
 
 def _dc_step_loop(side, duty, p_draw, dt):
     """``DcSide.step`` through ``max`` and ``pv_current``: ``(v_pv, i_boost, v_dc, i_pv)``."""
-    p = side.params
+    c_pv, l_boost, c_dc, _, _ = side._consts
     off = 1.0 - duty
     v_pv, i_boost, v_dc = side.v_pv, side.i_boost, side.v_dc
-    dv1 = (side.i_pv - i_boost) / p.c_pv
-    di1 = (v_pv - off * v_dc) / p.l_boost
-    dd1 = (off * i_boost - p_draw / max(v_dc, 1.0)) / p.c_dc
+    dv1 = (side.i_pv - i_boost) / c_pv
+    di1 = (v_pv - off * v_dc) / l_boost
+    dd1 = (off * i_boost - p_draw / max(v_dc, 1.0)) / c_dc
     v2 = v_pv + dt * dv1
     i2 = i_boost + dt * di1
     d2 = v_dc + dt * dd1
-    dv2 = (pv_current(max(v2, 0.0), side.irradiance, side.pv) - i2) / p.c_pv
-    di2 = (v2 - off * d2) / p.l_boost
-    dd2 = (off * i2 - p_draw / max(d2, 1.0)) / p.c_dc
+    dv2 = (pv_current(max(v2, 0.0), side.irradiance, side.pv) - i2) / c_pv
+    di2 = (v2 - off * d2) / l_boost
+    dd2 = (off * i2 - p_draw / max(d2, 1.0)) / c_dc
     v_new = max(v_pv + 0.5 * dt * (dv1 + dv2), 0.0)
     return (v_new, i_boost + 0.5 * dt * (di1 + di2), v_dc + 0.5 * dt * (dd1 + dd2),
             pv_current(v_new, side.irradiance, side.pv))
@@ -608,6 +608,104 @@ class TestPlantKernels:
         assert [type(v) for v in values] == [float] * len(values)
         assert any(values)
         assert net.in_envelope(net.x) is True
+
+
+def _transition_loop(net):
+    """``_t`` assembled entry by entry, looping over every feeder for each coupling term."""
+    stages = net.stages
+    ndg = len(stages)
+    has_l = net.load.balanced_l is not None
+    per = AcNetwork.STATES_PER_DG
+    n = per * ndg + (2 if has_l else 0)
+    zp = np.linalg.inv(load_admittance_ab(*net.load.conductances(net.load_scale))).tolist()
+    a = np.zeros((n, n))
+    b = np.zeros((n, 2 * ndg + 2))
+    lb = per * ndg
+    for d, (flt, fdr) in enumerate(stages):
+        base = per * d
+        for ax in (0, 1):
+            il = base + ax
+            vo = base + 2 + ax
+            fd = base + 4 + ax
+            a[il, vo] = -1.0 / flt.l
+            b[il, 2 * d + ax] = 1.0 / flt.l
+            a[vo, il] = 1.0 / flt.c
+            a[vo, fd] = -1.0 / flt.c
+            a[fd, vo] = 1.0 / fdr.l
+            a[fd, fd] -= fdr.r / fdr.l
+            for d2 in range(ndg):
+                for ax2 in (0, 1):
+                    a[fd, per * d2 + 4 + ax2] -= zp[ax][ax2] / fdr.l
+            if has_l:
+                a[fd, lb + 0] += zp[ax][0] / fdr.l
+                a[fd, lb + 1] += zp[ax][1] / fdr.l
+            b[fd, 2 * ndg + 0] = zp[ax][0] / fdr.l
+            b[fd, 2 * ndg + 1] = zp[ax][1] / fdr.l
+    if has_l:
+        l_eff = net.load.balanced_l / net.load_scale
+        for ax in (0, 1):
+            for d2 in range(ndg):
+                for ax2 in (0, 1):
+                    a[lb + ax, per * d2 + 4 + ax2] += zp[ax][ax2] / l_eff
+            a[lb + ax, lb + 0] -= zp[ax][0] / l_eff
+            a[lb + ax, lb + 1] -= zp[ax][1] / l_eff
+            b[lb + ax, 2 * ndg + 0] = -zp[ax][0] / l_eff
+            b[lb + ax, 2 * ndg + 1] = -zp[ax][1] / l_eff
+    eye = np.eye(n)
+    return np.linalg.solve(eye - 0.5 * net.dt * a,
+                           np.hstack((eye + 0.5 * net.dt * a, net.dt * b)))
+
+
+def _stored_energy_loop(net):
+    """``stored_energy`` unpacking each unit's six states, then the bank's pair."""
+    x = net.x
+    n = AcNetwork.STATES_PER_DG
+    e = 0.0
+    for d, (flt, fdr) in enumerate(net.stages):
+        ila, ilb, voa, vob, fda, fdb = x[n * d:n * d + n]
+        e += 0.5 * flt.l * (ila * ila + ilb * ilb)
+        e += 0.5 * flt.c * (voa * voa + vob * vob)
+        e += 0.5 * fdr.l * (fda * fda + fdb * fdb)
+    if net.load.balanced_l is not None:
+        la, lbk = x[n * len(net.stages):]
+        l_eff = net.load.balanced_l / net.load_scale
+        e += 0.5 * l_eff * (la * la + lbk * lbk)
+    return 1.5 * e
+
+
+def _feeder_loss_loop(net, x):
+    """``feeder_loss`` with each feeder's index worked out from its unit."""
+    p = 0.0
+    for d, (_, fdr) in enumerate(net.stages):
+        b = AcNetwork.STATES_PER_DG * d + 4
+        fda, fdb = x[b], x[b + 1]
+        p += fdr.r * (fda * fda + fdb * fdb)
+    return 1.5 * p
+
+
+class TestNetworkTables:
+    """The coupling row and the pair tables against the per-entry loops, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.6])
+    @pytest.mark.parametrize("units", [2, 3])
+    @pytest.mark.parametrize("harmonics", ["default", "empty"])
+    @pytest.mark.parametrize("r_a", [None, 14.0], ids=["no-phase-a", "phase-a"])
+    @pytest.mark.parametrize("bank", [None, 0.03], ids=["no-bank", "bank"])
+    def test_tables_match_the_loops(self, bank, r_a, harmonics, units, scale):
+        spec = from_mapping({}).load.harmonics if harmonics == "default" else ()
+        net = AcNetwork([STAGE, STAGE_2, STAGE][:units],
+                        _load(balanced_r=10.0, unbalanced_r_a=r_a, harmonics=spec,
+                              balanced_l=bank), DT)
+        rng = np.random.default_rng(units)
+        net.x = rng.normal(0.0, 50.0, len(net.x)).tolist()
+        e0 = _stored_energy_loop(net)
+        net.set_load_scale(scale)
+        assert repr(net.switched_energy) == repr(0.0 + (_stored_energy_loop(net) - e0))
+        assert net._t.tobytes() == _transition_loop(net).tobytes()
+        for _ in range(10):
+            net.x = x = rng.normal(0.0, 50.0, len(net.x)).tolist()
+            assert repr(net.stored_energy()) == repr(_stored_energy_loop(net))
+            assert repr(net.feeder_loss(x)) == repr(_feeder_loss_loop(net, x))
 
 
 def _two_unit_plant(**load):

@@ -769,6 +769,17 @@ class TestCli:
         assert "vcc.enable_at" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("form", ["at=", "at= "])
+    def test_vcc_at_without_a_time_rejected(self, monkeypatch, tmp_path, capsys, form):
+        # an empty time would reach vcc.enable_at, which reads it as off
+        def never(cfg, *args, **kwargs):
+            raise AssertionError("a schedule without a time was run")
+
+        monkeypatch.setattr(runner, "run_scenario", never)
+        rc = cli.main(["run", "baseline", "--out", str(tmp_path / "o"), "--vcc", form])
+        assert rc == cli.EXIT_CONFIG
+        assert "--vcc expects on, off or at=<seconds>" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, monkeypatch, tmp_path, capsys):
         def boom(cfg):
             raise SimulationDivergence("test", t_last_good=0.1)
