@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .signals import MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES
+from .params import MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES
 
 
 @dataclass

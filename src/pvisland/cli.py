@@ -8,9 +8,12 @@ rebuilds the metrics report from a finished run directory; it parses the
 time column and the channels the report reads
 (:func:`pvisland.runner.report_channels`) and skips the rest of the CSV.
 
-Importing this module loads the scenario parser only, so ``validate``
-loads neither NumPy nor the models.  ``run`` and ``report`` import the
-runner, and NumPy with it, once their scenario has parsed.
+Importing this module loads the scenario parser only: ``config``,
+``params`` and ``errors``.  So ``validate`` loads neither NumPy, nor the
+models, nor the signal blocks, and a scenario file is read without
+``importlib.resources``, which only a preset name imports.  ``run`` and
+``report`` import the runner, and NumPy with it, once their scenario has
+parsed.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
 4 input/output error.
@@ -21,12 +24,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import config as config_mod
 from .errors import AnalysisError, ConfigurationError, SimulationDivergence
-from .signals import ticks
+from .params import ticks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,6 +45,8 @@ def _load_scenario(name_or_path: str, overrides: dict[str, str] | None = None
     if path.exists():
         cfg = config_mod.load_config(path)
     elif name_or_path in PRESETS:
+        from importlib import resources
+
         cfg = config_mod.parse_text(resources.files("pvisland.scenarios").joinpath(
             f"{name_or_path}.cfg").read_text())
     else:

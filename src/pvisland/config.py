@@ -20,12 +20,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigurationError
-from .params import (POWER_FILTER_HZ, V_DC_LIMIT, DcLinkParams, DroopParams, FeederParams,
-                     FilterParams, LoadParams, ModeParams, MpptParams, PllParams, PrGains,
-                     PvParams, VccParams, ViParams, VrParams)
-from .signals import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, HEUN_REAL_LIMIT,
-                      MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES, beyond_nyquist, max_filter_step,
-                      ticks, too_coarse_for_low_pass)
+from .params import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, HEUN_REAL_LIMIT,
+                     MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES, POWER_FILTER_HZ, V_DC_LIMIT,
+                     DcLinkParams, DroopParams, FeederParams, FilterParams, LoadParams,
+                     ModeParams, MpptParams, PllParams, PrGains, PvParams, VccParams, ViParams,
+                     VrParams, beyond_nyquist, max_filter_step, ticks, too_coarse_for_low_pass)
 
 V_RMS_TO_AMP = math.sqrt(2.0)
 
@@ -232,6 +231,8 @@ class DgConfig:
 
 @dataclass
 class ScenarioConfig:
+    """A parsed scenario: the shared records, the units and the run-level settings."""
+
     name: str
     dt: float
     control_period: float
@@ -478,9 +479,9 @@ def check_report_length(cfg: ScenarioConfig):
     Not one of :data:`RULES`: a configuration too short for a report still
     simulates, so the scenario loader and the reporting run apply this
     rule.  The spectrum resolves orders up to
-    :data:`~pvisland.signals.MAX_HARMONIC_ORDER` only with at least twice
+    :data:`~pvisland.params.MAX_HARMONIC_ORDER` only with at least twice
     that many rows per cycle at ``system.omega``.  The steady-state search
-    needs :data:`~pvisland.signals.MIN_STEADY_CYCLES` whole cycles; the
+    needs :data:`~pvisland.params.MIN_STEADY_CYCLES` whole cycles; the
     longest cycle is the one at the lowest droop frequency, reached at rated
     power.
     """

@@ -22,15 +22,8 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, SimulationDivergence
-from .params import POWER_FILTER_HZ
-from .signals import (
-    _SQRT3_OVER_2,
-    HARMONIC_ORDERS,
-    LowPass1,
-    ProportionalResonant,
-    SequenceExtractor,
-    ticks,
-)
+from .params import HARMONIC_ORDERS, POWER_FILTER_HZ, ticks
+from .signals import _SQRT3_OVER_2, LowPass1, ProportionalResonant, SequenceExtractor
 
 if TYPE_CHECKING:
     from .config import DgConfig, ScenarioConfig

@@ -5,8 +5,12 @@ A record's fields are its group's key suffixes (``dgN.vr.kp`` is
 defaults.  A record that rejects its values names the field; the parser
 names the key.  Plain floats and no NumPy, so the parser builds every
 record, the PV curve included, without the models.  The model constants
-that a parser rule checks live here too: ``V_DC_LIMIT`` and
-``POWER_FILTER_HZ``.
+that a parser rule checks live here too: ``V_DC_LIMIT``,
+``POWER_FILTER_HZ``, the step rules the blocks and the report share with
+the scenario checks, the component table (``DEFAULT_SEQUENCE_ORDERS``,
+``HARMONIC_ORDERS``) and ``ResonantTerm``, one resonant branch of a
+:class:`~pvisland.signals.ProportionalResonant`, which ``PrGains.terms``
+builds.
 """
 
 from __future__ import annotations
@@ -15,12 +19,60 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .signals import ResonantTerm
 
 #: The DC link voltage beyond which a run is taken to have diverged, volts.
 V_DC_LIMIT = 5e3
 #: Cutoff of every unit's power-averaging filters.
 POWER_FILTER_HZ = 2.0
+
+#: The signed orders the extractors separate: both fundamental sequences,
+#: then the harmonics the virtual impedance and the compensator act on.
+DEFAULT_SEQUENCE_ORDERS = (1, -1, 3, -5, 7, -11)
+HARMONIC_ORDERS = DEFAULT_SEQUENCE_ORDERS[2:]
+
+
+# Step rules: what a step must resolve.  The scenario checks call the same
+# rules as the blocks and the report that rely on them.
+
+#: Highest harmonic order :func:`pvisland.analysis.spectrum` resolves and
+#: :func:`pvisland.analysis.thd` sums.
+MAX_HARMONIC_ORDER = 50
+
+#: Whole fundamental cycles :func:`pvisland.analysis.steady_window` needs before it searches.
+MIN_STEADY_CYCLES = 20
+
+
+#: Heun's method is stable on a real pole ``-p`` while ``p * dt`` stays below this.
+HEUN_REAL_LIMIT = 2.0
+
+
+def max_filter_step(l_filter: float, c_filter: float) -> float:
+    """Coarsest step that samples an LC filter's resonance 20 times per period."""
+    return 2.0 * math.pi * math.sqrt(l_filter * c_filter) / 20.0
+
+
+def too_coarse_for_low_pass(cutoff_hz: float, dt: float) -> bool:
+    """Whether a step of ``dt`` is too long for a low-pass filter at ``cutoff_hz``."""
+    return dt * 2.0 * math.pi * cutoff_hz >= 1.0
+
+
+def beyond_nyquist(order: float, omega: float, dt: float) -> bool:
+    """Whether a resonance at ``order * omega`` reaches the Nyquist rate of ``dt``."""
+    return order * omega >= math.pi / dt
+
+
+def ticks(span: float, dt: float) -> int:
+    """Whole steps of ``dt`` in ``span``: the tick of a time on the step grid."""
+    return int(round(span / dt))
+
+
+@dataclass(frozen=True)
+class ResonantTerm:
+    """One resonant branch of a proportional-resonant controller."""
+
+    order: int
+    gain: float
+    cutoff: float  # rad/s bandwidth of the resonant peak
 
 
 @dataclass
@@ -96,6 +148,8 @@ def pv_current(v_pv: float, irradiance: float, p: PvParams) -> float:
 
 @dataclass
 class DcLinkParams:
+    """The boost stage: the PV-side capacitor, the boost inductor and the DC link capacitor."""
+
     c_pv: float
     l_boost: float
     c_dc: float
@@ -103,6 +157,8 @@ class DcLinkParams:
 
 @dataclass
 class VrParams:
+    """The DC link regulator: its PI gains and the link voltage it holds."""
+
     kp: float
     ki: float
     v_dc_ref: float
@@ -110,6 +166,8 @@ class VrParams:
 
 @dataclass
 class MpptParams:
+    """The incremental-conductance tracker: its period, duty step and convergence band."""
+
     period: float
     duty_step: float
     deadband: float             # relative conductance mismatch treated as converged
@@ -117,6 +175,8 @@ class MpptParams:
 
 @dataclass
 class ModeParams:
+    """When the boost leaves tracking for link regulation, and when it returns."""
+
     enter_vr_margin: float     # volts above the link reference
     exit_vr_margin: float      # volts below the link reference
     exit_hold: float           # seconds the exit condition must persist
@@ -124,6 +184,8 @@ class ModeParams:
 
 @dataclass
 class DroopParams:
+    """The P-omega and Q-V droop slopes."""
+
     m_p: float          # (rad/s) per watt
     n_p: float          # volt per var
 
@@ -149,6 +211,8 @@ class ViParams:
 
 @dataclass
 class PrGains:
+    """A proportional-resonant loop's gains and the orders of its resonant terms."""
+
     kp: float
     k1: float                   # fundamental resonant gain
     kh: float                   # harmonic resonant gain
@@ -180,6 +244,8 @@ class FeederParams:
 
 @dataclass
 class PllParams:
+    """The phase-locked loop's PI gains and its frequency band."""
+
     kp: float
     ki: float
     band: float                 # the frequency band either side, a fraction of system.omega
@@ -208,6 +274,8 @@ class LoadParams:
 
 @dataclass
 class VccParams:
+    """The central compensator: its schedule, references, extraction filter and PI gains."""
+
     enable_at: float | None
     period: float
     vuf_ref: float              # percent

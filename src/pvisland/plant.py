@@ -42,9 +42,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError, SimulationDivergence
-from .params import V_DC_LIMIT, pv_current
+from .params import V_DC_LIMIT, max_filter_step, pv_current
 from .signals import (_ONE_OVER_SQRT3, _chain, _compiled, _literal, _names, clarke_xy,
-                      inverse_clarke_xy, max_filter_step)
+                      inverse_clarke_xy)
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig

@@ -35,8 +35,8 @@ from .config import ScenarioConfig, channel_names, check_report_length, echo, re
 from .control import MODE_VR, DgController
 from .errors import AnalysisError
 from .plant import Plant
-from .params import PvParams, pv_current
-from .signals import _SQRT3_OVER_2, Pll, ticks
+from .params import PvParams, pv_current, ticks
+from .signals import _SQRT3_OVER_2, Pll
 from .vcc import CentralCompensator, DqExtractionBank
 
 

@@ -10,6 +10,13 @@ Conventions used throughout the simulator:
   resonance lands exactly on the requested center frequency.
 * Blocks are plain value objects: same state plus same input sequence gives
   bit-identical outputs.
+
+The step rules the blocks share with the scenario checks
+(``too_coarse_for_low_pass``, ``beyond_nyquist``), the component table
+(``DEFAULT_SEQUENCE_ORDERS``) and ``ResonantTerm`` are defined in
+:mod:`pvisland.params`, so the parser checks a scenario without loading
+this module; the blocks import them from there.  The tick rule ``ticks``
+is importable from here too.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, FrameError
+from .params import (DEFAULT_SEQUENCE_ORDERS, ResonantTerm, beyond_nyquist, ticks,
+                     too_coarse_for_low_pass)
 
 ALPHA_BETA = "ab"
 DQ = "dq"
@@ -110,41 +119,6 @@ def inverse_park(v: FrameVector, theta: float) -> FrameVector:
     if v.frame != DQ:
         raise FrameError(f"inverse_park expects a dq vector, got {v.frame!r}")
     return FrameVector(*inverse_park_xy(v.x, v.y, theta), ALPHA_BETA)
-
-
-# Step rules: what a step must resolve.  The scenario checks call the same
-# rules as the blocks and the report that rely on them.
-
-#: Highest harmonic order :func:`pvisland.analysis.spectrum` resolves and
-#: :func:`pvisland.analysis.thd` sums.
-MAX_HARMONIC_ORDER = 50
-
-#: Whole fundamental cycles :func:`pvisland.analysis.steady_window` needs before it searches.
-MIN_STEADY_CYCLES = 20
-
-
-#: Heun's method is stable on a real pole ``-p`` while ``p * dt`` stays below this.
-HEUN_REAL_LIMIT = 2.0
-
-
-def max_filter_step(l_filter: float, c_filter: float) -> float:
-    """Coarsest step that samples an LC filter's resonance 20 times per period."""
-    return 2.0 * math.pi * math.sqrt(l_filter * c_filter) / 20.0
-
-
-def too_coarse_for_low_pass(cutoff_hz: float, dt: float) -> bool:
-    """Whether a step of ``dt`` is too long for a low-pass filter at ``cutoff_hz``."""
-    return dt * 2.0 * math.pi * cutoff_hz >= 1.0
-
-
-def beyond_nyquist(order: float, omega: float, dt: float) -> bool:
-    """Whether a resonance at ``order * omega`` reaches the Nyquist rate of ``dt``."""
-    return order * omega >= math.pi / dt
-
-
-def ticks(span: float, dt: float) -> int:
-    """Whole steps of ``dt`` in ``span``: the tick of a time on the step grid."""
-    return int(round(span / dt))
 
 
 class LowPass1:
@@ -387,12 +361,6 @@ class SequenceSet:
     harmonic: dict[int, FrameVector] = field(default_factory=dict)
 
 
-#: The signed orders the extractors separate: both fundamental sequences,
-#: then the harmonics the virtual impedance and the compensator act on.
-DEFAULT_SEQUENCE_ORDERS = (1, -1, 3, -5, 7, -11)
-HARMONIC_ORDERS = DEFAULT_SEQUENCE_ORDERS[2:]
-
-
 class SequenceExtractor:
     """Multi-band quadrature extractor with cross-feedback decoupling.
 
@@ -537,15 +505,6 @@ class Pll:
         self.omega = omega
         self.theta = (self.theta + omega * dt) % (2.0 * math.pi)
         return self.theta, self.omega
-
-
-@dataclass(frozen=True)
-class ResonantTerm:
-    """One resonant branch of a proportional-resonant controller."""
-
-    order: int
-    gain: float
-    cutoff: float  # rad/s bandwidth of the resonant peak
 
 
 class ProportionalResonant:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .signals import (DEFAULT_SEQUENCE_ORDERS, DQ, HARMONIC_ORDERS, FrameVector, LowPass2,
-                      ThreePhaseSample, clarke_xy, park_xy)
+from .params import DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS
+from .signals import DQ, FrameVector, LowPass2, ThreePhaseSample, clarke_xy, park_xy
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig

@@ -16,7 +16,7 @@ import cProfile
 import sys
 
 from pvisland import cli, config, runner
-from pvisland.signals import ticks
+from pvisland.params import ticks
 
 DURATIONS = ("0.2", "0.4")
 

@@ -23,9 +23,8 @@ from pvisland.config import (
     parse_text,
 )
 from pvisland.errors import ConfigurationError
-from pvisland.params import ViParams
+from pvisland.params import HARMONIC_ORDERS, ViParams
 from pvisland.runner import build_compensator, build_controllers, build_plant
-from pvisland.signals import HARMONIC_ORDERS
 
 
 class TestParsing:
@@ -327,7 +326,7 @@ class TestEcho:
 
 
 class TestComponentTable:
-    """The signed harmonic orders of ``signals.HARMONIC_ORDERS`` name the keys and channels."""
+    """The signed harmonic orders of ``params.HARMONIC_ORDERS`` name the keys and channels."""
 
     def test_compensator_channels_keep_their_csv_positions(self):
         names = channel_names(2)

@@ -18,12 +18,12 @@ from pvisland import cli
 from pvisland.config import channel_names, from_mapping, recorded_rows
 from pvisland.plant import Plant
 from pvisland.vcc import CentralCompensator, DqExtractionBank
-from pvisland.params import POWER_FILTER_HZ, PrGains, PvParams, pv_current
+from pvisland.params import HARMONIC_ORDERS, POWER_FILTER_HZ, PrGains, PvParams, pv_current, ticks
 from pvisland.runner import (UNIT_FLAGS, VCC_FLAGS, FlagLog, build_compensator,
                              build_controllers, build_plant, run_simulation)
 from pvisland.errors import SimulationDivergence
-from pvisland.signals import (HARMONIC_ORDERS, LowPass1, Pll, SequenceExtractor, clarke_xy,
-                              inverse_clarke_xy, inverse_park_xy, table_kernel, ticks)
+from pvisland.signals import (LowPass1, Pll, SequenceExtractor, clarke_xy, inverse_clarke_xy,
+                              inverse_park_xy, table_kernel)
 
 DT = 50e-6
 OMEGA = 370.0

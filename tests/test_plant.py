@@ -9,7 +9,7 @@ from pvisland import runner
 from pvisland.config import from_mapping
 from pvisland.errors import ConfigurationError, SimulationDivergence
 from pvisland.params import (V_DC_LIMIT, DcLinkParams, FeederParams, FilterParams, LoadParams,
-                             PvParams, pv_current)
+                             PvParams, pv_current, ticks)
 from pvisland.plant import (
     AcNetwork,
     DcSide,
@@ -25,7 +25,6 @@ from pvisland.signals import (
     clarke,
     clarke_xy,
     inverse_clarke,
-    ticks,
 )
 
 DT = 50e-6

@@ -32,7 +32,7 @@ from pvisland.runner import (
     run_simulation,
 )
 from pvisland.plant import Plant
-from pvisland.signals import HARMONIC_ORDERS, ticks
+from pvisland.params import HARMONIC_ORDERS, ticks
 
 SHORT = {"solver.duration": "0.6", "vcc.enable_at": "off"}
 
@@ -738,7 +738,7 @@ class TestCli:
     def test_validate_loads_neither_numpy_nor_the_models(self, preset):
         # in a fresh interpreter, which has loaded nothing the test session did
         lazy = ("numpy", "pvisland.control", "pvisland.plant", "pvisland.runner",
-                "pvisland.analysis", "pvisland.vcc")
+                "pvisland.analysis", "pvisland.vcc", "pvisland.signals")
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); from pvisland import cli; "
                  "code = cli.main(['validate', sys.argv[2]]); "
                  "print(code, *sorted(set(sys.argv[3:]) & set(sys.modules)))")
@@ -746,6 +746,20 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe, src, preset, *lazy],
                              capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1] == "0"
+
+    def test_validate_of_a_file_loads_only_the_parser(self):
+        # under -S no site hook preloads importlib.resources, which only a preset name needs
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); from pvisland import cli; "
+                 "code = cli.main(['validate', sys.argv[2]]); "
+                 "print(code, 'importlib.resources' in sys.modules, "
+                 "*sorted(m for m in sys.modules if m.partition('.')[0] == 'pvisland'))")
+        src = Path(cli.__file__).parents[1]
+        scenario = src / "pvisland" / "scenarios" / "baseline.cfg"
+        out = subprocess.run([sys.executable, "-S", "-c", probe, str(src), str(scenario)],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1].split() == [
+            "0", "False", "pvisland", "pvisland.cli", "pvisland.config", "pvisland.errors",
+            "pvisland.params"]
 
     def test_validate_unknown_scenario(self, capsys):
         assert cli.main(["validate", "does_not_exist.cfg"]) == cli.EXIT_CONFIG
