@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,8 +28,7 @@ from .params import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, HEUN_REAL_LIMIT,
 V_RMS_TO_AMP = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(NamedTuple):
     """An interval of allowed values; an infinite end is always open."""
 
     lo: float
@@ -207,8 +205,7 @@ UNIT_GROUPS = {"pv": PvParams, "dc": DcLinkParams, "vr": VrParams, "mppt": MpptP
                "pri": PrGains, "filter": FilterParams, "feeder": FeederParams}
 
 
-@dataclass
-class DgConfig:
+class DgConfig(NamedTuple):
     """One unit's ``dgN.*`` keys: a record per key group, named after it."""
 
     pv: PvParams
@@ -229,8 +226,7 @@ class DgConfig:
     v_dc_ref = property(lambda self: self.vr.v_dc_ref)
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A parsed scenario: the shared records, the units and the run-level settings."""
 
     name: str
@@ -247,7 +243,7 @@ class ScenarioConfig:
     irradiance_events: list[tuple[float, int, float]]
     sample_dt: float
     channels: list[str] | None      # None means every known channel
-    raw: dict[str, str] = field(default_factory=dict, repr=False)
+    raw: dict[str, str]
 
     load_step_time = property(lambda self: self.load.step_time)  # read by the acceptance suite
 
@@ -385,7 +381,8 @@ def recorded_rows(cfg: ScenarioConfig) -> int:
 def _check_divides(cfg: ScenarioConfig):
     """Every period is a whole number (>= 1) of the step it counts in, every
     scheduled time and span a whole number (>= 0) of control ticks; a run
-    records two rows, and its table fits in physical memory."""
+    records two rows, and its table and the plant's per-tick substep offsets
+    fit in physical memory."""
     cp = cfg.control_period
     units = list(zip(UNIT_PREFIXES, cfg.dgs))
     periods = [(f"{prefix}.mppt.period", dg.mppt.period) for prefix, dg in units]
@@ -413,6 +410,12 @@ def _check_divides(cfg: ScenarioConfig):
     memory_gib = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 2**30
     _require(table_gib <= memory_gib, "solver.duration", f"{cfg.duration} s records a "
              f"{table_gib:.3g} GiB table, over the {memory_gib:.3g} GiB of physical memory")
+    substeps = ticks(cp, cfg.dt)
+    offsets_gib = 32 * substeps / 2**30  # a float and its list slot per substep
+    _require(table_gib + offsets_gib <= memory_gib, "solver.dt", f"{cfg.dt} s takes "
+             f"{substeps:.3g} substeps a control tick, whose offsets and the table take "
+             f"{table_gib + offsets_gib:.3g} GiB, over the {memory_gib:.3g} GiB of physical "
+             "memory")
 
 
 def _check_link_reference(cfg: ScenarioConfig):
@@ -509,8 +512,8 @@ def _records(v: dict, groups: dict, prefix: str = "") -> dict:
     records = {}
     for group, record in groups.items():
         try:
-            records[group] = record(**{f.name: v[f"{prefix}{group}.{f.name}"]
-                                       for f in fields(record) if f.init})
+            records[group] = record(**{name: v[f"{prefix}{group}.{name}"]
+                                       for name in record._fields})
         except ConfigurationError as exc:  # the record names its field
             raise ConfigurationError(exc.args[0], key=f"{prefix}{group}.{exc.key}") from exc
     return records

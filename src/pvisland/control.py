@@ -125,9 +125,9 @@ class BoostController:
 
     def __init__(self, mppt: MpptParams, vr: VrParams, mode: ModeParams,
                  duty_init: float, dt: float):
-        self.mppt_params = mppt
-        self.vr_params = vr
-        self.mode_params = mode
+        # the regulator's gains and reference, the mode margins, then the tracker's step and band
+        self._consts = (vr.kp, vr.ki, vr.v_dc_ref, mode.enter_vr_margin, mode.exit_vr_margin)
+        self._track_consts = (mppt.duty_step, mppt.deadband)
         self.dt = dt
         self.mode = MODE_VR
         self.duty = duty_init
@@ -144,7 +144,7 @@ class BoostController:
 
     def _track(self, v_pv: float, i_pv: float):
         """One incremental-conductance move of the duty on the sample ``(v_pv, i_pv)``."""
-        p = self.mppt_params
+        duty_step, deadband = self._track_consts
         if self._v_prev is None:
             self._v_prev, self._i_prev = v_pv, i_pv
             return
@@ -155,35 +155,33 @@ class BoostController:
         if i_pv < 1e-3 and v_pv > 1.0:
             # Dead zone past open circuit: no current, no usable gradient;
             # walk the terminal voltage back down until current flows.
-            self.duty = min(duty + p.duty_step, DUTY_MAX)
+            self.duty = min(duty + duty_step, DUTY_MAX)
             return
         if abs(dv) < 1e-9:
             # Voltage unchanged; use the current movement alone, no division.
             if di > 1e-9:
-                duty -= p.duty_step
+                duty -= duty_step
             elif di < -1e-9:
-                duty += p.duty_step
+                duty += duty_step
         else:
             mismatch = di / dv + i_pv / max(v_pv, 1e-6)
-            if abs(mismatch) * v_pv >= p.deadband * max(i_pv, 1e-6):
+            if abs(mismatch) * v_pv >= deadband * max(i_pv, 1e-6):
                 if mismatch > 0.0:
-                    duty -= p.duty_step   # raise the PV voltage
+                    duty -= duty_step   # raise the PV voltage
                 else:
-                    duty += p.duty_step
+                    duty += duty_step
         self.duty = min(max(duty, DUTY_MIN), DUTY_MAX)
 
     def step(self, v_pv: float, i_pv: float, v_dc: float, t: float) -> float:
-        p = self.vr_params
-        ref = p.v_dc_ref
-        mp = self.mode_params
+        kp, ki, ref, enter_margin, exit_margin = self._consts
         if self.mode == MODE_MPPT:
-            if v_dc > ref + mp.enter_vr_margin:
+            if v_dc > ref + enter_margin:
                 self.mode = MODE_VR
                 self._integral = self.duty
                 self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
                 self.transitions.append((t, f"{MODE_MPPT}->{MODE_VR}"))
         else:
-            self._below = self._below + 1 if v_dc < ref - mp.exit_vr_margin else 0
+            self._below = self._below + 1 if v_dc < ref - exit_margin else 0
             if self._below > self._hold:
                 self.mode = MODE_MPPT
                 self._v_prev = None
@@ -202,8 +200,8 @@ class BoostController:
         ceiling = DUTY_MIN if DUTY_MIN > ceiling else ceiling
         hi = ceiling if ceiling < DUTY_MAX else DUTY_MAX  # a NaN ceiling is the range's top
         e = ref - v_dc
-        candidate = self._integral + p.ki * e * self.dt
-        duty = p.kp * e + candidate
+        candidate = self._integral + ki * e * self.dt
+        duty = kp * e + candidate
         if DUTY_MIN <= duty <= hi:
             self._integral = candidate
         else:  # min(max(duty, DUTY_MIN), hi)

@@ -1,6 +1,8 @@
 """Parameter records, one per key group of ``config.UNIT_GROUPS`` and ``config.GROUPS``.
 
-A record's fields are its group's key suffixes (``dgN.vr.kp`` is
+Records are immutable named tuples, but for ``PvParams``, a slotted class
+that also stores its solved curve constants.  A record's fields
+(``_fields``) are its group's key suffixes (``dgN.vr.kp`` is
 ``VrParams.kp``, ``vcc.period`` is ``VccParams.period``) and have no
 defaults.  A record that rejects its values names the field; the parser
 names the key.  Plain floats and no NumPy, so the parser builds every
@@ -16,7 +18,7 @@ builds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
@@ -66,8 +68,7 @@ def ticks(span: float, dt: float) -> int:
     return int(round(span / dt))
 
 
-@dataclass(frozen=True)
-class ResonantTerm:
+class ResonantTerm(NamedTuple):
     """One resonant branch of a proportional-resonant controller."""
 
     order: int
@@ -75,45 +76,41 @@ class ResonantTerm:
     cutoff: float  # rad/s bandwidth of the resonant peak
 
 
-@dataclass
 class PvParams:
     """Single-diode-shaped PV source, calibrated to its datasheet corners.
 
     The diode voltage scale is solved at construction so the curve passes
     through (v_mp, i_mp); the curve then peaks at the rated power within a
     fraction of a percent.  ``irradiance`` is the array's irradiance at the
-    start of a run, in suns.
+    start of a run, in suns.  Not a named tuple: it stores the solved
+    constants beside its fields, and compares by its fields.
     """
 
-    rated_w: float
-    v_oc: float
-    i_sc: float
-    v_mp: float
-    i_mp: float
-    irradiance: float
+    _fields = ("rated_w", "v_oc", "i_sc", "v_mp", "i_mp", "irradiance")
+    __slots__ = (*_fields, "_v_scale", "_i_dark")
 
-    _v_scale: float = field(init=False, repr=False)
-    _i_dark: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.v_mp < self.v_oc:
-            raise ConfigurationError(f"must lie below pv.v_oc = {self.v_oc}", key="v_mp")
-        if not self.i_mp < self.i_sc:
-            raise ConfigurationError(f"must lie below pv.i_sc = {self.i_sc}", key="i_mp")
-        if not self.v_mp * self.i_mp <= self.rated_w * 1.001:
+    def __init__(self, rated_w: float, v_oc: float, i_sc: float, v_mp: float, i_mp: float,
+                 irradiance: float):
+        self.rated_w, self.v_oc, self.i_sc = rated_w, v_oc, i_sc
+        self.v_mp, self.i_mp, self.irradiance = v_mp, i_mp, irradiance
+        if not v_mp < v_oc:
+            raise ConfigurationError(f"must lie below pv.v_oc = {v_oc}", key="v_mp")
+        if not i_mp < i_sc:
+            raise ConfigurationError(f"must lie below pv.i_sc = {i_sc}", key="i_mp")
+        if not v_mp * i_mp <= rated_w * 1.001:
             raise ConfigurationError("lies below the maximum-power point pv.v_mp * pv.i_mp",
                                      key="rated_w")
         lo, hi = 1e-2, 1e4
 
         def residual(scale):
             # i(v_mp) - i_mp with the dark current pinned by i(v_oc) = 0
-            x_mp = self.v_mp / scale
-            x_oc = self.v_oc / scale
+            x_mp = v_mp / scale
+            x_oc = v_oc / scale
             if x_oc > 500.0:
                 ratio = math.exp(x_mp - x_oc)  # large-argument limit of expm1 ratio
             else:
                 ratio = math.expm1(x_mp) / math.expm1(x_oc)
-            return self.i_sc - self.i_sc * ratio - self.i_mp
+            return i_sc - i_sc * ratio - i_mp
 
         if residual(lo) < 0.0 or residual(hi) > 0.0:
             raise ConfigurationError("PV datasheet corners do not describe a diode-like curve",
@@ -125,10 +122,19 @@ class PvParams:
             else:
                 hi = mid
         self._v_scale = math.sqrt(lo * hi)
-        if self.v_oc > 700.0 * self._v_scale:  # expm1 overflows past 709.78
+        if v_oc > 700.0 * self._v_scale:  # expm1 overflows past 709.78
             raise ConfigurationError("PV datasheet corners give a curve too steep to evaluate",
                                      key="v_mp")
-        self._i_dark = self.i_sc / math.expm1(self.v_oc / self._v_scale)
+        self._i_dark = i_sc / math.expm1(v_oc / self._v_scale)
+
+    def __eq__(self, other):
+        if type(other) is not PvParams:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._fields]
+                == [getattr(other, f) for f in self._fields])
+
+    def __repr__(self) -> str:
+        return f"PvParams({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
     def open_circuit_conductance(self, irradiance: float) -> float:
         """The string's incremental conductance ``-di/dv`` at its open-circuit
@@ -146,8 +152,7 @@ def pv_current(v_pv: float, irradiance: float, p: PvParams) -> float:
     return irradiance * p.i_sc - p._i_dark * math.expm1(v_pv / p._v_scale)
 
 
-@dataclass
-class DcLinkParams:
+class DcLinkParams(NamedTuple):
     """The boost stage: the PV-side capacitor, the boost inductor and the DC link capacitor."""
 
     c_pv: float
@@ -155,8 +160,7 @@ class DcLinkParams:
     c_dc: float
 
 
-@dataclass
-class VrParams:
+class VrParams(NamedTuple):
     """The DC link regulator: its PI gains and the link voltage it holds."""
 
     kp: float
@@ -164,8 +168,7 @@ class VrParams:
     v_dc_ref: float
 
 
-@dataclass
-class MpptParams:
+class MpptParams(NamedTuple):
     """The incremental-conductance tracker: its period, duty step and convergence band."""
 
     period: float
@@ -173,8 +176,7 @@ class MpptParams:
     deadband: float             # relative conductance mismatch treated as converged
 
 
-@dataclass
-class ModeParams:
+class ModeParams(NamedTuple):
     """When the boost leaves tracking for link regulation, and when it returns."""
 
     enter_vr_margin: float     # volts above the link reference
@@ -182,16 +184,14 @@ class ModeParams:
     exit_hold: float           # seconds the exit condition must persist
 
 
-@dataclass
-class DroopParams:
+class DroopParams(NamedTuple):
     """The P-omega and Q-V droop slopes."""
 
     m_p: float          # (rad/s) per watt
     n_p: float          # volt per var
 
 
-@dataclass
-class ViParams:
+class ViParams(NamedTuple):
     """Virtual impedance: resistive-inductive on the positive sequence,
     resistive on the negative sequence and on each harmonic."""
 
@@ -209,8 +209,7 @@ class ViParams:
         return getattr(self, f"r_h{abs(order)}")
 
 
-@dataclass
-class PrGains:
+class PrGains(NamedTuple):
     """A proportional-resonant loop's gains and the orders of its resonant terms."""
 
     kp: float
@@ -223,8 +222,7 @@ class PrGains:
         return [ResonantTerm(k, self.k1 if k == 1 else self.kh, self.wc) for k in self.orders]
 
 
-@dataclass
-class FilterParams:
+class FilterParams(NamedTuple):
     """The inverter's LC output filter."""
 
     l: float
@@ -234,16 +232,14 @@ class FilterParams:
         return 1.0 / (2.0 * math.pi * math.sqrt(self.l * self.c))
 
 
-@dataclass
-class FeederParams:
+class FeederParams(NamedTuple):
     """The series R-L feeder from a unit's filter to the coupling bus."""
 
     r: float
     l: float
 
 
-@dataclass
-class PllParams:
+class PllParams(NamedTuple):
     """The phase-locked loop's PI gains and its frequency band."""
 
     kp: float
@@ -251,8 +247,7 @@ class PllParams:
     band: float                 # the frequency band either side, a fraction of system.omega
 
 
-@dataclass
-class LoadParams:
+class LoadParams(NamedTuple):
     """The coupling-bus load: a floating-star resistive bank, an optional extra
     resistor on phase a, an optional parallel inductive bank (henries per
     phase) and current sources locked to the system angle, one ``(order,
@@ -272,8 +267,7 @@ class LoadParams:
         return ga, g, g
 
 
-@dataclass
-class VccParams:
+class VccParams(NamedTuple):
     """The central compensator: its schedule, references, extraction filter and PI gains."""
 
     enable_at: float | None

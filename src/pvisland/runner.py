@@ -164,7 +164,8 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     # first-order phase bias that shows up in the harmonic voltages
     offsets = [(sub + 0.5) * cfg.dt for sub in range(ticks(dt_ctl, cfg.dt))]
     n_ticks = ticks(cfg.duration, dt_ctl)
-    vcc_every = ticks(vcc.period, dt_ctl)
+    vcc_dt = vcc.period
+    vcc_every = ticks(vcc_dt, dt_ctl)
     sample_every = ticks(cfg.sample_dt, dt_ctl)
 
     # The schedule: a change applies at its tick, before its measurements.
@@ -212,9 +213,9 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                 v_pcc_abc = va, -0.5 * va + _SQRT3_OVER_2 * vb, -0.5 * va - _SQRT3_OVER_2 * vb
 
             if vcc_tick:
-                extracted = bank.step(v_pcc_abc, theta, vcc.period)
+                extracted = bank.step(v_pcc_abc, theta, vcc_dt)
                 if vcc_active:
-                    in_flight.append((tick + delay_ticks, comp.step(extracted, vcc.period)))
+                    in_flight.append((tick + delay_ticks, comp.step(extracted, vcc_dt)))
                 else:
                     comp.measure(extracted)
 

@@ -74,6 +74,7 @@ class CentralCompensator:
 
     def __init__(self, cfg: ScenarioConfig):
         self.params = cfg.vcc
+        self._output_limit = cfg.vcc.output_limit  # read on every tick
         total = sum(dg.pv.rated_w for dg in cfg.dgs)
         self.shares = tuple(dg.pv.rated_w / total for dg in cfg.dgs)
         self.components = (-1,) + tuple(sorted(HARMONIC_ORDERS))
@@ -145,7 +146,7 @@ class CentralCompensator:
             sin_c = math.sin(angle)
             a += d * cos_c - q * sin_c
             b += d * sin_c + q * cos_c
-        lim = self.params.output_limit
+        lim = self._output_limit
         out = []
         for share in self.shares:
             ua = a * share

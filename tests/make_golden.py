@@ -53,12 +53,16 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def run_workload(name: str, out_dir: Path) -> runner.RunArtifacts:
-    """The workload's seed-0 scenario, run into ``out_dir``."""
+def workload_config(name: str) -> config.ScenarioConfig:
+    """The workload's seed-0 scenario, parsed from the text the benchmark generates."""
     workload = workloads.load_spec()["workloads"][name]
     base = cli._load_scenario(workload["preset"]).raw
-    cfg = config.parse_text(workloads.scenario_text(name, workload, 0, base))
-    return runner.run_scenario(cfg, out_dir)
+    return config.parse_text(workloads.scenario_text(name, workload, 0, base))
+
+
+def run_workload(name: str, out_dir: Path) -> runner.RunArtifacts:
+    """The workload's seed-0 scenario, run into ``out_dir``."""
+    return runner.run_scenario(workload_config(name), out_dir)
 
 
 def sha256(path: Path) -> str:

@@ -1,6 +1,7 @@
+import importlib.util
 import math
 import re
-from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,11 @@ from pvisland.config import (
 from pvisland.errors import ConfigurationError
 from pvisland.params import HARMONIC_ORDERS, ViParams
 from pvisland.runner import build_compensator, build_controllers, build_plant
+
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).resolve().with_name("make_golden.py"))
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
 
 
 class TestParsing:
@@ -156,6 +162,8 @@ class TestParsing:
         ("control.period", "1e308"),          # ratio to solver.dt is inf
         ("solver.duration", "1e308"),         # tick count is inf
         ("solver.duration", "1e9"),           # run table larger than physical memory
+        ("solver.dt", "1e-15"),               # 5e10 substep offsets a tick, likewise
+        ("solver.dt", "1e-200"),
         ("events.irradiance", "0.3:1:0.5, 0.3:1:0.9"),  # two values for one tick
         ("load.step_time", "0.30001"),        # off the control tick grid
         ("vcc.enable_at", "0.55001"),
@@ -247,24 +255,24 @@ def test_parsed_configuration_builds(key_value):
 class TestUnitGroups:
     def test_group_records_spell_every_unit_key_once(self):
         # a record's fields are its group's key suffixes, and a unit is its records
-        spelled = [f"{group}.{f.name}" for group, record in UNIT_GROUPS.items()
-                   for f in fields(record) if f.init]
+        spelled = [f"{group}.{name}" for group, record in UNIT_GROUPS.items()
+                   for name in record._fields]
         assert sorted(spelled + ["current_limit_factor"]) == sorted(UNIT_KEYS)
-        assert [f.name for f in fields(DgConfig)] == [*UNIT_GROUPS, "current_limit_factor"]
+        assert list(DgConfig._fields) == [*UNIT_GROUPS, "current_limit_factor"]
 
     def test_shared_records_hold_each_key_once(self):
         # each pll.*, load.* and vcc.* key is one field of its group's record,
         # which holds the key's parsed value; no two values here are equal
         assert len({repr(value) for _, value in SHARED_VALUES.values()}) == len(SHARED_VALUES)
         cfg = from_mapping({key: text for key, (text, _) in SHARED_VALUES.items()})
-        spelled = [f"{group}.{f.name}" for group, record in GROUPS.items()
-                   for f in fields(record)]
+        spelled = [f"{group}.{name}" for group, record in GROUPS.items()
+                   for name in record._fields]
         assert sorted(spelled) == sorted(key for key in KEYS if key.split(".")[0] in GROUPS)
         assert sorted(spelled) == sorted(SHARED_VALUES)
         for key, (_, value) in SHARED_VALUES.items():
             group, name = key.split(".")
             assert getattr(getattr(cfg, group), name) == value, key
-        assert [f.name for f in fields(ScenarioConfig) if f.name in GROUPS] == list(GROUPS)
+        assert [name for name in ScenarioConfig._fields if name in GROUPS] == list(GROUPS)
         assert cfg.load_step_time == 0.3
 
     def test_a_record_rejection_names_the_units_key(self):
@@ -309,6 +317,13 @@ class TestEcho:
         again = parse_text(text)
         assert again.raw == cfg.raw
 
+    @pytest.mark.parametrize("name", [*cli.PRESETS, *make_golden.workload_names()])
+    def test_echo_reloads_every_shipped_scenario_record_for_record(self, name):
+        # each preset, and each benchmark workload's seed-0 scenario
+        cfg = (cli._load_scenario(name) if name in cli.PRESETS
+               else make_golden.workload_config(name))
+        assert parse_text(echo(cfg)) == cfg
+
     def test_echo_covers_every_key(self):
         cfg = parse_text("")
         text = echo(cfg)
@@ -348,7 +363,7 @@ class TestComponentTable:
                 == [(0.5, 20.0), *((i + 0.5, i + 0.25) for i, _ in enumerate(HARMONIC_ORDERS))])
         assert ([cfg.dgs[1].vi.r_harmonic(o) for o in HARMONIC_ORDERS]
                 == [i + 0.75 for i, _ in enumerate(HARMONIC_ORDERS)])
-        assert ([f.name for f in fields(ViParams) if f.name.startswith("r_h")]
+        assert ([name for name in ViParams._fields if name.startswith("r_h")]
                 == [f"r_h{abs(o)}" for o in HARMONIC_ORDERS])
         comp = build_compensator(cfg)
         assert comp.components == (-1,) + tuple(sorted(HARMONIC_ORDERS))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import deque
 
@@ -237,7 +236,7 @@ def _tracker(duty, mppt=MPPT):
 
 def _regulating(vr=VR, duty=0.4, dt=DT):
     """A boost machine that stays in regulation: no link is below an infinite exit margin."""
-    return BoostController(MPPT, vr, dataclasses.replace(MODE, exit_vr_margin=math.inf),
+    return BoostController(MPPT, vr, MODE._replace(exit_vr_margin=math.inf),
                            duty, dt)
 
 
@@ -283,7 +282,7 @@ class TestMppt:
         assert mppt.duty == pytest.approx(0.4 - MPPT.duty_step, rel=1e-12)
 
     def test_duty_respects_clamp(self):
-        params = dataclasses.replace(MPPT, duty_step=0.2)
+        params = MPPT._replace(duty_step=0.2)
         mppt = _tracker(0.9, params)
         for _ in range(10):
             mppt._track(380.0, 7.0)
@@ -302,7 +301,7 @@ class TestDcLinkRegulator:
         assert duty == pytest.approx(0.4, rel=1e-12)
 
     def test_constant_error_integrates(self):
-        reg = _regulating(dataclasses.replace(VR, kp=0.0, ki=0.05), dt=1e-3)
+        reg = _regulating(VR._replace(kp=0.0, ki=0.05), dt=1e-3)
         for k in range(1000):
             duty = reg.step(0.0, 0.0, 590.0, k * 1e-3)
         assert reg.mode == MODE_VR
@@ -311,7 +310,7 @@ class TestDcLinkRegulator:
     def test_antiwindup_freezes_integral_at_clamp(self):
         # each step would add 0.1 to the duty: it stops at the ceiling, and
         # the integrator at the last duty under it
-        reg = _regulating(dataclasses.replace(VR, kp=0.0, ki=10.0), dt=1e-3)
+        reg = _regulating(VR._replace(kp=0.0, ki=10.0), dt=1e-3)
         for k in range(10000):
             duty = reg.step(0.0, 0.0, 590.0, k * 1e-3)
         assert duty == 1.0 - 50.0 / 590.0
@@ -450,7 +449,7 @@ class TestCurrentLoopClosedLoop:
         # current loop alone against unit 1's default power stage and a resistive bank
         cfg = from_mapping({"load.balanced_r": "9.6", "load.balanced_l": "off",
                             "load.unbalanced_r_a": "off", "load.harmonics": ""})
-        plant = Plant(dataclasses.replace(cfg, dgs=cfg.dgs[:1]))
+        plant = Plant(cfg._replace(dgs=cfg.dgs[:1]))
         loop = CurrentLoop(_pr(7.0, 600.0, 200.0), 370.0, DT)
         w = 370.0
         amp_ref = 10.0
@@ -542,11 +541,11 @@ def _current_loop_step(loop, ref_a, ref_b, ia, ib, v_dc, rows):
 
 def _regulator_step(boost, v_dc, ceiling, seen=None):
     """The regulation in ``BoostController.step``; adds the branch it takes to ``seen``."""
-    p = boost.vr_params
+    kp, ki, ref, _, _ = boost._consts
     hi = min(DUTY_MAX, ceiling)
-    e = p.v_dc_ref - v_dc
-    candidate = boost._integral + p.ki * e * boost.dt
-    duty = p.kp * e + candidate
+    e = ref - v_dc
+    candidate = boost._integral + ki * e * boost.dt
+    duty = kp * e + candidate
     if DUTY_MIN <= duty <= hi:
         boost._integral = candidate
         branch = "in range"
@@ -561,16 +560,15 @@ def _regulator_step(boost, v_dc, ceiling, seen=None):
 
 
 def _boost_step(boost, v_pv, i_pv, v_dc, t, seen=None):
-    ref = boost.vr_params.v_dc_ref
-    mp = boost.mode_params
+    _, _, ref, enter_margin, exit_margin = boost._consts
     if boost.mode == MODE_MPPT:
-        if v_dc > ref + mp.enter_vr_margin:
+        if v_dc > ref + enter_margin:
             boost.mode = MODE_VR
             boost._integral = boost.duty
             boost._vr_vpv_floor = max(v_pv - boost.VPV_FLOOR_MARGIN, 50.0)
             boost.transitions.append((t, f"{MODE_MPPT}->{MODE_VR}"))
     else:
-        boost._below = boost._below + 1 if v_dc < ref - mp.exit_vr_margin else 0
+        boost._below = boost._below + 1 if v_dc < ref - exit_margin else 0
         if boost._below > boost._hold:
             boost.mode = MODE_MPPT
             boost._v_prev = None

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -847,7 +846,7 @@ class TestPlant:
         # sum() compensates its rounding from Python 3.12 on, so a three-unit
         # audit would differ between versions; the plant adds in unit order
         cfg = from_mapping({})
-        cfg = dataclasses.replace(cfg, dgs=cfg.dgs + [copy.deepcopy(cfg.dgs[0])])
+        cfg = cfg._replace(dgs=cfg.dgs + [copy.deepcopy(cfg.dgs[0])])
         plant = Plant(cfg)
         for side, irradiance in zip(plant.dc_sides, (1.0, 0.21, 0.34)):
             side.set_irradiance(irradiance)

@@ -738,7 +738,7 @@ class TestCli:
     def test_validate_loads_neither_numpy_nor_the_models(self, preset):
         # in a fresh interpreter, which has loaded nothing the test session did
         lazy = ("numpy", "pvisland.control", "pvisland.plant", "pvisland.runner",
-                "pvisland.analysis", "pvisland.vcc", "pvisland.signals")
+                "pvisland.analysis", "pvisland.vcc", "pvisland.signals", "dataclasses", "inspect")
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); from pvisland import cli; "
                  "code = cli.main(['validate', sys.argv[2]]); "
                  "print(code, *sorted(set(sys.argv[3:]) & set(sys.modules)))")
@@ -748,18 +748,19 @@ class TestCli:
         assert out.splitlines()[-1] == "0"
 
     def test_validate_of_a_file_loads_only_the_parser(self):
-        # under -S no site hook preloads importlib.resources, which only a preset name needs
+        # under -S no site hook preloads importlib.resources, which only a preset name
+        # needs, or dataclasses, which only the models' run-time objects need
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); from pvisland import cli; "
                  "code = cli.main(['validate', sys.argv[2]]); "
-                 "print(code, 'importlib.resources' in sys.modules, "
+                 "print(code, 'importlib.resources' in sys.modules, 'dataclasses' in sys.modules, "
                  "*sorted(m for m in sys.modules if m.partition('.')[0] == 'pvisland'))")
         src = Path(cli.__file__).parents[1]
         scenario = src / "pvisland" / "scenarios" / "baseline.cfg"
         out = subprocess.run([sys.executable, "-S", "-c", probe, str(src), str(scenario)],
                              capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1].split() == [
-            "0", "False", "pvisland", "pvisland.cli", "pvisland.config", "pvisland.errors",
-            "pvisland.params"]
+            "0", "False", "False", "pvisland", "pvisland.cli", "pvisland.config",
+            "pvisland.errors", "pvisland.params"]
 
     def test_validate_unknown_scenario(self, capsys):
         assert cli.main(["validate", "does_not_exist.cfg"]) == cli.EXIT_CONFIG
@@ -934,7 +935,7 @@ class TestPvStartup:
 class TestUnitRoster:
     def test_three_unit_roster_runs_end_to_end(self, tmp_path):
         cfg = from_mapping({"solver.duration": "0.8", "vcc.enable_at": "0.4"})
-        cfg = dataclasses.replace(cfg, dgs=cfg.dgs + [copy.deepcopy(cfg.dgs[0])])
+        cfg = cfg._replace(dgs=cfg.dgs + [copy.deepcopy(cfg.dgs[0])])
         art = run_scenario(cfg, tmp_path)
         header = art.csv_path.read_text().splitlines()[0].split(",")
         assert header == ["t"] + channel_names(3)
