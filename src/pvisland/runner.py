@@ -37,7 +37,7 @@ from .errors import AnalysisError
 from .plant import Plant
 from .params import PvParams, pv_current, ticks
 from .signals import _SQRT3_OVER_2, Pll
-from .vcc import CentralCompensator, DqExtractionBank
+from .vcc import CentralCompensator
 
 
 @dataclass
@@ -147,8 +147,6 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     controllers = build_controllers(cfg)
     comp = build_compensator(cfg)
     vcc = cfg.vcc
-    bank = DqExtractionBank(vcc.period, cutoff_hz=vcc.extraction_cutoff_hz,
-                            damping=vcc.extraction_damping)
     pll = Pll(cfg.pll.kp, cfg.pll.ki, omega_init=cfg.omega,
               omega_min=cfg.omega * (1.0 - cfg.pll.band),
               omega_max=cfg.omega * (1.0 + cfg.pll.band))
@@ -186,11 +184,11 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     # each unit's duty and modulation triple, rewritten on every tick
     duties = [0.0] * len(controllers)
     mods = [(0.0, 0.0, 0.0)] * len(controllers)
-    # Every compensator tick broadcasts a snapshot of its effort phasors,
+    # Every compensator tick broadcasts a snapshot of its nonzero effort phasors,
     # due at the units after the communication delay; the units rebuild
     # their corrections from the latest snapshot that has arrived.
-    in_flight: deque[tuple[int, dict]] = deque()
-    efforts: dict | None = None
+    in_flight: deque[tuple[int, tuple]] = deque()
+    efforts = ()
 
     writer = _RowWriter([table[:, 0]] + [channels[n] for n in _csv_names(cfg)])
     try:
@@ -213,16 +211,17 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                 v_pcc_abc = va, -0.5 * va + _SQRT3_OVER_2 * vb, -0.5 * va - _SQRT3_OVER_2 * vb
 
             if vcc_tick:
-                extracted = bank.step(v_pcc_abc, theta, vcc_dt)
+                extracted = comp.bank.step(v_pcc_abc, theta, vcc_dt)
                 if vcc_active:
-                    in_flight.append((tick + delay_ticks, comp.step(extracted, vcc_dt)))
+                    in_flight.append((tick + delay_ticks, comp.step(extracted)))
                 else:
                     comp.measure(extracted)
 
             while in_flight and in_flight[0][0] <= tick:
                 efforts = in_flight.popleft()[1]
 
-            vc_log = zero_vcs if efforts is None else comp.correction_from(efforts, theta)
+            # an empty snapshot corrects nothing and cannot clamp
+            vc_log = comp.correction_from(efforts, theta) if efforts else zero_vcs
             if vcc_active and vcc_tick:
                 # the clamp counts once the corrections it cuts reach the units
                 flags.update(t, "vcc", (comp.clamped, not comp.indices_valid))
@@ -240,8 +239,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                                ioa, -0.5 * ioa + _SQRT3_OVER_2 * iob,
                                -0.5 * ioa - _SQRT3_OVER_2 * iob)
                 values += [row[7] * row[8] for row in rows]  # v_pv * i_pv
-                values += (1.0 if vcc_active else 0.0, comp.vuf)
-                values += comp.hd.values()
+                values += (1.0 if vcc_active else 0.0, *comp.indices.values())
                 for v_c in vc_log:
                     values += v_c
                 sample = tick // sample_every

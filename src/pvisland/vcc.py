@@ -1,11 +1,11 @@
 """Central voltage-quality compensation.
 
-A single controller watches the coupling-bus voltage, measures the
-unbalance factor and the per-order harmonic distortion from rotating-frame
-extractions, and broadcasts correction phasors to every generating unit,
-scaled by rated power.  Corrections only ever push a quality index down
-toward its reference: a component whose index is already at or below the
-reference contributes nothing.
+A single controller watches the coupling-bus voltage through its own
+rotating-frame extraction bank, measures the unbalance factor and the
+per-order harmonic distortion, and broadcasts correction phasors to every
+generating unit, scaled by rated power.  Corrections only ever push a
+quality index down toward its reference: a component whose index is
+already at or below the reference contributes nothing.
 """
 
 from __future__ import annotations
@@ -62,74 +62,72 @@ def quality_index(mag: float, pos_mag: float) -> tuple[float, bool]:
 class CentralCompensator:
     """Quality-index PI loops and the power-ratio broadcast of corrections.
 
-    Built from the ``vcc.*`` record and the units' ``pv.rated_w``.
+    Built from the ``vcc.*`` record and the units' ``pv.rated_w``, with its
+    extraction ``bank``; steps over ``vcc.period``.  ``indices`` holds the
+    unbalance (key -1) and each order's distortion, in channel order.
 
-    The per-component correction phasors are held in their rotating frames
-    between controller ticks; consumers rebuild the stationary-frame pairs
-    of every unit at any angle via :meth:`correction_from` on a snapshot of
-    the effort phasors (or :meth:`correction_for`, one unit from the live
-    phasors), so fast-rotating components do not get staircased by the
-    slower tick rate.
+    The effort phasors are held in their rotating frames between ticks;
+    :meth:`correction_from` rebuilds every unit's stationary-frame pair at
+    any angle from a snapshot of the nonzero ones (:meth:`correction_for`,
+    one unit's from the live phasors), so fast-rotating components are not
+    staircased by the slower tick rate.
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        self.params = cfg.vcc
-        self._output_limit = cfg.vcc.output_limit  # read on every tick
+        vcc = cfg.vcc
+        self.bank = DqExtractionBank(vcc.period, vcc.extraction_cutoff_hz, vcc.extraction_damping)
+        self._period = vcc.period
+        self._output_limit = vcc.output_limit  # read on every tick
+        self._effort_floor = -vcc.effort_limit
         total = sum(dg.pv.rated_w for dg in cfg.dgs)
         self.shares = tuple(dg.pv.rated_w / total for dg in cfg.dgs)
         self.components = (-1,) + tuple(sorted(HARMONIC_ORDERS))
-        self._integral = {c: 0.0 for c in self.components}
-        self._effort_dq = {c: (0.0, 0.0) for c in self.components}
-        self.vuf = 0.0
-        self.hd = {c: 0.0 for c in HARMONIC_ORDERS}  # in channel order
+        self._loops = tuple((c, vcc.vuf_ref if c == -1 else vcc.hd_ref, *vcc.pi(c))
+                            for c in self.components)  # (c, reference, kp, ki)
+        self._integral = dict.fromkeys(self.components, 0.0)
+        self._effort_dq = dict.fromkeys(self.components, (0.0, 0.0))
+        self.indices = dict.fromkeys((-1, *HARMONIC_ORDERS), 0.0)
         self.indices_valid = False
         self.clamped = False
 
     def measure(self, extracted: dict[int, FrameVector]) -> bool:
-        """Update the unbalance and distortion indices from extracted components.
-
-        Below the positive-sequence floor every index reads 0 and the
-        indices are flagged invalid; returns ``indices_valid``.
-        """
+        """Update ``indices`` (0 below the positive-sequence floor); returns ``indices_valid``."""
         pos_mag = extracted[1].magnitude()
-        self.vuf, self.indices_valid = quality_index(extracted[-1].magnitude(), pos_mag)
-        for c in self.hd:
-            self.hd[c] = quality_index(extracted[c].magnitude(), pos_mag)[0]
-        return self.indices_valid
+        indices = self.indices
+        for c in indices:
+            indices[c], valid = quality_index(extracted[c].magnitude(), pos_mag)
+        self.indices_valid = valid
+        return valid
 
-    def step(self, extracted: dict[int, FrameVector], dt: float
-             ) -> dict[int, tuple[float, float]]:
-        """One controller tick from freshly extracted components.
-
-        Returns a snapshot of the effort phasors, for :meth:`correction_from`.
-        """
-        p = self.params
+    def step(self, extracted: dict[int, FrameVector]) -> tuple[tuple[int, float, float], ...]:
+        """One controller tick from extracted components; returns the snapshot of its efforts."""
         if self.measure(extracted):
-            for c in self.components:
-                idx, ref = (self.vuf, p.vuf_ref) if c == -1 else (self.hd[c], p.hd_ref)
-                err = ref - idx
-                kp, ki = p.pi(c)
+            indices, integral, effort = self.indices, self._integral, self._effort_dq
+            floor, dt = self._effort_floor, self._period
+            for c, ref, kp, ki in self._loops:
+                err = ref - indices[c]
                 if err >= 0.0:
-                    # Index at or better than its reference: never inject to
-                    # raise it.  With no accumulated effort the contribution
-                    # is exactly zero; once the loop has converged onto the
-                    # reference the standing effort is held instead, since
-                    # chopping it at the controller rate would spray
-                    # sidebands into the network.
-                    if self._integral[c] == 0.0:
-                        self._effort_dq[c] = (0.0, 0.0)
+                    # At or better than its reference: never inject to raise it.  A loop with
+                    # no accumulated effort contributes exactly zero; a converged one holds its
+                    # effort, since chopping it at the tick rate would spray sidebands.
+                    if integral[c] == 0.0:
+                        effort[c] = (0.0, 0.0)
                     continue
-                self._integral[c] = max(self._integral[c] + ki * err * dt, -p.effort_limit)
-                u = max(kp * err + self._integral[c], -p.effort_limit)
+                integral[c] = max(integral[c] + ki * err * dt, floor)
+                u = max(kp * err + integral[c], floor)
                 comp = extracted[c]
-                self._effort_dq[c] = (u * comp.x, u * comp.y)
-        return dict(self._effort_dq)
+                effort[c] = (u * comp.x, u * comp.y)
+        return self._snapshot()
+
+    def _snapshot(self) -> tuple[tuple[int, float, float], ...]:
+        """``(c, d, q)`` of every nonzero effort phasor, in ``components`` order."""
+        return tuple((c, d, q) for c, (d, q) in self._effort_dq.items() if d != 0.0 or q != 0.0)
 
     def correction_for(self, unit: int, theta: float) -> tuple[float, float]:
         """Stationary-frame correction for one unit at fundamental angle theta."""
-        return self.correction_from(self._effort_dq, theta)[unit]
+        return self.correction_from(self._snapshot(), theta)[unit]
 
-    def correction_from(self, efforts: dict[int, tuple[float, float]],
+    def correction_from(self, efforts: tuple[tuple[int, float, float], ...],
                         theta: float) -> list[tuple[float, float]]:
         """Every unit's correction at angle theta from a snapshot of effort phasors.
 
@@ -138,9 +136,7 @@ class CentralCompensator:
         """
         a = 0.0
         b = 0.0
-        for c, (d, q) in efforts.items():
-            if d == 0.0 and q == 0.0:
-                continue
+        for c, d, q in efforts:
             angle = c * theta
             cos_c = math.cos(angle)
             sin_c = math.sin(angle)

@@ -10,6 +10,8 @@ written out, every generated kernel's calls counted, plus one call of
 margin.  The default scenario and the sharing preset at half the solver
 step take two plant substeps per control tick, as the benchmark's
 sharing-halfstep workload does, so the substep's calls count twice there.
+The presets switch the compensator on after the counted window, so the
+baseline preset is counted again with it switched on at 0.1 s.
 """
 
 import importlib.util
@@ -31,6 +33,8 @@ RECORDED = {"baseline": 81.356, "loadstep": 61.356, "sharing": 81.356}
 RECORDED_TWO_SUBSTEPS = 109.356
 #: The same for the sharing preset with ``solver.dt = 25e-6``: the benchmark's sharing-halfstep.
 RECORDED_SHARING_TWO_SUBSTEPS = 109.356
+#: The same for the baseline preset with ``vcc.enable_at = 0.1``: the compensator's ticks.
+RECORDED_COMPENSATOR_ON = 95.956
 
 
 @pytest.mark.parametrize("preset", cli.PRESETS)
@@ -49,6 +53,15 @@ def test_calls_per_tick_of_sharing_at_half_the_step_stay_under_the_ceiling(tmp_p
     preset = resources.files("pvisland.scenarios").joinpath("sharing.cfg").read_text()
     scenario.write_text(preset + "solver.dt = 25e-6\n", encoding="utf-8")
     assert calls_per_tick.calls_per_tick(str(scenario)) <= RECORDED_SHARING_TWO_SUBSTEPS + 1.0
+
+
+def test_calls_per_tick_with_the_compensator_on_stay_under_the_ceiling(tmp_path):
+    # not at 0.02 or 0.04 s, where the early-enable wedge clamps the corrections
+    scenario = tmp_path / "baseline-vcc.cfg"
+    preset = resources.files("pvisland.scenarios").joinpath("baseline.cfg").read_text()
+    assert "vcc.enable_at" not in preset
+    scenario.write_text(preset + "vcc.enable_at = 0.1\n", encoding="utf-8")
+    assert calls_per_tick.calls_per_tick(str(scenario)) <= RECORDED_COMPENSATOR_ON + 1.0
 
 
 def _call_each(functions, n):

@@ -358,6 +358,7 @@ class TestComponentTable:
     def test_each_order_reads_its_own_rows(self):
         flat = {f"vcc.pi_h{abs(o)}": f"{i}.5:{i}.25" for i, o in enumerate(HARMONIC_ORDERS)}
         flat.update({f"dg2.vi.r_h{abs(o)}": f"{i}.75" for i, o in enumerate(HARMONIC_ORDERS)})
+        flat["vcc.hd_ref"] = "0.35"  # off the unbalance reference's default of 0.2
         cfg = from_mapping(flat)
         assert ([cfg.vcc.pi(c) for c in (-1, *HARMONIC_ORDERS)]
                 == [(0.5, 20.0), *((i + 0.5, i + 0.25) for i, _ in enumerate(HARMONIC_ORDERS))])
@@ -367,7 +368,10 @@ class TestComponentTable:
                 == [f"r_h{abs(o)}" for o in HARMONIC_ORDERS])
         comp = build_compensator(cfg)
         assert comp.components == (-1,) + tuple(sorted(HARMONIC_ORDERS))
-        assert comp.params is cfg.vcc
+        # each loop's (component, reference, kp, ki), in summation order
+        gains = {-1: (0.5, 20.0), **{o: (i + 0.5, i + 0.25) for i, o in enumerate(HARMONIC_ORDERS)}}
+        refs = {-1: 0.2, **dict.fromkeys(HARMONIC_ORDERS, 0.35)}
+        assert comp._loops == tuple((c, refs[c], *gains[c]) for c in comp.components)
 
     def test_echo_of_an_empty_scenario_is_unchanged(self):
         assert echo(parse_text("")) == DEFAULT_ECHO

@@ -666,7 +666,7 @@ def _correction_from(comp, efforts, theta):
         x, y = inverse_park_xy(d, q, c * theta)
         a += x
         b += y
-    lim = comp.params.output_limit
+    lim = comp._output_limit
     out = []
     for share in comp.shares:
         ua = a * share
@@ -791,7 +791,7 @@ def _old_run(cfg):
         if vcc_tick:
             extracted = bank.step(v_pcc_abc, theta, vcc.period)
             if vcc_active:
-                in_flight.append((tick + delay_ticks, comp.step(extracted, vcc.period)))
+                in_flight.append((tick + delay_ticks, comp.step(extracted)))
             else:
                 comp.measure(extracted)
         while in_flight and in_flight[0][0] <= tick:
@@ -810,8 +810,8 @@ def _old_run(cfg):
                            1.0 if ctl.boost.mode == MODE_VR else 0.0, ctl.omega_ref,
                            *inverse_clarke_xy(ioa, iob))
             values += [row[7] * row[8] for row in rows]
-            values += (1.0 if vcc_active else 0.0, comp.vuf,
-                       *map(comp.hd.__getitem__, HARMONIC_ORDERS))
+            values += (1.0 if vcc_active else 0.0, comp.indices[-1],
+                       *map(comp.indices.__getitem__, HARMONIC_ORDERS))
             for v_c in vc_log:
                 values += v_c
             table[tick // sample_every] = values
@@ -947,7 +947,8 @@ class TestWrittenThrough:
         # rotated, a zero effort at a NaN angle would make every correction NaN
         comp, ref = (build_compensator(from_mapping({})) for _ in range(2))
         efforts = dict.fromkeys(comp.components, (0.0, 0.0))
-        got = comp.correction_from(efforts, math.nan)
+        comp._effort_dq.update(efforts)
+        got = comp.correction_from(comp._snapshot(), math.nan)
         assert repr(got) == repr(_correction_from(ref, efforts, math.nan))
         assert got == [(0.0, 0.0)] * len(comp.shares)
 
@@ -971,13 +972,14 @@ class TestWrittenThrough:
             t = tick * dt
             efforts = {c: (0.0, 0.0) if rng.random() < 0.3 else
                        tuple(rng.normal(0.0, 60.0, 2).tolist()) for c in comps[0].components}
+            comps[0]._effort_dq.update(efforts)
             outs = []
-            for plant, ctls, comp, pll, (correction_from, pll_step, plant_step) in zip(
-                    plants, units, comps, plls, calls):
+            for plant, ctls, comp, pll, held, (correction_from, pll_step, plant_step) in zip(
+                    plants, units, comps, plls, (comps[0]._snapshot(), efforts), calls):
                 theta = pll.theta
                 v_pcc, rows = plant.measurements(theta)
                 comp.clamped = False
-                v_cs = correction_from(comp, efforts, theta)
+                v_cs = correction_from(comp, held, theta)
                 steps = [ctl.step(row, v_c, t) for ctl, row, v_c in zip(ctls, rows, v_cs)]
                 duties = [duty for duty, _ in steps]
                 mods = [(ma + 1.5, mb, mc - 1.5) if tick % 50 == 25 else (ma, mb, mc)

@@ -547,8 +547,10 @@ def _unit_parts(cfg, unit: int):
                       build_controllers(cfg)[unit]))
 
 
-#: The keys the compensator reads; the runner reads the other ``vcc.*`` keys.
-COMPENSATOR_KEYS = ("vcc.vuf_ref", "vcc.hd_ref", "vcc.pi_neg1",
+#: The keys the compensator reads, its extraction bank's included; the runner
+#: reads the other ``vcc.*`` keys.
+COMPENSATOR_KEYS = ("vcc.period", "vcc.vuf_ref", "vcc.hd_ref", "vcc.extraction_cutoff_hz",
+                    "vcc.extraction_damping", "vcc.pi_neg1",
                     *(f"vcc.pi_h{abs(o)}" for o in HARMONIC_ORDERS),
                     "vcc.output_limit", "vcc.effort_limit")
 
@@ -604,7 +606,7 @@ class TestBuilders:
         plant = build_plant(cfg)
         controllers = build_controllers(cfg)
         comp = build_compensator(cfg)
-        efforts = {c: (1.5, -0.5) for c in comp.components}  # a held effort snapshot
+        efforts = tuple((c, 1.5, -0.5) for c in comp.components)  # a held effort snapshot
         dt = cfg.control_period
         theta = 0.0
         for tick in range(200):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvisland.config import from_mapping
+from pvisland.params import HARMONIC_ORDERS
 from pvisland.signals import FrameVector, ThreePhaseSample, inverse_clarke
 from pvisland.vcc import (
     CentralCompensator,
@@ -115,18 +116,18 @@ class TestCentralCompensator:
         comp = _compensator()
         refs_met = _extracted(neg_mag=170.0 * 0.002,
                               h_mags={c: 170.0 * 0.002 for c in (3, -5, 7, -11)})
-        outs = comp.correction_from(comp.step(refs_met, DT_TICK), 0.3)
+        outs = comp.correction_from(comp.step(refs_met), 0.3)
         assert all(v == (0.0, 0.0) for v in outs)
 
     def test_below_reference_contributes_exactly_zero(self):
         comp = _compensator()
-        outs = comp.correction_from(comp.step(_extracted(neg_mag=0.1), DT_TICK), 0.3)  # far below 0.2 percent
+        outs = comp.correction_from(comp.step(_extracted(neg_mag=0.1)), 0.3)  # far below 0.2 percent
         assert all(v == (0.0, 0.0) for v in outs)
 
     def test_rated_power_scaling_is_exact(self):
         comp = _compensator()  # units rated 3 kW and 6 kW
         for _ in range(20):
-            outs = comp.correction_from(comp.step(_extracted(neg_mag=10.0, h_mags={-5: 4.0}), DT_TICK), 0.3)
+            outs = comp.correction_from(comp.step(_extracted(neg_mag=10.0, h_mags={-5: 4.0})), 0.3)
         (x1, y1), (x2, y2) = outs
         assert math.hypot(x1, y1) > 0.0
         assert x1 == pytest.approx(0.5 * x2, rel=1e-12)
@@ -135,7 +136,7 @@ class TestCentralCompensator:
     def test_corrections_collinear_across_units(self):
         comp = _compensator(**{"dg2.pv.rated_w": "10500.0"})  # 3 kW and 10.5 kW
         for _ in range(20):
-            outs = comp.correction_from(comp.step(_extracted(neg_mag=10.0, h_mags={3: 3.0, 7: 2.0}), DT_TICK), 0.3)
+            outs = comp.correction_from(comp.step(_extracted(neg_mag=10.0, h_mags={3: 3.0, 7: 2.0})), 0.3)
         (x1, y1), (x2, y2) = outs
         cross = x1 * y2 - y1 * x2
         assert abs(cross) < 1e-9 * math.hypot(x1, y1) * math.hypot(x2, y2)
@@ -144,14 +145,14 @@ class TestCentralCompensator:
     def test_integrators_bounded_by_effort_limit(self):
         comp = _compensator(**{"vcc.effort_limit": "5.0"})
         for _ in range(5000):
-            comp.step(_extracted(neg_mag=100.0, h_mags={-5: 80.0}), DT_TICK)
+            comp.step(_extracted(neg_mag=100.0, h_mags={-5: 80.0}))
         for c, integral in comp._integral.items():
             assert abs(integral) <= 5.0 + 1e-9
 
     def test_output_clamp_flags(self):
         comp = _compensator(**{"vcc.output_limit": "0.5"})
         for _ in range(200):
-            outs = comp.correction_from(comp.step(_extracted(neg_mag=50.0), DT_TICK), 0.3)
+            outs = comp.correction_from(comp.step(_extracted(neg_mag=50.0)), 0.3)
         assert comp.clamped
         for x, y in outs:
             assert abs(x) <= 0.5 + 1e-12 and abs(y) <= 0.5 + 1e-12
@@ -159,8 +160,8 @@ class TestCentralCompensator:
     def test_step_leaves_the_clamp_to_the_reconstruction(self):
         # a tick only updates the efforts; the clamp flags a correction that is rebuilt
         comp = _compensator(**{"vcc.output_limit": "0.5"})
-        efforts = comp.step(_extracted(neg_mag=50.0), DT_TICK)
-        assert efforts == comp._effort_dq and efforts is not comp._effort_dq
+        efforts = comp.step(_extracted(neg_mag=50.0))
+        assert efforts == ((-1, *comp._effort_dq[-1]),)
         assert not comp.clamped
         comp.correction_from(efforts, 0.3)
         assert comp.clamped
@@ -168,9 +169,9 @@ class TestCentralCompensator:
     def test_positive_sequence_collapse_holds_outputs(self):
         comp = _compensator()
         for _ in range(50):
-            comp.step(_extracted(neg_mag=10.0), DT_TICK)
+            comp.step(_extracted(neg_mag=10.0))
         held = comp.correction_for(0, 0.3)
-        comp.step(_extracted(pos_mag=0.1, neg_mag=10.0), DT_TICK)
+        comp.step(_extracted(pos_mag=0.1, neg_mag=10.0))
         after = comp.correction_for(0, 0.3)
         assert not comp.indices_valid
         assert after == held
@@ -178,15 +179,14 @@ class TestCentralCompensator:
     def test_positive_sequence_collapse_zeroes_every_index(self):
         # the indices read what the runner records: 0 once the positive sequence collapses
         comp = _compensator()
-        h_mags = {c: 3.0 for c in comp.hd}
+        h_mags = {c: 3.0 for c in HARMONIC_ORDERS}
         for _ in range(5):
-            comp.step(_extracted(neg_mag=10.0, h_mags=h_mags), DT_TICK)
+            comp.step(_extracted(neg_mag=10.0, h_mags=h_mags))
         assert comp.indices_valid
-        assert all(value > 0.0 for value in comp.hd.values())
-        comp.step(_extracted(pos_mag=0.1, neg_mag=10.0, h_mags=h_mags), DT_TICK)
+        assert all(value > 0.0 for value in comp.indices.values())
+        comp.step(_extracted(pos_mag=0.1, neg_mag=10.0, h_mags=h_mags))
         assert not comp.indices_valid
-        assert comp.vuf == 0.0
-        assert comp.hd == {c: 0.0 for c in comp.hd}
+        assert comp.indices == dict.fromkeys((-1, *HARMONIC_ORDERS), 0.0)
 
     def test_measure_matches_the_indices_of_a_step(self):
         # the runner measures while the compensator is off; step measures alike
@@ -194,16 +194,34 @@ class TestCentralCompensator:
         measured = _compensator()
         stepped = _compensator()
         assert measured.measure(extracted)
-        stepped.step(extracted, DT_TICK)
-        assert (measured.vuf, measured.hd) == (stepped.vuf, stepped.hd)
-        assert measured.vuf == quality_index(10.0, 170.0)[0]
-        assert measured.hd[-5] == quality_index(4.0, 170.0)[0]
+        stepped.step(extracted)
+        assert measured.indices == stepped.indices
+        assert list(measured.indices) == [-1, *HARMONIC_ORDERS]  # the channel order
+        assert measured.indices[-1] == quality_index(10.0, 170.0)[0]
+        assert measured.indices[-5] == quality_index(4.0, 170.0)[0]
         assert measured._effort_dq == {c: (0.0, 0.0) for c in measured.components}
+
+    def test_snapshot_holds_the_nonzero_pairs_in_summation_order(self):
+        # the indices meet their references, so step holds the standing efforts:
+        # a signed zero is skipped, a NaN pair and a pair zero on one axis are kept
+        comp = _compensator()
+        held = {-1: (-0.0, 0.0), -11: (1.0, 0.0), -5: (0.0, 0.0), 3: (math.nan, 0.0),
+                7: (0.0, -2.0)}
+        comp._effort_dq.update(held)
+        comp._integral.update(dict.fromkeys(comp.components, 1.0))
+        efforts = comp.step(_extracted())
+        assert repr(comp._effort_dq) == repr(held)
+        assert repr(efforts) == repr(((-11, 1.0, 0.0), (3, math.nan, 0.0), (7, 0.0, -2.0)))
+        # driven loops: exactly the components above their references, in ``components`` order
+        fresh = _compensator()
+        efforts = fresh.step(_extracted(neg_mag=10.0, h_mags={3: 3.0, -11: 2.0}))
+        assert [c for c, _, _ in efforts] == [-1, -11, 3]
+        assert efforts == tuple((c, *fresh._effort_dq[c]) for c in (-1, -11, 3))
 
     def test_reconstruction_rotates_with_angle(self):
         comp = _compensator()
         for _ in range(20):
-            comp.step(_extracted(neg_mag=10.0), DT_TICK)
+            comp.step(_extracted(neg_mag=10.0))
         a = comp.correction_for(0, 0.0)
         b = comp.correction_for(0, math.pi)  # half a turn: -1 frame flips sign
         assert a == pytest.approx((-b[0], -b[1]), rel=1e-9)
