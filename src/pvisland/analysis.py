@@ -28,10 +28,6 @@ class TimeSeries:
         if self.dt <= 0.0:
             raise AnalysisError(f"{self.name}: sampling step must be positive")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) * self.dt
-
 
 @dataclass
 class SpectrumResult:

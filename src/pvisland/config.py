@@ -19,11 +19,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigurationError
-from .params import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, HEUN_REAL_LIMIT,
-                     MAX_HARMONIC_ORDER, MIN_STEADY_CYCLES, POWER_FILTER_HZ, V_DC_LIMIT,
-                     DcLinkParams, DroopParams, FeederParams, FilterParams, LoadParams,
-                     ModeParams, MpptParams, PllParams, PrGains, PvParams, VccParams, ViParams,
-                     VrParams, beyond_nyquist, max_filter_step, ticks, too_coarse_for_low_pass)
+from .params import (DEFAULT_SEQUENCE_ORDERS, HARMONIC_ORDERS, HEUN_REAL_LIMIT, MAX_HARMONIC_ORDER,
+                     MAX_PLANT_STEPS, MIN_STEADY_CYCLES, POWER_FILTER_HZ, V_DC_LIMIT, DcLinkParams,
+                     DroopParams, FeederParams, FilterParams, LoadParams, ModeParams, MpptParams,
+                     PllParams, PrGains, PvParams, VccParams, ViParams, VrParams, beyond_nyquist,
+                     max_filter_step, ticks, too_coarse_for_low_pass)
 
 V_RMS_TO_AMP = math.sqrt(2.0)
 
@@ -381,8 +381,8 @@ def recorded_rows(cfg: ScenarioConfig) -> int:
 def _check_divides(cfg: ScenarioConfig):
     """Every period is a whole number (>= 1) of the step it counts in, every
     scheduled time and span a whole number (>= 0) of control ticks; a run
-    records two rows, and its table and the plant's per-tick substep offsets
-    fit in physical memory."""
+    records two rows, its table fits in physical memory and it takes at most
+    ``MAX_PLANT_STEPS`` plant steps."""
     cp = cfg.control_period
     units = list(zip(UNIT_PREFIXES, cfg.dgs))
     periods = [(f"{prefix}.mppt.period", dg.mppt.period) for prefix, dg in units]
@@ -410,12 +410,9 @@ def _check_divides(cfg: ScenarioConfig):
     memory_gib = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 2**30
     _require(table_gib <= memory_gib, "solver.duration", f"{cfg.duration} s records a "
              f"{table_gib:.3g} GiB table, over the {memory_gib:.3g} GiB of physical memory")
-    substeps = ticks(cp, cfg.dt)
-    offsets_gib = 32 * substeps / 2**30  # a float and its list slot per substep
-    _require(table_gib + offsets_gib <= memory_gib, "solver.dt", f"{cfg.dt} s takes "
-             f"{substeps:.3g} substeps a control tick, whose offsets and the table take "
-             f"{table_gib + offsets_gib:.3g} GiB, over the {memory_gib:.3g} GiB of physical "
-             "memory")
+    steps = ticks(cfg.duration, cp) * ticks(cp, cfg.dt)
+    _require(steps <= MAX_PLANT_STEPS, "solver.dt", f"{cfg.dt} s takes {steps:.3g} plant "
+             f"steps in {cfg.duration} s, over the {MAX_PLANT_STEPS} a run may take")
 
 
 def _check_link_reference(cfg: ScenarioConfig):

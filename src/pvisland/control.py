@@ -178,7 +178,7 @@ class BoostController:
             if v_dc > ref + enter_margin:
                 self.mode = MODE_VR
                 self._integral = self.duty
-                self._vr_vpv_floor = max(v_pv - self.VPV_FLOOR_MARGIN, 50.0)
+                self._vr_vpv_floor = None  # retaken from this sample below
                 self.transitions.append((t, f"{MODE_MPPT}->{MODE_VR}"))
         else:
             self._below = self._below + 1 if v_dc < ref - exit_margin else 0

@@ -63,9 +63,6 @@ class RunResult:
     def sample_dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def series(self, name: str, unit: str = "") -> TimeSeries:
-        return TimeSeries(name, unit, self.sample_dt, self.channels[name])
-
 
 def _mpp_power(pv: PvParams, irradiance: float) -> float:
     vs = np.linspace(0.0, pv.v_oc, 4001)
@@ -158,9 +155,7 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
     # refines the plant integration.  The tick count is the only clock:
     # every time compared is a tick, every time reported ``tick * dt_ctl``.
     dt_ctl = cfg.control_period
-    # injections evaluated mid-substep: a start-of-step hold leaves a
-    # first-order phase bias that shows up in the harmonic voltages
-    offsets = [(sub + 0.5) * cfg.dt for sub in range(ticks(dt_ctl, cfg.dt))]
+    dt, substeps = cfg.dt, ticks(dt_ctl, cfg.dt)
     n_ticks = ticks(cfg.duration, dt_ctl)
     vcc_dt = vcc.period
     vcc_every = ticks(vcc_dt, dt_ctl)
@@ -248,8 +243,10 @@ def run_simulation(cfg: ScenarioConfig) -> RunResult:
                     writer.send(sample + 1)
 
             pll.step(v_pcc_ab, dt_ctl)
-            for offset in offsets:
-                plant.step(duties, mods, theta + omega * offset)
+            for sub in range(substeps):
+                # injections evaluated mid-substep: a start-of-step hold leaves a
+                # first-order phase bias that shows up in the harmonic voltages
+                plant.step(duties, mods, theta + omega * ((sub + 0.5) * dt))
             # after the substeps, so a bridge clamp is stamped with the tick of its commands;
             # an unchanged unit has no edge to log
             for ctl, saturated in zip(controllers, plant.saturated):
@@ -318,7 +315,8 @@ def assemble_report(result: RunResult) -> MetricsReport:
         return float(np.mean(result.channels["dg1_omega"][rows(w0, w1)])) / (2.0 * math.pi)
 
     f1 = measured_f1(cfg.duration * 0.5, cfg.duration)
-    start, end = analysis.steady_window(result.series("vpcc_a", "V"), STEADY_RMS_TOL, f1)
+    start, end = analysis.steady_window(
+        TimeSeries("vpcc_a", "V", sample_dt, result.channels["vpcc_a"]), STEADY_RMS_TOL, f1)
     floor = last_event_time(cfg) + SETTLE_AFTER_EVENT  # the first row is tick 0, t = 0
     start = max(start, floor)
     # short of ten settled cycles the report falls back to the last ten
@@ -595,7 +593,7 @@ def write_report(report: MetricsReport, cfg: ScenarioConfig, path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def emit_plots(artifacts: RunArtifacts) -> list[Path]:
+def emit_plots(artifacts: RunArtifacts):
     """Columnar plot-ready files derived from the recorded channels."""
     result = artifacts.result
     report = artifacts.report
@@ -606,7 +604,6 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
     sample_dt = result.sample_dt
     f1 = report.fundamental_hz
     n_five = ticks(5.0 / f1, sample_dt)
-    written = []
 
     def columns(name: str, cols: list[str], rows: slice = slice(None)):
         path = plot_dir / name
@@ -616,7 +613,6 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
             f.write("# t " + " ".join(cols) + "\n")
             for t, row in zip(times[rows], zip(*values)):
                 f.write(f"{t:.9f} " + " ".join(f"{v:.6f}" for v in row) + "\n")
-        written.append(path)
 
     def voltage_window(name: str, t_end: float):
         i1 = ticks(t_end, sample_dt)
@@ -633,7 +629,6 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
             for order, mag in zip(sp.orders, sp.magnitudes):
                 f.write(f"{order} {order * sp.fundamental_hz:.3f} {mag:.6f} "
                         f"{100.0 * mag / m1:.4f}\n")
-        written.append(path)
 
     if report.pre_window is not None:
         voltage_window("voltage_window_pre.dat", report.pre_window[1])
@@ -645,7 +640,6 @@ def emit_plots(artifacts: RunArtifacts) -> list[Path]:
     columns("power_sharing.dat", [f"dg{i}_p" for i in units] + [f"dg{i}_q" for i in units])
     columns("dc_link.dat", [f"dg{i}_vdc" for i in units] + [f"pv{i}_power" for i in units])
     columns("currents.dat", [f"dg{i}_io_{phase}" for i in units for phase in "abc"])
-    return written
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path,

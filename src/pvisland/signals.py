@@ -513,11 +513,12 @@ class ProportionalResonant:
     The transfer gain at each branch center equals ``kp + gain`` by
     construction; branch centers track the frequency the coefficients are
     taken at, so droop deviations do not detune them.  The controller
-    regulates a pair of axes with identical gains; :meth:`step_pair`
-    advances both with one set of resonator coefficients, and each axis
-    evolves exactly as a scalar controller would.  ``kp`` and the terms'
-    gains are compiled into the step at construction and held nowhere else;
-    ``terms`` gives the transitions.
+    regulates a pair of axes with identical gains; its :func:`pair_kernel`
+    (``_kernel``, which the units' loops call) advances both with one set of
+    resonator coefficients, and each axis evolves exactly as a scalar
+    controller would.  ``kp`` and the terms' gains are compiled into the
+    kernel at construction and held nowhere else; ``terms`` gives the
+    transitions.
     """
 
     def __init__(self, kp: float, terms: list[ResonantTerm], omega_nominal: float, dt: float):
@@ -548,10 +549,6 @@ class ProportionalResonant:
         # Built on first use: inside a unit the extractor's kernel gives the rows.
         return table_kernel(*resonator_table((), self.terms))
 
-    def step_pair(self, ea: float, eb: float, rows: tuple[float, ...]) -> tuple[float, float]:
-        """Advance both axes by one step on errors ``(ea, eb)`` with :meth:`transitions` rows."""
-        return self._kernel(self, ea, eb, rows)
-
     def step(self, e: float, omega: float, dt: float) -> float:
         """Single-axis step: the alpha axis, with the beta axis idle."""
-        return self.step_pair(e, 0.0, self.transitions(omega, dt))[0]
+        return self._kernel(self, e, 0.0, self.transitions(omega, dt))[0]

@@ -48,17 +48,6 @@ class DqExtractionBank:
         return out
 
 
-def quality_index(mag: float, pos_mag: float) -> tuple[float, bool]:
-    """One component's magnitude in percent of the positive sequence.
-
-    The unbalance factor (negative sequence) or one order's harmonic
-    distortion; flags a positive sequence below :data:`POS_SEQ_FLOOR` as unusable.
-    """
-    if pos_mag < POS_SEQ_FLOOR:
-        return 0.0, False
-    return 100.0 * mag / pos_mag, True
-
-
 class CentralCompensator:
     """Quality-index PI loops and the power-ratio broadcast of corrections.
 
@@ -91,12 +80,13 @@ class CentralCompensator:
         self.clamped = False
 
     def measure(self, extracted: dict[int, FrameVector]) -> bool:
-        """Update ``indices`` (0 below the positive-sequence floor); returns ``indices_valid``."""
+        """Update ``indices``, in percent of the positive sequence (0 below
+        :data:`POS_SEQ_FLOOR`); returns ``indices_valid``."""
         pos_mag = extracted[1].magnitude()
         indices = self.indices
+        self.indices_valid = valid = not pos_mag < POS_SEQ_FLOOR  # a NaN one passes
         for c in indices:
-            indices[c], valid = quality_index(extracted[c].magnitude(), pos_mag)
-        self.indices_valid = valid
+            indices[c] = 100.0 * extracted[c].magnitude() / pos_mag if valid else 0.0
         return valid
 
     def step(self, extracted: dict[int, FrameVector]) -> tuple[tuple[int, float, float], ...]:

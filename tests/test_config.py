@@ -24,7 +24,7 @@ from pvisland.config import (
     parse_text,
 )
 from pvisland.errors import ConfigurationError
-from pvisland.params import HARMONIC_ORDERS, ViParams
+from pvisland.params import HARMONIC_ORDERS, MAX_PLANT_STEPS, ViParams
 from pvisland.runner import build_compensator, build_controllers, build_plant
 
 _spec = importlib.util.spec_from_file_location(
@@ -162,7 +162,9 @@ class TestParsing:
         ("control.period", "1e308"),          # ratio to solver.dt is inf
         ("solver.duration", "1e308"),         # tick count is inf
         ("solver.duration", "1e9"),           # run table larger than physical memory
-        ("solver.dt", "1e-15"),               # 5e10 substep offsets a tick, likewise
+        ("solver.dt", "1e-9"),                # 8e9 plant steps in the 8 s default duration
+        ("solver.dt", "1e-12"),
+        ("solver.dt", "1e-15"),
         ("solver.dt", "1e-200"),
         ("events.irradiance", "0.3:1:0.5, 0.3:1:0.9"),  # two values for one tick
         ("load.step_time", "0.30001"),        # off the control tick grid
@@ -218,6 +220,18 @@ class TestParsing:
         # order 169 at system.omega advances 3.127 rad per solver.dt, under pi
         cfg = from_mapping({"load.harmonics": "-169:1.0"})
         assert cfg.load.harmonics == [(-169, 1.0, 0.0)]
+
+    def test_plant_steps_are_bounded(self):
+        # one substep a control tick, so each tick is one plant step; rows a second apart
+        # keep the table small (no run, so the report's rule on the sample step is not applied)
+        def flat(steps):
+            return {"solver.dt": "5e-5", "control.period": "5e-5",
+                    "solver.duration": repr(steps * 5e-5), "outputs.sample_dt": "1.0"}
+
+        assert from_mapping(flat(MAX_PLANT_STEPS)).duration == MAX_PLANT_STEPS * 5e-5
+        with pytest.raises(ConfigurationError) as err:
+            from_mapping(flat(MAX_PLANT_STEPS + 1))
+        assert err.value.key == "solver.dt"
 
 
 def _scaled(text: str, factor: float) -> str:

@@ -425,6 +425,8 @@ class TestBoostModeMachine:
             assert ctl.transitions[-1] == ((k - 1) * DT, "MPPT->VR")
             assert ctl.duty == VR.kp * e + (last + VR.ki * e * DT)
             assert ctl._integral == last + VR.ki * e * DT
+            # the regulation floor is retaken from the hand-over's sample, not kept from before
+            assert ctl._vr_vpv_floor == max(380.0 - 0.01 * (k - 1) - ctl.VPV_FLOOR_MARGIN, 50.0)
         assert [what for _, what in ctl.transitions] == ["VR->MPPT", "MPPT->VR"] * 2
 
     def test_exit_hold_lasts_exactly_its_ticks(self):
@@ -520,7 +522,7 @@ class _DroopControl:
 
 
 def _voltage_loop_step(loop, ref_a, ref_b, va, vb, rows):
-    ia, ib = loop.pr.step_pair(ref_a - va, ref_b - vb, rows)
+    ia, ib = loop.pr._kernel(loop.pr, ref_a - va, ref_b - vb, rows)
     mag = math.hypot(ia, ib)
     loop.clamped = mag > loop.i_limit
     if loop.clamped:
@@ -531,7 +533,7 @@ def _voltage_loop_step(loop, ref_a, ref_b, va, vb, rows):
 
 
 def _current_loop_step(loop, ref_a, ref_b, ia, ib, v_dc, rows):
-    va, vb = loop.pr.step_pair(ref_a - ia, ref_b - ib, rows)
+    va, vb = loop.pr._kernel(loop.pr, ref_a - ia, ref_b - ib, rows)
     loop.locked_out = v_dc < loop.V_DC_LOCKOUT
     if loop.locked_out:
         return 0.0, 0.0, 0.0

@@ -480,7 +480,7 @@ class TestPairedAxes:
         for _ in range(2000):
             omega += float(rng.normal(0.0, 0.05))  # moves every step
             ea, eb = rng.uniform(-20.0, 20.0, 2).tolist()
-            got = pair.step_pair(ea, eb, pair.transitions(omega, DT))
+            got = pair._kernel(pair, ea, eb, pair.transitions(omega, DT))
             assert got == (alpha.step(ea, omega, DT), beta.step(eb, omega, DT))
 
 
@@ -832,7 +832,7 @@ class TestResonatorTable:
             na, nb = rng.normal(0.0, 1.0, 2).tolist()
             ea = sum(math.cos(term.order * omega * t + term.order) for term in terms) + na
             eb = sum(math.sin(term.order * omega * t - term.order) for term in terms) + nb
-            got = pr.step_pair(ea, eb, pr.transitions(omega, DT))
+            got = pr._kernel(pr, ea, eb, pr.transitions(omega, DT))
             want = ref.step((ea, eb), omega, DT)
             for g, w in ((got, want), *zip((*pr._x1, *pr._x2), (*ref.x1, *ref.x2))):
                 assert max(abs(p - q) for p, q in zip(g, w)) <= 1e-9 * max(map(abs, w))

@@ -6,11 +6,7 @@ import pytest
 from pvisland.config import from_mapping
 from pvisland.params import HARMONIC_ORDERS
 from pvisland.signals import FrameVector, ThreePhaseSample, inverse_clarke
-from pvisland.vcc import (
-    CentralCompensator,
-    DqExtractionBank,
-    quality_index,
-)
+from pvisland.vcc import CentralCompensator, DqExtractionBank
 
 DT_TICK = 1e-3
 OMEGA = 370.0
@@ -53,26 +49,42 @@ class TestDqExtraction:
         assert out[-5].magnitude() == pytest.approx(8.5, rel=0.02)
 
 
+def _measured(pos_mag, neg_mag=0.0, h_mags=None):
+    """A default compensator that has measured one set of synthetic phasors."""
+    comp = _compensator()
+    valid = comp.measure(_extracted(pos_mag, neg_mag, h_mags))
+    assert valid is comp.indices_valid
+    return comp
+
+
 class TestIndices:
     def test_vuf_zero_for_balanced(self):
-        value, ok = quality_index(0.0, 100.0)
-        assert ok and value == 0.0
+        comp = _measured(100.0)
+        assert comp.indices_valid and comp.indices[-1] == 0.0
 
     def test_vuf_direct_ratio(self):
-        value, ok = quality_index(5.8, 100.0)
-        assert ok and value == pytest.approx(5.8, rel=1e-12)
+        comp = _measured(100.0, neg_mag=5.8)
+        assert comp.indices_valid and comp.indices[-1] == pytest.approx(5.8, rel=1e-12)
 
     def test_vuf_percent_of_amplitude(self):
-        value, ok = quality_index(1.697, 169.7)
-        assert ok and value == pytest.approx(1.0, rel=1e-12)
+        comp = _measured(169.7, neg_mag=1.697)
+        assert comp.indices_valid and comp.indices[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_hd_direct_ratio(self):
-        value, ok = quality_index(2.0, 100.0)
-        assert ok and value == pytest.approx(2.0, rel=1e-12)
+        comp = _measured(100.0, h_mags={-5: 2.0})
+        assert comp.indices_valid and comp.indices[-5] == pytest.approx(2.0, rel=1e-12)
 
     def test_collapsed_positive_sequence_flags(self):
-        value, ok = quality_index(1.0, 0.5)
-        assert not ok and value == 0.0
+        # below the floor every index reads 0, whatever its component's magnitude
+        comp = _measured(0.5, neg_mag=1.0, h_mags=dict.fromkeys(HARMONIC_ORDERS, 1.0))
+        assert not comp.indices_valid
+        assert comp.indices == dict.fromkeys((-1, *HARMONIC_ORDERS), 0.0)
+
+    def test_nan_positive_sequence_is_not_below_the_floor(self):
+        # the floor test is ``not pos < floor``: a NaN positive sequence passes it
+        comp = _measured(math.nan, neg_mag=1.0, h_mags=dict.fromkeys(HARMONIC_ORDERS, 1.0))
+        assert comp.indices_valid
+        assert all(math.isnan(value) for value in comp.indices.values())
 
     def test_scale_invariance(self):
         # above the validity floor the ratio ignores overall voltage scale
@@ -81,17 +93,16 @@ class TestIndices:
             neg = rng.uniform(0.1, 50.0)
             pos = rng.uniform(2.0, 100.0)
             k = rng.uniform(1.0, 10.0)
-            v1, ok1 = quality_index(neg, pos)
-            v2, ok2 = quality_index(k * neg, k * pos)
-            assert ok1 and ok2
-            assert v1 == pytest.approx(v2, rel=1e-12)
+            c1, c2 = _measured(pos, neg_mag=neg), _measured(k * pos, neg_mag=k * neg)
+            assert c1.indices_valid and c2.indices_valid
+            assert c1.indices[-1] == pytest.approx(c2.indices[-1], rel=1e-12)
 
     def test_hd_consistent_with_total_distortion(self):
         # orders at 3, 2, 2, 1 percent combine to sqrt(18) percent total
-        parts = (3.0, 2.0, 2.0, 1.0)
-        total = math.sqrt(sum(p * p for p in parts))
+        parts = dict(zip(HARMONIC_ORDERS, (3.0, 2.0, 2.0, 1.0)))
+        total = math.sqrt(sum(p * p for p in parts.values()))
         assert total == pytest.approx(math.sqrt(18.0), rel=1e-12)
-        got = [quality_index(p, 100.0)[0] for p in parts]
+        got = [_measured(100.0, h_mags=parts).indices[c] for c in HARMONIC_ORDERS]
         assert math.sqrt(sum(g * g for g in got)) == pytest.approx(total, rel=1e-12)
 
 
@@ -197,8 +208,8 @@ class TestCentralCompensator:
         stepped.step(extracted)
         assert measured.indices == stepped.indices
         assert list(measured.indices) == [-1, *HARMONIC_ORDERS]  # the channel order
-        assert measured.indices[-1] == quality_index(10.0, 170.0)[0]
-        assert measured.indices[-5] == quality_index(4.0, 170.0)[0]
+        assert measured.indices[-1] == 100.0 * 10.0 / 170.0
+        assert measured.indices[-5] == 100.0 * 4.0 / 170.0
         assert measured._effort_dq == {c: (0.0, 0.0) for c in measured.components}
 
     def test_snapshot_holds_the_nonzero_pairs_in_summation_order(self):
